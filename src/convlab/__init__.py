@@ -12,7 +12,6 @@ from .framework import (
     StreamError,
     StreamTrace,
     Verdict,
-    apply_method,
     check_stability,
     classify_convergence,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "StreamError",
     "StreamTrace",
     "Verdict",
-    "apply_method",
     "check_stability",
     "classify_convergence",
     "__version__",

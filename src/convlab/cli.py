@@ -28,7 +28,7 @@ from . import gaussian as g
 from . import lineworld as lw
 from . import perrin as pr
 from . import predsel as ps
-from .framework import Status, check_stability
+from .framework import Status
 from .lineworld import StreamSpec
 
 
@@ -174,6 +174,21 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
     return out
 
 
+def check_consistency(config: dict) -> None:
+    """Reject values that are each in range but contradict one another."""
+    lc = config["lineworld"]
+    if lc["theta_min"] > lc["theta_max"]:
+        raise ConfigError(f"lineworld.theta_min: {lc['theta_min']} exceeds "
+                          f"lineworld.theta_max {lc['theta_max']}")
+    pc = config["perrin"]
+    try:
+        pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
+    except ValueError as exc:
+        field = "grid_step" if pc["grid_lo"] < pc["grid_hi"] else "grid_lo"
+        raise ConfigError(f"perrin.{field}: {exc} (grid_lo={pc['grid_lo']}, "
+                          f"grid_hi={pc['grid_hi']}, grid_step={pc['grid_step']})")
+
+
 def validate_config(raw_text: str) -> dict:
     """Parse and fully default a JSON config; unknown keys and
     out-of-range values are rejected with field diagnostics."""
@@ -232,7 +247,7 @@ def _report_to_dict(report) -> dict:
 # per-experiment runners
 
 
-def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str) -> dict:
+def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str):
     gc = cfg["gaussian"]
     rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
     rows = []
@@ -253,16 +268,18 @@ def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str) -> dict:
             "PROB_ONE": _report_to_dict(reports["PROB_ONE"]),
         }
     w0 = g.GaussianWorld(0.0)
-    return {
+    summary = {
         "levels_at_theta0": {
             rule.label(): g.truth_prob_analytic(rule, w0, 100) for rule in rules
         },
         "modes": modes,
         "curve_rows": len(rows),
     }
+    results = checks.check_gaussian_levels(rows) if cfg["check"] else []
+    return summary, results, rows
 
 
-def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str) -> dict:
+def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str):
     lc = cfg["lineworld"]
     steps = round((lc["theta_max"] - lc["theta_min"]) / lc["theta_step"])
     worlds = [lw.LineWorld(round(lc["theta_min"] + i * lc["theta_step"], 12))
@@ -279,9 +296,7 @@ def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str) -> dict:
         pointwise[spec.label()] = {
             s.value: sum(r.status is s for r in records) for s in Status
         }
-        for w in worlds:
-            ok, _ = check_stability(lw.trace(mstar, w, spec, lc["horizon"]), w.truth)
-            stable = stable and ok
+        stable = stable and all(r.stable for r in records)
 
     uniform = []
     for length in lc["uniform_lengths"]:
@@ -297,13 +312,15 @@ def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str) -> dict:
     for method in [mstar, lw.always_suspend_method()] + lw.razor_violator_suite():
         report = lw.razor_necessity_probe(method, lc["razor_budget"])
         razor[method.name] = report.consequence
-    return {
+    summary = {
         "worlds": len(worlds),
         "pointwise_by_stream": pointwise,
         "mstar_stable": stable,
         "uniform_refutations": uniform,
         "razor_probe": razor,
     }
+    results = checks.check_lineworld_suite(summary) if cfg["check"] else []
+    return summary, results
 
 
 def run_predsel(cfg: dict, seed: int, out: Path, fmt: str):
@@ -322,10 +339,18 @@ def run_predsel(cfg: dict, seed: int, out: Path, fmt: str):
 
     probe_truth = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"], design="grid")
     degree = max(k for k, c in enumerate(pc["regime_a_coeffs"]) if c != 0.0)
-    probe = {
-        str(n): ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed).relative_bias
+    rel_bias = {  # probed size -> relative biases at consecutive seeds from `seed`
+        n: [ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed).relative_bias]
         for n in (50, 100, 200, 400)
     }
+    results = []
+    if cfg["check"]:
+        for n in (50, 400):
+            rel_bias[n] += [
+                ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed + k).relative_bias
+                for k in range(1, checks.TREND_SEEDS)
+            ]
+        results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(rel_bias)
     summary = {
         "true_model_in_set": {
             "correct_frequency_aic": a.correct_frequency_aic,
@@ -340,9 +365,9 @@ def run_predsel(cfg: dict, seed: int, out: Path, fmt: str):
             "mean_excess_risk_bic": b.mean_excess_risk_bic,
             "reps": b.reps,
         },
-        "unbiasedness_probe_relative_bias": probe,
+        "unbiasedness_probe_relative_bias": {str(n): rb[0] for n, rb in rel_bias.items()},
     }
-    return summary, a, b
+    return summary, results, b.rows
 
 
 def _perrin_sheets(config: pr.PerrinConfig):
@@ -350,16 +375,14 @@ def _perrin_sheets(config: pr.PerrinConfig):
     domains = {}
     sheets = {}
     for m in pr.builtin_methods(config):
-        gcoarse = pr.domain_of_convergence(m, config.grid, config.stream,
-                                           config.horizon, config.max_workers)
-        gfine = pr.domain_of_convergence(m, config.grid.halved(), config.stream,
-                                         config.horizon, config.max_workers)
+        gcoarse = pr.domain_of_convergence(m, config.grid, config.stream, config.horizon)
+        gfine = pr.domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
         domains[m.kind] = (gcoarse, gfine)
         sheets[m.kind] = pr.score_sheet(m, config, domains=(gcoarse, gfine))
     return domains, sheets
 
 
-def perrin_config_from(cfg: dict, max_workers: int) -> pr.PerrinConfig:
+def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
     pc = cfg["perrin"]
     return pr.PerrinConfig(
         grid=pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"]),
@@ -368,26 +391,16 @@ def perrin_config_from(cfg: dict, max_workers: int) -> pr.PerrinConfig:
         way1_p=pc["way1_p"], way1_eps=pc["way1_eps"],
         way2_p=pc["way2_p"], way2_delta0=pc["way2_delta0"],
         way3_delta0=pc["way3_delta0"],
-        max_workers=max_workers,
     )
 
 
-def run_perrin(cfg: dict, seed: int, out: Path, fmt: str, max_workers: int):
+def run_perrin(cfg: dict, seed: int, out: Path, fmt: str):
     pc = cfg["perrin"]
-    config = perrin_config_from(cfg, max_workers)
+    config = perrin_config_from(cfg)
     domains, sheets = _perrin_sheets(config)
 
     for kind, (gcoarse, _) in domains.items():
-        rows = []
-        axis = gcoarse.axis
-        n = len(axis)
-        for ia in range(n):
-            for ib in range(n):
-                r = gcoarse.plane_record(ia, ib)
-                rows.append(("plane", axis[ia], axis[ib], r.status, r.settle_stage))
-        for ia in range(n):
-            r = gcoarse.strand[ia]
-            rows.append(("strand", axis[ia], axis[ia], r.status, r.settle_stage))
+        rows = [(c, a, b, r.status, r.settle_stage) for c, a, b, r in _domain_cells(gcoarse)]
         _emit_rows(out / f"domain_{kind.lower()}", fmt,
                    ("component", "a", "b", "status", "settle_stage"), rows)
 
@@ -426,7 +439,21 @@ def run_perrin(cfg: dict, seed: int, out: Path, fmt: str, max_workers: int):
         "coverage": coverage,
         "experimental_streams": streams,
     }
-    return summary, sheets, domains, config
+    results = []
+    if cfg["check"]:
+        slopes = {kind: checks.width_slope(kind, seed) for kind in coverage}
+        results = (checks.check_perrin_theorem(sheets, underdet)
+                   + checks.check_perrin_estimators(coverage, slopes))
+    return summary, results, domains
+
+
+def _domain_cells(grid: pr.DomainGrid):
+    """(component, a, b, record) per world: the plane row-major, then the strand."""
+    for ia, a in enumerate(grid.axis):
+        for ib, b in enumerate(grid.axis):
+            yield "plane", a, b, grid.plane_record(ia, ib)
+    for a, r in zip(grid.axis, grid.strand):
+        yield "strand", a, a, r
 
 
 def _emit_rows(base: Path, fmt: str, header, rows) -> None:
@@ -442,39 +469,21 @@ def _emit_rows(base: Path, fmt: str, header, rows) -> None:
 # plot-data emission
 
 
-def emit_plots(out: Path, fmt: str, gaussian_cfg: dict, seed: int,
-               predsel_summary: Optional[dict], domains: Optional[dict],
-               regime_rows) -> list:
+def emit_plots(out: Path, fmt: str, curve_rows, domains: Optional[dict], regime_rows) -> None:
     """Long-format series ready for any plotting tool."""
     plots = out / "plots"
     plots.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    if gaussian_cfg is not None:
-        rows = []
-        for rule in (g.aic_rule(), g.confidence_rule_95(), g.bic_rule()):
-            for theta in gaussian_cfg["theta_grid"]:
-                for n in gaussian_cfg["n_grid"]:
-                    p = g.truth_prob_analytic(rule, g.GaussianWorld(theta), n)
-                    rows.append((rule.label(), theta, n, p))
+    if curve_rows is not None:
+        rows = [(rule, theta, n, p) for rule, theta, n, p, se in curve_rows if se is None]
         _emit_rows(plots / "truth_prob_series", fmt, ("rule", "theta", "n", "truth_prob"), rows)
-        written.append("truth_prob_series")
 
     if domains is not None:
         code = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
         for kind, (gcoarse, _) in domains.items():
-            rows = []
-            axis = gcoarse.axis
-            n = len(axis)
-            for ia in range(n):
-                for ib in range(n):
-                    rows.append(("plane", axis[ia], axis[ib],
-                                 code[gcoarse.plane_record(ia, ib).status]))
-            for ia in range(n):
-                rows.append(("strand", axis[ia], axis[ia], code[gcoarse.strand[ia].status]))
+            rows = [(c, a, b, code[r.status]) for c, a, b, r in _domain_cells(gcoarse)]
             _emit_rows(plots / f"domain_map_{kind.lower()}", fmt,
                        ("component", "a", "b", "code"), rows)
-            written.append(f"domain_map_{kind.lower()}")
 
     if regime_rows is not None:
         per_rep = {}
@@ -487,8 +496,6 @@ def emit_plots(out: Path, fmt: str, gaussian_cfg: dict, seed: int,
             rows.append((rep, "aic", row["risks"][row["sel_aic"]] - best))
             rows.append((rep, "bic", row["risks"][row["sel_bic"]] - best))
         _emit_rows(plots / "regret_distribution", fmt, ("rep", "selector", "excess_risk"), rows)
-        written.append("regret_distribution")
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +515,7 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     experiments = config["experiment"]
     fmt = config["format"]
     seed = config["seed"]
-    max_workers = _worker_cap()
+    check_consistency(config)
     summary = {"experiments": experiments, "seed": seed, "version": __version__}
     check_results = []
 
@@ -518,37 +525,23 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
 
     domains = None
     regime_rows = None
-    gaussian_cfg = None
+    curve_rows = None
 
     if "gaussian" in experiments:
-        summary["gaussian"] = run_gaussian(config, seed, out, fmt)
-        gaussian_cfg = config["gaussian"]
-        if config["check"]:
-            check_results += checks.check_gaussian_levels(config["gaussian"]["mc_trials"], seed)
+        summary["gaussian"], results, curve_rows = run_gaussian(config, seed, out, fmt)
+        check_results += results
     if "lineworld" in experiments:
-        summary["lineworld"] = run_lineworld(config, seed, out, fmt)
-        if config["check"]:
-            check_results += checks.check_lineworld_suite(
-                config["lineworld"]["horizon"], config["lineworld"]["ratio"])
+        summary["lineworld"], results = run_lineworld(config, seed, out, fmt)
+        check_results += results
     if "predsel" in experiments:
-        pc = config["predsel"]
-        summary["predsel"], regime_a, regime_b = run_predsel(config, seed, out, fmt)
-        regime_rows = regime_b.rows
-        if config["check"]:
-            check_results += checks.check_predsel_directions(regime_a, regime_b)
-            check_results += checks.check_predsel_probe(seed, pc["probe_reps"])
+        summary["predsel"], results, regime_rows = run_predsel(config, seed, out, fmt)
+        check_results += results
     if "perrin" in experiments:
-        perrin_summary, sheets, domains, pconfig = run_perrin(
-            config, seed, out, fmt, max_workers)
-        summary["perrin"] = perrin_summary
-        if config["check"]:
-            check_results += checks.check_perrin_theorem(pconfig, sheets)
-            check_results += checks.check_perrin_estimators(
-                seed, config["perrin"]["coverage_reps"], config["perrin"]["coverage_size"])
+        summary["perrin"], results, domains = run_perrin(config, seed, out, fmt)
+        check_results += results
 
     if config["plots"]:
-        emit_plots(out, fmt, gaussian_cfg, seed,
-                   summary.get("predsel"), domains, regime_rows)
+        emit_plots(out, fmt, curve_rows, domains, regime_rows)
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}
@@ -572,17 +565,6 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     for name, ok, detail in check_results:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return RunOutcome(1 if failed else 0, out, summary)
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("CONVLAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"CONVLAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("CONVLAB_THREADS must be >= 1")
-    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:

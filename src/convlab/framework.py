@@ -45,8 +45,8 @@ class Status(Enum):
 
 
 class ConfigurationError(ValueError):
-    """A method was applied to evidence from the wrong problem family,
-    or two artifacts that must match (grids, bounds) do not."""
+    """Two artifacts that must match (grids, bounds) do not, or the
+    horizon is too short for a check that needs determined verdicts."""
 
 
 class StreamError(ValueError):
@@ -85,14 +85,12 @@ class MethodSpec:
     """A named, parameterized inference rule.
 
     Evaluation treats `decide` as a pure function of the finite evidence
-    history: identical histories must yield identical verdicts.  `family`
-    names the problem family whose evidence the rule understands.
+    history: identical histories must yield identical verdicts.
     `oracle`, when present, maps (world, stream spec) to an
     AsymptoticOracle used to upgrade UNDETERMINED classifications.
     """
 
     name: str
-    family: str
     decide: Callable[[Sequence], Verdict]
     oracle: Optional[Callable] = None
 
@@ -113,9 +111,14 @@ class StreamTrace:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
+    """One world's classification.  `stable` tells whether the trace
+    kept the true answer once it had output it; sweeps that do not judge
+    stability leave it None."""
+
     world_id: str
     status: Status
     settle_stage: Optional[int] = None
+    stable: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -134,24 +137,6 @@ class ModeReport:
     def __post_init__(self):
         if not self.passed and not self.witnesses:
             raise ValueError("a failing ModeReport must carry witnesses")
-
-
-def apply_method(method: MethodSpec, history: Sequence) -> Verdict:
-    """Dispatch a method to an evidence history.
-
-    The history must be non-empty and belong to the method's problem
-    family (each evidence type carries a `family` class attribute).
-    """
-    if not history:
-        raise ValueError("empty evidence history")
-    for item in history:
-        fam = getattr(item, "family", None)
-        if fam != method.family:
-            raise ConfigurationError(
-                f"method {method.name!r} expects {method.family!r} evidence, "
-                f"got {type(item).__name__} (family {fam!r})"
-            )
-    return method.decide(history)
 
 
 def empirical_settle_stage(verdicts: Sequence[Verdict], truth: Verdict) -> Optional[int]:

@@ -23,15 +23,14 @@ rather than hard-coded.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .framework import MethodSpec, Verdict
+from .framework import Verdict
 from .rand import substream
-
-FAMILY = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -47,98 +46,20 @@ class GaussianWorld:
         return Verdict.SIMPLE if self.theta == 0.0 else Verdict.COMPLEX
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    """Sufficient summary of an i.i.d. unit-variance Gaussian sample."""
-
-    n: int
-    xbar: float
-
-    family = FAMILY
-
-
 # ---------------------------------------------------------------------------
-# normal distribution: rational-approximation erfc (Cody's coefficient
-# sets; absolute error well below the 1e-7 contract, validated against
-# tabulated values in the test suite)
+# normal distribution (stdlib: math.erfc and statistics.NormalDist)
 
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-          3.20937758913846947e03, 1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-          2.84423683343917062e03)
-_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-          2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-          3.43936767414372164e03, 1.23033935480374942e03)
-_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-          1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
-          6.05183413124413191e-2, 2.33520497626869185e-3)
-_INV_SQRT_PI = 5.6418958354775628695e-1
-
-
-def _erf_small(x: float) -> float:
-    z = x * x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _exp_split(y: float, factor: float) -> float:
-    # exp(-y*y) * factor with the squaring split to limit rounding
-    ysq = math.floor(y * 16.0) / 16.0
-    delta = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-delta) * factor
-
-
-def erfc(x: float) -> float:
-    """Complementary error function by rational approximation."""
-    y = abs(x)
-    if y <= 0.46875:
-        return 1.0 - _erf_small(x)
-    if y <= 4.0:
-        num = _ERF_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERF_C[i]) * y
-            den = (den + _ERF_D[i]) * y
-        r = _exp_split(y, (num + _ERF_C[7]) / (den + _ERF_D[7]))
-    elif y < 26.6:
-        z = 1.0 / (y * y)
-        num = _ERF_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERF_P[i]) * z
-            den = (den + _ERF_Q[i]) * z
-        r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-        r = _exp_split(y, (_INV_SQRT_PI - r) / y)
-    else:
-        r = 0.0
-    return 2.0 - r if x < 0.0 else r
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_cdf(x: float) -> float:
-    return 0.5 * erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf by bisection (the CDF is strictly
-    monotone; 200 halvings of [-40, 40] reach ~1e-12)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Inverse of the standard normal CDF; p must lie strictly between
+    0 and 1 (StatisticsError, a ValueError, otherwise)."""
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +119,6 @@ def decide(rule: TestRule, n: int, xbar: float) -> Verdict:
     goes to the simple hypothesis); never SUSPEND."""
     c = rule.critical_value(n)
     return Verdict.COMPLEX if abs(xbar) > c else Verdict.SIMPLE
-
-
-def method_for_rule(rule: TestRule) -> MethodSpec:
-    return MethodSpec(
-        name=rule.label(),
-        family=FAMILY,
-        decide=lambda hist: decide(rule, hist[-1].n, hist[-1].xbar),
-    )
 
 
 # executable penalized-likelihood derivations (k parameters cost 2k for

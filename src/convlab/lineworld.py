@@ -20,7 +20,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .framework import (
@@ -31,6 +31,7 @@ from .framework import (
     StreamError,
     StreamTrace,
     Verdict,
+    check_stability,
     classify_convergence,
 )
 
@@ -56,8 +57,6 @@ class IntervalEvidence:
 
     lo: float
     hi: float
-
-    family = FAMILY
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -197,7 +196,6 @@ def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
 def mstar_method() -> MethodSpec:
     return MethodSpec(
         name="mstar",
-        family=FAMILY,
         decide=lambda hist: mstar_decide(hist[-1]),
         oracle=_mstar_oracle,
     )
@@ -211,7 +209,6 @@ def always_complex_method() -> MethodSpec:
 
     return MethodSpec(
         name="always_complex",
-        family=FAMILY,
         decide=lambda hist: Verdict.COMPLEX,
         oracle=oracle,
     )
@@ -220,7 +217,6 @@ def always_complex_method() -> MethodSpec:
 def always_suspend_method() -> MethodSpec:
     return MethodSpec(
         name="always_suspend",
-        family=FAMILY,
         decide=lambda hist: Verdict.SUSPEND,
         oracle=lambda w, spec: AsymptoticOracle(Status.DIVERGES),
     )
@@ -238,7 +234,7 @@ def width_trigger_violator(width0: float = 0.01) -> MethodSpec:
             return Verdict.COMPLEX
         return mstar_decide(e)
 
-    return MethodSpec(name=f"width_violator({width0})", family=FAMILY, decide=decide)
+    return MethodSpec(name=f"width_violator({width0})", decide=decide)
 
 
 def stage_trigger_violator(stage: int = 3) -> MethodSpec:
@@ -249,7 +245,7 @@ def stage_trigger_violator(stage: int = 3) -> MethodSpec:
             return Verdict.COMPLEX
         return mstar_decide(hist[-1])
 
-    return MethodSpec(name=f"stage_violator({stage})", family=FAMILY, decide=decide)
+    return MethodSpec(name=f"stage_violator({stage})", decide=decide)
 
 
 def parity_violator() -> MethodSpec:
@@ -260,7 +256,7 @@ def parity_violator() -> MethodSpec:
             return Verdict.COMPLEX
         return mstar_decide(hist[-1])
 
-    return MethodSpec(name="parity_violator", family=FAMILY, decide=decide)
+    return MethodSpec(name="parity_violator", decide=decide)
 
 
 def razor_violator_suite() -> list:
@@ -278,14 +274,16 @@ def check_pointwise(
     horizon: int,
 ) -> list:
     """One ConvergenceRecord per world along the canonical stream,
-    upgraded by the method's analytic oracle when it has one."""
+    upgraded by the method's analytic oracle when it has one and carrying
+    the stability verdict of the same trace."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     records = []
     for w in worlds:
         tr = trace(method, w, spec, horizon)
         oracle = method.oracle(w, spec) if method.oracle is not None else None
-        records.append(classify_convergence(tr, w.truth, oracle))
+        record = classify_convergence(tr, w.truth, oracle)
+        records.append(replace(record, stable=check_stability(tr, w.truth)[0]))
     return records
 
 

@@ -37,7 +37,6 @@ from .framework import (
     AsymptoticOracle,
     ConfigurationError,
     ConvergenceRecord,
-    MethodSpec,
     ModeReport,
     Status,
     StreamError,
@@ -49,8 +48,6 @@ from .framework import (
 from .gaussian import normal_quantile
 from .lineworld import StreamSpec, interval_at
 from .rand import substream
-
-FAMILY = "perrin"
 
 DIAG_TOL = 1e-12
 
@@ -88,8 +85,6 @@ class PrismEvidence:
     xhi: float
     ylo: float
     yhi: float
-
-    family = FAMILY
 
     def __post_init__(self):
         if not (self.xlo < self.xhi and self.ylo < self.yhi):
@@ -183,15 +178,6 @@ def decide(m: PerrinMethod, history: Sequence[PrismEvidence]) -> Verdict:
         if not cur.is_subset_of(prev):
             raise StreamError("prisms are not nested")
     return decide_latest(m, history[-1])
-
-
-def method_spec(m: PerrinMethod, spec: StreamSpec) -> MethodSpec:
-    return MethodSpec(
-        name=m.label(),
-        family=FAMILY,
-        decide=lambda hist: decide(m, hist),
-        oracle=lambda w, s: asymptotic_oracle(m, w, s),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +353,15 @@ def classify_world(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: in
 
 
 def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
-                          horizon: int, max_workers: int = 1) -> DomainGrid:
+                          horizon: int) -> DomainGrid:
     """Per-world convergence records for both components, simulated over
-    canonical streams and upgraded by the analytic oracle.  Grid cells
-    are independent; `max_workers` > 1 splits them across threads."""
+    canonical streams and upgraded by the analytic oracle."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     axis = grid.axis()
     worlds = [plane_world(a, b) for a in axis for b in axis]
     worlds += [strand_world(a) for a in axis]
-
-    def job(w: PastaWorld) -> ConvergenceRecord:
-        return classify_world(m, w, spec, horizon)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(job, worlds, chunksize=256))
-    else:
-        records = [job(w) for w in worlds]
+    records = [classify_world(m, w, spec, horizon) for w in worlds]
     n_plane = len(axis) * len(axis)
     return DomainGrid(
         grid=grid,
@@ -571,7 +546,6 @@ class PerrinConfig:
     way2_p: float = 1.0       # is active from stage 0 at the sacrificed pair
     way2_delta0: float = 0.1
     way3_delta0: float = 4.0
-    max_workers: int = 1
 
 
 def builtin_methods(config: PerrinConfig) -> list:
@@ -600,10 +574,8 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig,
     for this method; otherwise both grids are computed here.
     """
     if domains is None:
-        g = domain_of_convergence(m, config.grid, config.stream, config.horizon,
-                                  config.max_workers)
-        g2 = domain_of_convergence(m, config.grid.halved(), config.stream,
-                                   config.horizon, config.max_workers)
+        g = domain_of_convergence(m, config.grid, config.stream, config.horizon)
+        g2 = domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
     else:
         g, g2 = domains
     ae = ae_check(g, g2)

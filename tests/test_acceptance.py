@@ -2,16 +2,16 @@
 tolerance, each printing a PASS/FAIL line (run with -s to see them all).
 """
 
-import math
 import time
 
 import pytest
 
+from convlab import checks
 from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import Status, Verdict, check_stability
+from convlab.framework import Status
 
 MASTER_SEED = 20250801
 
@@ -21,57 +21,76 @@ def report(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
+def verdicts(results) -> dict:
+    """check id -> (passed, detail) from a checks.check_* result list."""
+    return {name: (ok, detail) for name, ok, detail in results}
+
+
+@pytest.fixture(scope="module")
+def gaussian_verdicts():
+    """The gaussian checks on curve rows at the pinned sizes: analytic
+    levels at theta = 0, Monte Carlo at 200,000 trials, and power at
+    theta = 0.5."""
+    w0, w5 = g.GaussianWorld(0.0), g.GaussianWorld(0.5)
+    rows = []
+    for rule, analytic_ns, mc_ns in (
+        (g.aic_rule(), (10, 100, 1000), (100,)),
+        (g.fixed_z_rule(1.96), (100,), (100,)),
+        (g.bic_rule(), (100, 10**4, 10**6), (100, 10**4, 10**6)),
+    ):
+        rows += [(rule.label(), 0.0, n, g.truth_prob_analytic(rule, w0, n), None)
+                 for n in analytic_ns]
+        rows += [(rule.label(), 0.0, n, *g.truth_prob_mc(rule, w0, n, 200_000, MASTER_SEED))
+                 for n in mc_ns]
+    for rule, ns in ((g.aic_rule(), (100, 150, 200, 500, 1000, 10**4, 10**6)),
+                     (g.bic_rule(), (200, 300, 500, 1000, 10**4, 10**6))):
+        rows += [(rule.label(), 0.5, n, g.truth_prob_analytic(rule, w5, n), None) for n in ns]
+    return verdicts(checks.check_gaussian_levels(rows)), rows
+
+
 @pytest.fixture(scope="module")
 def perrin_results():
     config = pr.PerrinConfig()  # grid [0.5, 1.5] step 0.02, refined 0.01, horizon 40
     start = time.time()
     sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
-    return config, sheets, time.time() - start
+    elapsed = time.time() - start
+    underdet = {m.kind: pr.underdetermination_ok(m, config.grid, config.stream)
+                for m in pr.builtin_methods(config)}
+    return verdicts(checks.check_perrin_theorem(sheets, underdet)), sheets, elapsed
 
 
-def test_criterion_1_aic_level():
-    rule = g.aic_rule()
-    w = g.GaussianWorld(0.0)
-    probs = {n: g.truth_prob_analytic(rule, w, n) for n in (10, 100, 1000)}
-    ok = all(abs(p - 0.8427) <= 0.0005 for p in probs.values())
-    ok = ok and max(probs.values()) - min(probs.values()) <= 1e-12
-    mc, se = g.truth_prob_mc(rule, w, 100, 200_000, MASTER_SEED)
-    ok = ok and abs(mc - probs[100]) <= 0.004
-    report("01-aic-level", ok,
-           f"analytic={probs[100]:.6f} spread={max(probs.values()) - min(probs.values()):.2e} mc={mc:.4f}")
+@pytest.fixture(scope="module")
+def predsel_results():
+    start = time.time()
+    a = ps.regime_experiment(ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0),
+                             range(0, 7), n=500, reps=2000, seed=MASTER_SEED)
+    elapsed_a = time.time() - start
+    b = ps.regime_experiment(ps.abs_truth(noise_sigma=0.5), range(0, 13),
+                             n=500, reps=1000, seed=MASTER_SEED)
+    return verdicts(checks.check_predsel_directions(a, b)), a, elapsed_a
 
 
-def test_criterion_2_confidence_rule_level():
-    rule = g.fixed_z_rule(1.96)
-    w = g.GaussianWorld(0.0)
-    p = g.truth_prob_analytic(rule, w, 100)
-    mc, _ = g.truth_prob_mc(rule, w, 100, 200_000, MASTER_SEED)
-    ok = abs(p - 0.9500) <= 0.0005 and abs(mc - p) <= 0.004
-    report("02-m-dagger-level", ok, f"analytic={p:.6f} mc={mc:.4f}")
+def test_criterion_1_aic_level(gaussian_verdicts):
+    results, rows = gaussian_verdicts
+    ok, detail = results["gaussian_aic_level"]
+    mc = [p for r, t, n, p, se in rows if r == g.aic_rule().label() and se is not None]
+    report("01-aic-level", ok, f"{detail} mc={mc[0]:.4f}")
 
 
-def test_criterion_3_bic_consistency():
-    rule = g.bic_rule()
-    w = g.GaussianWorld(0.0)
-    targets = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
-    vals = {n: g.truth_prob_analytic(rule, w, n) for n in targets}
-    ok = all(abs(vals[n] - t) <= 0.001 for n, t in targets.items())
-    ok = ok and vals[100] < vals[10**4] < vals[10**6]
-    mc_ok = True
-    for n in targets:
-        mc, se = g.truth_prob_mc(rule, w, n, 200_000, MASTER_SEED)
-        mc_ok = mc_ok and abs(mc - vals[n]) <= 4.0 * se
-    report("03-bic-consistency", ok and mc_ok,
-           " ".join(f"n={n}:{v:.5f}" for n, v in vals.items()) + f" mc_ok={mc_ok}")
+def test_criterion_2_confidence_rule_level(gaussian_verdicts):
+    ok, detail = gaussian_verdicts[0]["gaussian_m_dagger_level"]
+    report("02-m-dagger-level", ok, detail)
 
 
-def test_criterion_4_power():
+def test_criterion_3_bic_consistency(gaussian_verdicts):
+    ok, detail = gaussian_verdicts[0]["gaussian_bic_consistency"]
+    report("03-bic-consistency", ok, detail)
+
+
+def test_criterion_4_power(gaussian_verdicts):
+    ok, _ = gaussian_verdicts[0]["gaussian_power"]
     w = g.GaussianWorld(0.5)
-    aic_ok = all(g.truth_prob_analytic(g.aic_rule(), w, n) >= 0.999
-                 for n in (100, 150, 200, 500, 1000, 10**4, 10**6))
-    bic_ok = all(g.truth_prob_analytic(g.bic_rule(), w, n) >= 0.999
-                 for n in (200, 300, 500, 1000, 10**4, 10**6))
-    report("04-power", aic_ok and bic_ok,
+    report("04-power", ok,
            f"aic(n=100)={g.truth_prob_analytic(g.aic_rule(), w, 100):.6f} "
            f"bic(n=200)={g.truth_prob_analytic(g.bic_rule(), w, 200):.6f}")
 
@@ -86,124 +105,82 @@ def test_criterion_5_lineworld_suite():
         lw.StreamSpec(1.0, 0.7, "offcenter", -1.0),
         lw.StreamSpec(1.0, 0.7, "offcenter", 0.7),
     ]
-    pointwise_ok = stability_ok = True
+    pointwise = {}
+    stable = True
     for spec in specs:
         records = lw.check_pointwise(mstar, worlds, spec, 60)
-        pointwise_ok = pointwise_ok and all(r.status is Status.CONVERGES for r in records)
-        for w in worlds:
-            ok, _ = check_stability(lw.trace(mstar, w, spec, 60), w.truth)
-            stability_ok = stability_ok and ok
+        pointwise[spec.label()] = {s.value: sum(r.status is s for r in records) for s in Status}
+        stable = stable and all(r.stable for r in records)
 
-    uniform_ok = True
-    for method in (mstar, lw.always_complex_method(), lw.always_suspend_method()):
-        for length in (1.0, 0.1, 0.01):
-            wit = lw.refute_uniform(method, length)
-            uniform_ok = uniform_ok and lw.witness_is_valid(method, wit, length)
-
+    uniform = [
+        {"replay_valid": lw.witness_is_valid(method, lw.refute_uniform(method, length), length)}
+        for method in (mstar, lw.always_complex_method(), lw.always_suspend_method())
+        for length in (1.0, 0.1, 0.01)
+    ]
     adversaries = lw.razor_violator_suite()
     assert len(adversaries) >= 3
-    razor_ok = lw.razor_necessity_probe(mstar).consequence == "NONE_FOUND"
-    consequences = []
-    for adversary in adversaries:
-        rep = lw.razor_necessity_probe(adversary)
-        consequences.append(f"{adversary.name}:{rep.consequence}")
-        razor_ok = razor_ok and rep.consequence in ("POINTWISE_FAIL", "STABILITY_FAIL")
+    razor = {m.name: lw.razor_necessity_probe(m).consequence for m in [mstar] + adversaries}
+    summary = {"worlds": len(worlds), "pointwise_by_stream": pointwise, "mstar_stable": stable,
+               "uniform_refutations": uniform, "razor_probe": razor}
+    results = checks.check_lineworld_suite(summary)
     elapsed = time.time() - start
-    ok = pointwise_ok and stability_ok and uniform_ok and razor_ok and elapsed < 10.0
+    ok = all(passed for _, passed, _ in results) and elapsed < 10.0
     report("05-lineworld-suite", ok,
-           f"pointwise={pointwise_ok} stable={stability_ok} uniform={uniform_ok} "
-           f"razor=[{'; '.join(consequences)}] elapsed={elapsed:.1f}s")
+           " ".join(f"{name}={passed}" for name, passed, _ in results)
+           + f" razor=[{'; '.join(f'{k}:{v}' for k, v in razor.items())}] elapsed={elapsed:.1f}s")
 
 
-def test_criterion_6_regime_reversal_true_model():
-    start = time.time()
-    truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0)
-    summary = ps.regime_experiment(truth, range(0, 7), n=500, reps=2000, seed=MASTER_SEED)
-    diff = summary.correct_frequency_bic - summary.correct_frequency_aic
-    elapsed = time.time() - start
-    ok = diff >= 0.05 and elapsed < 120.0
-    report("06-regime-true-model", ok,
-           f"bic={summary.correct_frequency_bic:.4f} aic={summary.correct_frequency_aic:.4f} "
-           f"diff={diff:.4f} elapsed={elapsed:.1f}s")
+def test_criterion_6_regime_reversal_true_model(predsel_results):
+    results, a, elapsed = predsel_results
+    ok, detail = results["predsel_regime_true_model"]
+    diff = a.correct_frequency_bic - a.correct_frequency_aic
+    report("06-regime-true-model", ok and elapsed < 120.0,
+           f"{detail} diff={diff:.4f} elapsed={elapsed:.1f}s")
 
 
-def test_criterion_7_regime_reversal_misspecified():
-    truth = ps.abs_truth(noise_sigma=0.5)
-    summary = ps.regime_experiment(truth, range(0, 13), n=500, reps=1000, seed=MASTER_SEED)
-    ok = summary.mean_excess_risk_aic <= summary.mean_excess_risk_bic
-    report("07-regime-misspecified", ok,
-           f"aic={summary.mean_excess_risk_aic:.6f} bic={summary.mean_excess_risk_bic:.6f}")
+def test_criterion_7_regime_reversal_misspecified(predsel_results):
+    ok, detail = predsel_results[0]["predsel_regime_misspecified"]
+    report("07-regime-misspecified", ok, detail)
 
 
 def test_criterion_8_unbiasedness_probe():
     truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0, design="grid")
-    at200 = ps.unbiasedness_probe(truth, degree=2, n=200, reps=4000, seed=MASTER_SEED)
-    seeds = [MASTER_SEED + k for k in range(5)]
-    rb50 = [ps.unbiasedness_probe(truth, 2, 50, 4000, s).relative_bias for s in seeds]
-    rb400 = [ps.unbiasedness_probe(truth, 2, 400, 4000, s).relative_bias for s in seeds]
-    trend_ok = sum(rb400) / 5 <= sum(rb50) / 5
-    ok = at200.relative_bias <= 0.02 and trend_ok
+    seeds = [MASTER_SEED + k for k in range(checks.TREND_SEEDS)]
+    rel_bias = {n: [ps.unbiasedness_probe(truth, 2, n, 4000, s).relative_bias for s in seeds]
+                for n in (50, 400)}
+    rel_bias[200] = [ps.unbiasedness_probe(truth, degree=2, n=200, reps=4000,
+                                           seed=MASTER_SEED).relative_bias]
+    [(_, ok, detail)] = checks.check_predsel_probe(rel_bias)
     report("08-unbiasedness-probe", ok,
-           f"rel_bias(200)={at200.relative_bias:.5f} "
-           f"mean_rb(50)={sum(rb50) / 5:.5f} mean_rb(400)={sum(rb400) / 5:.5f}")
+           f"{detail} mean_rb(50)={sum(rel_bias[50]) / len(seeds):.5f} "
+           f"mean_rb(400)={sum(rel_bias[400]) / len(seeds):.5f}")
 
 
 def test_criterion_9_score_sheet_theorem(perrin_results):
-    _, sheets, elapsed = perrin_results
-    expected = {
-        "OCKHAM_REALIST": (True, True, True),
-        "ANTI_REALIST": (False, False, True),
-        "WAY1": (True, False, True),
-        "WAY2": (True, True, False),
-    }
-    ok = all(sheets[k].pattern() == v for k, v in expected.items())
-    ae3, _, stable3 = sheets["WAY3"].pattern()
-    ok = ok and (ae3, stable3) == (False, True)
-    ok = ok and len(sheets["WAY2"].stable.witnesses) > 0
-    ok = ok and elapsed < 60.0
-    detail = " ".join(
-        f"{k}:{''.join('P' if b else 'F' for b in sheets[k].pattern())}" for k in sheets
-    )
-    report("09-score-sheet", ok, f"{detail} elapsed={elapsed:.1f}s")
+    results, sheets, elapsed = perrin_results
+    ok, detail = results["perrin_score_sheet"]
+    report("09-score-sheet", ok and elapsed < 60.0, f"{detail} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_10_lower_dimension_refinement(perrin_results):
-    _, sheets, _ = perrin_results
-    ock = sheets["OCKHAM_REALIST"].fractions
-    f1 = ock["coarse"]["plane"]["DIVERGES"]
-    f2 = ock["refined"]["plane"]["DIVERGES"]
-    ratio = f2 / f1
+    results, sheets, _ = perrin_results
+    ok, detail = results["perrin_lower_dimension"]
     anti = sheets["ANTI_REALIST"].fractions
-    strand1 = anti["coarse"]["strand"]["DIVERGES"]
-    strand2 = anti["refined"]["strand"]["DIVERGES"]
-    ok = 0.25 <= ratio <= 0.75 and strand1 == 1.0 and strand2 == 1.0
     report("10-lower-dimension", ok,
-           f"ockham_plane {f1:.5f}->{f2:.5f} (ratio {ratio:.3f}); "
-           f"anti_strand {strand1:.0%}/{strand2:.0%}")
+           f"{detail}; anti_strand {anti['coarse']['strand']['DIVERGES']:.0%}"
+           f"/{anti['refined']['strand']['DIVERGES']:.0%}")
 
 
 def test_criterion_11_underdetermination(perrin_results):
-    config, _, _ = perrin_results
-    ok = all(pr.underdetermination_ok(m, config.grid, config.stream)
-             for m in pr.builtin_methods(config))
-    report("11-underdetermination", ok, "no empirically equivalent pair doubly covered")
+    ok, detail = perrin_results[0]["perrin_underdetermination"]
+    report("11-underdetermination", ok, detail)
 
 
 def test_criterion_12_estimator_quality():
-    cov_b = pr.coverage_study("brownian", 1.0, 2.0, 400, 1000, 0.95, MASTER_SEED)
-    cov_s = pr.coverage_study("sediment", 1.0, 2.0, 400, 1000, 0.95, MASTER_SEED)
-    ok = cov_b.coverage >= 0.93 and cov_s.coverage >= 0.93
-    slopes = {}
-    for kind in ("brownian", "sediment"):
-        sizes = (100, 200, 400, 800)
-        widths = [pr.coverage_study(kind, 1.0, 2.0, s, 60, 0.95, MASTER_SEED).mean_width
-                  for s in sizes]
-        lx = [math.log(s) for s in sizes]
-        ly = [math.log(w) for w in widths]
-        mx, my = sum(lx) / 4, sum(ly) / 4
-        slope = sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
-        slopes[kind] = slope
-        ok = ok and abs(slope + 0.5) <= 0.15
+    coverage = {kind: {"coverage": pr.coverage_study(kind, 1.0, 2.0, 400, 1000, 0.95,
+                                                     MASTER_SEED).coverage}
+                for kind in ("brownian", "sediment")}
+    slopes = {kind: checks.width_slope(kind, MASTER_SEED) for kind in coverage}
+    [(_, ok, detail)] = checks.check_perrin_estimators(coverage, slopes)
     report("12-estimator-quality", ok,
-           f"coverage brownian={cov_b.coverage:.3f} sediment={cov_s.coverage:.3f} "
-           f"width_slopes={{br={slopes['brownian']:.3f}, sed={slopes['sediment']:.3f}}}")
+           f"{detail} width_slopes={{br={slopes['brownian']:.3f}, sed={slopes['sediment']:.3f}}}")

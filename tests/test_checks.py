@@ -1,0 +1,197 @@
+"""The acceptance checks are predicates: each passes on sound results and
+fails on results doctored to break exactly the property it judges."""
+
+import copy
+from types import SimpleNamespace
+
+import pytest
+
+from convlab import checks
+from convlab import gaussian as g
+from convlab.framework import ModeReport
+from convlab.perrin import ScoreSheet
+
+AIC, M95, BIC = g.aic_rule().label(), g.confidence_rule_95().label(), g.bic_rule().label()
+
+
+def verdicts(results) -> dict:
+    return {name: ok for name, ok, _ in results}
+
+
+def gaussian_rows():
+    """Analytic rows at theta 0 and 0.5, and one Monte Carlo row per rule
+    at theta 0 that agrees with the analytic value."""
+    rows = []
+    for rule in (g.aic_rule(), g.confidence_rule_95(), g.bic_rule()):
+        for theta in (0.0, 0.5):
+            for n in (10, 100, 1000, 10**4):
+                p = g.truth_prob_analytic(rule, g.GaussianWorld(theta), n)
+                rows.append((rule.label(), theta, n, p, None))
+        p100 = g.truth_prob_analytic(rule, g.GaussianWorld(0.0), 100)
+        rows.append((rule.label(), 0.0, 100, p100 + 0.0005, 0.0008))
+    return rows
+
+
+def shift_mc(rows, rule, delta):
+    return [(r, t, n, p + delta if r == rule and se is not None else p, se)
+            for r, t, n, p, se in rows]
+
+
+GAUSSIAN_DOCTORED = {
+    "gaussian_aic_level": lambda rows: shift_mc(rows, AIC, 0.005),
+    "gaussian_m_dagger_level": lambda rows: [row for row in rows
+                                             if row[0] != M95 or row[4] is None],
+    "gaussian_bic_consistency": lambda rows: [row for row in rows
+                                              if row[0] != BIC or (row[1], row[2]) != (0.0, 100)],
+    "gaussian_power": lambda rows: [row if (row[0], row[1], row[2]) != (BIC, 0.5, 1000)
+                                    else (*row[:3], 0.99, None) for row in rows],
+}
+
+
+def test_gaussian_checks_pass_on_sound_rows():
+    assert all(verdicts(checks.check_gaussian_levels(gaussian_rows())).values())
+
+
+@pytest.mark.parametrize("check_id", list(GAUSSIAN_DOCTORED))
+def test_gaussian_check_fails_on_doctored_rows(check_id):
+    got = verdicts(checks.check_gaussian_levels(GAUSSIAN_DOCTORED[check_id](gaussian_rows())))
+    assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
+LINEWORLD = {
+    "worlds": 11,
+    "pointwise_by_stream": {
+        stream: {"CONVERGES": 11, "DIVERGES": 0, "UNDETERMINED": 0}
+        for stream in ("centered", "offcenter")
+    },
+    "mstar_stable": True,
+    "uniform_refutations": [{"replay_valid": True}] * 3,
+    "razor_probe": {"mstar": "NONE_FOUND", "always_suspend": "NONE_FOUND",
+                    "width_violator(0.01)": "POINTWISE_FAIL",
+                    "stage_violator(3)": "STABILITY_FAIL",
+                    "parity_violator": "STABILITY_FAIL"},
+}
+
+
+def one_diverges(s):
+    s["pointwise_by_stream"]["offcenter"].update(CONVERGES=10, DIVERGES=1)
+
+
+def zero_worlds(s):
+    s["worlds"] = 0
+    for counts in s["pointwise_by_stream"].values():
+        counts["CONVERGES"] = 0
+
+
+def unstable(s):
+    s["mstar_stable"] = False
+
+
+def replay_invalid(s):
+    s["uniform_refutations"] = [{"replay_valid": True}, {"replay_valid": False}]
+
+
+def no_witnesses(s):
+    s["uniform_refutations"] = []
+
+
+def violator_unflagged(s):
+    s["razor_probe"]["parity_violator"] = "NONE_FOUND"
+
+
+@pytest.mark.parametrize("check_id, doctor", [
+    ("lineworld_mstar_pointwise_stable", one_diverges),
+    ("lineworld_mstar_pointwise_stable", zero_worlds),
+    ("lineworld_mstar_pointwise_stable", unstable),
+    ("lineworld_uniform_refuted", replay_invalid),
+    ("lineworld_uniform_refuted", no_witnesses),
+    ("lineworld_razor_probe", violator_unflagged),
+])
+def test_lineworld_check_fails_on_doctored_summary(check_id, doctor):
+    assert all(verdicts(checks.check_lineworld_suite(LINEWORLD)).values())
+    summary = copy.deepcopy(LINEWORLD)
+    doctor(summary)
+    got = verdicts(checks.check_lineworld_suite(summary))
+    assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
+def regimes(freq_aic=0.70, freq_bic=0.80, risk_aic=0.0018, risk_bic=0.0025):
+    a = SimpleNamespace(correct_frequency_aic=freq_aic, correct_frequency_bic=freq_bic)
+    b = SimpleNamespace(mean_excess_risk_aic=risk_aic, mean_excess_risk_bic=risk_bic)
+    return a, b
+
+
+def test_predsel_directions():
+    assert all(verdicts(checks.check_predsel_directions(*regimes())).values())
+    got = verdicts(checks.check_predsel_directions(*regimes(freq_bic=0.74)))
+    assert got == {"predsel_regime_true_model": False, "predsel_regime_misspecified": True}
+    got = verdicts(checks.check_predsel_directions(*regimes(risk_aic=0.003)))
+    assert got == {"predsel_regime_true_model": True, "predsel_regime_misspecified": False}
+
+
+SOUND_PROBE = {200: [0.001], 50: [0.003] * checks.TREND_SEEDS, 400: [0.001] * checks.TREND_SEEDS}
+
+
+@pytest.mark.parametrize("probe, ok", [
+    (SOUND_PROBE, True),
+    ({**SOUND_PROBE, 200: [0.03]}, False),
+    ({**SOUND_PROBE, 400: [0.004] * checks.TREND_SEEDS}, False),
+    ({200: [0.001], 50: [0.003], 400: [0.001]}, False),  # one seed is no trend
+    ({}, False),
+])
+def test_predsel_probe(probe, ok):
+    [(_, passed, _)] = checks.check_predsel_probe(probe)
+    assert passed is ok
+
+
+def sheet(pattern, plane=(0.0, 0.0), strand=(0.0, 0.0)):
+    # None in a pattern (a criterion left unconstrained) is built as a pass
+    reports = [ModeReport(mode, ok is not False, () if ok is not False else ({"w": 0},))
+               for mode, ok in zip(("ALMOST_EVERYWHERE", "MAXIMAL_DOMAIN", "STABILITY"), pattern)]
+    fractions = {grid: {"plane": {"DIVERGES": plane[i]}, "strand": {"DIVERGES": strand[i]}}
+                 for i, grid in enumerate(("coarse", "refined"))}
+    return ScoreSheet("m", *reports, fractions=fractions)
+
+
+def sound_sheets():
+    sheets = {kind: sheet(pattern) for kind, pattern in checks.EXPECTED_PATTERNS.items()}
+    sheets["OCKHAM_REALIST"] = sheet((True, True, True), plane=(0.02, 0.01))
+    sheets["ANTI_REALIST"] = sheet((False, False, True), strand=(1.0, 1.0))
+    return sheets
+
+
+SOUND_UNDERDET = dict.fromkeys(checks.EXPECTED_PATTERNS, True)
+
+
+@pytest.mark.parametrize("check_id, sheets, underdet", [
+    ("perrin_score_sheet", {**sound_sheets(), "WAY1": sheet((True, True, True))}, SOUND_UNDERDET),
+    ("perrin_score_sheet", {**sound_sheets(), "WAY2": sheet((True, True, True))}, SOUND_UNDERDET),
+    ("perrin_lower_dimension",
+     {**sound_sheets(), "OCKHAM_REALIST": sheet((True, True, True), plane=(0.02, 0.02))},
+     SOUND_UNDERDET),
+    ("perrin_lower_dimension",
+     {**sound_sheets(), "ANTI_REALIST": sheet((False, False, True), strand=(1.0, 0.9))},
+     SOUND_UNDERDET),
+    ("perrin_underdetermination", sound_sheets(), {**SOUND_UNDERDET, "WAY2": False}),
+    ("perrin_underdetermination", sound_sheets(), {}),
+])
+def test_perrin_theorem_fails_on_doctored_sheets(check_id, sheets, underdet):
+    assert all(verdicts(checks.check_perrin_theorem(sound_sheets(), SOUND_UNDERDET)).values())
+    got = verdicts(checks.check_perrin_theorem(sheets, underdet))
+    assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
+SOUND_COVERAGE = {"brownian": {"coverage": 0.95}, "sediment": {"coverage": 0.954}}
+SOUND_SLOPES = {"brownian": -0.51, "sediment": -0.50}
+
+
+@pytest.mark.parametrize("coverage, slopes, ok", [
+    (SOUND_COVERAGE, SOUND_SLOPES, True),
+    ({**SOUND_COVERAGE, "sediment": {"coverage": 0.92}}, SOUND_SLOPES, False),
+    (SOUND_COVERAGE, {**SOUND_SLOPES, "brownian": -0.3}, False),
+    (SOUND_COVERAGE, {}, False),
+    ({}, SOUND_SLOPES, False),
+])
+def test_perrin_estimators(coverage, slopes, ok):
+    [(_, passed, _)] = checks.check_perrin_estimators(coverage, slopes)
+    assert passed is ok

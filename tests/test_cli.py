@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from convlab import cli
+from convlab import lineworld as lw
 
 
 SMALL_CONFIG = {
@@ -142,16 +143,42 @@ class TestFlags:
         assert cli.main(["--experiment", "gaussian", "--trials", "10",
                          "--out", str(tmp_path / "x")]) == 2
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONVLAB_THREADS", "2")
-        code, out = run_cli(tmp_path, {"experiment": ["perrin"],
-                                       "perrin": {"grid_step": 0.25, "coverage_reps": 20,
-                                                  "coverage_size": 50,
-                                                  "stream_schedule": [50, 100]}})
+    def test_lineworld_theta_range_reversed_exit_two(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, {"experiment": ["lineworld"],
+                                     "lineworld": {"theta_min": 0.5, "theta_max": -0.5}})
+        assert code == 2
+        assert "lineworld.theta_min" in capsys.readouterr().err
+
+    def test_perrin_grid_empty_exit_two(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, {"experiment": ["perrin"],
+                                     "perrin": {"grid_lo": 1.5, "grid_hi": 1.5}})
+        assert code == 2
+        assert "perrin.grid_lo" in capsys.readouterr().err
+
+    def test_grid_step_not_dividing_span_exit_two(self, tmp_path, capsys):
+        code = cli.main(["--experiment", "perrin", "--grid-step", "0.03",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "perrin.grid_step" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestChecksJudgeTheRun:
+    def test_lineworld_traces_each_world_and_stream_once(self, tmp_path, monkeypatch):
+        traced = []
+        original = lw.trace
+
+        def counting_trace(*args, **kwargs):
+            traced.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lw, "trace", counting_trace)
+        code, out = run_cli(tmp_path, {"experiment": ["lineworld"],
+                                       "lineworld": {"theta_step": 0.1}}, "--check")
         assert code == 0
-        monkeypatch.setenv("CONVLAB_THREADS", "zero")
-        cfg = tmp_path / "config.json"
-        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+        summary = json.loads((out / "summary.json").read_text())["lineworld"]
+        assert summary["worlds"] == 11
+        assert len(traced) == summary["worlds"] * len(summary["pointwise_by_stream"]) == 33
 
 
 class TestPlots:

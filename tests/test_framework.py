@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from convlab.framework import (
     AsymptoticOracle,
-    ConfigurationError,
     ConvergenceRecord,
     MethodSpec,
     ModeReport,
@@ -12,7 +11,6 @@ from convlab.framework import (
     Status,
     StreamTrace,
     Verdict,
-    apply_method,
     check_stability,
     classify_convergence,
     empirical_settle_stage,
@@ -25,31 +23,6 @@ S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
 def make_trace(verdicts, world_id="w"):
     return StreamTrace(world_id, tuple((None, v) for v in verdicts))
-
-
-class TestApplyMethod:
-    def test_dispatch_to_interval_rule(self):
-        m = lw.mstar_method()
-        assert apply_method(m, [lw.IntervalEvidence(-0.5, 0.5)]) is S
-        assert apply_method(m, [lw.IntervalEvidence(0.2, 0.4)]) is C
-
-    def test_dispatch_to_prism_rule(self):
-        anti = pr.method_spec(pr.anti_realist_method(), lw.StreamSpec())
-        assert apply_method(anti, [pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)]) is Q
-
-    def test_family_mismatch_is_configuration_error(self):
-        m = lw.mstar_method()
-        with pytest.raises(ConfigurationError):
-            apply_method(m, [pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)])
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            apply_method(lw.mstar_method(), [])
-
-    def test_determinism(self):
-        m = lw.mstar_method()
-        hist = [lw.IntervalEvidence(-1.0, 1.0), lw.IntervalEvidence(-0.25, 0.5)]
-        assert apply_method(m, hist) is apply_method(m, hist)
 
 
 class TestClassifyConvergence:

@@ -118,8 +118,7 @@ class TestPointwise:
 
 
 def constant_method(verdict):
-    return lw.MethodSpec(name=f"const_{verdict.value}", family=lw.FAMILY,
-                         decide=lambda hist: verdict)
+    return lw.MethodSpec(name=f"const_{verdict.value}", decide=lambda hist: verdict)
 
 
 class TestRefuteUniform:
@@ -161,7 +160,7 @@ class TestRefuteUniform:
                 return narrow_verdict
             return lw.mstar_decide(e) if not flip else C
 
-        m = lw.MethodSpec(name="generated", family=lw.FAMILY, decide=decide)
+        m = lw.MethodSpec(name="generated", decide=decide)
         wit = lw.refute_uniform(m, length)
         assert lw.witness_is_valid(m, wit, length)
 
