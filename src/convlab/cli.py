@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -187,6 +189,14 @@ def check_consistency(config: dict) -> None:
         field = "grid_step" if pc["grid_lo"] < pc["grid_hi"] else "grid_lo"
         raise ConfigError(f"perrin.{field}: {exc} (grid_lo={pc['grid_lo']}, "
                           f"grid_hi={pc['grid_hi']}, grid_step={pc['grid_step']})")
+    for suite, top in (("lineworld", max(abs(lc["theta_min"]), abs(lc["theta_max"]))),
+                       ("perrin", max(abs(pc["grid_lo"]), abs(pc["grid_hi"])))):
+        c = config[suite]
+        half = c["delta0"] * c["ratio"] ** (c["horizon"] - 1)
+        if half <= 2.0 * math.ulp(top):
+            raise ConfigError(f"{suite}.horizon: {c['horizon']} stages shrink the half-width "
+                              f"delta0*ratio**(horizon-1) to {half:.3g} (delta0={c['delta0']}, "
+                              f"ratio={c['ratio']}), at most twice the float spacing at {top}")
 
 
 def validate_config(raw_text: str) -> dict:
@@ -213,29 +223,46 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str) -> str:
+    data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_csv(path: Path, header, rows) -> None:
-    import io
-
+def write_csv(path: Path, header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _write_atomic(path, buf.getvalue())
+    return _write_atomic(path, buf.getvalue())
 
 
-def write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path, obj) -> str:
+    return _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@dataclass
+class Outputs:
+    """A run's output directory and tabular format, and the sha256 of the
+    bytes of every file the run wrote there (as the writers return it),
+    keyed by the file's path under the directory."""
+
+    root: Path
+    fmt: str
+    digests: dict = field(default_factory=dict)
+
+    def emit_json(self, name: str, obj) -> None:
+        self.digests[name] = write_json(self.root / name, obj)
+
+    def emit_rows(self, base: str, header, rows) -> None:
+        if self.fmt == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            self.emit_json(f"{base}.json", json.loads(json.dumps(payload, default=_fmt)))
+        else:
+            self.digests[f"{base}.csv"] = write_csv(self.root / f"{base}.csv", header, rows)
 
 
 def _report_to_dict(report) -> dict:
@@ -247,7 +274,7 @@ def _report_to_dict(report) -> dict:
 # per-experiment runners
 
 
-def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str):
+def run_gaussian(cfg: dict, seed: int, out: Outputs):
     gc = cfg["gaussian"]
     rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
     rows = []
@@ -258,7 +285,7 @@ def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str):
         for theta in gc["mc_theta_grid"]:
             curve = g.curve_mc(rule, theta, gc["mc_n_grid"], gc["mc_trials"], seed)
             rows += [(curve.rule, theta, n, p, se) for n, p, se in curve.points]
-    _emit_rows(out / "curves", fmt, ("rule", "theta", "n", "truth_prob", "se"), rows)
+    out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
 
     modes = {}
     for rule in rules:
@@ -279,7 +306,7 @@ def run_gaussian(cfg: dict, seed: int, out: Path, fmt: str):
     return summary, results, rows
 
 
-def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str):
+def run_lineworld(cfg: dict, seed: int, out: Outputs):
     lc = cfg["lineworld"]
     steps = round((lc["theta_max"] - lc["theta_min"]) / lc["theta_step"])
     worlds = [lw.LineWorld(round(lc["theta_min"] + i * lc["theta_step"], 12))
@@ -323,19 +350,19 @@ def run_lineworld(cfg: dict, seed: int, out: Path, fmt: str):
     return summary, results
 
 
-def run_predsel(cfg: dict, seed: int, out: Path, fmt: str):
+def run_predsel(cfg: dict, seed: int, out: Outputs):
     pc = cfg["predsel"]
     header = ("rep", "degree", "rss", "aic", "bic", "true_risk",
               "selected_aic", "selected_bic")
     truth_a = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"])
     a = ps.regime_experiment(truth_a, range(pc["regime_a_max_degree"] + 1),
                              pc["regime_a_n"], pc["regime_a_reps"], seed)
-    _emit_rows(out / "selection", fmt, header, a.rows)
+    out.emit_rows("selection", header, a.rows)
 
     truth_b = ps.abs_truth(pc["regime_b_sigma"])
     b = ps.regime_experiment(truth_b, range(pc["regime_b_max_degree"] + 1),
                              pc["regime_b_n"], pc["regime_b_reps"], seed)
-    _emit_rows(out / "selection_misspecified", fmt, header, b.rows)
+    out.emit_rows("selection_misspecified", header, b.rows)
 
     probe_truth = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"], design="grid")
     degree = max(k for k, c in enumerate(pc["regime_a_coeffs"]) if c != 0.0)
@@ -370,18 +397,6 @@ def run_predsel(cfg: dict, seed: int, out: Path, fmt: str):
     return summary, results, b.rows
 
 
-def _perrin_sheets(config: pr.PerrinConfig):
-    """Per-method (coarse, refined) domains and score sheets."""
-    domains = {}
-    sheets = {}
-    for m in pr.builtin_methods(config):
-        gcoarse = pr.domain_of_convergence(m, config.grid, config.stream, config.horizon)
-        gfine = pr.domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
-        domains[m.kind] = (gcoarse, gfine)
-        sheets[m.kind] = pr.score_sheet(m, config, domains=(gcoarse, gfine))
-    return domains, sheets
-
-
 def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
     pc = cfg["perrin"]
     return pr.PerrinConfig(
@@ -394,15 +409,15 @@ def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
     )
 
 
-def run_perrin(cfg: dict, seed: int, out: Path, fmt: str):
+def run_perrin(cfg: dict, seed: int, out: Outputs):
     pc = cfg["perrin"]
     config = perrin_config_from(cfg)
-    domains, sheets = _perrin_sheets(config)
+    sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
 
-    for kind, (gcoarse, _) in domains.items():
-        rows = [(c, a, b, r.status, r.settle_stage) for c, a, b, r in _domain_cells(gcoarse)]
-        _emit_rows(out / f"domain_{kind.lower()}", fmt,
-                   ("component", "a", "b", "status", "settle_stage"), rows)
+    for kind, s in sheets.items():
+        rows = [(c, a, b, r.status, r.settle_stage) for c, a, b, r in _domain_cells(s.domain)]
+        out.emit_rows(f"domain_{kind.lower()}",
+                 ("component", "a", "b", "status", "settle_stage"), rows)
 
     scoresheet = {
         kind: {
@@ -417,7 +432,7 @@ def run_perrin(cfg: dict, seed: int, out: Path, fmt: str):
         m.kind: pr.underdetermination_ok(m, config.grid, config.stream)
         for m in pr.builtin_methods(config)
     }
-    write_json(out / "scoresheet.json", scoresheet)
+    out.emit_json("scoresheet.json", scoresheet)
 
     coverage = {}
     for kind, const in (("brownian", 2.0), ("sediment", 2.0)):
@@ -444,7 +459,7 @@ def run_perrin(cfg: dict, seed: int, out: Path, fmt: str):
         slopes = {kind: checks.width_slope(kind, seed) for kind in coverage}
         results = (checks.check_perrin_theorem(sheets, underdet)
                    + checks.check_perrin_estimators(coverage, slopes))
-    return summary, results, domains
+    return summary, results, {kind: s.domain for kind, s in sheets.items()}
 
 
 def _domain_cells(grid: pr.DomainGrid):
@@ -456,34 +471,24 @@ def _domain_cells(grid: pr.DomainGrid):
         yield "strand", a, a, r
 
 
-def _emit_rows(base: Path, fmt: str, header, rows) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        write_json(base.with_suffix(".json"),
-                   json.loads(json.dumps(payload, default=_fmt)))
-    else:
-        write_csv(base.with_suffix(".csv"), header, rows)
-
-
 # ---------------------------------------------------------------------------
 # plot-data emission
 
 
-def emit_plots(out: Path, fmt: str, curve_rows, domains: Optional[dict], regime_rows) -> None:
+def emit_plots(out: Outputs, curve_rows, domains: Optional[dict], regime_rows) -> None:
     """Long-format series ready for any plotting tool."""
-    plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
+    (out.root / "plots").mkdir(parents=True, exist_ok=True)
 
     if curve_rows is not None:
         rows = [(rule, theta, n, p) for rule, theta, n, p, se in curve_rows if se is None]
-        _emit_rows(plots / "truth_prob_series", fmt, ("rule", "theta", "n", "truth_prob"), rows)
+        out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"), rows)
 
     if domains is not None:
         code = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
-        for kind, (gcoarse, _) in domains.items():
-            rows = [(c, a, b, code[r.status]) for c, a, b, r in _domain_cells(gcoarse)]
-            _emit_rows(plots / f"domain_map_{kind.lower()}", fmt,
-                       ("component", "a", "b", "code"), rows)
+        for kind, grid in domains.items():
+            rows = [(c, a, b, code[r.status]) for c, a, b, r in _domain_cells(grid)]
+            out.emit_rows(f"plots/domain_map_{kind.lower()}",
+                          ("component", "a", "b", "code"), rows)
 
     if regime_rows is not None:
         per_rep = {}
@@ -495,7 +500,7 @@ def emit_plots(out: Path, fmt: str, curve_rows, domains: Optional[dict], regime_
             best = min(row["risks"].values())
             rows.append((rep, "aic", row["risks"][row["sel_aic"]] - best))
             rows.append((rep, "bic", row["risks"][row["sel_bic"]] - best))
-        _emit_rows(plots / "regret_distribution", fmt, ("rep", "selector", "excess_risk"), rows)
+        out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -511,60 +516,54 @@ class RunOutcome:
 
 def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     start = time.time()
-    out = Path(out_dir or config["out_dir"])
+    out = Outputs(Path(out_dir or config["out_dir"]), config["format"])
     experiments = config["experiment"]
-    fmt = config["format"]
     seed = config["seed"]
     check_consistency(config)
     summary = {"experiments": experiments, "seed": seed, "version": __version__}
     check_results = []
 
     if not experiments:
-        return RunOutcome(0, out, summary)
-    out.mkdir(parents=True, exist_ok=True)
+        return RunOutcome(0, out.root, summary)
+    out.root.mkdir(parents=True, exist_ok=True)
 
     domains = None
     regime_rows = None
     curve_rows = None
 
     if "gaussian" in experiments:
-        summary["gaussian"], results, curve_rows = run_gaussian(config, seed, out, fmt)
+        summary["gaussian"], results, curve_rows = run_gaussian(config, seed, out)
         check_results += results
     if "lineworld" in experiments:
-        summary["lineworld"], results = run_lineworld(config, seed, out, fmt)
+        summary["lineworld"], results = run_lineworld(config, seed, out)
         check_results += results
     if "predsel" in experiments:
-        summary["predsel"], results, regime_rows = run_predsel(config, seed, out, fmt)
+        summary["predsel"], results, regime_rows = run_predsel(config, seed, out)
         check_results += results
     if "perrin" in experiments:
-        summary["perrin"], results, domains = run_perrin(config, seed, out, fmt)
+        summary["perrin"], results, domains = run_perrin(config, seed, out)
         check_results += results
 
     if config["plots"]:
-        emit_plots(out, fmt, curve_rows, domains, regime_rows)
+        emit_plots(out, curve_rows, domains, regime_rows)
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}
                              for name, ok, detail in check_results}
-    write_json(out / "summary.json", summary)
+    out.emit_json("summary.json", summary)
 
-    digests = {
-        p.name: _digest(p)
-        for p in sorted(out.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
-    }
     manifest = {
         "config": config,
         "version": __version__,
         "wall_clock_seconds": round(time.time() - start, 3),
-        "outputs": digests,
+        "outputs": out.digests,
     }
-    write_json(out / "manifest.json", manifest)
+    write_json(out.root / "manifest.json", manifest)
 
     failed = [name for name, ok, _ in check_results if not ok]
     for name, ok, detail in check_results:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    return RunOutcome(1 if failed else 0, out, summary)
+    return RunOutcome(1 if failed else 0, out.root, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,8 +45,7 @@ class Status(Enum):
 
 
 class ConfigurationError(ValueError):
-    """Two artifacts that must match (grids, bounds) do not, or the
-    horizon is too short for a check that needs determined verdicts."""
+    """Two artifacts that must match (grids, bounds) do not."""
 
 
 class StreamError(ValueError):

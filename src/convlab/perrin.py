@@ -12,13 +12,15 @@ arbitrarily close to strand worlds, so "almost everywhere" is judged
 per component (denseness, and a lower-dimensional exception set).
 
 Evidence is a nested rectangular prism: the product of one interval per
-axis, always containing the world's parameter pair.  A prism "meets the
-diagonal" when its two intervals overlap, in which case both hypotheses
-remain live.  Five built-in methods are evaluated: the realist razor
-(SIMPLE while the prism meets the diagonal, COMPLEX once it cannot),
-the agnostic rule (SUSPEND instead of SIMPLE), and three ways of
-sacrificing strand worlds, each realizing one known failure mode
-(non-maximal domain, instability, or a missed strand interval).
+axis, always containing the world's parameter pair.  Both intervals come
+from one StreamSpec, whose offsets were validated once when it was
+built, so each stage's prism is built once and never re-checked.  A
+prism "meets the diagonal" when its two intervals overlap, in which case
+both hypotheses remain live.  Five built-in methods are evaluated: the
+realist razor (SIMPLE while the prism meets the diagonal, COMPLEX once
+it cannot), the agnostic rule (SUSPEND instead of SIMPLE), and three
+ways of sacrificing strand worlds, each realizing one known failure
+mode (non-maximal domain, instability, or a missed strand interval).
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the interval estimators that bridge them to prism
@@ -28,7 +30,7 @@ evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -170,36 +172,17 @@ def decide_latest(m: PerrinMethod, e: PrismEvidence) -> Verdict:
     return ok
 
 
-def decide(m: PerrinMethod, history: Sequence[PrismEvidence]) -> Verdict:
-    """Verdict on the latest prism of a well-formed nested history."""
-    if not history:
-        raise StreamError("empty history")
-    for prev, cur in zip(history, history[1:]):
-        if not cur.is_subset_of(prev):
-            raise StreamError("prisms are not nested")
-    return decide_latest(m, history[-1])
-
-
 # ---------------------------------------------------------------------------
 # canonical prism streams
 
 
 def canonical_prism_stream(w: PastaWorld, spec: StreamSpec, t: int) -> PrismEvidence:
-    """Product of two stage-t intervals (one per axis, same drift),
-    containing (na, na_prime) and nested under stage t-1."""
-    if t < 0:
-        raise ValueError("stage must be >= 0")
+    """Product of two stage-t intervals (one per axis, same drift).  It
+    contains (na, na_prime) and nests under stage t-1 because the spec's
+    offsets were validated when it was built."""
     x = interval_at(w.na, spec, t)
     y = interval_at(w.na_prime, spec, t)
-    e = PrismEvidence(x.lo, x.hi, y.lo, y.hi)
-    if not e.contains_point(w.na, w.na_prime):
-        raise StreamError("drift evicts the world's parameters")
-    if t > 0:
-        xp = interval_at(w.na, spec, t - 1)
-        yp = interval_at(w.na_prime, spec, t - 1)
-        if not e.is_subset_of(PrismEvidence(xp.lo, xp.hi, yp.lo, yp.hi)):
-            raise StreamError(f"stage {t} prism is not nested in stage {t - 1}")
-    return e
+    return PrismEvidence(x.lo, x.hi, y.lo, y.hi)
 
 
 def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
@@ -211,9 +194,10 @@ def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> Str
 
 
 # ---------------------------------------------------------------------------
-# analytic oracles (drift-robust bounds, valid for every admissible
-# stream of the family: nestedness makes the diagonal-overlap, width and
-# point-containment triggers monotone, so each settles permanently)
+# analytic oracles (drift-robust bounds, valid for every stream of the
+# family: StreamSpec admits only nested streams, and nestedness makes the
+# diagonal-overlap, width and point-containment triggers monotone, so
+# each settles permanently)
 
 
 def _first_stage(spec: StreamSpec, predicate) -> int:
@@ -459,18 +443,14 @@ def maximality_check(m: PerrinMethod, g: DomainGrid) -> ModeReport:
     off-diagonal sheet world and, for each diagonal value, at least one
     member of the empirically equivalent pair (it can then never be
     properly extended: adding the missing pair member would force
-    dropping the other)."""
+    dropping the other).  It needs fully determined verdicts, so any
+    UNDETERMINED record fails it; those are the first witnesses."""
     axis = g.axis
     n = len(axis)
-    undetermined = [
-        r for r in (*g.plane, *g.strand) if r.status is Status.UNDETERMINED
+    witnesses = [
+        {"check": "undetermined", "world": r.world_id}
+        for r in (*g.plane, *g.strand) if r.status is Status.UNDETERMINED
     ]
-    if undetermined:
-        raise ConfigurationError(
-            f"{len(undetermined)} records undetermined at this horizon; "
-            "maximality needs fully determined verdicts"
-        )
-    witnesses = []
     for ia in range(n):
         for ib in range(n):
             if ia == ib:
@@ -531,6 +511,7 @@ class ScoreSheet:
     maximal: ModeReport
     stable: ModeReport
     fractions: dict = field(default_factory=dict)
+    domain: Optional[DomainGrid] = None  # the coarse grid's records
 
     def pattern(self) -> tuple:
         return (self.ae.passed, self.maximal.passed, self.stable.passed)
@@ -566,18 +547,19 @@ def stability_spec_variants(base: StreamSpec) -> list:
     ]
 
 
-def score_sheet(m: PerrinMethod, config: PerrinConfig,
-                domains: Optional[tuple] = None) -> ScoreSheet:
+def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
     """Aggregate the three criteria for one method.
 
-    `domains`, when given, must be the (coarse, refined) DomainGrid pair
-    for this method; otherwise both grids are computed here.
+    Only the refined grid is swept.  Its every other axis point is the
+    coarse axis bit for bit (halving the step is exact in binary), so
+    the coarse records are read off it; the sheet keeps those and lets
+    the refined grid go.
     """
-    if domains is None:
-        g = domain_of_convergence(m, config.grid, config.stream, config.horizon)
-        g2 = domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
-    else:
-        g, g2 = domains
+    g2 = domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
+    n2 = len(g2.axis)
+    g = replace(g2, grid=config.grid, axis=g2.axis[::2], strand=g2.strand[::2],
+                plane=tuple(g2.plane[ia * n2 + ib]
+                            for ia in range(0, n2, 2) for ib in range(0, n2, 2)))
     ae = ae_check(g, g2)
     maximal = maximality_check(m, g)
     stable = stability_scan(
@@ -587,6 +569,7 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig,
     return ScoreSheet(
         method=m.label(), ae=ae, maximal=maximal, stable=stable,
         fractions={"coarse": ae_fractions(g), "refined": ae_fractions(g2)},
+        domain=g,
     )
 
 

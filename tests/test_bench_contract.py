@@ -1,25 +1,50 @@
-"""bench/layers.py wraps convlab functions by name; every name it lists
-must resolve, or `bench/run.py --trace 1` breaks when a function moves."""
+"""bench/ drives convlab by name: bench/layers.py wraps functions, and
+bench/worker.py reads the files a run writes.  Both must keep working,
+or `bench/run.py` breaks (--trace 1) or silently stops matching outputs."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+from convlab import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_layers = load_layers()
+_layers = load_bench("layers")
 
 
 @pytest.mark.parametrize("module, function", sorted({*_layers.SPANS, *_layers.COUNTS}))
 def test_wrapped_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"convlab.{module}"), function))
+
+
+def test_run_writes_every_pinned_output(tmp_path):
+    config = cli.validate_config(json.dumps({
+        "experiment": ["perrin", "lineworld"],
+        "perrin": {"grid_step": 0.25, "coverage_reps": 50, "coverage_size": 100,
+                   "stream_schedule": [50, 100]},
+        "lineworld": {"theta_step": 0.1},
+    }))
+    cli.run(config, out_dir=str(tmp_path))
+    pinned = load_bench("worker").pinned_outputs(str(tmp_path))
+    kinds = ("ockham_realist", "anti_realist", "way1", "way2", "way3")
+    assert set(pinned) == {
+        *(f"digest/domain_{kind}.csv" for kind in kinds), "digest/scoresheet.json",
+        "summary/perrin.pattern", "summary/lineworld.pointwise",
+        "summary/lineworld.razor", "summary/lineworld.uniform",
+    }
+    manifest = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+    for key, digest in pinned.items():
+        if key.startswith("digest/"):
+            assert manifest[key.removeprefix("digest/")] == digest

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,18 @@ class TestRun:
         code, _ = run_cli(tmp_path, config, "--check")
         assert code == 0
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["--experiment", "gaussian", "--trials", "2000", "--out", str(out)]) == 0
+        first = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert {"curves.csv", "plots/truth_prob_series.csv", "summary.json"} <= set(first)
+        assert cli.main(["--experiment", "lineworld", "--out", str(out)]) == 0
+        second = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert (out / "curves.csv").exists()
+        assert set(second) == {"summary.json"}
+        assert second["summary.json"] == hashlib.sha256(
+            (out / "summary.json").read_bytes()).hexdigest()
+
     def test_json_format(self, tmp_path):
         config = dict(SMALL_CONFIG, experiment=["gaussian"], format="json")
         _, out = run_cli(tmp_path, config)
@@ -161,6 +174,25 @@ class TestFlags:
         assert code == 2
         assert "perrin.grid_step" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+    @pytest.mark.parametrize("suite, ratio", [("perrin", 0.375), ("lineworld", 0.3)])
+    def test_interval_below_float_resolution_exit_two(self, tmp_path, capsys, suite, ratio):
+        # delta0 * ratio**(horizon - 1) falls to the float spacing at the
+        # largest world parameter, where the last interval is a point
+        code, out = run_cli(tmp_path, {"experiment": [suite], suite: {"ratio": ratio}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{suite}.horizon" in err and "delta0=1.0" in err and f"ratio={ratio}" in err
+        assert not out.exists()
+
+    def test_short_horizon_fails_maximality_without_traceback(self, tmp_path):
+        args = ["--experiment", "perrin", "--grid-step", "0.1", "--horizon", "3"]
+        assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+        scoresheet = json.loads((tmp_path / "a" / "scoresheet.json").read_text())
+        witnesses = scoresheet["OCKHAM_REALIST"]["maximal"]["witnesses"]
+        assert witnesses and all(w["check"] == "undetermined" for w in witnesses)
+        assert cli.main([*args, "--check", "--out", str(tmp_path / "b")]) == 1
 
 
 class TestChecksJudgeTheRun:

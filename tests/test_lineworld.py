@@ -1,13 +1,40 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from convlab import lineworld as lw
 from convlab.framework import Status, StreamError, Verdict, check_stability
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
+
+
+@st.composite
+def drift_params(draw, min_ratio=0.3, admissible=True):
+    """(delta0, ratio, offsets) of an off-center stream.  Each offset after
+    the first lies inside the nesting range of its predecessor or exactly
+    on one of its bounds, or (unless `admissible`) anywhere in [-1, 1]."""
+    ratio = draw(st.floats(min_ratio, 0.95))
+    lams = [draw(st.floats(-1, 1))]
+    for _ in range(draw(st.integers(0, 6))):
+        lo = max(-1.0, (lams[-1] - 1.0) / ratio + 1.0)
+        hi = min(1.0, (lams[-1] + 1.0) / ratio - 1.0)
+        nested = st.sampled_from([lo, hi]) | st.floats(lo, hi)
+        lams.append(draw(nested if admissible else nested | st.floats(-1, 1)))
+    return draw(st.floats(0.05, 5)), ratio, tuple(lams)
+
+
+def per_stage_contract(theta, spec, t):
+    """The check canonical_stream made at every stage before offsets were
+    validated with the spec: stage t holds theta and nests in stage t - 1,
+    both within 1e-12 * max(1, |theta|, delta0)."""
+    e = lw.interval_at(theta, spec, t)
+    slack = 1e-12 * max(1.0, abs(theta), spec.delta0)
+    if not e.lo - slack <= theta <= e.hi + slack:
+        return False
+    prev = lw.interval_at(theta, spec, t - 1) if t > 0 else e
+    return e.lo >= prev.lo - slack and e.hi <= prev.hi + slack
 
 
 class TestDecisionRule:
@@ -50,10 +77,27 @@ class TestStreams:
             lw.StreamSpec(delta0=1.0, ratio=0.5, drift="sideways")
 
     def test_nesting_violation_is_stream_error(self):
-        # jumping from the far right edge to the far left edge breaks nesting
-        spec = lw.StreamSpec(1.0, 0.9, drift="offcenter", offset=(1.0, -1.0))
+        # jumping from the far right edge to the far left edge breaks
+        # nesting, which the spec rejects when it is built
         with pytest.raises(StreamError):
-            lw.canonical_stream(lw.LineWorld(0.0), spec, 1)
+            lw.StreamSpec(1.0, 0.9, drift="offcenter", offset=(1.0, -1.0))
+
+    @given(params=drift_params(admissible=False), theta=st.floats(-5, 5))
+    @example(params=(1.0, 0.5, (0.0, -1.0)), theta=0.3)  # exactly on the nesting bound
+    def test_spec_admits_only_streams_the_per_stage_check_admits(self, params, theta):
+        delta0, ratio, offsets = params
+        try:
+            spec = lw.StreamSpec(delta0, ratio, "offcenter", offsets)
+        except StreamError:
+            return
+        assert all(per_stage_contract(theta, spec, t) for t in range(len(offsets) + 2))
+
+    def test_trace_builds_each_stage_once(self, monkeypatch):
+        calls = []
+        original = lw.interval_at
+        monkeypatch.setattr(lw, "interval_at", lambda *a: calls.append(a) or original(*a))
+        lw.trace(lw.mstar_method(), lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
+        assert len(calls) == 25
 
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +149,14 @@ class TestPointwise:
                                   lw.StreamSpec(), 20)
         assert recs[0].status is Status.DIVERGES
         assert recs[1].status is Status.CONVERGES
+
+    @given(params=drift_params(min_ratio=0.55),
+           thetas=st.lists(st.just(0.0) | st.floats(-1, 1), min_size=1, max_size=4))
+    def test_oracle_holds_on_drift_sequences(self, params, thetas):
+        delta0, ratio, offsets = params
+        spec = lw.StreamSpec(delta0, ratio, "offcenter", offsets)
+        # raises OracleContradiction if a trace disagrees with the oracle
+        lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(t) for t in thetas], spec, 40)
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError):

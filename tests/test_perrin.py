@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import perrin as pr
@@ -13,6 +13,7 @@ from convlab.framework import (
     check_stability,
 )
 from convlab.lineworld import StreamSpec
+from test_lineworld import drift_params
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
@@ -27,40 +28,32 @@ def small_sheets():
 class TestDecide:
     def test_realist_razor_keeps_simple_on_overlap(self):
         e = pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)
-        assert pr.decide(pr.ockham_method(), [e]) is S
+        assert pr.decide_latest(pr.ockham_method(), e) is S
 
     def test_both_deduce_complex_without_overlap(self):
         e = pr.PrismEvidence(0.2, 0.4, 0.6, 0.8)
-        assert pr.decide(pr.ockham_method(), [e]) is C
-        assert pr.decide(pr.anti_realist_method(), [e]) is C
+        assert pr.decide_latest(pr.ockham_method(), e) is C
+        assert pr.decide_latest(pr.anti_realist_method(), e) is C
 
     def test_agnostic_rule_suspends_on_overlap(self):
         e = pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)
-        assert pr.decide(pr.anti_realist_method(), [e]) is Q
+        assert pr.decide_latest(pr.anti_realist_method(), e) is Q
 
     def test_way2_sacrifices_despite_overlap(self):
         way2 = pr.PerrinMethod(kind="WAY2", p=1.0, delta0=0.1)
         e = pr.PrismEvidence(0.97, 1.03, 0.98, 1.02)
         assert e.overlap()
-        assert pr.decide(way2, [e]) is C
+        assert pr.decide_latest(way2, e) is C
 
     def test_way1_suspends_at_sacrificed_point(self):
         way1 = pr.PerrinMethod(kind="WAY1", p=1.0, eps=0.5)
         e = pr.PrismEvidence(0.97, 1.03, 0.98, 1.02)
-        assert pr.decide(way1, [e]) is Q
+        assert pr.decide_latest(way1, e) is Q
 
     def test_way3_threshold(self):
         way3 = pr.PerrinMethod(kind="WAY3", delta0=0.05)
-        assert pr.decide(way3, [pr.PrismEvidence(0.99, 1.01, 0.99, 1.01)]) is C
-        assert pr.decide(way3, [pr.PrismEvidence(0.9, 1.1, 0.9, 1.1)]) is S
-
-    def test_nesting_enforced(self):
-        a = pr.PrismEvidence(0.0, 1.0, 0.0, 1.0)
-        b = pr.PrismEvidence(0.5, 1.5, 0.5, 1.5)
-        with pytest.raises(StreamError):
-            pr.decide(pr.ockham_method(), [a, b])
-        with pytest.raises(StreamError):
-            pr.decide(pr.ockham_method(), [])
+        assert pr.decide_latest(way3, pr.PrismEvidence(0.99, 1.01, 0.99, 1.01)) is C
+        assert pr.decide_latest(way3, pr.PrismEvidence(0.9, 1.1, 0.9, 1.1)) is S
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
@@ -94,6 +87,13 @@ class TestPrismStreams:
         e = pr.canonical_prism_stream(w, spec, t)
         assert e.contains_point(a, b)
         assert e.is_subset_of(pr.canonical_prism_stream(w, spec, t - 1))
+
+    def test_trace_builds_each_stage_once(self, monkeypatch):
+        calls = []
+        original = pr.interval_at
+        monkeypatch.setattr(pr, "interval_at", lambda *a: calls.append(a) or original(*a))
+        pr.trace(pr.ockham_method(), pr.plane_world(0.8, 1.2), SMALL.stream, 25)
+        assert len(calls) == 2 * 25
 
     def test_degenerate_prism_rejected(self):
         with pytest.raises(StreamError):
@@ -157,6 +157,16 @@ class TestDomains:
                 for w in worlds:
                     pr.classify_world(m, w, spec, 40)  # raises on contradiction
 
+    @given(params=drift_params(min_ratio=0.55),
+           a=st.just(1.0) | st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
+    def test_oracle_holds_on_drift_sequences(self, params, a, b):
+        delta0, ratio, offsets = params
+        spec = StreamSpec(delta0, ratio, "offcenter", offsets)
+        worlds = [pr.plane_world(a, b), pr.plane_world(a, a), pr.strand_world(a)]
+        for m in pr.builtin_methods(pr.PerrinConfig()):
+            for w in worlds:
+                pr.classify_world(m, w, spec, 40)  # raises on contradiction
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             pr.GridSpec(1.5, 0.5, 0.1)
@@ -214,8 +224,13 @@ class TestMaximality:
 
     def test_undetermined_grid_rejected(self):
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 2)
-        with pytest.raises(ConfigurationError):
-            pr.maximality_check(pr.ockham_method(), g)
+        report = pr.maximality_check(pr.ockham_method(), g)
+        assert not report.passed
+        undetermined = [r.world_id for r in (*g.plane, *g.strand)
+                        if r.status is Status.UNDETERMINED]
+        assert undetermined
+        assert list(report.witnesses) == [{"check": "undetermined", "world": world}
+                                          for world in undetermined[:25]]
 
 
 class TestStability:
@@ -248,6 +263,27 @@ class TestStability:
 
 
 class TestScoreSheet:
+    @settings(max_examples=30)
+    @given(lo=st.floats(-2, 2), step=st.floats(0.05, 0.5), k=st.integers(1, 5),
+           horizon=st.integers(1, 30), params=drift_params(min_ratio=0.55),
+           index=st.integers(0, 4))
+    def test_coarse_slice_equals_coarse_sweep(self, lo, step, k, horizon, params, index):
+        delta0, ratio, offsets = params
+        spec = StreamSpec(delta0, ratio, "offcenter", offsets)
+        config = pr.PerrinConfig(grid=pr.GridSpec(lo, lo + k * step, step),
+                                 horizon=horizon, stream=spec)
+        m = pr.builtin_methods(config)[index]
+        sheet = pr.score_sheet(m, config)
+        assert sheet.domain == pr.domain_of_convergence(m, config.grid, spec, horizon)
+
+    def test_sweeps_each_world_once(self, monkeypatch):
+        calls = []
+        original = pr.classify_world
+        monkeypatch.setattr(pr, "classify_world", lambda *a: calls.append(a) or original(*a))
+        pr.score_sheet(pr.ockham_method(), SMALL)
+        n2 = len(SMALL.grid.halved().axis())
+        assert len(calls) == n2 * n2 + n2
+
     def test_theorem_pattern(self, small_sheets):
         assert small_sheets["OCKHAM_REALIST"].pattern() == (True, True, True)
         assert small_sheets["ANTI_REALIST"].pattern() == (False, False, True)
