@@ -48,8 +48,15 @@ def _num(lo=None, hi=None, lo_open=False, hi_open=False, integer=False):
         if integer:
             if not isinstance(v, int):
                 raise ConfigError(f"{path}: expected an integer, got {v!r}")
-        elif not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {v!r}")
+        else:
+            if not isinstance(v, (int, float)):
+                raise ConfigError(f"{path}: expected a number, got {v!r}")
+            try:
+                finite = math.isfinite(v)  # JSON 1e400 parses to inf
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"{path}: expected a finite number, got {v!r}")
         if lo is not None and (v <= lo if lo_open else v < lo):
             raise ConfigError(f"{path}: {v} below the valid range")
         if hi is not None and (v >= hi if hi_open else v > hi):

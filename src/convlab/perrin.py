@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from .framework import (
     Verdict,
     check_stability,
     classify_convergence,
+    classify_settle_stage,
 )
 from .gaussian import normal_quantile
 from .lineworld import StreamSpec, interval_at
@@ -103,10 +105,6 @@ class PrismEvidence:
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.xlo <= x <= self.xhi and self.ylo <= y <= self.yhi
-
-    def is_subset_of(self, other: "PrismEvidence") -> bool:
-        return (other.xlo <= self.xlo and self.xhi <= other.xhi
-                and other.ylo <= self.ylo and self.yhi <= other.yhi)
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,58 @@ def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> Str
         e = canonical_prism_stream(w, spec, t)
         stages.append((e, decide_latest(m, e)))
     return StreamTrace(world_id=w.world_id, stages=tuple(stages))
+
+
+def _truth_hits(m: PerrinMethod, strand, xlo, xhi, ylo, yhi):
+    """decide_latest for every world's prism at once, as array
+    predicates: does each world get its true answer at this stage?"""
+    overlap = np.maximum(xlo, ylo) <= np.minimum(xhi, yhi)
+    if m.kind == "OCKHAM_REALIST":
+        return np.where(strand, overlap, ~overlap)
+    if m.kind == "ANTI_REALIST":  # SUSPEND, never SIMPLE, on overlap
+        return ~strand & ~overlap
+    width = np.maximum(xhi - xlo, yhi - ylo)
+    if m.kind == "WAY3":
+        trigger = width < m.delta0
+    else:
+        gate = m.eps if m.kind == "WAY1" else m.delta0
+        trigger = ((xlo <= m.p) & (m.p <= xhi) & (ylo <= m.p) & (m.p <= yhi)
+                   & (width < gate))
+    simple = overlap & ~trigger
+    complex_ = ~overlap & ~trigger if m.kind == "WAY1" else ~overlap | trigger
+    return np.where(strand, simple, complex_)
+
+
+def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
+    """`trace` for every world (na, na_prime, z == 1) at once: one array
+    pass per stage, with interval_at's float expressions, so every prism
+    is bit for bit the scalar one.  Only O(worlds) state is kept.
+    Returns per world the empirical settle stage (horizon when the trace
+    does not end on the truth) and the first stage j whose verdict
+    retracts a true answer given before it (horizon when none), which is
+    what classify_convergence and check_stability read off a trace."""
+    settle = np.zeros(len(a), dtype=np.int64)
+    retract = np.full(len(a), horizon, dtype=np.int64)
+    seen = np.zeros(len(a), dtype=bool)
+    for t in range(horizon):
+        d, lam = spec.half_width(t), spec.offset_at(t)
+        below, above = (lam - 1.0) * d, (lam + 1.0) * d
+        xlo, xhi, ylo, yhi = a + below, a + above, b + below, b + above
+        if not (all(np.isfinite(e).all() for e in (xlo, xhi, ylo, yhi))
+                and (xlo < xhi).all() and (ylo < yhi).all()):
+            raise StreamError(f"degenerate prism at stage {t}")
+        hit = _truth_hits(m, strand, xlo, xhi, ylo, yhi)
+        settle[~hit] = t + 1
+        retract[~hit & seen & (retract == horizon)] = t
+        seen |= hit
+    return settle, retract
+
+
+def _sweep_worlds(m: PerrinMethod, worlds: Sequence[PastaWorld], spec: StreamSpec, horizon: int):
+    """_sweep over a sequence of world objects."""
+    return _sweep(m, np.array([w.na for w in worlds], dtype=float),
+                  np.array([w.na_prime for w in worlds], dtype=float),
+                  np.array([w.z == 1 for w in worlds], dtype=bool), spec, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +341,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.lo < self.hi and self.step > 0):
             raise ValueError("grid needs lo < hi and step > 0")
+        if not math.isfinite(self.span):
+            raise ValueError("the grid span overflows the float range")
         if abs(round(self.span) - self.span) > 1e-9:
             raise ValueError("step must divide the grid span")
 
@@ -332,21 +384,45 @@ def strand_world(a: float) -> PastaWorld:
 
 
 def classify_world(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> ConvergenceRecord:
+    """One world's record from its scalar trace: the reference for
+    classify_worlds."""
     tr = trace(m, w, spec, horizon)
     return classify_convergence(tr, w.truth, asymptotic_oracle(m, w, spec))
+
+
+def classify_worlds(m: PerrinMethod, worlds: Sequence[PastaWorld], spec: StreamSpec,
+                    horizon: int) -> list:
+    """classify_world for every world, from one array sweep: the same
+    records, the same StreamError and OracleContradiction."""
+    return _records(m, worlds, _sweep_worlds(m, worlds, spec, horizon)[0], spec, horizon)
+
+
+def _records(m: PerrinMethod, worlds, settle, spec: StreamSpec, horizon: int) -> list:
+    """Records of `worlds` (an iterable, read once) from their swept
+    settle stages, upgraded by the per-world oracle."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return [
+        classify_settle_stage(w.world_id, s if s < horizon else None, horizon,
+                              asymptotic_oracle(m, w, spec))
+        for w, s in zip(worlds, settle.tolist())
+    ]
 
 
 def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
                           horizon: int) -> DomainGrid:
     """Per-world convergence records for both components, simulated over
-    canonical streams and upgraded by the analytic oracle."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    canonical streams and upgraded by the analytic oracle.  The worlds
+    are swept as arrays of the axis and built one at a time for their
+    records, so the world objects of a grid are never held at once."""
     axis = grid.axis()
-    worlds = [plane_world(a, b) for a in axis for b in axis]
-    worlds += [strand_world(a) for a in axis]
-    records = [classify_world(m, w, spec, horizon) for w in worlds]
     n_plane = len(axis) * len(axis)
+    values = np.array(axis, dtype=float)
+    settle, _ = _sweep(m, np.concatenate([np.repeat(values, len(axis)), values]),
+                       np.concatenate([np.tile(values, len(axis)), values]),
+                       np.arange(n_plane + len(axis)) >= n_plane, spec, horizon)
+    worlds = chain((plane_world(a, b) for a in axis for b in axis), map(strand_world, axis))
+    records = _records(m, worlds, settle, spec, horizon)
     return DomainGrid(
         grid=grid,
         method=m.label(),
@@ -438,7 +514,7 @@ def ae_check(g: DomainGrid, g2: DomainGrid) -> ModeReport:
     return ModeReport("ALMOST_EVERYWHERE", not witnesses, tuple(witnesses))
 
 
-def maximality_check(m: PerrinMethod, g: DomainGrid) -> ModeReport:
+def maximality_check(g: DomainGrid) -> ModeReport:
     """A domain on this space is maximal iff it contains every
     off-diagonal sheet world and, for each diagonal value, at least one
     member of the empirically equivalent pair (it can then never be
@@ -489,19 +565,23 @@ def default_stability_worlds(grid: GridSpec) -> list:
 def stability_scan(m: PerrinMethod, worlds: Sequence[PastaWorld],
                    specs: Sequence[StreamSpec], horizon: int) -> ModeReport:
     """Scan sampled worlds and stream variants for a retraction of the
-    true answer; each witness carries full replay parameters."""
+    true answer; each witness carries full replay parameters.  Every
+    stream variant is swept once; the first ten failures, world-major,
+    are replayed through the scalar trace to build their witnesses."""
+    retracted = np.zeros((len(worlds), len(specs)), dtype=bool)
+    for j, spec in enumerate(specs):
+        retracted[:, j] = _sweep_worlds(m, worlds, spec, horizon)[1] < horizon
     witnesses = []
-    for w in worlds:
-        for spec in specs:
-            tr = trace(m, w, spec, horizon)
-            ok, pair = check_stability(tr, w.truth)
-            if not ok:
-                witnesses.append(
-                    {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
-                     "stream": spec.label(), "stage_pair": pair,
-                     "verdicts": [v.value for v in tr.verdicts()]}
-                )
-    return ModeReport("STABILITY", not witnesses, tuple(witnesses[:10]))
+    for iw, js in np.argwhere(retracted)[:10].tolist():
+        w, spec = worlds[iw], specs[js]
+        tr = trace(m, w, spec, horizon)
+        _, pair = check_stability(tr, w.truth)
+        witnesses.append(
+            {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
+             "stream": spec.label(), "stage_pair": pair,
+             "verdicts": [v.value for v in tr.verdicts()]}
+        )
+    return ModeReport("STABILITY", not witnesses, tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -561,7 +641,7 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
                 plane=tuple(g2.plane[ia * n2 + ib]
                             for ia in range(0, n2, 2) for ib in range(0, n2, 2)))
     ae = ae_check(g, g2)
-    maximal = maximality_check(m, g)
+    maximal = maximality_check(g)
     stable = stability_scan(
         m, default_stability_worlds(config.grid),
         stability_spec_variants(config.stream), config.horizon,

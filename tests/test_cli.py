@@ -186,6 +186,31 @@ class TestFlags:
         assert f"{suite}.horizon" in err and "delta0=1.0" in err and f"ratio={ratio}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"experiment": "perrin", "perrin": {"grid_hi": 1e400}}', "perrin.grid_hi"),
+        ('{"experiment": "gaussian", "gaussian": {"theta_grid": [1e400]}}',
+         "gaussian.theta_grid[0]"),
+        ('{"lineworld": {"theta_max": 1e400}}', "lineworld.theta_max"),
+        ('{"lineworld": {"theta_min": NaN}}', "lineworld.theta_min"),
+        ('{"experiment": "perrin", "perrin": {"grid_hi": 1%s}}' % ("0" * 400), "perrin.grid_hi"),
+        # finite, but (grid_hi - grid_lo) / grid_step is not
+        ('{"experiment": "perrin", "perrin": {"grid_hi": 1e308}}', "perrin.grid_step"),
+    ], ids=["grid_hi-1e400", "theta_grid-1e400", "theta_max-1e400", "theta_min-NaN",
+            "grid_hi-1e400-integer", "grid_span-overflow"])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, text, field):
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not out.exists()
+
+    def test_nan_grid_step_flag_exit_two(self, tmp_path, capsys):
+        code = cli.main(["--experiment", "perrin", "--grid-step", "nan",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--grid-step: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_short_horizon_fails_maximality_without_traceback(self, tmp_path):
         args = ["--experiment", "perrin", "--grid-step", "0.1", "--horizon", "3"]
         assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0

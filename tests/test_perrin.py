@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from convlab import perrin as pr
 from convlab.framework import (
     ConfigurationError,
+    ModeReport,
     Status,
     StreamError,
     Verdict,
@@ -18,6 +19,50 @@ from test_lineworld import drift_params
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
 SMALL = pr.PerrinConfig(grid=pr.GridSpec(0.5, 1.5, 0.1), horizon=40)
+
+
+def scalar_stability_scan(m, worlds, specs, horizon):
+    """The world-by-world stability scan the array sweep replaced: the
+    reference for pr.stability_scan."""
+    witnesses = []
+    for w in worlds:
+        for spec in specs:
+            tr = pr.trace(m, w, spec, horizon)
+            ok, pair = check_stability(tr, w.truth)
+            if not ok:
+                witnesses.append(
+                    {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
+                     "stream": spec.label(), "stage_pair": pair,
+                     "verdicts": [v.value for v in tr.verdicts()]}
+                )
+    return ModeReport("STABILITY", not witnesses, tuple(witnesses[:10]))
+
+
+def raised_or(f):
+    """f()'s result, or StreamError when it raises one."""
+    try:
+        return f()
+    except StreamError:
+        return StreamError
+
+
+@st.composite
+def sweep_cases(draw):
+    """(method, grid, drifting spec, horizon): any of the five kinds,
+    sacrificing a point of the grid for WAY1/WAY2.  Ratios down to 0.3
+    let some streams shrink below the float spacing within the horizon."""
+    lo, step, k = draw(st.floats(-2, 2)), draw(st.floats(0.05, 0.5)), draw(st.integers(1, 6))
+    grid = pr.GridSpec(lo, lo + k * step, step)
+    p = draw(st.sampled_from(grid.axis()))
+    gate = draw(st.floats(0.01, 5))
+    m = draw(st.sampled_from([
+        pr.ockham_method(), pr.anti_realist_method(),
+        pr.PerrinMethod(kind="WAY1", p=p, eps=gate),
+        pr.PerrinMethod(kind="WAY2", p=p, delta0=gate),
+        pr.PerrinMethod(kind="WAY3", delta0=gate),
+    ]))
+    delta0, ratio, offsets = draw(drift_params())
+    return m, grid, StreamSpec(delta0, ratio, "offcenter", offsets), draw(st.integers(1, 40))
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +130,10 @@ class TestPrismStreams:
         w = pr.plane_world(a, b)
         spec = StreamSpec(1.0, 0.6, "offcenter", lam)
         e = pr.canonical_prism_stream(w, spec, t)
+        prev = pr.canonical_prism_stream(w, spec, t - 1)
         assert e.contains_point(a, b)
-        assert e.is_subset_of(pr.canonical_prism_stream(w, spec, t - 1))
+        assert prev.xlo <= e.xlo and e.xhi <= prev.xhi
+        assert prev.ylo <= e.ylo and e.yhi <= prev.yhi
 
     def test_trace_builds_each_stage_once(self, monkeypatch):
         calls = []
@@ -154,8 +201,9 @@ class TestDomains:
                   pr.plane_world(0.9, 1.3), pr.plane_world(1.0, 1.02)]
         for m in pr.builtin_methods(SMALL):
             for spec in specs:
-                for w in worlds:
-                    pr.classify_world(m, w, spec, 40)  # raises on contradiction
+                # both paths raise on contradiction
+                assert pr.classify_worlds(m, worlds, spec, 40) == [
+                    pr.classify_world(m, w, spec, 40) for w in worlds]
 
     @given(params=drift_params(min_ratio=0.55),
            a=st.just(1.0) | st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
@@ -164,8 +212,42 @@ class TestDomains:
         spec = StreamSpec(delta0, ratio, "offcenter", offsets)
         worlds = [pr.plane_world(a, b), pr.plane_world(a, a), pr.strand_world(a)]
         for m in pr.builtin_methods(pr.PerrinConfig()):
-            for w in worlds:
-                pr.classify_world(m, w, spec, 40)  # raises on contradiction
+            # both paths raise on contradiction
+            assert pr.classify_worlds(m, worlds, spec, 40) == [
+                pr.classify_world(m, w, spec, 40) for w in worlds]
+
+    @given(case=sweep_cases())
+    def test_domain_equals_scalar_records(self, case):
+        m, grid, spec, horizon = case
+        axis = grid.axis()
+        worlds = [pr.plane_world(a, b) for a in axis for b in axis]
+        worlds += [pr.strand_world(a) for a in axis]
+
+        def records():
+            g = pr.domain_of_convergence(m, grid, spec, horizon)
+            return [(r.world_id, r.status, r.settle_stage) for r in (*g.plane, *g.strand)]
+
+        def scalar():
+            return [(r.world_id, r.status, r.settle_stage)
+                    for r in (pr.classify_world(m, w, spec, horizon) for w in worlds)]
+
+        assert raised_or(records) == raised_or(scalar)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_endpoints_rounding_onto_world_raise_on_both_paths(self, index):
+        # 0.5**79 is far below the float spacing at 1.0: the last prisms
+        # near 1.0 collapse onto their world
+        m = pr.builtin_methods(SMALL)[index]
+        grid, spec = pr.GridSpec(0.9, 1.1, 0.1), StreamSpec(1.0, 0.5)
+        worlds = [pr.strand_world(1.0), pr.plane_world(0.9, 1.1)]
+        with pytest.raises(StreamError):
+            pr.domain_of_convergence(m, grid, spec, 80)
+        with pytest.raises(StreamError):
+            pr.classify_world(m, worlds[0], spec, 80)
+        with pytest.raises(StreamError):
+            pr.stability_scan(m, worlds, [spec], 80)
+        with pytest.raises(StreamError):
+            scalar_stability_scan(m, worlds, [spec], 80)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -224,7 +306,7 @@ class TestMaximality:
 
     def test_undetermined_grid_rejected(self):
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 2)
-        report = pr.maximality_check(pr.ockham_method(), g)
+        report = pr.maximality_check(g)
         assert not report.passed
         undetermined = [r.world_id for r in (*g.plane, *g.strand)
                         if r.status is Status.UNDETERMINED]
@@ -245,6 +327,24 @@ class TestStability:
         assert strand_hits
         verdicts = strand_hits[0]["verdicts"]
         assert verdicts[0] == "SIMPLE" and "COMPLEX" in verdicts
+
+    @given(case=sweep_cases())
+    def test_scan_equals_scalar_loop(self, case):
+        m, grid, spec, horizon = case
+        worlds = pr.default_stability_worlds(grid)
+        specs = pr.stability_spec_variants(spec)
+        assert (raised_or(lambda: pr.stability_scan(m, worlds, specs, horizon))
+                == raised_or(lambda: scalar_stability_scan(m, worlds, specs, horizon)))
+
+    def test_scan_keeps_the_first_ten_witnesses_in_scalar_order(self):
+        way2 = pr.PerrinMethod(kind="WAY2", p=1.0, delta0=0.3)
+        worlds = pr.default_stability_worlds(SMALL.grid)
+        specs = pr.stability_spec_variants(SMALL.stream)
+        failures = sum(not check_stability(pr.trace(way2, w, s, 40), w.truth)[0]
+                       for w in worlds for s in specs)
+        report = pr.stability_scan(way2, worlds, specs, 40)
+        assert failures > 10 and len(report.witnesses) == 10
+        assert report == scalar_stability_scan(way2, worlds, specs, 40)
 
     def test_way2_witness_replays(self, small_sheets):
         wit = [w for w in small_sheets["WAY2"].stable.witnesses
@@ -276,13 +376,17 @@ class TestScoreSheet:
         sheet = pr.score_sheet(m, config)
         assert sheet.domain == pr.domain_of_convergence(m, config.grid, spec, horizon)
 
-    def test_sweeps_each_world_once(self, monkeypatch):
-        calls = []
-        original = pr.classify_world
-        monkeypatch.setattr(pr, "classify_world", lambda *a: calls.append(a) or original(*a))
-        pr.score_sheet(pr.ockham_method(), SMALL)
-        n2 = len(SMALL.grid.halved().axis())
-        assert len(calls) == n2 * n2 + n2
+    def test_traces_only_stability_witnesses(self, monkeypatch):
+        classified, traced = [], []
+        classify_world, trace = pr.classify_world, pr.trace
+        monkeypatch.setattr(pr, "classify_world",
+                            lambda *a: classified.append(a) or classify_world(*a))
+        monkeypatch.setattr(pr, "trace", lambda *a: traced.append(a) or trace(*a))
+        assert pr.score_sheet(pr.ockham_method(), SMALL).stable.passed
+        assert classified == [] and traced == []
+        sheet = pr.score_sheet(pr.builtin_methods(SMALL)[3], SMALL)  # WAY2 retracts
+        assert classified == []
+        assert 0 < len(traced) == len(sheet.stable.witnesses) <= 10
 
     def test_theorem_pattern(self, small_sheets):
         assert small_sheets["OCKHAM_REALIST"].pattern() == (True, True, True)
@@ -380,7 +484,7 @@ class TestExperimentalStream:
     def test_nestedness_by_construction(self):
         sr = pr.experimental_stream(0.9, 1.1, [50, 100, 200, 400], 0.95, 11)
         for a, b in zip(sr.prisms, sr.prisms[1:]):
-            assert b.is_subset_of(a)
+            assert a.xlo <= b.xlo and b.xhi <= a.xhi and a.ylo <= b.ylo and b.yhi <= a.yhi
 
     def test_containment_failure_flagged_not_fabricated(self):
         # at 50% confidence the per-stage intervals miss the truth often,
