@@ -71,11 +71,15 @@ def _bool(v, path):
     return v
 
 
-def _numlist(item_check):
+def _numlist(item_check, increasing=False):
     def check(v, path):
         if not isinstance(v, list) or not v:
             raise ConfigError(f"{path}: expected a non-empty list")
-        return [item_check(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        items = [item_check(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        for i in range(1, len(items) if increasing else 0):
+            if items[i] <= items[i - 1]:
+                raise ConfigError(f"{path}[{i}]: {items[i]} must exceed {path}[{i - 1}] = {items[i - 1]}")
+        return items
     return check
 
 
@@ -100,6 +104,8 @@ def _string(v, path):
     return v
 
 
+_SIZES = _numlist(_num(lo=2, integer=True), increasing=True)  # strictly increasing sample sizes
+
 SCHEMA = {
     "experiment": ("all", _experiment),
     "seed": (20250801, _num(integer=True)),
@@ -110,11 +116,11 @@ SCHEMA = {
         ConfigError(f"{p}: expected 'csv' or 'json', got {v!r}"))),
     "gaussian": {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_num())),
-        "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _numlist(_num(lo=2, integer=True))),
+        "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
         "alpha_grid": ([0.16, 0.05, 0.01, 0.001], _numlist(_num(lo=0, hi=1, lo_open=True, hi_open=True))),
         "mc_trials": (200000, _num(lo=1000, integer=True)),
         "mc_theta_grid": ([0.0, 0.5], _numlist(_num())),
-        "mc_n_grid": ([10, 100, 1000], _numlist(_num(lo=2, integer=True))),
+        "mc_n_grid": ([10, 100, 1000], _SIZES),
     },
     "lineworld": {
         "theta_min": (-0.5, _num()),
@@ -153,7 +159,7 @@ SCHEMA = {
         "way3_delta0": (4.0, _num(lo=0, lo_open=True)),
         "coverage_reps": (1000, _num(lo=10, integer=True)),
         "coverage_size": (400, _num(lo=10, integer=True)),
-        "stream_schedule": ([50, 100, 200, 400, 800], _numlist(_num(lo=2, integer=True))),
+        "stream_schedule": ([50, 100, 200, 400, 800], _SIZES),
     },
 }
 
@@ -183,27 +189,45 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
     return out
 
 
+GRID_FIELDS = {"lineworld": ("theta_min", "theta_max", "theta_step"),
+               "perrin": ("grid_lo", "grid_hi", "grid_step")}
+
+
+def world_axis(config: dict, suite: str) -> tuple:
+    """The suite's world values, from GridSpec; a grid it rejects exits 2
+    naming the field.  Lineworld's theta_min == theta_max is one world."""
+    c, keys = config[suite], GRID_FIELDS[suite]
+    lo, hi, step = (c[k] for k in keys)
+    if suite == "lineworld" and lo == hi:
+        return (round(lo, 12),)
+    try:
+        return pr.GridSpec(lo, hi, step).axis()
+    except ValueError as exc:
+        given = ", ".join(f"{k}={c[k]}" for k in keys)
+        raise ConfigError(f"{suite}.{keys[2] if lo < hi else keys[0]}: {exc} ({given})")
+
+
 def check_consistency(config: dict) -> None:
     """Reject values that are each in range but contradict one another."""
-    lc = config["lineworld"]
-    if lc["theta_min"] > lc["theta_max"]:
-        raise ConfigError(f"lineworld.theta_min: {lc['theta_min']} exceeds "
-                          f"lineworld.theta_max {lc['theta_max']}")
-    pc = config["perrin"]
-    try:
-        pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
-    except ValueError as exc:
-        field = "grid_step" if pc["grid_lo"] < pc["grid_hi"] else "grid_lo"
-        raise ConfigError(f"perrin.{field}: {exc} (grid_lo={pc['grid_lo']}, "
-                          f"grid_hi={pc['grid_hi']}, grid_step={pc['grid_step']})")
-    for suite, top in (("lineworld", max(abs(lc["theta_min"]), abs(lc["theta_max"]))),
-                       ("perrin", max(abs(pc["grid_lo"]), abs(pc["grid_hi"])))):
+    for suite, (lo, hi, _) in GRID_FIELDS.items():
+        world_axis(config, suite)
         c = config[suite]
-        half = c["delta0"] * c["ratio"] ** (c["horizon"] - 1)
+        top = max(abs(c[lo]), abs(c[hi]))
+        half = StreamSpec(c["delta0"], c["ratio"]).half_width(c["horizon"] - 1)
         if half <= 2.0 * math.ulp(top):
             raise ConfigError(f"{suite}.horizon: {c['horizon']} stages shrink the half-width "
                               f"delta0*ratio**(horizon-1) to {half:.3g} (delta0={c['delta0']}, "
                               f"ratio={c['ratio']}), at most twice the float spacing at {top}")
+    sc = config["predsel"]
+    degree = ps.poly_truth(sc["regime_a_coeffs"], sc["regime_a_sigma"]).poly_degree
+    if sc["regime_a_max_degree"] < degree:
+        raise ConfigError(f"predsel.regime_a_max_degree: {sc['regime_a_max_degree']} leaves out "
+                          f"the true model, of degree {degree} (predsel.regime_a_coeffs)")
+    for regime in ("a", "b"):
+        n, deg = sc[f"regime_{regime}_n"], sc[f"regime_{regime}_max_degree"]
+        if n < deg + 2:
+            raise ConfigError(f"predsel.regime_{regime}_n: {n} points cannot fit degree {deg} "
+                              f"(predsel.regime_{regime}_max_degree), which needs {deg + 2}")
 
 
 def validate_config(raw_text: str) -> dict:
@@ -315,9 +339,7 @@ def run_gaussian(cfg: dict, seed: int, out: Outputs):
 
 def run_lineworld(cfg: dict, seed: int, out: Outputs):
     lc = cfg["lineworld"]
-    steps = round((lc["theta_max"] - lc["theta_min"]) / lc["theta_step"])
-    worlds = [lw.LineWorld(round(lc["theta_min"] + i * lc["theta_step"], 12))
-              for i in range(steps + 1)]
+    worlds = [lw.LineWorld(theta) for theta in world_axis(cfg, "lineworld")]
     mstar = lw.mstar_method()
     specs = [StreamSpec(lc["delta0"], lc["ratio"])] + [
         StreamSpec(lc["delta0"], lc["ratio"], "offcenter", lam)
@@ -372,7 +394,7 @@ def run_predsel(cfg: dict, seed: int, out: Outputs):
     out.emit_rows("selection_misspecified", header, b.rows)
 
     probe_truth = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"], design="grid")
-    degree = max(k for k, c in enumerate(pc["regime_a_coeffs"]) if c != 0.0)
+    degree = probe_truth.poly_degree
     rel_bias = {  # probed size -> relative biases at consecutive seeds from `seed`
         n: [ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed).relative_bias]
         for n in (50, 100, 200, 400)

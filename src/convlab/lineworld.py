@@ -89,7 +89,8 @@ class StreamSpec:
     every stage, and stage t nests in stage t-1 for every theta iff
     (lam_t - 1) * ratio >= lam_{t-1} - 1 and (lam_t + 1) * ratio <=
     lam_{t-1} + 1.  A sequence breaking this by more than 1e-12 raises
-    StreamError; constant offsets always nest.
+    StreamError; constant offsets always nest.  bounds and first_stage
+    are the stage arithmetic of both interval suites.
     """
 
     delta0: float = 1.0
@@ -104,7 +105,8 @@ class StreamSpec:
             raise ValueError("ratio must lie in (0, 1)")
         if self.drift not in ("centered", "offcenter"):
             raise ValueError(f"unknown drift rule {self.drift!r}")
-        offs = self._offsets()
+        scalar = isinstance(self.offset, (int, float))
+        offs = tuple(map(float, (self.offset,) if scalar else self.offset))
         for lam in offs:
             if not (math.isfinite(lam) and abs(lam) <= 1.0):
                 raise ValueError("offsets must lie in [-1, 1]")
@@ -112,20 +114,32 @@ class StreamSpec:
         for t, (prev, lam) in enumerate(zip(offs, offs[1:]), start=1):
             if (lam - 1.0) * r < prev - 1.0 - 1e-12 or (lam + 1.0) * r > prev + 1.0 + 1e-12:
                 raise StreamError(f"offset {lam} at stage {t} breaks nesting under stage {t - 1}")
-
-    def _offsets(self):
-        if isinstance(self.offset, (int, float)):
-            return (float(self.offset),)
-        return tuple(float(x) for x in self.offset)
+        # normalized once; not a field, so equality and label() see `offset`
+        object.__setattr__(self, "_lams", offs if self.drift == "offcenter" else (0.0,))
 
     def half_width(self, t: int) -> float:
         return self.delta0 * self.ratio**t
 
     def offset_at(self, t: int) -> float:
-        if self.drift == "centered":
-            return 0.0
-        offs = self._offsets()
-        return offs[t] if t < len(offs) else offs[-1]
+        return self._lams[min(t, len(self._lams) - 1)]
+
+    def bounds(self, t: int) -> tuple:
+        """Stage-t endpoints less the world's value, (lam -+ 1) * d: fixed
+        signs and shrinking with d keep containment and nesting exact."""
+        if t < 0:
+            raise ValueError("stage must be >= 0")
+        d, lam = self.half_width(t), self.offset_at(t)
+        return (lam - 1.0) * d, (lam + 1.0) * d
+
+    def first_stage(self, gap: float, k: float) -> int:
+        """First stage t with k * half_width(t) < gap: with k = 2 the
+        interval's width is below gap, with k = 4 twice its width is."""
+        if not gap > 0.0:
+            raise ValueError("gap must be positive")
+        t = 0
+        while k * self.half_width(t) >= gap:
+            t += 1
+        return t
 
     def label(self) -> str:
         if self.drift == "centered":
@@ -134,31 +148,25 @@ class StreamSpec:
 
 
 def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
-    """Stage-t interval of the stream.  It needs no check of its own:
-    the spec's offsets were validated once, when the spec was built.
-
-    Endpoints are computed as theta + (lam -+ 1) * d so containment of
-    theta and nestedness survive floating point exactly: the two offsets
-    have fixed signs and shrink monotonically with d.
-    """
-    d = spec.half_width(t)
-    lam = spec.offset_at(t)
-    return IntervalEvidence(theta + (lam - 1.0) * d, theta + (lam + 1.0) * d)
+    """Stage-t interval: it holds theta and nests under stage t-1 because
+    the spec's offsets were validated once, when it was built."""
+    below, above = spec.bounds(t)
+    return IntervalEvidence(theta + below, theta + above)
 
 
-def canonical_stream(w: LineWorld, spec: StreamSpec, t: int) -> IntervalEvidence:
-    """Stage-t interval: width 2 * delta0 * ratio**t, contains theta,
-    nested under the stage-(t-1) interval, because the spec's offsets
-    were validated when it was built."""
-    if t < 0:
-        raise ValueError("stage must be >= 0")
-    return interval_at(w.theta, spec, t)
+def _decisions(method: MethodSpec, evidence) -> tuple:
+    """(evidence, verdict) per stage, each decided once, on one growing
+    history list that holds the stages up to and including it."""
+    hist, stages = [], []
+    for e in evidence:
+        hist.append(e)
+        stages.append((e, method.decide(hist)))
+    return tuple(stages)
 
 
 def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
     """Run a method along the canonical stream for `horizon` stages."""
-    evid = [canonical_stream(w, spec, t) for t in range(horizon)]
-    stages = tuple((e, method.decide(evid[: t + 1])) for t, e in enumerate(evid))
+    stages = _decisions(method, (interval_at(w.theta, spec, t) for t in range(horizon)))
     return StreamTrace(world_id=f"{FAMILY}:theta={w.theta!r}", stages=stages)
 
 
@@ -177,12 +185,7 @@ def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
     must exclude 0: an interval of width w containing theta can cover 0
     only while w >= |theta|, so the bound is the first t with
     2 * delta0 * ratio**t < |theta|.  Valid for every drift rule."""
-    if theta == 0.0:
-        return 0
-    t = 0
-    while 2.0 * spec.half_width(t) >= abs(theta):
-        t += 1
-    return t
+    return 0 if theta == 0.0 else spec.first_stage(abs(theta), 2.0)
 
 
 def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
@@ -368,11 +371,10 @@ def _candidate_histories(budget: int):
     )
     count = 0
     for theta in thetas:
-        w = LineWorld(theta)
         for spec in specs:
             evid = []
             for t in range(40):
-                e = canonical_stream(w, spec, t)
+                e = interval_at(theta, spec, t)
                 evid.append(e)
                 if not e.contains(0.0):
                     break
@@ -404,33 +406,21 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int = 4000) -> Razo
         half = min(-final.lo, final.hi, final.width / 4.0)
         if half <= 0.0:  # 0 sits on the boundary; unusable for a continuation
             continue
-        extended = list(hist)
-        verdicts = []
-        for k in range(1, extension + 1):
-            e = IntervalEvidence(-half / 2.0**k, half / 2.0**k)
-            extended.append(e)
-            verdicts.append(method.decide(extended))
-        for k, v in enumerate(verdicts):
-            if v is Verdict.SIMPLE:
+        extended = hist + [IntervalEvidence(-half / 2.0**k, half / 2.0**k)
+                           for k in range(1, extension + 1)]
+        stages = _decisions(method, extended)
+        for j in range(base + 1, len(stages)):
+            if stages[j][1] is Verdict.SIMPLE:
                 # retraction of a COMPLEX verdict that was true at a
-                # nonzero world inside the stage-k interval
-                e_k = extended[base + 1 + k]
-                theta_w = e_k.hi / 2.0
-                world = LineWorld(theta_w)
-                stages = tuple(
-                    (e, method.decide(extended[: i + 1]))
-                    for i, e in enumerate(extended[: base + 2 + k])
-                )
+                # nonzero world inside the stage-j interval
+                theta_w = stages[j][0].hi / 2.0
                 return RazorReport(
                     razor_violation=tuple(hist),
                     consequence="STABILITY_FAIL",
-                    witness_world=world,
-                    witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", stages),
+                    witness_world=LineWorld(theta_w),
+                    witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", stages[: j + 1]),
                 )
         # never returned to SIMPLE: fails pointwise at theta = 0
-        stages = tuple(
-            (e, method.decide(extended[: i + 1])) for i, e in enumerate(extended)
-        )
         return RazorReport(
             razor_violation=tuple(hist),
             consequence="POINTWISE_FAIL",

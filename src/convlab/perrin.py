@@ -213,8 +213,8 @@ def _truth_hits(m: PerrinMethod, strand, xlo, xhi, ylo, yhi):
 
 def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
     """`trace` for every world (na, na_prime, z == 1) at once: one array
-    pass per stage, with interval_at's float expressions, so every prism
-    is bit for bit the scalar one.  Only O(worlds) state is kept.
+    pass per stage, with the endpoints interval_at adds (spec.bounds), so
+    every prism is bit for bit the scalar one.  Only O(worlds) state is kept.
     Returns per world the empirical settle stage (horizon when the trace
     does not end on the truth) and the first stage j whose verdict
     retracts a true answer given before it (horizon when none), which is
@@ -223,8 +223,7 @@ def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
     retract = np.full(len(a), horizon, dtype=np.int64)
     seen = np.zeros(len(a), dtype=bool)
     for t in range(horizon):
-        d, lam = spec.half_width(t), spec.offset_at(t)
-        below, above = (lam - 1.0) * d, (lam + 1.0) * d
+        below, above = spec.bounds(t)
         xlo, xhi, ylo, yhi = a + below, a + above, b + below, b + above
         if not (all(np.isfinite(e).all() for e in (xlo, xhi, ylo, yhi))
                 and (xlo < xhi).all() and (ylo < yhi).all()):
@@ -250,13 +249,6 @@ def _sweep_worlds(m: PerrinMethod, worlds: Sequence[PastaWorld], spec: StreamSpe
 # each settles permanently)
 
 
-def _first_stage(spec: StreamSpec, predicate) -> int:
-    t = 0
-    while not predicate(2.0 * spec.half_width(t)):
-        t += 1
-    return t
-
-
 def separation_stage(a: float, b: float, spec: StreamSpec) -> int:
     """First stage from which no admissible prism at (a, b) can meet the
     diagonal: intervals of width w containing a resp. b can share a
@@ -264,7 +256,7 @@ def separation_stage(a: float, b: float, spec: StreamSpec) -> int:
     gap = abs(a - b)
     if gap == 0.0:
         raise ValueError("no separation stage on the diagonal")
-    return _first_stage(spec, lambda w: 2.0 * w < gap)
+    return spec.first_stage(gap, 4.0)
 
 
 def point_exit_stage(w: PastaWorld, p: float, spec: StreamSpec) -> int:
@@ -274,12 +266,12 @@ def point_exit_stage(w: PastaWorld, p: float, spec: StreamSpec) -> int:
     gap = max(abs(w.na - p), abs(w.na_prime - p))
     if gap == 0.0:
         raise ValueError("(p, p) never leaves prisms at the sacrificed pair")
-    return _first_stage(spec, lambda wd: wd < gap)
+    return spec.first_stage(gap, 2.0)
 
 
 def width_stage(delta: float, spec: StreamSpec) -> int:
     """First stage from which every prism is narrower than delta."""
-    return _first_stage(spec, lambda w: w < delta)
+    return spec.first_stage(delta, 2.0)
 
 
 def _is_diag(w: PastaWorld) -> bool:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from convlab import checks
+from convlab import checks, cli
 from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
@@ -57,6 +57,12 @@ def perrin_results():
     underdet = {m.kind: pr.underdetermination_ok(m, config.grid, config.stream)
                 for m in pr.builtin_methods(config)}
     return verdicts(checks.check_perrin_theorem(sheets, underdet)), sheets, elapsed
+
+
+def test_perrin_fixture_is_the_cli_default():
+    # perrin_results judges PerrinConfig(); a default CLI run builds its
+    # config from cli.SCHEMA, so the two copies of the defaults must agree
+    assert cli.perrin_config_from(cli.validate_config("{}")) == pr.PerrinConfig()
 
 
 @pytest.fixture(scope="module")

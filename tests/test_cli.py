@@ -211,6 +211,40 @@ class TestFlags:
         assert "--grid-step: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("config, field", [
+        ({"experiment": "gaussian", "gaussian": {"n_grid": [100, 10]}}, "gaussian.n_grid[1]"),
+        ({"experiment": "gaussian", "gaussian": {"mc_n_grid": [10, 10]}},
+         "gaussian.mc_n_grid[1]"),
+        ({"experiment": "perrin", "perrin": {"stream_schedule": [100, 50]}},
+         "perrin.stream_schedule[1]"),
+        ({"experiment": "predsel", "predsel": {"regime_a_n": 5}}, "predsel.regime_a_n"),
+        ({"experiment": "predsel", "predsel": {"regime_b_n": 13}}, "predsel.regime_b_n"),
+        ({"experiment": "predsel", "check": True, "predsel": {"regime_a_max_degree": 1}},
+         "predsel.regime_a_max_degree"),
+        ({"experiment": "lineworld", "lineworld": {"theta_step": 0.3}}, "lineworld.theta_step"),
+    ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
+            "regime_a_max_degree", "theta_step"])
+    def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
+        code, out = run_cli(tmp_path, config)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not out.exists()
+
+    def test_zero_polynomial_truth_runs(self, tmp_path):
+        # the probe degree of the zero polynomial is 0
+        code, out = run_cli(tmp_path, {"experiment": "predsel", "predsel": {
+            "regime_a_coeffs": [0.0, 0.0], "regime_a_n": 50, "regime_a_reps": 100,
+            "regime_b_n": 50, "regime_b_reps": 100, "probe_reps": 100}})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())["predsel"]
+        assert summary["true_model_in_set"]["true_degree"] == 0
+
+    def test_one_world_lineworld(self, tmp_path):
+        code, out = run_cli(tmp_path, {"experiment": "lineworld", "lineworld": {
+            "theta_min": 0.25, "theta_max": 0.25, "theta_step": 0.3}})
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["lineworld"]["worlds"] == 1
+
     def test_short_horizon_fails_maximality_without_traceback(self, tmp_path):
         args = ["--experiment", "perrin", "--grid-step", "0.1", "--horizon", "3"]
         assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0

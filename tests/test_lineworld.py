@@ -26,7 +26,7 @@ def drift_params(draw, min_ratio=0.3, admissible=True):
 
 
 def per_stage_contract(theta, spec, t):
-    """The check canonical_stream made at every stage before offsets were
+    """The check the stream made at every stage before offsets were
     validated with the spec: stage t holds theta and nests in stage t - 1,
     both within 1e-12 * max(1, |theta|, delta0)."""
     e = lw.interval_at(theta, spec, t)
@@ -51,19 +51,18 @@ class TestDecisionRule:
 
 class TestStreams:
     def test_centered_stage_two(self):
-        e = lw.canonical_stream(lw.LineWorld(0.0), lw.StreamSpec(1.0, 0.5), 2)
+        e = lw.interval_at(0.0, lw.StreamSpec(1.0, 0.5), 2)
         assert (e.lo, e.hi) == (-0.25, 0.25)
 
     def test_centered_stage_zero_offset_world(self):
-        e = lw.canonical_stream(lw.LineWorld(0.3), lw.StreamSpec(1.0, 0.5), 0)
+        e = lw.interval_at(0.3, lw.StreamSpec(1.0, 0.5), 0)
         assert (e.lo, e.hi) == pytest.approx((-0.7, 1.3))
 
     def test_eventually_excludes_origin(self):
         # first stage whose interval drops the origin, found by replay
-        w = lw.LineWorld(0.01)
         spec = lw.StreamSpec(1.0, 0.5)
-        first = next(t for t in range(60) if not lw.canonical_stream(w, spec, t).contains(0.0))
-        assert lw.canonical_stream(w, spec, first - 1).contains(0.0)
+        first = next(t for t in range(60) if not lw.interval_at(0.01, spec, t).contains(0.0))
+        assert lw.interval_at(0.01, spec, first - 1).contains(0.0)
         assert 2.0 * spec.half_width(first) < 0.02 <= 2.0 * spec.half_width(first - 2)
 
     def test_invalid_spec_rejected(self):
@@ -93,15 +92,41 @@ class TestStreams:
         assert all(per_stage_contract(theta, spec, t) for t in range(len(offsets) + 2))
 
     def test_trace_builds_each_stage_once(self, monkeypatch):
-        calls = []
+        calls, lengths = [], []
         original = lw.interval_at
         monkeypatch.setattr(lw, "interval_at", lambda *a: calls.append(a) or original(*a))
-        lw.trace(lw.mstar_method(), lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
+        method = lw.MethodSpec(name="recording",
+                               decide=lambda hist: lengths.append(len(hist)) or S)
+        lw.trace(method, lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
         assert len(calls) == 25
+        # each stage decided once, on the history up to and including it
+        assert lengths == list(range(1, 26))
 
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError):
-            lw.canonical_stream(lw.LineWorld(0.0), lw.StreamSpec(), -1)
+            lw.interval_at(0.0, lw.StreamSpec(), -1)
+
+    @given(params=drift_params(), drift=st.sampled_from(["centered", "offcenter"]),
+           t=st.integers(0, 40))
+    def test_bounds_equal_the_closed_form(self, params, drift, t):
+        delta0, ratio, offsets = params
+        spec = lw.StreamSpec(delta0, ratio, drift, offsets)
+        lam, d = spec.offset_at(t), spec.half_width(t)
+        assert lam == (0.0 if drift == "centered" else offsets[min(t, len(offsets) - 1)])
+        assert spec.bounds(t) == ((lam - 1.0) * d, (lam + 1.0) * d)
+
+    @given(params=drift_params(min_ratio=1e-6), k=st.sampled_from([2, 4]),
+           gap=st.floats(1e-300, 10.0))
+    def test_first_stage_equals_brute_force(self, params, k, gap):
+        delta0, ratio, _ = params
+        spec = lw.StreamSpec(delta0, ratio)
+        brute = next(t for t in range(100_000) if k * (delta0 * ratio**t) < gap)
+        assert spec.first_stage(gap, k) == brute
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan])
+    def test_first_stage_needs_a_positive_gap(self, gap):
+        with pytest.raises(ValueError):
+            lw.StreamSpec().first_stage(gap, 2)
 
     @given(
         theta=st.floats(-5, 5),
@@ -111,13 +136,12 @@ class TestStreams:
         t=st.integers(0, 20),
     )
     def test_stream_contract(self, theta, delta0, ratio, lam, t):
-        w = lw.LineWorld(theta)
         spec = lw.StreamSpec(delta0, ratio, "offcenter", lam)
-        e = lw.canonical_stream(w, spec, t)
+        e = lw.interval_at(theta, spec, t)
         assert e.contains(theta)
         assert e.width == pytest.approx(2.0 * delta0 * ratio**t, rel=1e-9)
         if t > 0:
-            assert e.is_subset_of(lw.canonical_stream(w, spec, t - 1))
+            assert e.is_subset_of(lw.interval_at(theta, spec, t - 1))
 
 
 class TestPointwise:
