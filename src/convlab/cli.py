@@ -191,20 +191,31 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
 
 GRID_FIELDS = {"lineworld": ("theta_min", "theta_max", "theta_step"),
                "perrin": ("grid_lo", "grid_hi", "grid_step")}
+MAX_WORLDS = 10**6
 
 
 def world_axis(config: dict, suite: str) -> tuple:
     """The suite's world values, from GridSpec; a grid it rejects exits 2
-    naming the field.  Lineworld's theta_min == theta_max is one world."""
+    naming the field, and so does one of more than MAX_WORLDS worlds,
+    counted before any axis is built: k + 1 lineworld worlds for a span
+    of k steps, and for perrin the refined grid's (2k + 1)**2 plane and
+    2k + 1 strand worlds.  Lineworld's theta_min == theta_max is one world."""
     c, keys = config[suite], GRID_FIELDS[suite]
     lo, hi, step = (c[k] for k in keys)
     if suite == "lineworld" and lo == hi:
         return (round(lo, 12),)
+    given = ", ".join(f"{k}={c[k]}" for k in keys)
     try:
-        return pr.GridSpec(lo, hi, step).axis()
+        grid = pr.GridSpec(lo, hi, step)
     except ValueError as exc:
-        given = ", ".join(f"{k}={c[k]}" for k in keys)
         raise ConfigError(f"{suite}.{keys[2] if lo < hi else keys[0]}: {exc} ({given})")
+    k = round(grid.span)
+    worlds = k + 1 if suite == "lineworld" else (2 * k + 1) ** 2 + 2 * k + 1
+    if worlds > MAX_WORLDS:
+        where = "" if suite == "lineworld" else " in the refined grid"
+        raise ConfigError(f"{suite}.{keys[2]}: {worlds} worlds{where}, above the limit "
+                          f"of {MAX_WORLDS} ({given})")
+    return grid.axis()
 
 
 def check_consistency(config: dict) -> None:
@@ -444,9 +455,8 @@ def run_perrin(cfg: dict, seed: int, out: Outputs):
     sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
 
     for kind, s in sheets.items():
-        rows = [(c, a, b, r.status, r.settle_stage) for c, a, b, r in _domain_cells(s.domain)]
         out.emit_rows(f"domain_{kind.lower()}",
-                 ("component", "a", "b", "status", "settle_stage"), rows)
+                      ("component", "a", "b", "status", "settle_stage"), s.domain.cells())
 
     scoresheet = {
         kind: {
@@ -491,15 +501,6 @@ def run_perrin(cfg: dict, seed: int, out: Outputs):
     return summary, results, {kind: s.domain for kind, s in sheets.items()}
 
 
-def _domain_cells(grid: pr.DomainGrid):
-    """(component, a, b, record) per world: the plane row-major, then the strand."""
-    for ia, a in enumerate(grid.axis):
-        for ib, b in enumerate(grid.axis):
-            yield "plane", a, b, grid.plane_record(ia, ib)
-    for a, r in zip(grid.axis, grid.strand):
-        yield "strand", a, a, r
-
-
 # ---------------------------------------------------------------------------
 # plot-data emission
 
@@ -513,9 +514,8 @@ def emit_plots(out: Outputs, curve_rows, domains: Optional[dict], regime_rows) -
         out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"), rows)
 
     if domains is not None:
-        code = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
         for kind, grid in domains.items():
-            rows = [(c, a, b, code[r.status]) for c, a, b, r in _domain_cells(grid)]
+            rows = [(c, a, b, pr.CODES[status]) for c, a, b, status, _ in grid.cells()]
             out.emit_rows(f"plots/domain_map_{kind.lower()}",
                           ("component", "a", "b", "code"), rows)
 

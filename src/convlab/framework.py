@@ -165,34 +165,20 @@ def classify_convergence(
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    verdicts = trace.verdicts()
-    return classify_settle_stage(trace.world_id, empirical_settle_stage(verdicts, truth),
-                                 len(verdicts), oracle)
-
-
-def classify_settle_stage(
-    world_id: str,
-    settle: Optional[int],
-    stages: int,
-    oracle: Optional[AsymptoticOracle] = None,
-) -> ConvergenceRecord:
-    """classify_convergence's rule for a trace of `stages` stages whose
-    empirical settle stage is `settle` (None when the trace does not end
-    on the truth), for sweeps that track the settle stage without
-    keeping the trace."""
     if oracle is None:
-        return ConvergenceRecord(world_id, Status.UNDETERMINED)
+        return ConvergenceRecord(trace.world_id, Status.UNDETERMINED)
     if oracle.fate is Status.DIVERGES:
-        return ConvergenceRecord(world_id, Status.DIVERGES)
+        return ConvergenceRecord(trace.world_id, Status.DIVERGES)
     # oracle.fate is CONVERGES
-    if oracle.settle_by > stages - 1:
-        return ConvergenceRecord(world_id, Status.UNDETERMINED)
+    if oracle.settle_by > len(trace) - 1:
+        return ConvergenceRecord(trace.world_id, Status.UNDETERMINED)
+    settle = empirical_settle_stage(trace.verdicts(), truth)
     if settle is None or settle > oracle.settle_by:
         raise OracleContradiction(
-            f"world {world_id}: oracle guarantees truth from stage "
+            f"world {trace.world_id}: oracle guarantees truth from stage "
             f"{oracle.settle_by} but the trace shows otherwise"
         )
-    return ConvergenceRecord(world_id, Status.CONVERGES, settle_stage=settle)
+    return ConvergenceRecord(trace.world_id, Status.CONVERGES, settle_stage=settle)
 
 
 def check_stability(trace: StreamTrace, truth: Verdict):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,19 +40,23 @@ from .framework import (
     ConfigurationError,
     ConvergenceRecord,
     ModeReport,
+    OracleContradiction,
     Status,
     StreamError,
     StreamTrace,
     Verdict,
     check_stability,
     classify_convergence,
-    classify_settle_stage,
 )
 from .gaussian import normal_quantile
 from .lineworld import StreamSpec, interval_at
 from .rand import substream
 
 DIAG_TOL = 1e-12
+
+# a world's status as a code: the domain map's plot codes
+CODES = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
+STATUSES = {code: status for status, code in CODES.items()}
 
 
 class EstimationError(ValueError):
@@ -235,89 +238,86 @@ def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
     return settle, retract
 
 
-def _sweep_worlds(m: PerrinMethod, worlds: Sequence[PastaWorld], spec: StreamSpec, horizon: int):
-    """_sweep over a sequence of world objects."""
-    return _sweep(m, np.array([w.na for w in worlds], dtype=float),
-                  np.array([w.na_prime for w in worlds], dtype=float),
-                  np.array([w.z == 1 for w in worlds], dtype=bool), spec, horizon)
+def _world_arrays(worlds: Sequence[PastaWorld]):
+    """The (na, na_prime, z == 1) columns of a world sequence, as _sweep reads them."""
+    return (np.array([w.na for w in worlds], dtype=float),
+            np.array([w.na_prime for w in worlds], dtype=float),
+            np.array([w.z == 1 for w in worlds], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
-# analytic oracles (drift-robust bounds, valid for every stream of the
+# the analytic oracle (drift-robust bounds, valid for every stream of the
 # family: StreamSpec admits only nested streams, and nestedness makes the
 # diagonal-overlap, width and point-containment triggers monotone, so
 # each settles permanently)
 
 
-def separation_stage(a: float, b: float, spec: StreamSpec) -> int:
-    """First stage from which no admissible prism at (a, b) can meet the
-    diagonal: intervals of width w containing a resp. b can share a
-    point only while |a - b| <= 2w."""
-    gap = abs(a - b)
-    if gap == 0.0:
-        raise ValueError("no separation stage on the diagonal")
-    return spec.first_stage(gap, 4.0)
+def _first_stages(spec: StreamSpec, gaps, k: float):
+    """spec.first_stage(gap, k) per (positive) gap: the number of stages s
+    with k * spec.half_width(s) >= gap, the half-widths only shrinking."""
+    gaps = np.asarray(gaps, dtype=float)
+    if not (gaps > 0.0).all():
+        raise ValueError("gaps must be positive")
+    widths, stop = [], gaps.min(initial=math.inf)
+    while not widths or widths[-1] >= stop:
+        widths.append(k * spec.half_width(len(widths)))
+    return len(widths) - np.searchsorted(widths[::-1], gaps)
 
 
-def point_exit_stage(w: PastaWorld, p: float, spec: StreamSpec) -> int:
-    """First stage from which (p, p) must have left every admissible
-    prism: an interval of width w containing a can contain p only while
-    |a - p| <= w."""
-    gap = max(abs(w.na - p), abs(w.na_prime - p))
-    if gap == 0.0:
-        raise ValueError("(p, p) never leaves prisms at the sacrificed pair")
-    return spec.first_stage(gap, 2.0)
+def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
+    """The stage from which m outputs the truth on every admissible stream,
+    per world (na, na_prime, z == 1), or -1 where it never settles on it.
 
-
-def width_stage(delta: float, spec: StreamSpec) -> int:
-    """First stage from which every prism is narrower than delta."""
-    return spec.first_stage(delta, 2.0)
-
-
-def _is_diag(w: PastaWorld) -> bool:
-    return abs(w.na - w.na_prime) < DIAG_TOL
+    Off the diagonal, intervals of width w containing a resp. b can share
+    a point only while |a - b| <= 2w (the separation stage, k = 4); an
+    interval of width w containing a can contain p only while |a - p| <= w
+    (the exit stage of (p, p), k = 2); every prism is narrower than delta
+    from first_stage(delta, 2).  Worlds within DIAG_TOL of the diagonal
+    count as on it: there the prism meets the diagonal forever."""
+    gap = np.abs(a - b)
+    off = gap >= DIAG_TOL  # every strand world is on the diagonal
+    settle = np.full(len(gap), -1, dtype=np.int64)
+    settle[off] = _first_stages(spec, gap[off], 4.0)
+    if m.kind == "OCKHAM_REALIST":
+        settle[strand] = 0
+    elif m.kind == "WAY3":  # COMPLEX once the prism is narrow, right only on the sheet
+        width = spec.first_stage(m.delta0, 2.0)
+        settle = np.where(strand, -1, np.where(off, np.minimum(settle, width), width))
+    elif m.kind != "ANTI_REALIST":  # the agnostic rule suspends on the diagonal forever
+        # WAY1 suspends forever at the sacrificed pair; WAY2 says COMPLEX
+        # there once the prism is narrow: right on the sheet, wrong on the strand
+        pair = ~off & (np.abs(a - m.p) < DIAG_TOL)
+        exits = strand & ~pair
+        settle[exits] = _first_stages(spec, np.abs(a - m.p)[exits], 2.0)
+        if m.kind == "WAY2":
+            settle[pair & ~strand] = spec.first_stage(m.delta0, 2.0)
+    return settle
 
 
 def asymptotic_oracle(m: PerrinMethod, w: PastaWorld, spec: StreamSpec) -> AsymptoticOracle:
-    diag = _is_diag(w)
-    conv = lambda t: AsymptoticOracle(Status.CONVERGES, settle_by=t)
-    div = AsymptoticOracle(Status.DIVERGES)
+    """_oracle for one world."""
+    t = int(_oracle(m, *_world_arrays([w]), spec)[0])
+    return AsymptoticOracle(Status.CONVERGES, t) if t >= 0 else AsymptoticOracle(Status.DIVERGES)
 
-    if m.kind == "OCKHAM_REALIST":
-        if w.z == 1:
-            return conv(0)
-        return div if diag else conv(separation_stage(w.na, w.na_prime, spec))
 
-    if m.kind == "ANTI_REALIST":
-        if diag:  # strand or its sheet shadow: the prism always meets the diagonal
-            return div
-        return conv(separation_stage(w.na, w.na_prime, spec))
-
-    if m.kind == "WAY1":
-        at_pair = diag and abs(w.na - m.p) < DIAG_TOL
-        if at_pair:
-            return div  # suspension becomes permanent at the sacrificed pair
-        if w.z == 1:
-            return conv(point_exit_stage(w, m.p, spec))
-        return div if diag else conv(separation_stage(w.na, w.na_prime, spec))
-
-    if m.kind == "WAY2":
-        at_pair = diag and abs(w.na - m.p) < DIAG_TOL
-        if at_pair:
-            # COMPLEX forever once the prism is narrow: right on the sheet,
-            # wrong on the strand
-            return conv(width_stage(m.delta0, spec)) if w.z == 0 else div
-        if w.z == 1:
-            return conv(point_exit_stage(w, m.p, spec))
-        return div if diag else conv(separation_stage(w.na, w.na_prime, spec))
-
-    # WAY3
-    if w.z == 1:
-        return div
-    t_width = width_stage(m.delta0, spec)
-    if diag:
-        return conv(t_width)
-    return conv(min(t_width, separation_stage(w.na, w.na_prime, spec)))
+def _classify(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
+    """classify_convergence for every world at once: status codes (CODES)
+    and empirical settle stages (-1 unless CONVERGES), from one _sweep
+    upgraded by _oracle.  A swept settle stage after the oracle's raises
+    OracleContradiction naming the first such world."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    settle, _ = _sweep(m, a, b, strand, spec, horizon)
+    by = _oracle(m, a, b, strand, spec)
+    known = (by >= 0) & (by < horizon)
+    bad = np.flatnonzero(known & (settle > by))
+    if bad.size:
+        i = bad[0]
+        w = PastaWorld(float(a[i]), float(b[i]), int(strand[i]))
+        raise OracleContradiction(f"world {w.world_id}: oracle guarantees truth from stage "
+                                  f"{by[i]} but the trace shows otherwise")
+    codes = np.where(by < 0, 0, np.where(known, 1, -1))
+    return codes, np.where(codes == 1, settle, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ class GridSpec:
             raise ValueError("grid needs lo < hi and step > 0")
         if not math.isfinite(self.span):
             raise ValueError("the grid span overflows the float range")
-        if abs(round(self.span) - self.span) > 1e-9:
+        if round(self.span) < 1 or abs(round(self.span) - self.span) > 1e-9:
             raise ValueError("step must divide the grid span")
 
     @property
@@ -352,19 +352,36 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DomainGrid:
+    """Per-world status codes (CODES) and empirical settle stages (-1
+    unless CONVERGES), both laid out as the plane row-major over (ia, ib),
+    z = 0, then the strand over ia, z = 1."""
+
     grid: GridSpec
     method: str
     horizon: int
     axis: tuple
-    plane: tuple   # row-major ConvergenceRecord per (ia, ib), z = 0
-    strand: tuple  # ConvergenceRecord per ia, z = 1
+    codes: np.ndarray
+    settle: np.ndarray
 
-    def plane_record(self, ia: int, ib: int) -> ConvergenceRecord:
-        return self.plane[ia * len(self.axis) + ib]
+    @property
+    def plane(self) -> np.ndarray:
+        return self.codes[:len(self.axis) ** 2]
+
+    @property
+    def strand(self) -> np.ndarray:
+        return self.codes[len(self.axis) ** 2:]
 
     def fraction(self, component: str, status: Status) -> float:
-        records = self.plane if component == "plane" else self.strand
-        return sum(r.status is status for r in records) / len(records)
+        codes = self.plane if component == "plane" else self.strand
+        return int(np.count_nonzero(codes == CODES[status])) / len(codes)
+
+    def cells(self):
+        """(component, a, b, status, settle stage or None) per world: the
+        rows of domain_<method>.csv."""
+        worlds = [("plane", a, b) for a in self.axis for b in self.axis]
+        worlds += [("strand", a, a) for a in self.axis]
+        return [(*w, STATUSES[c], s if s >= 0 else None)
+                for w, c, s in zip(worlds, self.codes.tolist(), self.settle.tolist())]
 
 
 def plane_world(a: float, b: float) -> PastaWorld:
@@ -376,53 +393,25 @@ def strand_world(a: float) -> PastaWorld:
 
 
 def classify_world(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> ConvergenceRecord:
-    """One world's record from its scalar trace: the reference for
-    classify_worlds."""
+    """One world's record from its scalar trace, upgraded by
+    asymptotic_oracle."""
     tr = trace(m, w, spec, horizon)
     return classify_convergence(tr, w.truth, asymptotic_oracle(m, w, spec))
 
 
-def classify_worlds(m: PerrinMethod, worlds: Sequence[PastaWorld], spec: StreamSpec,
-                    horizon: int) -> list:
-    """classify_world for every world, from one array sweep: the same
-    records, the same StreamError and OracleContradiction."""
-    return _records(m, worlds, _sweep_worlds(m, worlds, spec, horizon)[0], spec, horizon)
-
-
-def _records(m: PerrinMethod, worlds, settle, spec: StreamSpec, horizon: int) -> list:
-    """Records of `worlds` (an iterable, read once) from their swept
-    settle stages, upgraded by the per-world oracle."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return [
-        classify_settle_stage(w.world_id, s if s < horizon else None, horizon,
-                              asymptotic_oracle(m, w, spec))
-        for w, s in zip(worlds, settle.tolist())
-    ]
-
-
 def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
                           horizon: int) -> DomainGrid:
-    """Per-world convergence records for both components, simulated over
-    canonical streams and upgraded by the analytic oracle.  The worlds
-    are swept as arrays of the axis and built one at a time for their
-    records, so the world objects of a grid are never held at once."""
+    """Status codes and settle stages for both components, simulated over
+    canonical streams and upgraded by the analytic oracle, from arrays of
+    the axis: no world object is built."""
     axis = grid.axis()
-    n_plane = len(axis) * len(axis)
+    n = len(axis)
     values = np.array(axis, dtype=float)
-    settle, _ = _sweep(m, np.concatenate([np.repeat(values, len(axis)), values]),
-                       np.concatenate([np.tile(values, len(axis)), values]),
-                       np.arange(n_plane + len(axis)) >= n_plane, spec, horizon)
-    worlds = chain((plane_world(a, b) for a in axis for b in axis), map(strand_world, axis))
-    records = _records(m, worlds, settle, spec, horizon)
-    return DomainGrid(
-        grid=grid,
-        method=m.label(),
-        horizon=horizon,
-        axis=axis,
-        plane=tuple(records[:n_plane]),
-        strand=tuple(records[n_plane:]),
-    )
+    codes, settle = _classify(m, np.concatenate([np.repeat(values, n), values]),
+                              np.concatenate([np.tile(values, n), values]),
+                              np.arange(n * n + n) >= n * n, spec, horizon)
+    return DomainGrid(grid=grid, method=m.label(), horizon=horizon, axis=axis,
+                      codes=codes, settle=settle)
 
 
 # ---------------------------------------------------------------------------
@@ -431,37 +420,16 @@ def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
 
 def _denseness_failures(g: DomainGrid):
     """Worlds with no converging same-component world within 2h."""
-    axis = g.axis
-    n = len(axis)
-    conv_plane = np.array(
-        [r.status is Status.CONVERGES for r in g.plane], dtype=bool
-    ).reshape(n, n)
-    near = np.zeros_like(conv_plane)
-    offsets = [(di, dj) for di in range(-2, 3) for dj in range(-2, 3) if di * di + dj * dj <= 4]
-    for di, dj in offsets:
-        shifted = np.zeros_like(conv_plane)
-        src = conv_plane[
-            max(0, -di): n - max(0, di),
-            max(0, -dj): n - max(0, dj),
-        ]
-        shifted[
-            max(0, di): n - max(0, -di),
-            max(0, dj): n - max(0, -dj),
-        ] = src
-        near |= shifted
-    failures = [
-        {"component": "plane", "a": axis[ia], "b": axis[ib]}
-        for ia in range(n) for ib in range(n) if not near[ia, ib]
-    ]
-    conv_strand = np.array([r.status is Status.CONVERGES for r in g.strand], dtype=bool)
-    near_strand = np.zeros_like(conv_strand)
-    for di in range(-2, 3):
-        lo_dst, hi_dst = max(0, di), n + min(0, di)
-        near_strand[lo_dst:hi_dst] |= conv_strand[max(0, -di): n - max(0, di)]
-    failures += [
-        {"component": "strand", "a": axis[ia]} for ia in range(n) if not near_strand[ia]
-    ]
-    return failures
+    axis, n = g.axis, len(g.axis)
+    plane = np.pad((g.plane == 1).reshape(n, n), 2)  # a margin of 2h that never converges
+    strand = np.pad(g.strand == 1, 2)
+    near_plane = np.any([plane[2 + di:2 + di + n, 2 + dj:2 + dj + n] for di in range(-2, 3)
+                         for dj in range(-2, 3) if di * di + dj * dj <= 4], axis=0)
+    near_strand = np.any([strand[2 + di:2 + di + n] for di in range(-2, 3)], axis=0)
+    return ([{"component": "plane", "a": axis[ia], "b": axis[ib]}
+             for ia, ib in np.argwhere(~near_plane).tolist()]
+            + [{"component": "strand", "a": axis[ia]}
+               for ia in np.flatnonzero(~near_strand).tolist()])
 
 
 def _dimension_ok(frac_h: float, frac_h2: float) -> bool:
@@ -512,31 +480,22 @@ def maximality_check(g: DomainGrid) -> ModeReport:
     member of the empirically equivalent pair (it can then never be
     properly extended: adding the missing pair member would force
     dropping the other).  It needs fully determined verdicts, so any
-    UNDETERMINED record fails it; those are the first witnesses."""
+    UNDETERMINED world fails it; those are the first witnesses."""
     axis = g.axis
     n = len(axis)
-    witnesses = [
-        {"check": "undetermined", "world": r.world_id}
-        for r in (*g.plane, *g.strand) if r.status is Status.UNDETERMINED
+    witnesses = [{"check": "undetermined", "world": PastaWorld(a, b, int(c == "strand")).world_id}
+                 for c, a, b, status, _ in g.cells() if status is Status.UNDETERMINED][:25]
+    plane = g.plane.reshape(n, n)
+    witnesses += [
+        {"check": "off_diagonal", "a": axis[ia], "b": axis[ib],
+         "status": STATUSES[int(plane[ia, ib])].value}
+        for ia, ib in np.argwhere((plane != 1) & ~np.eye(n, dtype=bool))[:25].tolist()
     ]
-    for ia in range(n):
-        for ib in range(n):
-            if ia == ib:
-                continue
-            r = g.plane_record(ia, ib)
-            if r.status is not Status.CONVERGES:
-                witnesses.append(
-                    {"check": "off_diagonal", "a": axis[ia], "b": axis[ib],
-                     "status": r.status.value}
-                )
-    for ia in range(n):
-        w0 = g.plane_record(ia, ia)
-        w1 = g.strand[ia]
-        if w0.status is not Status.CONVERGES and w1.status is not Status.CONVERGES:
-            witnesses.append(
-                {"check": "pair", "a": axis[ia],
-                 "w0": w0.status.value, "w1": w1.status.value}
-            )
+    witnesses += [
+        {"check": "pair", "a": a, "w0": STATUSES[w0].value, "w1": STATUSES[w1].value}
+        for a, w0, w1 in zip(axis, np.diagonal(plane).tolist(), g.strand.tolist())
+        if w0 != 1 and w1 != 1
+    ]
     return ModeReport("MAXIMAL_DOMAIN", not witnesses, tuple(witnesses[:25]))
 
 
@@ -560,9 +519,10 @@ def stability_scan(m: PerrinMethod, worlds: Sequence[PastaWorld],
     true answer; each witness carries full replay parameters.  Every
     stream variant is swept once; the first ten failures, world-major,
     are replayed through the scalar trace to build their witnesses."""
+    columns = _world_arrays(worlds)
     retracted = np.zeros((len(worlds), len(specs)), dtype=bool)
     for j, spec in enumerate(specs):
-        retracted[:, j] = _sweep_worlds(m, worlds, spec, horizon)[1] < horizon
+        retracted[:, j] = _sweep(m, *columns, spec, horizon)[1] < horizon
     witnesses = []
     for iw, js in np.argwhere(retracted)[:10].tolist():
         w, spec = worlds[iw], specs[js]
@@ -583,7 +543,7 @@ class ScoreSheet:
     maximal: ModeReport
     stable: ModeReport
     fractions: dict = field(default_factory=dict)
-    domain: Optional[DomainGrid] = None  # the coarse grid's records
+    domain: Optional[DomainGrid] = None  # the coarse grid's codes and settle stages
 
     def pattern(self) -> tuple:
         return (self.ae.passed, self.maximal.passed, self.stable.passed)
@@ -624,14 +584,17 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
 
     Only the refined grid is swept.  Its every other axis point is the
     coarse axis bit for bit (halving the step is exact in binary), so
-    the coarse records are read off it; the sheet keeps those and lets
-    the refined grid go.
+    the coarse codes and settle stages are read off it; the sheet keeps
+    those and lets the refined grid go.
     """
     g2 = domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
     n2 = len(g2.axis)
-    g = replace(g2, grid=config.grid, axis=g2.axis[::2], strand=g2.strand[::2],
-                plane=tuple(g2.plane[ia * n2 + ib]
-                            for ia in range(0, n2, 2) for ib in range(0, n2, 2)))
+
+    def coarse(x):
+        return np.concatenate([x[:n2 * n2].reshape(n2, n2)[::2, ::2].ravel(), x[n2 * n2:][::2]])
+
+    g = replace(g2, grid=config.grid, axis=g2.axis[::2], codes=coarse(g2.codes),
+                settle=coarse(g2.settle))
     ae = ae_check(g, g2)
     maximal = maximality_check(g)
     stable = stability_scan(
@@ -648,12 +611,11 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
 def underdetermination_ok(m: PerrinMethod, grid: GridSpec, spec: StreamSpec) -> bool:
     """No method converges at both members of an empirically equivalent
     pair; checked analytically for every grid diagonal value."""
-    for a in grid.axis():
-        w0 = asymptotic_oracle(m, plane_world(a, a), spec)
-        w1 = asymptotic_oracle(m, strand_world(a), spec)
-        if w0.fate is Status.CONVERGES and w1.fate is Status.CONVERGES:
-            return False
-    return True
+    values = np.array(grid.axis(), dtype=float)
+    n = len(values)
+    pairs = np.concatenate([values, values])
+    settle_by = _oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
+    return not ((settle_by[:n] >= 0) & (settle_by[n:] >= 0)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,32 @@ class TestValidateConfig:
             cli.validate_config('{"seed": "abc"}')
         with pytest.raises(cli.ConfigError, match="check"):
             cli.validate_config('{"check": 1}')
+
+
+HOSTILE = [True, None, "x", [], {}, [1e308], 0, -1, 1e308, -1e308, 1e-308, 10**30, 2**63, 10**6]
+
+
+def schema_leaves(schema, path=()):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from schema_leaves(spec, (*path, key))
+        else:
+            yield (*path, key)
+
+
+class TestFuzzSchema:
+    def test_hostile_leaf_values_pass_or_raise_config_error(self):
+        start = time.perf_counter()
+        for leaf in schema_leaves(cli.SCHEMA):
+            for value in HOSTILE:
+                raw = value
+                for key in reversed(leaf):
+                    raw = {key: raw}
+                try:
+                    cli.check_consistency(cli.validate_config(json.dumps(raw)))
+                except cli.ConfigError:
+                    pass
+        assert time.perf_counter() - start < 5.0
 
 
 class TestRun:
@@ -228,6 +255,39 @@ class TestFlags:
         code, out = run_cli(tmp_path, config)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"perrin": {"grid_hi": 1000000}}, "perrin.grid_step"),
+        ({"lineworld": {"theta_max": 1000000}}, "lineworld.theta_step"),
+        ({"perrin": {"grid_step": 1e-308}}, "perrin.grid_step"),
+        ({"lineworld": {"theta_step": 1e-308}}, "lineworld.theta_step"),
+        ({"perrin": {"grid_step": 1e-7}}, "perrin.grid_step"),
+        # 500 steps: 1001**2 + 1001 = 1,003,002 refined worlds
+        ({"perrin": {"grid_lo": 0, "grid_hi": 5, "grid_step": 0.01}}, "perrin.grid_step"),
+    ], ids=["grid_hi-1e6", "theta_max-1e6", "grid_step-1e-308", "theta_step-1e-308",
+            "grid_step-1e-7", "perrin-just-above"])
+    def test_world_count_limit_exit_two(self, tmp_path, capsys, config, field):
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, config)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:") and "above the limit of 1000000" in err
+        assert not out.exists()
+
+    def test_world_count_limit_is_inclusive(self):
+        # 499 steps: 999**2 + 999 = 999,000 refined perrin worlds; a
+        # million lineworld worlds
+        cli.check_consistency(cli.validate_config(json.dumps({
+            "perrin": {"grid_lo": 0, "grid_hi": 4.99, "grid_step": 0.01},
+            "lineworld": {"theta_min": 0, "theta_max": 999999, "theta_step": 1}})))
+
+    def test_step_beyond_the_span_exit_two(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, {"experiment": "perrin", "perrin": {"grid_step": 1e10}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: perrin.grid_step: step must divide")
         assert not out.exists()
 
     def test_zero_polynomial_truth_runs(self, tmp_path):

@@ -1,17 +1,22 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import perrin as pr
 from convlab.framework import (
+    AsymptoticOracle,
     ConfigurationError,
     ModeReport,
+    OracleContradiction,
     Status,
     StreamError,
     Verdict,
     check_stability,
+    classify_convergence,
 )
 from convlab.lineworld import StreamSpec
 from test_lineworld import drift_params
@@ -19,6 +24,57 @@ from test_lineworld import drift_params
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
 SMALL = pr.PerrinConfig(grid=pr.GridSpec(0.5, 1.5, 0.1), horizon=40)
+CONV, DIV, UND = (pr.CODES[s] for s in (Status.CONVERGES, Status.DIVERGES, Status.UNDETERMINED))
+
+
+def scalar_oracle(m, w, spec):
+    """The world-by-world oracle that the array oracle replaced: the
+    reference for pr._oracle."""
+    diag = abs(w.na - w.na_prime) < pr.DIAG_TOL
+    conv = lambda t: AsymptoticOracle(Status.CONVERGES, settle_by=t)
+    div = AsymptoticOracle(Status.DIVERGES)
+    # no prism meets the diagonal once twice its width is below |a - b|
+    separation = lambda: spec.first_stage(abs(w.na - w.na_prime), 4.0)
+    # (p, p) has left every prism once its width is below the distance to it
+    point_exit = lambda: spec.first_stage(max(abs(w.na - m.p), abs(w.na_prime - m.p)), 2.0)
+    width = lambda: spec.first_stage(m.delta0, 2.0)  # every prism is narrower than delta0
+
+    if m.kind == "OCKHAM_REALIST":
+        if w.z == 1:
+            return conv(0)
+        return div if diag else conv(separation())
+    if m.kind == "ANTI_REALIST":
+        return div if diag else conv(separation())
+    if m.kind in ("WAY1", "WAY2"):
+        if diag and abs(w.na - m.p) < pr.DIAG_TOL:  # the sacrificed pair
+            return conv(width()) if m.kind == "WAY2" and w.z == 0 else div
+        if w.z == 1:
+            return conv(point_exit())
+        return div if diag else conv(separation())
+    if w.z == 1:  # WAY3
+        return div
+    return conv(width()) if diag else conv(min(width(), separation()))
+
+
+def scalar_records(m, worlds, spec, horizon):
+    """(status, settle stage) per world from its scalar trace and the
+    scalar reference oracle."""
+    records = (classify_convergence(pr.trace(m, w, spec, horizon), w.truth,
+                                    scalar_oracle(m, w, spec)) for w in worlds)
+    return [(r.status, r.settle_stage) for r in records]
+
+
+def array_records(m, worlds, spec, horizon):
+    """(status, settle stage) per world from one array sweep and the array oracle."""
+    codes, settle = pr._classify(m, *pr._world_arrays(worlds), spec, horizon)
+    return [(pr.STATUSES[c], s if s >= 0 else None)
+            for c, s in zip(codes.tolist(), settle.tolist())]
+
+
+def grid_worlds(axis):
+    """A domain grid's worlds in its layout: the plane row-major, then the strand."""
+    return ([pr.plane_world(a, b) for a in axis for b in axis]
+            + [pr.strand_world(a) for a in axis])
 
 
 def scalar_stability_scan(m, worlds, specs, horizon):
@@ -154,36 +210,36 @@ class TestPrismStreams:
 class TestDomains:
     def test_realist_razor_domain_shape(self):
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
-        assert all(r.status is Status.CONVERGES for r in g.strand)
+        assert (g.strand == CONV).all()
         n = len(g.axis)
-        for ia in range(n):
-            for ib in range(n):
-                expected = Status.DIVERGES if ia == ib else Status.CONVERGES
-                assert g.plane_record(ia, ib).status is expected
+        assert g.plane.reshape(n, n).tolist() == [[DIV if ia == ib else CONV for ib in range(n)]
+                                                  for ia in range(n)]
 
     def test_agnostic_domain_shape(self):
         g = pr.domain_of_convergence(pr.anti_realist_method(), SMALL.grid, SMALL.stream, 40)
-        assert all(r.status is Status.DIVERGES for r in g.strand)
+        assert (g.strand == DIV).all()
         n = len(g.axis)
-        assert all(g.plane_record(i, i).status is Status.DIVERGES for i in range(n))
-        assert g.plane_record(0, n - 1).status is Status.CONVERGES
+        plane = g.plane.reshape(n, n)
+        assert (np.diagonal(plane) == DIV).all()
+        assert plane[0, n - 1] == CONV
 
     def test_way1_diverges_only_at_sacrificed_pair(self):
         way1 = pr.PerrinMethod(kind="WAY1", p=1.0, eps=4.0)
         g = pr.domain_of_convergence(way1, SMALL.grid, SMALL.stream, 40)
         idx = g.axis.index(1.0)
-        for ia, record in enumerate(g.strand):
-            expected = Status.DIVERGES if ia == idx else Status.CONVERGES
-            assert record.status is expected
+        assert g.strand.tolist() == [DIV if ia == idx else CONV for ia in range(len(g.axis))]
 
     def test_settle_stages_recorded(self):
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
-        assert all(r.settle_stage == 0 for r in g.strand)
+        n = len(g.axis)
+        cells = g.cells()
+        assert all(cell[4] == 0 for cell in cells[n * n:])
         # settle stage equals the first stage whose prism leaves the diagonal
         w = pr.plane_world(g.axis[0], g.axis[-1])
         brute = next(t for t in range(40)
                      if not pr.canonical_prism_stream(w, SMALL.stream, t).overlap())
-        assert g.plane_record(0, len(g.axis) - 1).settle_stage == brute == 2
+        assert cells[n - 1] == ("plane", g.axis[0], g.axis[-1], Status.CONVERGES, brute)
+        assert brute == 2
 
     def test_undetermined_fraction_shrinks_with_horizon(self):
         g3 = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 3)
@@ -202,8 +258,7 @@ class TestDomains:
         for m in pr.builtin_methods(SMALL):
             for spec in specs:
                 # both paths raise on contradiction
-                assert pr.classify_worlds(m, worlds, spec, 40) == [
-                    pr.classify_world(m, w, spec, 40) for w in worlds]
+                assert array_records(m, worlds, spec, 40) == scalar_records(m, worlds, spec, 40)
 
     @given(params=drift_params(min_ratio=0.55),
            a=st.just(1.0) | st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
@@ -213,25 +268,30 @@ class TestDomains:
         worlds = [pr.plane_world(a, b), pr.plane_world(a, a), pr.strand_world(a)]
         for m in pr.builtin_methods(pr.PerrinConfig()):
             # both paths raise on contradiction
-            assert pr.classify_worlds(m, worlds, spec, 40) == [
-                pr.classify_world(m, w, spec, 40) for w in worlds]
+            assert array_records(m, worlds, spec, 40) == scalar_records(m, worlds, spec, 40)
 
     @given(case=sweep_cases())
     def test_domain_equals_scalar_records(self, case):
         m, grid, spec, horizon = case
-        axis = grid.axis()
-        worlds = [pr.plane_world(a, b) for a in axis for b in axis]
-        worlds += [pr.strand_world(a) for a in axis]
+        worlds = grid_worlds(grid.axis())
 
-        def records():
-            g = pr.domain_of_convergence(m, grid, spec, horizon)
-            return [(r.world_id, r.status, r.settle_stage) for r in (*g.plane, *g.strand)]
+        def cells():
+            return pr.domain_of_convergence(m, grid, spec, horizon).cells()
 
         def scalar():
-            return [(r.world_id, r.status, r.settle_stage)
-                    for r in (pr.classify_world(m, w, spec, horizon) for w in worlds)]
+            return [("strand" if w.z else "plane", w.na, w.na_prime, *record)
+                    for w, record in zip(worlds, scalar_records(m, worlds, spec, horizon))]
 
-        assert raised_or(records) == raised_or(scalar)
+        assert raised_or(cells) == raised_or(scalar)
+
+    def test_contradiction_names_the_first_world(self, monkeypatch):
+        # an oracle promising the truth from stage 0 everywhere is refuted
+        # first at the plane's corner, where the razor says SIMPLE forever
+        monkeypatch.setattr(pr, "_oracle", lambda m, a, b, strand, spec: np.zeros(len(a), int))
+        a = SMALL.grid.axis()[0]
+        with pytest.raises(OracleContradiction,
+                           match=f"^world {re.escape(pr.plane_world(a, a).world_id)}: "):
+            pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
 
     @pytest.mark.parametrize("index", range(5))
     def test_endpoints_rounding_onto_world_raise_on_both_paths(self, index):
@@ -254,6 +314,54 @@ class TestDomains:
             pr.GridSpec(1.5, 0.5, 0.1)
         with pytest.raises(ValueError):
             pr.GridSpec(0.5, 1.5, 0.13)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(method, spec, worlds) for any of the five kinds and gates: the
+    grid's worlds of both components, sheet worlds within DIAG_TOL of the
+    diagonal and just outside it, and both members of the sacrificed pair
+    (the method's p, on the grid or off it)."""
+    lo, step, k = draw(st.floats(-2, 2)), draw(st.floats(0.05, 0.5)), draw(st.integers(1, 6))
+    axis = pr.GridSpec(lo, lo + k * step, step).axis()
+    p = draw(st.sampled_from(axis) | st.floats(-3, 3))
+    gate = draw(st.floats(0.01, 5))
+    m = draw(st.sampled_from([
+        pr.ockham_method(), pr.anti_realist_method(),
+        pr.PerrinMethod(kind="WAY1", p=p, eps=gate),
+        pr.PerrinMethod(kind="WAY2", p=p, delta0=gate),
+        pr.PerrinMethod(kind="WAY3", delta0=gate),
+    ]))
+    near = draw(st.floats(1e-14, 0.9 * pr.DIAG_TOL))  # nonzero at |a| <= 3
+    worlds = grid_worlds(axis) + [pr.plane_world(p, p), pr.strand_world(p)]
+    for a in (*axis, p):
+        worlds += [pr.plane_world(a, a + near), pr.plane_world(a + near, a),
+                   pr.plane_world(a, a + 2.0 * pr.DIAG_TOL)]
+    delta0, ratio, offsets = draw(drift_params())
+    return m, StreamSpec(delta0, ratio, "offcenter", offsets), worlds
+
+
+class TestOracle:
+    @given(case=oracle_cases())
+    def test_array_oracle_equals_scalar_reference(self, case):
+        m, spec, worlds = case
+        reference = [scalar_oracle(m, w, spec) for w in worlds]
+        assert pr._oracle(m, *pr._world_arrays(worlds), spec).tolist() == [
+            o.settle_by if o.fate is Status.CONVERGES else -1 for o in reference]
+        assert [pr.asymptotic_oracle(m, w, spec) for w in worlds] == reference
+
+    @settings(max_examples=50)
+    @given(delta0=st.floats(0.05, 5), ratio=st.floats(1e-6, 0.999), k=st.sampled_from([2.0, 4.0]),
+           gaps=st.lists(st.floats(1e-300, 10.0), min_size=1, max_size=4), tie=st.integers(0, 40))
+    def test_first_stages_equal_first_stage(self, delta0, ratio, k, gaps, tie):
+        spec = StreamSpec(delta0, ratio)
+        gaps = [*gaps, k * spec.half_width(tie)]  # a gap one stage's width reaches exactly
+        assert pr._first_stages(spec, gaps, k).tolist() == [spec.first_stage(g, k) for g in gaps]
+
+    def test_first_stages_need_positive_gaps(self):
+        assert pr._first_stages(SMALL.stream, [], 2.0).tolist() == []
+        with pytest.raises(ValueError):
+            pr._first_stages(SMALL.stream, [1.0, 0.0], 2.0)
 
 
 class TestAlmostEverywhere:
@@ -308,8 +416,8 @@ class TestMaximality:
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 2)
         report = pr.maximality_check(g)
         assert not report.passed
-        undetermined = [r.world_id for r in (*g.plane, *g.strand)
-                        if r.status is Status.UNDETERMINED]
+        undetermined = [w.world_id for w, code in zip(grid_worlds(g.axis), g.codes.tolist())
+                        if code == UND]
         assert undetermined
         assert list(report.witnesses) == [{"check": "undetermined", "world": world}
                                           for world in undetermined[:25]]
@@ -373,8 +481,12 @@ class TestScoreSheet:
         config = pr.PerrinConfig(grid=pr.GridSpec(lo, lo + k * step, step),
                                  horizon=horizon, stream=spec)
         m = pr.builtin_methods(config)[index]
-        sheet = pr.score_sheet(m, config)
-        assert sheet.domain == pr.domain_of_convergence(m, config.grid, spec, horizon)
+        coarse = pr.score_sheet(m, config).domain
+        swept = pr.domain_of_convergence(m, config.grid, spec, horizon)
+        assert ((coarse.grid, coarse.method, coarse.horizon, coarse.axis)
+                == (swept.grid, swept.method, swept.horizon, swept.axis))
+        assert coarse.codes.tolist() == swept.codes.tolist()
+        assert coarse.settle.tolist() == swept.settle.tolist()
 
     def test_traces_only_stability_witnesses(self, monkeypatch):
         classified, traced = [], []
