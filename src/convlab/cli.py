@@ -105,6 +105,9 @@ def _string(v, path):
 
 
 _SIZES = _numlist(_num(lo=2, integer=True), increasing=True)  # strictly increasing sample sizes
+# predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
+_MAX_DEGREE = _num(lo=0, hi=63, integer=True)
+_SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
 
 SCHEMA = {
     "experiment": ("all", _experiment),
@@ -135,12 +138,12 @@ SCHEMA = {
     },
     "predsel": {
         "regime_a_coeffs": ([1.0, -2.0, 0.5], _numlist(_num())),
-        "regime_a_sigma": (1.0, _num(lo=0, lo_open=True)),
-        "regime_a_max_degree": (6, _num(lo=0, integer=True)),
+        "regime_a_sigma": (1.0, _SIGMA),
+        "regime_a_max_degree": (6, _MAX_DEGREE),
         "regime_a_n": (500, _num(lo=4, integer=True)),
         "regime_a_reps": (2000, _num(lo=100, integer=True)),
-        "regime_b_sigma": (0.5, _num(lo=0, lo_open=True)),
-        "regime_b_max_degree": (12, _num(lo=0, integer=True)),
+        "regime_b_sigma": (0.5, _SIGMA),
+        "regime_b_max_degree": (12, _MAX_DEGREE),
         "regime_b_n": (500, _num(lo=4, integer=True)),
         "regime_b_reps": (1000, _num(lo=100, integer=True)),
         "probe_reps": (4000, _num(lo=100, integer=True)),
@@ -192,6 +195,7 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
 GRID_FIELDS = {"lineworld": ("theta_min", "theta_max", "theta_step"),
                "perrin": ("grid_lo", "grid_hi", "grid_step")}
 MAX_WORLDS = 10**6
+PROBE_SIZES = (50, 100, 200, 400)  # predsel probe design sizes; --check reruns the two ends
 
 
 def world_axis(config: dict, suite: str) -> tuple:
@@ -231,6 +235,10 @@ def check_consistency(config: dict) -> None:
                               f"ratio={c['ratio']}), at most twice the float spacing at {top}")
     sc = config["predsel"]
     degree = ps.poly_truth(sc["regime_a_coeffs"], sc["regime_a_sigma"]).poly_degree
+    if degree + 2 > PROBE_SIZES[0]:
+        raise ConfigError(f"predsel.regime_a_coeffs: the true model's degree {degree} is above "
+                          f"{PROBE_SIZES[0] - 2}, the most the unbiasedness probe fits on its "
+                          f"smallest design, n = {PROBE_SIZES[0]}")
     if sc["regime_a_max_degree"] < degree:
         raise ConfigError(f"predsel.regime_a_max_degree: {sc['regime_a_max_degree']} leaves out "
                           f"the true model, of degree {degree} (predsel.regime_a_coeffs)")
@@ -408,11 +416,11 @@ def run_predsel(cfg: dict, seed: int, out: Outputs):
     degree = probe_truth.poly_degree
     rel_bias = {  # probed size -> relative biases at consecutive seeds from `seed`
         n: [ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed).relative_bias]
-        for n in (50, 100, 200, 400)
+        for n in PROBE_SIZES
     }
     results = []
     if cfg["check"]:
-        for n in (50, 400):
+        for n in (PROBE_SIZES[0], PROBE_SIZES[-1]):
             rel_bias[n] += [
                 ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed + k).relative_bias
                 for k in range(1, checks.TREND_SEEDS)
@@ -633,12 +641,12 @@ def main(argv=None) -> int:
             config["experiment"] = _experiment(args.experiment, "--experiment")
         if args.check:
             config["check"] = True
-        if args.grid_step is not None:
-            config["perrin"]["grid_step"] = _num(lo=0, lo_open=True)(args.grid_step, "--grid-step")
-        if args.horizon is not None:
-            config["perrin"]["horizon"] = _num(lo=1, integer=True)(args.horizon, "--horizon")
-        if args.trials is not None:
-            config["gaussian"]["mc_trials"] = _num(lo=1000, integer=True)(args.trials, "--trials")
+        for flag, suite, key in (("grid_step", "perrin", "grid_step"),
+                                 ("horizon", "perrin", "horizon"),
+                                 ("trials", "gaussian", "mc_trials")):
+            value = getattr(args, flag)
+            if value is not None:  # bounded by the field's own SCHEMA checker
+                config[suite][key] = SCHEMA[suite][key][1](value, "--" + flag.replace("_", "-"))
         if args.format is not None:
             config["format"] = args.format
         outcome = run(config, out_dir=args.out)

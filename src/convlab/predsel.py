@@ -2,19 +2,21 @@
 
 Synthetic regression data y = f*(x) + noise feed least-squares fits of
 polynomial candidates; penalized scores (fit plus 2 per parameter, or
-ln n per parameter) pick a degree.  The known-variance score forms make
-the risk estimate (rss + 2(k+1) sigma^2) / n exactly unbiased for the
-in-sample prediction risk, which the probe below verifies by Monte
-Carlo.
+ln n per parameter) pick a degree.  The candidates are nested, so one
+thin QR of the Legendre design at the largest degree gives them all
+(Golub & Van Loan, Matrix Computations, 5.3).  The known-variance
+score forms make the risk estimate (rss + 2(k+1) sigma^2) / n exactly
+unbiased for the in-sample prediction risk, which the probe below
+verifies by Monte Carlo.
 
 Expected prediction risk under the uniform design is computed two
 independent ways: Gauss-Legendre quadrature split at the truth's kink
-points (exact for polynomial integrands per segment) and a fresh-sample
-Monte Carlo oracle.  The two regime experiments reproduce, at desk
-scale, the opposite selector recommendations for a truth inside the
-candidate set (pick the exact degree: the heavier penalty wins) versus
-a truth outside it (track the best-in-class risk: the lighter penalty
-wins).
+points (64 nodes per segment, exact for polynomial integrands up to
+degree 127) and a fresh-sample Monte Carlo oracle.  The two regime
+experiments reproduce, at desk scale, the opposite selector
+recommendations for a truth inside the candidate set (pick the exact
+degree: the heavier penalty wins) versus a truth outside it (track the
+best-in-class risk: the lighter penalty wins).
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ class FitError(ValueError):
 class TruthSpec:
     """Data-generating curve, noise level, and x-design on [-1, 1]."""
 
-    kind: str  # "poly" | "abs" | "tabulated"
+    kind: str  # "poly" | "abs"
     noise_sigma: float
     design: str = "uniform"  # "uniform" | "grid"
     coeffs: Optional[tuple] = None
-    knots_x: Optional[tuple] = None
-    knots_y: Optional[tuple] = None
 
     def __post_init__(self):
         if self.noise_sigma <= 0 or not math.isfinite(self.noise_sigma):
@@ -51,9 +51,6 @@ class TruthSpec:
         if self.kind == "poly":
             if not self.coeffs or any(not math.isfinite(c) for c in self.coeffs):
                 raise ValueError("poly truth needs finite coefficients")
-        elif self.kind == "tabulated":
-            if not self.knots_x or len(self.knots_x) != len(self.knots_y):
-                raise ValueError("tabulated truth needs matching knot arrays")
         elif self.kind != "abs":
             raise ValueError(f"unknown truth kind {self.kind!r}")
 
@@ -61,19 +58,12 @@ class TruthSpec:
         x = np.asarray(x, dtype=float)
         if self.kind == "poly":
             return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-        if self.kind == "abs":
-            return np.abs(x)
-        return np.interp(x, self.knots_x, self.knots_y)
+        return np.abs(x)
 
     def breakpoints(self) -> tuple:
         """Interior non-smooth points; quadrature segments split here so
-        each segment's integrand is polynomial (or as smooth as the
-        truth allows)."""
-        if self.kind == "abs":
-            return (0.0,)
-        if self.kind == "tabulated":
-            return tuple(x for x in self.knots_x if -1.0 < x < 1.0)
-        return ()
+        each segment's integrand is polynomial."""
+        return (0.0,) if self.kind == "abs" else ()
 
     @property
     def poly_degree(self) -> Optional[int]:
@@ -91,13 +81,6 @@ def poly_truth(coeffs, noise_sigma, design="uniform") -> TruthSpec:
 
 def abs_truth(noise_sigma, design="uniform") -> TruthSpec:
     return TruthSpec(kind="abs", noise_sigma=noise_sigma, design=design)
-
-
-def tabulated_truth(knots_x, knots_y, noise_sigma, design="uniform") -> TruthSpec:
-    return TruthSpec(
-        kind="tabulated", noise_sigma=noise_sigma, design=design,
-        knots_x=tuple(knots_x), knots_y=tuple(knots_y),
-    )
 
 
 @dataclass(frozen=True)
@@ -152,39 +135,34 @@ def generate(truth: TruthSpec, n: int, seed: int) -> Dataset:
     return Dataset(xs=tuple(xs.tolist()), ys=tuple(ys.tolist()))
 
 
-def _lstsq_fit(V: np.ndarray, y: np.ndarray):
-    coef, _, rank, _ = np.linalg.lstsq(V, y, rcond=None)
-    if rank < V.shape[1]:
-        raise FitError(f"rank-deficient design: rank {rank} < {V.shape[1]} columns")
-    return coef
-
-
 def fit_ols(d: Dataset, degree: int) -> FitResult:
-    """Least squares through an orthogonal (SVD) decomposition."""
+    """Least squares through an orthogonal (SVD) decomposition of the
+    monomial design; the scalar reference for score_candidates."""
     if degree + 2 > d.n:
         raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {d.n}")
     xs = np.asarray(d.xs)
     ys = np.asarray(d.ys)
     V = np.vander(xs, degree + 1, increasing=True)
-    coef = _lstsq_fit(V, ys)
+    coef, _, rank, _ = np.linalg.lstsq(V, ys, rcond=None)
+    if rank < degree + 1:
+        raise FitError(f"rank-deficient design: rank {rank} < {degree + 1} columns")
     resid = ys - V @ coef
     rss = float(resid @ resid)
     return FitResult(model=PolyModel(degree, tuple(coef.tolist())), rss=rss, n=d.n)
 
 
-def aic_score(fit: FitResult, sigma2: float) -> float:
-    """rss / sigma^2 + 2 (k+1); the parameter count includes the
-    intercept."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return fit.rss / sigma2 + 2.0 * (fit.model.degree + 1)
-
-
-def bic_score(fit: FitResult, sigma2: float) -> float:
-    """rss / sigma^2 + (k+1) ln n."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    return fit.rss / sigma2 + (fit.model.degree + 1) * math.log(fit.n)
+def _legendre_qr(x: np.ndarray, degree: int):
+    """Thin QR factors of the Legendre design legvander(x, degree); the
+    leading k + 1 columns of Q span the degree-k fits.  Raises ValueError
+    below degree + 2 points and FitError on a rank-deficient design."""
+    if degree + 2 > len(x):
+        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {len(x)}")
+    V = np.polynomial.legendre.legvander(x, degree)
+    Q, R = np.linalg.qr(V)
+    diag = np.abs(np.diagonal(R))
+    if diag.min() <= diag.max() * max(V.shape) * np.finfo(float).eps:
+        raise FitError(f"rank-deficient design: {degree + 1} columns on {len(x)} points")
+    return Q, R
 
 
 def select(scores: Sequence[float]) -> int:
@@ -197,24 +175,21 @@ def select(scores: Sequence[float]) -> int:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _approx_error_sq(predict, truth: TruthSpec) -> float:
-    """Integral of (f* - fhat)^2 against the uniform density on [-1, 1],
-    by 64-node Gauss-Legendre per kink-free segment."""
-    cuts = (-1.0, *truth.breakpoints(), 1.0)
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        halfspan = 0.5 * (b - a)
-        x = mid + halfspan * _GL_NODES
-        diff = truth.eval(x) - predict(x)
-        total += halfspan * float(_GL_WEIGHTS @ (diff * diff))
-    return 0.5 * total  # uniform density 1/2
+def _quadrature(truth: TruthSpec):
+    """Nodes and weights of the 64-node Gauss-Legendre rule on each
+    kink-free segment of [-1, 1], weighted by the uniform density 1/2."""
+    cuts = np.array((-1.0, *truth.breakpoints(), 1.0))
+    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+    halfspan = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    return (mid + halfspan * _GL_NODES).ravel(), (0.5 * halfspan * _GL_WEIGHTS).ravel()
 
 
 def true_risk(fit: FitResult, truth: TruthSpec) -> float:
     """Expected squared prediction error at a fresh uniform x:
     sigma^2 + integral of (f* - fhat)^2 dP."""
-    return truth.noise_sigma**2 + _approx_error_sq(fit.model.predict, truth)
+    x, w = _quadrature(truth)
+    diff = truth.eval(x) - fit.model.predict(x)
+    return truth.noise_sigma**2 + float(w @ (diff * diff))
 
 
 def true_risk_mc(fit: FitResult, truth: TruthSpec, n_points: int = 10**6, seed: int = 0):
@@ -239,15 +214,30 @@ class SelectionReport:
 
 def score_candidates(d: Dataset, degrees: Sequence[int], sigma2: float,
                      truth: Optional[TruthSpec] = None) -> SelectionReport:
-    fits = [fit_ols(d, k) for k in degrees]
-    aics = [aic_score(f, sigma2) for f in fits]
-    bics = [bic_score(f, sigma2) for f in fits]
-    risks = [true_risk(f, truth) if truth is not None else None for f in fits]
-    rows = tuple(
-        (degrees[i], fits[i].rss, aics[i], bics[i], risks[i]) for i in range(len(degrees))
-    )
+    """Every candidate degree from one QR of the design at the largest.
+    With b = Q^T y the degree-k fit leaves rss_k = |y - Q b|^2 + the sum
+    of b_j^2 over j > k, and its values at x are the cumulative sum over
+    j <= k of (legvander(x) R^-1)_j b_j; AIC adds 2 (k+1) to rss/sigma^2
+    and BIC (k+1) ln n."""
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    top = max(degrees)
+    y = np.asarray(d.ys)
+    Q, R = _legendre_qr(np.asarray(d.xs), top)
+    b = Q.T @ y
+    resid = y - Q @ b
+    k = np.asarray(degrees)
+    rss = (resid @ resid + np.append(np.cumsum(b[:0:-1] ** 2)[::-1], 0.0))[k]
+    aics = rss / sigma2 + 2.0 * (k + 1)
+    bics = rss / sigma2 + (k + 1) * math.log(d.n)
+    risks = [None] * len(k)
+    if truth is not None:
+        x, w = _quadrature(truth)
+        fitted = np.cumsum(np.polynomial.legendre.legvander(x, top) @ np.linalg.inv(R) * b, axis=1)
+        diff = truth.eval(x)[:, None] - fitted[:, k]
+        risks = (truth.noise_sigma**2 + w @ (diff * diff)).tolist()
     return SelectionReport(
-        per_degree=rows,
+        per_degree=tuple(zip(degrees, rss.tolist(), aics.tolist(), bics.tolist(), risks)),
         selected_aic=degrees[select(aics)],
         selected_bic=degrees[select(bics)],
     )
@@ -327,14 +317,11 @@ def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: i
     sigma = truth.noise_sigma
     xs = np.linspace(-1.0, 1.0, n)
     fstar = truth.eval(xs)
-    V = np.vander(xs, degree + 1, increasing=True)
+    Q, _ = _legendre_qr(xs, degree)
     rng = substream(seed, "predsel-probe", degree, n)
     noise = rng.standard_normal((n, reps))
     Y = fstar[:, None] + sigma * noise
-    coef, _, rank, _ = np.linalg.lstsq(V, Y, rcond=None)
-    if rank < degree + 1:
-        raise FitError("rank-deficient probe design")
-    fitted = V @ coef
+    fitted = Q @ (Q.T @ Y)
     rss = np.sum((Y - fitted) ** 2, axis=0)
     estimates = (rss + 2.0 * (degree + 1) * sigma**2) / n
     insample = sigma**2 + np.mean((fitted - fstar[:, None]) ** 2, axis=0)

@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab import cli
 from convlab import lineworld as lw
@@ -249,8 +252,18 @@ class TestFlags:
         ({"experiment": "predsel", "check": True, "predsel": {"regime_a_max_degree": 1}},
          "predsel.regime_a_max_degree"),
         ({"experiment": "lineworld", "lineworld": {"theta_step": 0.3}}, "lineworld.theta_step"),
+        ({"experiment": "predsel", "predsel": {"regime_a_max_degree": 64}},
+         "predsel.regime_a_max_degree"),
+        # the probe's smallest design, n = 50, fits at most degree 48
+        ({"experiment": "predsel", "predsel": {"regime_a_coeffs": [0.0] * 49 + [1.0],
+                                               "regime_a_max_degree": 49}},
+         "predsel.regime_a_coeffs"),
+        ({"experiment": "predsel", "predsel": {"regime_a_sigma": 1e-300}},
+         "predsel.regime_a_sigma"),
+        ({"experiment": "predsel", "predsel": {"regime_b_sigma": 1e200}}, "predsel.regime_b_sigma"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
-            "regime_a_max_degree", "theta_step"])
+            "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
+            "sigma-squared-underflow", "sigma-squared-overflow"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2
@@ -298,6 +311,31 @@ class TestFlags:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())["predsel"]
         assert summary["true_model_in_set"]["true_degree"] == 0
+
+    def test_high_degree_truth_runs(self, tmp_path):
+        # the Legendre design stays well conditioned at every allowed degree
+        code, out = run_cli(tmp_path, {"experiment": "predsel", "check": True, "predsel": {
+            "regime_a_coeffs": [0.0] * 48 + [1.0], "regime_a_max_degree": 63,
+            "regime_b_max_degree": 63, "regime_a_reps": 100, "regime_b_reps": 100,
+            "probe_reps": 100}})
+        assert code in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())["predsel"]
+        assert summary["true_model_in_set"]["true_degree"] == 48
+
+    @settings(max_examples=100)  # random predsel sections run end to end: exit 0, 1 or 2
+    @given(coeffs=st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 1e-3]), min_size=1, max_size=70),
+           sigma=st.one_of(st.floats(0.01, 10.0), st.floats(1e-300, 1e300)),
+           max_a=st.integers(0, 70), max_b=st.integers(0, 70),
+           n_a=st.integers(4, 120), n_b=st.integers(4, 120), check=st.booleans())
+    def test_predsel_section_fuzz_never_raises(self, coeffs, sigma, max_a, max_b, n_a, n_b, check):
+        section = {"regime_a_coeffs": coeffs, "regime_a_sigma": sigma,
+                   "regime_a_max_degree": max_a, "regime_b_max_degree": max_b,
+                   "regime_a_n": n_a, "regime_b_n": n_b,
+                   "regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100}
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = run_cli(Path(tmp), {"experiment": "predsel", "check": check,
+                                          "predsel": section})
+        assert code in (0, 1, 2)
 
     def test_one_world_lineworld(self, tmp_path):
         code, out = run_cli(tmp_path, {"experiment": "lineworld", "lineworld": {

@@ -33,11 +33,15 @@ class TestFit:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             ps.fit_ols(line_dataset(n=4), 3)
+        with pytest.raises(ValueError):
+            ps.score_candidates(line_dataset(n=4), [0, 3], sigma2=1.0)
 
     def test_rank_deficiency_detected(self):
         d = ps.Dataset(xs=(0.5,) * 10, ys=tuple(range(10)))
         with pytest.raises(ps.FitError):
             ps.fit_ols(d, 1)
+        with pytest.raises(ps.FitError):
+            ps.score_candidates(d, range(2), sigma2=1.0)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(12, 60))
     def test_nested_rss_monotone(self, seed, n):
@@ -48,18 +52,51 @@ class TestFit:
             assert b <= a + 1e-9 * (1.0 + a)
 
 
+def alternating_dataset():
+    # mean 0 and rss 50 * 0.2 = 10 at degree 0
+    return ps.Dataset(xs=tuple(np.linspace(-1, 1, 50)), ys=(0.2**0.5, -(0.2**0.5)) * 25)
+
+
 class TestScores:
     def test_aic_arithmetic(self):
-        fit = ps.FitResult(ps.PolyModel(1, (0.0, 0.0)), rss=10.0, n=50)
-        assert ps.aic_score(fit, 1.0) == pytest.approx(14.0)
+        [(_, rss, aic, _, _)] = ps.score_candidates(alternating_dataset(), [0], 1.0).per_degree
+        assert rss == pytest.approx(10.0)
+        assert aic == pytest.approx(12.0)
 
     def test_bic_arithmetic(self):
-        fit = ps.FitResult(ps.PolyModel(1, (0.0, 0.0)), rss=10.0, n=50)
-        assert ps.bic_score(fit, 1.0) == pytest.approx(10.0 + 2.0 * math.log(50))
+        [(_, _, _, bic, _)] = ps.score_candidates(alternating_dataset(), [0], 1.0).per_degree
+        assert bic == pytest.approx(10.0 + math.log(50))
 
     def test_perfect_fit_scores_penalty_only(self):
-        fit = ps.FitResult(ps.PolyModel(3, (0.0,) * 4), rss=0.0, n=50)
-        assert ps.aic_score(fit, 2.0) == pytest.approx(8.0)
+        [(_, rss, aic, _, _)] = ps.score_candidates(line_dataset(n=50), [3], 2.0).per_degree
+        assert rss == pytest.approx(0.0, abs=1e-20)
+        assert aic == pytest.approx(8.0)
+
+    @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           kink=st.booleans(), grid=st.booleans(), sigma=st.floats(0.05, 2.0),
+           seed=st.integers(0, 10_000), extra=st.integers(0, 300),
+           degrees=st.one_of(st.sampled_from([[2], [0, 3, 5]]),
+                             st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True)))
+    def test_nested_fit_matches_reference(self, coeffs, kink, grid, sigma, seed, extra, degrees):
+        # one QR at the largest degree against one monomial lstsq fit and
+        # one quadrature per degree
+        design = "grid" if grid else "uniform"
+        truth = ps.abs_truth(sigma, design) if kink else ps.poly_truth(coeffs, sigma, design)
+        n = min(max(degrees) + 2 + extra, 300)
+        d = ps.generate(truth, n, seed)
+        sigma2 = sigma**2
+        report = ps.score_candidates(d, degrees, sigma2, truth=truth)
+        assert [row[0] for row in report.per_degree] == degrees
+        for deg, rss, aic, bic, risk in report.per_degree:
+            fit = ps.fit_ols(d, deg)
+            assert rss == pytest.approx(fit.rss, rel=1e-8)
+            assert risk == pytest.approx(ps.true_risk(fit, truth), rel=1e-8)
+            assert aic == rss / sigma2 + 2.0 * (deg + 1)
+            assert bic == rss / sigma2 + (deg + 1) * math.log(n)
+        aics = [row[2] for row in report.per_degree]
+        bics = [row[3] for row in report.per_degree]
+        assert report.selected_aic == degrees[ps.select(aics)]
+        assert report.selected_bic == degrees[ps.select(bics)]
 
     def test_select_argmin(self):
         assert ps.select([5.0, 4.0, 4.5]) == 1
@@ -102,8 +139,7 @@ class TestTrueRisk:
         assert risk == pytest.approx(truth.noise_sigma**2 + 1.0 / 192.0, abs=5e-4)
 
     def test_quadrature_matches_monte_carlo_oracle(self):
-        for truth in (ps.abs_truth(0.5), ps.poly_truth((0.2, -1.0, 0.7), 1.0),
-                      ps.tabulated_truth((-1, -0.25, 0.5, 1), (0.0, 1.0, -0.5, 0.25), 0.7)):
+        for truth in (ps.abs_truth(0.5), ps.poly_truth((0.2, -1.0, 0.7), 1.0)):
             d = ps.generate(truth, 300, seed=13)
             for degree in (0, 2, 5):
                 fit = ps.fit_ols(d, degree)
@@ -165,8 +201,6 @@ class TestTruthSpec:
     def test_breakpoints(self):
         assert ps.abs_truth(1.0).breakpoints() == (0.0,)
         assert ps.poly_truth((1.0,), 1.0).breakpoints() == ()
-        tab = ps.tabulated_truth((-1, 0.5, 1), (0, 1, 0), 1.0)
-        assert tab.breakpoints() == (0.5,)
 
 
 class TestRegimes:
@@ -235,3 +269,5 @@ class TestUnbiasednessProbe:
             ps.unbiasedness_probe(ps.abs_truth(1.0), 2, 100, 500, 1)
         with pytest.raises(ValueError):
             ps.unbiasedness_probe(ps.poly_truth((0, 0, 1.0), 1.0), 1, 100, 500, 1)
+        with pytest.raises(ValueError):  # degree 4 needs 6 points
+            ps.unbiasedness_probe(ps.poly_truth((1.0, 2.0), 1.0, "grid"), 4, 5, 500, 1)
