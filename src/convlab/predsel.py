@@ -121,18 +121,24 @@ class FitResult:
     n: int
 
 
+def _draw(truth: TruthSpec, n: int, seeds) -> tuple:
+    """Stacked (len(seeds), n) xs and ys, one dataset per seed: each
+    seed's substream draws the uniform xs, then the noise."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    x, noise = np.empty((2, len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = substream(seed, "predsel-data")
+        x[i] = rng.uniform(-1.0, 1.0, size=n) if truth.design == "uniform" else np.linspace(-1.0, 1.0, n)
+        noise[i] = rng.standard_normal(n)
+    return x, truth.eval(x) + truth.noise_sigma * noise
+
+
 def generate(truth: TruthSpec, n: int, seed: int) -> Dataset:
     """Synthetic dataset: ys = f*(xs) + Normal(0, sigma^2) noise;
     deterministic given the seed."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    rng = substream(seed, "predsel-data")
-    if truth.design == "uniform":
-        xs = rng.uniform(-1.0, 1.0, size=n)
-    else:
-        xs = np.linspace(-1.0, 1.0, n)
-    ys = truth.eval(xs) + truth.noise_sigma * rng.standard_normal(n)
-    return Dataset(xs=tuple(xs.tolist()), ys=tuple(ys.tolist()))
+    x, y = _draw(truth, n, [seed])
+    return Dataset(xs=tuple(x[0].tolist()), ys=tuple(y[0].tolist()))
 
 
 def fit_ols(d: Dataset, degree: int) -> FitResult:
@@ -151,17 +157,19 @@ def fit_ols(d: Dataset, degree: int) -> FitResult:
     return FitResult(model=PolyModel(degree, tuple(coef.tolist())), rss=rss, n=d.n)
 
 
-def _legendre_qr(x: np.ndarray, degree: int):
-    """Thin QR factors of the Legendre design legvander(x, degree); the
+def _legendre_qr(x: np.ndarray, degree: int, first: int = 0):
+    """Thin QR factors of the Legendre design legvander(x, degree), of one
+    design or of each in a (c, n) stack (reps first, first + 1, ...); the
     leading k + 1 columns of Q span the degree-k fits.  Raises ValueError
     below degree + 2 points and FitError on a rank-deficient design."""
-    if degree + 2 > len(x):
-        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {len(x)}")
-    V = np.polynomial.legendre.legvander(x, degree)
-    Q, R = np.linalg.qr(V)
-    diag = np.abs(np.diagonal(R))
-    if diag.min() <= diag.max() * max(V.shape) * np.finfo(float).eps:
-        raise FitError(f"rank-deficient design: {degree + 1} columns on {len(x)} points")
+    n = x.shape[-1]
+    if degree + 2 > n:
+        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {n}")
+    Q, R = np.linalg.qr(np.polynomial.legendre.legvander(x, degree))
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    bad = np.flatnonzero(diag.min(-1) <= diag.max(-1) * n * np.finfo(float).eps)
+    if bad.size:
+        raise FitError(f"rank-deficient design at rep {first + bad[0]}: {degree + 1} columns on {n} points")
     return Q, R
 
 
@@ -212,35 +220,48 @@ class SelectionReport:
     selected_bic: int
 
 
+def _prepare(degrees, truth: Optional[TruthSpec] = None) -> tuple:
+    """Candidate degrees as an array, and the truth at the risk nodes (see _nested_scores)."""
+    k = np.asarray(list(degrees))
+    if k.size == 0 or k.min() < 0:
+        raise ValueError(f"candidate degrees must be non-empty and >= 0, got {k.tolist()}")
+    if truth is None:
+        return k, None
+    x, w = _quadrature(truth)
+    return k, (truth.noise_sigma**2, w, np.polynomial.legendre.legvander(x, k.max()), truth.eval(x))
+
+
+def _nested_scores(x, y, k, sigma2, at_nodes=None, first=0) -> tuple:
+    """(c, len(k)) rss, aic, bic and true risks (None without at_nodes) of each degree k
+    fitted to each row of the (c, n) stacks x, y, and the (2, c) AIC and BIC argmin columns.
+    One QR at the top degree fits all: with b = Q^T y, degree k leaves rss_k = |y - Q b|^2
+    + sum_{j>k} b_j^2 and has values sum_{j<=k} (legvander(nodes) R^-1)_j b_j at the nodes."""
+    Q, R = _legendre_qr(x, k.max(), first)
+    b = (y[:, None, :] @ Q)[:, 0]
+    resid = y - (Q @ b[:, :, None])[:, :, 0]
+    tail = np.cumsum(np.pad(b[:, :0:-1] ** 2, ((0, 0), (1, 0))), axis=1)[:, ::-1]
+    rss = ((resid[:, None, :] @ resid[:, :, None])[:, 0] + tail)[:, k]  # sums as resid @ resid
+    aic = rss / sigma2 + 2.0 * (k + 1)
+    bic = rss / sigma2 + (k + 1) * math.log(x.shape[1])
+    risk = None
+    if at_nodes is not None:
+        noise2, w, vander, f = at_nodes
+        diff = f[:, None] - np.cumsum(vander @ np.linalg.inv(R) * b[:, None, :], axis=2)[:, :, k]
+        risk = noise2 + w @ (diff * diff)
+    return rss, aic, bic, risk, np.stack([np.argmin(aic, axis=1), np.argmin(bic, axis=1)])
+
+
 def score_candidates(d: Dataset, degrees: Sequence[int], sigma2: float,
                      truth: Optional[TruthSpec] = None) -> SelectionReport:
-    """Every candidate degree from one QR of the design at the largest.
-    With b = Q^T y the degree-k fit leaves rss_k = |y - Q b|^2 + the sum
-    of b_j^2 over j > k, and its values at x are the cumulative sum over
-    j <= k of (legvander(x) R^-1)_j b_j; AIC adds 2 (k+1) to rss/sigma^2
-    and BIC (k+1) ln n."""
+    """Every candidate degree of one dataset: _nested_scores on a stack of one."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    top = max(degrees)
-    y = np.asarray(d.ys)
-    Q, R = _legendre_qr(np.asarray(d.xs), top)
-    b = Q.T @ y
-    resid = y - Q @ b
-    k = np.asarray(degrees)
-    rss = (resid @ resid + np.append(np.cumsum(b[:0:-1] ** 2)[::-1], 0.0))[k]
-    aics = rss / sigma2 + 2.0 * (k + 1)
-    bics = rss / sigma2 + (k + 1) * math.log(d.n)
-    risks = [None] * len(k)
-    if truth is not None:
-        x, w = _quadrature(truth)
-        fitted = np.cumsum(np.polynomial.legendre.legvander(x, top) @ np.linalg.inv(R) * b, axis=1)
-        diff = truth.eval(x)[:, None] - fitted[:, k]
-        risks = (truth.noise_sigma**2 + w @ (diff * diff)).tolist()
-    return SelectionReport(
-        per_degree=tuple(zip(degrees, rss.tolist(), aics.tolist(), bics.tolist(), risks)),
-        selected_aic=degrees[select(aics)],
-        selected_bic=degrees[select(bics)],
-    )
+    k, at_nodes = _prepare(degrees, truth)
+    rss, aic, bic, risk, sel = _nested_scores(
+        np.asarray(d.xs)[None], np.asarray(d.ys)[None], k, sigma2, at_nodes)
+    risks = [None] * len(k) if risk is None else risk[0].tolist()
+    per_degree = tuple(zip(k.tolist(), rss[0].tolist(), aic[0].tolist(), bic[0].tolist(), risks))
+    return SelectionReport(per_degree, *k[sel[:, 0]].tolist())
 
 
 @dataclass(frozen=True)
@@ -255,9 +276,14 @@ class RegimeSummary:
     rows: tuple  # (rep, degree, rss, aic, bic, true_risk, sel_aic, sel_bic)
 
 
+# Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
+# the default regime A added ~170 MiB to a run's peak memory.
+CHUNK = 64
+
+
 def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
                       reps: int, seed: int) -> RegimeSummary:
-    """Repeated generate/fit/select over the candidate degrees.
+    """Repeated generate/fit/select over the candidate degrees, CHUNK reps at a time.
 
     When the truth is a polynomial whose degree sits among the
     candidates, the headline statistic is each selector's exact-degree
@@ -266,36 +292,31 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    candidates = list(candidates)
+    k, at_nodes = _prepare(candidates, truth)
     true_deg = truth.poly_degree
-    in_set = true_deg is not None and true_deg in candidates
-    sigma2 = truth.noise_sigma**2
-
-    hits_aic = hits_bic = 0
-    excess_aic = 0.0
-    excess_bic = 0.0
+    in_set = true_deg is not None and true_deg in k.tolist()
+    picks = np.empty((2, reps), dtype=int)  # AIC and BIC degree per rep
+    excess = np.empty((2, reps))  # their risk over the rep's best candidate
     rows = []
-    for rep in range(reps):
-        d = generate(truth, n, substream_key(seed, "regime-rep", rep))
-        report = score_candidates(d, candidates, sigma2, truth=truth)
-        risks = {deg: r for deg, _, _, _, r in report.per_degree}
-        best = min(risks.values())
-        excess_aic += risks[report.selected_aic] - best
-        excess_bic += risks[report.selected_bic] - best
-        if in_set:
-            hits_aic += report.selected_aic == true_deg
-            hits_bic += report.selected_bic == true_deg
-        for deg, rss, aic, bic, risk in report.per_degree:
-            rows.append((rep, deg, rss, aic, bic, risk,
-                         report.selected_aic, report.selected_bic))
+    for start in range(0, reps, CHUNK):
+        chunk = range(start, min(start + CHUNK, reps))
+        x, y = _draw(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
+        rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, start)
+        picks[:, start:chunk.stop] = k[sel]
+        excess[:, start:chunk.stop] = risk[range(len(chunk)), sel] - risk.min(axis=1)
+        rep, sel_aic, sel_bic = np.repeat([chunk, *k[sel]], len(k), axis=1).tolist()
+        scores = (a.ravel().tolist() for a in (rss, aic, bic, risk))
+        rows.extend(zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic))
+    hits = (np.count_nonzero(picks == true_deg, axis=1) / reps).tolist()
+    mean_excess = (np.cumsum(excess, axis=1)[:, -1] / reps).tolist()  # summed in rep order
     return RegimeSummary(
         regime="true_model_in_set" if in_set else "misspecified",
         reps=reps,
         true_degree=true_deg if in_set else None,
-        correct_frequency_aic=hits_aic / reps if in_set else None,
-        correct_frequency_bic=hits_bic / reps if in_set else None,
-        mean_excess_risk_aic=excess_aic / reps,
-        mean_excess_risk_bic=excess_bic / reps,
+        correct_frequency_aic=hits[0] if in_set else None,
+        correct_frequency_bic=hits[1] if in_set else None,
+        mean_excess_risk_aic=mean_excess[0],
+        mean_excess_risk_bic=mean_excess[1],
         rows=tuple(rows),
     )
 
@@ -319,16 +340,14 @@ def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: i
     fstar = truth.eval(xs)
     Q, _ = _legendre_qr(xs, degree)
     rng = substream(seed, "predsel-probe", degree, n)
-    noise = rng.standard_normal((n, reps))
-    Y = fstar[:, None] + sigma * noise
+    Y = rng.standard_normal((n, reps))
+    Y *= sigma
+    Y += fstar[:, None]
     fitted = Q @ (Q.T @ Y)
-    rss = np.sum((Y - fitted) ** 2, axis=0)
+    Y -= fitted
+    rss = np.sum(np.square(Y, out=Y), axis=0)
     estimates = (rss + 2.0 * (degree + 1) * sigma**2) / n
-    insample = sigma**2 + np.mean((fitted - fstar[:, None]) ** 2, axis=0)
-    mean_est = float(np.mean(estimates))
-    mean_risk = float(np.mean(insample))
-    return ProbeReport(
-        mean_estimate=mean_est,
-        mean_true_insample_risk=mean_risk,
-        relative_bias=abs(mean_est - mean_risk) / mean_risk,
-    )
+    fitted -= fstar[:, None]
+    insample = sigma**2 + np.mean(np.square(fitted, out=fitted), axis=0)
+    mean_est, mean_risk = float(np.mean(estimates)), float(np.mean(insample))
+    return ProbeReport(mean_est, mean_risk, abs(mean_est - mean_risk) / mean_risk)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import predsel as ps
+from convlab.rand import substream, substream_key
 
 
 def line_dataset(n=20, b0=1.0, b1=2.0):
@@ -97,6 +98,16 @@ class TestScores:
         bics = [row[3] for row in report.per_degree]
         assert report.selected_aic == degrees[ps.select(aics)]
         assert report.selected_bic == degrees[ps.select(bics)]
+
+    @pytest.mark.parametrize("degrees", [[-1, 3], [3, -2], []])
+    def test_candidate_degrees_validated(self, degrees):
+        # a negative degree once indexed rss[-1] and was reported and selected
+        # as the top degree's fit; an empty set died in a bare max()
+        match = str(min(degrees)) if degrees else "non-empty"
+        with pytest.raises(ValueError, match=match):
+            ps.score_candidates(line_dataset(n=20), degrees, sigma2=1.0)
+        with pytest.raises(ValueError, match=match):
+            ps.regime_experiment(ps.abs_truth(0.5), degrees, n=20, reps=100, seed=1)
 
     def test_select_argmin(self):
         assert ps.select([5.0, 4.0, 4.5]) == 1
@@ -236,7 +247,86 @@ class TestRegimes:
             ps.regime_experiment(ps.abs_truth(0.5), range(3), 60, reps=10, seed=1)
 
 
+class TestBatchedRegimes:
+    """regime_experiment fits CHUNK reps per stacked call; these hold it to
+    the per-rep scalar path and to generate's data."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(degrees=st.sampled_from([[2], [0, 3, 5], [5, 0, 3]]), reps=st.sampled_from([100, 129, 257]),
+           kink=st.booleans(), grid=st.booleans(), coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           sigma=st.floats(0.05, 2.0), n=st.integers(7, 60), seed=st.integers(0, 10_000))
+    def test_rows_match_scalar_reference(self, degrees, reps, kink, grid, coeffs, sigma, n, seed):
+        design = "grid" if grid else "uniform"
+        truth = ps.abs_truth(sigma, design) if kink else ps.poly_truth(coeffs, sigma, design)
+        summary = ps.regime_experiment(truth, degrees, n, reps, seed)
+        assert len(summary.rows) == reps * len(degrees)
+        excess = {"aic": 0.0, "bic": 0.0}
+        for rep in range(reps):
+            rows = summary.rows[rep * len(degrees):(rep + 1) * len(degrees)]
+            d = ps.generate(truth, n, substream_key(seed, "regime-rep", rep))
+            for row, deg in zip(rows, degrees):
+                r, degree, rss, aic, bic, risk, sel_aic, sel_bic = row
+                assert (r, degree) == (rep, deg)
+                fit = ps.fit_ols(d, deg)
+                assert rss == pytest.approx(fit.rss, rel=1e-8)
+                assert risk == pytest.approx(ps.true_risk(fit, truth), rel=1e-8)
+                assert aic == rss / sigma**2 + 2.0 * (deg + 1)
+                assert bic == rss / sigma**2 + (deg + 1) * math.log(n)
+            assert sel_aic == degrees[ps.select([row[3] for row in rows])]
+            assert sel_bic == degrees[ps.select([row[4] for row in rows])]
+            risks = dict(zip(degrees, (row[5] for row in rows)))
+            excess["aic"] += risks[sel_aic] - min(risks.values())
+            excess["bic"] += risks[sel_bic] - min(risks.values())
+        assert summary.mean_excess_risk_aic == excess["aic"] / reps
+        assert summary.mean_excess_risk_bic == excess["bic"] / reps
+
+    @pytest.mark.parametrize("design", ["uniform", "grid"])
+    def test_chunks_hold_generate_data(self, monkeypatch, design):
+        truth = ps.poly_truth((0.3, -1.0, 0.5), 0.7, design)
+        kernel, stacks = ps._nested_scores, []
+
+        def spy(x, y, *args):
+            stacks.append((x.copy(), y.copy(), args[-1]))
+            return kernel(x, y, *args)
+
+        monkeypatch.setattr(ps, "_nested_scores", spy)
+        ps.regime_experiment(truth, [0, 2], n=30, reps=2 * ps.CHUNK + 1, seed=3)
+        assert [(len(x), first) for x, _, first in stacks] == [
+            (ps.CHUNK, 0), (ps.CHUNK, ps.CHUNK), (1, 2 * ps.CHUNK)]
+        for x, y, first in stacks:
+            for rep, (xs, ys) in enumerate(zip(x.tolist(), y.tolist()), start=first):
+                d = ps.generate(truth, 30, substream_key(3, "regime-rep", rep))
+                assert (tuple(xs), tuple(ys)) == (d.xs, d.ys)
+
+    def test_fit_error_names_its_rep(self, monkeypatch):
+        draw, bad_rep = ps._draw, ps.CHUNK + 6
+
+        def one_degenerate_design(truth, n, seeds):
+            x, y = draw(truth, n, seeds)
+            if seeds[0] == substream_key(1, "regime-rep", ps.CHUNK):
+                x[bad_rep - ps.CHUNK] = 0.5
+            return x, y
+
+        monkeypatch.setattr(ps, "_draw", one_degenerate_design)
+        with pytest.raises(ps.FitError, match=rf"\brep {bad_rep}\b"):
+            ps.regime_experiment(ps.abs_truth(0.5), range(3), n=40, reps=200, seed=1)
+
+
 class TestUnbiasednessProbe:
+    def test_matches_out_of_place_reference(self):
+        # the probe scales, shifts and squares in place; same arithmetic as this
+        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.8, design="grid")
+        n, reps, seed = 60, 300, 11
+        xs = np.linspace(-1.0, 1.0, n)
+        fstar = truth.eval(xs)
+        Q, _ = ps._legendre_qr(xs, 2)
+        Y = fstar[:, None] + 0.8 * substream(seed, "predsel-probe", 2, n).standard_normal((n, reps))
+        fitted = Q @ (Q.T @ Y)
+        est = np.mean((np.sum((Y - fitted) ** 2, axis=0) + 2.0 * 3 * 0.8**2) / n)
+        risk = np.mean(0.8**2 + np.mean((fitted - fstar[:, None]) ** 2, axis=0))
+        probe = ps.unbiasedness_probe(truth, 2, n, reps, seed)
+        assert (probe.mean_estimate, probe.mean_true_insample_risk) == (est, risk)
+
     def test_flat_truth_probe(self):
         truth = ps.poly_truth((0.0,), noise_sigma=1.0, design="grid")
         probe = ps.unbiasedness_probe(truth, degree=0, n=200, reps=5000, seed=31)
