@@ -104,10 +104,24 @@ def _string(v, path):
     return v
 
 
-_SIZES = _numlist(_num(lo=2, integer=True), increasing=True)  # strictly increasing sample sizes
+# strictly increasing sample sizes, each a finite float for sqrt(n) and ln(n)
+_SIZES = _numlist(_num(lo=2, hi=10**300, integer=True), increasing=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
+# 1 - alpha/2 stays below 1.0 (the float spacing there is ulp(1.0) / 2), so its normal quantile exists
+_ALPHA = _num(lo=math.ulp(1.0), hi=1, hi_open=True)
+# a refute_uniform history spans 16 lengths and its world sits at length / 4: finite and nonzero
+_LENGTH = _num(lo=1e-300, hi=1e300)
+
+
+def _theta(v, path):
+    """A gaussian world mean: 0, or at least 1e-150 in magnitude, so that the certified
+    settle sizes ((z - q) / |theta|)**2 and 1 / theta**2 stay finite floats."""
+    if 0 < abs(_num()(v, path)) < 1e-150:
+        raise ConfigError(f"{path}: {v} is nonzero but below 1e-150 in magnitude")
+    return v
+
 
 SCHEMA = {
     "experiment": ("all", _experiment),
@@ -118,9 +132,9 @@ SCHEMA = {
     "format": ("csv", lambda v, p: v if v in ("csv", "json") else (_ for _ in ()).throw(
         ConfigError(f"{p}: expected 'csv' or 'json', got {v!r}"))),
     "gaussian": {
-        "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_num())),
+        "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
-        "alpha_grid": ([0.16, 0.05, 0.01, 0.001], _numlist(_num(lo=0, hi=1, lo_open=True, hi_open=True))),
+        "alpha_grid": ([0.16, 0.05, 0.01, 0.001], _numlist(_ALPHA)),
         "mc_trials": (200000, _num(lo=1000, integer=True)),
         "mc_theta_grid": ([0.0, 0.5], _numlist(_num())),
         "mc_n_grid": ([10, 100, 1000], _SIZES),
@@ -133,7 +147,7 @@ SCHEMA = {
         "delta0": (1.0, _num(lo=0, lo_open=True)),
         "ratio": (0.7, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "offsets": ([0.0, -1.0, 0.7], _numlist(_num(lo=-1, hi=1))),
-        "uniform_lengths": ([1.0, 0.1, 0.01], _numlist(_num(lo=0, lo_open=True))),
+        "uniform_lengths": ([1.0, 0.1, 0.01], _numlist(_LENGTH)),
         "razor_budget": (4000, _num(lo=10, integer=True)),
     },
     "predsel": {
@@ -228,6 +242,9 @@ def check_consistency(config: dict) -> None:
         world_axis(config, suite)
         c = config[suite]
         top = max(abs(c[lo]), abs(c[hi]))
+        if not math.isfinite(top + 2.0 * c["delta0"]):
+            raise ConfigError(f"{suite}.delta0: {c['delta0']} puts the stage-0 endpoints, up to "
+                              f"|world| + 2*delta0, beyond the float range (|world| <= {top})")
         half = StreamSpec(c["delta0"], c["ratio"]).half_width(c["horizon"] - 1)
         if half <= 2.0 * math.ulp(top):
             raise ConfigError(f"{suite}.horizon: {c['horizon']} stages shrink the half-width "
@@ -263,16 +280,6 @@ def validate_config(raw_text: str) -> dict:
 # output helpers
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Status):
-        return v.value
-    return str(v)
-
-
 def _write_atomic(path: Path, text: str) -> str:
     data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
@@ -285,8 +292,7 @@ def write_csv(path: Path, header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)  # None as "", floats by repr, the rest by str
     return _write_atomic(path, buf.getvalue())
 
 
@@ -309,8 +315,7 @@ class Outputs:
 
     def emit_rows(self, base: str, header, rows) -> None:
         if self.fmt == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            self.emit_json(f"{base}.json", json.loads(json.dumps(payload, default=_fmt)))
+            self.emit_json(f"{base}.json", [dict(zip(header, row)) for row in rows])
         else:
             self.digests[f"{base}.csv"] = write_csv(self.root / f"{base}.csv", header, rows)
 
@@ -324,7 +329,7 @@ def _report_to_dict(report) -> dict:
 # per-experiment runners
 
 
-def run_gaussian(cfg: dict, seed: int, out: Outputs):
+def run_gaussian(cfg: dict, out: Outputs):
     gc = cfg["gaussian"]
     rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
     rows = []
@@ -333,9 +338,12 @@ def run_gaussian(cfg: dict, seed: int, out: Outputs):
             curve = g.curve_analytic(rule, theta, gc["n_grid"])
             rows += [(curve.rule, theta, n, p, se) for n, p, se in curve.points]
         for theta in gc["mc_theta_grid"]:
-            curve = g.curve_mc(rule, theta, gc["mc_n_grid"], gc["mc_trials"], seed)
+            curve = g.curve_mc(rule, theta, gc["mc_n_grid"], gc["mc_trials"], cfg["seed"])
             rows += [(curve.rule, theta, n, p, se) for n, p, se in curve.points]
     out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
+    if cfg["plots"]:
+        out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
+                      [(label, theta, n, p) for label, theta, n, p, se in rows if se is None])
 
     modes = {}
     for rule in rules:
@@ -353,10 +361,10 @@ def run_gaussian(cfg: dict, seed: int, out: Outputs):
         "curve_rows": len(rows),
     }
     results = checks.check_gaussian_levels(rows) if cfg["check"] else []
-    return summary, results, rows
+    return summary, results
 
 
-def run_lineworld(cfg: dict, seed: int, out: Outputs):
+def run_lineworld(cfg: dict, out: Outputs):
     lc = cfg["lineworld"]
     worlds = [lw.LineWorld(theta) for theta in world_axis(cfg, "lineworld")]
     mstar = lw.mstar_method()
@@ -398,8 +406,8 @@ def run_lineworld(cfg: dict, seed: int, out: Outputs):
     return summary, results
 
 
-def run_predsel(cfg: dict, seed: int, out: Outputs):
-    pc = cfg["predsel"]
+def run_predsel(cfg: dict, out: Outputs):
+    pc, seed = cfg["predsel"], cfg["seed"]
     header = ("rep", "degree", "rss", "aic", "bic", "true_risk",
               "selected_aic", "selected_bic")
     truth_a = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"])
@@ -411,6 +419,10 @@ def run_predsel(cfg: dict, seed: int, out: Outputs):
     b = ps.regime_experiment(truth_b, range(pc["regime_b_max_degree"] + 1),
                              pc["regime_b_n"], pc["regime_b_reps"], seed)
     out.emit_rows("selection_misspecified", header, b.rows)
+    if cfg["plots"]:
+        out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"),
+                      [(rep, selector, risk) for rep, pair in enumerate(b.excess)
+                       for selector, risk in zip(("aic", "bic"), pair)])
 
     probe_truth = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"], design="grid")
     degree = probe_truth.poly_degree
@@ -442,7 +454,7 @@ def run_predsel(cfg: dict, seed: int, out: Outputs):
         },
         "unbiasedness_probe_relative_bias": {str(n): rb[0] for n, rb in rel_bias.items()},
     }
-    return summary, results, b.rows
+    return summary, results
 
 
 def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
@@ -457,14 +469,18 @@ def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
     )
 
 
-def run_perrin(cfg: dict, seed: int, out: Outputs):
-    pc = cfg["perrin"]
+def run_perrin(cfg: dict, out: Outputs):
+    pc, seed = cfg["perrin"], cfg["seed"]
     config = perrin_config_from(cfg)
     sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
 
     for kind, s in sheets.items():
-        out.emit_rows(f"domain_{kind.lower()}",
-                      ("component", "a", "b", "status", "settle_stage"), s.domain.cells())
+        cells = s.domain.cells()
+        out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
+                      [(c, a, b, status.value, settle) for c, a, b, status, settle in cells])
+        if cfg["plots"]:
+            out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
+                          [(c, a, b, pr.CODES[status]) for c, a, b, status, _ in cells])
 
     scoresheet = {
         kind: {
@@ -506,38 +522,7 @@ def run_perrin(cfg: dict, seed: int, out: Outputs):
         slopes = {kind: checks.width_slope(kind, seed) for kind in coverage}
         results = (checks.check_perrin_theorem(sheets, underdet)
                    + checks.check_perrin_estimators(coverage, slopes))
-    return summary, results, {kind: s.domain for kind, s in sheets.items()}
-
-
-# ---------------------------------------------------------------------------
-# plot-data emission
-
-
-def emit_plots(out: Outputs, curve_rows, domains: Optional[dict], regime_rows) -> None:
-    """Long-format series ready for any plotting tool."""
-    (out.root / "plots").mkdir(parents=True, exist_ok=True)
-
-    if curve_rows is not None:
-        rows = [(rule, theta, n, p) for rule, theta, n, p, se in curve_rows if se is None]
-        out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"), rows)
-
-    if domains is not None:
-        for kind, grid in domains.items():
-            rows = [(c, a, b, pr.CODES[status]) for c, a, b, status, _ in grid.cells()]
-            out.emit_rows(f"plots/domain_map_{kind.lower()}",
-                          ("component", "a", "b", "code"), rows)
-
-    if regime_rows is not None:
-        per_rep = {}
-        for rep, _deg, _rss, _aic, _bic, risk, sel_aic, sel_bic in regime_rows:
-            row = per_rep.setdefault(rep, {"risks": {}, "sel_aic": sel_aic, "sel_bic": sel_bic})
-            row["risks"][_deg] = risk
-        rows = []
-        for rep, row in sorted(per_rep.items()):
-            best = min(row["risks"].values())
-            rows.append((rep, "aic", row["risks"][row["sel_aic"]] - best))
-            rows.append((rep, "bic", row["risks"][row["sel_bic"]] - best))
-        out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"), rows)
+    return summary, results
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +548,14 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     if not experiments:
         return RunOutcome(0, out.root, summary)
     out.root.mkdir(parents=True, exist_ok=True)
-
-    domains = None
-    regime_rows = None
-    curve_rows = None
-
-    if "gaussian" in experiments:
-        summary["gaussian"], results, curve_rows = run_gaussian(config, seed, out)
-        check_results += results
-    if "lineworld" in experiments:
-        summary["lineworld"], results = run_lineworld(config, seed, out)
-        check_results += results
-    if "predsel" in experiments:
-        summary["predsel"], results, regime_rows = run_predsel(config, seed, out)
-        check_results += results
-    if "perrin" in experiments:
-        summary["perrin"], results, domains = run_perrin(config, seed, out)
-        check_results += results
-
     if config["plots"]:
-        emit_plots(out, curve_rows, domains, regime_rows)
+        (out.root / "plots").mkdir(exist_ok=True)
+
+    for name, runner in (("gaussian", run_gaussian), ("lineworld", run_lineworld),
+                         ("predsel", run_predsel), ("perrin", run_perrin)):
+        if name in experiments:
+            summary[name], results = runner(config, out)
+            check_results += results
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}

@@ -274,6 +274,7 @@ class RegimeSummary:
     mean_excess_risk_aic: float
     mean_excess_risk_bic: float
     rows: tuple  # (rep, degree, rss, aic, bic, true_risk, sel_aic, sel_bic)
+    excess: tuple  # (aic, bic) risk over the rep's best candidate, per rep
 
 
 # Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
@@ -318,6 +319,7 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
         mean_excess_risk_aic=mean_excess[0],
         mean_excess_risk_bic=mean_excess[1],
         rows=tuple(rows),
+        excess=tuple(zip(*excess.tolist())),
     )
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from convlab import cli
 from convlab import lineworld as lw
+from convlab import perrin as pr
+from convlab.framework import Status
 
 
 SMALL_CONFIG = {
@@ -65,6 +67,21 @@ class TestValidateConfig:
 
 
 HOSTILE = [True, None, "x", [], {}, [1e308], 0, -1, 1e308, -1e308, 1e-308, 10**30, 2**63, 10**6]
+# one value at or beyond an edge of the float range, set into an otherwise ordinary
+# section by the run-level fuzz tests
+_POSITIVE_EDGES = [5e-324, 1e-300, 1e-150, 1e150, 1e300, 1e307, 1e308]
+GAUSSIAN_EDGES = [
+    *((key, v) for key in ("theta_grid", "mc_theta_grid")
+      for v in (1e-150, -1e-151, 1e-160, 5e-324, 1e300, -1.7e308)),
+    *((key, v) for key in ("n_grid", "mc_n_grid") for v in (10**15, 10**300, 10**400)),
+    *(("alpha_grid", v) for v in (2.220446049250313e-16, 1.1e-16, 1e-300, 0.9999999999999999)),
+]
+LINEWORLD_EDGES = [
+    *((key, v) for key in ("delta0", "uniform_lengths") for v in _POSITIVE_EDGES),
+    *(("ratio", v) for v in (1e-300, 1e-10)),
+    ("theta_min", -1e300), ("theta_min", 1e307), ("theta_max", 1e300), ("theta_max", 1e308),
+    ("theta_step", 1e-300), ("offsets", [1.0, -1.0]), ("offsets", [-1.0, 1.0, -1.0]),
+]
 
 
 def schema_leaves(schema, path=()):
@@ -261,9 +278,27 @@ class TestFlags:
         ({"experiment": "predsel", "predsel": {"regime_a_sigma": 1e-300}},
          "predsel.regime_a_sigma"),
         ({"experiment": "predsel", "predsel": {"regime_b_sigma": 1e200}}, "predsel.regime_b_sigma"),
+        # 1 - alpha/2 rounds to 1.0, which has no normal quantile
+        ({"experiment": "gaussian", "gaussian": {"alpha_grid": [1e-16]}}, "gaussian.alpha_grid[0]"),
+        # ((z - q) / |theta|)**2 overflows in the certified settle size
+        ({"experiment": "gaussian", "gaussian": {"theta_grid": [0.5, -1e-160]}},
+         "gaussian.theta_grid[1]"),
+        # stage-0 endpoints theta -+ 2 * delta0 overflow
+        ({"experiment": "lineworld", "lineworld": {"delta0": 1e308}}, "lineworld.delta0"),
+        ({"experiment": "perrin", "perrin": {"delta0": 1e308, "grid_step": 0.25,
+                                             "coverage_reps": 10}}, "perrin.delta0"),
+        # the uniform-refutation history spans 16 lengths; half of 5e-324 is 0
+        ({"experiment": "lineworld", "lineworld": {"uniform_lengths": [1e308]}},
+         "lineworld.uniform_lengths[0]"),
+        ({"experiment": "lineworld", "lineworld": {"uniform_lengths": [1.0, 5e-324]}},
+         "lineworld.uniform_lengths[1]"),
+        # sqrt(n) of an integer beyond the float range
+        ({"experiment": "gaussian", "gaussian": {"n_grid": [10, 10**400]}}, "gaussian.n_grid[1]"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
-            "sigma-squared-underflow", "sigma-squared-overflow"])
+            "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
+            "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
+            "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2
@@ -337,6 +372,48 @@ class TestFlags:
                                           "predsel": section})
         assert code in (0, 1, 2)
 
+    @settings(max_examples=100)  # random gaussian sections run end to end: exit 0, 1 or 2
+    @given(thetas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+           mc_thetas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2),
+           sizes=st.lists(st.integers(2, 10**6), min_size=1, max_size=4, unique=True),
+           mc_sizes=st.lists(st.integers(2, 10**6), min_size=1, max_size=2, unique=True),
+           alphas=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=3),
+           edge=st.one_of(st.none(), st.sampled_from(GAUSSIAN_EDGES)), check=st.booleans())
+    def test_gaussian_section_fuzz_never_raises(self, thetas, mc_thetas, sizes, mc_sizes,
+                                                alphas, edge, check):
+        section = {"theta_grid": thetas, "mc_theta_grid": mc_thetas, "n_grid": sizes,
+                   "mc_n_grid": mc_sizes, "alpha_grid": alphas}
+        if edge:
+            section[edge[0]].append(edge[1])
+        for key in ("n_grid", "mc_n_grid"):
+            section[key] = sorted(set(section[key]))
+        section["mc_trials"] = 1000
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = run_cli(Path(tmp), {"experiment": "gaussian", "check": check,
+                                          "gaussian": section})
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=100)  # random lineworld sections run end to end: exit 0, 1 or 2
+    @given(lo=st.integers(-20, 20), span=st.integers(0, 40), step=st.floats(0.05, 1.0),
+           horizon=st.integers(1, 40), delta0=st.floats(1e-3, 10.0), ratio=st.floats(0.3, 0.95),
+           offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+           lengths=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=3),
+           budget=st.integers(10, 200),
+           edge=st.one_of(st.none(), st.sampled_from(LINEWORLD_EDGES)), check=st.booleans())
+    def test_lineworld_section_fuzz_never_raises(self, lo, span, step, horizon, delta0, ratio,
+                                                 offsets, lengths, budget, edge, check):
+        section = {"theta_min": lo * step, "theta_max": (lo + span) * step, "theta_step": step,
+                   "horizon": horizon, "delta0": delta0, "ratio": ratio, "offsets": offsets,
+                   "uniform_lengths": lengths, "razor_budget": budget}
+        if edge and edge[0] == "uniform_lengths":
+            lengths.append(edge[1])
+        elif edge:
+            section[edge[0]] = edge[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = run_cli(Path(tmp), {"experiment": "lineworld", "check": check,
+                                          "lineworld": section})
+        assert code in (0, 1, 2)
+
     def test_one_world_lineworld(self, tmp_path):
         code, out = run_cli(tmp_path, {"experiment": "lineworld", "lineworld": {
             "theta_min": 0.25, "theta_max": 0.25, "theta_step": 0.3}})
@@ -368,6 +445,69 @@ class TestChecksJudgeTheRun:
         summary = json.loads((out / "summary.json").read_text())["lineworld"]
         assert summary["worlds"] == 11
         assert len(traced) == summary["worlds"] * len(summary["pointwise_by_stream"]) == 33
+
+
+def _fmt(v) -> str:
+    """A cell as the CSV files write it: the formatter the writer once had."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+class TestWritePath:
+    CONFIG = {
+        "experiment": "all",
+        "seed": 5,
+        "gaussian": {"mc_trials": 2000, "n_grid": [10, 100], "mc_n_grid": [100]},
+        "lineworld": {"theta_step": 0.1},
+        "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "regime_a_n": 60,
+                    "regime_b_n": 60, "regime_b_max_degree": 5, "probe_reps": 100},
+        "perrin": {"grid_step": 0.25, "coverage_reps": 50, "coverage_size": 100,
+                   "stream_schedule": [50, 100]},
+    }
+
+    def test_csv_json_and_plot_series_agree(self, tmp_path):
+        outs = {}
+        for fmt in ("csv", "json"):
+            (tmp_path / fmt).mkdir()
+            code, outs[fmt] = run_cli(tmp_path / fmt, dict(self.CONFIG, format=fmt))
+            assert code == 0
+        out = outs["csv"]
+        tables = sorted(p.relative_to(out) for p in out.rglob("*.csv"))
+        assert len(tables) == 15
+        for rel in tables:
+            rows = read_rows(out / rel)
+            records = json.loads((outs["json"] / rel.with_suffix(".json")).read_text())
+            assert rows and len(rows) == len(records), rel
+            for row, record in zip(rows, records):
+                assert row == {k: _fmt(v) for k, v in record.items()}, rel
+
+        # the excess risk of each selector's pick over the rep's best candidate
+        risks, picks = {}, {}
+        for r in read_rows(out / "selection_misspecified.csv"):
+            risks.setdefault(r["rep"], {})[r["degree"]] = float(r["true_risk"])
+            picks[r["rep"]] = {"aic": r["selected_aic"], "bic": r["selected_bic"]}
+        expected = [(rep, sel, _fmt(risks[rep][picks[rep][sel]] - min(risks[rep].values())))
+                    for rep in sorted(risks, key=int) for sel in ("aic", "bic")]
+        regret = read_rows(out / "plots" / "regret_distribution.csv")
+        assert [(r["rep"], r["selector"], r["excess_risk"]) for r in regret] == expected
+
+        for kind in ("ockham_realist", "anti_realist", "way1", "way2", "way3"):
+            domain = read_rows(out / f"domain_{kind}.csv")
+            codes = read_rows(out / "plots" / f"domain_map_{kind}.csv")
+            assert [(r["component"], r["a"], r["b"], str(pr.CODES[Status(r["status"])]))
+                    for r in domain] == [(r["component"], r["a"], r["b"], r["code"]) for r in codes]
+
+        analytic = [{k: r[k] for k in ("rule", "theta", "n", "truth_prob")}
+                    for r in read_rows(out / "curves.csv") if r["se"] == ""]
+        assert analytic and read_rows(out / "plots" / "truth_prob_series.csv") == analytic
 
 
 class TestPlots:
