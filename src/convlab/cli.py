@@ -106,6 +106,10 @@ def _string(v, path):
 
 # strictly increasing sample sizes, each a finite float for sqrt(n) and ln(n)
 _SIZES = _numlist(_num(lo=2, hi=10**300, integer=True), increasing=True)
+# simulated sample sizes: a perrin sample of size m is an (8, m) float array, 64 MB at 10**6
+_SAMPLE_SIZES = _numlist(_num(lo=2, hi=10**6, integer=True), increasing=True)
+# predsel reps: the probe draws a (400, reps) float array, 320 MB at 10**5
+_PREDSEL_REPS = _num(lo=100, hi=10**5, integer=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
@@ -135,7 +139,7 @@ SCHEMA = {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
         "alpha_grid": ([0.16, 0.05, 0.01, 0.001], _numlist(_ALPHA)),
-        "mc_trials": (200000, _num(lo=1000, integer=True)),
+        "mc_trials": (200000, _num(lo=1000, hi=10**7, integer=True)),  # 80 MB of draws at the top
         "mc_theta_grid": ([0.0, 0.5], _numlist(_num())),
         "mc_n_grid": ([10, 100, 1000], _SIZES),
     },
@@ -155,12 +159,12 @@ SCHEMA = {
         "regime_a_sigma": (1.0, _SIGMA),
         "regime_a_max_degree": (6, _MAX_DEGREE),
         "regime_a_n": (500, _num(lo=4, integer=True)),
-        "regime_a_reps": (2000, _num(lo=100, integer=True)),
+        "regime_a_reps": (2000, _PREDSEL_REPS),
         "regime_b_sigma": (0.5, _SIGMA),
         "regime_b_max_degree": (12, _MAX_DEGREE),
         "regime_b_n": (500, _num(lo=4, integer=True)),
-        "regime_b_reps": (1000, _num(lo=100, integer=True)),
-        "probe_reps": (4000, _num(lo=100, integer=True)),
+        "regime_b_reps": (1000, _PREDSEL_REPS),
+        "probe_reps": (4000, _PREDSEL_REPS),
     },
     "perrin": {
         "grid_lo": (0.5, _num()),
@@ -174,9 +178,9 @@ SCHEMA = {
         "way2_p": (1.0, _num()),
         "way2_delta0": (0.1, _num(lo=0, lo_open=True)),
         "way3_delta0": (4.0, _num(lo=0, lo_open=True)),
-        "coverage_reps": (1000, _num(lo=10, integer=True)),
-        "coverage_size": (400, _num(lo=10, integer=True)),
-        "stream_schedule": ([50, 100, 200, 400, 800], _SIZES),
+        "coverage_reps": (1000, _num(lo=10, hi=10**7, integer=True)),  # 80 MB of per-rep statistics
+        "coverage_size": (400, _num(lo=10, hi=10**6, integer=True)),  # bounded as _SAMPLE_SIZES
+        "stream_schedule": ([50, 100, 200, 400, 800], _SAMPLE_SIZES),
     },
 }
 
@@ -209,6 +213,7 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
 GRID_FIELDS = {"lineworld": ("theta_min", "theta_max", "theta_step"),
                "perrin": ("grid_lo", "grid_hi", "grid_step")}
 MAX_WORLDS = 10**6
+MAX_ORACLE_STAGES = 10**5
 PROBE_SIZES = (50, 100, 200, 400)  # predsel probe design sizes; --check reruns the two ends
 
 
@@ -239,7 +244,7 @@ def world_axis(config: dict, suite: str) -> tuple:
 def check_consistency(config: dict) -> None:
     """Reject values that are each in range but contradict one another."""
     for suite, (lo, hi, _) in GRID_FIELDS.items():
-        world_axis(config, suite)
+        axis = world_axis(config, suite)
         c = config[suite]
         top = max(abs(c[lo]), abs(c[hi]))
         if not math.isfinite(top + 2.0 * c["delta0"]):
@@ -250,6 +255,17 @@ def check_consistency(config: dict) -> None:
             raise ConfigError(f"{suite}.horizon: {c['horizon']} stages shrink the half-width "
                               f"delta0*ratio**(horizon-1) to {half:.3g} (delta0={c['delta0']}, "
                               f"ratio={c['ratio']}), at most twice the float spacing at {top}")
+        # the oracle steps one stage at a time until 4 * delta0 * ratio**t is below its
+        # smallest gap: a world's |theta|, or for perrin DIAG_TOL or a width gate
+        if suite == "lineworld":
+            gap = min((abs(x) for x in axis if x), default=math.inf)
+        else:
+            gap = min(pr.DIAG_TOL, c["way2_delta0"], c["way3_delta0"])
+        stages = (math.log(gap) - math.log(4.0 * c["delta0"])) / math.log(c["ratio"])
+        if stages > MAX_ORACLE_STAGES:
+            raise ConfigError(f"{suite}.ratio: {c['ratio']} makes the oracle step through about "
+                              f"{stages:.3g} stages down to the gap {gap:.3g} (delta0={c['delta0']}), "
+                              f"above the limit of {MAX_ORACLE_STAGES}")
     sc = config["predsel"]
     degree = ps.poly_truth(sc["regime_a_coeffs"], sc["regime_a_sigma"]).poly_degree
     if degree + 2 > PROBE_SIZES[0]:

@@ -50,7 +50,7 @@ from .framework import (
 )
 from .gaussian import normal_quantile
 from .lineworld import StreamSpec, interval_at
-from .rand import substream
+from .rand import substream, substream_key, substreams
 
 DIAG_TOL = 1e-12
 
@@ -773,16 +773,56 @@ def coverage_study(kind: str, na_true: float, const: float, size: int,
                    reps: int, confidence: float, seed: int,
                    times: Sequence[float] = DEFAULT_TIMES) -> CoverageResult:
     """Fraction of seeded replications whose interval covers the truth,
-    plus the mean interval width."""
-    hits = 0
-    widths = 0.0
-    for rep in range(reps):
-        rep_seed = substream(seed, "coverage", kind, size, rep).integers(2**63)
-        if kind == "brownian":
-            sample = simulate_brownian(na_true, const, times, size, rep_seed)
-        else:
-            sample = simulate_sedimentation(na_true, const, size, rep_seed)
-        est = estimate_interval(sample, confidence)
-        hits += est.lo <= na_true <= est.hi
-        widths += est.hi - est.lo
-    return CoverageResult(reps=reps, coverage=hits / reps, mean_width=widths / reps)
+    plus the mean interval width: estimate_interval of simulate_<kind>'s
+    sample per rep, bit for bit, with its checks.  Each rep draws from the
+    same two substream hops as simulate_<kind> and is reduced in the loop
+    to its mean height or its slope numerator t . msd (the dot product
+    estimate_interval takes: a stacked matrix product sums in another
+    order); every interval then comes from one array expression."""
+    if kind not in ("brownian", "sediment"):
+        raise ValueError(f"unknown sample kind {kind!r}")
+    if na_true <= 0 or const <= 0:
+        raise ValueError("na_true and const must be positive")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
+    if reps < 1 or size < 2:
+        raise ValueError("coverage needs reps >= 1 and size >= 2")
+    t = np.asarray(times, dtype=float)
+    if kind == "brownian" and (not len(t) or (t <= 0).any()):
+        raise ValueError("times must be positive")
+    zq = normal_quantile(1.0 - (1.0 - confidence) / 2.0)
+    rep_seeds = (rng.integers(2**63) for rng in substreams(
+        substream_key(seed, "coverage", kind, size, rep) for rep in range(reps)))
+    rngs = substreams(substream_key(rep_seed, kind) for rep_seed in rep_seeds)
+    stat = np.empty(reps)
+    if kind == "brownian":
+        sigmas = np.sqrt((const / na_true) * t)[:, None]
+        for i, rng in enumerate(rngs):
+            disp = rng.standard_normal((len(t), size)) * sigmas
+            stat[i] = t @ np.mean(disp * disp, axis=1)
+        tt = float(t @ t)
+        point = stat / tt  # the msd slope
+        # squared as estimate_interval squares it, by Python's pow (libm's), which
+        # rounds unlike numpy's square for about 1 value in 1,200
+        square = np.fromiter((s**2 for s in point.tolist()), float, reps)
+        se = np.sqrt((2.0 / size) * square * float(np.sum(t**4)) / tt**2)
+    else:
+        scale = 1.0 / (const * na_true)
+        for i, rng in enumerate(rngs):
+            heights = rng.exponential(scale=scale, size=size)
+            if (heights <= 0).any():
+                raise ValueError("heights must be positive")
+            stat[i] = np.mean(heights)
+        point = 1.0 / stat  # the rate; a mean of positive heights is positive
+        se = point / math.sqrt(size)
+    lo, hi = point - zq * se, point + zq * se
+    bad = np.flatnonzero(lo <= 0)  # a non-positive slope has lo <= 0 too
+    if bad.size:  # the first rep estimate_interval rejects, for its reason
+        if kind == "brownian" and point[bad[0]] <= 0:
+            raise EstimationError("non-positive displacement slope")
+        what = "slope" if kind == "brownian" else "rate"
+        raise EstimationError(f"{what} interval reaches zero; more particles needed")
+    lo, hi = (const / hi, const / lo) if kind == "brownian" else (lo / const, hi / const)
+    hits = int(np.count_nonzero((lo <= na_true) & (na_true <= hi)))
+    widths = np.cumsum(hi - lo)  # summed in rep order
+    return CoverageResult(reps=reps, coverage=hits / reps, mean_width=float(widths[-1]) / reps)

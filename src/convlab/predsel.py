@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rand import substream, substream_key
+from .rand import substream, substream_key, substreams
 
 
 class FitError(ValueError):
@@ -127,8 +127,7 @@ def _draw(truth: TruthSpec, n: int, seeds) -> tuple:
     if n < 2:
         raise ValueError("n must be >= 2")
     x, noise = np.empty((2, len(seeds), n))
-    for i, seed in enumerate(seeds):
-        rng = substream(seed, "predsel-data")
+    for i, rng in enumerate(substreams(substream_key(seed, "predsel-data") for seed in seeds)):
         x[i] = rng.uniform(-1.0, 1.0, size=n) if truth.design == "uniform" else np.linspace(-1.0, 1.0, n)
         noise[i] = rng.standard_normal(n)
     return x, truth.eval(x) + truth.noise_sigma * noise

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import hashlib
 import json
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -82,6 +84,30 @@ LINEWORLD_EDGES = [
     ("theta_min", -1e300), ("theta_min", 1e307), ("theta_max", 1e300), ("theta_max", 1e308),
     ("theta_step", 1e-300), ("offsets", [1.0, -1.0]), ("offsets", [-1.0, 1.0, -1.0]),
 ]
+PERRIN_EDGES = [
+    *((key, v) for key in ("delta0", "way1_eps", "way2_delta0", "way3_delta0")
+      for v in _POSITIVE_EDGES),
+    *(("ratio", v) for v in (1e-300, 1e-10, 0.9999999999999999)),
+    *((key, v) for key in ("way1_p", "way2_p") for v in (5e-324, 1e-300, -1e308, 1e308)),
+    ("grid_lo", -1e300), ("grid_lo", 1e307), ("grid_hi", 1e300), ("grid_hi", 1e308),
+    ("grid_step", 5e-324), ("grid_step", 1e300), ("horizon", 10**9),
+    ("coverage_reps", 10**8), ("coverage_size", 10**7), ("stream_schedule", [2, 10**7]),
+]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def schema_leaves(schema, path=()):
@@ -324,6 +350,54 @@ class TestFlags:
         assert err.startswith(f"config error: {field}:") and "above the limit of 1000000" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, field", [
+        ({"experiment": "gaussian", "gaussian": {"mc_trials": 10**30}}, "gaussian.mc_trials"),
+        ({"experiment": "perrin", "perrin": {"stream_schedule": [10, 10**21], "grid_step": 0.25,
+                                             "coverage_reps": 10}}, "perrin.stream_schedule[1]"),
+        ({"experiment": "perrin", "perrin": {"coverage_reps": 10**30}}, "perrin.coverage_reps"),
+        ({"experiment": "perrin", "perrin": {"coverage_size": 10**30}}, "perrin.coverage_size"),
+        ({"experiment": "predsel", "predsel": {"regime_a_reps": 10**30}}, "predsel.regime_a_reps"),
+        ({"experiment": "predsel", "predsel": {"regime_b_reps": 10**30}}, "predsel.regime_b_reps"),
+        ({"experiment": "predsel", "predsel": {"probe_reps": 10**30}}, "predsel.probe_reps"),
+    ], ids=["mc_trials", "stream_schedule", "coverage_reps", "coverage_size", "regime_a_reps",
+            "regime_b_reps", "probe_reps"])
+    def test_array_size_limit_exit_two(self, tmp_path, capsys, config, field):
+        code, out = run_cli(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:") and "above the valid range" in err
+        assert not out.exists()
+
+    def test_array_size_limits_are_inclusive(self):
+        cli.validate_config(json.dumps({
+            "gaussian": {"mc_trials": 10**7},
+            "perrin": {"coverage_reps": 10**7, "coverage_size": 10**6,
+                       "stream_schedule": [10, 10**6]},
+            "predsel": {"regime_a_reps": 10**5, "regime_b_reps": 10**5, "probe_reps": 10**5}}))
+
+    @pytest.mark.parametrize("suite", ["lineworld", "perrin"])
+    def test_ratio_near_one_exit_two(self, tmp_path, capsys, suite):
+        # the oracle would step about 10**16 stages at the smallest gap
+        with time_limit(10):
+            code, out = run_cli(tmp_path, {"experiment": suite,
+                                           suite: {"ratio": 0.9999999999999999}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {suite}.ratio:") and "above the limit" in err
+        assert not out.exists()
+
+    def test_oracle_stage_limit_reads_the_smallest_gap(self):
+        # 0.999 needs about 29,000 stages below a perrin gap of DIAG_TOL;
+        # 0.9999 on a lineworld axis whose smallest |theta| is 0.01, about 53,000
+        with time_limit(10):
+            cli.check_consistency(cli.validate_config(json.dumps({
+                "perrin": {"ratio": 0.999}, "lineworld": {"ratio": 0.9999, "horizon": 100}})))
+        with pytest.raises(cli.ConfigError, match="perrin.ratio"):
+            cli.check_consistency(cli.validate_config(json.dumps({"perrin": {"ratio": 0.9999}})))
+        with pytest.raises(cli.ConfigError, match="perrin.ratio: .* the gap 1e-300"):
+            cli.check_consistency(cli.validate_config(json.dumps({
+                "perrin": {"ratio": 0.999, "way3_delta0": 1e-300}})))
+
     def test_world_count_limit_is_inclusive(self):
         # 499 steps: 999**2 + 999 = 999,000 refined perrin worlds; a
         # million lineworld worlds
@@ -412,6 +486,29 @@ class TestFlags:
         with tempfile.TemporaryDirectory() as tmp:
             code, _ = run_cli(Path(tmp), {"experiment": "lineworld", "check": check,
                                           "lineworld": section})
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=60)  # random perrin sections run end to end: exit 0, 1 or 2
+    @given(lo=st.integers(-5, 10), span=st.integers(1, 6), step=st.floats(0.05, 1.0),
+           horizon=st.integers(1, 30), delta0=st.floats(1e-3, 10.0), ratio=st.floats(0.3, 0.95),
+           ps=st.lists(st.floats(-2.0, 3.0), min_size=2, max_size=2),
+           gates=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+           reps=st.integers(10, 30), size=st.integers(10, 100),
+           schedule=st.lists(st.integers(2, 300), min_size=1, max_size=3, unique=True),
+           edge=st.one_of(st.none(), st.sampled_from(PERRIN_EDGES)), check=st.booleans())
+    def test_perrin_section_fuzz_never_raises(self, lo, span, step, horizon, delta0, ratio, ps,
+                                              gates, reps, size, schedule, edge, check):
+        section = {"grid_lo": lo * step, "grid_hi": (lo + span) * step, "grid_step": step,
+                   "horizon": horizon, "delta0": delta0, "ratio": ratio,
+                   "way1_p": ps[0], "way2_p": ps[1], "way1_eps": gates[0],
+                   "way2_delta0": gates[1], "way3_delta0": gates[2],
+                   "coverage_reps": reps, "coverage_size": size,
+                   "stream_schedule": sorted(schedule)}
+        if edge:
+            section[edge[0]] = edge[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = run_cli(Path(tmp), {"experiment": "perrin", "check": check,
+                                          "perrin": section})
         assert code in (0, 1, 2)
 
     def test_one_world_lineworld(self, tmp_path):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab import perrin as pr
@@ -19,6 +19,7 @@ from convlab.framework import (
     classify_convergence,
 )
 from convlab.lineworld import StreamSpec
+from convlab.rand import substream
 from test_lineworld import drift_params
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
@@ -513,6 +514,30 @@ class TestScoreSheet:
             assert pr.underdetermination_ok(m, SMALL.grid, SMALL.stream)
 
 
+def scalar_coverage(kind, na_true, const, size, reps, confidence, seed, times):
+    """The per-rep loop that the stacked coverage_study replaced: the
+    reference it must equal bit for bit."""
+    hits, widths = 0, 0.0
+    for rep in range(reps):
+        rep_seed = substream(seed, "coverage", kind, size, rep).integers(2**63)
+        if kind == "brownian":
+            sample = pr.simulate_brownian(na_true, const, times, size, rep_seed)
+        else:
+            sample = pr.simulate_sedimentation(na_true, const, size, rep_seed)
+        est = pr.estimate_interval(sample, confidence)
+        hits += est.lo <= na_true <= est.hi
+        widths += est.hi - est.lo
+    return pr.CoverageResult(reps=reps, coverage=hits / reps, mean_width=widths / reps)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestExperiments:
     def test_displacement_ratio_matches_generator(self):
         m = 100_000
@@ -579,6 +604,26 @@ class TestEstimators:
         w200 = pr.coverage_study("sediment", 1.0, 2.0, 200, 50, 0.95, 3).mean_width
         w800 = pr.coverage_study("sediment", 1.0, 2.0, 800, 50, 0.95, 3).mean_width
         assert w800 == pytest.approx(w200 / 2.0, rel=0.15)
+
+    def test_coverage_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown sample kind 'brownain'"):
+            pr.coverage_study("brownain", 1.0, 2.0, 400, 10, 0.95, seed=19)
+
+    @settings(max_examples=60)
+    # a rep whose slope numpy's square would round unlike Python's pow, by one ulp
+    # in its interval (seen with this platform's libm)
+    @example(kind="brownian", na_true=1.0, const=2.0, size=10, reps=1, confidence=0.95,
+             seed=12977, times=list(pr.DEFAULT_TIMES))
+    @given(kind=st.sampled_from(["brownian", "sediment"]), na_true=st.floats(0.05, 20.0),
+           const=st.floats(0.05, 20.0), size=st.integers(2, 300), reps=st.integers(1, 120),
+           confidence=st.floats(0.5, 0.999), seed=st.integers(0, 2**40),
+           times=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=9))
+    def test_coverage_matches_scalar_loop(self, kind, na_true, const, size, reps, confidence,
+                                          seed, times):
+        assert (outcome(pr.coverage_study, kind, na_true, const, size, reps, confidence, seed,
+                        times)
+                == outcome(scalar_coverage, kind, na_true, const, size, reps, confidence, seed,
+                           times))
 
 
 class TestExperimentalStream:
