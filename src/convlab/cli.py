@@ -91,9 +91,11 @@ def _experiment(v, path):
             return [v]
         raise ConfigError(f"{path}: unknown experiment {v!r}")
     if isinstance(v, list):
-        for x in v:
+        for i, x in enumerate(v):
             if x not in EXPERIMENTS:
                 raise ConfigError(f"{path}: unknown experiment {x!r}")
+            if x in v[:i]:
+                raise ConfigError(f"{path}[{i}]: duplicate experiment {x!r}")
         return list(v)
     raise ConfigError(f"{path}: expected a name or list of names")
 
@@ -289,6 +291,10 @@ def validate_config(raw_text: str) -> dict:
         raw = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer beyond Python's int-string conversion limit
+        raise ConfigError(f"config parse error: {exc}")
+    except RecursionError:
+        raise ConfigError("config parse error: arrays or objects nested too deeply")
     return _apply_schema(raw, SCHEMA)
 
 
@@ -621,6 +627,9 @@ def main(argv=None) -> int:
         raw_text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     try:
         config = validate_config(raw_text)

@@ -15,9 +15,10 @@ threshold c(n), COMPLEX otherwise:
 
 Truth probabilities come in two independent routes: a closed form based
 on the normal CDF, and a Monte Carlo frequency over the exact sampling
-distribution of the mean.  The penalized-likelihood derivations of the
-two rules ship as executable oracles, so the 84.3% constant is computed
-rather than hard-coded.
+distribution of the mean.  level_cap computes the 84.3% constant as
+2*Phi(sqrt(2)) - 1 rather than hard-coding it; the penalized-likelihood
+derivations that reduce AIC and BIC to these thresholds are executable
+references in the tests (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -119,31 +120,6 @@ def decide(rule: TestRule, n: int, xbar: float) -> Verdict:
     goes to the simple hypothesis); never SUSPEND."""
     c = rule.critical_value(n)
     return Verdict.COMPLEX if abs(xbar) > c else Verdict.SIMPLE
-
-
-# executable penalized-likelihood derivations (k parameters cost 2k for
-# the AIC-type score and k ln n for the BIC-type score; unit variance)
-
-def information_scores(xs: Sequence[float], penalty_per_param: float):
-    """(-2 log L + penalty) for the null model (mean pinned to 0, k = 0)
-    and the free-mean model (k = 1), up to a shared additive constant."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two observations")
-    xbar = float(arr.mean())
-    null_fit = float(np.sum(arr * arr))
-    free_fit = float(np.sum((arr - xbar) ** 2))
-    return null_fit, free_fit + penalty_per_param
-
-
-def aic_prefers_complex(xs: Sequence[float]) -> bool:
-    s0, s1 = information_scores(xs, 2.0)
-    return s1 < s0
-
-
-def bic_prefers_complex(xs: Sequence[float]) -> bool:
-    s0, s1 = information_scores(xs, math.log(len(xs)))
-    return s1 < s0
 
 
 # ---------------------------------------------------------------------------

@@ -200,19 +200,6 @@ def mstar_method() -> MethodSpec:
     )
 
 
-def always_complex_method() -> MethodSpec:
-    def oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
-        if w.theta == 0.0:
-            return AsymptoticOracle(Status.DIVERGES)
-        return AsymptoticOracle(Status.CONVERGES, settle_by=0)
-
-    return MethodSpec(
-        name="always_complex",
-        decide=lambda hist: Verdict.COMPLEX,
-        oracle=oracle,
-    )
-
-
 def always_suspend_method() -> MethodSpec:
     return MethodSpec(
         name="always_suspend",

@@ -23,8 +23,8 @@ ways of sacrificing strand worlds, each realizing one known failure
 mode (non-maximal domain, instability, or a missed strand interval).
 
 The same module houses the synthetic displacement/sedimentation
-experiments and the interval estimators that bridge them to prism
-evidence.
+experiments and the one interval kernel that coverage studies and the
+experimental streams bridging them to prism evidence share.
 """
 
 from __future__ import annotations
@@ -622,105 +622,72 @@ def underdetermination_ok(m: PerrinMethod, grid: GridSpec, spec: StreamSpec) -> 
 # synthetic experiments and interval estimators
 
 
-@dataclass(frozen=True)
-class ExperimentSample:
-    kind: str  # "brownian" | "sediment"
-    times: Optional[tuple] = None
-    msd: Optional[tuple] = None
-    m_particles: Optional[int] = None
-    c: Optional[float] = None
-    heights: Optional[tuple] = None
-    cprime: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "brownian":
-            if not self.times or not self.msd or len(self.times) != len(self.msd):
-                raise ValueError("brownian samples need matching times and msd")
-            if any(t <= 0 for t in self.times) or self.m_particles is None or self.m_particles < 2:
-                raise ValueError("times must be positive and m >= 2")
-        elif self.kind == "sediment":
-            if not self.heights or len(self.heights) < 2:
-                raise ValueError("sediment samples need n >= 2 heights")
-            if any(h <= 0 for h in self.heights):
-                raise ValueError("heights must be positive")
-        else:
-            raise ValueError(f"unknown sample kind {self.kind!r}")
+DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))
 
 
-def simulate_brownian(na_true: float, c: float, times: Sequence[float],
-                      m_particles: int, seed: int) -> ExperimentSample:
-    """Mean squared displacement at each time over m particles, with
-    per-particle displacement drawn Normal(0, (c / na) * t)."""
-    if na_true <= 0 or c <= 0:
-        raise ValueError("na_true and c must be positive")
-    rng = substream(seed, "brownian")
-    times = tuple(float(t) for t in times)
-    sigmas = np.sqrt((c / na_true) * np.asarray(times))
-    disp = rng.standard_normal((len(times), m_particles)) * sigmas[:, None]
-    msd = np.mean(disp * disp, axis=1)
-    return ExperimentSample(kind="brownian", times=times, msd=tuple(msd.tolist()),
-                            m_particles=m_particles, c=c)
+def _intervals(kind: str, na_true: float, const: float, size: int, rep_seeds,
+               confidence: float, times: Sequence[float]):
+    """Interval estimates of the granularity parameter, one per rep seed,
+    as (lo, hi, point) arrays; the first rep whose interval reaches zero
+    raises EstimationError.
 
-
-def simulate_sedimentation(na_true: float, cprime: float, n: int, seed: int) -> ExperimentSample:
-    """Particle heights drawn from the exponential density with rate
-    cprime * na."""
-    if na_true <= 0 or cprime <= 0:
-        raise ValueError("na_true and cprime must be positive")
-    rng = substream(seed, "sediment")
-    heights = rng.exponential(scale=1.0 / (cprime * na_true), size=n)
-    return ExperimentSample(kind="sediment", heights=tuple(heights.tolist()), cprime=cprime)
-
-
-@dataclass(frozen=True)
-class EstimateInterval:
-    parameter: str  # "na" | "na_prime"
-    lo: float
-    hi: float
-    point: float
-
-
-def estimate_interval(sample: ExperimentSample, confidence: float) -> EstimateInterval:
-    """Interval estimate of the relevant granularity parameter.
-
-    Brownian: least-squares slope of msd against time through the
-    origin, inverted through na = c / slope; the slope's standard error
-    uses the model-based variance of a chi-square mean,
-    Var(msd_t) = 2 (slope * t)^2 / m, and propagates through the
-    reciprocal by transforming the interval endpoints.  Sedimentation:
-    the exponential rate MLE 1 / mean(height) with its asymptotic
-    standard error rate / sqrt(n), scaled by 1 / cprime.
+    Each rep draws from substream_key(rep_seed, kind) and is reduced in the
+    loop to its slope numerator t . msd (a stacked matrix product would sum
+    in another order) or its mean height.  Brownian: size displacements
+    Normal(0, (const / na) * t) per time; the least-squares slope of msd
+    against time through the origin is inverted through na = const / slope,
+    with the model-based variance of a chi-square mean,
+    Var(msd_t) = 2 (slope * t)^2 / m, carried through the reciprocal by
+    transforming the interval endpoints.  Sedimentation: size heights from
+    the exponential density with rate const * na; the rate MLE
+    1 / mean(height) with its asymptotic standard error rate / sqrt(n),
+    scaled by 1 / const.
     """
+    if kind not in ("brownian", "sediment"):
+        raise ValueError(f"unknown sample kind {kind!r}")
+    if na_true <= 0 or const <= 0:
+        raise ValueError("na_true and const must be positive")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    reps = len(rep_seeds)
+    if reps < 1 or size < 2:
+        raise ValueError("coverage needs reps >= 1 and size >= 2")
+    t = np.asarray(times, dtype=float)
+    if kind == "brownian" and (not len(t) or (t <= 0).any()):
+        raise ValueError("times must be positive")
     zq = normal_quantile(1.0 - (1.0 - confidence) / 2.0)
-    if sample.kind == "brownian":
-        t = np.asarray(sample.times)
-        y = np.asarray(sample.msd)
-        slope = float((t @ y) / (t @ t))
-        if slope <= 0:
+    rngs = substreams(substream_key(rep_seed, kind) for rep_seed in rep_seeds)
+    stat = np.empty(reps)
+    if kind == "brownian":
+        sigmas = np.sqrt((const / na_true) * t)[:, None]
+        for i, rng in enumerate(rngs):
+            disp = rng.standard_normal((len(t), size)) * sigmas
+            stat[i] = t @ np.mean(disp * disp, axis=1)
+        tt = float(t @ t)
+        point = stat / tt  # the msd slope
+        # squared by Python's pow (libm's), which rounds unlike numpy's
+        # square for about 1 value in 1,200; the reference squares this way
+        square = np.fromiter((s**2 for s in point.tolist()), float, reps)
+        se = np.sqrt((2.0 / size) * square * float(np.sum(t**4)) / tt**2)
+    else:
+        scale = 1.0 / (const * na_true)
+        for i, rng in enumerate(rngs):
+            heights = rng.exponential(scale=scale, size=size)
+            if (heights <= 0).any():
+                raise ValueError("heights must be positive")
+            stat[i] = np.mean(heights)
+        point = 1.0 / stat  # the rate; a mean of positive heights is positive
+        se = point / math.sqrt(size)
+    lo, hi = point - zq * se, point + zq * se
+    bad = np.flatnonzero(lo <= 0)  # a non-positive slope has lo <= 0 too
+    if bad.size:  # the first rejected rep, for its reason
+        if kind == "brownian" and point[bad[0]] <= 0:
             raise EstimationError("non-positive displacement slope")
-        var_slope = (2.0 / sample.m_particles) * slope**2 * float(np.sum(t**4)) / float(t @ t) ** 2
-        se = math.sqrt(var_slope)
-        s_lo, s_hi = slope - zq * se, slope + zq * se
-        if s_lo <= 0:
-            raise EstimationError("slope interval reaches zero; more particles needed")
-        return EstimateInterval("na", lo=sample.c / s_hi, hi=sample.c / s_lo,
-                                point=sample.c / slope)
-    mean_h = float(np.mean(sample.heights))
-    if mean_h <= 0:
-        raise EstimationError("non-positive mean height")
-    n = len(sample.heights)
-    rate = 1.0 / mean_h
-    se = rate / math.sqrt(n)
-    r_lo, r_hi = rate - zq * se, rate + zq * se
-    if r_lo <= 0:
-        raise EstimationError("rate interval reaches zero; more particles needed")
-    return EstimateInterval("na_prime", lo=r_lo / sample.cprime,
-                            hi=r_hi / sample.cprime, point=rate / sample.cprime)
-
-
-DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))
+        what = "slope" if kind == "brownian" else "rate"
+        raise EstimationError(f"{what} interval reaches zero; more particles needed")
+    if kind == "brownian":
+        return const / hi, const / lo, const / point
+    return lo / const, hi / const, point / const
 
 
 @dataclass(frozen=True)
@@ -734,24 +701,28 @@ def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
                         cprime: float = 1.0, times: Sequence[float] = DEFAULT_TIMES) -> StreamResult:
     """Bridge the two estimators to prism evidence.
 
-    Per stage, the product of the two interval estimates is intersected
-    with the previous prism to enforce nestedness.  A stage whose
-    intersection would be empty (a stochastic containment failure) is
-    flagged and the stream truncated there; evidence is never fabricated.
+    Per stage, the product of the two interval estimates (_intervals on
+    one rep per axis) is intersected with the previous prism to enforce
+    nestedness.  A stage whose estimate fails, or whose intersection
+    would be empty (a stochastic containment failure), is flagged and the
+    stream truncated there; evidence is never fabricated.
     """
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("the sample-size schedule must be increasing")
+
+    def interval(kind, truth, const, axis, i, size):
+        rep_seed = substream(seed, axis, i).integers(2**63)
+        lo, hi, _ = _intervals(kind, truth, const, int(size), [rep_seed], confidence, times)
+        return float(lo[0]), float(hi[0])
+
     prisms = []
     prev = None
     for i, size in enumerate(schedule):
         try:
-            bx = simulate_brownian(na, c, times, int(size), substream(seed, "stage-x", i).integers(2**63))
-            by = simulate_sedimentation(naprime, cprime, int(size), substream(seed, "stage-y", i).integers(2**63))
-            ix = estimate_interval(bx, confidence)
-            iy = estimate_interval(by, confidence)
+            xlo, xhi = interval("brownian", na, c, "stage-x", i, size)
+            ylo, yhi = interval("sediment", naprime, cprime, "stage-y", i, size)
         except EstimationError:
             return StreamResult(tuple(prisms), flagged_stage=i)
-        xlo, xhi, ylo, yhi = ix.lo, ix.hi, iy.lo, iy.hi
         if prev is not None:
             xlo, xhi = max(xlo, prev.xlo), min(xhi, prev.xhi)
             ylo, yhi = max(ylo, prev.ylo), min(yhi, prev.yhi)
@@ -773,56 +744,11 @@ def coverage_study(kind: str, na_true: float, const: float, size: int,
                    reps: int, confidence: float, seed: int,
                    times: Sequence[float] = DEFAULT_TIMES) -> CoverageResult:
     """Fraction of seeded replications whose interval covers the truth,
-    plus the mean interval width: estimate_interval of simulate_<kind>'s
-    sample per rep, bit for bit, with its checks.  Each rep draws from the
-    same two substream hops as simulate_<kind> and is reduced in the loop
-    to its mean height or its slope numerator t . msd (the dot product
-    estimate_interval takes: a stacked matrix product sums in another
-    order); every interval then comes from one array expression."""
-    if kind not in ("brownian", "sediment"):
-        raise ValueError(f"unknown sample kind {kind!r}")
-    if na_true <= 0 or const <= 0:
-        raise ValueError("na_true and const must be positive")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    if reps < 1 or size < 2:
-        raise ValueError("coverage needs reps >= 1 and size >= 2")
-    t = np.asarray(times, dtype=float)
-    if kind == "brownian" and (not len(t) or (t <= 0).any()):
-        raise ValueError("times must be positive")
-    zq = normal_quantile(1.0 - (1.0 - confidence) / 2.0)
-    rep_seeds = (rng.integers(2**63) for rng in substreams(
-        substream_key(seed, "coverage", kind, size, rep) for rep in range(reps)))
-    rngs = substreams(substream_key(rep_seed, kind) for rep_seed in rep_seeds)
-    stat = np.empty(reps)
-    if kind == "brownian":
-        sigmas = np.sqrt((const / na_true) * t)[:, None]
-        for i, rng in enumerate(rngs):
-            disp = rng.standard_normal((len(t), size)) * sigmas
-            stat[i] = t @ np.mean(disp * disp, axis=1)
-        tt = float(t @ t)
-        point = stat / tt  # the msd slope
-        # squared as estimate_interval squares it, by Python's pow (libm's), which
-        # rounds unlike numpy's square for about 1 value in 1,200
-        square = np.fromiter((s**2 for s in point.tolist()), float, reps)
-        se = np.sqrt((2.0 / size) * square * float(np.sum(t**4)) / tt**2)
-    else:
-        scale = 1.0 / (const * na_true)
-        for i, rng in enumerate(rngs):
-            heights = rng.exponential(scale=scale, size=size)
-            if (heights <= 0).any():
-                raise ValueError("heights must be positive")
-            stat[i] = np.mean(heights)
-        point = 1.0 / stat  # the rate; a mean of positive heights is positive
-        se = point / math.sqrt(size)
-    lo, hi = point - zq * se, point + zq * se
-    bad = np.flatnonzero(lo <= 0)  # a non-positive slope has lo <= 0 too
-    if bad.size:  # the first rep estimate_interval rejects, for its reason
-        if kind == "brownian" and point[bad[0]] <= 0:
-            raise EstimationError("non-positive displacement slope")
-        what = "slope" if kind == "brownian" else "rate"
-        raise EstimationError(f"{what} interval reaches zero; more particles needed")
-    lo, hi = (const / hi, const / lo) if kind == "brownian" else (lo / const, hi / const)
+    plus the mean interval width: _intervals over reps rep seeds, each
+    drawn from its own substream of the seed."""
+    keys = (substream_key(seed, "coverage", kind, size, rep) for rep in range(reps))
+    rep_seeds = np.fromiter((rng.integers(2**63) for rng in substreams(keys)), np.int64)
+    lo, hi, _ = _intervals(kind, na_true, const, size, rep_seeds, confidence, times)
     hits = int(np.count_nonzero((lo <= na_true) & (na_true <= hi)))
     widths = np.cumsum(hi - lo)  # summed in rep order
     return CoverageResult(reps=reps, coverage=hits / reps, mean_width=float(widths[-1]) / reps)

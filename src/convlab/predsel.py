@@ -172,13 +172,6 @@ def _legendre_qr(x: np.ndarray, degree: int, first: int = 0):
     return Q, R
 
 
-def select(scores: Sequence[float]) -> int:
-    """Index of the minimizing score; ties go to the smaller index."""
-    if len(scores) == 0:
-        raise ValueError("no scores to select from")
-    return int(np.argmin(scores))
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
@@ -197,17 +190,6 @@ def true_risk(fit: FitResult, truth: TruthSpec) -> float:
     x, w = _quadrature(truth)
     diff = truth.eval(x) - fit.model.predict(x)
     return truth.noise_sigma**2 + float(w @ (diff * diff))
-
-
-def true_risk_mc(fit: FitResult, truth: TruthSpec, n_points: int = 10**6, seed: int = 0):
-    """Independent Monte Carlo route to the same risk; returns
-    (estimate, standard error of the integral part)."""
-    rng = substream(seed, "predsel-risk-mc")
-    x = rng.uniform(-1.0, 1.0, size=n_points)
-    sq = (truth.eval(x) - fit.model.predict(x)) ** 2
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / math.sqrt(n_points))
-    return truth.noise_sigma**2 + est, se
 
 
 @dataclass(frozen=True)

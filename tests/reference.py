@@ -1,0 +1,213 @@
+"""Scalar references for the tests.
+
+Each function here is the plain, one-case-at-a-time form of something
+the package computes another way, or an executable form of a
+derivation the package relies on.  The tests compare the two; nothing
+under src/ calls this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from convlab import perrin as pr
+from convlab.framework import AsymptoticOracle, MethodSpec, Status, Verdict
+from convlab.gaussian import normal_quantile
+from convlab.lineworld import LineWorld, StreamSpec
+from convlab.predsel import FitResult, TruthSpec
+from convlab.rand import substream
+
+
+# ---------------------------------------------------------------------------
+# gaussian: the penalized-likelihood derivations of the two rules (k
+# parameters cost 2k for the AIC-type score and k ln n for the BIC-type
+# score; unit variance)
+
+
+def information_scores(xs: Sequence[float], penalty_per_param: float):
+    """(-2 log L + penalty) for the null model (mean pinned to 0, k = 0)
+    and the free-mean model (k = 1), up to a shared additive constant."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.size < 2:
+        raise ValueError("need at least two observations")
+    xbar = float(arr.mean())
+    null_fit = float(np.sum(arr * arr))
+    free_fit = float(np.sum((arr - xbar) ** 2))
+    return null_fit, free_fit + penalty_per_param
+
+
+def aic_prefers_complex(xs: Sequence[float]) -> bool:
+    s0, s1 = information_scores(xs, 2.0)
+    return s1 < s0
+
+
+def bic_prefers_complex(xs: Sequence[float]) -> bool:
+    s0, s1 = information_scores(xs, math.log(len(xs)))
+    return s1 < s0
+
+
+# ---------------------------------------------------------------------------
+# lineworld: a method that is right everywhere except at the origin
+
+
+def always_complex_method() -> MethodSpec:
+    def oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
+        if w.theta == 0.0:
+            return AsymptoticOracle(Status.DIVERGES)
+        return AsymptoticOracle(Status.CONVERGES, settle_by=0)
+
+    return MethodSpec(
+        name="always_complex",
+        decide=lambda hist: Verdict.COMPLEX,
+        oracle=oracle,
+    )
+
+
+# ---------------------------------------------------------------------------
+# predsel: selection by one score list, and a Monte Carlo route to the risk
+
+
+def select(scores: Sequence[float]) -> int:
+    """Index of the minimizing score; ties go to the smaller index."""
+    if len(scores) == 0:
+        raise ValueError("no scores to select from")
+    return int(np.argmin(scores))
+
+
+def true_risk_mc(fit: FitResult, truth: TruthSpec, n_points: int = 10**6, seed: int = 0):
+    """Independent Monte Carlo route to predsel.true_risk; returns
+    (estimate, standard error of the integral part)."""
+    rng = substream(seed, "predsel-risk-mc")
+    x = rng.uniform(-1.0, 1.0, size=n_points)
+    sq = (truth.eval(x) - fit.model.predict(x)) ** 2
+    est = float(np.mean(sq))
+    se = float(np.std(sq, ddof=1) / math.sqrt(n_points))
+    return truth.noise_sigma**2 + est, se
+
+
+# ---------------------------------------------------------------------------
+# perrin: one sample, one interval, one stage at a time (the scalar form
+# of perrin._intervals and of the streams built on it)
+
+
+@dataclass(frozen=True)
+class ExperimentSample:
+    kind: str  # "brownian" | "sediment"
+    times: Optional[tuple] = None
+    msd: Optional[tuple] = None
+    m_particles: Optional[int] = None
+    c: Optional[float] = None
+    heights: Optional[tuple] = None
+    cprime: Optional[float] = None
+
+    def __post_init__(self):
+        if self.kind == "brownian":
+            if not self.times or not self.msd or len(self.times) != len(self.msd):
+                raise ValueError("brownian samples need matching times and msd")
+            if any(t <= 0 for t in self.times) or self.m_particles is None or self.m_particles < 2:
+                raise ValueError("times must be positive and m >= 2")
+        elif self.kind == "sediment":
+            if not self.heights or len(self.heights) < 2:
+                raise ValueError("sediment samples need n >= 2 heights")
+            if any(h <= 0 for h in self.heights):
+                raise ValueError("heights must be positive")
+        else:
+            raise ValueError(f"unknown sample kind {self.kind!r}")
+
+
+def simulate_brownian(na_true: float, c: float, times: Sequence[float],
+                      m_particles: int, seed: int) -> ExperimentSample:
+    """Mean squared displacement at each time over m particles, with
+    per-particle displacement drawn Normal(0, (c / na) * t)."""
+    if na_true <= 0 or c <= 0:
+        raise ValueError("na_true and c must be positive")
+    rng = substream(seed, "brownian")
+    times = tuple(float(t) for t in times)
+    sigmas = np.sqrt((c / na_true) * np.asarray(times))
+    disp = rng.standard_normal((len(times), m_particles)) * sigmas[:, None]
+    msd = np.mean(disp * disp, axis=1)
+    return ExperimentSample(kind="brownian", times=times, msd=tuple(msd.tolist()),
+                            m_particles=m_particles, c=c)
+
+
+def simulate_sedimentation(na_true: float, cprime: float, n: int, seed: int) -> ExperimentSample:
+    """Particle heights drawn from the exponential density with rate
+    cprime * na."""
+    if na_true <= 0 or cprime <= 0:
+        raise ValueError("na_true and cprime must be positive")
+    rng = substream(seed, "sediment")
+    heights = rng.exponential(scale=1.0 / (cprime * na_true), size=n)
+    return ExperimentSample(kind="sediment", heights=tuple(heights.tolist()), cprime=cprime)
+
+
+@dataclass(frozen=True)
+class EstimateInterval:
+    parameter: str  # "na" | "na_prime"
+    lo: float
+    hi: float
+    point: float
+
+
+def estimate_interval(sample: ExperimentSample, confidence: float) -> EstimateInterval:
+    """Interval estimate of the relevant granularity parameter from one
+    sample, by the formulas perrin._intervals documents."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
+    zq = normal_quantile(1.0 - (1.0 - confidence) / 2.0)
+    if sample.kind == "brownian":
+        t = np.asarray(sample.times)
+        y = np.asarray(sample.msd)
+        slope = float((t @ y) / (t @ t))
+        if slope <= 0:
+            raise pr.EstimationError("non-positive displacement slope")
+        var_slope = (2.0 / sample.m_particles) * slope**2 * float(np.sum(t**4)) / float(t @ t) ** 2
+        se = math.sqrt(var_slope)
+        s_lo, s_hi = slope - zq * se, slope + zq * se
+        if s_lo <= 0:
+            raise pr.EstimationError("slope interval reaches zero; more particles needed")
+        return EstimateInterval("na", lo=sample.c / s_hi, hi=sample.c / s_lo,
+                                point=sample.c / slope)
+    mean_h = float(np.mean(sample.heights))
+    if mean_h <= 0:
+        raise pr.EstimationError("non-positive mean height")
+    n = len(sample.heights)
+    rate = 1.0 / mean_h
+    se = rate / math.sqrt(n)
+    r_lo, r_hi = rate - zq * se, rate + zq * se
+    if r_lo <= 0:
+        raise pr.EstimationError("rate interval reaches zero; more particles needed")
+    return EstimateInterval("na_prime", lo=r_lo / sample.cprime,
+                            hi=r_hi / sample.cprime, point=rate / sample.cprime)
+
+
+def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
+                        confidence: float, seed: int, c: float = 1.0,
+                        cprime: float = 1.0,
+                        times: Sequence[float] = pr.DEFAULT_TIMES) -> pr.StreamResult:
+    """perrin.experimental_stream one sample and one estimate_interval
+    per stage and axis."""
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("the sample-size schedule must be increasing")
+    prisms = []
+    prev = None
+    for i, size in enumerate(schedule):
+        try:
+            bx = simulate_brownian(na, c, times, int(size), substream(seed, "stage-x", i).integers(2**63))
+            by = simulate_sedimentation(naprime, cprime, int(size), substream(seed, "stage-y", i).integers(2**63))
+            ix = estimate_interval(bx, confidence)
+            iy = estimate_interval(by, confidence)
+        except pr.EstimationError:
+            return pr.StreamResult(tuple(prisms), flagged_stage=i)
+        xlo, xhi, ylo, yhi = ix.lo, ix.hi, iy.lo, iy.hi
+        if prev is not None:
+            xlo, xhi = max(xlo, prev.xlo), min(xhi, prev.xhi)
+            ylo, yhi = max(ylo, prev.ylo), min(yhi, prev.yhi)
+        if not (xlo < xhi and ylo < yhi):
+            return pr.StreamResult(tuple(prisms), flagged_stage=i)
+        prev = pr.PrismEvidence(xlo, xhi, ylo, yhi)
+        prisms.append(prev)
+    return pr.StreamResult(tuple(prisms), flagged_stage=None)

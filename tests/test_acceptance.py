@@ -13,6 +13,8 @@ from convlab import perrin as pr
 from convlab import predsel as ps
 from convlab.framework import Status
 
+import reference as ref
+
 MASTER_SEED = 20250801
 
 
@@ -120,7 +122,7 @@ def test_criterion_5_lineworld_suite():
 
     uniform = [
         {"replay_valid": lw.witness_is_valid(method, lw.refute_uniform(method, length), length)}
-        for method in (mstar, lw.always_complex_method(), lw.always_suspend_method())
+        for method in (mstar, ref.always_complex_method(), lw.always_suspend_method())
         for length in (1.0, 0.1, 0.01)
     ]
     adversaries = lw.razor_violator_suite()

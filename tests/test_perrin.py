@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convlab import cli
 from convlab import perrin as pr
 from convlab.framework import (
     AsymptoticOracle,
@@ -20,6 +21,8 @@ from convlab.framework import (
 )
 from convlab.lineworld import StreamSpec
 from convlab.rand import substream
+
+import reference as ref
 from test_lineworld import drift_params
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
@@ -514,19 +517,30 @@ class TestScoreSheet:
             assert pr.underdetermination_ok(m, SMALL.grid, SMALL.stream)
 
 
+def reference_intervals(kind, na_true, const, size, rep_seeds, confidence, times):
+    """estimate_interval of one simulated sample per rep seed: the scalar
+    form of pr._intervals, as (lo, hi, point) per rep."""
+    rows = []
+    for rep_seed in rep_seeds:
+        if kind == "brownian":
+            sample = ref.simulate_brownian(na_true, const, times, size, rep_seed)
+        else:
+            sample = ref.simulate_sedimentation(na_true, const, size, rep_seed)
+        est = ref.estimate_interval(sample, confidence)
+        rows.append((est.lo, est.hi, est.point))
+    return rows
+
+
 def scalar_coverage(kind, na_true, const, size, reps, confidence, seed, times):
     """The per-rep loop that the stacked coverage_study replaced: the
     reference it must equal bit for bit."""
+    rep_seeds = (substream(seed, "coverage", kind, size, rep).integers(2**63)
+                 for rep in range(reps))
     hits, widths = 0, 0.0
-    for rep in range(reps):
-        rep_seed = substream(seed, "coverage", kind, size, rep).integers(2**63)
-        if kind == "brownian":
-            sample = pr.simulate_brownian(na_true, const, times, size, rep_seed)
-        else:
-            sample = pr.simulate_sedimentation(na_true, const, size, rep_seed)
-        est = pr.estimate_interval(sample, confidence)
-        hits += est.lo <= na_true <= est.hi
-        widths += est.hi - est.lo
+    for lo, hi, _ in reference_intervals(kind, na_true, const, size, rep_seeds, confidence,
+                                         times):
+        hits += lo <= na_true <= hi
+        widths += hi - lo
     return pr.CoverageResult(reps=reps, coverage=hits / reps, mean_width=widths / reps)
 
 
@@ -541,7 +555,7 @@ def outcome(f, *args):
 class TestExperiments:
     def test_displacement_ratio_matches_generator(self):
         m = 100_000
-        sample = pr.simulate_brownian(2.0, 4.0, (1.0, 2.0, 4.0), m, seed=5)
+        sample = ref.simulate_brownian(2.0, 4.0, (1.0, 2.0, 4.0), m, seed=5)
         slope_true = 4.0 / 2.0
         for t, msd in zip(sample.times, sample.msd):
             se = math.sqrt(2.0 / m) * slope_true * t
@@ -549,50 +563,50 @@ class TestExperiments:
 
     def test_height_mean_matches_generator(self):
         n = 100_000
-        sample = pr.simulate_sedimentation(2.0, 4.0, n, seed=5)
+        sample = ref.simulate_sedimentation(2.0, 4.0, n, seed=5)
         mean_true = 1.0 / 8.0
         se = mean_true / math.sqrt(n)
         assert abs(sum(sample.heights) / n - mean_true) <= 3.0 * se
 
     def test_seed_reproducibility(self):
-        a = pr.simulate_brownian(1.0, 1.0, (1.0, 2.0), 50, seed=3)
-        b = pr.simulate_brownian(1.0, 1.0, (1.0, 2.0), 50, seed=3)
+        a = ref.simulate_brownian(1.0, 1.0, (1.0, 2.0), 50, seed=3)
+        b = ref.simulate_brownian(1.0, 1.0, (1.0, 2.0), 50, seed=3)
         assert a == b
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            pr.simulate_brownian(-1.0, 1.0, (1.0,), 10, 0)
+            ref.simulate_brownian(-1.0, 1.0, (1.0,), 10, 0)
         with pytest.raises(ValueError):
-            pr.simulate_sedimentation(1.0, -2.0, 10, 0)
+            ref.simulate_sedimentation(1.0, -2.0, 10, 0)
         with pytest.raises(ValueError):
-            pr.ExperimentSample(kind="sediment", heights=(1.0, -2.0), cprime=1.0)
+            ref.ExperimentSample(kind="sediment", heights=(1.0, -2.0), cprime=1.0)
 
 
 class TestEstimators:
     def test_intervals_shrink_onto_truth(self):
-        small = pr.estimate_interval(
-            pr.simulate_brownian(1.0, 2.0, pr.DEFAULT_TIMES, 200, 7), 0.95)
-        large = pr.estimate_interval(
-            pr.simulate_brownian(1.0, 2.0, pr.DEFAULT_TIMES, 200_000, 7), 0.95)
+        small = ref.estimate_interval(
+            ref.simulate_brownian(1.0, 2.0, pr.DEFAULT_TIMES, 200, 7), 0.95)
+        large = ref.estimate_interval(
+            ref.simulate_brownian(1.0, 2.0, pr.DEFAULT_TIMES, 200_000, 7), 0.95)
         assert large.hi - large.lo < small.hi - small.lo
         assert large.lo <= 1.0 <= large.hi
         assert abs(large.point - 1.0) < 0.02
 
     def test_sediment_interval(self):
-        est = pr.estimate_interval(pr.simulate_sedimentation(1.0, 2.0, 100_000, 7), 0.95)
+        est = ref.estimate_interval(ref.simulate_sedimentation(1.0, 2.0, 100_000, 7), 0.95)
         assert est.parameter == "na_prime"
         assert est.lo <= 1.0 <= est.hi
 
     def test_nonpositive_slope_is_estimation_error(self):
-        sample = pr.ExperimentSample(kind="brownian", times=(1.0, 2.0),
+        sample = ref.ExperimentSample(kind="brownian", times=(1.0, 2.0),
                                      msd=(1.0, -1.0), m_particles=10, c=1.0)
         with pytest.raises(pr.EstimationError):
-            pr.estimate_interval(sample, 0.95)
+            ref.estimate_interval(sample, 0.95)
 
     def test_confidence_validated(self):
-        sample = pr.simulate_sedimentation(1.0, 1.0, 100, 1)
+        sample = ref.simulate_sedimentation(1.0, 1.0, 100, 1)
         with pytest.raises(ValueError):
-            pr.estimate_interval(sample, 1.0)
+            ref.estimate_interval(sample, 1.0)
 
     def test_coverage_smoke(self):
         res = pr.coverage_study("brownian", 1.0, 2.0, 400, 200, 0.95, seed=19)
@@ -608,6 +622,10 @@ class TestEstimators:
     def test_coverage_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown sample kind 'brownain'"):
             pr.coverage_study("brownain", 1.0, 2.0, 400, 10, 0.95, seed=19)
+
+    def test_coverage_needs_a_rep(self):
+        with pytest.raises(ValueError, match="reps >= 1"):
+            pr.coverage_study("sediment", 1.0, 2.0, 400, 0, 0.95, seed=19)
 
     @settings(max_examples=60)
     # a rep whose slope numpy's square would round unlike Python's pow, by one ulp
@@ -626,7 +644,52 @@ class TestEstimators:
                            times))
 
 
+def kernel_intervals(*args):
+    return list(zip(*(column.tolist() for column in pr._intervals(*args))))
+
+
+class TestIntervalKernel:
+    @settings(max_examples=60)
+    # two particles at one time: the slope's standard error is the slope itself,
+    # so the interval reaches zero at the first rep
+    @example(kind="brownian", na_true=1.0, const=1.0, size=2, rep_seeds=[1, 2],
+             confidence=0.95, times=[1.0])
+    @given(kind=st.sampled_from(["brownian", "sediment"]), na_true=st.floats(0.05, 20.0),
+           const=st.floats(0.05, 20.0), size=st.integers(2, 300),
+           rep_seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20),
+           confidence=st.floats(0.5, 0.999),
+           times=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=9))
+    def test_kernel_equals_estimate_interval(self, kind, na_true, const, size, rep_seeds,
+                                             confidence, times):
+        args = (kind, na_true, const, size, rep_seeds, confidence, times)
+        assert outcome(kernel_intervals, *args) == outcome(reference_intervals, *args)
+
+
+schedules = st.lists(st.integers(2, 400), min_size=1, max_size=6, unique=True).map(sorted)
+
+
 class TestExperimentalStream:
+    @settings(max_examples=100)
+    @given(na=st.floats(0.05, 20.0), na_prime=st.floats(0.05, 20.0), c=st.floats(0.05, 20.0),
+           cprime=st.floats(0.05, 20.0), schedule=schedules, confidence=st.floats(0.5, 0.999),
+           seed=st.integers(0, 2**40),
+           times=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=9))
+    def test_stream_equals_reference_loop(self, na, na_prime, c, cprime, schedule, confidence,
+                                          seed, times):
+        args = (na, na_prime, schedule, confidence, seed, c, cprime, times)
+        assert (outcome(pr.experimental_stream, *args)
+                == outcome(ref.experimental_stream, *args))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_cli_streams_equal_reference_loop(self, seed):
+        # run_perrin's diagonal and off-diagonal streams at the default schedule
+        schedule = cli.validate_config("{}")["perrin"]["stream_schedule"]
+        for na, na_prime in ((1.0, 1.0), (0.8, 1.2)):
+            got = pr.experimental_stream(na, na_prime, schedule, 0.95, seed)
+            assert got == ref.experimental_stream(na, na_prime, schedule, 0.95, seed)
+            assert all(type(v) is float for e in got.prisms
+                       for v in (e.xlo, e.xhi, e.ylo, e.yhi))
+
     def test_diagonal_truth_keeps_simple(self):
         sr = pr.experimental_stream(1.0, 1.0, [50, 100, 200, 400, 800], 0.95, 20250801)
         assert sr.flagged_stage is None
