@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,30 +45,30 @@ EXPERIMENTS = ("lineworld", "gaussian", "predsel", "perrin")
 def _num(lo=None, hi=None, lo_open=False, hi_open=False, integer=False):
     def check(v, path):
         if isinstance(v, bool):
-            raise ConfigError(f"{path}: expected a number, got {v!r}")
+            raise ConfigError(f"{path}: expected a number, got {reprlib.repr(v)}")
         if integer:
             if not isinstance(v, int):
-                raise ConfigError(f"{path}: expected an integer, got {v!r}")
+                raise ConfigError(f"{path}: expected an integer, got {reprlib.repr(v)}")
         else:
             if not isinstance(v, (int, float)):
-                raise ConfigError(f"{path}: expected a number, got {v!r}")
+                raise ConfigError(f"{path}: expected a number, got {reprlib.repr(v)}")
             try:
                 finite = math.isfinite(v)  # JSON 1e400 parses to inf
             except OverflowError:  # an integer beyond the float range
                 finite = False
             if not finite:
-                raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+                raise ConfigError(f"{path}: expected a finite number, got {reprlib.repr(v)}")
         if lo is not None and (v <= lo if lo_open else v < lo):
-            raise ConfigError(f"{path}: {v} below the valid range")
+            raise ConfigError(f"{path}: {reprlib.repr(v)} below the valid range")
         if hi is not None and (v >= hi if hi_open else v > hi):
-            raise ConfigError(f"{path}: {v} above the valid range")
+            raise ConfigError(f"{path}: {reprlib.repr(v)} above the valid range")
         return v
     return check
 
 
 def _bool(v, path):
     if not isinstance(v, bool):
-        raise ConfigError(f"{path}: expected true/false, got {v!r}")
+        raise ConfigError(f"{path}: expected true/false, got {reprlib.repr(v)}")
     return v
 
 
@@ -78,7 +79,8 @@ def _numlist(item_check, increasing=False):
         items = [item_check(x, f"{path}[{i}]") for i, x in enumerate(v)]
         for i in range(1, len(items) if increasing else 0):
             if items[i] <= items[i - 1]:
-                raise ConfigError(f"{path}[{i}]: {items[i]} must exceed {path}[{i - 1}] = {items[i - 1]}")
+                raise ConfigError(f"{path}[{i}]: {reprlib.repr(items[i])} must exceed "
+                                  f"{path}[{i - 1}] = {reprlib.repr(items[i - 1])}")
         return items
     return check
 
@@ -89,20 +91,20 @@ def _experiment(v, path):
             return list(EXPERIMENTS)
         if v in EXPERIMENTS:
             return [v]
-        raise ConfigError(f"{path}: unknown experiment {v!r}")
+        raise ConfigError(f"{path}: unknown experiment {reprlib.repr(v)}")
     if isinstance(v, list):
         for i, x in enumerate(v):
             if x not in EXPERIMENTS:
-                raise ConfigError(f"{path}: unknown experiment {x!r}")
+                raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
             if x in v[:i]:
-                raise ConfigError(f"{path}[{i}]: duplicate experiment {x!r}")
+                raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
         return list(v)
     raise ConfigError(f"{path}: expected a name or list of names")
 
 
 def _string(v, path):
     if not isinstance(v, str):
-        raise ConfigError(f"{path}: expected a string, got {v!r}")
+        raise ConfigError(f"{path}: expected a string, got {reprlib.repr(v)}")
     return v
 
 
@@ -117,6 +119,8 @@ _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
 # 1 - alpha/2 stays below 1.0 (the float spacing there is ulp(1.0) / 2), so its normal quantile exists
 _ALPHA = _num(lo=math.ulp(1.0), hi=1, hi_open=True)
+# the stream's last half-width delta0 * ratio**(horizon - 1) takes the horizon as a float
+_HORIZON = _num(lo=1, hi=10**300, integer=True)
 # a refute_uniform history spans 16 lengths and its world sits at length / 4: finite and nonzero
 _LENGTH = _num(lo=1e-300, hi=1e300)
 
@@ -136,7 +140,7 @@ SCHEMA = {
     "check": (False, _bool),
     "plots": (True, _bool),
     "format": ("csv", lambda v, p: v if v in ("csv", "json") else (_ for _ in ()).throw(
-        ConfigError(f"{p}: expected 'csv' or 'json', got {v!r}"))),
+        ConfigError(f"{p}: expected 'csv' or 'json', got {reprlib.repr(v)}"))),
     "gaussian": {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
@@ -149,7 +153,7 @@ SCHEMA = {
         "theta_min": (-0.5, _num()),
         "theta_max": (0.5, _num()),
         "theta_step": (0.01, _num(lo=0, lo_open=True)),
-        "horizon": (60, _num(lo=1, integer=True)),
+        "horizon": (60, _HORIZON),
         "delta0": (1.0, _num(lo=0, lo_open=True)),
         "ratio": (0.7, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "offsets": ([0.0, -1.0, 0.7], _numlist(_num(lo=-1, hi=1))),
@@ -172,7 +176,7 @@ SCHEMA = {
         "grid_lo": (0.5, _num()),
         "grid_hi": (1.5, _num()),
         "grid_step": (0.02, _num(lo=0, lo_open=True)),
-        "horizon": (40, _num(lo=1, integer=True)),
+        "horizon": (40, _HORIZON),
         "delta0": (1.0, _num(lo=0, lo_open=True)),
         "ratio": (0.6, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "way1_p": (1.0, _num()),
@@ -194,7 +198,7 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
     for key, value in raw.items():
         dotted = f"{path}{key}"
         if key not in schema:
-            raise ConfigError(f"unknown key {dotted!r}")
+            raise ConfigError(f"unknown key {reprlib.repr(dotted)}")
         spec = schema[key]
         if isinstance(spec, dict):
             out[key] = _apply_schema(value, spec, f"{dotted}.")
@@ -254,9 +258,10 @@ def check_consistency(config: dict) -> None:
                               f"|world| + 2*delta0, beyond the float range (|world| <= {top})")
         half = StreamSpec(c["delta0"], c["ratio"]).half_width(c["horizon"] - 1)
         if half <= 2.0 * math.ulp(top):
-            raise ConfigError(f"{suite}.horizon: {c['horizon']} stages shrink the half-width "
-                              f"delta0*ratio**(horizon-1) to {half:.3g} (delta0={c['delta0']}, "
-                              f"ratio={c['ratio']}), at most twice the float spacing at {top}")
+            raise ConfigError(f"{suite}.horizon: {reprlib.repr(c['horizon'])} stages shrink the "
+                              f"half-width delta0*ratio**(horizon-1) to {half:.3g} "
+                              f"(delta0={c['delta0']}, ratio={c['ratio']}), at most twice the "
+                              f"float spacing at {top}")
         # the oracle steps one stage at a time until 4 * delta0 * ratio**t is below its
         # smallest gap: a world's |theta|, or for perrin DIAG_TOL or a width gate
         if suite == "lineworld":
@@ -494,7 +499,8 @@ def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
 def run_perrin(cfg: dict, out: Outputs):
     pc, seed = cfg["perrin"], cfg["seed"]
     config = perrin_config_from(cfg)
-    sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
+    methods = pr.builtin_methods(config)
+    sheets = {m.kind: pr.score_sheet(m, config) for m in methods}
 
     for kind, s in sheets.items():
         cells = s.domain.cells()
@@ -513,10 +519,7 @@ def run_perrin(cfg: dict, out: Outputs):
         }
         for kind, s in sheets.items()
     }
-    underdet = {
-        m.kind: pr.underdetermination_ok(m, config.grid, config.stream)
-        for m in pr.builtin_methods(config)
-    }
+    underdet = {m.kind: pr.underdetermination_ok(m, config.grid, config.stream) for m in methods}
     out.emit_json("scoresheet.json", scoresheet)
 
     coverage = {}
@@ -529,7 +532,7 @@ def run_perrin(cfg: dict, out: Outputs):
     streams = {}
     for label, (na, nb) in (("diagonal", (1.0, 1.0)), ("off_diagonal", (0.8, 1.2))):
         sr = pr.experimental_stream(na, nb, pc["stream_schedule"], 0.95, seed)
-        verdicts = [pr.decide_latest(pr.ockham_method(), e).value for e in sr.prisms]
+        verdicts = [v.value for v in pr.decide_prisms(pr.ockham_method(), sr.prisms)]
         streams[label] = {"stages": len(sr.prisms), "flagged_stage": sr.flagged_stage,
                           "ockham_verdicts": verdicts}
 

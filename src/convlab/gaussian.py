@@ -17,8 +17,9 @@ Truth probabilities come in two independent routes: a closed form based
 on the normal CDF, and a Monte Carlo frequency over the exact sampling
 distribution of the mean.  level_cap computes the 84.3% constant as
 2*Phi(sqrt(2)) - 1 rather than hard-coding it; the penalized-likelihood
-derivations that reduce AIC and BIC to these thresholds are executable
-references in the tests (tests/reference.py).
+derivations that reduce AIC and BIC to these thresholds, and the rule's
+decision on one sample mean, are executable references in the tests
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .framework import Verdict
+from .framework import ModeReport, OracleContradiction, Verdict
 from .rand import substream
 
 
@@ -113,13 +114,6 @@ def confidence_rule_95() -> TestRule:
 
 def bic_rule() -> TestRule:
     return TestRule(kind="bic")
-
-
-def decide(rule: TestRule, n: int, xbar: float) -> Verdict:
-    """COMPLEX iff |xbar| strictly exceeds the critical value (a tie
-    goes to the simple hypothesis); never SUSPEND."""
-    c = rule.critical_value(n)
-    return Verdict.COMPLEX if abs(xbar) > c else Verdict.SIMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +248,6 @@ def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
     ModeReports.  The analytic curve over n_grid is cross-checked
     against each certificate.
     """
-    from .framework import ModeReport, OracleContradiction
-
     if not theta_grid or not n_grid or not alpha_grid:
         raise ValueError("grids must be non-empty")
     # grid consistency: certified settle points must be honored on n_grid

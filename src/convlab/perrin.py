@@ -21,6 +21,13 @@ realist razor (SIMPLE while the prism meets the diagonal, COMPLEX once
 it cannot), the agnostic rule (SUSPEND instead of SIMPLE), and three
 ways of sacrificing strand worlds, each realizing one known failure
 mode (non-maximal domain, instability, or a missed strand interval).
+All five are one rule with different parameters, stated once in the
+table _RULES: a prism that meets the diagonal gets the kind's fixed
+verdict, any other prism COMPLEX, except that a prism narrower than the
+method's gate (which, for the kinds that read p, also contains (p, p))
+gets the kind's triggered verdict.  One kernel, _verdicts, applies the
+table to scalars or to columns of prisms; the analytic oracle alone
+reasons per kind.
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the one interval kernel that coverage studies and the
@@ -97,52 +104,46 @@ class PrismEvidence:
         if not (self.xlo < self.xhi and self.ylo < self.yhi):
             raise StreamError("degenerate prism")
 
-    @property
-    def width(self) -> float:
-        """Maximum side length."""
-        return max(self.xhi - self.xlo, self.yhi - self.ylo)
 
-    def overlap(self) -> bool:
-        """Does the prism meet the diagonal (both hypotheses live)?"""
-        return max(self.xlo, self.ylo) <= min(self.xhi, self.yhi)
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.xlo <= x <= self.xhi and self.ylo <= y <= self.yhi
+# kind -> (verdict on a prism that meets the diagonal, the parameters the
+# trigger reads, verdict once triggered): the one rule of the module docstring
+_RULES = {
+    "OCKHAM_REALIST": (Verdict.SIMPLE, (), None),
+    "ANTI_REALIST": (Verdict.SUSPEND, (), None),
+    "WAY1": (Verdict.SIMPLE, ("p", "gate"), Verdict.SUSPEND),
+    "WAY2": (Verdict.SIMPLE, ("p", "gate"), Verdict.COMPLEX),
+    "WAY3": (Verdict.SIMPLE, ("gate",), Verdict.COMPLEX),
+}
+VERDICTS = tuple(Verdict)  # _verdicts returns indices into this tuple
+# one byte per world: int64 codes made the sweep's per-stage temporaries eight times larger
+_CODE = {v: np.int8(code) for code, v in enumerate(VERDICTS)}
 
 
 @dataclass(frozen=True)
 class PerrinMethod:
-    """One of the five built-in inference rules.
+    """One of the five built-in inference rules (kind: a key of _RULES).
 
-    kind: OCKHAM_REALIST | ANTI_REALIST | WAY1 | WAY2 | WAY3.
-    p marks the sacrificed diagonal value for WAY1/WAY2; eps / delta0
-    are the width gates of the respective triggers.
+    p marks the sacrificed diagonal value and gate the prism width below
+    which the trigger fires, for the kinds whose trigger reads them.
     """
 
     kind: str
     p: Optional[float] = None
-    eps: Optional[float] = None
-    delta0: Optional[float] = None
+    gate: Optional[float] = None
 
     def __post_init__(self):
-        kinds = ("OCKHAM_REALIST", "ANTI_REALIST", "WAY1", "WAY2", "WAY3")
-        if self.kind not in kinds:
+        if self.kind not in _RULES:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.kind == "WAY1" and not (self.p is not None and self.eps and self.eps > 0):
-            raise ValueError("WAY1 needs p and eps > 0")
-        if self.kind == "WAY2" and not (self.p is not None and self.delta0 and self.delta0 > 0):
-            raise ValueError("WAY2 needs p and delta0 > 0")
-        if self.kind == "WAY3" and not (self.delta0 and self.delta0 > 0):
-            raise ValueError("WAY3 needs delta0 > 0")
+        reads = _RULES[self.kind][1]
+        if "p" in reads and self.p is None:
+            raise ValueError(f"{self.kind} needs p")
+        if "gate" in reads and not (self.gate and self.gate > 0):
+            raise ValueError(f"{self.kind} needs gate > 0")
 
     def label(self) -> str:
-        if self.kind == "WAY1":
-            return f"way1(p={self.p},eps={self.eps})"
-        if self.kind == "WAY2":
-            return f"way2(p={self.p},delta0={self.delta0})"
-        if self.kind == "WAY3":
-            return f"way3(delta0={self.delta0})"
-        return self.kind.lower()
+        reads = _RULES[self.kind][1]
+        params = ",".join(f"{name}={getattr(self, name)}" for name in reads)
+        return f"{self.kind.lower()}({params})" if reads else self.kind.lower()
 
 
 def ockham_method() -> PerrinMethod:
@@ -153,24 +154,24 @@ def anti_realist_method() -> PerrinMethod:
     return PerrinMethod(kind="ANTI_REALIST")
 
 
-def decide_latest(m: PerrinMethod, e: PrismEvidence) -> Verdict:
-    ok = Verdict.SIMPLE if e.overlap() else Verdict.COMPLEX
-    if m.kind == "OCKHAM_REALIST":
-        return ok
-    if m.kind == "ANTI_REALIST":
-        return Verdict.SUSPEND if e.overlap() else Verdict.COMPLEX
-    if m.kind == "WAY1":
-        if e.contains_point(m.p, m.p) and e.width < m.eps:
-            return Verdict.SUSPEND
-        return ok
-    if m.kind == "WAY2":
-        if e.contains_point(m.p, m.p) and e.width < m.delta0:
-            return Verdict.COMPLEX
-        return ok
-    # WAY3: complex once the prism is narrow, even while it meets the diagonal
-    if e.width < m.delta0:
-        return Verdict.COMPLEX
-    return ok
+def _verdicts(m: PerrinMethod, xlo, xhi, ylo, yhi):
+    """m's verdict codes (indices into VERDICTS) on the prisms with these
+    endpoints, scalars or arrays alike."""
+    on, reads, fired = _RULES[m.kind]
+    codes = np.where(np.maximum(xlo, ylo) <= np.minimum(xhi, yhi), _CODE[on],
+                     _CODE[Verdict.COMPLEX])
+    if not reads:
+        return codes
+    trigger = np.maximum(xhi - xlo, yhi - ylo) < m.gate
+    if "p" in reads:
+        trigger = trigger & (xlo <= m.p) & (m.p <= xhi) & (ylo <= m.p) & (m.p <= yhi)
+    return np.where(trigger, _CODE[fired], codes)
+
+
+def decide_prisms(m: PerrinMethod, prisms: Sequence[PrismEvidence]) -> tuple:
+    """m's verdict on each prism of a stream, from one _verdicts call."""
+    columns = np.array([(e.xlo, e.xhi, e.ylo, e.yhi) for e in prisms], dtype=float)
+    return tuple(VERDICTS[code] for code in _verdicts(m, *columns.reshape(-1, 4).T).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +188,8 @@ def canonical_prism_stream(w: PastaWorld, spec: StreamSpec, t: int) -> PrismEvid
 
 
 def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
-    stages = []
-    for t in range(horizon):
-        e = canonical_prism_stream(w, spec, t)
-        stages.append((e, decide_latest(m, e)))
-    return StreamTrace(world_id=w.world_id, stages=tuple(stages))
-
-
-def _truth_hits(m: PerrinMethod, strand, xlo, xhi, ylo, yhi):
-    """decide_latest for every world's prism at once, as array
-    predicates: does each world get its true answer at this stage?"""
-    overlap = np.maximum(xlo, ylo) <= np.minimum(xhi, yhi)
-    if m.kind == "OCKHAM_REALIST":
-        return np.where(strand, overlap, ~overlap)
-    if m.kind == "ANTI_REALIST":  # SUSPEND, never SIMPLE, on overlap
-        return ~strand & ~overlap
-    width = np.maximum(xhi - xlo, yhi - ylo)
-    if m.kind == "WAY3":
-        trigger = width < m.delta0
-    else:
-        gate = m.eps if m.kind == "WAY1" else m.delta0
-        trigger = ((xlo <= m.p) & (m.p <= xhi) & (ylo <= m.p) & (m.p <= yhi)
-                   & (width < gate))
-    simple = overlap & ~trigger
-    complex_ = ~overlap & ~trigger if m.kind == "WAY1" else ~overlap | trigger
-    return np.where(strand, simple, complex_)
+    prisms = [canonical_prism_stream(w, spec, t) for t in range(horizon)]
+    return StreamTrace(world_id=w.world_id, stages=tuple(zip(prisms, decide_prisms(m, prisms))))
 
 
 def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
@@ -222,6 +200,7 @@ def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
     does not end on the truth) and the first stage j whose verdict
     retracts a true answer given before it (horizon when none), which is
     what classify_convergence and check_stability read off a trace."""
+    truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
     settle = np.zeros(len(a), dtype=np.int64)
     retract = np.full(len(a), horizon, dtype=np.int64)
     seen = np.zeros(len(a), dtype=bool)
@@ -231,7 +210,7 @@ def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
         if not (all(np.isfinite(e).all() for e in (xlo, xhi, ylo, yhi))
                 and (xlo < xhi).all() and (ylo < yhi).all()):
             raise StreamError(f"degenerate prism at stage {t}")
-        hit = _truth_hits(m, strand, xlo, xhi, ylo, yhi)
+        hit = _verdicts(m, xlo, xhi, ylo, yhi) == truth
         settle[~hit] = t + 1
         retract[~hit & seen & (retract == horizon)] = t
         seen |= hit
@@ -281,7 +260,7 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     if m.kind == "OCKHAM_REALIST":
         settle[strand] = 0
     elif m.kind == "WAY3":  # COMPLEX once the prism is narrow, right only on the sheet
-        width = spec.first_stage(m.delta0, 2.0)
+        width = spec.first_stage(m.gate, 2.0)
         settle = np.where(strand, -1, np.where(off, np.minimum(settle, width), width))
     elif m.kind != "ANTI_REALIST":  # the agnostic rule suspends on the diagonal forever
         # WAY1 suspends forever at the sacrificed pair; WAY2 says COMPLEX
@@ -290,7 +269,7 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
         exits = strand & ~pair
         settle[exits] = _first_stages(spec, np.abs(a - m.p)[exits], 2.0)
         if m.kind == "WAY2":
-            settle[pair & ~strand] = spec.first_stage(m.delta0, 2.0)
+            settle[pair & ~strand] = spec.first_stage(m.gate, 2.0)
     return settle
 
 
@@ -483,8 +462,12 @@ def maximality_check(g: DomainGrid) -> ModeReport:
     UNDETERMINED world fails it; those are the first witnesses."""
     axis = g.axis
     n = len(axis)
-    witnesses = [{"check": "undetermined", "world": PastaWorld(a, b, int(c == "strand")).world_id}
-                 for c, a, b, status, _ in g.cells() if status is Status.UNDETERMINED][:25]
+    witnesses = [
+        {"check": "undetermined",
+         "world": (plane_world(axis[i // n], axis[i % n]) if i < n * n
+                   else strand_world(axis[i - n * n])).world_id}
+        for i in np.flatnonzero(g.codes == CODES[Status.UNDETERMINED])[:25].tolist()
+    ]
     plane = g.plane.reshape(n, n)
     witnesses += [
         {"check": "off_diagonal", "a": axis[ia], "b": axis[ib],
@@ -565,9 +548,9 @@ def builtin_methods(config: PerrinConfig) -> list:
     return [
         ockham_method(),
         anti_realist_method(),
-        PerrinMethod(kind="WAY1", p=config.way1_p, eps=config.way1_eps),
-        PerrinMethod(kind="WAY2", p=config.way2_p, delta0=config.way2_delta0),
-        PerrinMethod(kind="WAY3", delta0=config.way3_delta0),
+        PerrinMethod(kind="WAY1", p=config.way1_p, gate=config.way1_eps),
+        PerrinMethod(kind="WAY2", p=config.way2_p, gate=config.way2_delta0),
+        PerrinMethod(kind="WAY3", gate=config.way3_delta0),
     ]
 
 

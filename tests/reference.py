@@ -16,7 +16,7 @@ import numpy as np
 
 from convlab import perrin as pr
 from convlab.framework import AsymptoticOracle, MethodSpec, Status, Verdict
-from convlab.gaussian import normal_quantile
+from convlab.gaussian import TestRule, normal_quantile
 from convlab.lineworld import LineWorld, StreamSpec
 from convlab.predsel import FitResult, TruthSpec
 from convlab.rand import substream
@@ -40,6 +40,13 @@ def information_scores(xs: Sequence[float], penalty_per_param: float):
     return null_fit, free_fit + penalty_per_param
 
 
+def decide(rule: TestRule, n: int, xbar: float) -> Verdict:
+    """COMPLEX iff |xbar| strictly exceeds the critical value (a tie
+    goes to the simple hypothesis); never SUSPEND."""
+    c = rule.critical_value(n)
+    return Verdict.COMPLEX if abs(xbar) > c else Verdict.SIMPLE
+
+
 def aic_prefers_complex(xs: Sequence[float]) -> bool:
     s0, s1 = information_scores(xs, 2.0)
     return s1 < s0
@@ -48,6 +55,45 @@ def aic_prefers_complex(xs: Sequence[float]) -> bool:
 def bic_prefers_complex(xs: Sequence[float]) -> bool:
     s0, s1 = information_scores(xs, math.log(len(xs)))
     return s1 < s0
+
+
+# ---------------------------------------------------------------------------
+# perrin: the five rules one prism at a time (the scalar form of the
+# rule table perrin._RULES and its kernel perrin._verdicts)
+
+
+def width(e: pr.PrismEvidence) -> float:
+    """Maximum side length."""
+    return max(e.xhi - e.xlo, e.yhi - e.ylo)
+
+
+def overlap(e: pr.PrismEvidence) -> bool:
+    """Does the prism meet the diagonal (both hypotheses live)?"""
+    return max(e.xlo, e.ylo) <= min(e.xhi, e.yhi)
+
+
+def contains_point(e: pr.PrismEvidence, x: float, y: float) -> bool:
+    return e.xlo <= x <= e.xhi and e.ylo <= y <= e.yhi
+
+
+def decide_latest(m: pr.PerrinMethod, e: pr.PrismEvidence) -> Verdict:
+    ok = Verdict.SIMPLE if overlap(e) else Verdict.COMPLEX
+    if m.kind == "OCKHAM_REALIST":
+        return ok
+    if m.kind == "ANTI_REALIST":
+        return Verdict.SUSPEND if overlap(e) else Verdict.COMPLEX
+    if m.kind == "WAY1":
+        if contains_point(e, m.p, m.p) and width(e) < m.gate:
+            return Verdict.SUSPEND
+        return ok
+    if m.kind == "WAY2":
+        if contains_point(e, m.p, m.p) and width(e) < m.gate:
+            return Verdict.COMPLEX
+        return ok
+    # WAY3: complex once the prism is narrow, even while it meets the diagonal
+    if width(e) < m.gate:
+        return Verdict.COMPLEX
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -343,17 +343,49 @@ class TestFlags:
         ({"experiment": "gaussian", "gaussian": {"n_grid": [10, 10**400]}}, "gaussian.n_grid[1]"),
         # the suite would run once but summary.json would list it twice
         ({"experiment": ["lineworld", "lineworld"]}, "experiment[1]"),
+        # ratio**(horizon - 1) cannot take a horizon beyond the float range
+        ({"experiment": "perrin", "perrin": {"horizon": 10**3999}}, "perrin.horizon"),
+        ({"experiment": "lineworld", "lineworld": {"horizon": 10**300}}, "lineworld.horizon"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
-            "duplicate-experiment"])
+            "duplicate-experiment", "horizon-4000-digits", "horizon-1e300"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, start", [
+        ({"seed": [0] * 100_000}, "seed: expected an integer, got [0, 0, "),
+        ({"experiment": "x" * 100_000}, "experiment: unknown experiment 'xxx"),
+        ({"k" * 100_000: 1}, "unknown key 'kkk"),
+        ({"gaussian": {"mc_trials": 10**3999}}, "gaussian.mc_trials: 1000"),
+    ], ids=["long-list", "long-string", "long-key", "4000-digit-integer"])
+    def test_oversized_value_exit_two(self, tmp_path, capsys, config, start):
+        # the offending value is abbreviated, not printed whole
+        code, out = run_cli(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {start}") and len(err) < 300
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": [1, 2]}, "seed: expected an integer, got [1, 2]"),
+        ({"check": "yes"}, "check: expected true/false, got 'yes'"),
+        ({"out_dir": 5}, "out_dir: expected a string, got 5"),
+        ({"format": "xml"}, "format: expected 'csv' or 'json', got 'xml'"),
+        ({"experiment": ["perrin", "x"]}, "experiment: unknown experiment 'x'"),
+        ({"perrin": {"way9": 1}}, "unknown key 'perrin.way9'"),
+        ({"gaussian": {"mc_trials": 10**30}},
+         "gaussian.mc_trials: 1000000000000000000000000000000 above the valid range"),
+        ({"perrin": {"ratio": 1.5}}, "perrin.ratio: 1.5 above the valid range"),
+    ])
+    def test_short_values_print_whole(self, tmp_path, capsys, config, message):
+        assert run_cli(tmp_path, config)[0] == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("config, field", [
         ({"perrin": {"grid_hi": 1000000}}, "perrin.grid_step"),

@@ -11,29 +11,52 @@ SRC = sorted((ROOT / "src" / "convlab").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
+def _module(node: ast.ImportFrom):
+    """The convlab module an import reads from: its stem, "" for the
+    package itself, None outside the package."""
+    name = node.module or ""
+    if node.level == 0:
+        if name != "convlab" and not name.startswith("convlab."):
+            return None
+        name = name[len("convlab"):].lstrip(".")
+    return name
+
+
 def referenced_names():
-    """Every identifier that src/ or bench/ reads, imports or (bench only,
-    where bench/layers.py names the functions it wraps) spells as a string."""
-    names = set()
+    """(module, name) for every definition that src/ or bench/ refers to:
+    a module using its own name, `from <module> import name`, an attribute
+    `<alias>.name` of an imported module, and a ("module", "name") string
+    pair in bench/, where bench/layers.py names the functions it wraps."""
+    refs = set()
     for path in SRC + BENCH:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-            elif (path in BENCH and isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)):
-                names.add(node.value)
-    return names
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}  # local name -> module stem, from `from convlab import x as y`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _module(node) is not None:
+                for alias in node.names:
+                    if _module(node):
+                        refs.add((_module(node), alias.name))
+                    else:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and path in SRC:
+                refs.add((path.stem, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                refs.add((aliases[node.value.id], node.attr))
+            elif (path in BENCH and isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                          for e in node.elts)):
+                refs.add(tuple(e.value for e in node.elts))
+    return refs
 
 
 def test_every_top_level_definition_is_referenced():
     used = referenced_names()
     unused = [f"{path.stem}.{node.name}" for path in SRC
               for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and (path.stem, node.name) not in used]
     assert SRC and not unused, (f"defined in src/convlab but referenced from neither src/ "
                                 f"nor bench/ (move test-only code to tests/reference.py): "
                                 f"{unused}")

@@ -41,7 +41,7 @@ def scalar_oracle(m, w, spec):
     separation = lambda: spec.first_stage(abs(w.na - w.na_prime), 4.0)
     # (p, p) has left every prism once its width is below the distance to it
     point_exit = lambda: spec.first_stage(max(abs(w.na - m.p), abs(w.na_prime - m.p)), 2.0)
-    width = lambda: spec.first_stage(m.delta0, 2.0)  # every prism is narrower than delta0
+    width = lambda: spec.first_stage(m.gate, 2.0)  # every prism is narrower than the gate
 
     if m.kind == "OCKHAM_REALIST":
         if w.z == 1:
@@ -117,12 +117,19 @@ def sweep_cases(draw):
     gate = draw(st.floats(0.01, 5))
     m = draw(st.sampled_from([
         pr.ockham_method(), pr.anti_realist_method(),
-        pr.PerrinMethod(kind="WAY1", p=p, eps=gate),
-        pr.PerrinMethod(kind="WAY2", p=p, delta0=gate),
-        pr.PerrinMethod(kind="WAY3", delta0=gate),
+        pr.PerrinMethod(kind="WAY1", p=p, gate=gate),
+        pr.PerrinMethod(kind="WAY2", p=p, gate=gate),
+        pr.PerrinMethod(kind="WAY3", gate=gate),
     ]))
     delta0, ratio, offsets = draw(drift_params())
     return m, grid, StreamSpec(delta0, ratio, "offcenter", offsets), draw(st.integers(1, 40))
+
+
+def decide(m, e):
+    """The kernel's verdict on one prism, which must be the reference rule's."""
+    (verdict,) = pr.decide_prisms(m, [e])
+    assert verdict is ref.decide_latest(m, e)
+    return verdict
 
 
 @pytest.fixture(scope="module")
@@ -133,40 +140,96 @@ def small_sheets():
 class TestDecide:
     def test_realist_razor_keeps_simple_on_overlap(self):
         e = pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)
-        assert pr.decide_latest(pr.ockham_method(), e) is S
+        assert decide(pr.ockham_method(), e) is S
 
     def test_both_deduce_complex_without_overlap(self):
         e = pr.PrismEvidence(0.2, 0.4, 0.6, 0.8)
-        assert pr.decide_latest(pr.ockham_method(), e) is C
-        assert pr.decide_latest(pr.anti_realist_method(), e) is C
+        assert decide(pr.ockham_method(), e) is C
+        assert decide(pr.anti_realist_method(), e) is C
 
     def test_agnostic_rule_suspends_on_overlap(self):
         e = pr.PrismEvidence(0.9, 1.1, 0.95, 1.2)
-        assert pr.decide_latest(pr.anti_realist_method(), e) is Q
+        assert decide(pr.anti_realist_method(), e) is Q
 
     def test_way2_sacrifices_despite_overlap(self):
-        way2 = pr.PerrinMethod(kind="WAY2", p=1.0, delta0=0.1)
+        way2 = pr.PerrinMethod(kind="WAY2", p=1.0, gate=0.1)
         e = pr.PrismEvidence(0.97, 1.03, 0.98, 1.02)
-        assert e.overlap()
-        assert pr.decide_latest(way2, e) is C
+        assert ref.overlap(e)
+        assert decide(way2, e) is C
 
     def test_way1_suspends_at_sacrificed_point(self):
-        way1 = pr.PerrinMethod(kind="WAY1", p=1.0, eps=0.5)
+        way1 = pr.PerrinMethod(kind="WAY1", p=1.0, gate=0.5)
         e = pr.PrismEvidence(0.97, 1.03, 0.98, 1.02)
-        assert pr.decide_latest(way1, e) is Q
+        assert decide(way1, e) is Q
 
     def test_way3_threshold(self):
-        way3 = pr.PerrinMethod(kind="WAY3", delta0=0.05)
-        assert pr.decide_latest(way3, pr.PrismEvidence(0.99, 1.01, 0.99, 1.01)) is C
-        assert pr.decide_latest(way3, pr.PrismEvidence(0.9, 1.1, 0.9, 1.1)) is S
+        way3 = pr.PerrinMethod(kind="WAY3", gate=0.05)
+        assert decide(way3, pr.PrismEvidence(0.99, 1.01, 0.99, 1.01)) is C
+        assert decide(way3, pr.PrismEvidence(0.9, 1.1, 0.9, 1.1)) is S
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
             pr.PerrinMethod(kind="WAY1", p=1.0)
         with pytest.raises(ValueError):
-            pr.PerrinMethod(kind="WAY2", p=1.0, delta0=-0.5)
+            pr.PerrinMethod(kind="WAY2", p=1.0, gate=-0.5)
         with pytest.raises(ValueError):
             pr.PerrinMethod(kind="WAY9")
+
+
+# eighths: sums and differences are exact, so edges fall exactly on p, widths
+# exactly on the gate and prisms exactly touch the diagonal
+tie_or_float = st.integers(-24, 24).map(lambda k: k / 8) | st.floats(-3, 3)
+lengths = st.integers(1, 24).map(lambda k: k / 8) | st.floats(1e-3, 5)  # gates and sides
+
+
+@st.composite
+def verdict_cases(draw):
+    """(method, prisms): any kind, carrying p and a gate whether or not its
+    rule reads them, and prisms whose endpoints tie with p, the gate and the
+    diagonal as often as not."""
+    kind = draw(st.sampled_from(["OCKHAM_REALIST", "ANTI_REALIST", "WAY1", "WAY2", "WAY3"]))
+    p = draw(tie_or_float if kind in ("WAY1", "WAY2") else st.none() | tie_or_float)
+    gate = draw(lengths if kind.startswith("WAY") else st.none() | lengths)
+    prisms = []
+    for _ in range(draw(st.integers(0, 12))):
+        xlo, ylo, xw, yw = (draw(s) for s in (tie_or_float, tie_or_float, lengths, lengths))
+        prisms.append(pr.PrismEvidence(xlo, xlo + xw, ylo, ylo + yw))
+    return pr.PerrinMethod(kind, p=p, gate=gate), prisms
+
+
+class TestVerdictKernel:
+    @settings(max_examples=300)
+    @given(case=verdict_cases())
+    def test_kernel_equals_reference_rule(self, case):
+        m, prisms = case
+        reference = tuple(ref.decide_latest(m, e) for e in prisms)
+        assert pr.decide_prisms(m, prisms) == reference
+        assert tuple(pr.VERDICTS[int(pr._verdicts(m, e.xlo, e.xhi, e.ylo, e.yhi))]
+                     for e in prisms) == reference
+
+    @pytest.mark.parametrize("m", [
+        pr.ockham_method(), pr.anti_realist_method(),
+        pr.PerrinMethod("OCKHAM_REALIST", p=1.0, gate=1.0),
+        pr.PerrinMethod("WAY1", p=1.0, gate=0.5), pr.PerrinMethod("WAY2", p=1.0, gate=0.5),
+        pr.PerrinMethod("WAY3", gate=0.5), pr.PerrinMethod("WAY3", p=1.0, gate=0.5),
+    ], ids=["ockham", "anti_realist", "ockham-with-p-and-gate", "way1", "way2", "way3",
+            "way3-with-p"])
+    def test_ties(self, m):
+        prisms = [
+            pr.PrismEvidence(1.0, 1.25, 0.75, 1.0),    # two edges exactly at p = 1
+            pr.PrismEvidence(0.75, 1.25, 0.75, 1.0),   # width exactly at the gate 0.5
+            pr.PrismEvidence(0.75, 1.0, 0.5, 0.75),    # touches the diagonal at one corner
+            pr.PrismEvidence(0.0, 0.25, 0.25, 0.5),    # touches it away from p
+            pr.PrismEvidence(0.0, 0.25, 0.5, 0.75),    # misses it
+            pr.PrismEvidence(1.5, 1.75, 1.5, 1.75),    # narrow, on it, away from p
+        ]
+        assert pr.decide_prisms(m, prisms) == tuple(ref.decide_latest(m, e) for e in prisms)
+
+    def test_kernel_takes_columns(self):
+        xlo = np.array([0.9, 0.2, 0.97])
+        codes = pr._verdicts(pr.PerrinMethod("WAY2", p=1.0, gate=0.1), xlo, xlo + 0.06,
+                             np.array([0.95, 0.6, 0.98]), np.array([1.2, 0.8, 1.02]))
+        assert [pr.VERDICTS[c] for c in codes.tolist()] == [S, C, C]
 
 
 class TestPrismStreams:
@@ -179,8 +242,8 @@ class TestPrismStreams:
         w = pr.plane_world(0.8, 1.2)
         spec = StreamSpec(1.0, 0.5)
         first = next(t for t in range(40)
-                     if not pr.canonical_prism_stream(w, spec, t).overlap())
-        assert pr.canonical_prism_stream(w, spec, first - 1).overlap()
+                     if not ref.overlap(pr.canonical_prism_stream(w, spec, t)))
+        assert ref.overlap(pr.canonical_prism_stream(w, spec, first - 1))
         # centered streams separate once the width drops below the gap
         assert 2.0 * spec.half_width(first) < 0.4 <= 2.0 * spec.half_width(first - 1)
 
@@ -191,7 +254,7 @@ class TestPrismStreams:
         spec = StreamSpec(1.0, 0.6, "offcenter", lam)
         e = pr.canonical_prism_stream(w, spec, t)
         prev = pr.canonical_prism_stream(w, spec, t - 1)
-        assert e.contains_point(a, b)
+        assert ref.contains_point(e, a, b)
         assert prev.xlo <= e.xlo and e.xhi <= prev.xhi
         assert prev.ylo <= e.ylo and e.yhi <= prev.yhi
 
@@ -228,7 +291,7 @@ class TestDomains:
         assert plane[0, n - 1] == CONV
 
     def test_way1_diverges_only_at_sacrificed_pair(self):
-        way1 = pr.PerrinMethod(kind="WAY1", p=1.0, eps=4.0)
+        way1 = pr.PerrinMethod(kind="WAY1", p=1.0, gate=4.0)
         g = pr.domain_of_convergence(way1, SMALL.grid, SMALL.stream, 40)
         idx = g.axis.index(1.0)
         assert g.strand.tolist() == [DIV if ia == idx else CONV for ia in range(len(g.axis))]
@@ -241,7 +304,7 @@ class TestDomains:
         # settle stage equals the first stage whose prism leaves the diagonal
         w = pr.plane_world(g.axis[0], g.axis[-1])
         brute = next(t for t in range(40)
-                     if not pr.canonical_prism_stream(w, SMALL.stream, t).overlap())
+                     if not ref.overlap(pr.canonical_prism_stream(w, SMALL.stream, t)))
         assert cells[n - 1] == ("plane", g.axis[0], g.axis[-1], Status.CONVERGES, brute)
         assert brute == 2
 
@@ -332,9 +395,9 @@ def oracle_cases(draw):
     gate = draw(st.floats(0.01, 5))
     m = draw(st.sampled_from([
         pr.ockham_method(), pr.anti_realist_method(),
-        pr.PerrinMethod(kind="WAY1", p=p, eps=gate),
-        pr.PerrinMethod(kind="WAY2", p=p, delta0=gate),
-        pr.PerrinMethod(kind="WAY3", delta0=gate),
+        pr.PerrinMethod(kind="WAY1", p=p, gate=gate),
+        pr.PerrinMethod(kind="WAY2", p=p, gate=gate),
+        pr.PerrinMethod(kind="WAY3", gate=gate),
     ]))
     near = draw(st.floats(1e-14, 0.9 * pr.DIAG_TOL))  # nonzero at |a| <= 3
     worlds = grid_worlds(axis) + [pr.plane_world(p, p), pr.strand_world(p)]
@@ -449,7 +512,7 @@ class TestStability:
                 == raised_or(lambda: scalar_stability_scan(m, worlds, specs, horizon)))
 
     def test_scan_keeps_the_first_ten_witnesses_in_scalar_order(self):
-        way2 = pr.PerrinMethod(kind="WAY2", p=1.0, delta0=0.3)
+        way2 = pr.PerrinMethod(kind="WAY2", p=1.0, gate=0.3)
         worlds = pr.default_stability_worlds(SMALL.grid)
         specs = pr.stability_spec_variants(SMALL.stream)
         failures = sum(not check_stability(pr.trace(way2, w, s, 40), w.truth)[0]
@@ -461,7 +524,7 @@ class TestStability:
     def test_way2_witness_replays(self, small_sheets):
         wit = [w for w in small_sheets["WAY2"].stable.witnesses
                if w["z"] == 1 and w["na"] == 1.0][0]
-        way2 = pr.PerrinMethod(kind="WAY2", p=SMALL.way2_p, delta0=SMALL.way2_delta0)
+        way2 = pr.PerrinMethod(kind="WAY2", p=SMALL.way2_p, gate=SMALL.way2_delta0)
         world = pr.strand_world(wit["na"])
         for spec in pr.stability_spec_variants(SMALL.stream):
             if spec.label() == wit["stream"]:
@@ -693,18 +756,22 @@ class TestExperimentalStream:
     def test_diagonal_truth_keeps_simple(self):
         sr = pr.experimental_stream(1.0, 1.0, [50, 100, 200, 400, 800], 0.95, 20250801)
         assert sr.flagged_stage is None
-        verdicts = [pr.decide_latest(pr.ockham_method(), e) for e in sr.prisms]
-        assert all(v is S for v in verdicts)
+        assert set(pr.decide_prisms(pr.ockham_method(), sr.prisms)) == {S}
 
     def test_off_diagonal_truth_eventually_complex(self):
         sr = pr.experimental_stream(0.8, 1.2, [50, 100, 200, 400, 800], 0.95, 20250801)
-        verdicts = [pr.decide_latest(pr.ockham_method(), e) for e in sr.prisms]
-        assert verdicts[-1] is C
+        assert pr.decide_prisms(pr.ockham_method(), sr.prisms)[-1] is C
 
     def test_nestedness_by_construction(self):
         sr = pr.experimental_stream(0.9, 1.1, [50, 100, 200, 400], 0.95, 11)
         for a, b in zip(sr.prisms, sr.prisms[1:]):
             assert a.xlo <= b.xlo and b.xhi <= a.xhi and a.ylo <= b.ylo and b.yhi <= a.yhi
+
+    def test_stream_flagged_at_stage_zero_has_no_verdicts(self):
+        # two particles at one time: the slope interval reaches zero at once
+        sr = pr.experimental_stream(1.0, 1.0, [2], 0.95, 1, times=[1.0])
+        assert (sr.prisms, sr.flagged_stage) == ((), 0)
+        assert pr.decide_prisms(pr.ockham_method(), sr.prisms) == ()
 
     def test_containment_failure_flagged_not_fabricated(self):
         # at 50% confidence the per-stage intervals miss the truth often,
