@@ -102,7 +102,11 @@ class StreamTrace:
     stages: tuple  # tuple of (evidence_item, Verdict)
 
     def verdicts(self) -> tuple:
-        return tuple(v for _, v in self.stages)
+        """The verdicts in stage order, built on the first call and kept
+        (not as a field, so equality and repr ignore it)."""
+        if "_verdicts" not in self.__dict__:
+            object.__setattr__(self, "_verdicts", tuple(v for _, v in self.stages))
+        return self._verdicts
 
     def __len__(self) -> int:
         return len(self.stages)

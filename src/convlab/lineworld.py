@@ -60,9 +60,9 @@ class IntervalEvidence:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise StreamError("interval endpoints must be finite")
-        if not self.lo < self.hi:
+        if not -math.inf < self.lo < self.hi < math.inf:  # also false on a NaN
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                raise StreamError("interval endpoints must be finite")
             raise StreamError(f"degenerate interval [{self.lo}, {self.hi}]")
 
     @property
@@ -89,8 +89,13 @@ class StreamSpec:
     every stage, and stage t nests in stage t-1 for every theta iff
     (lam_t - 1) * ratio >= lam_{t-1} - 1 and (lam_t + 1) * ratio <=
     lam_{t-1} + 1.  A sequence breaking this by more than 1e-12 raises
-    StreamError; constant offsets always nest.  bounds and first_stage
-    are the stage arithmetic of both interval suites.
+    StreamError; constant offsets always nest.
+
+    bounds, stages, half_widths and first_stage are the stage arithmetic
+    of both interval suites.  They read one table per spec, which holds
+    each stage's half-width and endpoint pair and depends on no world.
+    It is filled on first use, once per stage, up to the last stage asked
+    for: a trace's horizon, or the stage first_stage returns.
     """
 
     delta0: float = 1.0
@@ -114,8 +119,11 @@ class StreamSpec:
         for t, (prev, lam) in enumerate(zip(offs, offs[1:]), start=1):
             if (lam - 1.0) * r < prev - 1.0 - 1e-12 or (lam + 1.0) * r > prev + 1.0 + 1e-12:
                 raise StreamError(f"offset {lam} at stage {t} breaks nesting under stage {t - 1}")
-        # normalized once; not a field, so equality and label() see `offset`
+        # the offsets normalized once, and the stage table: none is a field,
+        # so equality, hash, repr and label() see `offset` only
         object.__setattr__(self, "_lams", offs if self.drift == "offcenter" else (0.0,))
+        object.__setattr__(self, "_halves", [])  # half_width(t), stage by stage
+        object.__setattr__(self, "_ends", [])  # bounds(t), never longer than _halves
 
     def half_width(self, t: int) -> float:
         return self.delta0 * self.ratio**t
@@ -123,22 +131,45 @@ class StreamSpec:
     def offset_at(self, t: int) -> float:
         return self._lams[min(t, len(self._lams) - 1)]
 
+    def _grow_halves(self, n: int) -> list:
+        """The table's half-widths, grown in place to at least n stages."""
+        halves = self._halves
+        halves.extend(map(self.half_width, range(len(halves), n)))
+        return halves
+
+    def _grow_ends(self, n: int) -> list:
+        """The table's endpoint pairs, grown in place to at least n stages."""
+        ends, halves = self._ends, self._grow_halves(n)
+        for t in range(len(ends), n):
+            d, lam = halves[t], self.offset_at(t)
+            ends.append(((lam - 1.0) * d, (lam + 1.0) * d))
+        return ends
+
+    def half_widths(self, n: int) -> list:
+        """half_width(t) for t < n, from the table."""
+        return self._grow_halves(n)[:max(n, 0)]
+
+    def stages(self, n: int) -> list:
+        """bounds(t) for t < n, from the table."""
+        return self._grow_ends(n)[:max(n, 0)]
+
     def bounds(self, t: int) -> tuple:
         """Stage-t endpoints less the world's value, (lam -+ 1) * d: fixed
         signs and shrinking with d keep containment and nesting exact."""
         if t < 0:
             raise ValueError("stage must be >= 0")
-        d, lam = self.half_width(t), self.offset_at(t)
-        return (lam - 1.0) * d, (lam + 1.0) * d
+        return self._grow_ends(t + 1)[t]
 
     def first_stage(self, gap: float, k: float) -> int:
         """First stage t with k * half_width(t) < gap: with k = 2 the
         interval's width is below gap, with k = 4 twice its width is."""
         if not gap > 0.0:
             raise ValueError("gap must be positive")
-        t = 0
-        while k * self.half_width(t) >= gap:
+        halves, t = self._grow_halves(1), 0
+        while k * halves[t] >= gap:
             t += 1
+            if t == len(halves):
+                self._grow_halves(t + 1)
         return t
 
     def label(self) -> str:
@@ -157,17 +188,20 @@ def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
 def _decisions(method: MethodSpec, evidence) -> tuple:
     """(evidence, verdict) per stage, each decided once, on one growing
     history list that holds the stages up to and including it."""
-    hist, stages = [], []
+    decide, hist, stages = method.decide, [], []
     for e in evidence:
         hist.append(e)
-        stages.append((e, method.decide(hist)))
+        stages.append((e, decide(hist)))
     return tuple(stages)
 
 
 def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
-    """Run a method along the canonical stream for `horizon` stages."""
-    stages = _decisions(method, (interval_at(w.theta, spec, t) for t in range(horizon)))
-    return StreamTrace(world_id=f"{FAMILY}:theta={w.theta!r}", stages=stages)
+    """Run a method along the canonical stream for `horizon` stages: the
+    intervals interval_at builds, from the spec's table."""
+    theta = w.theta
+    evidence = [IntervalEvidence(theta + below, theta + above)
+                for below, above in spec.stages(horizon)]
+    return StreamTrace(world_id=f"{FAMILY}:theta={theta!r}", stages=_decisions(method, evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +354,10 @@ def refute_uniform(method: MethodSpec, prescribed_length: float) -> UniformWitne
 
 def witness_is_valid(method: MethodSpec, wit: UniformWitness, prescribed_length: float) -> bool:
     """Replay a uniform-convergence witness: the history must be
-    admissible at the witness world, end at or below the prescribed
-    length, and reproduce a verdict that is false at that world."""
-    eps = 1e-12
+    admissible at the witness world (nested, each interval strictly
+    narrower than the one before, at any scale), end at or below the
+    prescribed length, and reproduce a verdict that is false at that
+    world."""
     final = wit.history[wit.failing_stage]
     if final.width > prescribed_length * (1 + 1e-9):
         return False
@@ -331,7 +366,7 @@ def witness_is_valid(method: MethodSpec, wit: UniformWitness, prescribed_length:
             return False
         if t > 0 and not e.is_subset_of(wit.history[t - 1]):
             return False
-        if t > 0 and not e.width < wit.history[t - 1].width + eps:
+        if t > 0 and not e.width < wit.history[t - 1].width:
             return False
     replayed = method.decide(list(wit.history[: wit.failing_stage + 1]))
     return replayed is wit.verdict and replayed is not wit.truth

@@ -233,14 +233,14 @@ def _world_arrays(worlds: Sequence[PastaWorld]):
 
 def _first_stages(spec: StreamSpec, gaps, k: float):
     """spec.first_stage(gap, k) per (positive) gap: the number of stages s
-    with k * spec.half_width(s) >= gap, the half-widths only shrinking."""
+    with k * half_width(s) >= gap, counted over the spec's half-widths
+    (which only shrink) through the smallest gap's first stage."""
     gaps = np.asarray(gaps, dtype=float)
     if not (gaps > 0.0).all():
         raise ValueError("gaps must be positive")
-    widths, stop = [], gaps.min(initial=math.inf)
-    while not widths or widths[-1] >= stop:
-        widths.append(k * spec.half_width(len(widths)))
-    return len(widths) - np.searchsorted(widths[::-1], gaps)
+    n = spec.first_stage(gaps.min(initial=math.inf), k) + 1
+    widths = k * np.array(spec.half_widths(n))
+    return n - np.searchsorted(widths[::-1], gaps)
 
 
 def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):

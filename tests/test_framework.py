@@ -121,6 +121,15 @@ class TestStability:
             assert check_stability(suffix, w.truth)[0]
 
 
+class TestStreamTrace:
+    def test_verdicts_built_once_and_not_a_field(self):
+        trace = make_trace([S, C, Q])
+        assert trace.verdicts() == (S, C, Q)
+        assert trace.verdicts() is trace.verdicts()
+        assert trace == make_trace([S, C, Q]) and hash(trace) == hash(make_trace([S, C, Q]))
+        assert repr(trace) == repr(make_trace([S, C, Q]))
+
+
 class TestModeReport:
     def test_failing_report_needs_witnesses(self):
         with pytest.raises(ValueError):

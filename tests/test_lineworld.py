@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -37,6 +38,36 @@ def per_stage_contract(theta, spec, t):
         return False
     prev = lw.interval_at(theta, spec, t - 1) if t > 0 else e
     return e.lo >= prev.lo - slack and e.hi <= prev.hi + slack
+
+
+@st.composite
+def table_specs(draw):
+    """(spec, lam) for a centered spec, or an off-center one with a scalar
+    or a sequence offset; lam(t) is the stage-t offset the spec must use,
+    the sequence's last entry past its end."""
+    delta0, ratio, offsets = draw(drift_params())
+    shape = draw(st.sampled_from(["centered", "scalar", "sequence"]))
+    if shape == "centered":
+        return lw.StreamSpec(delta0, ratio), lambda t: 0.0
+    offset = offsets[0] if shape == "scalar" else offsets
+    lams = offsets[:1] if shape == "scalar" else offsets
+    return (lw.StreamSpec(delta0, ratio, "offcenter", offset),
+            lambda t: lams[min(t, len(lams) - 1)])
+
+
+def closed_form(spec, lam, t):
+    """Stage t's (lam -+ 1) * delta0 * ratio**t, computed per stage."""
+    d = spec.delta0 * spec.ratio**t
+    return (lam(t) - 1.0) * d, (lam(t) + 1.0) * d
+
+
+def endpoint_bits(method, theta, spec, horizon):
+    """The trace's endpoints as hex strings, or the error that refused it."""
+    try:
+        tr = lw.trace(method, lw.LineWorld(theta), spec, horizon)
+    except StreamError:
+        return "StreamError"
+    return [(e.lo.hex(), e.hi.hex()) for e, _ in tr.stages]
 
 
 class TestDecisionRule:
@@ -95,8 +126,8 @@ class TestStreams:
 
     def test_trace_builds_each_stage_once(self, monkeypatch):
         calls, lengths = [], []
-        original = lw.interval_at
-        monkeypatch.setattr(lw, "interval_at", lambda *a: calls.append(a) or original(*a))
+        original = lw.IntervalEvidence
+        monkeypatch.setattr(lw, "IntervalEvidence", lambda *a: calls.append(a) or original(*a))
         method = lw.MethodSpec(name="recording",
                                decide=lambda hist: lengths.append(len(hist)) or S)
         lw.trace(method, lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
@@ -144,6 +175,66 @@ class TestStreams:
         assert e.width == pytest.approx(2.0 * delta0 * ratio**t, rel=1e-9)
         if t > 0:
             assert e.is_subset_of(lw.interval_at(theta, spec, t - 1))
+
+
+class TestStageTable:
+    @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
+           horizon=st.integers(0, 120))
+    def test_trace_endpoints_equal_the_closed_form(self, case, theta, horizon):
+        spec, lam = case
+        expected = [(theta + below, theta + above)
+                    for below, above in (closed_form(spec, lam, t) for t in range(horizon))]
+        if all(lo < hi for lo, hi in expected):
+            expected = [(lo.hex(), hi.hex()) for lo, hi in expected]
+        else:  # an endpoint rounded onto the world: the stage is refused, not built
+            expected = "StreamError"
+        assert endpoint_bits(constant_method(S), theta, spec, horizon) == expected
+
+    @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
+           horizon=st.integers(1, 120), past=st.integers(1, 300))
+    def test_table_does_not_depend_on_fill_order(self, case, theta, horizon, past):
+        spec, lam = case
+        m = constant_method(S)
+        fresh = lw.StreamSpec(spec.delta0, spec.ratio, spec.drift, spec.offset)
+        first = endpoint_bits(m, theta, fresh, horizon)
+        # the other order: far ahead first, then past that, then the trace twice
+        tiny = spec.first_stage(1e-300, 4.0)
+        far = tiny + past
+        bits = [b.hex() for b in spec.bounds(far)]
+        assert bits == [b.hex() for b in closed_form(spec, lam, far)]
+        assert endpoint_bits(m, theta, spec, horizon) == first
+        assert endpoint_bits(m, theta, spec, horizon) == first
+        assert fresh.first_stage(1e-300, 4.0) == tiny
+        assert [b.hex() for b in fresh.bounds(far)] == bits
+        assert fresh.half_widths(far + 1) == spec.half_widths(far + 1) == [
+            spec.delta0 * spec.ratio**t for t in range(far + 1)]
+
+    @pytest.mark.parametrize("args", [(1.0, 0.5), (0.3, 0.6, "offcenter", 0.8),
+                                      (1.0, 0.5, "offcenter", (0.0, -0.5, -1.0))])
+    def test_filled_spec_is_a_plain_value(self, args):
+        filled, fresh = lw.StreamSpec(*args), lw.StreamSpec(*args)
+        lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.1)], filled, 30)
+        filled.first_stage(1e-9, 4.0)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) and filled.label() == fresh.label()
+        assert {fresh: "found"}[filled] == "found"
+
+    @pytest.mark.parametrize("horizon", [10, 40])
+    def test_check_pointwise_computes_each_half_width_once(self, monkeypatch, horizon):
+        calls = []
+        original = lw.StreamSpec.half_width
+        monkeypatch.setattr(lw.StreamSpec, "half_width",
+                            lambda self, t: calls.append(t) or original(self, t))
+        worlds = [lw.LineWorld(x / 100) for x in range(-50, 51)]
+        lw.check_pointwise(lw.mstar_method(), worlds, lw.StreamSpec(1.0, 0.7), horizon)
+        # the oracle's deepest stage: the first with 2 * 0.7**t below the smallest |theta|
+        oracle = next(t for t in range(100) if 2.0 * 0.7**t < 0.01)
+        assert sorted(calls) == list(range(max(horizon, oracle + 1)))
+
+    def test_negative_counts_give_no_stages(self):
+        spec = lw.StreamSpec()
+        assert spec.stages(-1) == spec.half_widths(-1) == []
+        assert len(lw.trace(constant_method(S), lw.LineWorld(0.0), spec, -1)) == 0
 
 
 class TestPointwise:
@@ -241,6 +332,25 @@ class TestRefuteUniform:
         m = lw.MethodSpec(name="generated", decide=decide)
         wit = lw.refute_uniform(m, length)
         assert lw.witness_is_valid(m, wit, length)
+
+    @pytest.mark.parametrize("length", [1e-13, 1e-300])
+    def test_constant_width_history_rejected(self, length):
+        # five copies of one interval: admissible only if widths shrink
+        same = lw.IntervalEvidence(-length / 2.0, length / 2.0)
+        wit = lw.UniformWitness(world=lw.LineWorld(length / 4.0), history=(same,) * 5,
+                                failing_stage=4, verdict=S, truth=C)
+        assert not lw.witness_is_valid(lw.mstar_method(), wit, length)
+        halving = tuple(lw.IntervalEvidence(-length * 2.0**k / 2.0, length * 2.0**k / 2.0)
+                        for k in range(4, -1, -1))
+        assert lw.witness_is_valid(lw.mstar_method(), replace(wit, history=halving), length)
+
+    @given(length=st.floats(1e-300, 1e300),
+           method=st.sampled_from([lw.mstar_method(), lw.always_suspend_method(),
+                                   ref.always_complex_method()]))
+    @example(length=1e-300, method=lw.mstar_method())
+    @example(length=1e300, method=lw.mstar_method())
+    def test_own_witnesses_valid_at_every_scale(self, length, method):
+        assert lw.witness_is_valid(method, lw.refute_uniform(method, length), length)
 
 
 class TestRazorProbe:
