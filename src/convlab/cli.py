@@ -180,6 +180,7 @@ SCHEMA = {
         "delta0": (1.0, _num(lo=0, lo_open=True)),
         "ratio": (0.6, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "way1_p": (1.0, _num()),
+        # above the default initial prism width: WAY1 triggers at (p, p) from stage 0
         "way1_eps": (4.0, _num(lo=0, lo_open=True)),
         "way2_p": (1.0, _num()),
         "way2_delta0": (0.1, _num(lo=0, lo_open=True)),
@@ -249,6 +250,8 @@ def world_axis(config: dict, suite: str) -> tuple:
 
 def check_consistency(config: dict) -> None:
     """Reject values that are each in range but contradict one another."""
+    if config["check"] and not config["experiment"]:
+        raise ConfigError("experiment: an empty list leaves --check nothing to judge")
     for suite, (lo, hi, _) in GRID_FIELDS.items():
         axis = world_axis(config, suite)
         c = config[suite]
@@ -396,7 +399,7 @@ def run_lineworld(cfg: dict, out: Outputs):
     worlds = [lw.LineWorld(theta) for theta in world_axis(cfg, "lineworld")]
     mstar = lw.mstar_method()
     specs = [StreamSpec(lc["delta0"], lc["ratio"])] + [
-        StreamSpec(lc["delta0"], lc["ratio"], "offcenter", lam)
+        StreamSpec(lc["delta0"], lc["ratio"], offset=lam)
         for lam in lc["offsets"] if lam != 0.0
     ]
     pointwise = {}
@@ -451,17 +454,16 @@ def run_predsel(cfg: dict, out: Outputs):
                       [(rep, selector, risk) for rep, pair in enumerate(b.excess)
                        for selector, risk in zip(("aic", "bic"), pair)])
 
-    probe_truth = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"], design="grid")
-    degree = probe_truth.poly_degree
+    degree = truth_a.poly_degree
     rel_bias = {  # probed size -> relative biases at consecutive seeds from `seed`
-        n: [ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed).relative_bias]
+        n: [ps.unbiasedness_probe(truth_a, degree, n, pc["probe_reps"], seed).relative_bias]
         for n in PROBE_SIZES
     }
     results = []
     if cfg["check"]:
         for n in (PROBE_SIZES[0], PROBE_SIZES[-1]):
             rel_bias[n] += [
-                ps.unbiasedness_probe(probe_truth, degree, n, pc["probe_reps"], seed + k).relative_bias
+                ps.unbiasedness_probe(truth_a, degree, n, pc["probe_reps"], seed + k).relative_bias
                 for k in range(1, checks.TREND_SEEDS)
             ]
         results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(rel_bias)
@@ -484,23 +486,24 @@ def run_predsel(cfg: dict, out: Outputs):
     return summary, results
 
 
-def perrin_config_from(cfg: dict) -> pr.PerrinConfig:
-    pc = cfg["perrin"]
-    return pr.PerrinConfig(
-        grid=pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"]),
-        horizon=pc["horizon"],
-        stream=StreamSpec(pc["delta0"], pc["ratio"]),
-        way1_p=pc["way1_p"], way1_eps=pc["way1_eps"],
-        way2_p=pc["way2_p"], way2_delta0=pc["way2_delta0"],
-        way3_delta0=pc["way3_delta0"],
-    )
+def perrin_methods(pc: dict) -> list:
+    """The five built-in methods of a validated perrin section: its
+    way1_eps, way2_delta0 and way3_delta0 are the ways' gates."""
+    return [
+        pr.ockham_method(),
+        pr.anti_realist_method(),
+        pr.PerrinMethod(kind="WAY1", p=pc["way1_p"], gate=pc["way1_eps"]),
+        pr.PerrinMethod(kind="WAY2", p=pc["way2_p"], gate=pc["way2_delta0"]),
+        pr.PerrinMethod(kind="WAY3", gate=pc["way3_delta0"]),
+    ]
 
 
 def run_perrin(cfg: dict, out: Outputs):
     pc, seed = cfg["perrin"], cfg["seed"]
-    config = perrin_config_from(cfg)
-    methods = pr.builtin_methods(config)
-    sheets = {m.kind: pr.score_sheet(m, config) for m in methods}
+    grid = pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
+    spec = StreamSpec(pc["delta0"], pc["ratio"])
+    methods = perrin_methods(pc)
+    sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in methods}
 
     for kind, s in sheets.items():
         cells = s.domain.cells()
@@ -519,7 +522,7 @@ def run_perrin(cfg: dict, out: Outputs):
         }
         for kind, s in sheets.items()
     }
-    underdet = {m.kind: pr.underdetermination_ok(m, config.grid, config.stream) for m in methods}
+    underdet = {m.kind: pr.underdetermination_ok(m, grid, spec) for m in methods}
     out.emit_json("scoresheet.json", scoresheet)
 
     coverage = {}
@@ -572,9 +575,13 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
 
     if not experiments:
         return RunOutcome(0, out.root, summary)
-    out.root.mkdir(parents=True, exist_ok=True)
-    if config["plots"]:
-        (out.root / "plots").mkdir(exist_ok=True)
+    try:
+        out.root.mkdir(parents=True, exist_ok=True)
+        if config["plots"]:
+            (out.root / "plots").mkdir(exist_ok=True)
+    except OSError as exc:  # a file where a directory must be, or no permission to make one
+        raise ConfigError(f"{'--out' if out_dir else 'out_dir'}: cannot make the "
+                          f"directory {exc.filename}: {exc.strerror}")
 
     for name, runner in (("gaussian", run_gaussian), ("lineworld", run_lineworld),
                          ("predsel", run_predsel), ("perrin", run_perrin)):

@@ -153,36 +153,47 @@ def empirical_settle_stage(verdicts: Sequence[Verdict], truth: Verdict) -> Optio
     return s
 
 
-def classify_convergence(
+def convergence_status(
     trace: StreamTrace,
     truth: Verdict,
     oracle: Optional[AsymptoticOracle] = None,
-) -> ConvergenceRecord:
-    """Classify one world's trace against the true answer.
+) -> tuple:
+    """The (status, settle stage) of one world's trace against the true answer.
 
     CONVERGES requires both an observed truth-suffix within the horizon
     and an oracle certifying persistence beyond it (settle_by inside the
-    horizon); settle_stage is the least observed stage of the suffix.
-    DIVERGES is issued only on the oracle's word.  Without an oracle, or
-    when the certified settle stage lies beyond the horizon, the horizon
-    is insufficient and the record is UNDETERMINED.
+    horizon); the settle stage is the least observed stage of the suffix,
+    and None for any other status.  DIVERGES is issued only on the
+    oracle's word.  Without an oracle, or when the certified settle stage
+    lies beyond the horizon, the horizon is insufficient and the status
+    is UNDETERMINED.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     if oracle is None:
-        return ConvergenceRecord(trace.world_id, Status.UNDETERMINED)
+        return Status.UNDETERMINED, None
     if oracle.fate is Status.DIVERGES:
-        return ConvergenceRecord(trace.world_id, Status.DIVERGES)
+        return Status.DIVERGES, None
     # oracle.fate is CONVERGES
     if oracle.settle_by > len(trace) - 1:
-        return ConvergenceRecord(trace.world_id, Status.UNDETERMINED)
+        return Status.UNDETERMINED, None
     settle = empirical_settle_stage(trace.verdicts(), truth)
     if settle is None or settle > oracle.settle_by:
         raise OracleContradiction(
             f"world {trace.world_id}: oracle guarantees truth from stage "
             f"{oracle.settle_by} but the trace shows otherwise"
         )
-    return ConvergenceRecord(trace.world_id, Status.CONVERGES, settle_stage=settle)
+    return Status.CONVERGES, settle
+
+
+def classify_convergence(
+    trace: StreamTrace,
+    truth: Verdict,
+    oracle: Optional[AsymptoticOracle] = None,
+) -> ConvergenceRecord:
+    """One world's record, with the status and settle stage of
+    convergence_status."""
+    return ConvergenceRecord(trace.world_id, *convergence_status(trace, truth, oracle))
 
 
 def check_stability(trace: StreamTrace, truth: Verdict):

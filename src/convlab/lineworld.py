@@ -3,10 +3,10 @@
 Worlds are real values theta; evidence is a nested sequence of closed
 intervals containing theta whose lengths shrink geometrically to zero
 but never to a point.  The admissible stream family is parameterized by
-an initial half-width, a shrink ratio, and a bounded off-center drift:
-at stage t the interval has half-width d_t = delta0 * ratio**t and its
-center sits at theta + lam_t * d_t with |lam_t| <= 1.  lam_t == 0 is the
-centered textbook stream; constant nonzero lam is nested by
+an initial half-width, a shrink ratio, and a bounded offset of the
+center: at stage t the interval has half-width d_t = delta0 * ratio**t
+and its center sits at theta + lam_t * d_t with |lam_t| <= 1.  lam_t == 0
+is the centered textbook stream; constant nonzero lam is nested by
 construction.  Offsets are validated once, when the StreamSpec is built
 (a per-stage sequence that would break nesting is rejected there), so
 every stage is built once, without re-checking the stage before it.
@@ -21,7 +21,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .framework import (
@@ -33,7 +33,7 @@ from .framework import (
     StreamTrace,
     Verdict,
     check_stability,
-    classify_convergence,
+    convergence_status,
 )
 
 FAMILY = "lineworld"
@@ -80,10 +80,9 @@ class IntervalEvidence:
 class StreamSpec:
     """Parameters of one admissible evidence stream.
 
-    drift "centered" pins the interval's center to theta; "offcenter"
-    places the center at theta + offset * half_width, with offset a
-    scalar in [-1, 1] or a per-stage sequence (the last entry is reused
-    past its end).
+    The interval's center sits at theta + offset * half_width, with
+    offset a scalar in [-1, 1] or a per-stage sequence (the last entry is
+    reused past its end); the scalar 0 is the centered stream.
 
     The stream contract is checked once, here: |lam| <= 1 keeps theta in
     every stage, and stage t nests in stage t-1 for every theta iff
@@ -98,9 +97,8 @@ class StreamSpec:
     for: a trace's horizon, or the stage first_stage returns.
     """
 
-    delta0: float = 1.0
-    ratio: float = 0.5
-    drift: str = "centered"
+    delta0: float
+    ratio: float
     offset: object = 0.0  # float or sequence of floats
 
     def __post_init__(self):
@@ -108,8 +106,6 @@ class StreamSpec:
             raise ValueError("delta0 must be positive and finite")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must lie in (0, 1)")
-        if self.drift not in ("centered", "offcenter"):
-            raise ValueError(f"unknown drift rule {self.drift!r}")
         scalar = isinstance(self.offset, (int, float))
         offs = tuple(map(float, (self.offset,) if scalar else self.offset))
         for lam in offs:
@@ -121,7 +117,7 @@ class StreamSpec:
                 raise StreamError(f"offset {lam} at stage {t} breaks nesting under stage {t - 1}")
         # the offsets normalized once, and the stage table: none is a field,
         # so equality, hash, repr and label() see `offset` only
-        object.__setattr__(self, "_lams", offs if self.drift == "offcenter" else (0.0,))
+        object.__setattr__(self, "_lams", offs)
         object.__setattr__(self, "_halves", [])  # half_width(t), stage by stage
         object.__setattr__(self, "_ends", [])  # bounds(t), never longer than _halves
 
@@ -173,7 +169,7 @@ class StreamSpec:
         return t
 
     def label(self) -> str:
-        if self.drift == "centered":
+        if isinstance(self.offset, (int, float)) and self.offset == 0:
             return f"centered(d0={self.delta0},r={self.ratio})"
         return f"offcenter(d0={self.delta0},r={self.ratio},lam={self.offset})"
 
@@ -218,7 +214,7 @@ def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
     """First stage from which every admissible interval of the family
     must exclude 0: an interval of width w containing theta can cover 0
     only while w >= |theta|, so the bound is the first t with
-    2 * delta0 * ratio**t < |theta|.  Valid for every drift rule."""
+    2 * delta0 * ratio**t < |theta|.  Valid for every offset."""
     return 0 if theta == 0.0 else spec.first_stage(abs(theta), 2.0)
 
 
@@ -300,10 +296,10 @@ def check_pointwise(
         raise ValueError("horizon must be >= 1")
     records = []
     for w in worlds:
-        tr = trace(method, w, spec, horizon)
+        tr, truth = trace(method, w, spec, horizon), w.truth
         oracle = method.oracle(w, spec) if method.oracle is not None else None
-        record = classify_convergence(tr, w.truth, oracle)
-        records.append(replace(record, stable=check_stability(tr, w.truth)[0]))
+        records.append(ConvergenceRecord(tr.world_id, *convergence_status(tr, truth, oracle),
+                                         stable=check_stability(tr, truth)[0]))
     return records
 
 
@@ -388,8 +384,8 @@ def _candidate_histories(budget: int):
         StreamSpec(delta0=1.0, ratio=0.5),
         StreamSpec(delta0=1.0, ratio=0.7),
         StreamSpec(delta0=0.3, ratio=0.6),
-        StreamSpec(delta0=1.0, ratio=0.5, drift="offcenter", offset=-0.8),
-        StreamSpec(delta0=1.0, ratio=0.5, drift="offcenter", offset=0.8),
+        StreamSpec(delta0=1.0, ratio=0.5, offset=-0.8),
+        StreamSpec(delta0=1.0, ratio=0.5, offset=0.8),
     )
     count = 0
     for theta in thetas:
@@ -406,7 +402,7 @@ def _candidate_histories(budget: int):
                     return
 
 
-def razor_necessity_probe(method: MethodSpec, search_budget: int = 4000) -> RazorReport:
+def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport:
     """Search for a short-run razor violation and exhibit its cost.
 
     A violation is a history whose final interval still contains 0 but

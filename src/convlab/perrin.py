@@ -179,7 +179,7 @@ def decide_prisms(m: PerrinMethod, prisms: Sequence[PrismEvidence]) -> tuple:
 
 
 def canonical_prism_stream(w: PastaWorld, spec: StreamSpec, t: int) -> PrismEvidence:
-    """Product of two stage-t intervals (one per axis, same drift).  It
+    """Product of two stage-t intervals (one per axis, same offsets).  It
     contains (na, na_prime) and nests under stage t-1 because the spec's
     offsets were validated when it was built."""
     x = interval_at(w.na, spec, t)
@@ -225,7 +225,7 @@ def _world_arrays(worlds: Sequence[PastaWorld]):
 
 
 # ---------------------------------------------------------------------------
-# the analytic oracle (drift-robust bounds, valid for every stream of the
+# the analytic oracle (offset-robust bounds, valid for every stream of the
 # family: StreamSpec admits only nested streams, and nestedness makes the
 # diagonal-overlap, width and point-containment triggers monotone, so
 # each settles permanently)
@@ -532,37 +532,15 @@ class ScoreSheet:
         return (self.ae.passed, self.maximal.passed, self.stable.passed)
 
 
-@dataclass(frozen=True)
-class PerrinConfig:
-    grid: GridSpec = GridSpec(0.5, 1.5, 0.02)
-    horizon: int = 40
-    stream: StreamSpec = StreamSpec(delta0=1.0, ratio=0.6)
-    way1_p: float = 1.0
-    way1_eps: float = 4.0     # above the initial prism width: the trigger
-    way2_p: float = 1.0       # is active from stage 0 at the sacrificed pair
-    way2_delta0: float = 0.1
-    way3_delta0: float = 4.0
-
-
-def builtin_methods(config: PerrinConfig) -> list:
-    return [
-        ockham_method(),
-        anti_realist_method(),
-        PerrinMethod(kind="WAY1", p=config.way1_p, gate=config.way1_eps),
-        PerrinMethod(kind="WAY2", p=config.way2_p, gate=config.way2_delta0),
-        PerrinMethod(kind="WAY3", gate=config.way3_delta0),
-    ]
-
-
 def stability_spec_variants(base: StreamSpec) -> list:
     return [
         base,
-        StreamSpec(base.delta0, base.ratio, "offcenter", 1.0),
-        StreamSpec(base.delta0, base.ratio, "offcenter", -1.0),
+        StreamSpec(base.delta0, base.ratio, offset=1.0),
+        StreamSpec(base.delta0, base.ratio, offset=-1.0),
     ]
 
 
-def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
+def score_sheet(m: PerrinMethod, grid: GridSpec, spec: StreamSpec, horizon: int) -> ScoreSheet:
     """Aggregate the three criteria for one method.
 
     Only the refined grid is swept.  Its every other axis point is the
@@ -570,20 +548,18 @@ def score_sheet(m: PerrinMethod, config: PerrinConfig) -> ScoreSheet:
     the coarse codes and settle stages are read off it; the sheet keeps
     those and lets the refined grid go.
     """
-    g2 = domain_of_convergence(m, config.grid.halved(), config.stream, config.horizon)
+    g2 = domain_of_convergence(m, grid.halved(), spec, horizon)
     n2 = len(g2.axis)
 
     def coarse(x):
         return np.concatenate([x[:n2 * n2].reshape(n2, n2)[::2, ::2].ravel(), x[n2 * n2:][::2]])
 
-    g = replace(g2, grid=config.grid, axis=g2.axis[::2], codes=coarse(g2.codes),
+    g = replace(g2, grid=grid, axis=g2.axis[::2], codes=coarse(g2.codes),
                 settle=coarse(g2.settle))
     ae = ae_check(g, g2)
     maximal = maximality_check(g)
-    stable = stability_scan(
-        m, default_stability_worlds(config.grid),
-        stability_spec_variants(config.stream), config.horizon,
-    )
+    stable = stability_scan(m, default_stability_worlds(grid), stability_spec_variants(spec),
+                            horizon)
     return ScoreSheet(
         method=m.label(), ae=ae, maximal=maximal, stable=stable,
         fractions={"coarse": ae_fractions(g), "refined": ae_fractions(g2)},
@@ -724,14 +700,13 @@ class CoverageResult:
 
 
 def coverage_study(kind: str, na_true: float, const: float, size: int,
-                   reps: int, confidence: float, seed: int,
-                   times: Sequence[float] = DEFAULT_TIMES) -> CoverageResult:
+                   reps: int, confidence: float, seed: int) -> CoverageResult:
     """Fraction of seeded replications whose interval covers the truth,
-    plus the mean interval width: _intervals over reps rep seeds, each
-    drawn from its own substream of the seed."""
+    plus the mean interval width: _intervals at DEFAULT_TIMES over reps
+    rep seeds, each drawn from its own substream of the seed."""
     keys = (substream_key(seed, "coverage", kind, size, rep) for rep in range(reps))
     rep_seeds = np.fromiter((rng.integers(2**63) for rng in substreams(keys)), np.int64)
-    lo, hi, _ = _intervals(kind, na_true, const, size, rep_seeds, confidence, times)
+    lo, hi, _ = _intervals(kind, na_true, const, size, rep_seeds, confidence, DEFAULT_TIMES)
     hits = int(np.count_nonzero((lo <= na_true) & (na_true <= hi)))
     widths = np.cumsum(hi - lo)  # summed in rep order
     return CoverageResult(reps=reps, coverage=hits / reps, mean_width=float(widths[-1]) / reps)

@@ -1,13 +1,14 @@
 """Predictive model selection over nested polynomial families.
 
-Synthetic regression data y = f*(x) + noise feed least-squares fits of
-polynomial candidates; penalized scores (fit plus 2 per parameter, or
-ln n per parameter) pick a degree.  The candidates are nested, so one
-thin QR of the Legendre design at the largest degree gives them all
-(Golub & Van Loan, Matrix Computations, 5.3).  The known-variance
+Synthetic regression data y = f*(x) + noise at x uniform on [-1, 1]
+feed least-squares fits of polynomial candidates; penalized scores (fit
+plus 2 per parameter, or ln n per parameter) pick a degree.  The
+candidates are nested, so one thin QR of the Legendre design at the
+largest degree gives them all (Golub & Van Loan, Matrix Computations,
+5.3).  The known-variance
 score forms make the risk estimate (rss + 2(k+1) sigma^2) / n exactly
 unbiased for the in-sample prediction risk, which the probe below
-verifies by Monte Carlo.
+verifies by Monte Carlo on its own fixed equispaced design.
 
 Expected prediction risk under the uniform design is computed two
 independent ways: Gauss-Legendre quadrature split at the truth's kink
@@ -36,18 +37,15 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Data-generating curve, noise level, and x-design on [-1, 1]."""
+    """Data-generating curve on [-1, 1] and noise level."""
 
     kind: str  # "poly" | "abs"
     noise_sigma: float
-    design: str = "uniform"  # "uniform" | "grid"
     coeffs: Optional[tuple] = None
 
     def __post_init__(self):
         if self.noise_sigma <= 0 or not math.isfinite(self.noise_sigma):
             raise ValueError("noise_sigma must be positive and finite")
-        if self.design not in ("uniform", "grid"):
-            raise ValueError(f"unknown design {self.design!r}")
         if self.kind == "poly":
             if not self.coeffs or any(not math.isfinite(c) for c in self.coeffs):
                 raise ValueError("poly truth needs finite coefficients")
@@ -75,12 +73,12 @@ class TruthSpec:
         return deg
 
 
-def poly_truth(coeffs, noise_sigma, design="uniform") -> TruthSpec:
-    return TruthSpec(kind="poly", noise_sigma=noise_sigma, design=design, coeffs=tuple(coeffs))
+def poly_truth(coeffs, noise_sigma) -> TruthSpec:
+    return TruthSpec(kind="poly", noise_sigma=noise_sigma, coeffs=tuple(coeffs))
 
 
-def abs_truth(noise_sigma, design="uniform") -> TruthSpec:
-    return TruthSpec(kind="abs", noise_sigma=noise_sigma, design=design)
+def abs_truth(noise_sigma) -> TruthSpec:
+    return TruthSpec(kind="abs", noise_sigma=noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -128,14 +126,14 @@ def _draw(truth: TruthSpec, n: int, seeds) -> tuple:
         raise ValueError("n must be >= 2")
     x, noise = np.empty((2, len(seeds), n))
     for i, rng in enumerate(substreams(substream_key(seed, "predsel-data") for seed in seeds)):
-        x[i] = rng.uniform(-1.0, 1.0, size=n) if truth.design == "uniform" else np.linspace(-1.0, 1.0, n)
+        x[i] = rng.uniform(-1.0, 1.0, size=n)
         noise[i] = rng.standard_normal(n)
     return x, truth.eval(x) + truth.noise_sigma * noise
 
 
 def generate(truth: TruthSpec, n: int, seed: int) -> Dataset:
-    """Synthetic dataset: ys = f*(xs) + Normal(0, sigma^2) noise;
-    deterministic given the seed."""
+    """Synthetic dataset: xs uniform on [-1, 1], ys = f*(xs) +
+    Normal(0, sigma^2) noise; deterministic given the seed."""
     x, y = _draw(truth, n, [seed])
     return Dataset(xs=tuple(x[0].tolist()), ys=tuple(y[0].tolist()))
 

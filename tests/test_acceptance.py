@@ -52,19 +52,16 @@ def gaussian_verdicts():
 
 @pytest.fixture(scope="module")
 def perrin_results():
-    config = pr.PerrinConfig()  # grid [0.5, 1.5] step 0.02, refined 0.01, horizon 40
+    # a default run's perrin section: grid [0.5, 1.5] step 0.02, refined 0.01, horizon 40
+    pc = cli.validate_config("{}")["perrin"]
+    grid = pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
+    spec = lw.StreamSpec(pc["delta0"], pc["ratio"])
+    methods = cli.perrin_methods(pc)
     start = time.time()
-    sheets = {m.kind: pr.score_sheet(m, config) for m in pr.builtin_methods(config)}
+    sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in methods}
     elapsed = time.time() - start
-    underdet = {m.kind: pr.underdetermination_ok(m, config.grid, config.stream)
-                for m in pr.builtin_methods(config)}
+    underdet = {m.kind: pr.underdetermination_ok(m, grid, spec) for m in methods}
     return verdicts(checks.check_perrin_theorem(sheets, underdet)), sheets, elapsed
-
-
-def test_perrin_fixture_is_the_cli_default():
-    # perrin_results judges PerrinConfig(); a default CLI run builds its
-    # config from cli.SCHEMA, so the two copies of the defaults must agree
-    assert cli.perrin_config_from(cli.validate_config("{}")) == pr.PerrinConfig()
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +107,8 @@ def test_criterion_5_lineworld_suite():
     mstar = lw.mstar_method()
     specs = [
         lw.StreamSpec(1.0, 0.7),
-        lw.StreamSpec(1.0, 0.7, "offcenter", -1.0),
-        lw.StreamSpec(1.0, 0.7, "offcenter", 0.7),
+        lw.StreamSpec(1.0, 0.7, offset=-1.0),
+        lw.StreamSpec(1.0, 0.7, offset=0.7),
     ]
     pointwise = {}
     stable = True
@@ -127,7 +124,9 @@ def test_criterion_5_lineworld_suite():
     ]
     adversaries = lw.razor_violator_suite()
     assert len(adversaries) >= 3
-    razor = {m.name: lw.razor_necessity_probe(m).consequence for m in [mstar] + adversaries}
+    budget = cli.validate_config("{}")["lineworld"]["razor_budget"]
+    razor = {m.name: lw.razor_necessity_probe(m, budget).consequence
+             for m in [mstar] + adversaries}
     summary = {"worlds": len(worlds), "pointwise_by_stream": pointwise, "mstar_stable": stable,
                "uniform_refutations": uniform, "razor_probe": razor}
     results = checks.check_lineworld_suite(summary)
@@ -152,7 +151,7 @@ def test_criterion_7_regime_reversal_misspecified(predsel_results):
 
 
 def test_criterion_8_unbiasedness_probe():
-    truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0, design="grid")
+    truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0)
     seeds = [MASTER_SEED + k for k in range(checks.TREND_SEEDS)]
     rel_bias = {n: [ps.unbiasedness_probe(truth, 2, n, 4000, s).relative_bias for s in seeds]
                 for n in (50, 400)}

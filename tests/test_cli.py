@@ -178,6 +178,15 @@ class TestRun:
         assert code == 0
         assert not out.exists()
 
+    def test_default_lineworld_labels(self, tmp_path):
+        # the centered stream and one per nonzero default offset, each as the spec that ran
+        code, out = run_cli(tmp_path, {"experiment": "lineworld"})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())["lineworld"]
+        assert set(summary["pointwise_by_stream"]) == {
+            "centered(d0=1.0,r=0.7)", "offcenter(d0=1.0,r=0.7,lam=-1.0)",
+            "offcenter(d0=1.0,r=0.7,lam=0.7)"}
+
     def test_lf_line_endings(self, tmp_path):
         _, out = run_cli(tmp_path, SMALL_CONFIG)
         raw = (out / "curves.csv").read_bytes()
@@ -346,17 +355,40 @@ class TestFlags:
         # ratio**(horizon - 1) cannot take a horizon beyond the float range
         ({"experiment": "perrin", "perrin": {"horizon": 10**3999}}, "perrin.horizon"),
         ({"experiment": "lineworld", "lineworld": {"horizon": 10**300}}, "lineworld.horizon"),
+        # --check on no suite would exit 0 having judged nothing
+        ({"experiment": [], "check": True}, "experiment"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
-            "duplicate-experiment", "horizon-4000-digits", "horizon-1e300"])
+            "duplicate-experiment", "horizon-4000-digits", "horizon-1e300",
+            "check-no-experiments"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file", "plots-a-file"])
+    @pytest.mark.parametrize("field", ["--out", "out_dir"])
+    def test_unusable_output_directory_exit_two(self, tmp_path, capsys, where, field):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = {"a-file": blocker, "under-a-file": blocker / "out", "plots-a-file": tmp_path}[where]
+        if where == "plots-a-file":
+            (tmp_path / "plots").write_text("kept")
+        config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
+        flags = ["--out", str(out)] if field == "--out" else []
+        if field == "out_dir":
+            config["out_dir"] = str(out)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: cannot make the directory ")
+        assert blocker.read_text() == "kept"
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("config, start", [
         ({"seed": [0] * 100_000}, "seed: expected an integer, got [0, 0, "),

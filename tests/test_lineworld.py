@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from convlab import cli
 from convlab import lineworld as lw
 from convlab.framework import Status, StreamError, Verdict, check_stability
 
 import reference as ref
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
+BUDGET = cli.validate_config("{}")["lineworld"]["razor_budget"]  # a default run's search budget
 
 
 @st.composite
@@ -51,7 +53,7 @@ def table_specs(draw):
         return lw.StreamSpec(delta0, ratio), lambda t: 0.0
     offset = offsets[0] if shape == "scalar" else offsets
     lams = offsets[:1] if shape == "scalar" else offsets
-    return (lw.StreamSpec(delta0, ratio, "offcenter", offset),
+    return (lw.StreamSpec(delta0, ratio, offset=offset),
             lambda t: lams[min(t, len(lams) - 1)])
 
 
@@ -104,22 +106,32 @@ class TestStreams:
         with pytest.raises(ValueError):
             lw.StreamSpec(delta0=1.0, ratio=1.2)
         with pytest.raises(ValueError):
-            lw.StreamSpec(delta0=1.0, ratio=0.5, drift="offcenter", offset=1.5)
-        with pytest.raises(ValueError):
-            lw.StreamSpec(delta0=1.0, ratio=0.5, drift="sideways")
+            lw.StreamSpec(delta0=1.0, ratio=0.5, offset=1.5)
+
+    def test_label_names_the_stream_that_runs(self):
+        # the scalar 0, given or not, is the centered stream; any other offset
+        # labels itself and moves the interval
+        centered = lw.StreamSpec(1.0, 0.7)
+        assert lw.StreamSpec(1.0, 0.7, offset=0.0) == centered
+        assert lw.StreamSpec(1.0, 0.7, offset=0.0).label() == centered.label() == (
+            "centered(d0=1.0,r=0.7)")
+        assert lw.StreamSpec(1.0, 0.7, offset=-1.0).label() == "offcenter(d0=1.0,r=0.7,lam=-1.0)"
+        assert lw.StreamSpec(0.3, 0.6, offset=(0.0, -0.5)).label() == (
+            "offcenter(d0=0.3,r=0.6,lam=(0.0, -0.5))")
+        assert lw.StreamSpec(1.0, 0.5, offset=0.7).bounds(0) == (0.7 - 1.0, 0.7 + 1.0)
 
     def test_nesting_violation_is_stream_error(self):
         # jumping from the far right edge to the far left edge breaks
         # nesting, which the spec rejects when it is built
         with pytest.raises(StreamError):
-            lw.StreamSpec(1.0, 0.9, drift="offcenter", offset=(1.0, -1.0))
+            lw.StreamSpec(1.0, 0.9, offset=(1.0, -1.0))
 
     @given(params=drift_params(admissible=False), theta=st.floats(-5, 5))
     @example(params=(1.0, 0.5, (0.0, -1.0)), theta=0.3)  # exactly on the nesting bound
     def test_spec_admits_only_streams_the_per_stage_check_admits(self, params, theta):
         delta0, ratio, offsets = params
         try:
-            spec = lw.StreamSpec(delta0, ratio, "offcenter", offsets)
+            spec = lw.StreamSpec(delta0, ratio, offset=offsets)
         except StreamError:
             return
         assert all(per_stage_contract(theta, spec, t) for t in range(len(offsets) + 2))
@@ -137,15 +149,21 @@ class TestStreams:
 
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError):
-            lw.interval_at(0.0, lw.StreamSpec(), -1)
+            lw.interval_at(0.0, lw.StreamSpec(1.0, 0.5), -1)
 
-    @given(params=drift_params(), drift=st.sampled_from(["centered", "offcenter"]),
+    @given(params=drift_params(), shape=st.sampled_from(["default", "scalar", "sequence"]),
            t=st.integers(0, 40))
-    def test_bounds_equal_the_closed_form(self, params, drift, t):
+    def test_bounds_equal_the_closed_form(self, params, shape, t):
+        # the stage's offset comes from the offset alone: none given is 0
         delta0, ratio, offsets = params
-        spec = lw.StreamSpec(delta0, ratio, drift, offsets)
+        if shape == "default":
+            spec, lams = lw.StreamSpec(delta0, ratio), (0.0,)
+        elif shape == "scalar":
+            spec, lams = lw.StreamSpec(delta0, ratio, offset=offsets[0]), offsets[:1]
+        else:
+            spec, lams = lw.StreamSpec(delta0, ratio, offset=offsets), offsets
         lam, d = spec.offset_at(t), spec.half_width(t)
-        assert lam == (0.0 if drift == "centered" else offsets[min(t, len(offsets) - 1)])
+        assert lam == lams[min(t, len(lams) - 1)]
         assert spec.bounds(t) == ((lam - 1.0) * d, (lam + 1.0) * d)
 
     @given(params=drift_params(min_ratio=1e-6), k=st.sampled_from([2, 4]),
@@ -159,7 +177,7 @@ class TestStreams:
     @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan])
     def test_first_stage_needs_a_positive_gap(self, gap):
         with pytest.raises(ValueError):
-            lw.StreamSpec().first_stage(gap, 2)
+            lw.StreamSpec(1.0, 0.5).first_stage(gap, 2)
 
     @given(
         theta=st.floats(-5, 5),
@@ -169,7 +187,7 @@ class TestStreams:
         t=st.integers(0, 20),
     )
     def test_stream_contract(self, theta, delta0, ratio, lam, t):
-        spec = lw.StreamSpec(delta0, ratio, "offcenter", lam)
+        spec = lw.StreamSpec(delta0, ratio, offset=lam)
         e = lw.interval_at(theta, spec, t)
         assert e.contains(theta)
         assert e.width == pytest.approx(2.0 * delta0 * ratio**t, rel=1e-9)
@@ -195,7 +213,7 @@ class TestStageTable:
     def test_table_does_not_depend_on_fill_order(self, case, theta, horizon, past):
         spec, lam = case
         m = constant_method(S)
-        fresh = lw.StreamSpec(spec.delta0, spec.ratio, spec.drift, spec.offset)
+        fresh = lw.StreamSpec(spec.delta0, spec.ratio, spec.offset)
         first = endpoint_bits(m, theta, fresh, horizon)
         # the other order: far ahead first, then past that, then the trace twice
         tiny = spec.first_stage(1e-300, 4.0)
@@ -209,8 +227,7 @@ class TestStageTable:
         assert fresh.half_widths(far + 1) == spec.half_widths(far + 1) == [
             spec.delta0 * spec.ratio**t for t in range(far + 1)]
 
-    @pytest.mark.parametrize("args", [(1.0, 0.5), (0.3, 0.6, "offcenter", 0.8),
-                                      (1.0, 0.5, "offcenter", (0.0, -0.5, -1.0))])
+    @pytest.mark.parametrize("args", [(1.0, 0.5), (0.3, 0.6, 0.8), (1.0, 0.5, (0.0, -0.5, -1.0))])
     def test_filled_spec_is_a_plain_value(self, args):
         filled, fresh = lw.StreamSpec(*args), lw.StreamSpec(*args)
         lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.1)], filled, 30)
@@ -232,7 +249,7 @@ class TestStageTable:
         assert sorted(calls) == list(range(max(horizon, oracle + 1)))
 
     def test_negative_counts_give_no_stages(self):
-        spec = lw.StreamSpec()
+        spec = lw.StreamSpec(1.0, 0.5)
         assert spec.stages(-1) == spec.half_widths(-1) == []
         assert len(lw.trace(constant_method(S), lw.LineWorld(0.0), spec, -1)) == 0
 
@@ -255,7 +272,7 @@ class TestPointwise:
         # drift hugging the origin side delays the exit until the interval
         # is narrower than |theta|: least t with 2 * 0.7**t < 0.1
         w = lw.LineWorld(0.1)
-        spec = lw.StreamSpec(1.0, 0.7, "offcenter", -1.0)
+        spec = lw.StreamSpec(1.0, 0.7, offset=-1.0)
         [rec] = lw.check_pointwise(lw.mstar_method(), [w], spec, 60)
         bound = next(t for t in range(60) if 2.0 * 0.7**t < 0.1)
         assert rec.settle_stage == bound == 9
@@ -263,7 +280,7 @@ class TestPointwise:
     def test_always_complex_diverges_at_zero(self):
         recs = lw.check_pointwise(ref.always_complex_method(),
                                   [lw.LineWorld(0.0), lw.LineWorld(0.3)],
-                                  lw.StreamSpec(), 20)
+                                  lw.StreamSpec(1.0, 0.5), 20)
         assert recs[0].status is Status.DIVERGES
         assert recs[1].status is Status.CONVERGES
 
@@ -271,18 +288,18 @@ class TestPointwise:
            thetas=st.lists(st.just(0.0) | st.floats(-1, 1), min_size=1, max_size=4))
     def test_oracle_holds_on_drift_sequences(self, params, thetas):
         delta0, ratio, offsets = params
-        spec = lw.StreamSpec(delta0, ratio, "offcenter", offsets)
+        spec = lw.StreamSpec(delta0, ratio, offset=offsets)
         # raises OracleContradiction if a trace disagrees with the oracle
         lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(t) for t in thetas], spec, 40)
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError):
-            lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.0)], lw.StreamSpec(), 0)
+            lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.0)], lw.StreamSpec(1.0, 0.5), 0)
 
     @given(theta=st.floats(-2, 2), lam=st.sampled_from([0.0, -1.0, 1.0, 0.6]))
     def test_mstar_stable_everywhere(self, theta, lam):
         w = lw.LineWorld(theta)
-        spec = lw.StreamSpec(1.0, 0.6, "offcenter", lam)
+        spec = lw.StreamSpec(1.0, 0.6, offset=lam)
         assert check_stability(lw.trace(lw.mstar_method(), w, spec, 40), w.truth)[0]
 
 
@@ -355,13 +372,14 @@ class TestRefuteUniform:
 
 class TestRazorProbe:
     def test_threshold_rule_obeys_razor(self):
-        assert lw.razor_necessity_probe(lw.mstar_method()).consequence == "NONE_FOUND"
+        assert lw.razor_necessity_probe(lw.mstar_method(), BUDGET).consequence == "NONE_FOUND"
 
     def test_suspender_vacuously_obeys_razor(self):
-        assert lw.razor_necessity_probe(lw.always_suspend_method()).consequence == "NONE_FOUND"
+        report = lw.razor_necessity_probe(lw.always_suspend_method(), BUDGET)
+        assert report.consequence == "NONE_FOUND"
 
     def test_width_violator_fails_pointwise(self):
-        report = lw.razor_necessity_probe(lw.width_trigger_violator(0.01))
+        report = lw.razor_necessity_probe(lw.width_trigger_violator(0.01), BUDGET)
         assert report.consequence == "POINTWISE_FAIL"
         assert report.witness_world.theta == 0.0
         # the continuation never returns to the true answer
@@ -369,7 +387,7 @@ class TestRazorProbe:
         assert all(v is not S for v in tail)
 
     def test_stage_violator_fails_stability(self):
-        report = lw.razor_necessity_probe(lw.stage_trigger_violator(3))
+        report = lw.razor_necessity_probe(lw.stage_trigger_violator(3), BUDGET)
         assert report.consequence == "STABILITY_FAIL"
         assert report.witness_world.theta != 0.0
         ok, _ = check_stability(report.witness_trace, C)
@@ -377,7 +395,7 @@ class TestRazorProbe:
 
     def test_every_adversary_flagged_with_replayable_witness(self):
         for adversary in lw.razor_violator_suite():
-            report = lw.razor_necessity_probe(adversary)
+            report = lw.razor_necessity_probe(adversary, BUDGET)
             assert report.consequence in ("POINTWISE_FAIL", "STABILITY_FAIL")
             hist = list(report.razor_violation)
             assert hist[-1].contains(0.0)
@@ -392,4 +410,4 @@ class TestRazorProbe:
             assert all(b.is_subset_of(a) for a, b in zip(evid, evid[1:]))
 
     def test_razor_obeying_constant_simple(self):
-        assert lw.razor_necessity_probe(constant_method(S)).consequence == "NONE_FOUND"
+        assert lw.razor_necessity_probe(constant_method(S), BUDGET).consequence == "NONE_FOUND"

@@ -27,7 +27,11 @@ from test_lineworld import drift_params
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
-SMALL = pr.PerrinConfig(grid=pr.GridSpec(0.5, 1.5, 0.1), horizon=40)
+DEFAULTS = cli.validate_config("{}")["perrin"]  # a default run's perrin section
+METHODS = cli.perrin_methods(DEFAULTS)
+SPEC = StreamSpec(DEFAULTS["delta0"], DEFAULTS["ratio"])
+HORIZON = DEFAULTS["horizon"]
+SMALL_GRID = pr.GridSpec(0.5, 1.5, 0.1)
 CONV, DIV, UND = (pr.CODES[s] for s in (Status.CONVERGES, Status.DIVERGES, Status.UNDETERMINED))
 
 
@@ -122,7 +126,7 @@ def sweep_cases(draw):
         pr.PerrinMethod(kind="WAY3", gate=gate),
     ]))
     delta0, ratio, offsets = draw(drift_params())
-    return m, grid, StreamSpec(delta0, ratio, "offcenter", offsets), draw(st.integers(1, 40))
+    return m, grid, StreamSpec(delta0, ratio, offset=offsets), draw(st.integers(1, 40))
 
 
 def decide(m, e):
@@ -134,7 +138,7 @@ def decide(m, e):
 
 @pytest.fixture(scope="module")
 def small_sheets():
-    return {m.kind: pr.score_sheet(m, SMALL) for m in pr.builtin_methods(SMALL)}
+    return {m.kind: pr.score_sheet(m, SMALL_GRID, SPEC, HORIZON) for m in METHODS}
 
 
 class TestDecide:
@@ -251,7 +255,7 @@ class TestPrismStreams:
            lam=st.floats(-1, 1), t=st.integers(1, 20))
     def test_nested_and_containing(self, a, b, lam, t):
         w = pr.plane_world(a, b)
-        spec = StreamSpec(1.0, 0.6, "offcenter", lam)
+        spec = StreamSpec(1.0, 0.6, offset=lam)
         e = pr.canonical_prism_stream(w, spec, t)
         prev = pr.canonical_prism_stream(w, spec, t - 1)
         assert ref.contains_point(e, a, b)
@@ -262,7 +266,7 @@ class TestPrismStreams:
         calls = []
         original = pr.interval_at
         monkeypatch.setattr(pr, "interval_at", lambda *a: calls.append(a) or original(*a))
-        pr.trace(pr.ockham_method(), pr.plane_world(0.8, 1.2), SMALL.stream, 25)
+        pr.trace(pr.ockham_method(), pr.plane_world(0.8, 1.2), SPEC, 25)
         assert len(calls) == 2 * 25
 
     def test_degenerate_prism_rejected(self):
@@ -276,14 +280,14 @@ class TestPrismStreams:
 
 class TestDomains:
     def test_realist_razor_domain_shape(self):
-        g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
+        g = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 40)
         assert (g.strand == CONV).all()
         n = len(g.axis)
         assert g.plane.reshape(n, n).tolist() == [[DIV if ia == ib else CONV for ib in range(n)]
                                                   for ia in range(n)]
 
     def test_agnostic_domain_shape(self):
-        g = pr.domain_of_convergence(pr.anti_realist_method(), SMALL.grid, SMALL.stream, 40)
+        g = pr.domain_of_convergence(pr.anti_realist_method(), SMALL_GRID, SPEC, 40)
         assert (g.strand == DIV).all()
         n = len(g.axis)
         plane = g.plane.reshape(n, n)
@@ -292,37 +296,37 @@ class TestDomains:
 
     def test_way1_diverges_only_at_sacrificed_pair(self):
         way1 = pr.PerrinMethod(kind="WAY1", p=1.0, gate=4.0)
-        g = pr.domain_of_convergence(way1, SMALL.grid, SMALL.stream, 40)
+        g = pr.domain_of_convergence(way1, SMALL_GRID, SPEC, 40)
         idx = g.axis.index(1.0)
         assert g.strand.tolist() == [DIV if ia == idx else CONV for ia in range(len(g.axis))]
 
     def test_settle_stages_recorded(self):
-        g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
+        g = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 40)
         n = len(g.axis)
         cells = g.cells()
         assert all(cell[4] == 0 for cell in cells[n * n:])
         # settle stage equals the first stage whose prism leaves the diagonal
         w = pr.plane_world(g.axis[0], g.axis[-1])
         brute = next(t for t in range(40)
-                     if not ref.overlap(pr.canonical_prism_stream(w, SMALL.stream, t)))
+                     if not ref.overlap(pr.canonical_prism_stream(w, SPEC, t)))
         assert cells[n - 1] == ("plane", g.axis[0], g.axis[-1], Status.CONVERGES, brute)
         assert brute == 2
 
     def test_undetermined_fraction_shrinks_with_horizon(self):
-        g3 = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 3)
-        g12 = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 12)
+        g3 = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 3)
+        g12 = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 12)
         u3 = g3.fraction("plane", Status.UNDETERMINED)
         u12 = g12.fraction("plane", Status.UNDETERMINED)
         assert u3 > 0
         assert u12 < u3
 
     def test_simulation_never_contradicts_oracle(self):
-        specs = [SMALL.stream,
-                 StreamSpec(1.0, 0.6, "offcenter", 1.0),
-                 StreamSpec(1.0, 0.6, "offcenter", -0.7)]
+        specs = [SPEC,
+                 StreamSpec(1.0, 0.6, offset=1.0),
+                 StreamSpec(1.0, 0.6, offset=-0.7)]
         worlds = [pr.strand_world(1.0), pr.strand_world(0.98), pr.plane_world(1.0, 1.0),
                   pr.plane_world(0.9, 1.3), pr.plane_world(1.0, 1.02)]
-        for m in pr.builtin_methods(SMALL):
+        for m in METHODS:
             for spec in specs:
                 # both paths raise on contradiction
                 assert array_records(m, worlds, spec, 40) == scalar_records(m, worlds, spec, 40)
@@ -331,9 +335,9 @@ class TestDomains:
            a=st.just(1.0) | st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
     def test_oracle_holds_on_drift_sequences(self, params, a, b):
         delta0, ratio, offsets = params
-        spec = StreamSpec(delta0, ratio, "offcenter", offsets)
+        spec = StreamSpec(delta0, ratio, offset=offsets)
         worlds = [pr.plane_world(a, b), pr.plane_world(a, a), pr.strand_world(a)]
-        for m in pr.builtin_methods(pr.PerrinConfig()):
+        for m in METHODS:
             # both paths raise on contradiction
             assert array_records(m, worlds, spec, 40) == scalar_records(m, worlds, spec, 40)
 
@@ -355,16 +359,16 @@ class TestDomains:
         # an oracle promising the truth from stage 0 everywhere is refuted
         # first at the plane's corner, where the razor says SIMPLE forever
         monkeypatch.setattr(pr, "_oracle", lambda m, a, b, strand, spec: np.zeros(len(a), int))
-        a = SMALL.grid.axis()[0]
+        a = SMALL_GRID.axis()[0]
         with pytest.raises(OracleContradiction,
                            match=f"^world {re.escape(pr.plane_world(a, a).world_id)}: "):
-            pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 40)
+            pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 40)
 
     @pytest.mark.parametrize("index", range(5))
     def test_endpoints_rounding_onto_world_raise_on_both_paths(self, index):
         # 0.5**79 is far below the float spacing at 1.0: the last prisms
         # near 1.0 collapse onto their world
-        m = pr.builtin_methods(SMALL)[index]
+        m = METHODS[index]
         grid, spec = pr.GridSpec(0.9, 1.1, 0.1), StreamSpec(1.0, 0.5)
         worlds = [pr.strand_world(1.0), pr.plane_world(0.9, 1.1)]
         with pytest.raises(StreamError):
@@ -405,7 +409,7 @@ def oracle_cases(draw):
         worlds += [pr.plane_world(a, a + near), pr.plane_world(a + near, a),
                    pr.plane_world(a, a + 2.0 * pr.DIAG_TOL)]
     delta0, ratio, offsets = draw(drift_params())
-    return m, StreamSpec(delta0, ratio, "offcenter", offsets), worlds
+    return m, StreamSpec(delta0, ratio, offset=offsets), worlds
 
 
 class TestOracle:
@@ -426,9 +430,9 @@ class TestOracle:
         assert pr._first_stages(spec, gaps, k).tolist() == [spec.first_stage(g, k) for g in gaps]
 
     def test_first_stages_need_positive_gaps(self):
-        assert pr._first_stages(SMALL.stream, [], 2.0).tolist() == []
+        assert pr._first_stages(SPEC, [], 2.0).tolist() == []
         with pytest.raises(ValueError):
-            pr._first_stages(SMALL.stream, [1.0, 0.0], 2.0)
+            pr._first_stages(SPEC, [1.0, 0.0], 2.0)
 
 
 class TestAlmostEverywhere:
@@ -453,9 +457,9 @@ class TestAlmostEverywhere:
         assert f1 > 0 and 0.25 * f1 <= f2 <= 0.75 * f1
 
     def test_mismatched_grids_rejected(self):
-        g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 30)
-        g_other = pr.domain_of_convergence(pr.anti_realist_method(), SMALL.grid.halved(),
-                                           SMALL.stream, 30)
+        g = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 30)
+        g_other = pr.domain_of_convergence(pr.anti_realist_method(), SMALL_GRID.halved(),
+                                           SPEC, 30)
         with pytest.raises(ConfigurationError):
             pr.ae_check(g, g_other)
         with pytest.raises(ConfigurationError):
@@ -480,7 +484,7 @@ class TestMaximality:
         assert small_sheets["WAY2"].maximal.passed
 
     def test_undetermined_grid_rejected(self):
-        g = pr.domain_of_convergence(pr.ockham_method(), SMALL.grid, SMALL.stream, 2)
+        g = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 2)
         report = pr.maximality_check(g)
         assert not report.passed
         undetermined = [w.world_id for w, code in zip(grid_worlds(g.axis), g.codes.tolist())
@@ -513,8 +517,8 @@ class TestStability:
 
     def test_scan_keeps_the_first_ten_witnesses_in_scalar_order(self):
         way2 = pr.PerrinMethod(kind="WAY2", p=1.0, gate=0.3)
-        worlds = pr.default_stability_worlds(SMALL.grid)
-        specs = pr.stability_spec_variants(SMALL.stream)
+        worlds = pr.default_stability_worlds(SMALL_GRID)
+        specs = pr.stability_spec_variants(SPEC)
         failures = sum(not check_stability(pr.trace(way2, w, s, 40), w.truth)[0]
                        for w in worlds for s in specs)
         report = pr.stability_scan(way2, worlds, specs, 40)
@@ -524,11 +528,11 @@ class TestStability:
     def test_way2_witness_replays(self, small_sheets):
         wit = [w for w in small_sheets["WAY2"].stable.witnesses
                if w["z"] == 1 and w["na"] == 1.0][0]
-        way2 = pr.PerrinMethod(kind="WAY2", p=SMALL.way2_p, gate=SMALL.way2_delta0)
+        way2 = METHODS[3]
         world = pr.strand_world(wit["na"])
-        for spec in pr.stability_spec_variants(SMALL.stream):
+        for spec in pr.stability_spec_variants(SPEC):
             if spec.label() == wit["stream"]:
-                tr = pr.trace(way2, world, spec, SMALL.horizon)
+                tr = pr.trace(way2, world, spec, HORIZON)
                 ok, pair = check_stability(tr, world.truth)
                 assert not ok and list(pair) == list(wit["stage_pair"])
                 assert [v.value for v in tr.verdicts()] == wit["verdicts"]
@@ -544,12 +548,11 @@ class TestScoreSheet:
            index=st.integers(0, 4))
     def test_coarse_slice_equals_coarse_sweep(self, lo, step, k, horizon, params, index):
         delta0, ratio, offsets = params
-        spec = StreamSpec(delta0, ratio, "offcenter", offsets)
-        config = pr.PerrinConfig(grid=pr.GridSpec(lo, lo + k * step, step),
-                                 horizon=horizon, stream=spec)
-        m = pr.builtin_methods(config)[index]
-        coarse = pr.score_sheet(m, config).domain
-        swept = pr.domain_of_convergence(m, config.grid, spec, horizon)
+        spec = StreamSpec(delta0, ratio, offset=offsets)
+        grid = pr.GridSpec(lo, lo + k * step, step)
+        m = METHODS[index]
+        coarse = pr.score_sheet(m, grid, spec, horizon).domain
+        swept = pr.domain_of_convergence(m, grid, spec, horizon)
         assert ((coarse.grid, coarse.method, coarse.horizon, coarse.axis)
                 == (swept.grid, swept.method, swept.horizon, swept.axis))
         assert coarse.codes.tolist() == swept.codes.tolist()
@@ -561,9 +564,9 @@ class TestScoreSheet:
         monkeypatch.setattr(pr, "classify_world",
                             lambda *a: classified.append(a) or classify_world(*a))
         monkeypatch.setattr(pr, "trace", lambda *a: traced.append(a) or trace(*a))
-        assert pr.score_sheet(pr.ockham_method(), SMALL).stable.passed
+        assert pr.score_sheet(pr.ockham_method(), SMALL_GRID, SPEC, HORIZON).stable.passed
         assert classified == [] and traced == []
-        sheet = pr.score_sheet(pr.builtin_methods(SMALL)[3], SMALL)  # WAY2 retracts
+        sheet = pr.score_sheet(METHODS[3], SMALL_GRID, SPEC, HORIZON)  # WAY2 retracts
         assert classified == []
         assert 0 < len(traced) == len(sheet.stable.witnesses) <= 10
 
@@ -576,8 +579,8 @@ class TestScoreSheet:
         assert (ae, stable) == (False, True)
 
     def test_underdetermination_every_method(self):
-        for m in pr.builtin_methods(SMALL):
-            assert pr.underdetermination_ok(m, SMALL.grid, SMALL.stream)
+        for m in METHODS:
+            assert pr.underdetermination_ok(m, SMALL_GRID, SPEC)
 
 
 def reference_intervals(kind, na_true, const, size, rep_seeds, confidence, times):
@@ -594,14 +597,14 @@ def reference_intervals(kind, na_true, const, size, rep_seeds, confidence, times
     return rows
 
 
-def scalar_coverage(kind, na_true, const, size, reps, confidence, seed, times):
+def scalar_coverage(kind, na_true, const, size, reps, confidence, seed):
     """The per-rep loop that the stacked coverage_study replaced: the
     reference it must equal bit for bit."""
     rep_seeds = (substream(seed, "coverage", kind, size, rep).integers(2**63)
                  for rep in range(reps))
     hits, widths = 0, 0.0
     for lo, hi, _ in reference_intervals(kind, na_true, const, size, rep_seeds, confidence,
-                                         times):
+                                         pr.DEFAULT_TIMES):
         hits += lo <= na_true <= hi
         widths += hi - lo
     return pr.CoverageResult(reps=reps, coverage=hits / reps, mean_width=widths / reps)
@@ -694,17 +697,16 @@ class TestEstimators:
     # a rep whose slope numpy's square would round unlike Python's pow, by one ulp
     # in its interval (seen with this platform's libm)
     @example(kind="brownian", na_true=1.0, const=2.0, size=10, reps=1, confidence=0.95,
-             seed=12977, times=list(pr.DEFAULT_TIMES))
+             seed=12977)
     @given(kind=st.sampled_from(["brownian", "sediment"]), na_true=st.floats(0.05, 20.0),
            const=st.floats(0.05, 20.0), size=st.integers(2, 300), reps=st.integers(1, 120),
-           confidence=st.floats(0.5, 0.999), seed=st.integers(0, 2**40),
-           times=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=9))
+           confidence=st.floats(0.5, 0.999), seed=st.integers(0, 2**40))
     def test_coverage_matches_scalar_loop(self, kind, na_true, const, size, reps, confidence,
-                                          seed, times):
-        assert (outcome(pr.coverage_study, kind, na_true, const, size, reps, confidence, seed,
-                        times)
-                == outcome(scalar_coverage, kind, na_true, const, size, reps, confidence, seed,
-                           times))
+                                          seed):
+        # other observation times reach the kernel through experimental_stream
+        # and test_kernel_equals_estimate_interval
+        args = (kind, na_true, const, size, reps, confidence, seed)
+        assert outcome(pr.coverage_study, *args) == outcome(scalar_coverage, *args)
 
 
 def kernel_intervals(*args):

@@ -82,11 +82,15 @@ class TestScores:
                              st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True)))
     def test_nested_fit_matches_reference(self, coeffs, kink, grid, sigma, seed, extra, degrees):
         # one QR at the largest degree against one monomial lstsq fit and
-        # one quadrature per degree
-        design = "grid" if grid else "uniform"
-        truth = ps.abs_truth(sigma, design) if kink else ps.poly_truth(coeffs, sigma, design)
+        # one quadrature per degree, on uniform draws or an equispaced design
+        truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
         n = min(max(degrees) + 2 + extra, 300)
-        d = ps.generate(truth, n, seed)
+        if grid:
+            xs = np.linspace(-1.0, 1.0, n)
+            ys = truth.eval(xs) + sigma * substream(seed, "equispaced").standard_normal(n)
+            d = ps.Dataset(xs=tuple(xs.tolist()), ys=tuple(ys.tolist()))
+        else:
+            d = ps.generate(truth, n, seed)
         sigma2 = sigma**2
         report = ps.score_candidates(d, degrees, sigma2, truth=truth)
         assert [row[0] for row in report.per_degree] == degrees
@@ -177,19 +181,13 @@ class TestGenerate:
         assert ps.generate(truth, 100, 7) != ps.generate(truth, 100, 8)
 
     def test_noise_variance_concentrates(self):
-        truth = ps.poly_truth((0.0,), noise_sigma=1.5, design="grid")
+        truth = ps.poly_truth((0.0,), noise_sigma=1.5)
         n = 100_000
         d = ps.generate(truth, n, seed=3)
         resid = np.array(d.ys) - truth.eval(np.array(d.xs))
         sample_var = float(np.var(resid, ddof=1))
         se = truth.noise_sigma**2 * math.sqrt(2.0 / n)
         assert abs(sample_var - truth.noise_sigma**2) <= 3.0 * se
-
-    def test_grid_design_is_fixed(self):
-        truth = ps.poly_truth((0.0,), noise_sigma=1.0, design="grid")
-        a = ps.generate(truth, 50, 1)
-        b = ps.generate(truth, 50, 2)
-        assert a.xs == b.xs
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
@@ -204,8 +202,6 @@ class TestTruthSpec:
             ps.TruthSpec(kind="poly", noise_sigma=1.0)
         with pytest.raises(ValueError):
             ps.TruthSpec(kind="spline", noise_sigma=1.0)
-        with pytest.raises(ValueError):
-            ps.poly_truth((1.0,), noise_sigma=1.0, design="lattice")
 
     def test_poly_degree_strips_zero_lead(self):
         assert ps.poly_truth((1.0, 2.0, 0.0), 1.0).poly_degree == 1
@@ -255,11 +251,10 @@ class TestBatchedRegimes:
 
     @settings(max_examples=12, deadline=None)
     @given(degrees=st.sampled_from([[2], [0, 3, 5], [5, 0, 3]]), reps=st.sampled_from([100, 129, 257]),
-           kink=st.booleans(), grid=st.booleans(), coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           kink=st.booleans(), coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
            sigma=st.floats(0.05, 2.0), n=st.integers(7, 60), seed=st.integers(0, 10_000))
-    def test_rows_match_scalar_reference(self, degrees, reps, kink, grid, coeffs, sigma, n, seed):
-        design = "grid" if grid else "uniform"
-        truth = ps.abs_truth(sigma, design) if kink else ps.poly_truth(coeffs, sigma, design)
+    def test_rows_match_scalar_reference(self, degrees, reps, kink, coeffs, sigma, n, seed):
+        truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
         summary = ps.regime_experiment(truth, degrees, n, reps, seed)
         assert len(summary.rows) == reps * len(degrees)
         excess = {"aic": 0.0, "bic": 0.0}
@@ -282,9 +277,8 @@ class TestBatchedRegimes:
         assert summary.mean_excess_risk_aic == excess["aic"] / reps
         assert summary.mean_excess_risk_bic == excess["bic"] / reps
 
-    @pytest.mark.parametrize("design", ["uniform", "grid"])
-    def test_chunks_hold_generate_data(self, monkeypatch, design):
-        truth = ps.poly_truth((0.3, -1.0, 0.5), 0.7, design)
+    def test_chunks_hold_generate_data(self, monkeypatch):
+        truth = ps.poly_truth((0.3, -1.0, 0.5), 0.7)
         kernel, stacks = ps._nested_scores, []
 
         def spy(x, y, *args):
@@ -317,7 +311,7 @@ class TestBatchedRegimes:
 class TestUnbiasednessProbe:
     def test_matches_out_of_place_reference(self):
         # the probe scales, shifts and squares in place; same arithmetic as this
-        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.8, design="grid")
+        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.8)
         n, reps, seed = 60, 300, 11
         xs = np.linspace(-1.0, 1.0, n)
         fstar = truth.eval(xs)
@@ -330,12 +324,12 @@ class TestUnbiasednessProbe:
         assert (probe.mean_estimate, probe.mean_true_insample_risk) == (est, risk)
 
     def test_flat_truth_probe(self):
-        truth = ps.poly_truth((0.0,), noise_sigma=1.0, design="grid")
+        truth = ps.poly_truth((0.0,), noise_sigma=1.0)
         probe = ps.unbiasedness_probe(truth, degree=0, n=200, reps=5000, seed=31)
         assert probe.relative_bias <= 0.02
 
     def test_quadratic_truth_probe(self):
-        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0, design="grid")
+        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0)
         probe = ps.unbiasedness_probe(truth, degree=2, n=200, reps=4000, seed=31)
         assert probe.relative_bias <= 0.02
         # known-variance identity: both means sit near (n + k + 1)/n * sigma^2
@@ -344,13 +338,13 @@ class TestUnbiasednessProbe:
         assert probe.mean_true_insample_risk == pytest.approx(expected, rel=0.02)
 
     def test_noise_floor_limit(self):
-        truth = ps.poly_truth((1.0, 0.5), noise_sigma=1e-9, design="grid")
+        truth = ps.poly_truth((1.0, 0.5), noise_sigma=1e-9)
         probe = ps.unbiasedness_probe(truth, degree=1, n=100, reps=500, seed=1)
         assert probe.mean_estimate < 1e-17
         assert probe.relative_bias <= 0.05
 
     def test_bias_shrinks_with_sample_size(self):
-        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0, design="grid")
+        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0)
         seeds = range(40, 45)
         small = [ps.unbiasedness_probe(truth, 2, 50, 3000, s).relative_bias for s in seeds]
         large = [ps.unbiasedness_probe(truth, 2, 400, 3000, s).relative_bias for s in seeds]
@@ -362,4 +356,4 @@ class TestUnbiasednessProbe:
         with pytest.raises(ValueError):
             ps.unbiasedness_probe(ps.poly_truth((0, 0, 1.0), 1.0), 1, 100, 500, 1)
         with pytest.raises(ValueError):  # degree 4 needs 6 points
-            ps.unbiasedness_probe(ps.poly_truth((1.0, 2.0), 1.0, "grid"), 4, 5, 500, 1)
+            ps.unbiasedness_probe(ps.poly_truth((1.0, 2.0), 1.0), 4, 5, 500, 1)
