@@ -252,7 +252,11 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     interval of width w containing a can contain p only while |a - p| <= w
     (the exit stage of (p, p), k = 2); every prism is narrower than delta
     from first_stage(delta, 2).  Worlds within DIAG_TOL of the diagonal
-    count as on it: there the prism meets the diagonal forever."""
+    count as on it: there the prism meets the diagonal forever; those
+    within DIAG_TOL of (p, p) count as the sacrificed pair.  A sheet world
+    of the pair other than (p, p) itself loses (p, p) from its prisms once
+    they are narrow enough, and so WAY2's verdict there: only at (p, p) is
+    it claimed."""
     gap = np.abs(a - b)
     off = gap >= DIAG_TOL  # every strand world is on the diagonal
     settle = np.full(len(gap), -1, dtype=np.int64)
@@ -269,7 +273,7 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
         exits = strand & ~pair
         settle[exits] = _first_stages(spec, np.abs(a - m.p)[exits], 2.0)
         if m.kind == "WAY2":
-            settle[pair & ~strand] = spec.first_stage(m.gate, 2.0)
+            settle[~strand & (a == m.p) & (b == m.p)] = spec.first_stage(m.gate, 2.0)
     return settle
 
 

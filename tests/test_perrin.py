@@ -55,7 +55,9 @@ def scalar_oracle(m, w, spec):
         return div if diag else conv(separation())
     if m.kind in ("WAY1", "WAY2"):
         if diag and abs(w.na - m.p) < pr.DIAG_TOL:  # the sacrificed pair
-            return conv(width()) if m.kind == "WAY2" and w.z == 0 else div
+            # only (p, p) itself keeps (p, p) in every prism
+            at_pair = w.na == w.na_prime == m.p
+            return conv(width()) if m.kind == "WAY2" and w.z == 0 and at_pair else div
         if w.z == 1:
             return conv(point_exit())
         return div if diag else conv(separation())
@@ -428,6 +430,19 @@ class TestOracle:
         spec = StreamSpec(delta0, ratio)
         gaps = [*gaps, k * spec.half_width(tie)]  # a gap one stage's width reaches exactly
         assert pr._first_stages(spec, gaps, k).tolist() == [spec.first_stage(g, k) for g in gaps]
+
+    def test_way2_claims_no_sheet_world_near_but_off_the_pair(self):
+        # the grid rounds p = step to 12 digits: (a, a) is within DIAG_TOL of
+        # (p, p) but not at it, (p, p) leaves its prism at stage 24 and WAY2
+        # says SIMPLE from then on
+        step = 0.40227895648052314
+        m = pr.PerrinMethod(kind="WAY2", p=step, gate=1.0)
+        spec = StreamSpec(1.0, 0.3046875)
+        a = pr.GridSpec(0.0, step, step).axis()[1]
+        assert a != step and abs(a - step) < pr.DIAG_TOL
+        worlds = [pr.plane_world(a, a), pr.plane_world(step, step)]
+        assert array_records(m, worlds, spec, 25) == scalar_records(m, worlds, spec, 25) == [
+            (Status.DIVERGES, None), (Status.CONVERGES, 1)]
 
     def test_first_stages_need_positive_gaps(self):
         assert pr._first_stages(SPEC, [], 2.0).tolist() == []
