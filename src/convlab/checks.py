@@ -5,8 +5,8 @@ run under --check or by the acceptance tests at their pinned sizes, and
 returns a list of (check_id, passed, detail).  Every threshold and the
 expected score-sheet patterns are written here once.  A check given no
 results to judge fails.  What only a check needs (the width-scaling
-slope, from width_slope, and the unbiasedness probe at further seeds) is
-measured by the caller, and by the CLI only when it checks.
+slope, from width_slope) is measured by the caller, and by the CLI only
+when it checks.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import statistics
 from . import lineworld as lw
 from . import perrin as pr
 from . import predsel as ps
-from .gaussian import aic_rule, bic_rule, confidence_rule_95
+from .gaussian import aic_rule, bic_rule, confidence_rule_95, normal_quantile
 
 MC_FLOOR = 0.004  # absolute MC tolerance of the fixed-z levels, below 4 se at small trials
 BIC_TARGETS = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
-TREND_SEEDS = 5  # consecutive seeds the unbiasedness trend averages over
+PROBE_ALPHA = 0.01  # family-wise rate at which predsel_unbiasedness fails a sound estimator
+PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))  # Bonferroni, ~3.02
 WIDTH_SIZES = (100, 200, 400, 800)
 
 
@@ -110,15 +111,15 @@ def check_predsel_directions(a: ps.RegimeSummary, b: ps.RegimeSummary):
     return results
 
 
-def check_predsel_probe(relative_bias: dict):
-    """relative_bias: probed sample size -> relative biases at
-    consecutive seeds, the run's own seed first.  n = 200 is judged at
-    that seed; the trend from n = 50 to n = 400 over TREND_SEEDS seeds."""
-    at200 = relative_bias.get(200, [math.inf])[0]
-    small, large = relative_bias.get(50, []), relative_bias.get(400, [])
-    trend = len(small) == len(large) == TREND_SEEDS
-    trend = trend and sum(large) / TREND_SEEDS <= sum(small) / TREND_SEEDS
-    return [("predsel_unbiasedness", at200 <= 0.02 and trend, f"rel_bias(200)={at200:.5f}")]
+def check_predsel_probe(probes: dict):
+    """probes: probed sample size -> predsel.ProbeReport, one per size of
+    predsel.PROBE_SIZES.  The relative bias at n = 200 must be at most
+    0.02, and every size's z within the two-sided normal bound PROBE_Z."""
+    at200 = probes[200].relative_bias if 200 in probes else math.inf
+    ok = sorted(probes) == sorted(ps.PROBE_SIZES) and at200 <= 0.02
+    ok = ok and all(abs(p.z) <= PROBE_Z for p in probes.values())
+    zs = " ".join(f"{n}:{p.z:+.2f}" for n, p in sorted(probes.items()))
+    return [("predsel_unbiasedness", ok, f"rel_bias(200)={at200:.5f} z({zs}) |z|<={PROBE_Z:.2f}")]
 
 
 EXPECTED_PATTERNS = {

@@ -221,7 +221,6 @@ GRID_FIELDS = {"lineworld": ("theta_min", "theta_max", "theta_step"),
                "perrin": ("grid_lo", "grid_hi", "grid_step")}
 MAX_WORLDS = 10**6
 MAX_ORACLE_STAGES = 10**5
-PROBE_SIZES = (50, 100, 200, 400)  # predsel probe design sizes; --check reruns the two ends
 
 
 def world_axis(config: dict, suite: str) -> tuple:
@@ -278,10 +277,10 @@ def check_consistency(config: dict) -> None:
                               f"above the limit of {MAX_ORACLE_STAGES}")
     sc = config["predsel"]
     degree = ps.poly_truth(sc["regime_a_coeffs"], sc["regime_a_sigma"]).poly_degree
-    if degree + 2 > PROBE_SIZES[0]:
+    if degree + 2 > ps.PROBE_SIZES[0]:
         raise ConfigError(f"predsel.regime_a_coeffs: the true model's degree {degree} is above "
-                          f"{PROBE_SIZES[0] - 2}, the most the unbiasedness probe fits on its "
-                          f"smallest design, n = {PROBE_SIZES[0]}")
+                          f"{ps.PROBE_SIZES[0] - 2}, the most the unbiasedness probe fits on its "
+                          f"smallest design, n = {ps.PROBE_SIZES[0]}")
     if sc["regime_a_max_degree"] < degree:
         raise ConfigError(f"predsel.regime_a_max_degree: {sc['regime_a_max_degree']} leaves out "
                           f"the true model, of degree {degree} (predsel.regime_a_coeffs)")
@@ -313,8 +312,13 @@ def validate_config(raw_text: str) -> dict:
 def _write_atomic(path: Path, text: str) -> str:
     data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:  # a directory where the file must be, or no permission to write
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
     return hashlib.sha256(data).hexdigest()
 
 
@@ -454,19 +458,10 @@ def run_predsel(cfg: dict, out: Outputs):
                       [(rep, selector, risk) for rep, pair in enumerate(b.excess)
                        for selector, risk in zip(("aic", "bic"), pair)])
 
-    degree = truth_a.poly_degree
-    rel_bias = {  # probed size -> relative biases at consecutive seeds from `seed`
-        n: [ps.unbiasedness_probe(truth_a, degree, n, pc["probe_reps"], seed).relative_bias]
-        for n in PROBE_SIZES
-    }
-    results = []
-    if cfg["check"]:
-        for n in (PROBE_SIZES[0], PROBE_SIZES[-1]):
-            rel_bias[n] += [
-                ps.unbiasedness_probe(truth_a, degree, n, pc["probe_reps"], seed + k).relative_bias
-                for k in range(1, checks.TREND_SEEDS)
-            ]
-        results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(rel_bias)
+    probes = {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
+              for n in ps.PROBE_SIZES}
+    results = (checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
+               if cfg["check"] else [])
     summary = {
         "true_model_in_set": {
             "correct_frequency_aic": a.correct_frequency_aic,
@@ -481,7 +476,7 @@ def run_predsel(cfg: dict, out: Outputs):
             "mean_excess_risk_bic": b.mean_excess_risk_bic,
             "reps": b.reps,
         },
-        "unbiasedness_probe_relative_bias": {str(n): rb[0] for n, rb in rel_bias.items()},
+        "unbiasedness_probe_relative_bias": {str(n): p.relative_bias for n, p in probes.items()},
     }
     return summary, results
 

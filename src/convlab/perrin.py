@@ -660,8 +660,7 @@ class StreamResult:
 
 
 def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
-                        confidence: float, seed: int, c: float = 1.0,
-                        cprime: float = 1.0, times: Sequence[float] = DEFAULT_TIMES) -> StreamResult:
+                        confidence: float, seed: int) -> StreamResult:
     """Bridge the two estimators to prism evidence.
 
     Per stage, the product of the two interval estimates (_intervals on
@@ -673,17 +672,17 @@ def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("the sample-size schedule must be increasing")
 
-    def interval(kind, truth, const, axis, i, size):
+    def interval(kind, truth, axis, i, size):
         rep_seed = substream(seed, axis, i).integers(2**63)
-        lo, hi, _ = _intervals(kind, truth, const, int(size), [rep_seed], confidence, times)
+        lo, hi, _ = _intervals(kind, truth, 1.0, int(size), [rep_seed], confidence, DEFAULT_TIMES)
         return float(lo[0]), float(hi[0])
 
     prisms = []
     prev = None
     for i, size in enumerate(schedule):
         try:
-            xlo, xhi = interval("brownian", na, c, "stage-x", i, size)
-            ylo, yhi = interval("sediment", naprime, cprime, "stage-y", i, size)
+            xlo, xhi = interval("brownian", na, "stage-x", i, size)
+            ylo, yhi = interval("sediment", naprime, "stage-y", i, size)
         except EstimationError:
             return StreamResult(tuple(prisms), flagged_stage=i)
         if prev is not None:

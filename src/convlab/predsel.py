@@ -259,6 +259,7 @@ class RegimeSummary:
 # Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
 # the default regime A added ~170 MiB to a run's peak memory.
 CHUNK = 64
+PROBE_SIZES = (50, 100, 200, 400)  # the designs a run's unbiasedness probes fit, smallest first
 
 
 def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
@@ -307,21 +308,23 @@ class ProbeReport:
     mean_estimate: float
     mean_true_insample_risk: float
     relative_bias: float
+    z: float  # (mean_estimate - mean_true_insample_risk) / (sigma^2 sqrt(2 / (n reps)))
 
 
 def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: int) -> ProbeReport:
     """Monte Carlo check that the penalized risk estimate
     (rss + 2 (k+1) sigma^2) / n matches the true in-sample risk on a
     fixed equispaced design when the truth is representable at the
-    probed degree (known variance makes it exactly unbiased)."""
+    probed degree (known variance makes it exactly unbiased).  Each rep's
+    estimate - in-sample risk has mean 0 and variance 2 sigma^4 / n, so
+    z (their mean over its sd) is near N(0, 1)."""
     if truth.kind != "poly" or truth.poly_degree > degree:
         raise ValueError("the probe needs a polynomial truth representable at the probed degree")
     sigma = truth.noise_sigma
     xs = np.linspace(-1.0, 1.0, n)
     fstar = truth.eval(xs)
     Q, _ = _legendre_qr(xs, degree)
-    rng = substream(seed, "predsel-probe", degree, n)
-    Y = rng.standard_normal((n, reps))
+    Y = substream(seed, "predsel-probe", degree, n).standard_normal((n, reps))
     Y *= sigma
     Y += fstar[:, None]
     fitted = Q @ (Q.T @ Y)
@@ -331,4 +334,5 @@ def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: i
     fitted -= fstar[:, None]
     insample = sigma**2 + np.mean(np.square(fitted, out=fitted), axis=0)
     mean_est, mean_risk = float(np.mean(estimates)), float(np.mean(insample))
-    return ProbeReport(mean_est, mean_risk, abs(mean_est - mean_risk) / mean_risk)
+    return ProbeReport(mean_est, mean_risk, abs(mean_est - mean_risk) / mean_risk,
+                       (mean_est - mean_risk) / (sigma**2 * math.sqrt(2.0 / (n * reps))))

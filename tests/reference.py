@@ -231,9 +231,7 @@ def estimate_interval(sample: ExperimentSample, confidence: float) -> EstimateIn
 
 
 def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
-                        confidence: float, seed: int, c: float = 1.0,
-                        cprime: float = 1.0,
-                        times: Sequence[float] = pr.DEFAULT_TIMES) -> pr.StreamResult:
+                        confidence: float, seed: int) -> pr.StreamResult:
     """perrin.experimental_stream one sample and one estimate_interval
     per stage and axis."""
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -242,8 +240,9 @@ def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
     prev = None
     for i, size in enumerate(schedule):
         try:
-            bx = simulate_brownian(na, c, times, int(size), substream(seed, "stage-x", i).integers(2**63))
-            by = simulate_sedimentation(naprime, cprime, int(size), substream(seed, "stage-y", i).integers(2**63))
+            bx = simulate_brownian(na, 1.0, pr.DEFAULT_TIMES, int(size),
+                                   substream(seed, "stage-x", i).integers(2**63))
+            by = simulate_sedimentation(naprime, 1.0, int(size), substream(seed, "stage-y", i).integers(2**63))
             ix = estimate_interval(bx, confidence)
             iy = estimate_interval(by, confidence)
         except pr.EstimationError:

@@ -2,12 +2,14 @@
 fails on results doctored to break exactly the property it judges."""
 
 import copy
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from convlab import checks
 from convlab import gaussian as g
+from convlab import predsel as ps
 from convlab.framework import ModeReport
 from convlab.perrin import ScoreSheet
 
@@ -129,15 +131,23 @@ def test_predsel_directions():
     assert got == {"predsel_regime_true_model": True, "predsel_regime_misspecified": False}
 
 
-SOUND_PROBE = {200: [0.001], 50: [0.003] * checks.TREND_SEEDS, 400: [0.001] * checks.TREND_SEEDS}
+def probes(z=0.5, rel_bias=0.001, sizes=ps.PROBE_SIZES):
+    """n -> ProbeReport with the given relative bias and z at each size."""
+    return {n: ps.ProbeReport(1.0, 1.0, rel_bias, z) for n in sizes}
 
 
 @pytest.mark.parametrize("probe, ok", [
-    (SOUND_PROBE, True),
-    ({**SOUND_PROBE, 200: [0.03]}, False),
-    ({**SOUND_PROBE, 400: [0.004] * checks.TREND_SEEDS}, False),
-    ({200: [0.001], 50: [0.003], 400: [0.001]}, False),  # one seed is no trend
+    (probes(), True),
+    (probes(rel_bias=0.03), False),
+    ({**probes(), 400: probes(z=3.1)[400]}, False),
+    (probes(sizes=(50, 200, 400)), False),  # a probed size is missing
     ({}, False),
+    (probes(z=-3.0), True),  # inside the Bonferroni bound of about 3.02
+    (probes(rel_bias=0.02), True),
+    ({**probes(), 50: probes(z=-3.1)[50]}, False),
+    ({**probes(), 100: probes(z=math.nan)[100]}, False),
+    (probes(sizes=(50, 100, 400)), False),  # no relative bias at n = 200
+    ({**probes(), 800: probes(sizes=(800,))[800]}, False),  # a size the run does not probe
 ])
 def test_predsel_probe(probe, ok):
     [(_, passed, _)] = checks.check_predsel_probe(probe)

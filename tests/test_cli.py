@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from convlab import cli
 from convlab import lineworld as lw
 from convlab import perrin as pr
+from convlab import predsel as ps
 from convlab.framework import Status
 
 
@@ -390,6 +391,18 @@ class TestFlags:
         assert blocker.read_text() == "kept"
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("name", ["summary.json", "manifest.json"])
+    def test_output_file_that_is_a_directory_exit_two(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
+        code, _ = run_cli(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write the file {out / name}: ")
+        assert (out / name).is_dir()
+        assert not list(out.rglob("*.tmp"))
+
     @pytest.mark.parametrize("config, start", [
         ({"seed": [0] * 100_000}, "seed: expected an integer, got [0, 0, "),
         ({"experiment": "x" * 100_000}, "experiment: unknown experiment 'xxx"),
@@ -630,6 +643,25 @@ class TestChecksJudgeTheRun:
         summary = json.loads((out / "summary.json").read_text())["lineworld"]
         assert summary["worlds"] == 11
         assert len(traced) == summary["worlds"] * len(summary["pointwise_by_stream"]) == 33
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_predsel_probes_each_size_once(self, tmp_path, monkeypatch, check):
+        # --check judges the run's own probes; it reruns none of them
+        probed = []
+        original = ps.unbiasedness_probe
+
+        def counting_probe(*args):
+            probed.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(ps, "unbiasedness_probe", counting_probe)
+        config = {"experiment": ["predsel"], "check": check,
+                  "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 200}}
+        code, out = run_cli(tmp_path, config)
+        assert code in (0, 1)
+        assert probed == list(ps.PROBE_SIZES)
+        checks_run = json.loads((out / "summary.json").read_text()).get("checks", {})
+        assert ("predsel_unbiasedness" in checks_run) is check
 
 
 def _fmt(v) -> str:

@@ -718,8 +718,7 @@ class TestEstimators:
            confidence=st.floats(0.5, 0.999), seed=st.integers(0, 2**40))
     def test_coverage_matches_scalar_loop(self, kind, na_true, const, size, reps, confidence,
                                           seed):
-        # other observation times reach the kernel through experimental_stream
-        # and test_kernel_equals_estimate_interval
+        # other observation times reach the kernel through test_kernel_equals_estimate_interval
         args = (kind, na_true, const, size, reps, confidence, seed)
         assert outcome(pr.coverage_study, *args) == outcome(scalar_coverage, *args)
 
@@ -750,13 +749,10 @@ schedules = st.lists(st.integers(2, 400), min_size=1, max_size=6, unique=True).m
 
 class TestExperimentalStream:
     @settings(max_examples=100)
-    @given(na=st.floats(0.05, 20.0), na_prime=st.floats(0.05, 20.0), c=st.floats(0.05, 20.0),
-           cprime=st.floats(0.05, 20.0), schedule=schedules, confidence=st.floats(0.5, 0.999),
-           seed=st.integers(0, 2**40),
-           times=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=9))
-    def test_stream_equals_reference_loop(self, na, na_prime, c, cprime, schedule, confidence,
-                                          seed, times):
-        args = (na, na_prime, schedule, confidence, seed, c, cprime, times)
+    @given(na=st.floats(0.05, 20.0), na_prime=st.floats(0.05, 20.0), schedule=schedules,
+           confidence=st.floats(0.5, 0.999), seed=st.integers(0, 2**40))
+    def test_stream_equals_reference_loop(self, na, na_prime, schedule, confidence, seed):
+        args = (na, na_prime, schedule, confidence, seed)
         assert (outcome(pr.experimental_stream, *args)
                 == outcome(ref.experimental_stream, *args))
 
@@ -785,8 +781,8 @@ class TestExperimentalStream:
             assert a.xlo <= b.xlo and b.xhi <= a.xhi and a.ylo <= b.ylo and b.yhi <= a.yhi
 
     def test_stream_flagged_at_stage_zero_has_no_verdicts(self):
-        # two particles at one time: the slope interval reaches zero at once
-        sr = pr.experimental_stream(1.0, 1.0, [2], 0.95, 1, times=[1.0])
+        # two heights: the rate interval, point (1 +- 1.96 / sqrt(2)), reaches zero at once
+        sr = pr.experimental_stream(1.0, 1.0, [2], 0.95, 1)
         assert (sr.prisms, sr.flagged_stage) == ((), 0)
         assert pr.decide_prisms(pr.ockham_method(), sr.prisms) == ()
 

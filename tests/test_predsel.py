@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -320,8 +321,18 @@ class TestUnbiasednessProbe:
         fitted = Q @ (Q.T @ Y)
         est = np.mean((np.sum((Y - fitted) ** 2, axis=0) + 2.0 * 3 * 0.8**2) / n)
         risk = np.mean(0.8**2 + np.mean((fitted - fstar[:, None]) ** 2, axis=0))
+        z = (est - risk) / (0.8**2 * math.sqrt(2.0 / (n * reps)))
         probe = ps.unbiasedness_probe(truth, 2, n, reps, seed)
-        assert (probe.mean_estimate, probe.mean_true_insample_risk) == (est, risk)
+        assert (probe.mean_estimate, probe.mean_true_insample_risk, probe.z) == (est, risk, z)
+
+    def test_z_is_standardized(self):
+        # estimate - in-sample risk has mean 0 and variance 2 sigma^4 / n per rep, so
+        # over 200 seeds the z values' mean is within 4 standard errors (0.28) of 0
+        # and their variance within 4 standard errors (4 sqrt(2 / 199) = 0.40) of 1
+        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.7)
+        z = [ps.unbiasedness_probe(truth, 2, 20, 50, seed).z for seed in range(200)]
+        assert abs(statistics.fmean(z)) <= 0.28
+        assert abs(statistics.variance(z) - 1.0) <= 0.40
 
     def test_flat_truth_probe(self):
         truth = ps.poly_truth((0.0,), noise_sigma=1.0)
