@@ -20,6 +20,7 @@ from . import predsel as ps
 from .gaussian import aic_rule, bic_rule, confidence_rule_95, normal_quantile
 
 MC_FLOOR = 0.004  # absolute MC tolerance of the fixed-z levels, below 4 se at small trials
+MC_Z = 4.0  # the Wilson interval's width in standard errors
 BIC_TARGETS = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
 PROBE_ALPHA = 0.01  # family-wise rate at which predsel_unbiasedness fails a sound estimator
 PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))  # Bonferroni, ~3.02
@@ -30,43 +31,53 @@ def _analytic(rows, rule: str, theta: float) -> dict:
     return {n: p for r, t, n, p, se in rows if (r, t) == (rule, theta) and se is None}
 
 
-def _mc_agrees(rows, rule: str, floor: float) -> bool:
-    """Every Monte Carlo row of the rule at theta = 0 lies within
-    max(floor, 4 se) of the analytic row at the same n (which must exist)."""
+def _mc_agrees(rows, rule: str, floor: float, trials: int) -> bool:
+    """Every Monte Carlo row of the rule at theta = 0 lies within floor of
+    the analytic row at the same n (which must exist), or has it inside
+    the z = 4 Wilson score interval (Wilson 1927) of its estimate at the
+    run's trial count, which unlike a plug-in se stays open at 0 and 1."""
     exact = _analytic(rows, rule, 0.0)
-    mc = [(n, p, se) for r, t, n, p, se in rows if (r, t) == (rule, 0.0) and se is not None]
-    return bool(mc) and all(n in exact and abs(p - exact[n]) <= max(floor, 4.0 * se)
-                            for n, p, se in mc)
+    mc = [(n, p) for r, t, n, p, se in rows if (r, t) == (rule, 0.0) and se is not None]
+    shrink = 1.0 + MC_Z**2 / trials
+
+    def agrees(n, p):
+        center = (p + MC_Z**2 / (2.0 * trials)) / shrink
+        half = MC_Z / shrink * math.sqrt(p * (1.0 - p) / trials + (MC_Z / (2.0 * trials))**2)
+        return abs(p - exact[n]) <= floor or abs(exact[n] - center) <= half
+
+    return bool(mc) and all(n in exact and agrees(n, p) for n, p in mc)
 
 
 def _level_detail(levels) -> str:
     return f"analytic={levels[0]:.6f}" if levels else "no analytic rows at theta=0"
 
 
-def check_gaussian_levels(rows):
+def check_gaussian_levels(rows, trials: int):
     """Constant level of the sqrt(2)-threshold rule, the 95% rule's
     level, BIC's rising level, and power at theta = 0.5.
 
     rows: (rule label, theta, n, truth_prob, se) curve rows as written to
-    curves.csv; analytic rows have se None, Monte Carlo rows carry it.
+    curves.csv; analytic rows have se None, Monte Carlo rows carry it and
+    were drawn at `trials` trials each.
     """
     aic, m95, bic = aic_rule().label(), confidence_rule_95().label(), bic_rule().label()
     results = []
     levels = list(_analytic(rows, aic, 0.0).values())
     ok = bool(levels) and all(abs(p - 0.8427) <= 0.0005 for p in levels)
-    ok = ok and max(levels) - min(levels) <= 1e-12 and _mc_agrees(rows, aic, MC_FLOOR)
+    ok = ok and max(levels) - min(levels) <= 1e-12 and _mc_agrees(rows, aic, MC_FLOOR, trials)
     results.append(("gaussian_aic_level", ok, _level_detail(levels)))
 
     levels = list(_analytic(rows, m95, 0.0).values())
     ok = bool(levels) and all(abs(p - 0.9500) <= 0.0005 for p in levels)
-    ok = ok and _mc_agrees(rows, m95, MC_FLOOR)
+    ok = ok and _mc_agrees(rows, m95, MC_FLOOR, trials)
     results.append(("gaussian_m_dagger_level", ok, _level_detail(levels)))
 
     vals = _analytic(rows, bic, 0.0)
     hit = [n for n in BIC_TARGETS if n in vals]
     rising = [vals[n] for n in sorted(vals)]
     ok = bool(hit) and all(abs(vals[n] - BIC_TARGETS[n]) <= 0.001 for n in hit)
-    ok = ok and all(a < b for a, b in zip(rising, rising[1:])) and _mc_agrees(rows, bic, 0.0)
+    ok = ok and all(a < b for a, b in zip(rising, rising[1:]))
+    ok = ok and _mc_agrees(rows, bic, 0.0, trials)
     results.append(("gaussian_bic_consistency", ok,
                     " ".join(f"n={n}:{vals[n]:.5f}" for n in hit)))
 

@@ -394,7 +394,7 @@ def run_gaussian(cfg: dict, out: Outputs):
         "modes": modes,
         "curve_rows": len(rows),
     }
-    results = checks.check_gaussian_levels(rows) if cfg["check"] else []
+    results = checks.check_gaussian_levels(rows, gc["mc_trials"]) if cfg["check"] else []
     return summary, results
 
 

@@ -26,8 +26,8 @@ table _RULES: a prism that meets the diagonal gets the kind's fixed
 verdict, any other prism COMPLEX, except that a prism narrower than the
 method's gate (which, for the kinds that read p, also contains (p, p))
 gets the kind's triggered verdict.  One kernel, _verdicts, applies the
-table to scalars or to columns of prisms; the analytic oracle alone
-reasons per kind.
+table to scalars or to columns of prisms, and the analytic oracle,
+_oracle, reads the same table.
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the one interval kernel that coverage studies and the
@@ -245,35 +245,35 @@ def _first_stages(spec: StreamSpec, gaps, k: float):
 
 def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     """The stage from which m outputs the truth on every admissible stream,
-    per world (na, na_prime, z == 1), or -1 where it never settles on it.
-
-    Off the diagonal, intervals of width w containing a resp. b can share
-    a point only while |a - b| <= 2w (the separation stage, k = 4); an
-    interval of width w containing a can contain p only while |a - p| <= w
-    (the exit stage of (p, p), k = 2); every prism is narrower than delta
-    from first_stage(delta, 2).  Worlds within DIAG_TOL of the diagonal
-    count as on it: there the prism meets the diagonal forever; those
-    within DIAG_TOL of (p, p) count as the sacrificed pair.  A sheet world
-    of the pair other than (p, p) itself loses (p, p) from its prisms once
-    they are narrow enough, and so WAY2's verdict there: only at (p, p) is
-    it claimed."""
+    per world (na, na_prime, z == 1), or -1 where it never settles on it,
+    read off m's _RULES entry (on, reads, fired).  Untriggered, m says `on`
+    forever on the diagonal (worlds within DIAG_TOL of it count as on it);
+    off it, intervals of width w holding a resp. b meet only while
+    |a - b| <= 2w, so m says COMPLEX, the truth, from separation (k = 4).
+    A trigger reading only the gate fires for good from first_stage(gate, 2),
+    when every prism is narrower than the gate; one reading p, only at the
+    sacrificed pair: a strand world within DIAG_TOL of p, or the sheet world
+    (p, p).  Elsewhere an interval of width w holding a holds p only while
+    |a - p| <= w: it stops firing at the p-exit stage (k = 2)."""
+    on, reads, fired = _RULES[m.kind]
+    truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
     gap = np.abs(a - b)
     off = gap >= DIAG_TOL  # every strand world is on the diagonal
-    settle = np.full(len(gap), -1, dtype=np.int64)
+    settle = np.where(truth == _CODE[on], 0, -1)  # the untriggered verdict's
     settle[off] = _first_stages(spec, gap[off], 4.0)
-    if m.kind == "OCKHAM_REALIST":
-        settle[strand] = 0
-    elif m.kind == "WAY3":  # COMPLEX once the prism is narrow, right only on the sheet
+    if not reads:
+        return settle
+    right, forever = truth == _CODE[fired], np.ones(len(gap), dtype=bool)
+    if "p" in reads:
+        dist = np.maximum(np.abs(a - m.p), np.abs(b - m.p))  # to (p, p)
+        forever = (dist < DIAG_TOL) & (strand | (dist == 0.0))
+        exits = ~forever & ~right & ~off & (settle >= 0)  # wrong until the p-exit stage
+        settle[exits] = _first_stages(spec, dist[exits], 2.0)
+    settle[forever & ~right] = -1
+    hold = forever & right
+    if hold.any():  # the gate stage is read only here: WAY1's never is
         width = spec.first_stage(m.gate, 2.0)
-        settle = np.where(strand, -1, np.where(off, np.minimum(settle, width), width))
-    elif m.kind != "ANTI_REALIST":  # the agnostic rule suspends on the diagonal forever
-        # WAY1 suspends forever at the sacrificed pair; WAY2 says COMPLEX
-        # there once the prism is narrow: right on the sheet, wrong on the strand
-        pair = ~off & (np.abs(a - m.p) < DIAG_TOL)
-        exits = strand & ~pair
-        settle[exits] = _first_stages(spec, np.abs(a - m.p)[exits], 2.0)
-        if m.kind == "WAY2":
-            settle[~strand & (a == m.p) & (b == m.p)] = spec.first_stage(m.gate, 2.0)
+        settle[hold] = np.where(settle[hold] < 0, width, np.minimum(settle[hold], width))
     return settle
 
 

@@ -317,22 +317,20 @@ def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: i
     fixed equispaced design when the truth is representable at the
     probed degree (known variance makes it exactly unbiased).  Each rep's
     estimate - in-sample risk has mean 0 and variance 2 sigma^4 / n, so
-    z (their mean over its sd) is near N(0, 1)."""
+    z (their mean over its sd) is near N(0, 1).  A representable f*
+    cancels from both the residuals and the fit's error, so the probe
+    fits the unit noise alone and scales the two means by sigma^2: no
+    sigma is lost next to f*, and z and the relative bias do not depend
+    on sigma."""
     if truth.kind != "poly" or truth.poly_degree > degree:
         raise ValueError("the probe needs a polynomial truth representable at the probed degree")
-    sigma = truth.noise_sigma
-    xs = np.linspace(-1.0, 1.0, n)
-    fstar = truth.eval(xs)
-    Q, _ = _legendre_qr(xs, degree)
-    Y = substream(seed, "predsel-probe", degree, n).standard_normal((n, reps))
-    Y *= sigma
-    Y += fstar[:, None]
-    fitted = Q @ (Q.T @ Y)
-    Y -= fitted
-    rss = np.sum(np.square(Y, out=Y), axis=0)
-    estimates = (rss + 2.0 * (degree + 1) * sigma**2) / n
-    fitted -= fstar[:, None]
-    insample = sigma**2 + np.mean(np.square(fitted, out=fitted), axis=0)
-    mean_est, mean_risk = float(np.mean(estimates)), float(np.mean(insample))
-    return ProbeReport(mean_est, mean_risk, abs(mean_est - mean_risk) / mean_risk,
-                       (mean_est - mean_risk) / (sigma**2 * math.sqrt(2.0 / (n * reps))))
+    Q, _ = _legendre_qr(np.linspace(-1.0, 1.0, n), degree)
+    noise = substream(seed, "predsel-probe", degree, n).standard_normal((n, reps))
+    fitted = Q @ (Q.T @ noise)
+    noise -= fitted
+    rss = np.sum(np.square(noise, out=noise), axis=0)
+    mean_est = float(np.mean((rss + 2.0 * (degree + 1)) / n))
+    mean_risk = float(np.mean(1.0 + np.mean(np.square(fitted, out=fitted), axis=0)))
+    s2 = truth.noise_sigma**2
+    return ProbeReport(s2 * mean_est, s2 * mean_risk, abs(mean_est - mean_risk) / mean_risk,
+                       (mean_est - mean_risk) / math.sqrt(2.0 / (n * reps)))

@@ -256,3 +256,86 @@ def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
         prev = pr.PrismEvidence(xlo, xhi, ylo, yhi)
         prisms.append(prev)
     return pr.StreamResult(tuple(prisms), flagged_stage=None)
+
+
+# ---------------------------------------------------------------------------
+# the adversary: admissible streams steered against an oracle's claims.  The
+# oracles (perrin._oracle, lineworld.guaranteed_settle_stage) argue over
+# every nested stream StreamSpec admits, a prism's two axes each with its
+# own offsets; the run's streams share one spec for both axes.
+
+
+def rule_decision(entry):
+    """The scalar decision of any _RULES entry (on, reads, fired), for a
+    kind decide_latest does not know: the fired verdict on a prism
+    narrower than the gate (holding (p, p) when the entry reads p), else
+    `on` where the prism meets the diagonal and COMPLEX where it does not."""
+    on, reads, fired = entry
+
+    def decide(m: pr.PerrinMethod, e: pr.PrismEvidence) -> Verdict:
+        if reads and width(e) < m.gate and ("p" not in reads or contains_point(e, m.p, m.p)):
+            return fired
+        return on if overlap(e) else Verdict.COMPLEX
+
+    return decide
+
+
+def stages_above(delta0: float, ratio: float, floor: float) -> int:
+    """The number of stages whose half-width delta0 * ratio**t is above floor."""
+    t = 0
+    while delta0 * ratio**t > floor:
+        t += 1
+    return t
+
+
+def steered(theta: float, target: float, delta0: float, ratio: float, n: int,
+            rng: Optional[np.random.Generator] = None) -> StreamSpec:
+    """A spec of n per-stage offsets for intervals about theta.  Each
+    offset is, of those StreamSpec's nesting rule admits after the one
+    before it, the one whose interval is centered nearest target (which
+    may be infinite), or with rng a uniform draw.  Building the spec checks
+    the nesting rule."""
+    offsets, lam, d = [], None, delta0
+    for _ in range(n):
+        lo, hi = -1.0, 1.0
+        if lam is not None:
+            lo, hi = max(lo, 1.0 + (lam - 1.0) / ratio), min(hi, (lam + 1.0) / ratio - 1.0)
+        lam = min(hi, max(lo, (target - theta) / d)) if rng is None else float(rng.uniform(lo, hi))
+        offsets.append(lam)
+        d *= ratio
+    return StreamSpec(delta0, ratio, offset=offsets)
+
+
+def prism_streams(m: pr.PerrinMethod, w: pr.PastaWorld, delta0: float, ratio: float,
+                  n: int, rng: np.random.Generator) -> list:
+    """The adversary's n-stage streams about w, as (shared, x spec, y spec);
+    shared marks the run's own family, one spec for both axes.  Besides
+    the centered stream, greedy streams keep the two intervals overlapping
+    and, for a method with p, keep (p, p) inside the prism or push it out,
+    each both with offsets per axis and shared (the x axis's); two random
+    streams, one of each sort, end the list."""
+    a, b = w.na, w.na_prime
+    centered = StreamSpec(delta0, ratio)
+    streams = [(True, centered, centered),
+               (False, steered(a, b, delta0, ratio, n), steered(b, a, delta0, ratio, n))]
+    if m.p is not None:
+        away = math.copysign(math.inf, (a + b) / 2.0 - m.p)
+        for target in (m.p, away):
+            shared = steered(a, target, delta0, ratio, n)
+            streams += [(False, shared, steered(b, target, delta0, ratio, n)),
+                        (True, shared, shared)]
+    x, y, shared = (steered(v, 0.0, delta0, ratio, n, rng) for v in (a, b, a))
+    return streams + [(False, x, y), (True, shared, shared)]
+
+
+def prism_verdicts(m: pr.PerrinMethod, w: pr.PastaWorld, xspec: StreamSpec,
+                   yspec: StreamSpec, n: int, decide=decide_latest) -> list:
+    """decide's verdict at each of the n stages of one stream about w."""
+    a, b = w.na, w.na_prime
+    return [decide(m, pr.PrismEvidence(a + xlo, a + xhi, b + ylo, b + yhi))
+            for (xlo, xhi), (ylo, yhi) in zip(xspec.stages(n), yspec.stages(n))]
+
+
+def settle_stage(verdicts: Sequence[Verdict], truth: Verdict) -> int:
+    """The stage after a stream's last wrong verdict (0 when none is)."""
+    return max((t + 1 for t, v in enumerate(verdicts) if v is not truth), default=0)

@@ -47,7 +47,7 @@ def gaussian_verdicts():
     for rule, ns in ((g.aic_rule(), (100, 150, 200, 500, 1000, 10**4, 10**6)),
                      (g.bic_rule(), (200, 300, 500, 1000, 10**4, 10**6))):
         rows += [(rule.label(), 0.5, n, g.truth_prob_analytic(rule, w5, n), None) for n in ns]
-    return verdicts(checks.check_gaussian_levels(rows)), rows
+    return verdicts(checks.check_gaussian_levels(rows, 200_000)), rows
 
 
 @pytest.fixture(scope="module")

@@ -20,9 +20,12 @@ def verdicts(results) -> dict:
     return {name: ok for name, ok, _ in results}
 
 
+TRIALS = 200_000  # the default gaussian.mc_trials
+
+
 def gaussian_rows():
     """Analytic rows at theta 0 and 0.5, and one Monte Carlo row per rule
-    at theta 0 that agrees with the analytic value."""
+    at theta 0 that agrees with the analytic value at TRIALS trials."""
     rows = []
     for rule in (g.aic_rule(), g.confidence_rule_95(), g.bic_rule()):
         for theta in (0.0, 0.5):
@@ -51,13 +54,26 @@ GAUSSIAN_DOCTORED = {
 
 
 def test_gaussian_checks_pass_on_sound_rows():
-    assert all(verdicts(checks.check_gaussian_levels(gaussian_rows())).values())
+    assert all(verdicts(checks.check_gaussian_levels(gaussian_rows(), TRIALS)).values())
 
 
 @pytest.mark.parametrize("check_id", list(GAUSSIAN_DOCTORED))
 def test_gaussian_check_fails_on_doctored_rows(check_id):
-    got = verdicts(checks.check_gaussian_levels(GAUSSIAN_DOCTORED[check_id](gaussian_rows())))
+    got = verdicts(checks.check_gaussian_levels(GAUSSIAN_DOCTORED[check_id](gaussian_rows()),
+                                                TRIALS))
     assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
+def test_mc_agreement_at_probability_one():
+    # an estimate of 1.0 has a plug-in se of 0, and BIC's floor is 0: at 1,000
+    # trials the z = 4 Wilson interval of 1.0 reaches down to 0.984, past 0.9998
+    analytic = g.truth_prob_analytic(g.bic_rule(), g.GaussianWorld(0.0), 10**6)
+    rows = [(BIC, 0.0, 10**6, analytic, None), (BIC, 0.0, 10**6, 1.0, 0.0)]
+    assert checks._mc_agrees(rows, BIC, 0.0, 1000)
+    # a million trials put 0.9998 outside it, and so does a doctored analytic row
+    assert not checks._mc_agrees(rows, BIC, 0.0, 10**6)
+    doctored = [(BIC, 0.0, 10**6, 0.98, None), rows[1]]
+    assert not checks._mc_agrees(doctored, BIC, 0.0, 1000)
 
 
 LINEWORLD = {

@@ -202,6 +202,17 @@ class TestRun:
         code, _ = run_cli(tmp_path, config, "--check")
         assert code == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_check_passes_when_mc_estimates_one(self, tmp_path, seed):
+        # at n = 10**6 all 1,000 trials answer SIMPLE: an estimate of 1.0 beside
+        # BIC's analytic 0.99980, which a plug-in se of 0 rejected
+        config = {"experiment": "gaussian", "seed": seed, "gaussian": {
+            "mc_trials": 1000, "n_grid": [10, 20, 50, 100, 200, 500, 1000, 10000, 1000000],
+            "mc_n_grid": [10, 100, 1000000]}}
+        code, out = run_cli(tmp_path, config, "--check")
+        assert code == 0
+        assert "1000000,1.0," in (out / "curves.csv").read_text()
+
     def test_manifest_lists_only_this_runs_files(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["--experiment", "gaussian", "--trials", "2000", "--out", str(out)]) == 0

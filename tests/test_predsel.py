@@ -311,19 +311,28 @@ class TestBatchedRegimes:
 
 class TestUnbiasednessProbe:
     def test_matches_out_of_place_reference(self):
-        # the probe scales, shifts and squares in place; same arithmetic as this
+        # the probe fits the unit noise in place and scales the means by sigma^2;
+        # same arithmetic as this
         truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.8)
         n, reps, seed = 60, 300, 11
-        xs = np.linspace(-1.0, 1.0, n)
-        fstar = truth.eval(xs)
-        Q, _ = ps._legendre_qr(xs, 2)
-        Y = fstar[:, None] + 0.8 * substream(seed, "predsel-probe", 2, n).standard_normal((n, reps))
-        fitted = Q @ (Q.T @ Y)
-        est = np.mean((np.sum((Y - fitted) ** 2, axis=0) + 2.0 * 3 * 0.8**2) / n)
-        risk = np.mean(0.8**2 + np.mean((fitted - fstar[:, None]) ** 2, axis=0))
-        z = (est - risk) / (0.8**2 * math.sqrt(2.0 / (n * reps)))
+        Q, _ = ps._legendre_qr(np.linspace(-1.0, 1.0, n), 2)
+        noise = substream(seed, "predsel-probe", 2, n).standard_normal((n, reps))
+        fitted = Q @ (Q.T @ noise)
+        est = np.mean((np.sum((noise - fitted) ** 2, axis=0) + 2.0 * 3) / n)
+        risk = np.mean(1.0 + np.mean(fitted**2, axis=0))
         probe = ps.unbiasedness_probe(truth, 2, n, reps, seed)
-        assert (probe.mean_estimate, probe.mean_true_insample_risk, probe.z) == (est, risk, z)
+        assert (probe.mean_estimate, probe.mean_true_insample_risk) == (0.8**2 * est, 0.8**2 * risk)
+        assert (probe.relative_bias, probe.z) == (abs(est - risk) / risk,
+                                                   (est - risk) / math.sqrt(2.0 / (n * reps)))
+
+    def test_scale_free(self):
+        # at sigma = 1e-50 the noise would vanish next to f* of order 1; fitted
+        # alone, it gives the z and relative bias of sigma = 1 exactly
+        tiny, unit = (ps.unbiasedness_probe(ps.poly_truth((1.0, -2.0, 0.5), sigma), 2, 50, 400, 3)
+                      for sigma in (1e-50, 1.0))
+        assert (tiny.z, tiny.relative_bias) == (unit.z, unit.relative_bias)
+        assert tiny.z != 0.0 and tiny.relative_bias > 0.0
+        assert tiny.mean_estimate == pytest.approx(1e-100 * unit.mean_estimate, rel=1e-15)
 
     def test_z_is_standardized(self):
         # estimate - in-sample risk has mean 0 and variance 2 sigma^4 / n per rep, so
