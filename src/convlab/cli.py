@@ -32,14 +32,11 @@ from . import lineworld as lw
 from . import perrin as pr
 from . import predsel as ps
 from .framework import Status
-from .lineworld import StreamSpec
+from .lineworld import GridSpec, StreamSpec
 
 
 class ConfigError(ValueError):
     pass
-
-
-EXPERIMENTS = ("lineworld", "gaussian", "predsel", "perrin")
 
 
 def _num(lo=None, hi=None, lo_open=False, hi_open=False, integer=False):
@@ -86,25 +83,26 @@ def _numlist(item_check, increasing=False):
 
 
 def _experiment(v, path):
-    if isinstance(v, str):
-        if v == "all":
-            return list(EXPERIMENTS)
-        if v in EXPERIMENTS:
-            return [v]
-        raise ConfigError(f"{path}: unknown experiment {reprlib.repr(v)}")
-    if isinstance(v, list):
-        for i, x in enumerate(v):
-            if x not in EXPERIMENTS:
-                raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
-            if x in v[:i]:
-                raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
-        return list(v)
-    raise ConfigError(f"{path}: expected a name or list of names")
+    names = list(EXPERIMENTS) if v == "all" else [v] if isinstance(v, str) else v
+    if not isinstance(names, list):
+        raise ConfigError(f"{path}: expected a name or list of names")
+    for i, x in enumerate(names):
+        if x not in EXPERIMENTS:
+            raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
+        if x in names[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
+    return list(names)
 
 
 def _string(v, path):
     if not isinstance(v, str):
         raise ConfigError(f"{path}: expected a string, got {reprlib.repr(v)}")
+    return v
+
+
+def _format(v, path):
+    if v not in ("csv", "json"):
+        raise ConfigError(f"{path}: expected 'csv' or 'json', got {reprlib.repr(v)}")
     return v
 
 
@@ -139,8 +137,7 @@ SCHEMA = {
     "out_dir": ("out", _string),
     "check": (False, _bool),
     "plots": (True, _bool),
-    "format": ("csv", lambda v, p: v if v in ("csv", "json") else (_ for _ in ()).throw(
-        ConfigError(f"{p}: expected 'csv' or 'json', got {reprlib.repr(v)}"))),
+    "format": ("csv", _format),
     "gaussian": {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
@@ -235,7 +232,7 @@ def world_axis(config: dict, suite: str) -> tuple:
         return (round(lo, 12),)
     given = ", ".join(f"{k}={c[k]}" for k in keys)
     try:
-        grid = pr.GridSpec(lo, hi, step)
+        grid = GridSpec(lo, hi, step)
     except ValueError as exc:
         raise ConfigError(f"{suite}.{keys[2] if lo < hi else keys[0]}: {exc} ({given})")
     k = round(grid.span)
@@ -382,10 +379,7 @@ def run_gaussian(cfg: dict, out: Outputs):
     modes = {}
     for rule in rules:
         reports = g.classify_mode(rule, gc["theta_grid"], gc["n_grid"], gc["alpha_grid"])
-        modes[rule.label()] = {
-            "HIGH_PROB": _report_to_dict(reports["HIGH_PROB"]),
-            "PROB_ONE": _report_to_dict(reports["PROB_ONE"]),
-        }
+        modes[rule.label()] = {mode: _report_to_dict(r) for mode, r in reports.items()}
     w0 = g.GaussianWorld(0.0)
     summary = {
         "levels_at_theta0": {
@@ -495,7 +489,7 @@ def perrin_methods(pc: dict) -> list:
 
 def run_perrin(cfg: dict, out: Outputs):
     pc, seed = cfg["perrin"], cfg["seed"]
-    grid = pr.GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
+    grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
     spec = StreamSpec(pc["delta0"], pc["ratio"])
     methods = perrin_methods(pc)
     sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in methods}
@@ -551,25 +545,27 @@ def run_perrin(cfg: dict, out: Outputs):
 # ---------------------------------------------------------------------------
 # orchestration
 
+# experiment name -> runner; `all` runs them in this order
+SUITES = {"lineworld": run_lineworld, "gaussian": run_gaussian,
+          "predsel": run_predsel, "perrin": run_perrin}
+EXPERIMENTS = tuple(SUITES)
+
 
 @dataclass
 class RunOutcome:
     exit_code: int
-    out_dir: Path
     summary: dict
 
 
 def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     start = time.time()
     out = Outputs(Path(out_dir or config["out_dir"]), config["format"])
-    experiments = config["experiment"]
-    seed = config["seed"]
     check_consistency(config)
-    summary = {"experiments": experiments, "seed": seed, "version": __version__}
+    summary = {"experiments": config["experiment"], "seed": config["seed"], "version": __version__}
     check_results = []
 
-    if not experiments:
-        return RunOutcome(0, out.root, summary)
+    if not config["experiment"]:
+        return RunOutcome(0, summary)
     try:
         out.root.mkdir(parents=True, exist_ok=True)
         if config["plots"]:
@@ -578,11 +574,9 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         raise ConfigError(f"{'--out' if out_dir else 'out_dir'}: cannot make the "
                           f"directory {exc.filename}: {exc.strerror}")
 
-    for name, runner in (("gaussian", run_gaussian), ("lineworld", run_lineworld),
-                         ("predsel", run_predsel), ("perrin", run_perrin)):
-        if name in experiments:
-            summary[name], results = runner(config, out)
-            check_results += results
+    for name in config["experiment"]:
+        summary[name], results = SUITES[name](config, out)
+        check_results += results
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}
@@ -597,10 +591,9 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     }
     write_json(out.root / "manifest.json", manifest)
 
-    failed = [name for name, ok, _ in check_results if not ok]
     for name, ok, detail in check_results:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    return RunOutcome(1 if failed else 0, out.root, summary)
+    return RunOutcome(0 if all(ok for _, ok, _ in check_results) else 1, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--experiment", type=str, default=None,
-                        help="lineworld|gaussian|predsel|perrin|all")
+                        help="|".join((*SUITES, "all")))
     parser.add_argument("--check", action="store_true",
                         help="enforce acceptance checks via exit code")
     parser.add_argument("--grid-step", type=float, default=None,

@@ -174,6 +174,32 @@ class StreamSpec:
         return f"offcenter(d0={self.delta0},r={self.ratio},lam={self.offset})"
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    lo: float
+    hi: float
+    step: float
+
+    def __post_init__(self):
+        if not (self.lo < self.hi and self.step > 0):
+            raise ValueError("grid needs lo < hi and step > 0")
+        if not math.isfinite(self.span):
+            raise ValueError("the grid span overflows the float range")
+        if round(self.span) < 1 or abs(round(self.span) - self.span) > 1e-9:
+            raise ValueError("step must divide the grid span")
+
+    @property
+    def span(self) -> float:
+        return (self.hi - self.lo) / self.step
+
+    def axis(self) -> tuple:
+        k = round(self.span)
+        return tuple(round(self.lo + i * self.step, 12) for i in range(k + 1))
+
+    def halved(self) -> "GridSpec":
+        return GridSpec(self.lo, self.hi, self.step / 2.0)
+
+
 def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
     """Stage-t interval: it holds theta and nests under stage t-1 because
     the spec's offsets were validated once, when it was built."""

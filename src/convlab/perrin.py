@@ -56,7 +56,7 @@ from .framework import (
     classify_convergence,
 )
 from .gaussian import normal_quantile
-from .lineworld import StreamSpec, interval_at
+from .lineworld import GridSpec, StreamSpec, interval_at
 from .rand import substream, substream_key, substreams
 
 DIAG_TOL = 1e-12
@@ -254,13 +254,18 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     when every prism is narrower than the gate; one reading p, only at the
     sacrificed pair: a strand world within DIAG_TOL of p, or the sheet world
     (p, p).  Elsewhere an interval of width w holding a holds p only while
-    |a - p| <= w: it stops firing at the p-exit stage (k = 2)."""
+    |a - p| <= w: it stops firing at the p-exit stage (k = 2), and never
+    fires where no prism before that stage is narrower than the gate.
+    Where k half-widths come within `slop` (float ulps) of a gap or gate,
+    the later stage is claimed."""
     on, reads, fired = _RULES[m.kind]
     truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
     gap = np.abs(a - b)
     off = gap >= DIAG_TOL  # every strand world is on the diagonal
+    slop = 2.0**-48 * (np.maximum(np.abs(a), np.abs(b)) + 2.0 * spec.delta0)
+    less = lambda x, s: np.maximum(x - s, x / 2.0)  # x less the slop s, and at least x / 2
     settle = np.where(truth == _CODE[on], 0, -1)  # the untriggered verdict's
-    settle[off] = _first_stages(spec, gap[off], 4.0)
+    settle[off] = _first_stages(spec, less(gap[off], slop[off]), 4.0)
     if not reads:
         return settle
     right, forever = truth == _CODE[fired], np.ones(len(gap), dtype=bool)
@@ -268,12 +273,14 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
         dist = np.maximum(np.abs(a - m.p), np.abs(b - m.p))  # to (p, p)
         forever = (dist < DIAG_TOL) & (strand | (dist == 0.0))
         exits = ~forever & ~right & ~off & (settle >= 0)  # wrong until the p-exit stage
-        settle[exits] = _first_stages(spec, dist[exits], 2.0)
+        near = less(dist[exits], slop[exits])
+        stage = _first_stages(spec, near, 2.0)
+        gated = _first_stages(spec, np.maximum(near, m.gate + slop[exits]), 2.0)
+        settle[exits] = np.where(gated < stage, stage, 0)  # the gate stage first, or never fired
     settle[forever & ~right] = -1
-    hold = forever & right
-    if hold.any():  # the gate stage is read only here: WAY1's never is
-        width = spec.first_stage(m.gate, 2.0)
-        settle[hold] = np.where(settle[hold] < 0, width, np.minimum(settle[hold], width))
+    hold = forever & right  # never WAY1's, whose gate stage is not stepped to
+    width = _first_stages(spec, less(m.gate, slop[hold]), 2.0)
+    settle[hold] = np.where(settle[hold] < 0, width, np.minimum(settle[hold], width))
     return settle
 
 
@@ -305,32 +312,6 @@ def _classify(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
 
 # ---------------------------------------------------------------------------
 # domain of convergence over a sampled grid
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    step: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi and self.step > 0):
-            raise ValueError("grid needs lo < hi and step > 0")
-        if not math.isfinite(self.span):
-            raise ValueError("the grid span overflows the float range")
-        if round(self.span) < 1 or abs(round(self.span) - self.span) > 1e-9:
-            raise ValueError("step must divide the grid span")
-
-    @property
-    def span(self) -> float:
-        return (self.hi - self.lo) / self.step
-
-    def axis(self) -> tuple:
-        k = round(self.span)
-        return tuple(round(self.lo + i * self.step, 12) for i in range(k + 1))
-
-    def halved(self) -> "GridSpec":
-        return GridSpec(self.lo, self.hi, self.step / 2.0)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,14 @@ the diagonal or of (p, p) count as on it by convention, so theirs is
 read at the last stage whose half-width is above DIAG_TOL.  Slack, the
 oracle's stage minus the latest settle stage any stream reaches, is
 reported as a hypothesis event, not asserted: a stage later than need
-be leaves a record UNDETERMINED, never wrong.  (WAY1 and WAY2 read
-slack where (p, p) leaves a strand world's prisms before the gate
-stage, so that the trigger never fires there.)  Lineworld's oracle is
-tight, and its slack of 0 is asserted.
+be leaves a record UNDETERMINED, never wrong.  It is asserted 0 on the
+WAY1 and WAY2 strand worlds that (p, p) leaves by the gate stage, where
+the trigger never fires, and on lineworld, whose oracle is tight.
 """
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from convlab import lineworld as lw
@@ -43,13 +42,13 @@ def adversary_cases(draw, kinds=("OCKHAM_REALIST", "ANTI_REALIST", "WAY1", "WAY2
     worlds sit on purpose within DIAG_TOL of the diagonal, of (p, p) and of
     the gate's distance from p, and next to a separation (k = 4) or p-exit
     (k = 2) stage boundary; the gate itself is free or next to a stage's
-    width.  "Next to" is within DIAG_TOL but at least 1e-14 off: a gap
-    within an ulp of k half-widths is left out, because there a stream's
-    rounded endpoints can still meet, or hold p, one stage past the
-    oracle's stage, which the oracle, argued in exact arithmetic, does
-    not cover."""
+    width.  "Next to" is within DIAG_TOL, down to on it: within an ulp
+    of k half-widths a stream's rounded endpoints can still meet, or hold
+    p, one stage past the exact-arithmetic stage, which the oracle's slop
+    covers."""
     delta0, ratio = draw(st.floats(0.05, 5)), draw(st.floats(0.3, 0.7))
-    eps = st.sampled_from([pr.DIAG_TOL, -pr.DIAG_TOL]) | NEAR | NEAR.map(lambda x: -x)
+    eps = (st.sampled_from([0.0, pr.DIAG_TOL, -pr.DIAG_TOL]) | st.floats(-1e-14, 1e-14)
+           | NEAR | NEAR.map(lambda x: -x))
     t = st.integers(0, 12)
     nudge = draw(eps) if draw(st.booleans()) else None
     gate = draw(st.floats(0.01, 5)) if nudge is None else tie(delta0, ratio, draw(t), 2.0, nudge)
@@ -60,7 +59,7 @@ def adversary_cases(draw, kinds=("OCKHAM_REALIST", "ANTI_REALIST", "WAY1", "WAY2
     a, b, near = draw(st.floats(-3, 3)), draw(st.floats(-3, 3)), draw(NEAR)
     sep, exit_ = (draw(st.builds(tie, st.just(delta0), st.just(ratio), t, st.just(k), eps))
                   for k in (4.0, 2.0))
-    beside = draw(eps.filter(lambda e: abs(e + (nudge or 0.0)) > 1e-14))  # no tie at the gate
+    beside = draw(eps)
     worlds = [pr.plane_world(a, b), pr.plane_world(a, a), pr.strand_world(a),
               pr.plane_world(a, a + near), pr.plane_world(a + near, a),
               pr.plane_world(a, a + 2.0 * pr.DIAG_TOL), pr.plane_world(a, a + sep),
@@ -106,10 +105,31 @@ def check_claims(m, delta0, ratio, worlds, seed, decide=ref.decide_latest):
 class TestPerrinOracle:
     @settings(max_examples=20)
     @given(case=adversary_cases())
+    # gaps within an ulp or so of 4 half-widths, whose intervals, each axis
+    # with its own offsets, still meet at the exact-arithmetic separation stage
+    @example(case=(pr.ockham_method(), 1.0, 0.3416849206009349,
+                   [pr.plane_world(1.0, 1.4669943398642689)], 0))
+    @example(case=(pr.ockham_method(), 3.331512098777854, 0.5188362355912909,
+                   [pr.plane_world(2.0, 2.000000000002)], 0))
     def test_sound_with_witnesses(self, case):
         m, *rest = case
         for s in check_claims(m, *rest):
             event(f"{m.kind} slack {s}")
+
+    @settings(max_examples=30)
+    @given(kind=st.sampled_from(["WAY1", "WAY2"]), delta0=st.floats(0.05, 5),
+           ratio=st.floats(0.3, 0.7), p=st.floats(-3, 3), gate=st.floats(0.01, 5),
+           beyond=st.floats(1e-9, 3), sign=st.sampled_from([1.0, -1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_untriggered_strand_worlds_are_tight(self, kind, delta0, ratio, p, gate, beyond,
+                                                 sign, seed):
+        # (p, p) has left every prism of a strand world beyond twice the gate
+        # stage's half-width from p by the time a prism is narrower than the gate
+        spec = StreamSpec(delta0, ratio)
+        stage = spec.first_stage(gate, 2.0)
+        assume(stage == 0 or abs(gate - 2.0 * spec.half_width(stage - 1)) > 1e-12)
+        w = pr.strand_world(p + sign * 2.0 * spec.half_width(stage) * (1.0 + beyond))
+        assert check_claims(pr.PerrinMethod(kind, p=p, gate=gate), delta0, ratio, [w], seed) == [0]
 
 
 SIXTH_RULES = [

@@ -147,6 +147,26 @@ class TestFuzzSchema:
         assert time.perf_counter() - start < 5.0
 
 
+class TestSuites:
+    def test_table_schema_sections_and_help_agree(self):
+        sections = [key for key, spec in cli.SCHEMA.items() if isinstance(spec, dict)]
+        assert sorted(cli.SUITES) == sorted(sections)
+        assert cli.EXPERIMENTS == tuple(cli.SUITES)
+        assert all(runner.__name__ == f"run_{name}" for name, runner in cli.SUITES.items())
+        (action,) = [a for a in cli.build_parser()._actions if a.dest == "experiment"]
+        assert action.help.split("|") == [*cli.SUITES, "all"]
+
+    def test_all_checks_print_in_table_order(self, tmp_path, capsys):
+        small = {**SMALL_CONFIG, "experiment": "all",
+                 "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100}}
+        code, _ = run_cli(tmp_path, small, "--check")
+        assert code in (0, 1)
+        suites = [line.split()[1].split("_")[0]
+                  for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+        assert list(dict.fromkeys(suites)) == list(cli.EXPERIMENTS)
+        assert suites == sorted(suites, key=cli.EXPERIMENTS.index)
+
+
 class TestRun:
     def test_artifacts_and_schemas(self, tmp_path):
         code, out = run_cli(tmp_path, SMALL_CONFIG)

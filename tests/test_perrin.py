@@ -41,11 +41,15 @@ def scalar_oracle(m, w, spec):
     diag = abs(w.na - w.na_prime) < pr.DIAG_TOL
     conv = lambda t: AsymptoticOracle(Status.CONVERGES, settle_by=t)
     div = AsymptoticOracle(Status.DIVERGES)
+    # float endpoints are off by ulps of |a| + 2 * delta0: a gap or gate is
+    # shortened by a few of them, never below half its size
+    slop = 2.0**-48 * (max(abs(w.na), abs(w.na_prime)) + 2.0 * spec.delta0)
+    less = lambda x: max(x - slop, x / 2.0)
     # no prism meets the diagonal once twice its width is below |a - b|
-    separation = lambda: spec.first_stage(abs(w.na - w.na_prime), 4.0)
+    separation = lambda: spec.first_stage(less(abs(w.na - w.na_prime)), 4.0)
     # (p, p) has left every prism once its width is below the distance to it
-    point_exit = lambda: spec.first_stage(max(abs(w.na - m.p), abs(w.na_prime - m.p)), 2.0)
-    width = lambda: spec.first_stage(m.gate, 2.0)  # every prism is narrower than the gate
+    point_exit = lambda: spec.first_stage(less(max(abs(w.na - m.p), abs(w.na_prime - m.p))), 2.0)
+    width = lambda: spec.first_stage(less(m.gate), 2.0)  # every prism is narrower than the gate
 
     if m.kind == "OCKHAM_REALIST":
         if w.z == 1:
@@ -58,8 +62,9 @@ def scalar_oracle(m, w, spec):
             # only (p, p) itself keeps (p, p) in every prism
             at_pair = w.na == w.na_prime == m.p
             return conv(width()) if m.kind == "WAY2" and w.z == 0 and at_pair else div
-        if w.z == 1:
-            return conv(point_exit())
+        if w.z == 1:  # the trigger fires only from the gate stage to the p-exit stage
+            t = point_exit()
+            return conv(t if t and 2.0 * spec.half_width(t - 1) < m.gate + slop else 0)
         return div if diag else conv(separation())
     if w.z == 1:  # WAY3
         return div
@@ -443,6 +448,27 @@ class TestOracle:
         worlds = [pr.plane_world(a, a), pr.plane_world(step, step)]
         assert array_records(m, worlds, spec, 25) == scalar_records(m, worlds, spec, 25) == [
             (Status.DIVERGES, None), (Status.CONVERGES, 1)]
+
+    @pytest.mark.parametrize("m, spec, w, settle", [
+        # the gate is 2 * half_width(1) exactly, but the stage-1 prism, which
+        # holds p, is 0.7999999999999999 wide: WAY1 fires there after all
+        (pr.PerrinMethod(kind="WAY1", p=1.0, gate=0.8), StreamSpec(1.0, 0.4),
+         pr.strand_world(1.33), 2),
+        # the gate is one ulp above 2 * half_width(3), but the stage-3 interval
+        # about 0.82 is 0.43200000000000005 wide: WAY3 fires only from stage 4
+        (pr.PerrinMethod(kind="WAY3", gate=0.432), SPEC, pr.plane_world(0.5, 0.82), 4),
+        # likewise one ulp above 2 * half_width(2), and the stage-2 prism is 0.245 wide
+        (pr.PerrinMethod(kind="WAY2", p=1.0, gate=0.245), StreamSpec(1.0, 0.35),
+         pr.plane_world(1.0, 1.0), 3),
+        # |a - p| is one ulp above 2 * half_width(1), but the stage-1 interval
+        # [a - 2d, a] rounds its lower end onto p, so the prism still holds (p, p)
+        (pr.PerrinMethod(kind="WAY1", p=1.0, gate=0.9464439668403605),
+         StreamSpec(1.2619252891195614, 0.375, offset=-1.0),
+         pr.strand_world(1.9464439668396711), 2),
+    ], ids=["untriggered-gate-tie", "gate-stage-tie", "gate-stage-tie-at-the-pair", "p-exit-tie"])
+    def test_claims_leave_float_endpoints_a_margin(self, m, spec, w, settle):
+        assert array_records(m, [w], spec, 20) == scalar_records(m, [w], spec, 20) == [
+            (Status.CONVERGES, settle)]
 
     def test_first_stages_need_positive_gaps(self):
         assert pr._first_stages(SPEC, [], 2.0).tolist() == []
