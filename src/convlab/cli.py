@@ -31,7 +31,7 @@ from . import gaussian as g
 from . import lineworld as lw
 from . import perrin as pr
 from . import predsel as ps
-from .framework import Status
+from .framework import OracleContradiction, Status, StreamError
 from .lineworld import GridSpec, StreamSpec
 
 
@@ -545,6 +545,10 @@ def run_perrin(cfg: dict, out: Outputs):
 # ---------------------------------------------------------------------------
 # orchestration
 
+# what a suite raises when its run cannot go on: exit 3, apart from a
+# failed --check (1) and a bad config (2)
+RUN_ERRORS = (OracleContradiction, StreamError, ps.FitError, pr.EstimationError)
+
 # experiment name -> runner; `all` runs them in this order
 SUITES = {"lineworld": run_lineworld, "gaussian": run_gaussian,
           "predsel": run_predsel, "perrin": run_perrin}
@@ -649,6 +653,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RUN_ERRORS as exc:  # a run that stopped, not a failed --check
+        print(f"run error: {exc}", file=sys.stderr)
+        return 3
     return outcome.exit_code
 
 

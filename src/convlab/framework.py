@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 
@@ -105,7 +106,7 @@ class StreamTrace:
         """The verdicts in stage order, built on the first call and kept
         (not as a field, so equality and repr ignore it)."""
         if "_verdicts" not in self.__dict__:
-            object.__setattr__(self, "_verdicts", tuple(v for _, v in self.stages))
+            object.__setattr__(self, "_verdicts", tuple(map(itemgetter(1), self.stages)))
         return self._verdicts
 
     def __len__(self) -> int:

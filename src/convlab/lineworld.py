@@ -21,7 +21,9 @@ suite.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .framework import (
@@ -52,18 +54,24 @@ class LineWorld:
         return Verdict.SIMPLE if self.theta == 0.0 else Verdict.COMPLEX
 
 
-@dataclass(frozen=True)
-class IntervalEvidence:
-    """A closed interval [lo, hi] with lo < hi (never a single point)."""
+class IntervalEvidence(namedtuple("IntervalEvidence", "lo hi")):
+    """A closed interval [lo, hi] with lo < hi (never a single point).
 
-    lo: float
-    hi: float
+    An immutable named pair: equality, hash, pickling and the repr
+    IntervalEvidence(lo=..., hi=...) are those of its two floats."""
 
-    def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:  # also false on a NaN
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float):
+        if not -math.inf < lo < hi < math.inf:  # also false on a NaN
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise StreamError("interval endpoints must be finite")
-            raise StreamError(f"degenerate interval [{self.lo}, {self.hi}]")
+            raise StreamError(f"degenerate interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -74,6 +82,10 @@ class IntervalEvidence:
 
     def is_subset_of(self, other: "IntervalEvidence") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
+
+
+# an IntervalEvidence from endpoints already checked, with no Python frame
+_checked_interval = partial(tuple.__new__, IntervalEvidence)
 
 
 @dataclass(frozen=True)
@@ -210,19 +222,24 @@ def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
 def _decisions(method: MethodSpec, evidence) -> tuple:
     """(evidence, verdict) per stage, each decided once, on one growing
     history list that holds the stages up to and including it."""
-    decide, hist, stages = method.decide, [], []
+    decide, hist, verdicts = method.decide, [], []
     for e in evidence:
         hist.append(e)
-        stages.append((e, decide(hist)))
-    return tuple(stages)
+        verdicts.append(decide(hist))
+    return tuple(zip(evidence, verdicts))
 
 
 def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
     """Run a method along the canonical stream for `horizon` stages: the
-    intervals interval_at builds, from the spec's table."""
+    intervals interval_at builds, from the spec's table.  Their endpoint
+    pairs are checked in one pass, on the constructor's condition, and
+    made into intervals without a Python frame each."""
     theta = w.theta
-    evidence = [IntervalEvidence(theta + below, theta + above)
-                for below, above in spec.stages(horizon)]
+    ends = [(theta + below, theta + above) for below, above in spec.stages(horizon)]
+    if not all([-math.inf < lo < hi < math.inf for lo, hi in ends]):
+        for lo, hi in ends:
+            IntervalEvidence(lo, hi)  # raises the constructor's error at the first bad stage
+    evidence = list(map(_checked_interval, ends))
     return StreamTrace(world_id=f"{FAMILY}:theta={theta!r}", stages=_decisions(method, evidence))
 
 
@@ -230,10 +247,14 @@ def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> S
 # decision rules
 
 
+# bound once: looking an Enum member up costs about as much as the rule
+_SIMPLE, _COMPLEX = Verdict.SIMPLE, Verdict.COMPLEX
+
+
 def mstar_decide(e: IntervalEvidence) -> Verdict:
     """SIMPLE iff the interval still includes 0 (closed boundaries
     count as inclusion), COMPLEX otherwise; never SUSPEND."""
-    return Verdict.SIMPLE if e.lo <= 0.0 <= e.hi else Verdict.COMPLEX
+    return _SIMPLE if e.lo <= 0.0 <= e.hi else _COMPLEX
 
 
 def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
@@ -248,10 +269,17 @@ def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
     return AsymptoticOracle(Status.CONVERGES, settle_by=guaranteed_settle_stage(w.theta, spec))
 
 
+def _mstar_latest(hist) -> Verdict:
+    """mstar_decide of the history's last interval, read in place: one
+    Python frame per stage, not two."""
+    lo, hi = hist[-1]
+    return _SIMPLE if lo <= 0.0 <= hi else _COMPLEX
+
+
 def mstar_method() -> MethodSpec:
     return MethodSpec(
         name="mstar",
-        decide=lambda hist: mstar_decide(hist[-1]),
+        decide=_mstar_latest,
         oracle=_mstar_oracle,
     )
 

@@ -263,7 +263,9 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     gap = np.abs(a - b)
     off = gap >= DIAG_TOL  # every strand world is on the diagonal
     slop = 2.0**-48 * (np.maximum(np.abs(a), np.abs(b)) + 2.0 * spec.delta0)
-    less = lambda x, s: np.maximum(x - s, x / 2.0)  # x less the slop s, and at least x / 2
+    # x less the slop s, but by no more than x / 2 (so still > 0 at x = 5e-324, where
+    # x / 2 rounds to 0); wherever x / 2 is exact this is max(x - s, x / 2)
+    less = lambda x, s: x - np.minimum(s, x / 2.0)
     settle = np.where(truth == _CODE[on], 0, -1)  # the untriggered verdict's
     settle[off] = _first_stages(spec, less(gap[off], slop[off]), 4.0)
     if not reads:

@@ -15,7 +15,7 @@ from convlab import cli
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import Status
+from convlab.framework import OracleContradiction, Status, StreamError
 
 
 SMALL_CONFIG = {
@@ -165,6 +165,21 @@ class TestSuites:
                   for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
         assert list(dict.fromkeys(suites)) == list(cli.EXPERIMENTS)
         assert suites == sorted(suites, key=cli.EXPERIMENTS.index)
+
+    @pytest.mark.parametrize("error", [OracleContradiction, StreamError, ps.FitError,
+                                       pr.EstimationError], ids=lambda e: e.__name__)
+    def test_run_error_exits_three_without_a_traceback(self, tmp_path, capsys, monkeypatch,
+                                                       error):
+        # a run that stops is told apart from a failed --check (exit 1)
+        def raiser(cfg, out):
+            raise error("the suite stopped")
+
+        monkeypatch.setitem(cli.SUITES, "lineworld", raiser)
+        code, _ = run_cli(tmp_path, {"experiment": "lineworld"}, "--check")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "run error: the suite stopped\n"
+        assert "Traceback" not in err
 
 
 class TestRun:

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import sys
 from dataclasses import replace
 
 import pytest
@@ -72,6 +75,36 @@ def endpoint_bits(method, theta, spec, horizon):
     return [(e.lo.hex(), e.hi.hex()) for e, _ in tr.stages]
 
 
+def interval_by_interval(theta, spec, horizon):
+    """The stream as interval_at builds it stage by stage, or the message
+    of the StreamError it raises at the first stage it refuses."""
+    evidence = []
+    for t in range(horizon):
+        try:
+            evidence.append(lw.interval_at(theta, spec, t))
+        except StreamError as exc:
+            return str(exc)
+    return evidence
+
+
+@st.composite
+def trace_cases(draw):
+    """(theta, spec, horizon): the stage table's specs, plus on purpose
+    worlds 2**20 to 2**60 half-widths out, where a stage rounds onto a
+    point (the later the nearer), and a delta0 so near the float maximum
+    that an endpoint overflows."""
+    spec, _ = draw(table_specs())
+    kind = draw(st.sampled_from(["plain", "far-world", "huge-delta0"]))
+    theta = draw(st.just(0.0) | st.floats(-5, 5))
+    if kind == "far-world":
+        scale = draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(20, 60))
+        theta = draw(st.sampled_from([-1.0, 1.0])) * spec.delta0 * scale
+    elif kind == "huge-delta0":
+        delta0 = draw(st.just(sys.float_info.max) | st.floats(1e300, sys.float_info.max))
+        spec = lw.StreamSpec(delta0, spec.ratio, spec.offset)
+    return theta, spec, draw(st.integers(0, 120))
+
+
 class TestDecisionRule:
     def test_zero_inside(self):
         assert lw.mstar_decide(lw.IntervalEvidence(-0.5, 0.5)) is S
@@ -136,16 +169,15 @@ class TestStreams:
             return
         assert all(per_stage_contract(theta, spec, t) for t in range(len(offsets) + 2))
 
-    def test_trace_builds_each_stage_once(self, monkeypatch):
-        calls, lengths = [], []
-        original = lw.IntervalEvidence
-        monkeypatch.setattr(lw, "IntervalEvidence", lambda *a: calls.append(a) or original(*a))
+    def test_trace_builds_each_stage_once(self):
+        seen = []
         method = lw.MethodSpec(name="recording",
-                               decide=lambda hist: lengths.append(len(hist)) or S)
-        lw.trace(method, lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
-        assert len(calls) == 25
-        # each stage decided once, on the history up to and including it
-        assert lengths == list(range(1, 26))
+                               decide=lambda hist: seen.append((len(hist), hist[-1])) or S)
+        tr = lw.trace(method, lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
+        # each stage decided once, on the history up to and including it,
+        # whose last item is the very interval the trace keeps for that stage
+        assert [n for n, _ in seen] == list(range(1, 26))
+        assert len(tr) == 25 and all(last is e for (_, last), (e, _) in zip(seen, tr.stages))
 
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +227,36 @@ class TestStreams:
             assert e.is_subset_of(lw.interval_at(theta, spec, t - 1))
 
 
+class TestIntervalEvidence:
+    def test_is_an_immutable_value(self):
+        e = lw.IntervalEvidence(-0.25, 0.5)
+        assert repr(e) == "IntervalEvidence(lo=-0.25, hi=0.5)"
+        with pytest.raises(AttributeError):
+            e.lo = 0.0
+        same = lw.IntervalEvidence(lo=-0.25, hi=0.5)
+        assert e == same and hash(e) == hash(same) and {same: "found"}[e] == "found"
+        assert e != lw.IntervalEvidence(-0.25, 0.75)
+        for back in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(back) is lw.IntervalEvidence and back == e
+        assert (e.width, e.contains(0.5), e.is_subset_of(lw.IntervalEvidence(-1.0, 1.0))) == (
+            0.75, True, True)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (0.5, 0.5, "degenerate interval [0.5, 0.5]"),
+        (1.0, -1.0, "degenerate interval [1.0, -1.0]"),
+        (math.nan, 1.0, "interval endpoints must be finite"),
+        (0.0, math.nan, "interval endpoints must be finite"),
+        (-math.inf, 0.0, "interval endpoints must be finite"),
+        (0.0, math.inf, "interval endpoints must be finite"),
+    ])
+    def test_bad_endpoints_are_stream_errors(self, lo, hi, message):
+        with pytest.raises(StreamError) as made:
+            lw.IntervalEvidence(lo, hi)
+        with pytest.raises(StreamError) as replaced:
+            lw.IntervalEvidence(-2.0, 2.0)._replace(lo=lo, hi=hi)
+        assert str(made.value) == str(replaced.value) == message
+
+
 class TestStageTable:
     @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
            horizon=st.integers(0, 120))
@@ -207,6 +269,27 @@ class TestStageTable:
         else:  # an endpoint rounded onto the world: the stage is refused, not built
             expected = "StreamError"
         assert endpoint_bits(constant_method(S), theta, spec, horizon) == expected
+
+    @given(case=trace_cases())
+    @example(case=(1e15, lw.StreamSpec(1.0, 0.5), 40))  # rounds onto a point at stage 4
+    @example(case=(0.0, lw.StreamSpec(sys.float_info.max, 0.5, offset=0.5), 5))
+    @example(case=(-3e17, lw.StreamSpec(1e3, 0.9, offset=(-0.5, -0.6, -0.7)), 80))
+    @example(case=(0.0, lw.StreamSpec(1.0, 0.5, offset=1.0), 10))  # 0 on the lower end
+    @example(case=(0.0, lw.StreamSpec(1.0, 0.5, offset=-1.0), 10))  # 0 on the upper end
+    def test_trace_equals_interval_at_stage_by_stage(self, case):
+        # the one-pass check and the frameless intervals against the constructor
+        theta, spec, horizon = case
+        expected = interval_by_interval(theta, spec, horizon)
+        if isinstance(expected, str):  # refused at a stage: trace refuses it with the same error
+            with pytest.raises(StreamError) as refused:
+                lw.trace(lw.mstar_method(), lw.LineWorld(theta), spec, horizon)
+            assert str(refused.value) == expected
+            return
+        tr = lw.trace(lw.mstar_method(), lw.LineWorld(theta), spec, horizon)
+        evidence = [e for e, _ in tr.stages]
+        assert [(type(e), e.lo.hex(), e.hi.hex()) for e in evidence] == [
+            (lw.IntervalEvidence, e.lo.hex(), e.hi.hex()) for e in expected]
+        assert [v for _, v in tr.stages] == [lw.mstar_decide(e) for e in evidence]
 
     @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
            horizon=st.integers(1, 120), past=st.integers(1, 300))

@@ -44,7 +44,7 @@ def scalar_oracle(m, w, spec):
     # float endpoints are off by ulps of |a| + 2 * delta0: a gap or gate is
     # shortened by a few of them, never below half its size
     slop = 2.0**-48 * (max(abs(w.na), abs(w.na_prime)) + 2.0 * spec.delta0)
-    less = lambda x: max(x - slop, x / 2.0)
+    less = lambda x: x - min(slop, x / 2.0)
     # no prism meets the diagonal once twice its width is below |a - b|
     separation = lambda: spec.first_stage(less(abs(w.na - w.na_prime)), 4.0)
     # (p, p) has left every prism once its width is below the distance to it
@@ -469,6 +469,13 @@ class TestOracle:
     def test_claims_leave_float_endpoints_a_margin(self, m, spec, w, settle):
         assert array_records(m, [w], spec, 20) == scalar_records(m, [w], spec, 20) == [
             (Status.CONVERGES, settle)]
+
+    @pytest.mark.parametrize("kind, gate", [("WAY3", 5e-324), ("WAY2", 5e-324), ("WAY3", 1.5e-323)])
+    def test_least_subnormal_gate_stays_a_positive_gap(self, kind, gate):
+        # 5e-324 / 2 rounds to 0, so the gate less its slop must not floor at half of it
+        m = pr.PerrinMethod(kind=kind, p=1.0, gate=gate)
+        worlds = [pr.plane_world(0.0, 1.0), pr.plane_world(1.0, 1.0), pr.strand_world(0.5)]
+        assert array_records(m, worlds, SPEC, 20) == scalar_records(m, worlds, SPEC, 20)
 
     def test_first_stages_need_positive_gaps(self):
         assert pr._first_stages(SPEC, [], 2.0).tolist() == []
