@@ -4,15 +4,12 @@ Each check_* function judges values computed elsewhere, by the CLI's
 run under --check or by the acceptance tests at their pinned sizes, and
 returns a list of (check_id, passed, detail).  Every threshold and the
 expected score-sheet patterns are written here once.  A check given no
-results to judge fails.  What only a check needs (the width-scaling
-slope, from width_slope) is measured by the caller, and by the CLI only
-when it checks.
+results to judge fails.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 
 from . import lineworld as lw
 from . import perrin as pr
@@ -24,7 +21,13 @@ MC_Z = 4.0  # the Wilson interval's width in standard errors
 BIC_TARGETS = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
 PROBE_ALPHA = 0.01  # family-wise rate at which predsel_unbiasedness fails a sound estimator
 PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))  # Bonferroni, ~3.02
-WIDTH_SIZES = (100, 200, 400, 800)
+# a 95% interval's width about na = 1 at sample size m, times sqrt(m), to first order:
+# 2 z s, where s / sqrt(m) is the estimator's relative se, 1 for the rate MLE and
+# sqrt(2 sum t^4) / sum t^2 for the least-squares msd slope (pr._intervals)
+_T = pr.DEFAULT_TIMES
+ROOT_N_WIDTH = {kind: 2.0 * normal_quantile(0.975) * s for kind, s in (
+    ("brownian", math.sqrt(2.0 * sum(t**4 for t in _T)) / sum(t * t for t in _T)),
+    ("sediment", 1.0))}
 
 
 def _analytic(rows, rule: str, theta: float) -> dict:
@@ -52,6 +55,16 @@ def _level_detail(levels) -> str:
     return f"analytic={levels[0]:.6f}" if levels else "no analytic rows at theta=0"
 
 
+def _mc_gap(rows, rule: str) -> str:
+    """Why _mc_agrees fails the rule unjudged, as a detail suffix ("" if it does not)."""
+    exact = _analytic(rows, rule, 0.0)
+    mc = [n for r, t, n, p, se in rows if (r, t) == (rule, 0.0) and se is not None]
+    missing = ",".join(str(n) for n in mc if n not in exact)
+    if not mc:
+        return "; no Monte Carlo rows at theta=0"
+    return missing and f"; no analytic row at Monte Carlo n={missing}"
+
+
 def check_gaussian_levels(rows, trials: int):
     """Constant level of the sqrt(2)-threshold rule, the 95% rule's
     level, BIC's rising level, and power at theta = 0.5.
@@ -65,12 +78,12 @@ def check_gaussian_levels(rows, trials: int):
     levels = list(_analytic(rows, aic, 0.0).values())
     ok = bool(levels) and all(abs(p - 0.8427) <= 0.0005 for p in levels)
     ok = ok and max(levels) - min(levels) <= 1e-12 and _mc_agrees(rows, aic, MC_FLOOR, trials)
-    results.append(("gaussian_aic_level", ok, _level_detail(levels)))
+    results.append(("gaussian_aic_level", ok, _level_detail(levels) + _mc_gap(rows, aic)))
 
     levels = list(_analytic(rows, m95, 0.0).values())
     ok = bool(levels) and all(abs(p - 0.9500) <= 0.0005 for p in levels)
     ok = ok and _mc_agrees(rows, m95, MC_FLOOR, trials)
-    results.append(("gaussian_m_dagger_level", ok, _level_detail(levels)))
+    results.append(("gaussian_m_dagger_level", ok, _level_detail(levels) + _mc_gap(rows, m95)))
 
     vals = _analytic(rows, bic, 0.0)
     hit = [n for n in BIC_TARGETS if n in vals]
@@ -78,8 +91,9 @@ def check_gaussian_levels(rows, trials: int):
     ok = bool(hit) and all(abs(vals[n] - BIC_TARGETS[n]) <= 0.001 for n in hit)
     ok = ok and all(a < b for a, b in zip(rising, rising[1:]))
     ok = ok and _mc_agrees(rows, bic, 0.0, trials)
-    results.append(("gaussian_bic_consistency", ok,
-                    " ".join(f"n={n}:{vals[n]:.5f}" for n in hit)))
+    targets = " ".join(f"n={n}:{vals[n]:.5f}" for n in hit)
+    targets = targets or "no analytic row at n=" + ",".join(map(str, BIC_TARGETS))
+    results.append(("gaussian_bic_consistency", ok, targets + _mc_gap(rows, bic)))
 
     ok = True
     for label, n0 in ((aic, 100), (bic, 200)):  # sample sizes from which theta = 0.5 is found
@@ -171,20 +185,16 @@ def check_perrin_theorem(sheets: dict, underdetermination: dict):
     return results
 
 
-def check_perrin_estimators(coverage: dict, slopes: dict):
-    """coverage: estimator kind -> {"coverage": ...} as in the run
-    summary; slopes: estimator kind -> width_slope."""
+def check_perrin_estimators(coverage: dict, m: int):
+    """coverage: estimator kind -> {"coverage", "mean_width", "reps"} of the run's
+    coverage_study at na = 1, confidence 0.95 and sample size m.  Each kind covers at
+    least 0.93 of its reps, and its mean width is ROOT_N_WIDTH / sqrt(m) to within a
+    relative 0.05 + 3 / m (second-order terms: m / (m - 1) for the rate, about
+    1 + 2 / m for the slope) + 4 / sqrt(m * reps) (4 se of a mean of reps widths,
+    each of relative sd about 1 / sqrt(m))."""
     ok = bool(coverage) and all(c["coverage"] >= 0.93 for c in coverage.values())
-    ok = ok and bool(slopes) and all(abs(s + 0.5) <= 0.15 for s in slopes.values())
+    for kind, c in coverage.items():
+        ratio = c["mean_width"] * math.sqrt(m) / ROOT_N_WIDTH[kind]
+        ok = ok and abs(ratio - 1.0) <= 0.05 + 3.0 / m + 4.0 / math.sqrt(m * c["reps"])
     detail = " ".join(f"{k}={c['coverage']:.3f}" for k, c in coverage.items())
     return [("perrin_estimators", ok, f"coverage {detail}")]
-
-
-def width_slope(kind: str, seed: int) -> float:
-    """Log-log slope of the mean interval width against the sample size
-    (60 reps per size); a root-n estimator gives -1/2."""
-    widths = [pr.coverage_study(kind, 1.0, 2.0, s, 60, 0.95, seed).mean_width
-              for s in WIDTH_SIZES]
-    log_sizes = [math.log(s) for s in WIDTH_SIZES]
-    log_widths = [math.log(w) for w in widths]
-    return statistics.linear_regression(log_sizes, log_widths).slope

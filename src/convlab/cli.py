@@ -221,27 +221,37 @@ MAX_ORACLE_STAGES = 10**5
 
 
 def world_axis(config: dict, suite: str) -> tuple:
-    """The suite's world values, from GridSpec; a grid it rejects exits 2
-    naming the field, and so does one of more than MAX_WORLDS worlds,
-    counted before any axis is built: k + 1 lineworld worlds for a span
-    of k steps, and for perrin the refined grid's (2k + 1)**2 plane and
-    2k + 1 strand worlds.  Lineworld's theta_min == theta_max is one world."""
+    """The suite's world values from GridSpec (for perrin, the refined grid it
+    sweeps).  A grid it rejects exits 2 naming the field, and so does one of more
+    than MAX_WORLDS worlds, counted before any axis is built: k + 1 lineworld worlds
+    for a span of k steps, (2k + 1)**2 + 2k + 1 refined perrin worlds.  Lineworld's
+    theta_min == theta_max is one world; a lineworld world that rounding moves onto 0
+    from beyond the float noise of lo + i * step (a few ulps of an endpoint) exits 2."""
     c, keys = config[suite], GRID_FIELDS[suite]
     lo, hi, step = (c[k] for k in keys)
-    if suite == "lineworld" and lo == hi:
-        return (round(lo, 12),)
     given = ", ".join(f"{k}={c[k]}" for k in keys)
     try:
-        grid = GridSpec(lo, hi, step)
+        if suite == "lineworld" and lo == hi:
+            axis = (round(lo, 12),)
+        else:
+            grid = GridSpec(lo, hi, step)
+            k = round(grid.span)
+            worlds = k + 1 if suite == "lineworld" else (2 * k + 1) ** 2 + 2 * k + 1
+            if worlds > MAX_WORLDS:
+                where = "" if suite == "lineworld" else " in the refined grid"
+                raise ConfigError(f"{suite}.{keys[2]}: {worlds} worlds{where}, above the limit "
+                                  f"of {MAX_WORLDS} ({given})")
+            axis = (grid if suite == "lineworld" else grid.halved()).axis()
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{suite}.{keys[2] if lo < hi else keys[0]}: {exc} ({given})")
-    k = round(grid.span)
-    worlds = k + 1 if suite == "lineworld" else (2 * k + 1) ** 2 + 2 * k + 1
-    if worlds > MAX_WORLDS:
-        where = "" if suite == "lineworld" else " in the refined grid"
-        raise ConfigError(f"{suite}.{keys[2]}: {worlds} worlds{where}, above the limit "
-                          f"of {MAX_WORLDS} ({given})")
-    return grid.axis()
+    if suite == "lineworld" and 0.0 in axis:
+        x = lo + axis.index(0.0) * step
+        if abs(x) > 8.0 * math.ulp(max(abs(lo), abs(hi))):
+            raise ConfigError(f"lineworld.{keys[0]}: rounding to 12 decimals moves the world "
+                              f"{x!r} onto 0, whose truth is SIMPLE ({given})")
+    return axis
 
 
 def check_consistency(config: dict) -> None:
@@ -491,8 +501,7 @@ def run_perrin(cfg: dict, out: Outputs):
     pc, seed = cfg["perrin"], cfg["seed"]
     grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
     spec = StreamSpec(pc["delta0"], pc["ratio"])
-    methods = perrin_methods(pc)
-    sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in methods}
+    sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in perrin_methods(pc)}
 
     for kind, s in sheets.items():
         cells = s.domain.cells()
@@ -511,7 +520,7 @@ def run_perrin(cfg: dict, out: Outputs):
         }
         for kind, s in sheets.items()
     }
-    underdet = {m.kind: pr.underdetermination_ok(m, grid, spec) for m in methods}
+    underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
     out.emit_json("scoresheet.json", scoresheet)
 
     coverage = {}
@@ -536,9 +545,8 @@ def run_perrin(cfg: dict, out: Outputs):
     }
     results = []
     if cfg["check"]:
-        slopes = {kind: checks.width_slope(kind, seed) for kind in coverage}
         results = (checks.check_perrin_theorem(sheets, underdet)
-                   + checks.check_perrin_estimators(coverage, slopes))
+                   + checks.check_perrin_estimators(coverage, pc["coverage_size"]))
     return summary, results
 
 

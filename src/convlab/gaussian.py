@@ -228,16 +228,6 @@ def certified_settle_n(rule: TestRule, theta: float, alpha: float) -> Optional[i
     return n
 
 
-def _passes_at_alpha(rule: TestRule, theta_grid, alpha: float):
-    failures = []
-    for theta in theta_grid:
-        if certified_settle_n(rule, theta, alpha) is None:
-            failures.append(
-                {"theta": theta, "alpha": alpha, "cap": level_cap(rule), "rule": rule.label()}
-            )
-    return failures
-
-
 def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
     """Check the two stochastic standards on declared grids.
 
@@ -245,32 +235,33 @@ def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
     level); PROB_ONE requires every alpha in the grid and, analytically,
     a theta = 0 level that actually climbs to 1 (fixed-z rules cap at
     2*Phi(z) - 1 and can never pass).  Returns a dict with the two
-    ModeReports.  The analytic curve over n_grid is cross-checked
-    against each certificate.
+    ModeReports.  Each (theta, alpha) certificate is computed once, and
+    the analytic curve over n_grid is cross-checked against it.
     """
     if not theta_grid or not n_grid or not alpha_grid:
         raise ValueError("grids must be non-empty")
+    settle = {(theta, alpha): certified_settle_n(rule, theta, alpha)
+              for theta in theta_grid for alpha in alpha_grid}
     # grid consistency: certified settle points must be honored on n_grid
-    for theta in theta_grid:
+    for (theta, alpha), n0 in settle.items():
+        if n0 is None:
+            continue
         w = GaussianWorld(theta)
-        for alpha in alpha_grid:
-            settle = certified_settle_n(rule, theta, alpha)
-            if settle is None:
-                continue
-            for n in n_grid:
-                if n >= settle and truth_prob_analytic(rule, w, n) < 1.0 - alpha - 1e-9:
-                    raise OracleContradiction(
-                        f"{rule.label()} at theta={theta}: curve dips below "
-                        f"{1 - alpha} at n={n} despite certificate {settle}"
-                    )
-    op_alpha = alpha_grid[0]
-    hp_failures = _passes_at_alpha(rule, theta_grid, op_alpha)
-    high_prob = ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures))
-
-    po_failures = []
-    for alpha in alpha_grid:
-        po_failures.extend(_passes_at_alpha(rule, theta_grid, alpha))
+        for n in n_grid:
+            if n >= n0 and truth_prob_analytic(rule, w, n) < 1.0 - alpha - 1e-9:
+                raise OracleContradiction(
+                    f"{rule.label()} at theta={theta}: curve dips below "
+                    f"{1 - alpha} at n={n} despite certificate {n0}"
+                )
     cap = level_cap(rule)
+
+    def failures(alpha):
+        return [{"theta": theta, "alpha": alpha, "cap": cap, "rule": rule.label()}
+                for theta in theta_grid if settle[theta, alpha] is None]
+
+    hp_failures = failures(alpha_grid[0])
+    high_prob = ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures))
+    po_failures = [f for alpha in alpha_grid for f in failures(alpha)]
     if cap is not None and not po_failures:
         # capped level: exhibit an alpha below the cap's slack
         alpha_fail = (1.0 - cap) / 2.0

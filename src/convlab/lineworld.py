@@ -205,8 +205,13 @@ class GridSpec:
         return (self.hi - self.lo) / self.step
 
     def axis(self) -> tuple:
+        """lo + i * step, rounded to 12 decimals to drop float noise; a grid
+        whose rounding merges two of them raises ValueError."""
         k = round(self.span)
-        return tuple(round(self.lo + i * self.step, 12) for i in range(k + 1))
+        axis = tuple(round(self.lo + i * self.step, 12) for i in range(k + 1))
+        if any(b <= a for a, b in zip(axis, axis[1:])):
+            raise ValueError("rounding to 12 decimals merges worlds: the step is too fine")
+        return axis
 
     def halved(self) -> "GridSpec":
         return GridSpec(self.lo, self.hi, self.step / 2.0)

@@ -554,14 +554,14 @@ def score_sheet(m: PerrinMethod, grid: GridSpec, spec: StreamSpec, horizon: int)
     )
 
 
-def underdetermination_ok(m: PerrinMethod, grid: GridSpec, spec: StreamSpec) -> bool:
+def underdetermination_ok(g: DomainGrid) -> bool:
     """No method converges at both members of an empirically equivalent
-    pair; checked analytically for every grid diagonal value."""
-    values = np.array(grid.axis(), dtype=float)
-    n = len(values)
-    pairs = np.concatenate([values, values])
-    settle_by = _oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
-    return not ((settle_by[:n] >= 0) & (settle_by[n:] >= 0)).any()
+    pair: for no diagonal value of the grid do both the sheet world (a, a)
+    and the strand world a read other than DIVERGES, which the oracle
+    claims, horizon or not (the pairs maximality_check reads)."""
+    n = len(g.axis)
+    diverges = CODES[Status.DIVERGES]
+    return not ((np.diagonal(g.plane.reshape(n, n)) != diverges) & (g.strand != diverges)).any()
 
 
 # ---------------------------------------------------------------------------

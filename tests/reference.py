@@ -96,6 +96,17 @@ def decide_latest(m: pr.PerrinMethod, e: pr.PrismEvidence) -> Verdict:
     return ok
 
 
+def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpec) -> bool:
+    """No method converges at both members of an empirically equivalent
+    pair, from a second oracle pass over the grid's diagonal pairs (the
+    form perrin.underdetermination_ok replaced by a read of the sweep)."""
+    values = np.array(grid.axis(), dtype=float)
+    n = len(values)
+    pairs = np.concatenate([values, values])
+    settle_by = pr._oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
+    return not ((settle_by[:n] >= 0) & (settle_by[n:] >= 0)).any()
+
+
 # ---------------------------------------------------------------------------
 # lineworld: a method that is right everywhere except at the origin
 

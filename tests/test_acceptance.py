@@ -60,7 +60,7 @@ def perrin_results():
     start = time.time()
     sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in methods}
     elapsed = time.time() - start
-    underdet = {m.kind: pr.underdetermination_ok(m, grid, spec) for m in methods}
+    underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
     return verdicts(checks.check_perrin_theorem(sheets, underdet)), sheets, elapsed
 
 
@@ -178,10 +178,15 @@ def test_criterion_11_underdetermination(perrin_results):
 
 
 def test_criterion_12_estimator_quality():
-    coverage = {kind: {"coverage": pr.coverage_study(kind, 1.0, 2.0, 400, 1000, 0.95,
-                                                     MASTER_SEED).coverage}
-                for kind in ("brownian", "sediment")}
-    slopes = {kind: checks.width_slope(kind, MASTER_SEED) for kind in coverage}
-    [(_, ok, detail)] = checks.check_perrin_estimators(coverage, slopes)
+    size = 400
+    coverage = {}
+    for kind in ("brownian", "sediment"):
+        res = pr.coverage_study(kind, 1.0, 2.0, size, 1000, 0.95, MASTER_SEED)
+        coverage[kind] = {"coverage": res.coverage, "mean_width": res.mean_width,
+                          "reps": res.reps}
+    [(_, ok, detail)] = checks.check_perrin_estimators(coverage, size)
+    ratios = {kind: c["mean_width"] * size**0.5 / checks.ROOT_N_WIDTH[kind]
+              for kind, c in coverage.items()}
     report("12-estimator-quality", ok,
-           f"{detail} width_slopes={{br={slopes['brownian']:.3f}, sed={slopes['sediment']:.3f}}}")
+           f"{detail} width/root-n width={{br={ratios['brownian']:.4f}, "
+           f"sed={ratios['sediment']:.4f}}}")

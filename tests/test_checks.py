@@ -64,6 +64,23 @@ def test_gaussian_check_fails_on_doctored_rows(check_id):
     assert [name for name, ok in got.items() if not ok] == [check_id]
 
 
+def test_gaussian_details_name_the_rows_missing():
+    details = {name: detail for name, _, detail in checks.check_gaussian_levels(
+        gaussian_rows(), TRIALS)}
+    assert not any("no " in detail for detail in details.values())
+    # the Monte Carlo rows at n = 100 lose their analytic rows
+    rows = [row for row in gaussian_rows() if row[4] is not None or row[2] != 100]
+    results = checks.check_gaussian_levels(rows, TRIALS)
+    unmatched = "; no analytic row at Monte Carlo n=100"
+    assert {name: (ok, detail.endswith(unmatched)) for name, ok, detail in results} == {
+        "gaussian_aic_level": (False, True), "gaussian_m_dagger_level": (False, True),
+        "gaussian_bic_consistency": (False, True), "gaussian_power": (True, False)}
+    rows = [row for row in rows if row[4] is None and row[2] not in (10**4, 10**6)]
+    details = {name: detail for name, _, detail in checks.check_gaussian_levels(rows, TRIALS)}
+    assert details["gaussian_bic_consistency"] == (
+        "no analytic row at n=100,10000,1000000; no Monte Carlo rows at theta=0")
+
+
 def test_mc_agreement_at_probability_one():
     # an estimate of 1.0 has a plug-in se of 0, and BIC's floor is 0: at 1,000
     # trials the z = 4 Wilson interval of 1.0 reaches down to 0.984, past 0.9998
@@ -207,17 +224,33 @@ def test_perrin_theorem_fails_on_doctored_sheets(check_id, sheets, underdet):
     assert [name for name, ok in got.items() if not ok] == [check_id]
 
 
-SOUND_COVERAGE = {"brownian": {"coverage": 0.95}, "sediment": {"coverage": 0.954}}
-SOUND_SLOPES = {"brownian": -0.51, "sediment": -0.50}
+def study(kind, ratio=1.0, coverage=0.95, size=400, reps=1000):
+    """A coverage study's summary whose mean width is ratio times the
+    root-n width at the size."""
+    return {"coverage": coverage, "mean_width": ratio * checks.ROOT_N_WIDTH[kind] / math.sqrt(size),
+            "reps": reps}
 
 
-@pytest.mark.parametrize("coverage, slopes, ok", [
-    (SOUND_COVERAGE, SOUND_SLOPES, True),
-    ({**SOUND_COVERAGE, "sediment": {"coverage": 0.92}}, SOUND_SLOPES, False),
-    (SOUND_COVERAGE, {**SOUND_SLOPES, "brownian": -0.3}, False),
-    (SOUND_COVERAGE, {}, False),
-    ({}, SOUND_SLOPES, False),
-])
-def test_perrin_estimators(coverage, slopes, ok):
-    [(_, passed, _)] = checks.check_perrin_estimators(coverage, slopes)
+SOUND_COVERAGE = {"brownian": study("brownian", 1.005), "sediment": study("sediment", 1.002)}
+
+
+@pytest.mark.parametrize("coverage, size, ok", [
+    (SOUND_COVERAGE, 400, True),
+    ({**SOUND_COVERAGE, "sediment": study("sediment", coverage=0.92)}, 400, False),
+    ({**SOUND_COVERAGE, "brownian": study("brownian", 1.5)}, 400, False),  # too wide
+    ({**SOUND_COVERAGE, "sediment": study("sediment", 0.9)}, 400, False),  # too narrow
+    # widths scaling as size**-0.3, matched at size 100, are 4**0.2 too wide at 400
+    ({**SOUND_COVERAGE, "brownian": study("brownian", 4**0.2)}, 400, False),
+    # at size 10 the second-order terms widen a sound study by about a quarter
+    ({"brownian": study("brownian", 1.26, size=10), "sediment": study("sediment", 1.12, size=10)},
+     10, True),
+    ({"brownian": study("brownian", 1.5, size=10), "sediment": study("sediment", 1.12, size=10)},
+     10, False),
+    # the same widths judged at another size than they were studied at
+    (SOUND_COVERAGE, 100, False),
+    ({}, 400, False),
+], ids=["sound", "low-coverage", "too-wide", "too-narrow", "width-scale-0.3", "sound-at-10",
+        "too-wide-at-10", "other-size", "no-studies"])
+def test_perrin_estimators(coverage, size, ok):
+    [(_, passed, _)] = checks.check_perrin_estimators(coverage, size)
     assert passed is ok

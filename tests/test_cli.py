@@ -404,13 +404,24 @@ class TestFlags:
         ({"experiment": "lineworld", "lineworld": {"horizon": 10**300}}, "lineworld.horizon"),
         # --check on no suite would exit 0 having judged nothing
         ({"experiment": [], "check": True}, "experiment"),
+        # rounding to 12 decimals would run 101 distinct worlds for 201
+        ({"experiment": "lineworld", "check": True,
+          "lineworld": {"theta_min": 0, "theta_max": 1e-10, "theta_step": 5e-13, "delta0": 1e-9}},
+         "lineworld.theta_step"),
+        # ... or run the world 0.0, whose truth is SIMPLE, for 1e-13
+        ({"experiment": "lineworld", "lineworld": {"theta_min": 1e-13, "theta_max": 1e-13}},
+         "lineworld.theta_min"),
+        # ... or write 41 domain rows per axis for 21 distinct worlds
+        ({"experiment": "perrin", "perrin": {"grid_lo": 0, "grid_hi": 2e-11, "grid_step": 5e-13}},
+         "perrin.grid_step"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
             "duplicate-experiment", "horizon-4000-digits", "horizon-1e300",
-            "check-no-experiments"])
+            "check-no-experiments", "lineworld-rounding-merges", "lineworld-rounding-onto-zero",
+            "perrin-rounding-merges"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
         code, out = run_cli(tmp_path, config)
         assert code == 2
@@ -674,6 +685,22 @@ class TestFlags:
 
 
 class TestChecksJudgeTheRun:
+    def test_perrin_studies_coverage_once_per_kind(self, tmp_path, monkeypatch):
+        # --check judges the widths the run's own two studies computed
+        studied = []
+        original = pr.coverage_study
+
+        def counting_study(*args):
+            studied.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(pr, "coverage_study", counting_study)
+        code, out = run_cli(tmp_path, {"experiment": ["perrin"], "perrin": {
+            "grid_step": 0.25, "stream_schedule": [50, 100]}}, "--check")
+        assert code == 0
+        assert studied == ["brownian", "sediment"]
+        assert json.loads((out / "summary.json").read_text())["checks"]["perrin_estimators"]["pass"]
+
     def test_lineworld_traces_each_world_and_stream_once(self, tmp_path, monkeypatch):
         traced = []
         original = lw.trace

@@ -1,5 +1,7 @@
 import math
 import re
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -626,9 +628,51 @@ class TestScoreSheet:
         ae, _, stable = small_sheets["WAY3"].pattern()
         assert (ae, stable) == (False, True)
 
-    def test_underdetermination_every_method(self):
+    def test_underdetermination_every_method(self, small_sheets):
         for m in METHODS:
-            assert pr.underdetermination_ok(m, SMALL_GRID, SPEC)
+            assert ref.underdetermination_ok(m, SMALL_GRID, SPEC)
+            assert pr.underdetermination_ok(small_sheets[m.kind].domain)
+
+    @pytest.mark.parametrize("kind", list(pr._RULES))
+    @settings(max_examples=40)
+    @given(lo=st.floats(-2, 2), step=st.floats(0.05, 0.5), k=st.integers(1, 6),
+           index=st.integers(0, 6), near=st.sampled_from([0.0, 1e-13, -5e-13, 2e-12]),
+           gate=st.floats(0.01, 5), params=drift_params(), horizon=st.integers(1, 40),
+           salt=st.none() | st.integers(0, 2**16))
+    def test_underdetermination_reads_the_sweep(self, kind, lo, step, k, index, near, gate,
+                                                params, horizon, salt):
+        # p on a grid value, or near one: within DIAG_TOL of it or just beyond
+        grid = pr.GridSpec(lo, lo + k * step, step)
+        reads = pr._RULES[kind][1]
+        m = pr.PerrinMethod(kind, p=grid.axis()[index % (k + 1)] + near if "p" in reads else None,
+                            gate=gate if "gate" in reads else None)
+        delta0, ratio, offsets = params
+        spec = StreamSpec(delta0, ratio, offset=offsets)
+        oracle = pr._oracle
+        if salt is not None:
+            # an oracle that claims, world by world, never or past the horizon, so
+            # that some pairs are doubly covered and read UNDETERMINED
+            def oracle(m, a, b, strand, spec):
+                keys = zip(a.tolist(), b.tolist(), strand.tolist())
+                return np.array([-1 if hash((*key, salt)) % 3 == 0 else horizon for key in keys])
+        try:
+            with mock.patch.object(pr, "_oracle", oracle):
+                domain = pr.domain_of_convergence(m, grid, spec, horizon)
+                expected = ref.underdetermination_ok(m, grid, spec)
+        except StreamError:  # prisms narrower than the float spacing: nothing swept to read
+            return
+        assert pr.underdetermination_ok(domain) == expected
+
+    @pytest.mark.parametrize("status", [Status.CONVERGES, Status.UNDETERMINED])
+    def test_underdetermination_fails_a_doubly_covered_pair(self, small_sheets, status):
+        # the razor converges on the strand and diverges on its sheet twins (a, a)
+        domain = small_sheets["OCKHAM_REALIST"].domain
+        n = len(domain.axis)
+        assert domain.strand[3] == pr.CODES[Status.CONVERGES]
+        assert pr.underdetermination_ok(domain)
+        codes = domain.codes.copy()
+        codes[3 * n + 3] = pr.CODES[status]  # the sheet world (axis[3], axis[3])
+        assert not pr.underdetermination_ok(replace(domain, codes=codes))
 
 
 def reference_intervals(kind, na_true, const, size, rep_seeds, confidence, times):
