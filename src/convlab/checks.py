@@ -95,11 +95,15 @@ def check_gaussian_levels(rows, trials: int):
     targets = targets or "no analytic row at n=" + ",".join(map(str, BIC_TARGETS))
     results.append(("gaussian_bic_consistency", ok, targets + _mc_gap(rows, bic)))
 
-    ok = True
+    gaps = []
     for label, n0 in ((aic, 100), (bic, 200)):  # sample sizes from which theta = 0.5 is found
-        probs = [p for n, p in _analytic(rows, label, 0.5).items() if n >= n0]
-        ok = ok and bool(probs) and all(p >= 0.999 for p in probs)
-    results.append(("gaussian_power", ok, "theta=0.5 thresholds"))
+        probs = {n: p for n, p in _analytic(rows, label, 0.5).items() if n >= n0}
+        low = " ".join(f"n={n}:{p:.5f}" for n, p in probs.items() if not p >= 0.999)
+        if not probs:
+            gaps.append(f"{label} has no analytic row at theta=0.5 and n>={n0}")
+        elif low:
+            gaps.append(f"{label} below 0.999 at theta=0.5: {low}")
+    results.append(("gaussian_power", not gaps, "; ".join(["theta=0.5 thresholds", *gaps])))
     return results
 
 

@@ -291,11 +291,23 @@ def check_consistency(config: dict) -> None:
     if sc["regime_a_max_degree"] < degree:
         raise ConfigError(f"predsel.regime_a_max_degree: {sc['regime_a_max_degree']} leaves out "
                           f"the true model, of degree {degree} (predsel.regime_a_coeffs)")
+    # bound on max|f*| over [-1, 1]: the sum of |coeffs| for regime A, 1 for |x|
+    bounds = {"a": sum(abs(c) for c in sc["regime_a_coeffs"]), "b": 1.0}
     for regime in ("a", "b"):
         n, deg = sc[f"regime_{regime}_n"], sc[f"regime_{regime}_max_degree"]
         if n < deg + 2:
             raise ConfigError(f"predsel.regime_{regime}_n: {n} points cannot fit degree {deg} "
                               f"(predsel.regime_{regime}_max_degree), which needs {deg + 2}")
+        # y = f* + sigma z rounds each point by up to eps |f*| / 2 and the QR adds errors of
+        # that order, so rss / sigma^2, on whose scale AIC and BIC weigh penalty steps of 2
+        # and ln n, is off by up to about eps n max|f*| / sigma (measured at that sigma: 0.42
+        # at n = 50, 0.09 at n = 5000); the margin of 64 keeps it below 0.02
+        sigma, per_point = sc[f"regime_{regime}_sigma"], 64 * math.ulp(1.0) * bounds[regime]
+        if per_point and sigma / per_point < n:
+            raise ConfigError(f"predsel.regime_{regime}_sigma: {sigma} is below 64 eps max|f*| n "
+                              f"= {per_point:.3g} * {reprlib.repr(n)} (max|f*| <= "
+                              f"{bounds[regime]:.6g}), where the fits' rss is float rounding, "
+                              f"not noise")
 
 
 def validate_config(raw_text: str) -> dict:

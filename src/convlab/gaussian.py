@@ -143,10 +143,11 @@ def truth_prob_mc(rule: TestRule, w: GaussianWorld, n: int, trials: int, seed: i
         raise ValueError("trials must be >= 1000")
     rule.critical_value(n)  # validate n for the rule
     rng = substream(seed, "gaussian-mc", rule.label(), w.theta, n)
-    xbars = w.theta + rng.standard_normal(trials) / math.sqrt(n)
-    complex_out = np.abs(xbars) > rule.critical_value(n)
-    hits = complex_out if w.theta != 0.0 else ~complex_out
-    p = float(np.mean(hits))
+    xbars = rng.standard_normal(trials)
+    xbars /= math.sqrt(n)
+    xbars += w.theta
+    outside = np.count_nonzero(np.abs(xbars, out=xbars) > rule.critical_value(n))
+    p = (outside if w.theta != 0.0 else trials - outside) / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se
 

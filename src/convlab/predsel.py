@@ -3,12 +3,13 @@
 Synthetic regression data y = f*(x) + noise at x uniform on [-1, 1]
 feed least-squares fits of polynomial candidates; penalized scores (fit
 plus 2 per parameter, or ln n per parameter) pick a degree.  The
-candidates are nested, so one thin QR of the Legendre design at the
-largest degree gives them all (Golub & Van Loan, Matrix Computations,
-5.3).  The known-variance
-score forms make the risk estimate (rss + 2(k+1) sigma^2) / n exactly
-unbiased for the in-sample prediction risk, which the probe below
-verifies by Monte Carlo on its own fixed equispaced design.
+candidates are nested, so the triangle R of one QR of the augmented
+design [Legendre design at the largest degree | y] gives them all, and
+no Q is formed (Golub & Van Loan, Matrix Computations, 5.3).  The
+known-variance score forms make the risk estimate (rss + 2(k+1)
+sigma^2) / n exactly unbiased for the in-sample prediction risk, which
+the probe below verifies by Monte Carlo on its own fixed equispaced
+design.
 
 Expected prediction risk under the uniform design is computed two
 independent ways: Gauss-Legendre quadrature split at the truth's kink
@@ -154,20 +155,40 @@ def fit_ols(d: Dataset, degree: int) -> FitResult:
     return FitResult(model=PolyModel(degree, tuple(coef.tolist())), rss=rss, n=d.n)
 
 
-def _legendre_qr(x: np.ndarray, degree: int, first: int = 0):
-    """Thin QR factors of the Legendre design legvander(x, degree), of one
-    design or of each in a (c, n) stack (reps first, first + 1, ...); the
-    leading k + 1 columns of Q span the degree-k fits.  Raises ValueError
-    below degree + 2 points and FitError on a rank-deficient design."""
-    n = x.shape[-1]
-    if degree + 2 > n:
-        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {n}")
-    Q, R = np.linalg.qr(np.polynomial.legendre.legvander(x, degree))
+def _check_rank(R: np.ndarray, n: int, first: int = 0) -> None:
+    """Raise FitError when a triangle R of a design on n points, or any of
+    a stack of them (reps first, first + 1, ...), is numerically singular."""
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     bad = np.flatnonzero(diag.min(-1) <= diag.max(-1) * n * np.finfo(float).eps)
     if bad.size:
-        raise FitError(f"rank-deficient design at rep {first + bad[0]}: {degree + 1} columns on {n} points")
+        raise FitError(f"rank-deficient design at rep {first + bad[0]}: {R.shape[-1]} columns on {n} points")
+
+
+def _legendre_qr(x: np.ndarray, degree: int):
+    """Thin QR factors of the Legendre design legvander(x, degree) of one
+    design; the leading k + 1 columns of Q span the degree-k fit.  Raises
+    ValueError below degree + 2 points and FitError on a rank-deficient design."""
+    if degree + 2 > len(x):
+        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {len(x)}")
+    Q, R = np.linalg.qr(np.polynomial.legendre.legvander(x, degree))
+    _check_rank(R, len(x))
     return Q, R
+
+
+def _augmented_r(x: np.ndarray, y: np.ndarray, degree: int, buf=None, first: int = 0):
+    """R alone of the QR of each [legvander(x, degree) | y] in the (c, n) stacks
+    x, y (reps first, first + 1, ...), each a column-major view of buf, a
+    (c or more, degree + 2, n) array filled in place: one buf passed for every
+    chunk is memory reused.  Checks as _legendre_qr, on R's leading block."""
+    c, n = x.shape
+    if degree + 2 > n:
+        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {n}")
+    cols = np.empty((c, degree + 2, n)) if buf is None else buf[:c]
+    cols[:, :-1] = np.moveaxis(np.polynomial.legendre.legvander(x, degree), -1, 1)
+    cols[:, -1] = y
+    R = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+    _check_rank(R[:, :-1, :-1], n, first)
+    return R
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -210,16 +231,17 @@ def _prepare(degrees, truth: Optional[TruthSpec] = None) -> tuple:
     return k, (truth.noise_sigma**2, w, np.polynomial.legendre.legvander(x, k.max()), truth.eval(x))
 
 
-def _nested_scores(x, y, k, sigma2, at_nodes=None, first=0) -> tuple:
+def _nested_scores(x, y, k, sigma2, at_nodes=None, buf=None, first=0) -> tuple:
     """(c, len(k)) rss, aic, bic and true risks (None without at_nodes) of each degree k
     fitted to each row of the (c, n) stacks x, y, and the (2, c) AIC and BIC argmin columns.
-    One QR at the top degree fits all: with b = Q^T y, degree k leaves rss_k = |y - Q b|^2
-    + sum_{j>k} b_j^2 and has values sum_{j<=k} (legvander(nodes) R^-1)_j b_j at the nodes."""
-    Q, R = _legendre_qr(x, k.max(), first)
-    b = (y[:, None, :] @ Q)[:, 0]
-    resid = y - (Q @ b[:, :, None])[:, :, 0]
-    tail = np.cumsum(np.pad(b[:, :0:-1] ** 2, ((0, 0), (1, 0))), axis=1)[:, ::-1]
-    rss = ((resid[:, None, :] @ resid[:, :, None])[:, 0] + tail)[:, k]  # sums as resid @ resid
+    One R-only QR of [legvander(x, max k) | y] fits all (Golub & Van Loan 5.3): its
+    leading block is R of the design, its last column holds b = Q^T y above the diagonal
+    and the residual norm rho on it, so degree k leaves rss_k = rho^2 + sum_{j>k} b_j^2
+    and has values sum_{j<=k} (legvander(nodes) R^-1)_j b_j at the nodes.  No Q is formed;
+    buf is _augmented_r's."""
+    Rb = _augmented_r(x, y, k.max(), buf, first)
+    R, b = Rb[:, :-1, :-1], Rb[:, :-1, -1]
+    rss = np.cumsum(Rb[:, :0:-1, -1] ** 2, axis=1)[:, ::-1][:, k]  # rho^2 first, then b_top^2, ...
     aic = rss / sigma2 + 2.0 * (k + 1)
     bic = rss / sigma2 + (k + 1) * math.log(x.shape[1])
     risk = None
@@ -279,10 +301,11 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
     picks = np.empty((2, reps), dtype=int)  # AIC and BIC degree per rep
     excess = np.empty((2, reps))  # their risk over the rep's best candidate
     rows = []
+    buf = np.empty((min(CHUNK, reps), k.max() + 2, n))  # every chunk's designs, reused
     for start in range(0, reps, CHUNK):
         chunk = range(start, min(start + CHUNK, reps))
         x, y = _draw(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
-        rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, start)
+        rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, buf, start)
         picks[:, start:chunk.stop] = k[sel]
         excess[:, start:chunk.stop] = risk[range(len(chunk)), sel] - risk.min(axis=1)
         rep, sel_aic, sel_bic = np.repeat([chunk, *k[sel]], len(k), axis=1).tolist()

@@ -146,6 +146,25 @@ def true_risk_mc(fit: FitResult, truth: TruthSpec, n_points: int = 10**6, seed: 
     return truth.noise_sigma**2 + est, se
 
 
+def nested_scores_explicit_q(x, y, k, sigma2, at_nodes=None) -> tuple:
+    """predsel._nested_scores through the explicit Q of a reduced QR of
+    legvander(x, max k), the kernel's earlier form: with b = Q^T y, degree k
+    leaves rss_k = |y - Q b|^2 + sum_{j>k} b_j^2.  Same outputs; no rank check."""
+    Q, R = np.linalg.qr(np.polynomial.legendre.legvander(x, k.max()))
+    b = (y[:, None, :] @ Q)[:, 0]
+    resid = y - (Q @ b[:, :, None])[:, :, 0]
+    tail = np.cumsum(np.pad(b[:, :0:-1] ** 2, ((0, 0), (1, 0))), axis=1)[:, ::-1]
+    rss = ((resid[:, None, :] @ resid[:, :, None])[:, 0] + tail)[:, k]
+    aic = rss / sigma2 + 2.0 * (k + 1)
+    bic = rss / sigma2 + (k + 1) * math.log(x.shape[1])
+    risk = None
+    if at_nodes is not None:
+        noise2, w, vander, f = at_nodes
+        diff = f[:, None] - np.cumsum(vander @ np.linalg.inv(R) * b[:, None, :], axis=2)[:, :, k]
+        risk = noise2 + w @ (diff * diff)
+    return rss, aic, bic, risk, np.stack([np.argmin(aic, axis=1), np.argmin(bic, axis=1)])
+
+
 # ---------------------------------------------------------------------------
 # perrin: one sample, one interval, one stage at a time (the scalar form
 # of perrin._intervals and of the streams built on it)

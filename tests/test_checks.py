@@ -81,6 +81,22 @@ def test_gaussian_details_name_the_rows_missing():
         "no analytic row at n=100,10000,1000000; no Monte Carlo rows at theta=0")
 
 
+def test_gaussian_power_detail_names_rule_and_rows():
+    def power(rows):
+        [(ok, detail)] = [(ok, d) for name, ok, d in checks.check_gaussian_levels(rows, TRIALS)
+                          if name == "gaussian_power"]
+        return ok, detail
+
+    assert power(gaussian_rows()) == (True, "theta=0.5 thresholds")
+    assert power(GAUSSIAN_DOCTORED["gaussian_power"](gaussian_rows())) == (
+        False, f"theta=0.5 thresholds; {BIC} below 0.999 at theta=0.5: n=1000:0.99000")
+    # a grid that stops short of the sizes the rules are judged from (n_grid [20, 50])
+    small = [row for row in gaussian_rows() if row[2] < 100]
+    assert power(small) == (False, f"theta=0.5 thresholds; {AIC} has no analytic row at "
+                                   f"theta=0.5 and n>=100; {BIC} has no analytic row at "
+                                   f"theta=0.5 and n>=200")
+
+
 def test_mc_agreement_at_probability_one():
     # an estimate of 1.0 has a plug-in se of 0, and BIC's floor is 0: at 1,000
     # trials the z = 4 Wilson interval of 1.0 reaches down to 0.984, past 0.9998

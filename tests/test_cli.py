@@ -381,6 +381,11 @@ class TestFlags:
         ({"experiment": "predsel", "predsel": {"regime_a_sigma": 1e-300}},
          "predsel.regime_a_sigma"),
         ({"experiment": "predsel", "predsel": {"regime_b_sigma": 1e200}}, "predsel.regime_b_sigma"),
+        # below 64 eps n max|f*| the fits' rss is float rounding: 2.5e-11 for regime A's
+        # default truth (max|f*| <= 3.5) at n = 500, 7.1e-12 for |x|
+        ({"experiment": "predsel", "check": True, "predsel": {"regime_a_sigma": 1e-13}},
+         "predsel.regime_a_sigma"),
+        ({"experiment": "predsel", "predsel": {"regime_b_sigma": 7e-12}}, "predsel.regime_b_sigma"),
         # 1 - alpha/2 rounds to 1.0, which has no normal quantile
         ({"experiment": "gaussian", "gaussian": {"alpha_grid": [1e-16]}}, "gaussian.alpha_grid[0]"),
         # ((z - q) / |theta|)**2 overflows in the certified settle size
@@ -416,7 +421,8 @@ class TestFlags:
          "perrin.grid_step"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
-            "sigma-squared-underflow", "sigma-squared-overflow", "alpha-1e-16",
+            "sigma-squared-underflow", "sigma-squared-overflow", "sigma-a-rounding",
+            "sigma-b-rounding", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
             "duplicate-experiment", "horizon-4000-digits", "horizon-1e300",
@@ -569,6 +575,11 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("config error: perrin.grid_step: step must divide")
         assert not out.exists()
+
+    def test_sigma_floor_admits_what_it_should(self):
+        # regime B's floor at n = 500 is 64 eps * 500 = 7.1e-12; the zero truth has none
+        cli.check_consistency(cli.validate_config(json.dumps({"predsel": {
+            "regime_b_sigma": 7.2e-12, "regime_a_coeffs": [0.0], "regime_a_sigma": 1e-150}})))
 
     def test_zero_polynomial_truth_runs(self, tmp_path):
         # the probe degree of the zero polynomial is 0

@@ -1,5 +1,10 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +312,64 @@ class TestBatchedRegimes:
         monkeypatch.setattr(ps, "_draw", one_degenerate_design)
         with pytest.raises(ps.FitError, match=rf"\brep {bad_rep}\b"):
             ps.regime_experiment(ps.abs_truth(0.5), range(3), n=40, reps=200, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(1, ps.CHUNK), n=st.integers(7, 120), kink=st.booleans(),
+           coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           degrees=st.lists(st.integers(0, 12), min_size=1, max_size=13, unique=True),
+           sigma=st.floats(0.05, 2.0), seed=st.integers(0, 10_000), reuse=st.booleans())
+    def test_r_only_kernel_matches_explicit_q(self, c, n, kink, coeffs, degrees, sigma, seed, reuse):
+        # the augmented R-only kernel against the explicit-Q one on random stacks, writing
+        # into a larger buffer that holds stale designs, or into one of its own.  Both are
+        # backward stable, so they agree to 1e-12 relative on a well-conditioned design and
+        # to about eps * cond(V) on a near-interpolating one (cond(V) reaches 1e10 at
+        # n = 13, degree 11; over 3,000 random stacks the worst cases used a third of these)
+        truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
+        k, at_nodes = ps._prepare([d for d in degrees if d + 2 <= n] or [0], truth)
+        x, y = ps._draw(truth, n, range(seed, seed + c))
+        buf = np.full((ps.CHUNK, k.max() + 2, n), np.nan) if reuse else None
+        rss, _, _, risk, sel = ps._nested_scores(x, y, k, sigma**2, at_nodes, buf)
+        ref_rss, _, _, ref_risk, ref_sel = ref.nested_scores_explicit_q(x, y, k, sigma**2, at_nodes)
+        assert (sel == ref_sel).all()
+        slack = np.finfo(float).eps * np.linalg.cond(np.polynomial.legendre.legvander(x, k.max()))
+        y2 = np.sum(y * y, axis=1)
+        assert (abs(rss - ref_rss) <= 1e-12 * ref_rss + 8.0 * (slack * y2)[:, None]).all()
+        assert (abs(risk - ref_risk) <= np.maximum(1e-12, 32.0 * slack)[:, None] * ref_risk).all()
+
+    def test_regimes_form_no_q(self, monkeypatch):
+        qr, modes = np.linalg.qr, []
+
+        def spy(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        ps.regime_experiment(ps.abs_truth(0.5), range(4), n=40, reps=100, seed=1)
+        assert modes == ["r"] * math.ceil(100 / ps.CHUNK)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor faults")
+    def test_default_regimes_fault_in_little_memory(self):
+        # a fresh interpreter runs both default regimes; the designs live in one reused
+        # buffer per regime and no Q is formed, so few pages are touched for the first
+        # time (about 7,000 minor faults against 76,000 with a reduced QR per chunk)
+        script = textwrap.dedent("""
+            import resource
+            from convlab import cli, predsel as ps
+            c = cli.validate_config("{}")
+            p, seed = c["predsel"], c["seed"]
+            runs = [(ps.poly_truth(p["regime_a_coeffs"], p["regime_a_sigma"]), "a"),
+                    (ps.abs_truth(p["regime_b_sigma"]), "b")]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for truth, r in runs:
+                ps.regime_experiment(truth, range(p[f"regime_{r}_max_degree"] + 1),
+                                     p[f"regime_{r}_n"], p[f"regime_{r}_reps"], seed)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(ps.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(done.stdout.split()[-1]) < 25_000
 
 
 class TestUnbiasednessProbe:
