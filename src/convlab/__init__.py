@@ -3,7 +3,6 @@ convergence-to-the-truth standards on four benchmark problems."""
 
 from .framework import (
     AsymptoticOracle,
-    ConfigurationError,
     ConvergenceRecord,
     MethodSpec,
     ModeReport,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticOracle",
-    "ConfigurationError",
     "ConvergenceRecord",
     "MethodSpec",
     "ModeReport",

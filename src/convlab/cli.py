@@ -114,6 +114,9 @@ _SAMPLE_SIZES = _numlist(_num(lo=2, hi=10**6, integer=True), increasing=True)
 _PREDSEL_REPS = _num(lo=100, hi=10**5, integer=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
+# a predsel regime factors a (64, max_degree + 2, n) float buffer, 64 x 65 x 10**4 floats
+# (333 MB) at the top
+_REGIME_N = _num(lo=4, hi=10**4, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
 # 1 - alpha/2 stays below 1.0 (the float spacing there is ulp(1.0) / 2), so its normal quantile exists
 _ALPHA = _num(lo=math.ulp(1.0), hi=1, hi_open=True)
@@ -161,11 +164,11 @@ SCHEMA = {
         "regime_a_coeffs": ([1.0, -2.0, 0.5], _numlist(_num())),
         "regime_a_sigma": (1.0, _SIGMA),
         "regime_a_max_degree": (6, _MAX_DEGREE),
-        "regime_a_n": (500, _num(lo=4, integer=True)),
+        "regime_a_n": (500, _REGIME_N),
         "regime_a_reps": (2000, _PREDSEL_REPS),
         "regime_b_sigma": (0.5, _SIGMA),
         "regime_b_max_degree": (12, _MAX_DEGREE),
-        "regime_b_n": (500, _num(lo=4, integer=True)),
+        "regime_b_n": (500, _REGIME_N),
         "regime_b_reps": (1000, _PREDSEL_REPS),
         "probe_reps": (4000, _PREDSEL_REPS),
     },

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 
@@ -43,10 +42,6 @@ class Status(Enum):
     CONVERGES = "CONVERGES"
     DIVERGES = "DIVERGES"
     UNDETERMINED = "UNDETERMINED"
-
-
-class ConfigurationError(ValueError):
-    """Two artifacts that must match (grids, bounds) do not."""
 
 
 class StreamError(ValueError):
@@ -97,20 +92,16 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class StreamTrace:
-    """Evidence/verdict pairs in acquisition order for one world."""
+    """One world's evidence and the method's verdicts, in acquisition
+    order: two tuples with one entry per stage.  The convergence
+    standards read the verdicts alone; the evidence is kept for replay."""
 
     world_id: str
-    stages: tuple  # tuple of (evidence_item, Verdict)
-
-    def verdicts(self) -> tuple:
-        """The verdicts in stage order, built on the first call and kept
-        (not as a field, so equality and repr ignore it)."""
-        if "_verdicts" not in self.__dict__:
-            object.__setattr__(self, "_verdicts", tuple(map(itemgetter(1), self.stages)))
-        return self._verdicts
+    evidence: tuple
+    verdicts: tuple
 
     def __len__(self) -> int:
-        return len(self.stages)
+        return len(self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def convergence_status(
     # oracle.fate is CONVERGES
     if oracle.settle_by > len(trace) - 1:
         return Status.UNDETERMINED, None
-    settle = empirical_settle_stage(trace.verdicts(), truth)
+    settle = empirical_settle_stage(trace.verdicts, truth)
     if settle is None or settle > oracle.settle_by:
         raise OracleContradiction(
             f"world {trace.world_id}: oracle guarantees truth from stage "
@@ -204,9 +195,8 @@ def check_stability(trace: StreamTrace, truth: Verdict):
     pair (i, j): stage i output the truth and stage j = i + 1 output
     something else.  Vacuously passes when the truth is never output.
     """
-    verdicts = trace.verdicts()
     first_truth = None
-    for i, v in enumerate(verdicts):
+    for i, v in enumerate(trace.verdicts):
         if first_truth is None:
             if v is truth:
                 first_truth = i

@@ -225,13 +225,13 @@ def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
 
 
 def _decisions(method: MethodSpec, evidence) -> tuple:
-    """(evidence, verdict) per stage, each decided once, on one growing
-    history list that holds the stages up to and including it."""
+    """The verdict per stage, each decided once, on one growing history
+    list that holds the stages up to and including it."""
     decide, hist, verdicts = method.decide, [], []
     for e in evidence:
         hist.append(e)
         verdicts.append(decide(hist))
-    return tuple(zip(evidence, verdicts))
+    return tuple(verdicts)
 
 
 def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
@@ -244,8 +244,8 @@ def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> S
     if not all([-math.inf < lo < hi < math.inf for lo, hi in ends]):
         for lo, hi in ends:
             IntervalEvidence(lo, hi)  # raises the constructor's error at the first bad stage
-    evidence = list(map(_checked_interval, ends))
-    return StreamTrace(world_id=f"{FAMILY}:theta={theta!r}", stages=_decisions(method, evidence))
+    evidence = tuple(map(_checked_interval, ends))
+    return StreamTrace(f"{FAMILY}:theta={theta!r}", evidence, _decisions(method, evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +254,6 @@ def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> S
 
 # bound once: looking an Enum member up costs about as much as the rule
 _SIMPLE, _COMPLEX = Verdict.SIMPLE, Verdict.COMPLEX
-
-
-def mstar_decide(e: IntervalEvidence) -> Verdict:
-    """SIMPLE iff the interval still includes 0 (closed boundaries
-    count as inclusion), COMPLEX otherwise; never SUSPEND."""
-    return _SIMPLE if e.lo <= 0.0 <= e.hi else _COMPLEX
 
 
 def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
@@ -275,8 +269,9 @@ def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
 
 
 def _mstar_latest(hist) -> Verdict:
-    """mstar_decide of the history's last interval, read in place: one
-    Python frame per stage, not two."""
+    """The threshold rule on the history's last interval: SIMPLE iff it
+    still includes 0 (closed boundaries count as inclusion), COMPLEX
+    otherwise; never SUSPEND."""
     lo, hi = hist[-1]
     return _SIMPLE if lo <= 0.0 <= hi else _COMPLEX
 
@@ -304,10 +299,9 @@ def width_trigger_violator(width0: float = 0.01) -> MethodSpec:
     when 0 is still inside; otherwise behaves like the threshold rule."""
 
     def decide(hist):
-        e = hist[-1]
-        if e.width < width0:
+        if hist[-1].width < width0:
             return Verdict.COMPLEX
-        return mstar_decide(e)
+        return _mstar_latest(hist)
 
     return MethodSpec(name=f"width_violator({width0})", decide=decide)
 
@@ -318,7 +312,7 @@ def stage_trigger_violator(stage: int = 3) -> MethodSpec:
     def decide(hist):
         if len(hist) - 1 == stage:
             return Verdict.COMPLEX
-        return mstar_decide(hist[-1])
+        return _mstar_latest(hist)
 
     return MethodSpec(name=f"stage_violator({stage})", decide=decide)
 
@@ -329,7 +323,7 @@ def parity_violator() -> MethodSpec:
     def decide(hist):
         if (len(hist) - 1) % 2 == 1:
             return Verdict.COMPLEX
-        return mstar_decide(hist[-1])
+        return _mstar_latest(hist)
 
     return MethodSpec(name="parity_violator", decide=decide)
 
@@ -485,23 +479,24 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport
             continue
         extended = hist + [IntervalEvidence(-half / 2.0**k, half / 2.0**k)
                            for k in range(1, extension + 1)]
-        stages = _decisions(method, extended)
-        for j in range(base + 1, len(stages)):
-            if stages[j][1] is Verdict.SIMPLE:
-                # retraction of a COMPLEX verdict that was true at a
-                # nonzero world inside the stage-j interval
-                theta_w = stages[j][0].hi / 2.0
-                return RazorReport(
-                    razor_violation=tuple(hist),
-                    consequence="STABILITY_FAIL",
-                    witness_world=LineWorld(theta_w),
-                    witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", stages[: j + 1]),
-                )
-        # never returned to SIMPLE: fails pointwise at theta = 0
+        verdicts = _decisions(method, extended)
+        if Verdict.SIMPLE not in verdicts[base + 1:]:
+            # never returned to SIMPLE: fails pointwise at theta = 0
+            return RazorReport(
+                razor_violation=tuple(hist),
+                consequence="POINTWISE_FAIL",
+                witness_world=LineWorld(0.0),
+                witness_trace=StreamTrace(f"{FAMILY}:theta=0.0", tuple(extended), verdicts),
+            )
+        # retraction of a COMPLEX verdict that was true at a nonzero
+        # world inside the stage-j interval
+        j = verdicts.index(Verdict.SIMPLE, base + 1)
+        theta_w = extended[j].hi / 2.0
         return RazorReport(
             razor_violation=tuple(hist),
-            consequence="POINTWISE_FAIL",
-            witness_world=LineWorld(0.0),
-            witness_trace=StreamTrace(f"{FAMILY}:theta=0.0", stages),
+            consequence="STABILITY_FAIL",
+            witness_world=LineWorld(theta_w),
+            witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", tuple(extended[:j + 1]),
+                                      verdicts[:j + 1]),
         )
     return RazorReport(razor_violation=None, consequence="NONE_FOUND")

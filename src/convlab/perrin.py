@@ -37,14 +37,13 @@ experimental streams bridging them to prism evidence share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .framework import (
     AsymptoticOracle,
-    ConfigurationError,
     ConvergenceRecord,
     ModeReport,
     OracleContradiction,
@@ -188,8 +187,8 @@ def canonical_prism_stream(w: PastaWorld, spec: StreamSpec, t: int) -> PrismEvid
 
 
 def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
-    prisms = [canonical_prism_stream(w, spec, t) for t in range(horizon)]
-    return StreamTrace(world_id=w.world_id, stages=tuple(zip(prisms, decide_prisms(m, prisms))))
+    prisms = tuple(canonical_prism_stream(w, spec, t) for t in range(horizon))
+    return StreamTrace(w.world_id, prisms, decide_prisms(m, prisms))
 
 
 def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
@@ -322,9 +321,6 @@ class DomainGrid:
     unless CONVERGES), both laid out as the plane row-major over (ia, ib),
     z = 0, then the strand over ia, z = 1."""
 
-    grid: GridSpec
-    method: str
-    horizon: int
     axis: tuple
     codes: np.ndarray
     settle: np.ndarray
@@ -336,6 +332,18 @@ class DomainGrid:
     @property
     def strand(self) -> np.ndarray:
         return self.codes[len(self.axis) ** 2:]
+
+    def coarse(self) -> "DomainGrid":
+        """The grid at twice the step, read off this one (a halved grid, of
+        2k + 1 points): every other axis point is the coarse axis bit for
+        bit (halving a step is exact in binary), so its codes and settle
+        stages are these, subsampled."""
+        n = len(self.axis)
+
+        def every_other(x):
+            return np.concatenate([x[:n * n].reshape(n, n)[::2, ::2].ravel(), x[n * n:][::2]])
+
+        return DomainGrid(self.axis[::2], every_other(self.codes), every_other(self.settle))
 
     def fraction(self, component: str, status: Status) -> float:
         codes = self.plane if component == "plane" else self.strand
@@ -376,8 +384,7 @@ def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
     codes, settle = _classify(m, np.concatenate([np.repeat(values, n), values]),
                               np.concatenate([np.tile(values, n), values]),
                               np.arange(n * n + n) >= n * n, spec, horizon)
-    return DomainGrid(grid=grid, method=m.label(), horizon=horizon, axis=axis,
-                      codes=codes, settle=settle)
+    return DomainGrid(axis, codes, settle)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +418,11 @@ def ae_fractions(g: DomainGrid) -> dict:
     }
 
 
-def ae_check(g: DomainGrid, g2: DomainGrid) -> ModeReport:
-    """Almost-everywhere convergence via the two grid-level proxies.
+def ae_check(g2: DomainGrid) -> ModeReport:
+    """Almost-everywhere convergence via the two grid-level proxies, on
+    the refined grid g2 and its coarse view g (step h).
 
-    Denseness: every grid world has a converging world of its own
+    Denseness: every world of g has a converging world of its own
     component within 2h.  Lower dimension: the diverging fraction of
     each component either is zero or shrinks by a factor in
     [0.25, 0.75] when the step halves (a line in the sheet, or isolated
@@ -422,12 +430,7 @@ def ae_check(g: DomainGrid, g2: DomainGrid) -> ModeReport:
     regions keep their fraction).  Undetermined fractions are reported
     separately via ae_fractions.
     """
-    if g.method != g2.method:
-        raise ConfigurationError("grids were computed for different methods")
-    if (g.grid.lo, g.grid.hi) != (g2.grid.lo, g2.grid.hi):
-        raise ConfigurationError("grids have different bounds")
-    if abs(g2.grid.step * 2.0 - g.grid.step) > 1e-12:
-        raise ConfigurationError("the second grid must halve the first grid's step")
+    g = g2.coarse()
     witnesses = list(_denseness_failures(g))[:25]
     for comp in ("plane", "strand"):
         f1 = g.fraction(comp, Status.DIVERGES)
@@ -501,7 +504,7 @@ def stability_scan(m: PerrinMethod, worlds: Sequence[PastaWorld],
         witnesses.append(
             {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
              "stream": spec.label(), "stage_pair": pair,
-             "verdicts": [v.value for v in tr.verdicts()]}
+             "verdicts": [v.value for v in tr.verdicts]}
         )
     return ModeReport("STABILITY", not witnesses, tuple(witnesses))
 
@@ -530,20 +533,12 @@ def stability_spec_variants(base: StreamSpec) -> list:
 def score_sheet(m: PerrinMethod, grid: GridSpec, spec: StreamSpec, horizon: int) -> ScoreSheet:
     """Aggregate the three criteria for one method.
 
-    Only the refined grid is swept.  Its every other axis point is the
-    coarse axis bit for bit (halving the step is exact in binary), so
-    the coarse codes and settle stages are read off it; the sheet keeps
-    those and lets the refined grid go.
+    Only the refined grid is swept; the coarse grid is its coarse() view.
+    The sheet keeps the coarse grid and lets the refined one go.
     """
     g2 = domain_of_convergence(m, grid.halved(), spec, horizon)
-    n2 = len(g2.axis)
-
-    def coarse(x):
-        return np.concatenate([x[:n2 * n2].reshape(n2, n2)[::2, ::2].ravel(), x[n2 * n2:][::2]])
-
-    g = replace(g2, grid=grid, axis=g2.axis[::2], codes=coarse(g2.codes),
-                settle=coarse(g2.settle))
-    ae = ae_check(g, g2)
+    g = g2.coarse()
+    ae = ae_check(g2)
     maximal = maximality_check(g)
     stable = stability_scan(m, default_stability_worlds(grid), stability_spec_variants(spec),
                             horizon)

@@ -108,7 +108,15 @@ def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpe
 
 
 # ---------------------------------------------------------------------------
-# lineworld: a method that is right everywhere except at the origin
+# lineworld: the threshold rule on one interval, and a method that is
+# right everywhere except at the origin
+
+
+def mstar_decide(e) -> Verdict:
+    """SIMPLE iff the interval still includes 0 (closed boundaries count
+    as inclusion), COMPLEX otherwise; never SUSPEND (the one-interval form
+    of the rule mstar reads off a history's last interval)."""
+    return Verdict.SIMPLE if e.lo <= 0.0 <= e.hi else Verdict.COMPLEX
 
 
 def always_complex_method() -> MethodSpec:

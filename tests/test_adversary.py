@@ -181,7 +181,8 @@ class TestLineworldOracle:
                    ref.steered(theta, 0.0, delta0, ratio, n, rng),
                    ref.steered(theta, 0.0, delta0, ratio, n, rng)]
         truth = lw.LineWorld(theta).truth
-        settled = max(ref.settle_stage([lw.mstar_decide(lw.IntervalEvidence(theta + lo, theta + hi))
+        settled = max(ref.settle_stage([ref.mstar_decide(lw.IntervalEvidence(theta + lo,
+                                                                             theta + hi))
                                         for lo, hi in s.stages(n)], truth) for s in streams)
         assert settled <= claim
         if claim < n:  # steering toward 0 keeps it inside as long as any stream can

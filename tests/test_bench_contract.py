@@ -48,3 +48,19 @@ def test_run_writes_every_pinned_output(tmp_path):
     for key, digest in pinned.items():
         if key.startswith("digest/"):
             assert manifest[key.removeprefix("digest/")] == digest
+
+
+@pytest.mark.parametrize("workload", ["lineworld-deep", "perrin-default"])
+def test_workload_matches_its_reference(tmp_path, monkeypatch, workload):
+    """A workload's check verdicts and pinned outputs at config seed 0 are
+    those bench/reference.json records, as bench/run.py judges them."""
+    monkeypatch.syspath_prepend(str(BENCH))  # bench/run.py imports bench/speed.py
+    entry = json.loads((BENCH / "reference.json").read_text())[workload]
+    at_seed = entry["seeds"]["0"]
+    config = cli.validate_config(json.dumps({**load_bench("run").WORKLOADS[workload], "seed": 0}))
+    outcome = cli.run(config, out_dir=str(tmp_path))
+    checks = {name: c["pass"] for name, c in outcome.summary["checks"].items()}
+    assert list(checks) == entry["checks"]
+    assert [name for name, ok in checks.items() if not ok] == at_seed["failing"]
+    pinned = load_bench("worker").pinned_outputs(str(tmp_path))
+    assert pinned == {**entry["pinned"], **at_seed["pinned"]}

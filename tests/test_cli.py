@@ -369,6 +369,9 @@ class TestFlags:
          "perrin.stream_schedule[1]"),
         ({"experiment": "predsel", "predsel": {"regime_a_n": 5}}, "predsel.regime_a_n"),
         ({"experiment": "predsel", "predsel": {"regime_b_n": 13}}, "predsel.regime_b_n"),
+        # a regime's (64, max_degree + 2, n) float buffer would take 4 PB (A) or 7 PB (B)
+        ({"experiment": "predsel", "predsel": {"regime_a_n": 10**12}}, "predsel.regime_a_n"),
+        ({"experiment": "predsel", "predsel": {"regime_b_n": 10**12}}, "predsel.regime_b_n"),
         ({"experiment": "predsel", "check": True, "predsel": {"regime_a_max_degree": 1}},
          "predsel.regime_a_max_degree"),
         ({"experiment": "lineworld", "lineworld": {"theta_step": 0.3}}, "lineworld.theta_step"),
@@ -420,6 +423,7 @@ class TestFlags:
         ({"experiment": "perrin", "perrin": {"grid_lo": 0, "grid_hi": 2e-11, "grid_step": 5e-13}},
          "perrin.grid_step"),
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
+            "regime_a_n-1e12", "regime_b_n-1e12",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "sigma-squared-underflow", "sigma-squared-overflow", "sigma-a-rounding",
             "sigma-b-rounding", "alpha-1e-16",

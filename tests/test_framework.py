@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
 
 def make_trace(verdicts, world_id="w"):
-    return StreamTrace(world_id, tuple((None, v) for v in verdicts))
+    return StreamTrace(world_id, (None,) * len(verdicts), tuple(verdicts))
 
 
 class TestClassifyConvergence:
@@ -45,7 +47,7 @@ class TestClassifyConvergence:
         spec = lw.StreamSpec(delta0=1.0, ratio=0.6)
         assert 2.0 * spec.half_width(19) > abs(w.na - w.na_prime)
         trace = pr.trace(pr.ockham_method(), w, spec, 20)
-        assert all(v is S for v in trace.verdicts())
+        assert all(v is S for v in trace.verdicts)
         record = classify_convergence(trace, w.truth, None)
         assert record.status is Status.UNDETERMINED
 
@@ -66,7 +68,7 @@ class TestClassifyConvergence:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            classify_convergence(StreamTrace("w", ()), S, None)
+            classify_convergence(StreamTrace("w", (), ()), S, None)
 
     def test_oracle_requires_settle_stage(self):
         with pytest.raises(ValueError):
@@ -117,17 +119,18 @@ class TestStability:
             trace = lw.trace(mstar, w, spec, 40)
             record = classify_convergence(trace, w.truth, mstar.oracle(w, spec))
             assert record.status is Status.CONVERGES
-            suffix = StreamTrace(trace.world_id, trace.stages[record.settle_stage:])
+            s = record.settle_stage
+            suffix = StreamTrace(trace.world_id, trace.evidence[s:], trace.verdicts[s:])
             assert check_stability(suffix, w.truth)[0]
 
 
 class TestStreamTrace:
-    def test_verdicts_built_once_and_not_a_field(self):
-        trace = make_trace([S, C, Q])
-        assert trace.verdicts() == (S, C, Q)
-        assert trace.verdicts() is trace.verdicts()
-        assert trace == make_trace([S, C, Q]) and hash(trace) == hash(make_trace([S, C, Q]))
-        assert repr(trace) == repr(make_trace([S, C, Q]))
+    def test_evidence_and_verdicts_are_two_columns(self):
+        trace = StreamTrace("w", ("e0", "e1", "e2"), (S, C, Q))
+        assert [f.name for f in fields(StreamTrace)] == ["world_id", "evidence", "verdicts"]
+        assert trace.verdicts == (S, C, Q) and len(trace) == 3
+        assert trace == StreamTrace("w", ("e0", "e1", "e2"), (S, C, Q))
+        assert hash(trace) == hash(StreamTrace("w", ("e0", "e1", "e2"), (S, C, Q)))
 
 
 class TestModeReport:

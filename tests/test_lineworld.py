@@ -72,7 +72,7 @@ def endpoint_bits(method, theta, spec, horizon):
         tr = lw.trace(method, lw.LineWorld(theta), spec, horizon)
     except StreamError:
         return "StreamError"
-    return [(e.lo.hex(), e.hi.hex()) for e, _ in tr.stages]
+    return [(e.lo.hex(), e.hi.hex()) for e in tr.evidence]
 
 
 def interval_by_interval(theta, spec, horizon):
@@ -105,16 +105,20 @@ def trace_cases(draw):
     return theta, spec, draw(st.integers(0, 120))
 
 
+def mstar_on(*history):
+    return lw.mstar_method().decide(list(history))
+
+
 class TestDecisionRule:
     def test_zero_inside(self):
-        assert lw.mstar_decide(lw.IntervalEvidence(-0.5, 0.5)) is S
+        assert mstar_on(lw.IntervalEvidence(-0.5, 0.5)) is S
 
     def test_zero_excluded(self):
-        assert lw.mstar_decide(lw.IntervalEvidence(0.2, 0.4)) is C
+        assert mstar_on(lw.IntervalEvidence(-1.0, 1.0), lw.IntervalEvidence(0.2, 0.4)) is C
 
     def test_boundary_counts_as_inclusion(self):
-        assert lw.mstar_decide(lw.IntervalEvidence(0.0, 0.3)) is S
-        assert lw.mstar_decide(lw.IntervalEvidence(-0.3, 0.0)) is S
+        assert mstar_on(lw.IntervalEvidence(0.0, 0.3)) is S
+        assert mstar_on(lw.IntervalEvidence(-0.3, 0.0)) is S
 
 
 class TestStreams:
@@ -177,7 +181,7 @@ class TestStreams:
         # each stage decided once, on the history up to and including it,
         # whose last item is the very interval the trace keeps for that stage
         assert [n for n, _ in seen] == list(range(1, 26))
-        assert len(tr) == 25 and all(last is e for (_, last), (e, _) in zip(seen, tr.stages))
+        assert len(tr) == 25 and all(last is e for (_, last), e in zip(seen, tr.evidence))
 
     def test_negative_stage_rejected(self):
         with pytest.raises(ValueError):
@@ -286,10 +290,9 @@ class TestStageTable:
             assert str(refused.value) == expected
             return
         tr = lw.trace(lw.mstar_method(), lw.LineWorld(theta), spec, horizon)
-        evidence = [e for e, _ in tr.stages]
-        assert [(type(e), e.lo.hex(), e.hi.hex()) for e in evidence] == [
+        assert [(type(e), e.lo.hex(), e.hi.hex()) for e in tr.evidence] == [
             (lw.IntervalEvidence, e.lo.hex(), e.hi.hex()) for e in expected]
-        assert [v for _, v in tr.stages] == [lw.mstar_decide(e) for e in evidence]
+        assert tr.verdicts == tuple(ref.mstar_decide(e) for e in tr.evidence)
 
     @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
            horizon=st.integers(1, 120), past=st.integers(1, 300))
@@ -347,7 +350,7 @@ class TestPointwise:
         w = lw.LineWorld(0.1)
         spec = lw.StreamSpec(1.0, 0.7)
         [rec] = lw.check_pointwise(lw.mstar_method(), [w], spec, 60)
-        verdicts = lw.trace(lw.mstar_method(), w, spec, 60).verdicts()
+        verdicts = lw.trace(lw.mstar_method(), w, spec, 60).verdicts
         brute = min(s for s in range(60) if all(v is C for v in verdicts[s:]))
         assert rec.status is Status.CONVERGES and rec.settle_stage == brute == 7
 
@@ -427,7 +430,7 @@ class TestRefuteUniform:
             e = hist[-1]
             if e.width < width0:
                 return narrow_verdict
-            return lw.mstar_decide(e) if not flip else C
+            return ref.mstar_decide(e) if not flip else C
 
         m = lw.MethodSpec(name="generated", decide=decide)
         wit = lw.refute_uniform(m, length)
@@ -466,7 +469,7 @@ class TestRazorProbe:
         assert report.consequence == "POINTWISE_FAIL"
         assert report.witness_world.theta == 0.0
         # the continuation never returns to the true answer
-        tail = report.witness_trace.verdicts()[-10:]
+        tail = report.witness_trace.verdicts[-10:]
         assert all(v is not S for v in tail)
 
     def test_stage_violator_fails_stability(self):
@@ -484,8 +487,8 @@ class TestRazorProbe:
             assert hist[-1].contains(0.0)
             assert adversary.decide(hist) is C
             # witness trace verdicts replay exactly
-            evid = [e for e, _ in report.witness_trace.stages]
-            for k, (_, v) in enumerate(report.witness_trace.stages):
+            evid = list(report.witness_trace.evidence)
+            for k, v in enumerate(report.witness_trace.verdicts):
                 assert adversary.decide(evid[: k + 1]) is v
             # the witness history is admissible at the witness world
             theta = report.witness_world.theta
