@@ -110,7 +110,8 @@ def _format(v, path):
 _SIZES = _numlist(_num(lo=2, hi=10**300, integer=True), increasing=True)
 # simulated sample sizes: a perrin sample of size m is an (8, m) float array, 64 MB at 10**6
 _SAMPLE_SIZES = _numlist(_num(lo=2, hi=10**6, integer=True), increasing=True)
-# predsel reps: the probe draws a (400, reps) float array, 320 MB at 10**5
+# predsel reps: the probe sums into two (degree + 1, reps) float arrays beside a block of
+# at most predsel.PROBE_BLOCK floats, 2 x 49 x 10**5 floats (78 MB) at degree 48
 _PREDSEL_REPS = _num(lo=100, hi=10**5, integer=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)

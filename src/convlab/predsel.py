@@ -282,6 +282,11 @@ class RegimeSummary:
 # the default regime A added ~170 MiB to a run's peak memory.
 CHUNK = 64
 PROBE_SIZES = (50, 100, 200, 400)  # the designs a run's unbiasedness probes fit, smallest first
+# Floats per block of the probe's draws (3.2 MB), under numpy's 4 MiB hugepage
+# threshold at any reps: the default probes timed the same from 16,000 to 400,000,
+# and at degree 48 and 10**5 reps, where each block adds into a 39 MB sum, the
+# largest block was the fastest (README).
+PROBE_BLOCK = 400_000
 
 
 def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
@@ -334,6 +339,19 @@ class ProbeReport:
     z: float  # (mean_estimate - mean_true_insample_risk) / (sigma^2 sqrt(2 / (n reps)))
 
 
+def _row_blocks(rng, n: int, cols: int):
+    """The rows of rng.standard_normal((n, cols)), PROBE_BLOCK floats or one
+    row at a time, as (first row, block): the generator fills in C order,
+    so the blocks hold exactly the whole draw's numbers.  Every block is a
+    view of one buffer, which the next block overwrites."""
+    rows = max(1, PROBE_BLOCK // cols)
+    buf = np.empty((min(rows, n), cols))
+    for start in range(0, n, rows):
+        block = buf[:min(rows, n - start)]
+        rng.standard_normal(out=block)
+        yield start, block
+
+
 def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: int) -> ProbeReport:
     """Monte Carlo check that the penalized risk estimate
     (rss + 2 (k+1) sigma^2) / n matches the true in-sample risk on a
@@ -344,16 +362,20 @@ def unbiasedness_probe(truth: TruthSpec, degree: int, n: int, reps: int, seed: i
     cancels from both the residuals and the fit's error, so the probe
     fits the unit noise alone and scales the two means by sigma^2: no
     sigma is lost next to f*, and z and the relative bias do not depend
-    on sigma."""
+    on sigma.  With Q of the design's thin QR, the fit's squared error
+    is |Q^T noise|^2 and the rss |noise|^2 minus that, so the probe sums
+    both over row blocks of the draws and holds no (n, reps) array."""
     if truth.kind != "poly" or truth.poly_degree > degree:
         raise ValueError("the probe needs a polynomial truth representable at the probed degree")
     Q, _ = _legendre_qr(np.linspace(-1.0, 1.0, n), degree)
-    noise = substream(seed, "predsel-probe", degree, n).standard_normal((n, reps))
-    fitted = Q @ (Q.T @ noise)
-    noise -= fitted
-    rss = np.sum(np.square(noise, out=noise), axis=0)
-    mean_est = float(np.mean((rss + 2.0 * (degree + 1)) / n))
-    mean_risk = float(np.mean(1.0 + np.mean(np.square(fitted, out=fitted), axis=0)))
+    b, prod = np.zeros((2, degree + 1, reps))  # Q^T noise; each block's share of it
+    ss = np.zeros(reps)  # |noise|^2
+    for start, block in _row_blocks(substream(seed, "predsel-probe", degree, n), n, reps):
+        b += np.matmul(Q[start:start + len(block)].T, block, out=prod)
+        ss += np.einsum("ij,ij->j", block, block)
+    fit2 = np.einsum("ij,ij->j", b, b)
+    mean_est = float(np.mean((ss - fit2 + 2.0 * (degree + 1)) / n))
+    mean_risk = float(np.mean(1.0 + fit2 / n))
     s2 = truth.noise_sigma**2
     return ProbeReport(s2 * mean_est, s2 * mean_risk, abs(mean_est - mean_risk) / mean_risk,
                        (mean_est - mean_risk) / math.sqrt(2.0 / (n * reps)))

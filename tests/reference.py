@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from convlab import perrin as pr
+from convlab import predsel as ps
 from convlab.framework import AsymptoticOracle, MethodSpec, Status, Verdict
 from convlab.gaussian import TestRule, normal_quantile
 from convlab.lineworld import LineWorld, StreamSpec
@@ -171,6 +172,25 @@ def nested_scores_explicit_q(x, y, k, sigma2, at_nodes=None) -> tuple:
         diff = f[:, None] - np.cumsum(vander @ np.linalg.inv(R) * b[:, None, :], axis=2)[:, :, k]
         risk = noise2 + w @ (diff * diff)
     return rss, aic, bic, risk, np.stack([np.argmin(aic, axis=1), np.argmin(bic, axis=1)])
+
+
+def unbiasedness_probe_whole(truth: TruthSpec, degree: int, n: int, reps: int,
+                             seed: int) -> ps.ProbeReport:
+    """predsel.unbiasedness_probe on the whole (n, reps) draw at once, its
+    earlier form: the fitted values Q (Q^T noise) and the residuals, each
+    squared and summed per rep."""
+    if truth.kind != "poly" or truth.poly_degree > degree:
+        raise ValueError("the probe needs a polynomial truth representable at the probed degree")
+    Q, _ = ps._legendre_qr(np.linspace(-1.0, 1.0, n), degree)
+    noise = substream(seed, "predsel-probe", degree, n).standard_normal((n, reps))
+    fitted = Q @ (Q.T @ noise)
+    noise -= fitted
+    rss = np.sum(np.square(noise, out=noise), axis=0)
+    mean_est = float(np.mean((rss + 2.0 * (degree + 1)) / n))
+    mean_risk = float(np.mean(1.0 + np.mean(np.square(fitted, out=fitted), axis=0)))
+    s2 = truth.noise_sigma**2
+    return ps.ProbeReport(s2 * mean_est, s2 * mean_risk, abs(mean_est - mean_risk) / mean_risk,
+                          (mean_est - mean_risk) / math.sqrt(2.0 / (n * reps)))
 
 
 # ---------------------------------------------------------------------------

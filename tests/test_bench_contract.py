@@ -50,7 +50,7 @@ def test_run_writes_every_pinned_output(tmp_path):
             assert manifest[key.removeprefix("digest/")] == digest
 
 
-@pytest.mark.parametrize("workload", ["lineworld-deep", "perrin-default"])
+@pytest.mark.parametrize("workload", ["lineworld-deep", "perrin-default", "predsel-gaussian"])
 def test_workload_matches_its_reference(tmp_path, monkeypatch, workload):
     """A workload's check verdicts and pinned outputs at config seed 0 are
     those bench/reference.json records, as bench/run.py judges them."""

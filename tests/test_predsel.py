@@ -4,6 +4,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -373,20 +374,68 @@ class TestBatchedRegimes:
 
 
 class TestUnbiasednessProbe:
-    def test_matches_out_of_place_reference(self):
-        # the probe fits the unit noise in place and scales the means by sigma^2;
-        # same arithmetic as this
-        truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=0.8)
-        n, reps, seed = 60, 300, 11
-        Q, _ = ps._legendre_qr(np.linspace(-1.0, 1.0, n), 2)
-        noise = substream(seed, "predsel-probe", 2, n).standard_normal((n, reps))
-        fitted = Q @ (Q.T @ noise)
-        est = np.mean((np.sum((noise - fitted) ** 2, axis=0) + 2.0 * 3) / n)
-        risk = np.mean(1.0 + np.mean(fitted**2, axis=0))
-        probe = ps.unbiasedness_probe(truth, 2, n, reps, seed)
-        assert (probe.mean_estimate, probe.mean_true_insample_risk) == (0.8**2 * est, 0.8**2 * risk)
-        assert (probe.relative_bias, probe.z) == (abs(est - risk) / risk,
-                                                   (est - risk) / math.sqrt(2.0 / (n * reps)))
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 6), truth_degree=st.integers(0, 6), extra=st.integers(0, 448),
+           reps=st.integers(100, 600), seed=st.integers(0, 2**32 - 1),
+           sigma=st.sampled_from([1.0, 0.8, 3e-5]), rows=st.integers(0, 60),
+           spare=st.integers(0, 99))
+    def test_matches_out_of_place_reference(self, degree, truth_degree, extra, reps, seed,
+                                            sigma, rows, spare):
+        # the blocked sums agree with the whole-array probe (the arithmetic it had)
+        # to rounding: means within 1e-12 relative, z and the relative bias within
+        # 1e-10; rows = 0 keeps PROBE_BLOCK, else blocks of `rows` rows, the last
+        # one short whenever rows does not divide n
+        coeffs = (1.0, -0.5, 0.25, 2.0, -1.0, 0.5, 0.125)[:min(truth_degree, degree) + 1]
+        truth = ps.poly_truth(coeffs, noise_sigma=sigma)
+        n = degree + 2 + extra
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                mp.setattr(ps, "PROBE_BLOCK", rows * reps + spare)
+            probe = ps.unbiasedness_probe(truth, degree, n, reps, seed)
+        whole = ref.unbiasedness_probe_whole(truth, degree, n, reps, seed)
+        assert probe.mean_estimate == pytest.approx(whole.mean_estimate, rel=1e-12, abs=0)
+        assert probe.mean_true_insample_risk == pytest.approx(whole.mean_true_insample_risk,
+                                                              rel=1e-12, abs=0)
+        assert abs(probe.z - whole.z) <= 1e-10
+        assert abs(probe.relative_bias - whole.relative_bias) <= 1e-10
+
+    @pytest.mark.parametrize("n, reps, block", [
+        (400, 4000, None), (50, 4000, None), (401, 333, 7 * 333), (401, 333, 93 * 333 + 5),
+        (5, 333, 1), (None, 100, None), (None, 77_777, None), (None, 10**5, None)])
+    def test_row_blocks_are_the_whole_draw(self, monkeypatch, n, reps, block):
+        # the blocks, in order, are exactly the whole (n, reps) draw; a block is
+        # PROBE_BLOCK floats or one row, and never reaches numpy's 4 MiB hugepage
+        # threshold (n = None: just enough rows to fill the buffer, at reps up to
+        # the schema's largest probe_reps)
+        if block is not None:
+            monkeypatch.setattr(ps, "PROBE_BLOCK", block)
+        rows = max(1, ps.PROBE_BLOCK // reps)
+        n = n or rows + 1
+        whole = substream(5, "predsel-probe", 2, n).standard_normal((n, reps))
+        starts, blocks, bufs = zip(*((start, blk.copy(), blk.base.nbytes) for start, blk
+                                     in ps._row_blocks(substream(5, "predsel-probe", 2, n), n, reps)))
+        assert starts == tuple(range(0, n, rows))
+        assert set(bufs) == {8 * reps * min(rows, n)} and bufs[0] < 4 * 2**20
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # numpy reports its buffers to tracemalloc.  The whole (400, 4000) draw and
+        # its fitted values took 24.5 MiB; one block of draws and the (3, 4000)
+        # sums take about 3.3 MiB at any n.  Only the design and its Q grow with
+        # n, 400 x 3 floats at n = 400, inside the 64 KiB slack.
+        truth = ps.poly_truth((1, -2, 0.5), 1.0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                ps.unbiasedness_probe(truth, 2, n, 4000, 9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at100, at400 = peak(100), peak(400)
+        assert at400 < 4 * 2**20
+        assert at400 <= at100 + 64 * 2**10
 
     def test_scale_free(self):
         # at sigma = 1e-50 the noise would vanish next to f* of order 1; fitted
