@@ -2,7 +2,6 @@
 convergence-to-the-truth standards on four benchmark problems."""
 
 from .framework import (
-    AsymptoticOracle,
     ConvergenceRecord,
     MethodSpec,
     ModeReport,
@@ -18,7 +17,6 @@ from .framework import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticOracle",
     "ConvergenceRecord",
     "MethodSpec",
     "ModeReport",

@@ -178,7 +178,7 @@ def check_perrin_theorem(sheets: dict, underdetermination: dict):
     ock = sheets["OCKHAM_REALIST"].fractions
     f1 = ock["coarse"]["plane"]["DIVERGES"]
     f2 = ock["refined"]["plane"]["DIVERGES"]
-    ok = f1 > 0 and 0.25 * f1 <= f2 <= 0.75 * f1
+    ok = f1 > 0 and pr._dimension_ok(f1, f2)
     anti = sheets["ANTI_REALIST"].fractions
     ok = ok and anti["coarse"]["strand"]["DIVERGES"] == 1.0
     ok = ok and anti["refined"]["strand"]["DIVERGES"] == 1.0

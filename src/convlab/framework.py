@@ -56,33 +56,16 @@ class OracleContradiction(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AsymptoticOracle:
-    """Analytic certificate for a (method, world, stream-family) triple.
-
-    fate = CONVERGES with settle_by = g means: on every admissible
-    stream of the family, the method outputs the world's true answer at
-    all stages >= g.  fate = DIVERGES means the method never settles on
-    the true answer.  settle_by is required for CONVERGES.
-    """
-
-    fate: Status
-    settle_by: Optional[int] = None
-
-    def __post_init__(self):
-        if self.fate is Status.CONVERGES and self.settle_by is None:
-            raise ValueError("a CONVERGES oracle must state settle_by")
-        if self.fate is Status.UNDETERMINED:
-            raise ValueError("an oracle is by definition determined")
-
-
-@dataclass(frozen=True)
 class MethodSpec:
     """A named, parameterized inference rule.
 
     Evaluation treats `decide` as a pure function of the finite evidence
     history: identical histories must yield identical verdicts.
-    `oracle`, when present, maps (world, stream spec) to an
-    AsymptoticOracle used to upgrade UNDETERMINED classifications.
+    `oracle`, when present, maps (world, stream spec) to the analytic
+    certificate that upgrades UNDETERMINED classifications: the stage g
+    from which the method outputs the world's true answer at every stage
+    on every admissible stream of the family, or -1 where it never
+    settles on the true answer.
     """
 
     name: str
@@ -106,14 +89,14 @@ class StreamTrace:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One world's classification.  `stable` tells whether the trace
-    kept the true answer once it had output it; sweeps that do not judge
-    stability leave it None."""
+    """One world's classification: its status, the settle stage (None
+    unless CONVERGES), and whether the trace kept the true answer once it
+    had output it (check_stability)."""
 
     world_id: str
     status: Status
-    settle_stage: Optional[int] = None
-    stable: Optional[bool] = None
+    settle_stage: Optional[int]
+    stable: bool
 
 
 @dataclass(frozen=True)
@@ -145,12 +128,13 @@ def empirical_settle_stage(verdicts: Sequence[Verdict], truth: Verdict) -> Optio
     return s
 
 
-def convergence_status(
+def classify_convergence(
     trace: StreamTrace,
     truth: Verdict,
-    oracle: Optional[AsymptoticOracle] = None,
-) -> tuple:
-    """The (status, settle stage) of one world's trace against the true answer.
+    settle_by: Optional[int] = None,
+) -> ConvergenceRecord:
+    """One world's record of its trace against the true answer, given the
+    oracle's certified stage settle_by (-1: never settles; None: no oracle).
 
     CONVERGES requires both an observed truth-suffix within the horizon
     and an oracle certifying persistence beyond it (settle_by inside the
@@ -162,30 +146,18 @@ def convergence_status(
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    if oracle is None:
-        return Status.UNDETERMINED, None
-    if oracle.fate is Status.DIVERGES:
-        return Status.DIVERGES, None
-    # oracle.fate is CONVERGES
-    if oracle.settle_by > len(trace) - 1:
-        return Status.UNDETERMINED, None
+    stable = check_stability(trace, truth)[0]
+    if settle_by is None or settle_by > len(trace) - 1:
+        return ConvergenceRecord(trace.world_id, Status.UNDETERMINED, None, stable)
+    if settle_by < 0:
+        return ConvergenceRecord(trace.world_id, Status.DIVERGES, None, stable)
     settle = empirical_settle_stage(trace.verdicts, truth)
-    if settle is None or settle > oracle.settle_by:
+    if settle is None or settle > settle_by:
         raise OracleContradiction(
             f"world {trace.world_id}: oracle guarantees truth from stage "
-            f"{oracle.settle_by} but the trace shows otherwise"
+            f"{settle_by} but the trace shows otherwise"
         )
-    return Status.CONVERGES, settle
-
-
-def classify_convergence(
-    trace: StreamTrace,
-    truth: Verdict,
-    oracle: Optional[AsymptoticOracle] = None,
-) -> ConvergenceRecord:
-    """One world's record, with the status and settle stage of
-    convergence_status."""
-    return ConvergenceRecord(trace.world_id, *convergence_status(trace, truth, oracle))
+    return ConvergenceRecord(trace.world_id, Status.CONVERGES, settle, stable)
 
 
 def check_stability(trace: StreamTrace, truth: Verdict):

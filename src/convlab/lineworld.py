@@ -27,15 +27,11 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .framework import (
-    AsymptoticOracle,
-    ConvergenceRecord,
     MethodSpec,
-    Status,
     StreamError,
     StreamTrace,
     Verdict,
-    check_stability,
-    convergence_status,
+    classify_convergence,
 )
 
 FAMILY = "lineworld"
@@ -264,8 +260,8 @@ def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
     return 0 if theta == 0.0 else spec.first_stage(abs(theta), 2.0)
 
 
-def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
-    return AsymptoticOracle(Status.CONVERGES, settle_by=guaranteed_settle_stage(w.theta, spec))
+def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> int:
+    return guaranteed_settle_stage(w.theta, spec)
 
 
 def _mstar_latest(hist) -> Verdict:
@@ -288,7 +284,7 @@ def always_suspend_method() -> MethodSpec:
     return MethodSpec(
         name="always_suspend",
         decide=lambda hist: Verdict.SUSPEND,
-        oracle=lambda w, spec: AsymptoticOracle(Status.DIVERGES),
+        oracle=lambda w, spec: -1,
     )
 
 
@@ -347,13 +343,9 @@ def check_pointwise(
     the stability verdict of the same trace."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    records = []
-    for w in worlds:
-        tr, truth = trace(method, w, spec, horizon), w.truth
-        oracle = method.oracle(w, spec) if method.oracle is not None else None
-        records.append(ConvergenceRecord(tr.world_id, *convergence_status(tr, truth, oracle),
-                                         stable=check_stability(tr, truth)[0]))
-    return records
+    oracle = method.oracle or (lambda w, spec: None)
+    return [classify_convergence(trace(method, w, spec, horizon), w.truth, oracle(w, spec))
+            for w in worlds]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ verdict, any other prism COMPLEX, except that a prism narrower than the
 method's gate (which, for the kinds that read p, also contains (p, p))
 gets the kind's triggered verdict.  One kernel, _verdicts, applies the
 table to scalars or to columns of prisms, and the analytic oracle,
-_oracle, reads the same table.
+asymptotic_oracle, reads the same table: it takes the columns of any
+number of worlds and returns each world's certified stage, -1 where the
+method never settles on the truth.
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the one interval kernel that coverage studies and the
@@ -43,7 +45,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .framework import (
-    AsymptoticOracle,
     ConvergenceRecord,
     ModeReport,
     OracleContradiction,
@@ -242,7 +243,7 @@ def _first_stages(spec: StreamSpec, gaps, k: float):
     return n - np.searchsorted(widths[::-1], gaps)
 
 
-def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
+def asymptotic_oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     """The stage from which m outputs the truth on every admissible stream,
     per world (na, na_prime, z == 1), or -1 where it never settles on it,
     read off m's _RULES entry (on, reads, fired).  Untriggered, m says `on`
@@ -285,21 +286,15 @@ def _oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     return settle
 
 
-def asymptotic_oracle(m: PerrinMethod, w: PastaWorld, spec: StreamSpec) -> AsymptoticOracle:
-    """_oracle for one world."""
-    t = int(_oracle(m, *_world_arrays([w]), spec)[0])
-    return AsymptoticOracle(Status.CONVERGES, t) if t >= 0 else AsymptoticOracle(Status.DIVERGES)
-
-
 def _classify(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
-    """classify_convergence for every world at once: status codes (CODES)
-    and empirical settle stages (-1 unless CONVERGES), from one _sweep
-    upgraded by _oracle.  A swept settle stage after the oracle's raises
-    OracleContradiction naming the first such world."""
+    """classify_convergence's status rule for every world at once: status
+    codes (CODES) and empirical settle stages (-1 unless CONVERGES), from
+    one _sweep upgraded by asymptotic_oracle.  A swept settle stage after
+    the oracle's raises OracleContradiction naming the first such world."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     settle, _ = _sweep(m, a, b, strand, spec, horizon)
-    by = _oracle(m, a, b, strand, spec)
+    by = asymptotic_oracle(m, a, b, strand, spec)
     known = (by >= 0) & (by < horizon)
     bad = np.flatnonzero(known & (settle > by))
     if bad.size:
@@ -368,9 +363,10 @@ def strand_world(a: float) -> PastaWorld:
 
 def classify_world(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> ConvergenceRecord:
     """One world's record from its scalar trace, upgraded by
-    asymptotic_oracle."""
+    asymptotic_oracle on the world's columns."""
     tr = trace(m, w, spec, horizon)
-    return classify_convergence(tr, w.truth, asymptotic_oracle(m, w, spec))
+    settle_by = asymptotic_oracle(m, *_world_arrays([w]), spec)[0]
+    return classify_convergence(tr, w.truth, int(settle_by))
 
 
 def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,

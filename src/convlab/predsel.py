@@ -1,8 +1,10 @@
 """Predictive model selection over nested polynomial families.
 
-Synthetic regression data y = f*(x) + noise at x uniform on [-1, 1]
-feed least-squares fits of polynomial candidates; penalized scores (fit
-plus 2 per parameter, or ln n per parameter) pick a degree.  The
+Synthetic regression data y = f*(x) + noise at x uniform on [-1, 1],
+drawn by generate as stacked xs and ys arrays, one row per seed, feed
+least-squares fits of polynomial candidates; penalized scores (fit plus
+2 per parameter, or ln n per parameter) pick a degree.  A dataset is
+its xs and ys arrays, and fit_ols and score_candidates take one.  The
 candidates are nested, so the triangle R of one QR of the augmented
 design [Legendre design at the largest degree | y] gives them all, and
 no Q is formed (Golub & Van Loan, Matrix Computations, 5.3).  The
@@ -100,29 +102,16 @@ class PolyModel:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    xs: tuple
-    ys: tuple
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-
-@dataclass(frozen=True)
 class FitResult:
     model: PolyModel
     rss: float
     n: int
 
 
-def _draw(truth: TruthSpec, n: int, seeds) -> tuple:
-    """Stacked (len(seeds), n) xs and ys, one dataset per seed: each
-    seed's substream draws the uniform xs, then the noise."""
+def generate(truth: TruthSpec, n: int, seeds) -> tuple:
+    """Synthetic data, stacked (len(seeds), n) xs and ys, one dataset per
+    seed and deterministic given it: each seed's substream draws the xs
+    uniform on [-1, 1], then the noise, and ys = f*(xs) + sigma * noise."""
     if n < 2:
         raise ValueError("n must be >= 2")
     x, noise = np.empty((2, len(seeds), n))
@@ -132,27 +121,28 @@ def _draw(truth: TruthSpec, n: int, seeds) -> tuple:
     return x, truth.eval(x) + truth.noise_sigma * noise
 
 
-def generate(truth: TruthSpec, n: int, seed: int) -> Dataset:
-    """Synthetic dataset: xs uniform on [-1, 1], ys = f*(xs) +
-    Normal(0, sigma^2) noise; deterministic given the seed."""
-    x, y = _draw(truth, n, [seed])
-    return Dataset(xs=tuple(x[0].tolist()), ys=tuple(y[0].tolist()))
+def _dataset(xs, ys) -> tuple:
+    """One dataset's xs and ys as float arrays of equal length."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("xs and ys must be one sequence each, of equal length")
+    return xs, ys
 
 
-def fit_ols(d: Dataset, degree: int) -> FitResult:
-    """Least squares through an orthogonal (SVD) decomposition of the
-    monomial design; the scalar reference for score_candidates."""
-    if degree + 2 > d.n:
-        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {d.n}")
-    xs = np.asarray(d.xs)
-    ys = np.asarray(d.ys)
+def fit_ols(xs, ys, degree: int) -> FitResult:
+    """Least squares of one dataset through an orthogonal (SVD)
+    decomposition of the monomial design; the scalar reference for
+    score_candidates."""
+    xs, ys = _dataset(xs, ys)
+    if degree + 2 > len(xs):
+        raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {len(xs)}")
     V = np.vander(xs, degree + 1, increasing=True)
     coef, _, rank, _ = np.linalg.lstsq(V, ys, rcond=None)
     if rank < degree + 1:
         raise FitError(f"rank-deficient design: rank {rank} < {degree + 1} columns")
     resid = ys - V @ coef
     rss = float(resid @ resid)
-    return FitResult(model=PolyModel(degree, tuple(coef.tolist())), rss=rss, n=d.n)
+    return FitResult(model=PolyModel(degree, tuple(coef.tolist())), rss=rss, n=len(xs))
 
 
 def _check_rank(R: np.ndarray, n: int, first: int = 0) -> None:
@@ -252,14 +242,14 @@ def _nested_scores(x, y, k, sigma2, at_nodes=None, buf=None, first=0) -> tuple:
     return rss, aic, bic, risk, np.stack([np.argmin(aic, axis=1), np.argmin(bic, axis=1)])
 
 
-def score_candidates(d: Dataset, degrees: Sequence[int], sigma2: float,
+def score_candidates(xs, ys, degrees: Sequence[int], sigma2: float,
                      truth: Optional[TruthSpec] = None) -> SelectionReport:
     """Every candidate degree of one dataset: _nested_scores on a stack of one."""
+    xs, ys = _dataset(xs, ys)
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     k, at_nodes = _prepare(degrees, truth)
-    rss, aic, bic, risk, sel = _nested_scores(
-        np.asarray(d.xs)[None], np.asarray(d.ys)[None], k, sigma2, at_nodes)
+    rss, aic, bic, risk, sel = _nested_scores(xs[None], ys[None], k, sigma2, at_nodes)
     risks = [None] * len(k) if risk is None else risk[0].tolist()
     per_degree = tuple(zip(k.tolist(), rss[0].tolist(), aic[0].tolist(), bic[0].tolist(), risks))
     return SelectionReport(per_degree, *k[sel[:, 0]].tolist())
@@ -309,7 +299,7 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
     buf = np.empty((min(CHUNK, reps), k.max() + 2, n))  # every chunk's designs, reused
     for start in range(0, reps, CHUNK):
         chunk = range(start, min(start + CHUNK, reps))
-        x, y = _draw(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
+        x, y = generate(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
         rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, buf, start)
         picks[:, start:chunk.stop] = k[sel]
         excess[:, start:chunk.stop] = risk[range(len(chunk)), sel] - risk.min(axis=1)

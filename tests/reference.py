@@ -16,9 +16,9 @@ import numpy as np
 
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import AsymptoticOracle, MethodSpec, Status, Verdict
+from convlab.framework import MethodSpec, Verdict
 from convlab.gaussian import TestRule, normal_quantile
-from convlab.lineworld import LineWorld, StreamSpec
+from convlab.lineworld import StreamSpec
 from convlab.predsel import FitResult, TruthSpec
 from convlab.rand import substream
 
@@ -104,7 +104,7 @@ def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpe
     values = np.array(grid.axis(), dtype=float)
     n = len(values)
     pairs = np.concatenate([values, values])
-    settle_by = pr._oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
+    settle_by = pr.asymptotic_oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
     return not ((settle_by[:n] >= 0) & (settle_by[n:] >= 0)).any()
 
 
@@ -121,15 +121,10 @@ def mstar_decide(e) -> Verdict:
 
 
 def always_complex_method() -> MethodSpec:
-    def oracle(w: LineWorld, spec: StreamSpec) -> AsymptoticOracle:
-        if w.theta == 0.0:
-            return AsymptoticOracle(Status.DIVERGES)
-        return AsymptoticOracle(Status.CONVERGES, settle_by=0)
-
     return MethodSpec(
         name="always_complex",
         decide=lambda hist: Verdict.COMPLEX,
-        oracle=oracle,
+        oracle=lambda w, spec: -1 if w.theta == 0.0 else 0,
     )
 
 
@@ -318,8 +313,8 @@ def experimental_stream(na: float, naprime: float, schedule: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # the adversary: admissible streams steered against an oracle's claims.  The
-# oracles (perrin._oracle, lineworld.guaranteed_settle_stage) argue over
-# every nested stream StreamSpec admits, a prism's two axes each with its
+# oracles (perrin.asymptotic_oracle, lineworld.guaranteed_settle_stage) argue
+# over every nested stream StreamSpec admits, a prism's two axes each with its
 # own offsets; the run's streams share one spec for both axes.
 
 

@@ -82,7 +82,8 @@ def check_claims(m, delta0, ratio, worlds, seed, decide=ref.decide_latest):
     return the slack per converging world whose claim the streams reach.
     The streams run to the last stage above float resolution at every
     world of the case, which is past every finite claim they can reach."""
-    claims = pr._oracle(m, *pr._world_arrays(worlds), StreamSpec(delta0, ratio)).tolist()
+    spec = StreamSpec(delta0, ratio)
+    claims = pr.asymptotic_oracle(m, *pr._world_arrays(worlds), spec).tolist()
     scale = max(1.0, abs(m.p or 0.0), *(abs(x) for w in worlds for x in (w.na, w.na_prime)))
     n = ref.stages_above(delta0, ratio, 2.0**-48 * scale)
     band = ref.stages_above(delta0, ratio, pr.DIAG_TOL) - 1
@@ -173,7 +174,7 @@ class TestLineworldOracle:
             tie, st.just(delta0), st.just(ratio), st.just(t), st.just(2.0),
             st.sampled_from([0.0, 1e-15, -1e-15])))
         spec = StreamSpec(delta0, ratio)
-        claim = lw.mstar_method().oracle(lw.LineWorld(theta), spec).settle_by
+        claim = lw.mstar_method().oracle(lw.LineWorld(theta), spec)
         assert claim == lw.guaranteed_settle_stage(theta, spec)
         n = ref.stages_above(delta0, ratio, 2.0**-48 * max(1.0, abs(theta)))
         rng = np.random.default_rng(seed)

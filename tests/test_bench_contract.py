@@ -5,6 +5,9 @@ or `bench/run.py` breaks (--trace 1) or silently stops matching outputs."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,32 @@ def test_workload_matches_its_reference(tmp_path, monkeypatch, workload):
     assert [name for name, ok in checks.items() if not ok] == at_seed["failing"]
     pinned = load_bench("worker").pinned_outputs(str(tmp_path))
     assert pinned == {**entry["pinned"], **at_seed["pinned"]}
+
+
+def test_traced_run_reaches_the_kernels(tmp_path):
+    """A traced worker run times the oracle, the classification and the
+    draws the run itself calls: bench/layers.py wraps them by these names.
+    Still 0 in such a run, left to the next change to the benchmark
+    (ROADMAP items 1b and 5: the benchmark reads the run's profile, and
+    the benchmark-only scalar path goes): perrin.stages beyond the witness
+    replays, since the sweep runs no scalar trace, and predsel.fit_s,
+    predsel.fits and predsel.risk_s, since the regimes fit and score in
+    one kernel that no span wraps."""
+    job = {
+        "config": {
+            "experiment": ["perrin", "lineworld", "predsel"],
+            "perrin": {"grid_step": 0.25, "coverage_reps": 50, "coverage_size": 100,
+                       "stream_schedule": [50, 100]},
+            "lineworld": {"theta_step": 0.1},
+            "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100},
+        },
+        "trace": True, "run_id": "contract", "out": str(tmp_path / "out"),
+        "spans": str(tmp_path / "spans.jsonl"),
+    }
+    env = {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+    done = subprocess.run([sys.executable, str(BENCH / "worker.py"), "run", json.dumps(job)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(done.stdout.splitlines()[-1])["layers"]
+    for metric in ("perrin.oracle_s", "framework.classify_s", "predsel.generate_s"):
+        assert layers[metric] > 0, metric

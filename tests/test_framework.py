@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convlab.framework import (
-    AsymptoticOracle,
     ConvergenceRecord,
     MethodSpec,
     ModeReport,
@@ -30,14 +29,13 @@ def make_trace(verdicts, world_id="w"):
 class TestClassifyConvergence:
     def test_settled_from_start_with_oracle(self):
         trace = make_trace([S] * 10)
-        oracle = AsymptoticOracle(Status.CONVERGES, settle_by=0)
-        record = classify_convergence(trace, S, oracle)
+        record = classify_convergence(trace, S, 0)
         assert record.status is Status.CONVERGES
         assert record.settle_stage == 0
 
     def test_oracle_diverges_overrides_suffix(self):
         trace = make_trace([Q] * 6)
-        record = classify_convergence(trace, S, AsymptoticOracle(Status.DIVERGES))
+        record = classify_convergence(trace, S, -1)
         assert record.status is Status.DIVERGES
 
     def test_near_diagonal_world_undetermined_at_short_horizon(self):
@@ -57,24 +55,42 @@ class TestClassifyConvergence:
 
     def test_settle_beyond_horizon_undetermined(self):
         trace = make_trace([S, S, S])
-        oracle = AsymptoticOracle(Status.CONVERGES, settle_by=10)
-        assert classify_convergence(trace, S, oracle).status is Status.UNDETERMINED
+        assert classify_convergence(trace, S, 10).status is Status.UNDETERMINED
 
     def test_contradiction_detected(self):
         trace = make_trace([C, C, C, C])
-        oracle = AsymptoticOracle(Status.CONVERGES, settle_by=1)
         with pytest.raises(OracleContradiction):
-            classify_convergence(trace, S, oracle)
+            classify_convergence(trace, S, 1)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             classify_convergence(StreamTrace("w", (), ()), S, None)
 
-    def test_oracle_requires_settle_stage(self):
-        with pytest.raises(ValueError):
-            AsymptoticOracle(Status.CONVERGES)
-        with pytest.raises(ValueError):
-            AsymptoticOracle(Status.UNDETERMINED)
+    @given(st.lists(st.sampled_from([S, C, Q]), min_size=1, max_size=12), st.sampled_from([S, C]),
+           st.data())
+    def test_record_matches_reference(self, verdicts, truth, data):
+        # the stage-or--1 certificate read back against a few-line reference
+        settle_by = data.draw(st.none() | st.integers(-1, len(verdicts) + 2))
+        trace = make_trace(verdicts, "w7")
+        suffix = len(verdicts)  # the first stage of the truth-suffix
+        while suffix and verdicts[suffix - 1] is truth:
+            suffix -= 1
+        first = verdicts.index(truth) if truth in verdicts else len(verdicts)
+        stable = all(v is truth for v in verdicts[first:])
+        if settle_by is None or settle_by >= len(verdicts):
+            expected = (Status.UNDETERMINED, None)
+        elif settle_by == -1:
+            expected = (Status.DIVERGES, None)
+        elif suffix > settle_by:
+            message = (f"world w7: oracle guarantees truth from stage {settle_by} "
+                       "but the trace shows otherwise")
+            with pytest.raises(OracleContradiction, match=f"^{message}$"):
+                classify_convergence(trace, truth, settle_by)
+            return
+        else:
+            expected = (Status.CONVERGES, suffix)
+        assert classify_convergence(trace, truth, settle_by) == ConvergenceRecord(
+            "w7", *expected, stable)
 
 
 class TestSettleStage:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from convlab import cli
 from convlab import perrin as pr
 from convlab.framework import (
-    AsymptoticOracle,
     ModeReport,
     OracleContradiction,
     Status,
@@ -38,10 +37,9 @@ CONV, DIV, UND = (pr.CODES[s] for s in (Status.CONVERGES, Status.DIVERGES, Statu
 
 def scalar_oracle(m, w, spec):
     """The world-by-world oracle that the array oracle replaced: the
-    reference for pr._oracle."""
+    reference for pr.asymptotic_oracle.  The certified stage, or -1 where
+    the method never settles on the truth."""
     diag = abs(w.na - w.na_prime) < pr.DIAG_TOL
-    conv = lambda t: AsymptoticOracle(Status.CONVERGES, settle_by=t)
-    div = AsymptoticOracle(Status.DIVERGES)
     # float endpoints are off by ulps of |a| + 2 * delta0: a gap or gate is
     # shortened by a few of them, never below half its size
     slop = 2.0**-48 * (max(abs(w.na), abs(w.na_prime)) + 2.0 * spec.delta0)
@@ -54,22 +52,22 @@ def scalar_oracle(m, w, spec):
 
     if m.kind == "OCKHAM_REALIST":
         if w.z == 1:
-            return conv(0)
-        return div if diag else conv(separation())
+            return 0
+        return -1 if diag else separation()
     if m.kind == "ANTI_REALIST":
-        return div if diag else conv(separation())
+        return -1 if diag else separation()
     if m.kind in ("WAY1", "WAY2"):
         if diag and abs(w.na - m.p) < pr.DIAG_TOL:  # the sacrificed pair
             # only (p, p) itself keeps (p, p) in every prism
             at_pair = w.na == w.na_prime == m.p
-            return conv(width()) if m.kind == "WAY2" and w.z == 0 and at_pair else div
+            return width() if m.kind == "WAY2" and w.z == 0 and at_pair else -1
         if w.z == 1:  # the trigger fires only from the gate stage to the p-exit stage
             t = point_exit()
-            return conv(t if t and 2.0 * spec.half_width(t - 1) < m.gate + slop else 0)
-        return div if diag else conv(separation())
+            return t if t and 2.0 * spec.half_width(t - 1) < m.gate + slop else 0
+        return -1 if diag else separation()
     if w.z == 1:  # WAY3
-        return div
-    return conv(width()) if diag else conv(min(width(), separation()))
+        return -1
+    return width() if diag else min(width(), separation())
 
 
 def scalar_records(m, worlds, spec, horizon):
@@ -337,7 +335,10 @@ class TestDomains:
         for m in METHODS:
             for spec in specs:
                 # both paths raise on contradiction
-                assert array_records(m, worlds, spec, 40) == scalar_records(m, worlds, spec, 40)
+                scalar = scalar_records(m, worlds, spec, 40)
+                assert array_records(m, worlds, spec, 40) == scalar
+                records = [pr.classify_world(m, w, spec, 40) for w in worlds]
+                assert [(r.status, r.settle_stage) for r in records] == scalar
 
     @given(params=drift_params(min_ratio=0.55),
            a=st.just(1.0) | st.floats(0.5, 1.5), b=st.floats(0.5, 1.5))
@@ -366,7 +367,7 @@ class TestDomains:
     def test_contradiction_names_the_first_world(self, monkeypatch):
         # an oracle promising the truth from stage 0 everywhere is refuted
         # first at the plane's corner, where the razor says SIMPLE forever
-        monkeypatch.setattr(pr, "_oracle", lambda m, a, b, strand, spec: np.zeros(len(a), int))
+        monkeypatch.setattr(pr, "asymptotic_oracle", lambda m, a, b, strand, spec: np.zeros(len(a), int))
         a = SMALL_GRID.axis()[0]
         with pytest.raises(OracleContradiction,
                            match=f"^world {re.escape(pr.plane_world(a, a).world_id)}: "):
@@ -424,10 +425,8 @@ class TestOracle:
     @given(case=oracle_cases())
     def test_array_oracle_equals_scalar_reference(self, case):
         m, spec, worlds = case
-        reference = [scalar_oracle(m, w, spec) for w in worlds]
-        assert pr._oracle(m, *pr._world_arrays(worlds), spec).tolist() == [
-            o.settle_by if o.fate is Status.CONVERGES else -1 for o in reference]
-        assert [pr.asymptotic_oracle(m, w, spec) for w in worlds] == reference
+        assert pr.asymptotic_oracle(m, *pr._world_arrays(worlds), spec).tolist() == [
+            scalar_oracle(m, w, spec) for w in worlds]
 
     @settings(max_examples=50)
     @given(delta0=st.floats(0.05, 5), ratio=st.floats(1e-6, 0.999), k=st.sampled_from([2.0, 4.0]),
@@ -637,7 +636,7 @@ class TestScoreSheet:
                             gate=gate if "gate" in reads else None)
         delta0, ratio, offsets = params
         spec = StreamSpec(delta0, ratio, offset=offsets)
-        oracle = pr._oracle
+        oracle = pr.asymptotic_oracle
         if salt is not None:
             # an oracle that claims, world by world, never or past the horizon, so
             # that some pairs are doubly covered and read UNDETERMINED
@@ -645,7 +644,7 @@ class TestScoreSheet:
                 keys = zip(a.tolist(), b.tolist(), strand.tolist())
                 return np.array([-1 if hash((*key, salt)) % 3 == 0 else horizon for key in keys])
         try:
-            with mock.patch.object(pr, "_oracle", oracle):
+            with mock.patch.object(pr, "asymptotic_oracle", oracle):
                 domain = pr.domain_of_convergence(m, grid, spec, horizon)
                 expected = ref.underdetermination_ok(m, grid, spec)
         except StreamError:  # prisms narrower than the float spacing: nothing swept to read

@@ -20,65 +20,80 @@ import reference as ref
 
 def line_dataset(n=20, b0=1.0, b1=2.0):
     xs = np.linspace(-1, 1, n)
-    return ps.Dataset(xs=tuple(xs), ys=tuple(b0 + b1 * xs))
+    return xs, b0 + b1 * xs
+
+
+def dataset(truth, n, seed):
+    """One seed's xs and ys from generate."""
+    x, y = ps.generate(truth, n, [seed])
+    return x[0], y[0]
 
 
 class TestFit:
     def test_recovers_exact_line(self):
-        fit = ps.fit_ols(line_dataset(), 1)
+        fit = ps.fit_ols(*line_dataset(), 1)
         assert fit.rss < 1e-8
         assert fit.model.coeffs == pytest.approx((1.0, 2.0), abs=1e-9)
 
     def test_overparameterized_fit_zeroes_extra_coefficient(self):
-        fit = ps.fit_ols(line_dataset(), 2)
+        fit = ps.fit_ols(*line_dataset(), 2)
         assert fit.rss < 1e-8
         assert abs(fit.model.coeffs[2]) < 1e-8
 
     def test_degree_zero_is_the_mean(self):
         truth = ps.poly_truth((0.3, 1.0), noise_sigma=0.5)
-        d = ps.generate(truth, 200, seed=4)
-        fit = ps.fit_ols(d, 0)
-        assert fit.model.coeffs[0] == pytest.approx(np.mean(d.ys), abs=1e-12)
+        xs, ys = dataset(truth, 200, seed=4)
+        fit = ps.fit_ols(xs, ys, 0)
+        assert fit.model.coeffs[0] == pytest.approx(np.mean(ys), abs=1e-12)
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
-            ps.fit_ols(line_dataset(n=4), 3)
+            ps.fit_ols(*line_dataset(n=4), 3)
         with pytest.raises(ValueError):
-            ps.score_candidates(line_dataset(n=4), [0, 3], sigma2=1.0)
+            ps.score_candidates(*line_dataset(n=4), [0, 3], sigma2=1.0)
+
+    @pytest.mark.parametrize("xs, ys", [(np.linspace(-1, 1, 20), np.zeros(19)),
+                                        (np.linspace(-1, 1, 19), np.zeros(20)),
+                                        ((0.0, 0.5, 1.0), (1.0, 2.0))])
+    def test_lengths_must_match(self, xs, ys):
+        with pytest.raises(ValueError, match="equal length"):
+            ps.fit_ols(xs, ys, 1)
+        with pytest.raises(ValueError, match="equal length"):
+            ps.score_candidates(xs, ys, [0, 1], sigma2=1.0)
 
     def test_rank_deficiency_detected(self):
-        d = ps.Dataset(xs=(0.5,) * 10, ys=tuple(range(10)))
+        xs, ys = (0.5,) * 10, tuple(range(10))
         with pytest.raises(ps.FitError):
-            ps.fit_ols(d, 1)
+            ps.fit_ols(xs, ys, 1)
         with pytest.raises(ps.FitError):
-            ps.score_candidates(d, range(2), sigma2=1.0)
+            ps.score_candidates(xs, ys, range(2), sigma2=1.0)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(12, 60))
     def test_nested_rss_monotone(self, seed, n):
         truth = ps.poly_truth((0.5, -1.0, 0.25), noise_sigma=1.0)
-        d = ps.generate(truth, n, seed)
-        rss = [ps.fit_ols(d, k).rss for k in range(5)]
+        xs, ys = dataset(truth, n, seed)
+        rss = [ps.fit_ols(xs, ys, k).rss for k in range(5)]
         for a, b in zip(rss, rss[1:]):
             assert b <= a + 1e-9 * (1.0 + a)
 
 
 def alternating_dataset():
     # mean 0 and rss 50 * 0.2 = 10 at degree 0
-    return ps.Dataset(xs=tuple(np.linspace(-1, 1, 50)), ys=(0.2**0.5, -(0.2**0.5)) * 25)
+    return np.linspace(-1, 1, 50), (0.2**0.5, -(0.2**0.5)) * 25
 
 
 class TestScores:
     def test_aic_arithmetic(self):
-        [(_, rss, aic, _, _)] = ps.score_candidates(alternating_dataset(), [0], 1.0).per_degree
+        [(_, rss, aic, _, _)] = ps.score_candidates(*alternating_dataset(), [0], 1.0).per_degree
         assert rss == pytest.approx(10.0)
         assert aic == pytest.approx(12.0)
 
     def test_bic_arithmetic(self):
-        [(_, _, _, bic, _)] = ps.score_candidates(alternating_dataset(), [0], 1.0).per_degree
+        [(_, _, _, bic, _)] = ps.score_candidates(*alternating_dataset(), [0], 1.0).per_degree
         assert bic == pytest.approx(10.0 + math.log(50))
 
     def test_perfect_fit_scores_penalty_only(self):
-        [(_, rss, aic, _, _)] = ps.score_candidates(line_dataset(n=50), [3], 2.0).per_degree
+        [(_, rss, aic, _, _)] = ps.score_candidates(*line_dataset(n=50), [3], 2.0).per_degree
         assert rss == pytest.approx(0.0, abs=1e-20)
         assert aic == pytest.approx(8.0)
 
@@ -95,14 +110,13 @@ class TestScores:
         if grid:
             xs = np.linspace(-1.0, 1.0, n)
             ys = truth.eval(xs) + sigma * substream(seed, "equispaced").standard_normal(n)
-            d = ps.Dataset(xs=tuple(xs.tolist()), ys=tuple(ys.tolist()))
         else:
-            d = ps.generate(truth, n, seed)
+            xs, ys = dataset(truth, n, seed)
         sigma2 = sigma**2
-        report = ps.score_candidates(d, degrees, sigma2, truth=truth)
+        report = ps.score_candidates(xs, ys, degrees, sigma2, truth=truth)
         assert [row[0] for row in report.per_degree] == degrees
         for deg, rss, aic, bic, risk in report.per_degree:
-            fit = ps.fit_ols(d, deg)
+            fit = ps.fit_ols(xs, ys, deg)
             assert rss == pytest.approx(fit.rss, rel=1e-8)
             assert risk == pytest.approx(ps.true_risk(fit, truth), rel=1e-8)
             assert aic == rss / sigma2 + 2.0 * (deg + 1)
@@ -118,7 +132,7 @@ class TestScores:
         # as the top degree's fit; an empty set died in a bare max()
         match = str(min(degrees)) if degrees else "non-empty"
         with pytest.raises(ValueError, match=match):
-            ps.score_candidates(line_dataset(n=20), degrees, sigma2=1.0)
+            ps.score_candidates(*line_dataset(n=20), degrees, sigma2=1.0)
         with pytest.raises(ValueError, match=match):
             ps.regime_experiment(ps.abs_truth(0.5), degrees, n=20, reps=100, seed=1)
 
@@ -137,8 +151,7 @@ class TestScores:
     def test_heavier_penalty_never_selects_larger_degree(self, seed, n):
         # ln n > 2 from n = 8 on, so the BIC pick is at most the AIC pick
         truth = ps.poly_truth((0.0, 1.0), noise_sigma=1.0)
-        d = ps.generate(truth, n, seed)
-        report = ps.score_candidates(d, range(5), sigma2=1.0)
+        report = ps.score_candidates(*dataset(truth, n, seed), range(5), sigma2=1.0)
         assert report.selected_bic <= report.selected_aic
 
 
@@ -157,16 +170,15 @@ class TestTrueRisk:
         # the projection of |x| onto quadratics has squared error 1/192;
         # fitting near-noiseless data approximates that projection
         truth = ps.abs_truth(noise_sigma=1e-6)
-        d = ps.generate(truth, 40_000, seed=9)
-        fit = ps.fit_ols(d, 2)
+        fit = ps.fit_ols(*dataset(truth, 40_000, seed=9), 2)
         risk = ps.true_risk(fit, truth)
         assert risk == pytest.approx(truth.noise_sigma**2 + 1.0 / 192.0, abs=5e-4)
 
     def test_quadrature_matches_monte_carlo_oracle(self):
         for truth in (ps.abs_truth(0.5), ps.poly_truth((0.2, -1.0, 0.7), 1.0)):
-            d = ps.generate(truth, 300, seed=13)
+            xs, ys = dataset(truth, 300, seed=13)
             for degree in (0, 2, 5):
-                fit = ps.fit_ols(d, degree)
+                fit = ps.fit_ols(xs, ys, degree)
                 exact = ps.true_risk(fit, truth)
                 mc, se = ref.true_risk_mc(fit, truth, n_points=200_000, seed=21)
                 assert abs(exact - mc) <= 3.0 * se
@@ -179,26 +191,26 @@ class TestTrueRisk:
 class TestGenerate:
     def test_vanishing_noise_limit(self):
         truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1e-12)
-        d = ps.generate(truth, 50, seed=1)
-        assert np.allclose(d.ys, truth.eval(np.array(d.xs)), atol=1e-10)
+        xs, ys = dataset(truth, 50, seed=1)
+        assert np.allclose(ys, truth.eval(xs), atol=1e-10)
 
     def test_seed_reproducibility(self):
         truth = ps.poly_truth((0.0, 1.0), noise_sigma=1.0)
-        assert ps.generate(truth, 100, 7) == ps.generate(truth, 100, 7)
-        assert ps.generate(truth, 100, 7) != ps.generate(truth, 100, 8)
+        assert np.array_equal(ps.generate(truth, 100, [7]), ps.generate(truth, 100, [7]))
+        assert not np.array_equal(ps.generate(truth, 100, [7]), ps.generate(truth, 100, [8]))
 
     def test_noise_variance_concentrates(self):
         truth = ps.poly_truth((0.0,), noise_sigma=1.5)
         n = 100_000
-        d = ps.generate(truth, n, seed=3)
-        resid = np.array(d.ys) - truth.eval(np.array(d.xs))
+        xs, ys = dataset(truth, n, seed=3)
+        resid = ys - truth.eval(xs)
         sample_var = float(np.var(resid, ddof=1))
         se = truth.noise_sigma**2 * math.sqrt(2.0 / n)
         assert abs(sample_var - truth.noise_sigma**2) <= 3.0 * se
 
     def test_size_validated(self):
         with pytest.raises(ValueError):
-            ps.generate(ps.abs_truth(1.0), 1, seed=0)
+            ps.generate(ps.abs_truth(1.0), 1, [0])
 
 
 class TestTruthSpec:
@@ -267,11 +279,11 @@ class TestBatchedRegimes:
         excess = {"aic": 0.0, "bic": 0.0}
         for rep in range(reps):
             rows = summary.rows[rep * len(degrees):(rep + 1) * len(degrees)]
-            d = ps.generate(truth, n, substream_key(seed, "regime-rep", rep))
+            xs, ys = dataset(truth, n, substream_key(seed, "regime-rep", rep))
             for row, deg in zip(rows, degrees):
                 r, degree, rss, aic, bic, risk, sel_aic, sel_bic = row
                 assert (r, degree) == (rep, deg)
-                fit = ps.fit_ols(d, deg)
+                fit = ps.fit_ols(xs, ys, deg)
                 assert rss == pytest.approx(fit.rss, rel=1e-8)
                 assert risk == pytest.approx(ps.true_risk(fit, truth), rel=1e-8)
                 assert aic == rss / sigma**2 + 2.0 * (deg + 1)
@@ -297,12 +309,12 @@ class TestBatchedRegimes:
         assert [(len(x), first) for x, _, first in stacks] == [
             (ps.CHUNK, 0), (ps.CHUNK, ps.CHUNK), (1, 2 * ps.CHUNK)]
         for x, y, first in stacks:
-            for rep, (xs, ys) in enumerate(zip(x.tolist(), y.tolist()), start=first):
-                d = ps.generate(truth, 30, substream_key(3, "regime-rep", rep))
-                assert (tuple(xs), tuple(ys)) == (d.xs, d.ys)
+            for rep, (xs, ys) in enumerate(zip(x, y), start=first):
+                d = dataset(truth, 30, substream_key(3, "regime-rep", rep))
+                assert np.array_equal(xs, d[0]) and np.array_equal(ys, d[1])
 
     def test_fit_error_names_its_rep(self, monkeypatch):
-        draw, bad_rep = ps._draw, ps.CHUNK + 6
+        draw, bad_rep = ps.generate, ps.CHUNK + 6
 
         def one_degenerate_design(truth, n, seeds):
             x, y = draw(truth, n, seeds)
@@ -310,7 +322,7 @@ class TestBatchedRegimes:
                 x[bad_rep - ps.CHUNK] = 0.5
             return x, y
 
-        monkeypatch.setattr(ps, "_draw", one_degenerate_design)
+        monkeypatch.setattr(ps, "generate", one_degenerate_design)
         with pytest.raises(ps.FitError, match=rf"\brep {bad_rep}\b"):
             ps.regime_experiment(ps.abs_truth(0.5), range(3), n=40, reps=200, seed=1)
 
@@ -327,7 +339,7 @@ class TestBatchedRegimes:
         # n = 13, degree 11; over 3,000 random stacks the worst cases used a third of these)
         truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
         k, at_nodes = ps._prepare([d for d in degrees if d + 2 <= n] or [0], truth)
-        x, y = ps._draw(truth, n, range(seed, seed + c))
+        x, y = ps.generate(truth, n, range(seed, seed + c))
         buf = np.full((ps.CHUNK, k.max() + 2, n), np.nan) if reuse else None
         rss, _, _, risk, sel = ps._nested_scores(x, y, k, sigma**2, at_nodes, buf)
         ref_rss, _, _, ref_risk, ref_sel = ref.nested_scores_explicit_q(x, y, k, sigma**2, at_nodes)
