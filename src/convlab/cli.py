@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -332,29 +331,36 @@ def validate_config(raw_text: str) -> dict:
 # output helpers
 
 
-def _write_atomic(path: Path, text: str) -> str:
-    data = text.encode("utf-8")
+def _write_atomic(path: Path, write) -> str:
+    """write(f) to UTF-8 path.tmp, then moved to path; the bytes' sha256, read back."""
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            write(f)
+        with open(tmp, "rb") as f:
+            for block in iter(lambda: f.read(1 << 16), b""):
+                digest.update(block)
         os.replace(tmp, path)
     except OSError as exc:  # a directory where the file must be, or no permission to write
+        raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
+    finally:
         if tmp.is_file():
             tmp.unlink()
-        raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def write_csv(path: Path, header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)  # None as "", floats by repr, the rest by str
-    return _write_atomic(path, buf.getvalue())
+    """rows, any iterable, go to the file as they come: none is kept after it is written."""
+    def write(f):
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)  # None as "", floats by repr, the rest by str
+    return _write_atomic(path, write)
 
 
 def write_json(path: Path, obj) -> str:
-    return _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return _write_atomic(path, lambda f: f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
 
 
 @dataclass
@@ -467,16 +473,16 @@ def run_predsel(cfg: dict, out: Outputs):
     truth_a = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"])
     a = ps.regime_experiment(truth_a, range(pc["regime_a_max_degree"] + 1),
                              pc["regime_a_n"], pc["regime_a_reps"], seed)
-    out.emit_rows("selection", header, a.rows)
+    out.emit_rows("selection", header, a.rows())
 
     truth_b = ps.abs_truth(pc["regime_b_sigma"])
     b = ps.regime_experiment(truth_b, range(pc["regime_b_max_degree"] + 1),
                              pc["regime_b_n"], pc["regime_b_reps"], seed)
-    out.emit_rows("selection_misspecified", header, b.rows)
+    out.emit_rows("selection_misspecified", header, b.rows())
     if cfg["plots"]:
         out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"),
-                      [(rep, selector, risk) for rep, pair in enumerate(b.excess)
-                       for selector, risk in zip(("aic", "bic"), pair)])
+                      ((rep, selector, risk) for rep, pair in enumerate(b.excess.T.tolist())
+                       for selector, risk in zip(("aic", "bic"), pair)))
 
     probes = {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
               for n in ps.PROBE_SIZES}
@@ -522,10 +528,10 @@ def run_perrin(cfg: dict, out: Outputs):
     for kind, s in sheets.items():
         cells = s.domain.cells()
         out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
-                      [(c, a, b, status.value, settle) for c, a, b, status, settle in cells])
+                      ((c, a, b, status.value, settle) for c, a, b, status, settle in cells))
         if cfg["plots"]:
             out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
-                          [(c, a, b, pr.CODES[status]) for c, a, b, status, _ in cells])
+                          ((c, a, b, pr.CODES[status]) for c, a, b, status, _ in cells))
 
     scoresheet = {
         kind: {

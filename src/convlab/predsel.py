@@ -255,8 +255,10 @@ def score_candidates(xs, ys, degrees: Sequence[int], sigma2: float,
     return SelectionReport(per_degree, *k[sel[:, 0]].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeSummary:
+    """A regime's statistics and score arrays; rows() builds its rows, CHUNK reps at a time."""
+
     regime: str  # "true_model_in_set" | "misspecified"
     reps: int
     true_degree: Optional[int]
@@ -264,8 +266,20 @@ class RegimeSummary:
     correct_frequency_bic: Optional[float]
     mean_excess_risk_aic: float
     mean_excess_risk_bic: float
-    rows: tuple  # (rep, degree, rss, aic, bic, true_risk, sel_aic, sel_bic)
-    excess: tuple  # (aic, bic) risk over the rep's best candidate, per rep
+    degrees: np.ndarray  # the candidate degrees, in the order given
+    scores: np.ndarray  # (4, reps, len(degrees)): rss, aic, bic, true risk
+    picks: np.ndarray  # (2, reps): the AIC and BIC degree per rep
+    excess: np.ndarray  # (2, reps): their risk over the rep's best candidate
+
+    def rows(self):
+        """(rep, degree, rss, aic, bic, true_risk, sel_aic, sel_bic) by rep, then degree."""
+        k = self.degrees
+        for start in range(0, self.reps, CHUNK):
+            chunk = range(start, min(start + CHUNK, self.reps))
+            part = np.s_[:, start:chunk.stop]
+            rep, sel_aic, sel_bic = np.repeat([chunk, *self.picks[part]], len(k), axis=1).tolist()
+            scores = (a.ravel().tolist() for a in self.scores[part])
+            yield from zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic)
 
 
 # Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
@@ -295,7 +309,7 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
     in_set = true_deg is not None and true_deg in k.tolist()
     picks = np.empty((2, reps), dtype=int)  # AIC and BIC degree per rep
     excess = np.empty((2, reps))  # their risk over the rep's best candidate
-    rows = []
+    scores = np.empty((4, reps, len(k)))
     buf = np.empty((min(CHUNK, reps), k.max() + 2, n))  # every chunk's designs, reused
     for start in range(0, reps, CHUNK):
         chunk = range(start, min(start + CHUNK, reps))
@@ -303,9 +317,7 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
         rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, buf, start)
         picks[:, start:chunk.stop] = k[sel]
         excess[:, start:chunk.stop] = risk[range(len(chunk)), sel] - risk.min(axis=1)
-        rep, sel_aic, sel_bic = np.repeat([chunk, *k[sel]], len(k), axis=1).tolist()
-        scores = (a.ravel().tolist() for a in (rss, aic, bic, risk))
-        rows.extend(zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic))
+        scores[:, start:chunk.stop] = rss, aic, bic, risk
     hits = (np.count_nonzero(picks == true_deg, axis=1) / reps).tolist()
     mean_excess = (np.cumsum(excess, axis=1)[:, -1] / reps).tolist()  # summed in rep order
     return RegimeSummary(
@@ -316,8 +328,10 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
         correct_frequency_bic=hits[1] if in_set else None,
         mean_excess_risk_aic=mean_excess[0],
         mean_excess_risk_bic=mean_excess[1],
-        rows=tuple(rows),
-        excess=tuple(zip(*excess.tolist())),
+        degrees=k,
+        scores=scores,
+        picks=picks,
+        excess=excess,
     )
 
 

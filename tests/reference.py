@@ -8,8 +8,12 @@ under src/ calls this module.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +24,7 @@ from convlab.framework import MethodSpec, Verdict
 from convlab.gaussian import TestRule, normal_quantile
 from convlab.lineworld import StreamSpec
 from convlab.predsel import FitResult, TruthSpec
-from convlab.rand import substream
+from convlab.rand import substream, substream_key
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,24 @@ def nested_scores_explicit_q(x, y, k, sigma2, at_nodes=None) -> tuple:
         diff = f[:, None] - np.cumsum(vander @ np.linalg.inv(R) * b[:, None, :], axis=2)[:, :, k]
         risk = noise2 + w @ (diff * diff)
     return rss, aic, bic, risk, np.stack([np.argmin(aic, axis=1), np.argmin(bic, axis=1)])
+
+
+def regime_rows(truth: TruthSpec, candidates: Sequence[int], n: int, reps: int,
+                seed: int) -> list:
+    """predsel.regime_experiment's selection rows as it built them before it
+    kept its scores as arrays: one Python tuple per (rep, degree), extended
+    chunk by chunk into one list."""
+    k, at_nodes = ps._prepare(candidates, truth)
+    rows = []
+    buf = np.empty((min(ps.CHUNK, reps), k.max() + 2, n))
+    for start in range(0, reps, ps.CHUNK):
+        chunk = range(start, min(start + ps.CHUNK, reps))
+        x, y = ps.generate(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
+        rss, aic, bic, risk, sel = ps._nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, buf, start)
+        rep, sel_aic, sel_bic = np.repeat([chunk, *k[sel]], len(k), axis=1).tolist()
+        scores = (a.ravel().tolist() for a in (rss, aic, bic, risk))
+        rows.extend(zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic))
+    return rows
 
 
 def unbiasedness_probe_whole(truth: TruthSpec, degree: int, n: int, reps: int,
@@ -392,3 +414,20 @@ def prism_verdicts(m: pr.PerrinMethod, w: pr.PastaWorld, xspec: StreamSpec,
 def settle_stage(verdicts: Sequence[Verdict], truth: Verdict) -> int:
     """The stage after a stream's last wrong verdict (0 when none is)."""
     return max((t + 1 for t, v in enumerate(verdicts) if v is not truth), default=0)
+
+
+# ---------------------------------------------------------------------------
+# cli: the whole-file writer
+
+
+def write_csv_whole(path: Path, header, rows) -> str:
+    """cli.write_csv as it was before it streamed its rows: the whole file
+    built in a StringIO, encoded, written at once; returns the sha256 of
+    its bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = buf.getvalue().encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()

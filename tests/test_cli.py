@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import signal
 import tempfile
 import time
@@ -16,6 +17,8 @@ from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
 from convlab.framework import OracleContradiction, Status, StreamError
+
+import reference as ref
 
 
 SMALL_CONFIG = {
@@ -458,12 +461,20 @@ class TestFlags:
         assert blocker.read_text() == "kept"
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize("name", ["summary.json", "manifest.json"])
+    WRITERS = {  # a file of each write path, and a small run that writes it
+        "summary.json": {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}},
+        "manifest.json": {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}},
+        "selection.csv": {"experiment": "predsel", "predsel": {
+            "regime_a_reps": 100, "regime_b_reps": 100, "regime_a_n": 60, "probe_reps": 100}},
+        "domain_ockham_realist.csv": {"experiment": "perrin", "perrin": {
+            "grid_step": 0.25, "coverage_reps": 50, "coverage_size": 100}},
+    }
+
+    @pytest.mark.parametrize("name", list(WRITERS))
     def test_output_file_that_is_a_directory_exit_two(self, tmp_path, capsys, name):
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
-        config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
-        code, _ = run_cli(tmp_path, config)
+        code, _ = run_cli(tmp_path, self.WRITERS[name])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write the file {out / name}: ")
@@ -813,6 +824,30 @@ class TestWritePath:
         analytic = [{k: r[k] for k in ("rule", "theta", "n", "truth_prob")}
                     for r in read_rows(out / "curves.csv") if r["se"] == ""]
         assert analytic and read_rows(out / "plots" / "truth_prob_series.csv") == analytic
+
+
+class TestStreamedWriter:
+    """write_csv streams any iterable of rows into its file; the bytes and the
+    digest are those of the whole-file writer it replaced."""
+
+    FLOATS = st.floats() | st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-309, 1e300])
+    TEXT = st.text() | st.text(alphabet=st.sampled_from(',"\n\r \'ab\u00e9'))
+    CELLS = st.none() | st.integers() | TEXT | FLOATS
+
+    @settings(max_examples=60, deadline=None)
+    @given(header=st.lists(TEXT, min_size=1, max_size=4),
+           rows=st.lists(st.lists(CELLS, max_size=6).map(tuple), max_size=40))
+    def test_bytes_and_digest_match_whole_file_writer(self, header, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            expected = ref.write_csv_whole(tmp / "whole.csv", header, rows)
+            for name, given_rows in (("list.csv", list(rows)), ("gen.csv", (r for r in rows))):
+                digest = cli.write_csv(tmp / name, header, given_rows)
+                data = (tmp / name).read_bytes()
+                assert data == (tmp / "whole.csv").read_bytes()
+                assert digest == expected == hashlib.sha256(data).hexdigest()
+            assert sorted(p.name for p in tmp.iterdir()) == ["gen.csv", "list.csv", "whole.csv"]
 
 
 class TestPlots:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlab import cli
 from convlab import predsel as ps
 from convlab.rand import substream, substream_key
 
@@ -257,7 +258,7 @@ class TestRegimes:
         summary = ps.regime_experiment(truth, range(0, 4), n=60, reps=100, seed=2)
         assert summary.mean_excess_risk_aic >= 0.0
         assert summary.mean_excess_risk_bic >= 0.0
-        assert len(summary.rows) == 100 * 4
+        assert len(list(summary.rows())) == 100 * 4
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
@@ -275,10 +276,11 @@ class TestBatchedRegimes:
     def test_rows_match_scalar_reference(self, degrees, reps, kink, coeffs, sigma, n, seed):
         truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
         summary = ps.regime_experiment(truth, degrees, n, reps, seed)
-        assert len(summary.rows) == reps * len(degrees)
+        all_rows = list(summary.rows())
+        assert len(all_rows) == reps * len(degrees)
         excess = {"aic": 0.0, "bic": 0.0}
         for rep in range(reps):
-            rows = summary.rows[rep * len(degrees):(rep + 1) * len(degrees)]
+            rows = all_rows[rep * len(degrees):(rep + 1) * len(degrees)]
             xs, ys = dataset(truth, n, substream_key(seed, "regime-rep", rep))
             for row, deg in zip(rows, degrees):
                 r, degree, rss, aic, bic, risk, sel_aic, sel_bic = row
@@ -295,6 +297,39 @@ class TestBatchedRegimes:
             excess["bic"] += risks[sel_bic] - min(risks.values())
         assert summary.mean_excess_risk_aic == excess["aic"] / reps
         assert summary.mean_excess_risk_bic == excess["bic"] / reps
+
+    @pytest.mark.parametrize("degrees", [[0, 1, 2, 3], [5, 0, 3]])
+    @pytest.mark.parametrize("reps", [100, 129, 257])
+    def test_rows_match_tuple_reference(self, reps, degrees):
+        # the rows built from the score arrays, CHUNK reps at a time, are the
+        # tuples the regime once built as it fitted: same values, same types
+        truth = ps.abs_truth(0.4)
+        rows = list(ps.regime_experiment(truth, degrees, 40, reps, 11).rows())
+        expected = ref.regime_rows(truth, degrees, 40, reps, 11)
+        assert rows == expected
+        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expected]
+
+    def test_peak_memory_is_the_score_arrays(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  From 10 to 40 chunks of reps
+        # only the (4, reps, 4) scores and the (2, reps) picks and excess grow, 160
+        # bytes a rep; the rows exist one chunk at a time while the file is written.
+        # A tuple per row, or the file as one string, took several times that.
+        truth = ps.abs_truth(0.5)
+        header = ("rep", "degree", "rss", "aic", "bic", "true_risk", "selected_aic", "selected_bic")
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                summary = ps.regime_experiment(truth, range(4), 60, reps, 2)
+                cli.write_csv(tmp_path / "selection.csv", header, summary.rows())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 10 * ps.CHUNK, 40 * ps.CHUNK
+        peak(small)  # once first, so one-time allocations count against neither run
+        added = (large - small) * (4 * 4 + 2 + 2) * 8
+        assert peak(large) <= peak(small) + added + 64 * 2**10
 
     def test_chunks_hold_generate_data(self, monkeypatch):
         truth = ps.poly_truth((0.3, -1.0, 0.5), 0.7)
