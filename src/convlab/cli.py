@@ -395,14 +395,14 @@ def _report_to_dict(report) -> dict:
 def run_gaussian(cfg: dict, out: Outputs):
     gc = cfg["gaussian"]
     rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
-    rows = []
+    rows, curves = [], {}
     for rule in rules:
-        for theta in gc["theta_grid"]:
-            curve = g.curve_analytic(rule, theta, gc["n_grid"])
-            rows += [(curve.rule, theta, n, p, se) for n, p, se in curve.points]
-        for theta in gc["mc_theta_grid"]:
-            curve = g.curve_mc(rule, theta, gc["mc_n_grid"], gc["mc_trials"], cfg["seed"])
-            rows += [(curve.rule, theta, n, p, se) for n, p, se in curve.points]
+        label = rule.label()
+        curves[label] = [(theta, g.curve_analytic(rule, theta, gc["n_grid"]))
+                         for theta in gc["theta_grid"]]
+        rows += [(label, theta, n, p, None) for theta, pairs in curves[label] for n, p in pairs]
+        rows += [(label, theta, n, *g.truth_prob_mc(rule, theta, n, gc["mc_trials"], cfg["seed"]))
+                 for theta in gc["mc_theta_grid"] for n in gc["mc_n_grid"]]
     out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
     if cfg["plots"]:
         out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
@@ -410,12 +410,11 @@ def run_gaussian(cfg: dict, out: Outputs):
 
     modes = {}
     for rule in rules:
-        reports = g.classify_mode(rule, gc["theta_grid"], gc["n_grid"], gc["alpha_grid"])
+        reports = g.classify_mode(rule, curves[rule.label()], gc["alpha_grid"])
         modes[rule.label()] = {mode: _report_to_dict(r) for mode, r in reports.items()}
-    w0 = g.GaussianWorld(0.0)
     summary = {
         "levels_at_theta0": {
-            rule.label(): g.truth_prob_analytic(rule, w0, 100) for rule in rules
+            rule.label(): g.truth_prob_analytic(rule, 0.0, 100) for rule in rules
         },
         "modes": modes,
         "curve_rows": len(rows),
@@ -426,7 +425,7 @@ def run_gaussian(cfg: dict, out: Outputs):
 
 def run_lineworld(cfg: dict, out: Outputs):
     lc = cfg["lineworld"]
-    worlds = [lw.LineWorld(theta) for theta in world_axis(cfg, "lineworld")]
+    thetas = world_axis(cfg, "lineworld")
     mstar = lw.mstar_method()
     specs = [StreamSpec(lc["delta0"], lc["ratio"])] + [
         StreamSpec(lc["delta0"], lc["ratio"], offset=lam)
@@ -435,7 +434,7 @@ def run_lineworld(cfg: dict, out: Outputs):
     pointwise = {}
     stable = True
     for spec in specs:
-        records = lw.check_pointwise(mstar, worlds, spec, lc["horizon"])
+        records = lw.check_pointwise(mstar, thetas, spec, lc["horizon"])
         pointwise[spec.label()] = {
             s.value: sum(r.status is s for r in records) for s in Status
         }
@@ -446,7 +445,7 @@ def run_lineworld(cfg: dict, out: Outputs):
         wit = lw.refute_uniform(mstar, length)
         uniform.append({
             "prescribed_length": length,
-            "witness_theta": wit.world.theta,
+            "witness_theta": wit.theta,
             "verdict": wit.verdict.value,
             "replay_valid": lw.witness_is_valid(mstar, wit, length),
         })
@@ -456,7 +455,7 @@ def run_lineworld(cfg: dict, out: Outputs):
         report = lw.razor_necessity_probe(method, lc["razor_budget"])
         razor[method.name] = report.consequence
     summary = {
-        "worlds": len(worlds),
+        "worlds": len(thetas),
         "pointwise_by_stream": pointwise,
         "mstar_stable": stable,
         "uniform_refutations": uniform,
@@ -592,7 +591,7 @@ class RunOutcome:
 
 
 def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
-    start = time.time()
+    start = time.perf_counter()
     out = Outputs(Path(out_dir or config["out_dir"]), config["format"])
     check_consistency(config)
     summary = {"experiments": config["experiment"], "seed": config["seed"], "version": __version__}
@@ -607,6 +606,12 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     except OSError as exc:  # a file where a directory must be, or no permission to make one
         raise ConfigError(f"{'--out' if out_dir else 'out_dir'}: cannot make the "
                           f"directory {exc.filename}: {exc.strerror}")
+    for path in (out.root / "summary.json", out.root / "manifest.json"):
+        try:  # only a run that finishes leaves a manifest; a directory fails at its write
+            if path.is_file():
+                path.unlink()
+        except OSError as exc:
+            raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
 
     for name in config["experiment"]:
         summary[name], results = SUITES[name](config, out)
@@ -620,7 +625,7 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     manifest = {
         "config": config,
         "version": __version__,
-        "wall_clock_seconds": round(time.time() - start, 3),
+        "wall_clock_seconds": round(time.perf_counter() - start, 3),
         "outputs": out.digests,
     }
     write_json(out.root / "manifest.json", manifest)

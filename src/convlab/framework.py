@@ -61,10 +61,10 @@ class MethodSpec:
 
     Evaluation treats `decide` as a pure function of the finite evidence
     history: identical histories must yield identical verdicts.
-    `oracle`, when present, maps (world, stream spec) to the analytic
+    `oracle`, when present, maps (theta, stream spec) to the analytic
     certificate that upgrades UNDETERMINED classifications: the stage g
-    from which the method outputs the world's true answer at every stage
-    on every admissible stream of the family, or -1 where it never
+    from which the method outputs the true answer at world theta at every
+    stage on every admissible stream of the family, or -1 where it never
     settles on the true answer.
     """
 

@@ -1,10 +1,10 @@
 """The stochastic exact-zero testing problem under unit-variance
 Gaussian sampling.
 
-Worlds fix the mean theta of a unit-variance normal; evidence is an
-i.i.d. sample summarized by its size and mean.  A test rule answers
-SIMPLE (theta is exactly 0) while |mean| stays at or below a critical
-threshold c(n), COMPLEX otherwise:
+A world is the mean theta of a unit-variance normal, a plain float;
+evidence is an i.i.d. sample summarized by its size and mean.  A test
+rule answers SIMPLE (theta is exactly 0) while |mean| stays at or below
+a critical threshold c(n), COMPLEX otherwise:
 
     fixed-z rules:  c(n) = z / sqrt(n)   (z = 1.96 is the 95% interval
                     rule; z = sqrt(2) is the rule the two-parameter AIC
@@ -15,7 +15,8 @@ threshold c(n), COMPLEX otherwise:
 
 Truth probabilities come in two independent routes: a closed form based
 on the normal CDF, and a Monte Carlo frequency over the exact sampling
-distribution of the mean.  level_cap computes the 84.3% constant as
+distribution of the mean; classify_mode judges the analytic curves the
+run writes.  level_cap computes the 84.3% constant as
 2*Phi(sqrt(2)) - 1 rather than hard-coding it; the penalized-likelihood
 derivations that reduce AIC and BIC to these thresholds, and the rule's
 decision on one sample mean, are executable references in the tests
@@ -31,21 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .framework import ModeReport, OracleContradiction, Verdict
+from .framework import ModeReport, OracleContradiction
 from .rand import substream
-
-
-@dataclass(frozen=True)
-class GaussianWorld:
-    theta: float  # mean of the data-generating normal; variance fixed at 1
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-    @property
-    def truth(self) -> Verdict:
-        return Verdict.SIMPLE if self.theta == 0.0 else Verdict.COMPLEX
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +108,8 @@ def bic_rule() -> TestRule:
 # truth-probability curves
 
 
-def truth_prob_analytic(rule: TestRule, w: GaussianWorld, n: int) -> float:
-    """Exact probability that the rule outputs the true answer at w.
+def truth_prob_analytic(rule: TestRule, theta: float, n: int) -> float:
+    """Exact probability that the rule outputs the true answer at theta.
 
     The sample mean is Normal(theta, 1/n), so the rejection probability
     is r = 1 - Phi((c - theta) sqrt(n)) + Phi((-c - theta) sqrt(n));
@@ -130,11 +118,11 @@ def truth_prob_analytic(rule: TestRule, w: GaussianWorld, n: int) -> float:
     """
     c = rule.critical_value(n)
     sqn = math.sqrt(n)
-    r = 1.0 - normal_cdf((c - w.theta) * sqn) + normal_cdf((-c - w.theta) * sqn)
-    return 1.0 - r if w.theta == 0.0 else r
+    r = 1.0 - normal_cdf((c - theta) * sqn) + normal_cdf((-c - theta) * sqn)
+    return 1.0 - r if theta == 0.0 else r
 
 
-def truth_prob_mc(rule: TestRule, w: GaussianWorld, n: int, trials: int, seed: int):
+def truth_prob_mc(rule: TestRule, theta: float, n: int, trials: int, seed: int):
     """Monte Carlo frequency of true answers with binomial standard
     error.  Means are drawn from their exact sampling distribution
     Normal(theta, 1/n); the substream is derived from
@@ -142,43 +130,20 @@ def truth_prob_mc(rule: TestRule, w: GaussianWorld, n: int, trials: int, seed: i
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
     rule.critical_value(n)  # validate n for the rule
-    rng = substream(seed, "gaussian-mc", rule.label(), w.theta, n)
+    rng = substream(seed, "gaussian-mc", rule.label(), theta, n)
     xbars = rng.standard_normal(trials)
     xbars /= math.sqrt(n)
-    xbars += w.theta
+    xbars += theta
     outside = np.count_nonzero(np.abs(xbars, out=xbars) > rule.critical_value(n))
-    p = (outside if w.theta != 0.0 else trials - outside) / trials
+    p = (outside if theta != 0.0 else trials - outside) / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return p, se
 
 
-@dataclass(frozen=True)
-class ProbCurve:
-    rule: str
-    theta: float
-    points: tuple  # (n, truth_prob, se-or-None)
-
-    def __post_init__(self):
-        ns = [n for n, _, _ in self.points]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("sample sizes must be strictly increasing")
-        if any(not 0.0 <= p <= 1.0 for _, p, _ in self.points):
-            raise ValueError("probabilities must lie in [0, 1]")
-
-
-def curve_analytic(rule: TestRule, theta: float, n_grid: Sequence[int]) -> ProbCurve:
-    w = GaussianWorld(theta)
-    pts = tuple((n, truth_prob_analytic(rule, w, n), None) for n in n_grid)
-    return ProbCurve(rule.label(), theta, pts)
-
-
-def curve_mc(rule: TestRule, theta: float, n_grid: Sequence[int], trials: int, seed: int) -> ProbCurve:
-    w = GaussianWorld(theta)
-    pts = []
-    for n in n_grid:
-        p, se = truth_prob_mc(rule, w, n, trials, seed)
-        pts.append((n, p, se))
-    return ProbCurve(rule.label(), theta, tuple(pts))
+def curve_analytic(rule: TestRule, theta: float, n_grid: Sequence[int]) -> tuple:
+    """The analytic truth-probability curve at theta: one (n, p) pair per
+    sample size of n_grid, in its order."""
+    return tuple((n, truth_prob_analytic(rule, theta, n)) for n in n_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -229,36 +194,36 @@ def certified_settle_n(rule: TestRule, theta: float, alpha: float) -> Optional[i
     return n
 
 
-def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
-    """Check the two stochastic standards on declared grids.
+def classify_mode(rule: TestRule, curves, alpha_grid):
+    """Check the two stochastic standards on the run's analytic curves.
 
+    curves is [(theta, curve_analytic pairs), ...] in theta-grid order.
     HIGH_PROB is judged at the first alpha in alpha_grid (the operative
     level); PROB_ONE requires every alpha in the grid and, analytically,
     a theta = 0 level that actually climbs to 1 (fixed-z rules cap at
     2*Phi(z) - 1 and can never pass).  Returns a dict with the two
     ModeReports.  Each (theta, alpha) certificate is computed once, and
-    the analytic curve over n_grid is cross-checked against it.
+    every curve is checked against it.
     """
-    if not theta_grid or not n_grid or not alpha_grid:
+    if not curves or not alpha_grid or not all(pairs for _, pairs in curves):
         raise ValueError("grids must be non-empty")
     settle = {(theta, alpha): certified_settle_n(rule, theta, alpha)
-              for theta in theta_grid for alpha in alpha_grid}
-    # grid consistency: certified settle points must be honored on n_grid
-    for (theta, alpha), n0 in settle.items():
-        if n0 is None:
-            continue
-        w = GaussianWorld(theta)
-        for n in n_grid:
-            if n >= n0 and truth_prob_analytic(rule, w, n) < 1.0 - alpha - 1e-9:
-                raise OracleContradiction(
-                    f"{rule.label()} at theta={theta}: curve dips below "
-                    f"{1 - alpha} at n={n} despite certificate {n0}"
-                )
+              for theta, _ in curves for alpha in alpha_grid}
+    # grid consistency: certified settle points must be honored by the curves
+    for theta, pairs in curves:
+        for alpha in alpha_grid:
+            n0 = settle[theta, alpha]
+            for n, p in pairs:
+                if n0 is not None and n >= n0 and p < 1.0 - alpha - 1e-9:
+                    raise OracleContradiction(
+                        f"{rule.label()} at theta={theta}: curve dips below "
+                        f"{1 - alpha} at n={n} despite certificate {n0}"
+                    )
     cap = level_cap(rule)
 
     def failures(alpha):
         return [{"theta": theta, "alpha": alpha, "cap": cap, "rule": rule.label()}
-                for theta in theta_grid if settle[theta, alpha] is None]
+                for theta, _ in curves if settle[theta, alpha] is None]
 
     hp_failures = failures(alpha_grid[0])
     high_prob = ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures))

@@ -1,6 +1,6 @@
 """The non-stochastic exact-zero problem on the real line.
 
-Worlds are real values theta; evidence is a nested sequence of closed
+Worlds are floats theta (see truth); evidence is a nested sequence of closed
 intervals containing theta whose lengths shrink geometrically to zero
 but never to a point.  The admissible stream family is parameterized by
 an initial half-width, a shrink ratio, and a bounded offset of the
@@ -37,17 +37,9 @@ from .framework import (
 FAMILY = "lineworld"
 
 
-@dataclass(frozen=True)
-class LineWorld:
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-    @property
-    def truth(self) -> Verdict:
-        return Verdict.SIMPLE if self.theta == 0.0 else Verdict.COMPLEX
+def truth(theta: float) -> Verdict:
+    """The true answer at world theta: SIMPLE iff theta is exactly 0."""
+    return Verdict.SIMPLE if theta == 0.0 else Verdict.COMPLEX
 
 
 class IntervalEvidence(namedtuple("IntervalEvidence", "lo hi")):
@@ -230,12 +222,11 @@ def _decisions(method: MethodSpec, evidence) -> tuple:
     return tuple(verdicts)
 
 
-def trace(method: MethodSpec, w: LineWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
+def trace(method: MethodSpec, theta: float, spec: StreamSpec, horizon: int) -> StreamTrace:
     """Run a method along the canonical stream for `horizon` stages: the
     intervals interval_at builds, from the spec's table.  Their endpoint
     pairs are checked in one pass, on the constructor's condition, and
     made into intervals without a Python frame each."""
-    theta = w.theta
     ends = [(theta + below, theta + above) for below, above in spec.stages(horizon)]
     if not all([-math.inf < lo < hi < math.inf for lo, hi in ends]):
         for lo, hi in ends:
@@ -253,15 +244,11 @@ _SIMPLE, _COMPLEX = Verdict.SIMPLE, Verdict.COMPLEX
 
 
 def guaranteed_settle_stage(theta: float, spec: StreamSpec) -> int:
-    """First stage from which every admissible interval of the family
-    must exclude 0: an interval of width w containing theta can cover 0
-    only while w >= |theta|, so the bound is the first t with
+    """mstar's oracle: the first stage from which every admissible interval
+    of the family must exclude 0.  An interval of width w containing theta
+    covers 0 only while w >= |theta|, so the bound is the first t with
     2 * delta0 * ratio**t < |theta|.  Valid for every offset."""
     return 0 if theta == 0.0 else spec.first_stage(abs(theta), 2.0)
-
-
-def _mstar_oracle(w: LineWorld, spec: StreamSpec) -> int:
-    return guaranteed_settle_stage(w.theta, spec)
 
 
 def _mstar_latest(hist) -> Verdict:
@@ -276,7 +263,7 @@ def mstar_method() -> MethodSpec:
     return MethodSpec(
         name="mstar",
         decide=_mstar_latest,
-        oracle=_mstar_oracle,
+        oracle=guaranteed_settle_stage,
     )
 
 
@@ -284,7 +271,7 @@ def always_suspend_method() -> MethodSpec:
     return MethodSpec(
         name="always_suspend",
         decide=lambda hist: Verdict.SUSPEND,
-        oracle=lambda w, spec: -1,
+        oracle=lambda theta, spec: -1,
     )
 
 
@@ -332,29 +319,26 @@ def razor_violator_suite() -> list:
 # mode checks
 
 
-def check_pointwise(
-    method: MethodSpec,
-    worlds: Sequence[LineWorld],
-    spec: StreamSpec,
-    horizon: int,
-) -> list:
-    """One ConvergenceRecord per world along the canonical stream,
+def check_pointwise(method: MethodSpec, thetas: Sequence[float], spec: StreamSpec,
+                    horizon: int) -> list:
+    """One ConvergenceRecord per world theta along the canonical stream,
     upgraded by the method's analytic oracle when it has one and carrying
     the stability verdict of the same trace."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    oracle = method.oracle or (lambda w, spec: None)
-    return [classify_convergence(trace(method, w, spec, horizon), w.truth, oracle(w, spec))
-            for w in worlds]
+    oracle = method.oracle or (lambda theta, spec: None)
+    return [classify_convergence(trace(method, theta, spec, horizon), truth(theta),
+                                 oracle(theta, spec))
+            for theta in thetas]
 
 
 @dataclass(frozen=True)
 class UniformWitness:
-    """A world and an admissible finite history refuting one prescribed
+    """A world theta and an admissible finite history refuting one prescribed
     evidence amount: the final interval is at most `prescribed_length`
-    long, yet the method's verdict there is false at the world."""
+    long, yet the method's verdict there is false at theta."""
 
-    world: LineWorld
+    theta: float
     history: tuple
     failing_stage: int
     verdict: Verdict
@@ -380,16 +364,13 @@ def refute_uniform(method: MethodSpec, prescribed_length: float) -> UniformWitne
         for t in range(stages)
     )
     verdict = method.decide(list(hist))
-    if verdict is Verdict.SIMPLE:
-        world = LineWorld(theta=prescribed_length / 4.0)
-    else:
-        world = LineWorld(theta=0.0)
+    theta = prescribed_length / 4.0 if verdict is Verdict.SIMPLE else 0.0
     return UniformWitness(
-        world=world,
+        theta=theta,
         history=hist,
         failing_stage=stages - 1,
         verdict=verdict,
-        truth=world.truth,
+        truth=truth(theta),
     )
 
 
@@ -403,7 +384,7 @@ def witness_is_valid(method: MethodSpec, wit: UniformWitness, prescribed_length:
     if final.width > prescribed_length * (1 + 1e-9):
         return False
     for t, e in enumerate(wit.history):
-        if not e.contains(wit.world.theta):
+        if not e.contains(wit.theta):
             return False
         if t > 0 and not e.is_subset_of(wit.history[t - 1]):
             return False
@@ -417,7 +398,7 @@ def witness_is_valid(method: MethodSpec, wit: UniformWitness, prescribed_length:
 class RazorReport:
     razor_violation: Optional[tuple]  # offending history, when found
     consequence: str  # POINTWISE_FAIL | STABILITY_FAIL | NONE_FOUND
-    witness_world: Optional[LineWorld] = None
+    witness_theta: Optional[float] = None
     witness_trace: Optional[StreamTrace] = None
 
 
@@ -477,7 +458,7 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport
             return RazorReport(
                 razor_violation=tuple(hist),
                 consequence="POINTWISE_FAIL",
-                witness_world=LineWorld(0.0),
+                witness_theta=0.0,
                 witness_trace=StreamTrace(f"{FAMILY}:theta=0.0", tuple(extended), verdicts),
             )
         # retraction of a COMPLEX verdict that was true at a nonzero
@@ -487,7 +468,7 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport
         return RazorReport(
             razor_violation=tuple(hist),
             consequence="STABILITY_FAIL",
-            witness_world=LineWorld(theta_w),
+            witness_theta=theta_w,
             witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", tuple(extended[:j + 1]),
                                       verdicts[:j + 1]),
         )

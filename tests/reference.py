@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from convlab import gaussian as g
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import MethodSpec, Verdict
+from convlab.framework import MethodSpec, ModeReport, OracleContradiction, Verdict
 from convlab.gaussian import TestRule, normal_quantile
 from convlab.lineworld import StreamSpec
 from convlab.predsel import FitResult, TruthSpec
@@ -60,6 +61,46 @@ def aic_prefers_complex(xs: Sequence[float]) -> bool:
 def bic_prefers_complex(xs: Sequence[float]) -> bool:
     s0, s1 = information_scores(xs, math.log(len(xs)))
     return s1 < s0
+
+
+def truth_prob_mc(rule: TestRule, theta: float, n: int, trials: int, seed: int):
+    """gaussian.truth_prob_mc out of place: the same substream's draws,
+    scaled, shifted and folded into new arrays."""
+    z = substream(seed, "gaussian-mc", rule.label(), theta, n).standard_normal(trials)
+    outside = np.count_nonzero(np.abs(z / math.sqrt(n) + theta) > rule.critical_value(n))
+    p = (outside if theta != 0.0 else trials - outside) / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
+    """gaussian.classify_mode on declared grids, each analytic curve
+    computed afresh for the certificate check."""
+    if not theta_grid or not n_grid or not alpha_grid:
+        raise ValueError("grids must be non-empty")
+    settle = {(theta, alpha): g.certified_settle_n(rule, theta, alpha)
+              for theta in theta_grid for alpha in alpha_grid}
+    for (theta, alpha), n0 in settle.items():
+        if n0 is None:
+            continue
+        for n in n_grid:
+            if n >= n0 and g.truth_prob_analytic(rule, theta, n) < 1.0 - alpha - 1e-9:
+                raise OracleContradiction(
+                    f"{rule.label()} at theta={theta}: curve dips below "
+                    f"{1 - alpha} at n={n} despite certificate {n0}"
+                )
+    cap = g.level_cap(rule)
+
+    def failures(alpha):
+        return [{"theta": theta, "alpha": alpha, "cap": cap, "rule": rule.label()}
+                for theta in theta_grid if settle[theta, alpha] is None]
+
+    hp_failures = failures(alpha_grid[0])
+    po_failures = [f for alpha in alpha_grid for f in failures(alpha)]
+    if cap is not None and not po_failures:
+        po_failures.append({"theta": 0.0, "alpha": (1.0 - cap) / 2.0, "cap": cap,
+                            "rule": rule.label()})
+    return {"HIGH_PROB": ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures)),
+            "PROB_ONE": ModeReport("PROB_ONE", not po_failures, tuple(po_failures))}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +169,7 @@ def always_complex_method() -> MethodSpec:
     return MethodSpec(
         name="always_complex",
         decide=lambda hist: Verdict.COMPLEX,
-        oracle=lambda w, spec: -1 if w.theta == 0.0 else 0,
+        oracle=lambda theta, spec: -1 if theta == 0.0 else 0,
     )
 
 

@@ -33,20 +33,19 @@ def gaussian_verdicts():
     """The gaussian checks on curve rows at the pinned sizes: analytic
     levels at theta = 0, Monte Carlo at 200,000 trials, and power at
     theta = 0.5."""
-    w0, w5 = g.GaussianWorld(0.0), g.GaussianWorld(0.5)
     rows = []
     for rule, analytic_ns, mc_ns in (
         (g.aic_rule(), (10, 100, 1000), (100,)),
         (g.fixed_z_rule(1.96), (100,), (100,)),
         (g.bic_rule(), (100, 10**4, 10**6), (100, 10**4, 10**6)),
     ):
-        rows += [(rule.label(), 0.0, n, g.truth_prob_analytic(rule, w0, n), None)
+        rows += [(rule.label(), 0.0, n, g.truth_prob_analytic(rule, 0.0, n), None)
                  for n in analytic_ns]
-        rows += [(rule.label(), 0.0, n, *g.truth_prob_mc(rule, w0, n, 200_000, MASTER_SEED))
+        rows += [(rule.label(), 0.0, n, *g.truth_prob_mc(rule, 0.0, n, 200_000, MASTER_SEED))
                  for n in mc_ns]
     for rule, ns in ((g.aic_rule(), (100, 150, 200, 500, 1000, 10**4, 10**6)),
                      (g.bic_rule(), (200, 300, 500, 1000, 10**4, 10**6))):
-        rows += [(rule.label(), 0.5, n, g.truth_prob_analytic(rule, w5, n), None) for n in ns]
+        rows += [(rule.label(), 0.5, n, g.truth_prob_analytic(rule, 0.5, n), None) for n in ns]
     return verdicts(checks.check_gaussian_levels(rows, 200_000)), rows
 
 
@@ -94,16 +93,15 @@ def test_criterion_3_bic_consistency(gaussian_verdicts):
 
 def test_criterion_4_power(gaussian_verdicts):
     ok, _ = gaussian_verdicts[0]["gaussian_power"]
-    w = g.GaussianWorld(0.5)
     report("04-power", ok,
-           f"aic(n=100)={g.truth_prob_analytic(g.aic_rule(), w, 100):.6f} "
-           f"bic(n=200)={g.truth_prob_analytic(g.bic_rule(), w, 200):.6f}")
+           f"aic(n=100)={g.truth_prob_analytic(g.aic_rule(), 0.5, 100):.6f} "
+           f"bic(n=200)={g.truth_prob_analytic(g.bic_rule(), 0.5, 200):.6f}")
 
 
 def test_criterion_5_lineworld_suite():
     start = time.time()
-    worlds = [lw.LineWorld(round(i * 0.01, 10)) for i in range(-50, 51)]
-    assert len(worlds) == 101
+    thetas = [round(i * 0.01, 10) for i in range(-50, 51)]
+    assert len(thetas) == 101
     mstar = lw.mstar_method()
     specs = [
         lw.StreamSpec(1.0, 0.7),
@@ -113,7 +111,7 @@ def test_criterion_5_lineworld_suite():
     pointwise = {}
     stable = True
     for spec in specs:
-        records = lw.check_pointwise(mstar, worlds, spec, 60)
+        records = lw.check_pointwise(mstar, thetas, spec, 60)
         pointwise[spec.label()] = {s.value: sum(r.status is s for r in records) for s in Status}
         stable = stable and all(r.stable for r in records)
 
@@ -127,7 +125,7 @@ def test_criterion_5_lineworld_suite():
     budget = cli.validate_config("{}")["lineworld"]["razor_budget"]
     razor = {m.name: lw.razor_necessity_probe(m, budget).consequence
              for m in [mstar] + adversaries}
-    summary = {"worlds": len(worlds), "pointwise_by_stream": pointwise, "mstar_stable": stable,
+    summary = {"worlds": len(thetas), "pointwise_by_stream": pointwise, "mstar_stable": stable,
                "uniform_refutations": uniform, "razor_probe": razor}
     results = checks.check_lineworld_suite(summary)
     elapsed = time.time() - start

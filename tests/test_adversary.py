@@ -174,14 +174,14 @@ class TestLineworldOracle:
             tie, st.just(delta0), st.just(ratio), st.just(t), st.just(2.0),
             st.sampled_from([0.0, 1e-15, -1e-15])))
         spec = StreamSpec(delta0, ratio)
-        claim = lw.mstar_method().oracle(lw.LineWorld(theta), spec)
+        claim = lw.mstar_method().oracle(theta, spec)
         assert claim == lw.guaranteed_settle_stage(theta, spec)
         n = ref.stages_above(delta0, ratio, 2.0**-48 * max(1.0, abs(theta)))
         rng = np.random.default_rng(seed)
         streams = [spec, ref.steered(theta, 0.0, delta0, ratio, n),
                    ref.steered(theta, 0.0, delta0, ratio, n, rng),
                    ref.steered(theta, 0.0, delta0, ratio, n, rng)]
-        truth = lw.LineWorld(theta).truth
+        truth = lw.truth(theta)
         settled = max(ref.settle_stage([ref.mstar_decide(lw.IntervalEvidence(theta + lo,
                                                                              theta + hi))
                                         for lo, hi in s.stages(n)], truth) for s in streams)

@@ -30,9 +30,9 @@ def gaussian_rows():
     for rule in (g.aic_rule(), g.confidence_rule_95(), g.bic_rule()):
         for theta in (0.0, 0.5):
             for n in (10, 100, 1000, 10**4):
-                p = g.truth_prob_analytic(rule, g.GaussianWorld(theta), n)
+                p = g.truth_prob_analytic(rule, theta, n)
                 rows.append((rule.label(), theta, n, p, None))
-        p100 = g.truth_prob_analytic(rule, g.GaussianWorld(0.0), 100)
+        p100 = g.truth_prob_analytic(rule, 0.0, 100)
         rows.append((rule.label(), 0.0, 100, p100 + 0.0005, 0.0008))
     return rows
 
@@ -100,7 +100,7 @@ def test_gaussian_power_detail_names_rule_and_rows():
 def test_mc_agreement_at_probability_one():
     # an estimate of 1.0 has a plug-in se of 0, and BIC's floor is 0: at 1,000
     # trials the z = 4 Wilson interval of 1.0 reaches down to 0.984, past 0.9998
-    analytic = g.truth_prob_analytic(g.bic_rule(), g.GaussianWorld(0.0), 10**6)
+    analytic = g.truth_prob_analytic(g.bic_rule(), 0.0, 10**6)
     rows = [(BIC, 0.0, 10**6, analytic, None), (BIC, 0.0, 10**6, 1.0, 0.0)]
     assert checks._mc_agrees(rows, BIC, 0.0, 1000)
     # a million trials put 0.9998 outside it, and so does a doctored analytic row

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import cli
+from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
@@ -184,6 +185,16 @@ class TestSuites:
         assert err == "run error: the suite stopped\n"
         assert "Traceback" not in err
 
+    def test_curve_below_its_certificate_exits_three(self, tmp_path, capsys, monkeypatch):
+        # classify_mode judges the curves the run wrote: a doctored one contradicts
+        monkeypatch.setattr(g, "curve_analytic",
+                            lambda rule, theta, n_grid: tuple((n, 0.5) for n in n_grid))
+        code, _ = run_cli(tmp_path, {"experiment": "gaussian", "gaussian": {"mc_trials": 1000}})
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("run error: ")
+        assert "despite certificate" in err and "Traceback" not in err
+
 
 class TestRun:
     def test_artifacts_and_schemas(self, tmp_path):
@@ -262,6 +273,30 @@ class TestRun:
         assert set(second) == {"summary.json"}
         assert second["summary.json"] == hashlib.sha256(
             (out / "summary.json").read_bytes()).hexdigest()
+
+    def test_run_that_stops_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # a manifest attests to a finished run: one that stops after a suite wrote
+        # its files, at a write (exit 2) or in a later suite (exit 3), leaves none
+        out = tmp_path / "out"
+        finished = ["--experiment", "gaussian", "--seed", "1", "--trials", "1000",
+                    "--out", str(out)]
+        stopping = {"experiment": ["gaussian", "predsel"], "seed": 2,
+                    "gaussian": {"mc_trials": 1000},
+                    "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100}}
+        (out / "selection.csv").mkdir(parents=True)  # predsel's first write fails: exit 2
+
+        def stopped(cfg, out):
+            raise ps.FitError("the suite stopped")
+
+        for code in (2, 3):
+            if code == 3:
+                monkeypatch.setitem(cli.SUITES, "predsel", stopped)
+            assert cli.main(finished) == 0
+            assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 1
+            before = (out / "curves.csv").read_bytes()
+            assert run_cli(tmp_path, stopping)[0] == code
+            assert (out / "curves.csv").read_bytes() != before  # the seed-2 suite wrote its files
+            assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
 
     def test_json_format(self, tmp_path):
         config = dict(SMALL_CONFIG, experiment=["gaussian"], format="json")
@@ -343,12 +378,19 @@ class TestFlags:
         ('{"experiment": "perrin", "perrin": {"grid_hi": 1e400}}', "perrin.grid_hi"),
         ('{"experiment": "gaussian", "gaussian": {"theta_grid": [1e400]}}',
          "gaussian.theta_grid[0]"),
+        ('{"experiment": "gaussian", "gaussian": {"theta_grid": [0.0, NaN]}}',
+         "gaussian.theta_grid[1]"),
+        ('{"experiment": "gaussian", "gaussian": {"mc_theta_grid": [1e400]}}',
+         "gaussian.mc_theta_grid[0]"),
+        ('{"experiment": "gaussian", "gaussian": {"mc_theta_grid": [NaN]}}',
+         "gaussian.mc_theta_grid[0]"),
         ('{"lineworld": {"theta_max": 1e400}}', "lineworld.theta_max"),
         ('{"lineworld": {"theta_min": NaN}}', "lineworld.theta_min"),
         ('{"experiment": "perrin", "perrin": {"grid_hi": 1%s}}' % ("0" * 400), "perrin.grid_hi"),
         # finite, but (grid_hi - grid_lo) / grid_step is not
         ('{"experiment": "perrin", "perrin": {"grid_hi": 1e308}}', "perrin.grid_step"),
-    ], ids=["grid_hi-1e400", "theta_grid-1e400", "theta_max-1e400", "theta_min-NaN",
+    ], ids=["grid_hi-1e400", "theta_grid-1e400", "theta_grid-NaN", "mc_theta_grid-1e400",
+            "mc_theta_grid-NaN", "theta_max-1e400", "theta_min-NaN",
             "grid_hi-1e400-integer", "grid_span-overflow"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, text, field):
         cfg, out = tmp_path / "c.json", tmp_path / "out"

@@ -131,13 +131,12 @@ class TestStability:
         spec = lw.StreamSpec(delta0=1.0, ratio=0.7)
         mstar = lw.mstar_method()
         for theta in (0.0, 0.05, -0.3, 1.0):
-            w = lw.LineWorld(theta)
-            trace = lw.trace(mstar, w, spec, 40)
-            record = classify_convergence(trace, w.truth, mstar.oracle(w, spec))
+            trace = lw.trace(mstar, theta, spec, 40)
+            record = classify_convergence(trace, lw.truth(theta), mstar.oracle(theta, spec))
             assert record.status is Status.CONVERGES
             s = record.settle_stage
             suffix = StreamTrace(trace.world_id, trace.evidence[s:], trace.verdicts[s:])
-            assert check_stability(suffix, w.truth)[0]
+            assert check_stability(suffix, lw.truth(theta))[0]
 
 
 class TestStreamTrace:

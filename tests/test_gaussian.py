@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from convlab import gaussian as g
-from convlab.framework import Verdict
+from convlab.framework import OracleContradiction, Verdict
 
 import reference as ref
 
@@ -120,39 +120,35 @@ class TestPenalizedLikelihoodOracle:
 
 class TestTruthProbabilities:
     def test_confidence_rule_level(self):
-        p = g.truth_prob_analytic(g.fixed_z_rule(1.96), g.GaussianWorld(0.0), 100)
+        p = g.truth_prob_analytic(g.fixed_z_rule(1.96), 0.0, 100)
         assert p == pytest.approx(0.9500, abs=0.0005)
 
     def test_aic_level_constant(self):
-        w = g.GaussianWorld(0.0)
-        probs = [g.truth_prob_analytic(g.aic_rule(), w, n) for n in (2, 10, 100, 10**4, 10**6)]
+        probs = [g.truth_prob_analytic(g.aic_rule(), 0.0, n) for n in (2, 10, 100, 10**4, 10**6)]
         assert probs[0] == pytest.approx(0.8427, abs=0.0005)
         assert max(probs) - min(probs) <= 1e-12
 
     def test_bic_level_rises(self):
-        w = g.GaussianWorld(0.0)
-        p = g.truth_prob_analytic(g.bic_rule(), w, 10**4)
+        p = g.truth_prob_analytic(g.bic_rule(), 0.0, 10**4)
         closed_form = 2.0 * g.normal_cdf(math.sqrt(math.log(10**4))) - 1.0
         assert p == pytest.approx(closed_form, abs=1e-12)
         assert p == pytest.approx(0.9976, abs=0.001)
 
     def test_bic_monotone_at_zero(self):
-        w = g.GaussianWorld(0.0)
-        probs = [g.truth_prob_analytic(g.bic_rule(), w, n) for n in range(3, 200)]
+        probs = [g.truth_prob_analytic(g.bic_rule(), 0.0, n) for n in range(3, 200)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_power_thresholds(self):
-        w = g.GaussianWorld(0.5)
         for n in (100, 200, 500, 1000):
-            assert g.truth_prob_analytic(g.aic_rule(), w, n) >= 0.999
+            assert g.truth_prob_analytic(g.aic_rule(), 0.5, n) >= 0.999
         for n in (200, 500, 1000):
-            assert g.truth_prob_analytic(g.bic_rule(), w, n) >= 0.999
+            assert g.truth_prob_analytic(g.bic_rule(), 0.5, n) >= 0.999
 
     def test_symmetric_in_theta(self):
         rule = g.aic_rule()
         for n in (5, 50):
-            assert g.truth_prob_analytic(rule, g.GaussianWorld(0.3), n) == pytest.approx(
-                g.truth_prob_analytic(rule, g.GaussianWorld(-0.3), n), abs=1e-14)
+            assert g.truth_prob_analytic(rule, 0.3, n) == pytest.approx(
+                g.truth_prob_analytic(rule, -0.3, n), abs=1e-14)
 
 
 class TestMonteCarlo:
@@ -160,23 +156,35 @@ class TestMonteCarlo:
         for rule in (g.aic_rule(), g.fixed_z_rule(1.96), g.bic_rule()):
             for theta in (0.0, 0.2, 1.0):
                 for n in (10, 100):
-                    w = g.GaussianWorld(theta)
-                    mc, se = g.truth_prob_mc(rule, w, n, 50_000, seed=11)
-                    exact = g.truth_prob_analytic(rule, w, n)
+                    mc, se = g.truth_prob_mc(rule, theta, n, 50_000, seed=11)
+                    exact = g.truth_prob_analytic(rule, theta, n)
                     assert abs(mc - exact) <= max(4.0 * se, 1e-4)
 
     def test_overwhelming_separation(self):
-        mc, _ = g.truth_prob_mc(g.aic_rule(), g.GaussianWorld(5.0), 100, 10_000, seed=3)
+        mc, _ = g.truth_prob_mc(g.aic_rule(), 5.0, 100, 10_000, seed=3)
         assert mc == 1.0
 
     def test_deterministic_given_seed(self):
-        a = g.truth_prob_mc(g.bic_rule(), g.GaussianWorld(0.1), 50, 20_000, seed=5)
-        b = g.truth_prob_mc(g.bic_rule(), g.GaussianWorld(0.1), 50, 20_000, seed=5)
+        a = g.truth_prob_mc(g.bic_rule(), 0.1, 50, 20_000, seed=5)
+        b = g.truth_prob_mc(g.bic_rule(), 0.1, 50, 20_000, seed=5)
         assert a == b
 
     def test_trial_floor(self):
         with pytest.raises(ValueError):
-            g.truth_prob_mc(g.aic_rule(), g.GaussianWorld(0.0), 10, 999, seed=1)
+            g.truth_prob_mc(g.aic_rule(), 0.0, 10, 999, seed=1)
+
+
+def outcome(classify, *args):
+    """The reports' repr, or the contradiction's message."""
+    try:
+        return repr(classify(*args))
+    except OracleContradiction as exc:
+        return f"OracleContradiction: {exc}"
+
+
+def curves(rule, thetas, ns):
+    """The run's classify_mode input: one analytic curve per theta, in order."""
+    return [(theta, g.curve_analytic(rule, theta, ns)) for theta in thetas]
 
 
 class TestModeClassification:
@@ -184,44 +192,79 @@ class TestModeClassification:
     NS = [10, 100, 1000, 10**4]
 
     def test_aic_rule_passes_high_prob_at_84(self):
-        reports = g.classify_mode(g.aic_rule(), self.THETAS, self.NS, [0.16, 0.05, 0.01])
+        reports = g.classify_mode(g.aic_rule(), curves(g.aic_rule(), self.THETAS, self.NS),
+                                  [0.16, 0.05, 0.01])
         assert reports["HIGH_PROB"].passed
         assert not reports["PROB_ONE"].passed
         wit = reports["PROB_ONE"].witnesses[0]
         assert wit["theta"] == 0.0 and wit["cap"] == pytest.approx(0.8427, abs=1e-3)
 
     def test_confidence_rule_passes_high_prob_at_95(self):
-        reports = g.classify_mode(g.fixed_z_rule(1.96), self.THETAS, self.NS, [0.05, 0.01])
+        rule = g.fixed_z_rule(1.96)
+        reports = g.classify_mode(rule, curves(rule, self.THETAS, self.NS), [0.05, 0.01])
         assert reports["HIGH_PROB"].passed
         assert not reports["PROB_ONE"].passed
 
     def test_confidence_rule_fails_tighter_operative_level(self):
-        reports = g.classify_mode(g.fixed_z_rule(1.96), self.THETAS, self.NS, [0.01])
+        rule = g.fixed_z_rule(1.96)
+        reports = g.classify_mode(rule, curves(rule, self.THETAS, self.NS), [0.01])
         assert not reports["HIGH_PROB"].passed
 
     def test_bic_passes_prob_one(self):
-        reports = g.classify_mode(g.bic_rule(), self.THETAS, self.NS, [0.16, 0.05, 0.001])
+        reports = g.classify_mode(g.bic_rule(), curves(g.bic_rule(), self.THETAS, self.NS),
+                                  [0.16, 0.05, 0.001])
         assert reports["HIGH_PROB"].passed
         assert reports["PROB_ONE"].passed
 
     def test_grids_validated(self):
         with pytest.raises(ValueError):
-            g.classify_mode(g.bic_rule(), [], self.NS, [0.05])
+            g.classify_mode(g.bic_rule(), [], [0.05])
+        with pytest.raises(ValueError):
+            g.classify_mode(g.bic_rule(), [(0.0, ())], [0.05])
+        with pytest.raises(ValueError):
+            g.classify_mode(g.bic_rule(), curves(g.bic_rule(), self.THETAS, self.NS), [])
+
+    def test_curve_below_its_certificate_contradicts(self):
+        # AIC at theta = 0.5 and alpha = 0.05 is certified from n0 = 38 on
+        assert g.certified_settle_n(g.aic_rule(), 0.5, 0.05) == 38
+        with pytest.raises(OracleContradiction, match="at n=100 despite certificate 38"):
+            g.classify_mode(g.aic_rule(), [(0.5, ((100, 0.5),))], [0.05])
+        # the same probability before the certified size contradicts nothing
+        g.classify_mode(g.aic_rule(), [(0.5, ((37, 0.5),))], [0.05])
+
+    @given(thetas=st.lists(st.sampled_from([0.0, -0.0, 1e-150, -1e-150, 0.5])
+                           | st.floats(-3.0, 3.0).filter(lambda t: t == 0 or abs(t) >= 1e-150),
+                           min_size=1, max_size=6),
+           ns=st.lists(st.integers(2, 10**6) | st.sampled_from([10**12, 10**300]),
+                       min_size=1, max_size=5, unique=True),
+           alphas=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=4),
+           rule=st.sampled_from([g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]))
+    @example(thetas=[0.0, -0.0, 0.1, 0.1, 1e-150, -1e-150], ns=[10, 100, 10**4],
+             alphas=[0.05, 0.05, 0.001], rule=g.bic_rule())
+    def test_matches_recomputing_reference(self, thetas, ns, alphas, rule):
+        # judging the run's curves reports what recomputing them reported
+        ns = sorted(ns)
+        assert outcome(g.classify_mode, rule, curves(rule, thetas, ns), alphas) == outcome(
+            ref.classify_mode, rule, thetas, ns, alphas)
 
 
 class TestCurves:
     def test_analytic_curve_schema(self):
         curve = g.curve_analytic(g.aic_rule(), 0.0, [10, 100, 1000])
-        assert curve.rule == g.aic_rule().label()
-        assert [n for n, _, _ in curve.points] == [10, 100, 1000]
-        assert all(se is None for _, _, se in curve.points)
+        assert [n for n, _ in curve] == [10, 100, 1000]
+        assert curve == tuple((n, g.truth_prob_analytic(g.aic_rule(), 0.0, n))
+                              for n in (10, 100, 1000))
 
     def test_mc_curve_has_se(self):
-        curve = g.curve_mc(g.bic_rule(), 0.5, [10, 100], 5000, seed=2)
-        assert all(se is not None and se >= 0 for _, _, se in curve.points)
+        for n in (10, 100):
+            p, se = g.truth_prob_mc(g.bic_rule(), 0.5, n, 5000, seed=2)
+            assert 0.0 <= p <= 1.0 and se is not None and se >= 0
 
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            g.ProbCurve("r", 0.0, ((10, 0.5, None), (10, 0.6, None)))
-        with pytest.raises(ValueError):
-            g.ProbCurve("r", 0.0, ((10, 1.5, None),))
+    @given(rule=st.sampled_from([g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]),
+           theta=st.sampled_from([0.0, -0.0, 1e-150, -1e-150, 1e300]) | st.floats(-5.0, 5.0),
+           n=st.integers(2, 10**6) | st.just(10**300), trials=st.integers(1000, 5000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mc_matches_out_of_place_reference(self, rule, theta, n, trials, seed):
+        # the in-place divide, shift and abs count what the plain expression counts
+        assert g.truth_prob_mc(rule, theta, n, trials, seed) == ref.truth_prob_mc(
+            rule, theta, n, trials, seed)

@@ -69,7 +69,7 @@ def closed_form(spec, lam, t):
 def endpoint_bits(method, theta, spec, horizon):
     """The trace's endpoints as hex strings, or the error that refused it."""
     try:
-        tr = lw.trace(method, lw.LineWorld(theta), spec, horizon)
+        tr = lw.trace(method, theta, spec, horizon)
     except StreamError:
         return "StreamError"
     return [(e.lo.hex(), e.hi.hex()) for e in tr.evidence]
@@ -177,7 +177,7 @@ class TestStreams:
         seen = []
         method = lw.MethodSpec(name="recording",
                                decide=lambda hist: seen.append((len(hist), hist[-1])) or S)
-        tr = lw.trace(method, lw.LineWorld(0.1), lw.StreamSpec(1.0, 0.7), 25)
+        tr = lw.trace(method, 0.1, lw.StreamSpec(1.0, 0.7), 25)
         # each stage decided once, on the history up to and including it,
         # whose last item is the very interval the trace keeps for that stage
         assert [n for n, _ in seen] == list(range(1, 26))
@@ -286,10 +286,10 @@ class TestStageTable:
         expected = interval_by_interval(theta, spec, horizon)
         if isinstance(expected, str):  # refused at a stage: trace refuses it with the same error
             with pytest.raises(StreamError) as refused:
-                lw.trace(lw.mstar_method(), lw.LineWorld(theta), spec, horizon)
+                lw.trace(lw.mstar_method(), theta, spec, horizon)
             assert str(refused.value) == expected
             return
-        tr = lw.trace(lw.mstar_method(), lw.LineWorld(theta), spec, horizon)
+        tr = lw.trace(lw.mstar_method(), theta, spec, horizon)
         assert [(type(e), e.lo.hex(), e.hi.hex()) for e in tr.evidence] == [
             (lw.IntervalEvidence, e.lo.hex(), e.hi.hex()) for e in expected]
         assert tr.verdicts == tuple(ref.mstar_decide(e) for e in tr.evidence)
@@ -316,7 +316,7 @@ class TestStageTable:
     @pytest.mark.parametrize("args", [(1.0, 0.5), (0.3, 0.6, 0.8), (1.0, 0.5, (0.0, -0.5, -1.0))])
     def test_filled_spec_is_a_plain_value(self, args):
         filled, fresh = lw.StreamSpec(*args), lw.StreamSpec(*args)
-        lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.1)], filled, 30)
+        lw.check_pointwise(lw.mstar_method(), [0.1], filled, 30)
         filled.first_stage(1e-9, 4.0)
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh) and filled.label() == fresh.label()
@@ -328,44 +328,46 @@ class TestStageTable:
         original = lw.StreamSpec.half_width
         monkeypatch.setattr(lw.StreamSpec, "half_width",
                             lambda self, t: calls.append(t) or original(self, t))
-        worlds = [lw.LineWorld(x / 100) for x in range(-50, 51)]
-        lw.check_pointwise(lw.mstar_method(), worlds, lw.StreamSpec(1.0, 0.7), horizon)
+        thetas = [x / 100 for x in range(-50, 51)]
+        lw.check_pointwise(lw.mstar_method(), thetas, lw.StreamSpec(1.0, 0.7), horizon)
         # the oracle's deepest stage: the first with 2 * 0.7**t below the smallest |theta|
         oracle = next(t for t in range(100) if 2.0 * 0.7**t < 0.01)
         assert sorted(calls) == list(range(max(horizon, oracle + 1)))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_refused(self, theta):
+        with pytest.raises(StreamError, match="^interval endpoints must be finite$"):
+            lw.trace(lw.mstar_method(), theta, lw.StreamSpec(1.0, 0.5), 3)
+
     def test_negative_counts_give_no_stages(self):
         spec = lw.StreamSpec(1.0, 0.5)
         assert spec.stages(-1) == spec.half_widths(-1) == []
-        assert len(lw.trace(constant_method(S), lw.LineWorld(0.0), spec, -1)) == 0
+        assert len(lw.trace(constant_method(S), 0.0, spec, -1)) == 0
 
 
 class TestPointwise:
     def test_simple_world_settles_immediately(self):
-        recs = lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.0)],
-                                  lw.StreamSpec(1.0, 0.7), 30)
+        recs = lw.check_pointwise(lw.mstar_method(), [0.0], lw.StreamSpec(1.0, 0.7), 30)
         assert recs[0].status is Status.CONVERGES and recs[0].settle_stage == 0
 
     def test_centered_settle_found_by_replay(self):
-        w = lw.LineWorld(0.1)
         spec = lw.StreamSpec(1.0, 0.7)
-        [rec] = lw.check_pointwise(lw.mstar_method(), [w], spec, 60)
-        verdicts = lw.trace(lw.mstar_method(), w, spec, 60).verdicts
+        [rec] = lw.check_pointwise(lw.mstar_method(), [0.1], spec, 60)
+        verdicts = lw.trace(lw.mstar_method(), 0.1, spec, 60).verdicts
         brute = min(s for s in range(60) if all(v is C for v in verdicts[s:]))
         assert rec.status is Status.CONVERGES and rec.settle_stage == brute == 7
 
     def test_adversarial_drift_settles_at_width_bound(self):
         # drift hugging the origin side delays the exit until the interval
         # is narrower than |theta|: least t with 2 * 0.7**t < 0.1
-        w = lw.LineWorld(0.1)
         spec = lw.StreamSpec(1.0, 0.7, offset=-1.0)
-        [rec] = lw.check_pointwise(lw.mstar_method(), [w], spec, 60)
+        [rec] = lw.check_pointwise(lw.mstar_method(), [0.1], spec, 60)
         bound = next(t for t in range(60) if 2.0 * 0.7**t < 0.1)
         assert rec.settle_stage == bound == 9
 
     def test_always_complex_diverges_at_zero(self):
         recs = lw.check_pointwise(ref.always_complex_method(),
-                                  [lw.LineWorld(0.0), lw.LineWorld(0.3)],
+                                  [0.0, 0.3],
                                   lw.StreamSpec(1.0, 0.5), 20)
         assert recs[0].status is Status.DIVERGES
         assert recs[1].status is Status.CONVERGES
@@ -376,17 +378,16 @@ class TestPointwise:
         delta0, ratio, offsets = params
         spec = lw.StreamSpec(delta0, ratio, offset=offsets)
         # raises OracleContradiction if a trace disagrees with the oracle
-        lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(t) for t in thetas], spec, 40)
+        lw.check_pointwise(lw.mstar_method(), thetas, spec, 40)
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError):
-            lw.check_pointwise(lw.mstar_method(), [lw.LineWorld(0.0)], lw.StreamSpec(1.0, 0.5), 0)
+            lw.check_pointwise(lw.mstar_method(), [0.0], lw.StreamSpec(1.0, 0.5), 0)
 
     @given(theta=st.floats(-2, 2), lam=st.sampled_from([0.0, -1.0, 1.0, 0.6]))
     def test_mstar_stable_everywhere(self, theta, lam):
-        w = lw.LineWorld(theta)
         spec = lw.StreamSpec(1.0, 0.6, offset=lam)
-        assert check_stability(lw.trace(lw.mstar_method(), w, spec, 40), w.truth)[0]
+        assert check_stability(lw.trace(lw.mstar_method(), theta, spec, 40), lw.truth(theta))[0]
 
 
 def constant_method(verdict):
@@ -397,20 +398,20 @@ class TestRefuteUniform:
     def test_threshold_rule_refuted_by_nonzero_world(self):
         wit = lw.refute_uniform(lw.mstar_method(), 0.1)
         assert wit.verdict is S
-        assert wit.world.theta != 0.0
-        assert abs(wit.world.theta) <= 0.05
+        assert wit.theta != 0.0
+        assert abs(wit.theta) <= 0.05
         assert lw.witness_is_valid(lw.mstar_method(), wit, 0.1)
 
     def test_always_complex_refuted_at_zero(self):
         m = ref.always_complex_method()
         wit = lw.refute_uniform(m, 1.0)
-        assert wit.world.theta == 0.0 and wit.verdict is C
+        assert wit.theta == 0.0 and wit.verdict is C
         assert lw.witness_is_valid(m, wit, 1.0)
 
     def test_always_suspend_refuted_at_zero(self):
         m = lw.always_suspend_method()
         wit = lw.refute_uniform(m, 1.0)
-        assert wit.world.theta == 0.0 and wit.verdict is Q and wit.truth is S
+        assert wit.theta == 0.0 and wit.verdict is Q and wit.truth is S
         assert lw.witness_is_valid(m, wit, 1.0)
 
     def test_length_validated(self):
@@ -440,7 +441,7 @@ class TestRefuteUniform:
     def test_constant_width_history_rejected(self, length):
         # five copies of one interval: admissible only if widths shrink
         same = lw.IntervalEvidence(-length / 2.0, length / 2.0)
-        wit = lw.UniformWitness(world=lw.LineWorld(length / 4.0), history=(same,) * 5,
+        wit = lw.UniformWitness(theta=length / 4.0, history=(same,) * 5,
                                 failing_stage=4, verdict=S, truth=C)
         assert not lw.witness_is_valid(lw.mstar_method(), wit, length)
         halving = tuple(lw.IntervalEvidence(-length * 2.0**k / 2.0, length * 2.0**k / 2.0)
@@ -467,7 +468,7 @@ class TestRazorProbe:
     def test_width_violator_fails_pointwise(self):
         report = lw.razor_necessity_probe(lw.width_trigger_violator(0.01), BUDGET)
         assert report.consequence == "POINTWISE_FAIL"
-        assert report.witness_world.theta == 0.0
+        assert report.witness_theta == 0.0
         # the continuation never returns to the true answer
         tail = report.witness_trace.verdicts[-10:]
         assert all(v is not S for v in tail)
@@ -475,7 +476,7 @@ class TestRazorProbe:
     def test_stage_violator_fails_stability(self):
         report = lw.razor_necessity_probe(lw.stage_trigger_violator(3), BUDGET)
         assert report.consequence == "STABILITY_FAIL"
-        assert report.witness_world.theta != 0.0
+        assert report.witness_theta != 0.0
         ok, _ = check_stability(report.witness_trace, C)
         assert not ok
 
@@ -491,7 +492,7 @@ class TestRazorProbe:
             for k, v in enumerate(report.witness_trace.verdicts):
                 assert adversary.decide(evid[: k + 1]) is v
             # the witness history is admissible at the witness world
-            theta = report.witness_world.theta
+            theta = report.witness_theta
             assert all(e.contains(theta) for e in evid)
             assert all(b.is_subset_of(a) for a, b in zip(evid, evid[1:]))
 
