@@ -12,19 +12,17 @@ from __future__ import annotations
 import math
 
 from . import lineworld as lw
-from . import perrin as pr
-from . import predsel as ps
-from .gaussian import aic_rule, bic_rule, confidence_rule_95, normal_quantile
+from .framework import DEFAULT_TIMES, PROBE_SIZES, normal_quantile
 
 MC_FLOOR = 0.004  # absolute MC tolerance of the fixed-z levels, below 4 se at small trials
 MC_Z = 4.0  # the Wilson interval's width in standard errors
 BIC_TARGETS = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
 PROBE_ALPHA = 0.01  # family-wise rate at which predsel_unbiasedness fails a sound estimator
-PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))  # Bonferroni, ~3.02
+PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(PROBE_SIZES)))  # Bonferroni, ~3.02
 # a 95% interval's width about na = 1 at sample size m, times sqrt(m), to first order:
 # 2 z s, where s / sqrt(m) is the estimator's relative se, 1 for the rate MLE and
-# sqrt(2 sum t^4) / sum t^2 for the least-squares msd slope (pr._intervals)
-_T = pr.DEFAULT_TIMES
+# sqrt(2 sum t^4) / sum t^2 for the least-squares msd slope (perrin._intervals)
+_T = DEFAULT_TIMES
 ROOT_N_WIDTH = {kind: 2.0 * normal_quantile(0.975) * s for kind, s in (
     ("brownian", math.sqrt(2.0 * sum(t**4 for t in _T)) / sum(t * t for t in _T)),
     ("sediment", 1.0))}
@@ -73,6 +71,8 @@ def check_gaussian_levels(rows, trials: int):
     curves.csv; analytic rows have se None, Monte Carlo rows carry it and
     were drawn at `trials` trials each.
     """
+    from .gaussian import aic_rule, bic_rule, confidence_rule_95
+
     aic, m95, bic = aic_rule().label(), confidence_rule_95().label(), bic_rule().label()
     results = []
     levels = list(_analytic(rows, aic, 0.0).values())
@@ -129,7 +129,8 @@ def check_lineworld_suite(summary: dict):
     return results
 
 
-def check_predsel_directions(a: ps.RegimeSummary, b: ps.RegimeSummary):
+def check_predsel_directions(a, b):
+    """a, b: the predsel.RegimeSummary of regime A (true model) and B (misspecified)."""
     results = []
     diff = a.correct_frequency_bic - a.correct_frequency_aic
     results.append(("predsel_regime_true_model", diff >= 0.05,
@@ -145,7 +146,7 @@ def check_predsel_probe(probes: dict):
     predsel.PROBE_SIZES.  The relative bias at n = 200 must be at most
     0.02, and every size's z within the two-sided normal bound PROBE_Z."""
     at200 = probes[200].relative_bias if 200 in probes else math.inf
-    ok = sorted(probes) == sorted(ps.PROBE_SIZES) and at200 <= 0.02
+    ok = sorted(probes) == sorted(PROBE_SIZES) and at200 <= 0.02
     ok = ok and all(abs(p.z) <= PROBE_Z for p in probes.values())
     zs = " ".join(f"{n}:{p.z:+.2f}" for n, p in sorted(probes.items()))
     return [("predsel_unbiasedness", ok, f"rel_bias(200)={at200:.5f} z({zs}) |z|<={PROBE_Z:.2f}")]
@@ -163,6 +164,8 @@ EXPECTED_PATTERNS = {
 def check_perrin_theorem(sheets: dict, underdetermination: dict):
     """sheets: method kind -> ScoreSheet; underdetermination: method
     kind -> underdetermination_ok verdict."""
+    from . import perrin as pr
+
     results = []
     ok = True
     details = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -26,11 +27,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, checks
-from . import gaussian as g
 from . import lineworld as lw
-from . import perrin as pr
-from . import predsel as ps
-from .framework import OracleContradiction, Status, StreamError
+from .framework import (DIAG_TOL, PROBE_SIZES, EstimationError, FitError, OracleContradiction,
+                        Status, StreamError, poly_degree)
 from .lineworld import GridSpec, StreamSpec
 
 
@@ -82,6 +81,8 @@ def _numlist(item_check, increasing=False):
 
 
 def _experiment(v, path):
+    """The named suites, each imported here: a suite's import cost (numpy for all but
+    lineworld) lands in config validation, and a run loads only the suites it names."""
     names = list(EXPERIMENTS) if v == "all" else [v] if isinstance(v, str) else v
     if not isinstance(names, list):
         raise ConfigError(f"{path}: expected a name or list of names")
@@ -90,6 +91,7 @@ def _experiment(v, path):
             raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
         if x in names[:i]:
             raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
+        importlib.import_module(f".{x}", __package__)
     return list(names)
 
 
@@ -279,18 +281,18 @@ def check_consistency(config: dict) -> None:
         if suite == "lineworld":
             gap = min((abs(x) for x in axis if x), default=math.inf)
         else:
-            gap = min(pr.DIAG_TOL, c["way2_delta0"], c["way3_delta0"])
+            gap = min(DIAG_TOL, c["way2_delta0"], c["way3_delta0"])
         stages = (math.log(gap) - math.log(4.0 * c["delta0"])) / math.log(c["ratio"])
         if stages > MAX_ORACLE_STAGES:
             raise ConfigError(f"{suite}.ratio: {c['ratio']} makes the oracle step through about "
                               f"{stages:.3g} stages down to the gap {gap:.3g} (delta0={c['delta0']}), "
                               f"above the limit of {MAX_ORACLE_STAGES}")
     sc = config["predsel"]
-    degree = ps.poly_truth(sc["regime_a_coeffs"], sc["regime_a_sigma"]).poly_degree
-    if degree + 2 > ps.PROBE_SIZES[0]:
+    degree = poly_degree(sc["regime_a_coeffs"])
+    if degree + 2 > PROBE_SIZES[0]:
         raise ConfigError(f"predsel.regime_a_coeffs: the true model's degree {degree} is above "
-                          f"{ps.PROBE_SIZES[0] - 2}, the most the unbiasedness probe fits on its "
-                          f"smallest design, n = {ps.PROBE_SIZES[0]}")
+                          f"{PROBE_SIZES[0] - 2}, the most the unbiasedness probe fits on its "
+                          f"smallest design, n = {PROBE_SIZES[0]}")
     if sc["regime_a_max_degree"] < degree:
         raise ConfigError(f"predsel.regime_a_max_degree: {sc['regime_a_max_degree']} leaves out "
                           f"the true model, of degree {degree} (predsel.regime_a_coeffs)")
@@ -393,6 +395,8 @@ def _report_to_dict(report) -> dict:
 
 
 def run_gaussian(cfg: dict, out: Outputs):
+    from . import gaussian as g  # loaded by _experiment during set-up: a sys.modules lookup here
+
     gc = cfg["gaussian"]
     rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
     rows, curves = [], {}
@@ -466,6 +470,8 @@ def run_lineworld(cfg: dict, out: Outputs):
 
 
 def run_predsel(cfg: dict, out: Outputs):
+    from . import predsel as ps
+
     pc, seed = cfg["predsel"], cfg["seed"]
     header = ("rep", "degree", "rss", "aic", "bic", "true_risk",
               "selected_aic", "selected_bic")
@@ -484,7 +490,7 @@ def run_predsel(cfg: dict, out: Outputs):
                        for selector, risk in zip(("aic", "bic"), pair)))
 
     probes = {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
-              for n in ps.PROBE_SIZES}
+              for n in PROBE_SIZES}
     results = (checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
                if cfg["check"] else [])
     summary = {
@@ -509,6 +515,8 @@ def run_predsel(cfg: dict, out: Outputs):
 def perrin_methods(pc: dict) -> list:
     """The five built-in methods of a validated perrin section: its
     way1_eps, way2_delta0 and way3_delta0 are the ways' gates."""
+    from . import perrin as pr
+
     return [
         pr.ockham_method(),
         pr.anti_realist_method(),
@@ -519,6 +527,8 @@ def perrin_methods(pc: dict) -> list:
 
 
 def run_perrin(cfg: dict, out: Outputs):
+    from . import perrin as pr
+
     pc, seed = cfg["perrin"], cfg["seed"]
     grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
     spec = StreamSpec(pc["delta0"], pc["ratio"])
@@ -576,7 +586,7 @@ def run_perrin(cfg: dict, out: Outputs):
 
 # what a suite raises when its run cannot go on: exit 3, apart from a
 # failed --check (1) and a bad config (2)
-RUN_ERRORS = (OracleContradiction, StreamError, ps.FitError, pr.EstimationError)
+RUN_ERRORS = (OracleContradiction, StreamError, FitError, EstimationError)
 
 # experiment name -> runner; `all` runs them in this order
 SUITES = {"lineworld": run_lineworld, "gaussian": run_gaussian,

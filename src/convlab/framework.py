@@ -13,10 +13,17 @@ is three-valued: CONVERGES and DIVERGES are only issued when an analytic
 oracle certifies what happens beyond the simulated horizon; everything
 else stays UNDETERMINED.  Oracles make the theorem-level checks exact
 while the empirical runs stay honest.
+
+The module imports no numpy: it also holds what config validation and
+the acceptance checks read of the numpy suites (their run errors,
+constants, normal quantiles and a polynomial's degree), so that a
+lineworld process never loads them.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -53,6 +60,39 @@ class OracleContradiction(RuntimeError):
     """A simulated trace disagrees with what the analytic oracle
     guarantees.  This must never happen for the built-in methods; it
     indicates a bug in either the oracle or the simulation."""
+
+
+class FitError(ValueError):
+    """Rank-deficient design or otherwise unusable least-squares fit (predsel)."""
+
+
+class EstimationError(ValueError):
+    """An interval estimator could not produce a positive interval (perrin)."""
+
+
+DIAG_TOL = 1e-12  # perrin: worlds this close to the diagonal count as on it
+PROBE_SIZES = (50, 100, 200, 400)  # predsel's unbiasedness-probe designs, smallest first
+DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))  # perrin's displacement observation times
+
+_STANDARD_NORMAL = statistics.NormalDist()
+
+
+def normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def normal_quantile(p: float) -> float:
+    """Inverse of the standard normal CDF; p must lie strictly between
+    0 and 1 (StatisticsError, a ValueError, otherwise)."""
+    return _STANDARD_NORMAL.inv_cdf(p)
+
+
+def poly_degree(coeffs) -> int:
+    """Degree of the polynomial with coefficients c_0 .. c_k: 0 for a constant."""
+    deg = len(coeffs) - 1
+    while deg > 0 and coeffs[deg] == 0.0:
+        deg -= 1
+    return deg
 
 
 @dataclass(frozen=True)

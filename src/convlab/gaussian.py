@@ -26,30 +26,13 @@ decision on one sample mean, are executable references in the tests
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .framework import ModeReport, OracleContradiction
+from .framework import ModeReport, OracleContradiction, normal_cdf, normal_quantile
 from .rand import substream
-
-
-# ---------------------------------------------------------------------------
-# normal distribution (stdlib: math.erfc and statistics.NormalDist)
-
-_STANDARD_NORMAL = statistics.NormalDist()
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF; p must lie strictly between
-    0 and 1 (StatisticsError, a ValueError, otherwise)."""
-    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .framework import (
+    DEFAULT_TIMES,
+    DIAG_TOL,
     ConvergenceRecord,
+    EstimationError,
     ModeReport,
     OracleContradiction,
     Status,
@@ -54,20 +57,14 @@ from .framework import (
     Verdict,
     check_stability,
     classify_convergence,
+    normal_quantile,
 )
-from .gaussian import normal_quantile
 from .lineworld import GridSpec, StreamSpec, interval_at
 from .rand import substream, substream_key, substreams
-
-DIAG_TOL = 1e-12
 
 # a world's status as a code: the domain map's plot codes
 CODES = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
 STATUSES = {code: status for status, code in CODES.items()}
-
-
-class EstimationError(ValueError):
-    """An interval estimator could not produce a positive interval."""
 
 
 @dataclass(frozen=True)
@@ -557,9 +554,6 @@ def underdetermination_ok(g: DomainGrid) -> bool:
 
 # ---------------------------------------------------------------------------
 # synthetic experiments and interval estimators
-
-
-DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))
 
 
 def _intervals(kind: str, na_true: float, const: float, size: int, rep_seeds,

@@ -31,11 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .framework import PROBE_SIZES, FitError, poly_degree  # PROBE_SIZES stays predsel.PROBE_SIZES
 from .rand import substream, substream_key, substreams
-
-
-class FitError(ValueError):
-    """Rank-deficient design or otherwise unusable least-squares fit."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +65,7 @@ class TruthSpec:
 
     @property
     def poly_degree(self) -> Optional[int]:
-        if self.kind != "poly":
-            return None
-        deg = len(self.coeffs) - 1
-        while deg > 0 and self.coeffs[deg] == 0.0:
-            deg -= 1
-        return deg
+        return poly_degree(self.coeffs) if self.kind == "poly" else None
 
 
 def poly_truth(coeffs, noise_sigma) -> TruthSpec:
@@ -285,7 +277,6 @@ class RegimeSummary:
 # Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
 # the default regime A added ~170 MiB to a run's peak memory.
 CHUNK = 64
-PROBE_SIZES = (50, 100, 200, 400)  # the designs a run's unbiasedness probes fit, smallest first
 # Floats per block of the probe's draws (3.2 MB), under numpy's 4 MiB hugepage
 # threshold at any reps: the default probes timed the same from 16,000 to 400,000,
 # and at degree 48 and 10**5 reps, where each block adds into a 39 MB sum, the

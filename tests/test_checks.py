@@ -9,6 +9,7 @@ import pytest
 
 from convlab import checks
 from convlab import gaussian as g
+from convlab import perrin as pr
 from convlab import predsel as ps
 from convlab.framework import ModeReport
 from convlab.perrin import ScoreSheet
@@ -51,6 +52,16 @@ GAUSSIAN_DOCTORED = {
     "gaussian_power": lambda rows: [row if (row[0], row[1], row[2]) != (BIC, 0.5, 1000)
                                     else (*row[:3], 0.99, None) for row in rows],
 }
+
+
+def test_bounds_keep_the_values_computed_through_the_suites():
+    # checks reads the normal quantile and the suites' constants without numpy
+    assert checks.PROBE_Z == g.normal_quantile(1.0 - checks.PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))
+    t, z = pr.DEFAULT_TIMES, g.normal_quantile(0.975)
+    slope = math.sqrt(2.0 * sum(x**4 for x in t)) / sum(x * x for x in t)
+    assert checks.ROOT_N_WIDTH == {"brownian": 2.0 * z * slope, "sediment": 2.0 * z * 1.0}
+    assert (checks.PROBE_Z, checks.ROOT_N_WIDTH["brownian"], checks.ROOT_N_WIDTH["sediment"]) == (
+        3.0233414397391534, 2.5451432356152246, 3.919927969080107)
 
 
 def test_gaussian_checks_pass_on_sound_rows():

@@ -3,8 +3,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -194,6 +198,55 @@ class TestSuites:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("run error: ")
         assert "despite certificate" in err and "Traceback" not in err
+
+
+class TestImportFootprint:
+    """Config validation imports the suites the config names, so a run pays their
+    import cost (numpy for all but lineworld) in set-up and loads no other suite."""
+
+    HEAVY = ("numpy", "convlab.rand", "convlab.gaussian", "convlab.perrin", "convlab.predsel")
+
+    def loaded(self, body: str) -> list:
+        """Which HEAVY modules a fresh interpreter holds where body calls seen()."""
+        script = textwrap.dedent(f"""\
+            import json, sys
+            from convlab import cli
+            def seen():
+                return sorted(m for m in {self.HEAVY!r} if m in sys.modules)
+            """) + textwrap.dedent(body)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def write_config(self, tmp_path) -> str:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "lineworld",
+                                   "lineworld": {"theta_step": 0.1, "horizon": 30}}))
+        return str(cfg)
+
+    def test_lineworld_check_run_loads_no_numpy(self, tmp_path):
+        assert self.loaded(f"""
+            code = cli.main(["--config", {self.write_config(tmp_path)!r}, "--check",
+                             "--out", {str(tmp_path / "out")!r}])
+            print(json.dumps([code, seen()]))
+            """) == [0, []]
+
+    def test_validation_loads_the_named_suite(self):
+        assert self.loaded("""
+            before = seen()
+            cli.validate_config('{"experiment": "perrin"}')
+            print(json.dumps([before, seen()]))
+            """) == [[], ["convlab.perrin", "convlab.rand", "numpy"]]
+
+    def test_experiment_override_loads_its_suite_before_run(self, tmp_path):
+        assert self.loaded(f"""
+            at_run = []
+            cli.run = lambda config, out_dir=None: at_run.append(seen()) or cli.RunOutcome(0, {{}})
+            code = cli.main(["--config", {self.write_config(tmp_path)!r}, "--experiment", "perrin"])
+            print(json.dumps([code, at_run]))
+            """) == [0, [["convlab.perrin", "convlab.rand", "numpy"]]]
 
 
 class TestRun:
@@ -426,6 +479,10 @@ class TestFlags:
         ({"experiment": "predsel", "predsel": {"regime_a_coeffs": [0.0] * 49 + [1.0],
                                                "regime_a_max_degree": 49}},
          "predsel.regime_a_coeffs"),
+        # trailing zeros do not raise the degree: 49 here as well
+        ({"experiment": "predsel", "predsel": {"regime_a_coeffs": [0.0] * 49 + [1.0, 0.0, -0.0],
+                                               "regime_a_max_degree": 63}},
+         "predsel.regime_a_coeffs"),
         ({"experiment": "predsel", "predsel": {"regime_a_sigma": 1e-300}},
          "predsel.regime_a_sigma"),
         ({"experiment": "predsel", "predsel": {"regime_b_sigma": 1e200}}, "predsel.regime_b_sigma"),
@@ -470,6 +527,7 @@ class TestFlags:
     ], ids=["n_grid", "mc_n_grid", "stream_schedule", "regime_a_n", "regime_b_n",
             "regime_a_n-1e12", "regime_b_n-1e12",
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
+            "truth-degree-49-trailing-zeros",
             "sigma-squared-underflow", "sigma-squared-overflow", "sigma-a-rounding",
             "sigma-b-rounding", "alpha-1e-16",
             "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
@@ -482,6 +540,15 @@ class TestFlags:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not out.exists()
+
+    def test_truth_degree_ignores_trailing_zeros(self, tmp_path, capsys):
+        sc = {"regime_a_coeffs": [1.0, 0.0, 0.0], "regime_a_max_degree": 0}
+        cli.check_consistency(cli.validate_config(json.dumps({"predsel": sc})))  # degree 0
+        sc = {"regime_a_coeffs": [0.0] * 49 + [2.0, 0.0], "regime_a_max_degree": 63}
+        assert run_cli(tmp_path, {"experiment": "predsel", "predsel": sc})[0] == 2
+        assert capsys.readouterr().err == (
+            "config error: predsel.regime_a_coeffs: the true model's degree 49 is above 48, the "
+            "most the unbiasedness probe fits on its smallest design, n = 50\n")
 
     @pytest.mark.parametrize("where", ["a-file", "under-a-file", "plots-a-file"])
     @pytest.mark.parametrize("field", ["--out", "out_dir"])

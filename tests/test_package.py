@@ -1,7 +1,8 @@
 """The package holds only code that runs: every top-level function and
 class in src/convlab is referenced from src/ or bench/.  Code that only
 the tests call (scalar references, derivations) lives in
-tests/reference.py instead."""
+tests/reference.py instead.  The modules a lineworld run loads import no
+numpy suite at module level."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,47 @@ def test_every_top_level_definition_is_referenced():
     assert SRC and not unused, (f"defined in src/convlab but referenced from neither src/ "
                                 f"nor bench/ (move test-only code to tests/reference.py): "
                                 f"{unused}")
+
+
+# what a lineworld run loads, and the numpy modules none of them may import at module level
+LIGHT = ("__init__", "framework", "lineworld", "cli", "checks")
+HEAVY = {"numpy", "rand", "gaussian", "perrin", "predsel"}
+
+
+def module_level_imports(source: str):
+    """(line, module) for each import that runs when the source is imported:
+    all but those inside a function.  A convlab module is named by its stem,
+    any other by its top-level package."""
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and _module(node) is None:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [_module(node)] if _module(node) else [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            yield node.lineno, parts[1] if parts[0] == "convlab" and len(parts) > 1 else parts[0]
+
+
+def test_guard_sees_module_level_imports_only():
+    source = ("import numpy.linalg\nfrom . import perrin as pr\nfrom .rand import substream\n"
+              "from convlab import gaussian\nif True:\n    import convlab.predsel\n"
+              "def f():\n    import numpy\n    from . import perrin\n")
+    assert sorted(module_level_imports(source)) == [
+        (1, "numpy"), (2, "perrin"), (3, "rand"), (4, "gaussian"), (6, "predsel")]
+
+
+def test_lineworld_path_imports_no_numpy_suite_at_module_level():
+    paths = [ROOT / "src" / "convlab" / f"{stem}.py" for stem in LIGHT]
+    found = [f"{path.name}:{line} imports {name}" for path in paths
+             for line, name in module_level_imports(path.read_text(encoding="utf-8"))
+             if name in HEAVY]
+    assert not found, f"the lineworld path would load numpy: {found}"

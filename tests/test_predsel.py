@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab import cli
 from convlab import predsel as ps
+from convlab.framework import poly_degree
 from convlab.rand import substream, substream_key
 
 import reference as ref
@@ -226,6 +227,18 @@ class TestTruthSpec:
     def test_poly_degree_strips_zero_lead(self):
         assert ps.poly_truth((1.0, 2.0, 0.0), 1.0).poly_degree == 1
         assert ps.abs_truth(1.0).poly_degree is None
+
+    @given(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8))
+    @example([1.0, 0.0, 0.0])
+    @example([2.0, -1.0, -0.0])
+    @example([0.0, 0.0, 0.0])
+    @example([-0.0])
+    @example([3.0])
+    def test_numpy_free_poly_degree_matches_truth_spec(self, coeffs):
+        # config validation reads the degree without building a numpy TruthSpec
+        highest = max((i for i, c in enumerate(coeffs) if c != 0.0), default=0)
+        assert poly_degree(coeffs) == ps.poly_truth(coeffs, 1.0).poly_degree == highest
 
     def test_breakpoints(self):
         assert ps.abs_truth(1.0).breakpoints() == (0.0,)
