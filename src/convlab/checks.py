@@ -12,18 +12,18 @@ from __future__ import annotations
 import math
 
 from . import lineworld as lw
-from .framework import DEFAULT_TIMES, PROBE_SIZES, normal_quantile
+from .framework import CONFIDENCE, DEFAULT_TIMES, PROBE_SIZES, normal_quantile
 
 MC_FLOOR = 0.004  # absolute MC tolerance of the fixed-z levels, below 4 se at small trials
 MC_Z = 4.0  # the Wilson interval's width in standard errors
 BIC_TARGETS = {100: 0.968, 10**4: 0.9976, 10**6: 0.9998}
 PROBE_ALPHA = 0.01  # family-wise rate at which predsel_unbiasedness fails a sound estimator
 PROBE_Z = normal_quantile(1.0 - PROBE_ALPHA / (2 * len(PROBE_SIZES)))  # Bonferroni, ~3.02
-# a 95% interval's width about na = 1 at sample size m, times sqrt(m), to first order:
+# a CONFIDENCE interval's width about na = 1 at sample size m, times sqrt(m), to first order:
 # 2 z s, where s / sqrt(m) is the estimator's relative se, 1 for the rate MLE and
 # sqrt(2 sum t^4) / sum t^2 for the least-squares msd slope (perrin._intervals)
-_T = DEFAULT_TIMES
-ROOT_N_WIDTH = {kind: 2.0 * normal_quantile(0.975) * s for kind, s in (
+_T, _Z = DEFAULT_TIMES, normal_quantile(1.0 - (1.0 - CONFIDENCE) / 2.0)
+ROOT_N_WIDTH = {kind: 2.0 * _Z * s for kind, s in (
     ("brownian", math.sqrt(2.0 * sum(t**4 for t in _T)) / sum(t * t for t in _T)),
     ("sediment", 1.0))}
 
@@ -194,11 +194,11 @@ def check_perrin_theorem(sheets: dict, underdetermination: dict):
 
 def check_perrin_estimators(coverage: dict, m: int):
     """coverage: estimator kind -> {"coverage", "mean_width", "reps"} of the run's
-    coverage_study at na = 1, confidence 0.95 and sample size m.  Each kind covers at
-    least 0.93 of its reps, and its mean width is ROOT_N_WIDTH / sqrt(m) to within a
-    relative 0.05 + 3 / m (second-order terms: m / (m - 1) for the rate, about
-    1 + 2 / m for the slope) + 4 / sqrt(m * reps) (4 se of a mean of reps widths,
-    each of relative sd about 1 / sqrt(m))."""
+    coverage_study at na = 1, confidence CONFIDENCE and sample size m.  Each kind covers
+    at least 0.93 of its reps (a bar set for 95% intervals), and its mean width is
+    ROOT_N_WIDTH / sqrt(m) to within a relative 0.05 + 3 / m (second-order terms:
+    m / (m - 1) for the rate, about 1 + 2 / m for the slope) + 4 / sqrt(m * reps) (4 se
+    of a mean of reps widths, each of relative sd about 1 / sqrt(m))."""
     ok = bool(coverage) and all(c["coverage"] >= 0.93 for c in coverage.values())
     for kind, c in coverage.items():
         ratio = c["mean_width"] * math.sqrt(m) / ROOT_N_WIDTH[kind]

@@ -28,8 +28,8 @@ from typing import Optional
 
 from . import __version__, checks
 from . import lineworld as lw
-from .framework import (DIAG_TOL, PROBE_SIZES, EstimationError, FitError, OracleContradiction,
-                        Status, StreamError, poly_degree)
+from .framework import (CONFIDENCE, DIAG_TOL, PROBE_SIZES, EstimationError, FitError,
+                        OracleContradiction, Status, StreamError, poly_degree)
 from .lineworld import GridSpec, StreamSpec
 
 
@@ -81,8 +81,6 @@ def _numlist(item_check, increasing=False):
 
 
 def _experiment(v, path):
-    """The named suites, each imported here: a suite's import cost (numpy for all but
-    lineworld) lands in config validation, and a run loads only the suites it names."""
     names = list(EXPERIMENTS) if v == "all" else [v] if isinstance(v, str) else v
     if not isinstance(names, list):
         raise ConfigError(f"{path}: expected a name or list of names")
@@ -91,7 +89,6 @@ def _experiment(v, path):
             raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
         if x in names[:i]:
             raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
-        importlib.import_module(f".{x}", __package__)
     return list(names)
 
 
@@ -315,9 +312,16 @@ def check_consistency(config: dict) -> None:
                               f"not noise")
 
 
-def validate_config(raw_text: str) -> dict:
-    """Parse and fully default a JSON config; unknown keys and
-    out-of-range values are rejected with field diagnostics."""
+# command-line flag -> the config field it overrides, applied in this order
+FLAGS = {"seed": ("seed",), "experiment": ("experiment",), "check": ("check",),
+         "grid_step": ("perrin", "grid_step"), "horizon": ("perrin", "horizon"),
+         "trials": ("gaussian", "mc_trials"), "format": ("format",)}
+
+
+def validate_config(raw_text: str, flags: Optional[dict] = None) -> dict:
+    """The config a run takes: the JSON text through SCHEMA, then each FLAGS flag not None
+    in `flags` through its field's checker under the flag's name, then check_consistency,
+    then one import of each suite `experiment` names, so set-up pays for exactly those."""
     try:
         raw = json.loads(raw_text)
     except json.JSONDecodeError as exc:
@@ -326,7 +330,18 @@ def validate_config(raw_text: str) -> dict:
         raise ConfigError(f"config parse error: {exc}")
     except RecursionError:
         raise ConfigError("config parse error: arrays or objects nested too deeply")
-    return _apply_schema(raw, SCHEMA)
+    config, flags = _apply_schema(raw, SCHEMA), flags or {}
+    for flag, (*sections, key) in FLAGS.items():
+        value = flags.get(flag)
+        if value is not None:
+            section, schema = config, SCHEMA
+            for name in sections:
+                section, schema = section[name], schema[name]
+            section[key] = schema[key][1](value, "--" + flag.replace("_", "-"))
+    check_consistency(config)
+    for name in config["experiment"]:
+        importlib.import_module(f".{name}", __package__)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +438,7 @@ def run_gaussian(cfg: dict, out: Outputs):
         "modes": modes,
         "curve_rows": len(rows),
     }
-    results = checks.check_gaussian_levels(rows, gc["mc_trials"]) if cfg["check"] else []
-    return summary, results
+    return summary, checks.check_gaussian_levels(rows, gc["mc_trials"])
 
 
 def run_lineworld(cfg: dict, out: Outputs):
@@ -465,8 +479,7 @@ def run_lineworld(cfg: dict, out: Outputs):
         "uniform_refutations": uniform,
         "razor_probe": razor,
     }
-    results = checks.check_lineworld_suite(summary) if cfg["check"] else []
-    return summary, results
+    return summary, checks.check_lineworld_suite(summary)
 
 
 def run_predsel(cfg: dict, out: Outputs):
@@ -491,8 +504,7 @@ def run_predsel(cfg: dict, out: Outputs):
 
     probes = {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
               for n in PROBE_SIZES}
-    results = (checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
-               if cfg["check"] else [])
+    results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
     summary = {
         "true_model_in_set": {
             "correct_frequency_aic": a.correct_frequency_aic,
@@ -557,13 +569,13 @@ def run_perrin(cfg: dict, out: Outputs):
     coverage = {}
     for kind, const in (("brownian", 2.0), ("sediment", 2.0)):
         res = pr.coverage_study(kind, 1.0, const, pc["coverage_size"],
-                                pc["coverage_reps"], 0.95, seed)
+                                pc["coverage_reps"], CONFIDENCE, seed)
         coverage[kind] = {"coverage": res.coverage, "mean_width": res.mean_width,
                           "reps": res.reps}
 
     streams = {}
     for label, (na, nb) in (("diagonal", (1.0, 1.0)), ("off_diagonal", (0.8, 1.2))):
-        sr = pr.experimental_stream(na, nb, pc["stream_schedule"], 0.95, seed)
+        sr = pr.experimental_stream(na, nb, pc["stream_schedule"], CONFIDENCE, seed)
         verdicts = [v.value for v in pr.decide_prisms(pr.ockham_method(), sr.prisms)]
         streams[label] = {"stages": len(sr.prisms), "flagged_stage": sr.flagged_stage,
                           "ockham_verdicts": verdicts}
@@ -574,11 +586,8 @@ def run_perrin(cfg: dict, out: Outputs):
         "coverage": coverage,
         "experimental_streams": streams,
     }
-    results = []
-    if cfg["check"]:
-        results = (checks.check_perrin_theorem(sheets, underdet)
-                   + checks.check_perrin_estimators(coverage, pc["coverage_size"]))
-    return summary, results
+    return summary, (checks.check_perrin_theorem(sheets, underdet)
+                     + checks.check_perrin_estimators(coverage, pc["coverage_size"]))
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +610,10 @@ class RunOutcome:
 
 
 def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
+    """Run a config validate_config settled; only under `check` do the runners' verdicts
+    go to summary.json, print and set the exit code."""
     start = time.perf_counter()
     out = Outputs(Path(out_dir or config["out_dir"]), config["format"])
-    check_consistency(config)
     summary = {"experiments": config["experiment"], "seed": config["seed"], "version": __version__}
     check_results = []
 
@@ -625,7 +635,8 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
 
     for name in config["experiment"]:
         summary[name], results = SUITES[name](config, out)
-        check_results += results
+        if config["check"]:
+            check_results += results
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}
@@ -655,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--experiment", type=str, default=None,
                         help="|".join((*SUITES, "all")))
-    parser.add_argument("--check", action="store_true",
+    parser.add_argument("--check", action="store_const", const=True, default=None,
                         help="enforce acceptance checks via exit code")
     parser.add_argument("--grid-step", type=float, default=None,
                         help="override the perrin grid step")
@@ -679,22 +690,7 @@ def main(argv=None) -> int:
         print(f"config error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     try:
-        config = validate_config(raw_text)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.experiment is not None:
-            config["experiment"] = _experiment(args.experiment, "--experiment")
-        if args.check:
-            config["check"] = True
-        for flag, suite, key in (("grid_step", "perrin", "grid_step"),
-                                 ("horizon", "perrin", "horizon"),
-                                 ("trials", "gaussian", "mc_trials")):
-            value = getattr(args, flag)
-            if value is not None:  # bounded by the field's own SCHEMA checker
-                config[suite][key] = SCHEMA[suite][key][1](value, "--" + flag.replace("_", "-"))
-        if args.format is not None:
-            config["format"] = args.format
-        outcome = run(config, out_dir=args.out)
+        outcome = run(validate_config(raw_text, vars(args)), out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -73,6 +73,7 @@ class EstimationError(ValueError):
 DIAG_TOL = 1e-12  # perrin: worlds this close to the diagonal count as on it
 PROBE_SIZES = (50, 100, 200, 400)  # predsel's unbiasedness-probe designs, smallest first
 DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))  # perrin's displacement observation times
+CONFIDENCE = 0.95  # level of perrin's estimator intervals: coverage studies and streams
 
 _STANDARD_NORMAL = statistics.NormalDist()
 

@@ -248,6 +248,77 @@ class TestImportFootprint:
             print(json.dumps([code, at_run]))
             """) == [0, [["convlab.perrin", "convlab.rand", "numpy"]]]
 
+    @pytest.mark.parametrize("config", [None, {"experiment": "all"}], ids=["no-config", "all"])
+    def test_lineworld_override_loads_no_other_suite(self, tmp_path, config):
+        # the override replaces the list before any suite is imported, whether the
+        # `all` it replaces is the default or the config file's
+        flags = ["--experiment", "lineworld", "--check", "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            flags += ["--config", str(tmp_path / "config.json")]
+        assert self.loaded(f"""
+            code = cli.main({flags!r})
+            print(json.dumps([code, seen()]))
+            """) == [0, []]
+
+
+class TestFlagTable:
+    """cli.FLAGS drives every flag: each sets one SCHEMA field, checked by that field's
+    own checker under the flag's name, before the contradictions and the imports."""
+
+    BASE = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1, "horizon": 30},
+            "gaussian": {"mc_trials": 1000, "mc_n_grid": [10]}}
+    # a value the field's checker rejects (argparse's own type and choices aside)
+    BAD = {"seed": 0.5, "experiment": "x", "grid_step": 0.0, "horizon": 0, "trials": 10}
+    # a valid argv value, and the value the manifest echoes for it
+    GOOD = {"seed": ("3", 3), "experiment": ("gaussian", ["gaussian"]), "check": (None, True),
+            "grid_step": ("0.25", 0.25), "horizon": ("20", 20), "trials": ("2000", 2000),
+            "format": ("json", "json")}
+
+    @staticmethod
+    def option(flag):
+        return "--" + flag.replace("_", "-")
+
+    @pytest.mark.parametrize("flag", list(cli.FLAGS))
+    def test_flag_sets_a_schema_leaf(self, flag):
+        assert cli.FLAGS[flag] in set(schema_leaves(cli.SCHEMA))
+        assert flag in {a.dest for a in cli.build_parser()._actions}
+
+    @pytest.mark.parametrize("flag", sorted(set(cli.FLAGS) - {"format", "check"}))
+    def test_out_of_range_flag_exit_two(self, tmp_path, capsys, flag):
+        # --format is refused by argparse's choices first, and --check takes no value
+        with pytest.raises(cli.ConfigError, match=f"^{self.option(flag)}: "):
+            cli.validate_config("{}", {flag: self.BAD[flag]})
+        if flag == "seed":  # argparse hands the checker an int, which every seed is
+            return
+        code, out = run_cli(tmp_path, self.BASE, self.option(flag), str(self.BAD[flag]))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {self.option(flag)}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", list(cli.FLAGS))
+    def test_flag_value_reaches_the_manifest(self, tmp_path, flag):
+        value, echoed = self.GOOD[flag]
+        code, out = run_cli(tmp_path, self.BASE, self.option(flag),
+                            *([] if value is None else [value]))
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        for key in cli.FLAGS[flag]:
+            config = config[key]
+        assert config == echoed
+
+    def test_config_check_holds_without_the_flag(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, {**self.BASE, "check": True})
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["check"] is True
+        assert "lineworld_razor_probe" in json.loads((out / "summary.json").read_text())["checks"]
+        assert "check lineworld_razor_probe: PASS" in capsys.readouterr().out
+
+    def test_validation_alone_rejects_a_contradiction(self):
+        # what bench/worker.py calls before cli.run: the config never reaches a run
+        with pytest.raises(cli.ConfigError, match=r"^perrin\.ratio: .* above the limit"):
+            cli.validate_config(json.dumps({"experiment": "perrin", "perrin": {"ratio": 0.9999}}))
+
 
 class TestRun:
     def test_artifacts_and_schemas(self, tmp_path):
@@ -820,6 +891,15 @@ class TestFlags:
 
 
 class TestChecksJudgeTheRun:
+    @pytest.mark.parametrize("name", list(cli.SUITES))
+    def test_runner_returns_its_verdicts_without_reading_check(self, tmp_path, name):
+        # only run reads `check`: a runner judges its results whatever it says
+        config = cli.validate_config(json.dumps({**TestWritePath.CONFIG, "experiment": name}))
+        del config["check"]
+        (tmp_path / "plots").mkdir()
+        _, results = cli.SUITES[name](config, cli.Outputs(tmp_path, "csv"))
+        assert results and all(check.startswith(name) for check, _, _ in results)
+
     def test_perrin_studies_coverage_once_per_kind(self, tmp_path, monkeypatch):
         # --check judges the widths the run's own two studies computed
         studied = []

@@ -458,6 +458,13 @@ class TestRefuteUniform:
 
 
 class TestRazorProbe:
+    def test_default_budget_searches_the_whole_design(self):
+        # 6 worlds x 5 streams, each history cut off once 0 leaves its interval: 369
+        # histories, so NONE_FOUND at the default budget covers every one of them
+        design = list(lw._candidate_histories(10**9))
+        assert len(design) == 369 <= BUDGET
+        assert [len(h) for h in lw._candidate_histories(368)] == [len(h) for h in design[:368]]
+
     def test_threshold_rule_obeys_razor(self):
         assert lw.razor_necessity_probe(lw.mstar_method(), BUDGET).consequence == "NONE_FOUND"
 
