@@ -284,6 +284,16 @@ def check_consistency(config: dict) -> None:
             raise ConfigError(f"{suite}.ratio: {c['ratio']} makes the oracle step through about "
                               f"{stages:.3g} stages down to the gap {gap:.3g} (delta0={c['delta0']}), "
                               f"above the limit of {MAX_ORACLE_STAGES}")
+    gc = config["gaussian"]  # a fixed-z rule fails PROB_ONE only at theta 0 and alpha < 1 - cap
+    if "gaussian" in config["experiment"]:
+        from . import gaussian as g
+        cap = max(g.level_cap(g.aic_rule()), g.level_cap(g.confidence_rule_95()))
+        if 0.0 not in gc["theta_grid"]:
+            raise ConfigError(f"gaussian.theta_grid: {reprlib.repr(gc['theta_grid'])} has no 0, "
+                              f"where alone the fixed-z rules fail PROB_ONE")
+        if not any(cap < 1.0 - alpha for alpha in gc["alpha_grid"]):
+            raise ConfigError(f"gaussian.alpha_grid: {reprlib.repr(gc['alpha_grid'])} has no alpha "
+                              f"below 1 - {cap!r}, the highest fixed-z level cap")
     sc = config["predsel"]
     degree = poly_degree(sc["regime_a_coeffs"])
     if degree + 2 > PROBE_SIZES[0]:
@@ -392,6 +402,10 @@ class Outputs:
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
+
+    def cell(self, x: float):
+        """A float as the tabular files write it: csv.writer's repr, or the float in JSON."""
+        return x if self.fmt == "json" else repr(x)
 
     def emit_rows(self, base: str, header, rows) -> None:
         if self.fmt == "json":
@@ -544,25 +558,23 @@ def run_perrin(cfg: dict, out: Outputs):
     pc, seed = cfg["perrin"], cfg["seed"]
     grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
     spec = StreamSpec(pc["delta0"], pc["ratio"])
-    sheets = {m.kind: pr.score_sheet(m, grid, spec, pc["horizon"]) for m in perrin_methods(pc)}
-
+    methods = perrin_methods(pc)
+    sheets = dict(zip((m.kind for m in methods), pr.score_sheets(methods, grid, spec, pc["horizon"])))
+    axis = [out.cell(x) for x in grid.axis()]  # each sheet's coarse domain axis
+    worlds = [("plane", a, b) for a in axis for b in axis] + [("strand", a, a) for a in axis]
+    labels = {code: status.value for code, status in pr.STATUSES.items()}
     for kind, s in sheets.items():
-        cells = s.domain.cells()
+        codes, settle = s.domain.codes.tolist(), s.domain.settle.tolist()
         out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
-                      ((c, a, b, status.value, settle) for c, a, b, status, settle in cells))
+                      ((*w, labels[c], t if t >= 0 else None)
+                       for w, c, t in zip(worlds, codes, settle)))
         if cfg["plots"]:
             out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
-                          ((c, a, b, pr.CODES[status]) for c, a, b, status, _ in cells))
+                          ((*w, c) for w, c in zip(worlds, codes)))
 
-    scoresheet = {
-        kind: {
-            "ae": _report_to_dict(s.ae),
-            "maximal": _report_to_dict(s.maximal),
-            "stable": _report_to_dict(s.stable),
-            "fractions": s.fractions,
-        }
-        for kind, s in sheets.items()
-    }
+    scoresheet = {kind: {"ae": _report_to_dict(s.ae), "maximal": _report_to_dict(s.maximal),
+                         "stable": _report_to_dict(s.stable), "fractions": s.fractions}
+                  for kind, s in sheets.items()}
     underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
     out.emit_json("scoresheet.json", scoresheet)
 

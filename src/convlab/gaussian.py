@@ -182,11 +182,13 @@ def classify_mode(rule: TestRule, curves, alpha_grid):
 
     curves is [(theta, curve_analytic pairs), ...] in theta-grid order.
     HIGH_PROB is judged at the first alpha in alpha_grid (the operative
-    level); PROB_ONE requires every alpha in the grid and, analytically,
-    a theta = 0 level that actually climbs to 1 (fixed-z rules cap at
-    2*Phi(z) - 1 and can never pass).  Returns a dict with the two
-    ModeReports.  Each (theta, alpha) certificate is computed once, and
-    every curve is checked against it.
+    level); PROB_ONE at every alpha in the grid.  Every witness is a
+    (theta, alpha) pair of the grids: a fixed-z rule, whose theta = 0
+    level caps at 2*Phi(z) - 1, fails PROB_ONE only where they hold theta
+    = 0 and an alpha below 1 - cap, which cli.check_consistency requires
+    of a run.  Returns a dict with the two ModeReports.  Each (theta,
+    alpha) certificate is computed once, and every curve is checked
+    against it.
     """
     if not curves or not alpha_grid or not all(pairs for _, pairs in curves):
         raise ValueError("grids must be non-empty")
@@ -211,11 +213,5 @@ def classify_mode(rule: TestRule, curves, alpha_grid):
     hp_failures = failures(alpha_grid[0])
     high_prob = ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures))
     po_failures = [f for alpha in alpha_grid for f in failures(alpha)]
-    if cap is not None and not po_failures:
-        # capped level: exhibit an alpha below the cap's slack
-        alpha_fail = (1.0 - cap) / 2.0
-        po_failures.append(
-            {"theta": 0.0, "alpha": alpha_fail, "cap": cap, "rule": rule.label()}
-        )
     prob_one = ModeReport("PROB_ONE", not po_failures, tuple(po_failures))
     return {"HIGH_PROB": high_prob, "PROB_ONE": prob_one}

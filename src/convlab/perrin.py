@@ -29,7 +29,9 @@ gets the kind's triggered verdict.  One kernel, _verdicts, applies the
 table to scalars or to columns of prisms, and the analytic oracle,
 asymptotic_oracle, reads the same table: it takes the columns of any
 number of worlds and returns each world's certified stage, -1 where the
-method never settles on the truth.
+method never settles on the truth.  The methods share the worlds and
+streams, so one sweep per stream serves them all (score_sheets), and
+the run renders the domain coordinates once per output format.
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the one interval kernel that coverage studies and the
@@ -38,6 +40,7 @@ experimental streams bridging them to prism evidence share.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -189,28 +192,30 @@ def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> Str
     return StreamTrace(w.world_id, prisms, decide_prisms(m, prisms))
 
 
-def _sweep(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
-    """`trace` for every world (na, na_prime, z == 1) at once: one array
-    pass per stage, with the endpoints interval_at adds (spec.bounds), so
-    every prism is bit for bit the scalar one.  Only O(worlds) state is kept.
-    Returns per world the empirical settle stage (horizon when the trace
-    does not end on the truth) and the first stage j whose verdict
+def _sweep(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, horizon: int):
+    """`trace` for every method and world (na, na_prime, z == 1) at once: one
+    array pass per stage builds and checks the prisms, with the endpoints
+    interval_at adds (spec.bounds), so each is bit for bit the scalar one, and
+    every method reads them.  Only O(methods x worlds) state is kept.  Returns
+    per method (rows) and world the empirical settle stage (horizon when the
+    trace does not end on the truth) and the first stage j whose verdict
     retracts a true answer given before it (horizon when none), which is
     what classify_convergence and check_stability read off a trace."""
     truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
-    settle = np.zeros(len(a), dtype=np.int64)
-    retract = np.full(len(a), horizon, dtype=np.int64)
-    seen = np.zeros(len(a), dtype=bool)
+    settle = np.zeros((len(methods), len(a)), dtype=np.int64)
+    retract = np.full(settle.shape, horizon, dtype=np.int64)
+    seen = np.zeros(settle.shape, dtype=bool)
     for t in range(horizon):
         below, above = spec.bounds(t)
         xlo, xhi, ylo, yhi = a + below, a + above, b + below, b + above
         if not (all(np.isfinite(e).all() for e in (xlo, xhi, ylo, yhi))
                 and (xlo < xhi).all() and (ylo < yhi).all()):
             raise StreamError(f"degenerate prism at stage {t}")
-        hit = _verdicts(m, xlo, xhi, ylo, yhi) == truth
-        settle[~hit] = t + 1
-        retract[~hit & seen & (retract == horizon)] = t
-        seen |= hit
+        for i, m in enumerate(methods):
+            miss = _verdicts(m, xlo, xhi, ylo, yhi) != truth
+            settle[i][miss] = t + 1
+            retract[i][miss & seen[i] & (retract[i] == horizon)] = t
+            seen[i] |= ~miss
     return settle, retract
 
 
@@ -283,24 +288,26 @@ def asymptotic_oracle(m: PerrinMethod, a, b, strand, spec: StreamSpec):
     return settle
 
 
-def _classify(m: PerrinMethod, a, b, strand, spec: StreamSpec, horizon: int):
-    """classify_convergence's status rule for every world at once: status
-    codes (CODES) and empirical settle stages (-1 unless CONVERGES), from
-    one _sweep upgraded by asymptotic_oracle.  A swept settle stage after
-    the oracle's raises OracleContradiction naming the first such world."""
+def _classify(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, horizon: int):
+    """classify_convergence's status rule for every world, yielded per method:
+    status codes (CODES) and empirical settle stages (-1 unless CONVERGES),
+    from one _sweep upgraded by the method's asymptotic_oracle.  A swept
+    settle stage after the oracle's raises OracleContradiction naming the
+    first such world, when that method's item is reached."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    settle, _ = _sweep(m, a, b, strand, spec, horizon)
-    by = asymptotic_oracle(m, a, b, strand, spec)
-    known = (by >= 0) & (by < horizon)
-    bad = np.flatnonzero(known & (settle > by))
-    if bad.size:
-        i = bad[0]
-        w = PastaWorld(float(a[i]), float(b[i]), int(strand[i]))
-        raise OracleContradiction(f"world {w.world_id}: oracle guarantees truth from stage "
-                                  f"{by[i]} but the trace shows otherwise")
-    codes = np.where(by < 0, 0, np.where(known, 1, -1))
-    return codes, np.where(codes == 1, settle, -1)
+    settles, _ = _sweep(methods, a, b, strand, spec, horizon)
+    for m, settle in zip(methods, settles):
+        by = asymptotic_oracle(m, a, b, strand, spec)
+        known = (by >= 0) & (by < horizon)
+        bad = np.flatnonzero(known & (settle > by))
+        if bad.size:
+            i = bad[0]
+            w = PastaWorld(float(a[i]), float(b[i]), int(strand[i]))
+            raise OracleContradiction(f"world {w.world_id}: oracle guarantees truth from stage "
+                                      f"{by[i]} but the trace shows otherwise")
+        codes = np.where(by < 0, 0, np.where(known, 1, -1))
+        yield codes, np.where(codes == 1, settle, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +348,6 @@ class DomainGrid:
         codes = self.plane if component == "plane" else self.strand
         return int(np.count_nonzero(codes == CODES[status])) / len(codes)
 
-    def cells(self):
-        """(component, a, b, status, settle stage or None) per world: the
-        rows of domain_<method>.csv."""
-        worlds = [("plane", a, b) for a in self.axis for b in self.axis]
-        worlds += [("strand", a, a) for a in self.axis]
-        return [(*w, STATUSES[c], s if s >= 0 else None)
-                for w, c, s in zip(worlds, self.codes.tolist(), self.settle.tolist())]
-
 
 def plane_world(a: float, b: float) -> PastaWorld:
     return PastaWorld(na=a, na_prime=b, z=0)
@@ -366,18 +365,23 @@ def classify_world(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: in
     return classify_convergence(tr, w.truth, int(settle_by))
 
 
-def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
-                          horizon: int) -> DomainGrid:
-    """Status codes and settle stages for both components, simulated over
-    canonical streams and upgraded by the analytic oracle, from arrays of
-    the axis: no world object is built."""
+def domains_of_convergence(methods: Sequence[PerrinMethod], grid: GridSpec, spec: StreamSpec,
+                           horizon: int):
+    """Per method, as _classify yields it, status codes and settle stages for
+    both components, simulated over canonical streams and upgraded by the
+    analytic oracle, from arrays of the axis: no world object is built."""
     axis = grid.axis()
     n = len(axis)
     values = np.array(axis, dtype=float)
-    codes, settle = _classify(m, np.concatenate([np.repeat(values, n), values]),
-                              np.concatenate([np.tile(values, n), values]),
-                              np.arange(n * n + n) >= n * n, spec, horizon)
-    return DomainGrid(axis, codes, settle)
+    for codes, settle in _classify(methods, np.concatenate([np.repeat(values, n), values]),
+                                   np.concatenate([np.tile(values, n), values]),
+                                   np.arange(n * n + n) >= n * n, spec, horizon):
+        yield DomainGrid(axis, codes, settle)
+
+
+def domain_of_convergence(m: PerrinMethod, grid: GridSpec, spec: StreamSpec,
+                          horizon: int) -> DomainGrid:
+    return next(domains_of_convergence([m], grid, spec, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +483,35 @@ def default_stability_worlds(grid: GridSpec) -> list:
     return worlds
 
 
+def stability_scans(methods: Sequence[PerrinMethod], worlds: Sequence[PastaWorld],
+                    specs: Sequence[StreamSpec], horizon: int) -> list:
+    """Scan sampled worlds and stream variants for a retraction of the
+    true answer, one report per method; each witness carries full replay
+    parameters.  Every stream variant is swept once; a method's first ten
+    failures, world-major, are replayed through the scalar trace."""
+    columns = _world_arrays(worlds)
+    retracted = np.zeros((len(methods), len(worlds), len(specs)), dtype=bool)
+    for j, spec in enumerate(specs):
+        retracted[:, :, j] = _sweep(methods, *columns, spec, horizon)[1] < horizon
+    reports = []
+    for m, failed in zip(methods, retracted):
+        witnesses = []
+        for iw, js in np.argwhere(failed)[:10].tolist():
+            w, spec = worlds[iw], specs[js]
+            tr = trace(m, w, spec, horizon)
+            _, pair = check_stability(tr, w.truth)
+            witnesses.append(
+                {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
+                 "stream": spec.label(), "stage_pair": pair,
+                 "verdicts": [v.value for v in tr.verdicts]}
+            )
+        reports.append(ModeReport("STABILITY", not witnesses, tuple(witnesses)))
+    return reports
+
+
 def stability_scan(m: PerrinMethod, worlds: Sequence[PastaWorld],
                    specs: Sequence[StreamSpec], horizon: int) -> ModeReport:
-    """Scan sampled worlds and stream variants for a retraction of the
-    true answer; each witness carries full replay parameters.  Every
-    stream variant is swept once; the first ten failures, world-major,
-    are replayed through the scalar trace to build their witnesses."""
-    columns = _world_arrays(worlds)
-    retracted = np.zeros((len(worlds), len(specs)), dtype=bool)
-    for j, spec in enumerate(specs):
-        retracted[:, j] = _sweep(m, *columns, spec, horizon)[1] < horizon
-    witnesses = []
-    for iw, js in np.argwhere(retracted)[:10].tolist():
-        w, spec = worlds[iw], specs[js]
-        tr = trace(m, w, spec, horizon)
-        _, pair = check_stability(tr, w.truth)
-        witnesses.append(
-            {"world": w.world_id, "z": w.z, "na": w.na, "na_prime": w.na_prime,
-             "stream": spec.label(), "stage_pair": pair,
-             "verdicts": [v.value for v in tr.verdicts]}
-        )
-    return ModeReport("STABILITY", not witnesses, tuple(witnesses))
+    return stability_scans([m], worlds, specs, horizon)[0]
 
 
 @dataclass(frozen=True)
@@ -523,23 +535,28 @@ def stability_spec_variants(base: StreamSpec) -> list:
     ]
 
 
-def score_sheet(m: PerrinMethod, grid: GridSpec, spec: StreamSpec, horizon: int) -> ScoreSheet:
-    """Aggregate the three criteria for one method.
-
-    Only the refined grid is swept; the coarse grid is its coarse() view.
-    The sheet keeps the coarse grid and lets the refined one go.
-    """
-    g2 = domain_of_convergence(m, grid.halved(), spec, horizon)
-    g = g2.coarse()
-    ae = ae_check(g2)
-    maximal = maximality_check(g)
-    stable = stability_scan(m, default_stability_worlds(grid), stability_spec_variants(spec),
+def score_sheets(methods: Sequence[PerrinMethod], grid: GridSpec, spec: StreamSpec,
+                 horizon: int) -> list:
+    """The three criteria per method, from one sweep of the refined grid and
+    one per stream variant; a sheet keeps the coarse() view of its refined
+    grid.  The first error is that of one method at a time: the first
+    method's oracle contradiction comes before the stability sweeps."""
+    refined = domains_of_convergence(methods, grid.halved(), spec, horizon)
+    first = next(refined)
+    scans = stability_scans(methods, default_stability_worlds(grid), stability_spec_variants(spec),
                             horizon)
-    return ScoreSheet(
-        method=m.label(), ae=ae, maximal=maximal, stable=stable,
-        fractions={"coarse": ae_fractions(g), "refined": ae_fractions(g2)},
-        domain=g,
-    )
+    sheets = []
+    for m, g2, stable in zip(methods, itertools.chain([first], refined), scans):
+        g = g2.coarse()
+        sheets.append(ScoreSheet(
+            method=m.label(), ae=ae_check(g2), maximal=maximality_check(g), stable=stable,
+            fractions={"coarse": ae_fractions(g), "refined": ae_fractions(g2)}, domain=g,
+        ))
+    return sheets
+
+
+def score_sheet(m: PerrinMethod, grid: GridSpec, spec: StreamSpec, horizon: int) -> ScoreSheet:
+    return score_sheets([m], grid, spec, horizon)[0]
 
 
 def underdetermination_ok(g: DomainGrid) -> bool:

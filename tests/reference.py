@@ -96,9 +96,6 @@ def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
 
     hp_failures = failures(alpha_grid[0])
     po_failures = [f for alpha in alpha_grid for f in failures(alpha)]
-    if cap is not None and not po_failures:
-        po_failures.append({"theta": 0.0, "alpha": (1.0 - cap) / 2.0, "cap": cap,
-                            "rule": rule.label()})
     return {"HIGH_PROB": ModeReport("HIGH_PROB", not hp_failures, tuple(hp_failures)),
             "PROB_ONE": ModeReport("PROB_ONE", not po_failures, tuple(po_failures))}
 
@@ -140,6 +137,15 @@ def decide_latest(m: pr.PerrinMethod, e: pr.PrismEvidence) -> Verdict:
     if width(e) < m.gate:
         return Verdict.COMPLEX
     return ok
+
+
+def cells(g: pr.DomainGrid) -> list:
+    """(component, a, b, status, settle stage or None) per world of a domain
+    grid, with float coordinates: the rows of domain_<method>.csv."""
+    worlds = [("plane", a, b) for a in g.axis for b in g.axis]
+    worlds += [("strand", a, a) for a in g.axis]
+    return [(*w, pr.STATUSES[c], s if s >= 0 else None)
+            for w, c, s in zip(worlds, g.codes.tolist(), g.settle.tolist())]
 
 
 def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpec) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -567,6 +568,11 @@ class TestFlags:
         # ((z - q) / |theta|)**2 overflows in the certified settle size
         ({"experiment": "gaussian", "gaussian": {"theta_grid": [0.5, -1e-160]}},
          "gaussian.theta_grid[1]"),
+        # a fixed-z rule fails PROB_ONE only at theta 0 and an alpha below 1 - its level cap
+        # (0.05 for fixed_z(1.96)): grids without such a pair cannot witness it
+        ({"experiment": "gaussian", "gaussian": {"theta_grid": [0.5]}}, "gaussian.theta_grid"),
+        ({"experiment": "gaussian", "gaussian": {"alpha_grid": [0.16, 0.05]}},
+         "gaussian.alpha_grid"),
         # stage-0 endpoints theta -+ 2 * delta0 overflow
         ({"experiment": "lineworld", "lineworld": {"delta0": 1e308}}, "lineworld.delta0"),
         ({"experiment": "perrin", "perrin": {"delta0": 1e308, "grid_step": 0.25,
@@ -601,7 +607,8 @@ class TestFlags:
             "truth-degree-49-trailing-zeros",
             "sigma-squared-underflow", "sigma-squared-overflow", "sigma-a-rounding",
             "sigma-b-rounding", "alpha-1e-16",
-            "theta-1e-160", "lineworld-delta0-1e308", "perrin-delta0-1e308",
+            "theta-1e-160", "theta-grid-without-0", "alpha-grid-above-slack",
+            "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
             "duplicate-experiment", "horizon-4000-digits", "horizon-1e300",
             "check-no-experiments", "lineworld-rounding-merges", "lineworld-rounding-onto-zero",
@@ -1072,3 +1079,47 @@ class TestPlots:
             rows = list(csv.DictReader(f))
         assert {r["selector"] for r in rows} == {"aic", "bic"}
         assert all(float(r["excess_risk"]) >= 0.0 for r in rows)
+
+
+class TestDomainRows:
+    """run_perrin renders the grid's coordinates once per run, as the output
+    format writes them; the domain files hold what the writers make of the
+    float rows of each sheet's coarse domain."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.1, 1.0, 0.3), (0.0, 1.0, 1 / 3), (-0.7, 0.2, 0.3), (1e-5, 5e-5, 1e-5),
+        (1e6, 2e6, 2.5e5),
+    ], ids=["lo-0.1-step-0.3", "step-one-third", "negative-lo", "scale-1e-5", "scale-1e6"])
+    def test_files_hold_the_float_rows(self, tmp_path, lo, hi, step, fmt):
+        config = cli.validate_config(json.dumps({
+            "experiment": "perrin", "format": fmt,
+            "perrin": {"grid_lo": lo, "grid_hi": hi, "grid_step": step, "coverage_reps": 10,
+                       "coverage_size": 100, "stream_schedule": [50, 100]}}))
+        cli.run(config, str(tmp_path))
+        pc = config["perrin"]
+        methods = cli.perrin_methods(pc)
+        sheets = pr.score_sheets(methods, lw.GridSpec(lo, hi, step),
+                                 lw.StreamSpec(pc["delta0"], pc["ratio"]), pc["horizon"])
+        for m, sheet in zip(methods, sheets):
+            cells = ref.cells(sheet.domain)
+            files = {
+                f"domain_{m.kind.lower()}": (("component", "a", "b", "status", "settle_stage"),
+                                             [(*w, status.value, t) for *w, status, t in cells]),
+                f"plots/domain_map_{m.kind.lower()}": (("component", "a", "b", "code"),
+                                                       [(*w, pr.CODES[status])
+                                                        for *w, status, _ in cells]),
+            }
+            for base, (header, rows) in files.items():
+                data = (tmp_path / f"{base}.{fmt}").read_bytes()
+                if fmt == "csv":
+                    text = io.StringIO(newline="")
+                    writer = csv.writer(text, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows(rows)
+                    assert data == text.getvalue().encode("utf-8")
+                else:  # the coordinates are JSON numbers, as the float rows dump them
+                    objects = [dict(zip(header, row)) for row in rows]
+                    assert data == (json.dumps(objects, indent=2, sort_keys=True) + "\n").encode()
+                    assert all(type(o["a"]) is float and type(o["b"]) is float
+                               for o in json.loads(data))

@@ -232,6 +232,17 @@ class TestModeClassification:
         # the same probability before the certified size contradicts nothing
         g.classify_mode(g.aic_rule(), [(0.5, ((37, 0.5),))], [0.05])
 
+    @given(thetas=st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                           | st.floats(-3.0, 3.0).filter(lambda t: t == 0 or abs(t) >= 1e-150),
+                           min_size=1, max_size=4),
+           alphas=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=4),
+           rule=st.sampled_from([g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]))
+    def test_witnesses_are_pairs_of_the_grids(self, thetas, alphas, rule):
+        # with theta 0 off the grid a capped rule reports no PROB_ONE witness at all
+        reports = g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
+        for report in reports.values():
+            assert all(w["theta"] in thetas and w["alpha"] in alphas for w in report.witnesses)
+
     @given(thetas=st.lists(st.sampled_from([0.0, -0.0, 1e-150, -1e-150, 0.5])
                            | st.floats(-3.0, 3.0).filter(lambda t: t == 0 or abs(t) >= 1e-150),
                            min_size=1, max_size=6),

@@ -80,7 +80,7 @@ def scalar_records(m, worlds, spec, horizon):
 
 def array_records(m, worlds, spec, horizon):
     """(status, settle stage) per world from one array sweep and the array oracle."""
-    codes, settle = pr._classify(m, *pr._world_arrays(worlds), spec, horizon)
+    codes, settle = next(pr._classify([m], *pr._world_arrays(worlds), spec, horizon))
     return [(pr.STATUSES[c], s if s >= 0 else None)
             for c, s in zip(codes.tolist(), settle.tolist())]
 
@@ -309,7 +309,7 @@ class TestDomains:
     def test_settle_stages_recorded(self):
         g = pr.domain_of_convergence(pr.ockham_method(), SMALL_GRID, SPEC, 40)
         n = len(g.axis)
-        cells = g.cells()
+        cells = ref.cells(g)
         assert all(cell[4] == 0 for cell in cells[n * n:])
         # settle stage equals the first stage whose prism leaves the diagonal
         w = pr.plane_world(g.axis[0], g.axis[-1])
@@ -356,7 +356,7 @@ class TestDomains:
         worlds = grid_worlds(grid.axis())
 
         def cells():
-            return pr.domain_of_convergence(m, grid, spec, horizon).cells()
+            return ref.cells(pr.domain_of_convergence(m, grid, spec, horizon))
 
         def scalar():
             return [("strand" if w.z else "plane", w.na, w.na_prime, *record)
@@ -661,6 +661,124 @@ class TestScoreSheet:
         codes = domain.codes.copy()
         codes[3 * n + 3] = pr.CODES[status]  # the sheet world (axis[3], axis[3])
         assert not pr.underdetermination_ok(replace(domain, codes=codes))
+
+
+@st.composite
+def shared_sweep_cases(draw):
+    """(methods, grid, base spec, horizon) for score_sheets: a grid of two to
+    four points, a centered or off-center base stream, a horizon short enough
+    to leave worlds UNDETERMINED, and one to six methods, kinds repeated, each
+    way drawing its own p (on the refined grid or off it) and gate."""
+    lo, step, k = draw(st.floats(-2, 2)), draw(st.floats(0.05, 0.5)), draw(st.integers(1, 3))
+    grid = pr.GridSpec(lo, lo + k * step, step)
+    p = st.sampled_from(grid.halved().axis()) | st.floats(-3, 3)
+    methods = []
+    for kind in draw(st.lists(st.sampled_from(list(pr._RULES)), min_size=1, max_size=6)):
+        reads = pr._RULES[kind][1]
+        methods.append(pr.PerrinMethod(kind, p=draw(p) if "p" in reads else None,
+                                       gate=draw(st.floats(0.01, 5)) if "gate" in reads else None))
+    if draw(st.booleans()):
+        spec = StreamSpec(draw(st.floats(0.05, 5)), draw(st.floats(0.3, 0.95)))
+    else:
+        delta0, ratio, offsets = draw(drift_params())
+        spec = StreamSpec(delta0, ratio, offset=offsets)
+    return methods, grid, spec, draw(st.integers(1, 12))
+
+
+def error_of(f):
+    """The type and message of the StreamError or OracleContradiction f()
+    raises, or None when it returns."""
+    try:
+        f()
+    except (StreamError, OracleContradiction) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# repeated kinds, ways with their own p and gate, and a horizon of 3 stages, which
+# leaves worlds UNDETERMINED for every method
+SHORT_CASE = ([pr.ockham_method(), METHODS[3], METHODS[3],
+               pr.PerrinMethod("WAY1", p=0.75, gate=0.3), pr.PerrinMethod("WAY2", p=1.25, gate=2.0)],
+              pr.GridSpec(0.5, 1.5, 0.25), SPEC, 3)
+
+
+class TestSharedSweep:
+    """score_sheets sweeps each stream once for all its methods: every sheet
+    is the one the scalar references give for its method alone, and the
+    first error is the one a method-by-method run raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=shared_sweep_cases())
+    @example(case=SHORT_CASE)
+    def test_sheets_equal_scalar_references(self, case):
+        methods, grid, spec, horizon = case
+        fine = grid.halved().axis()
+        worlds = grid_worlds(fine)
+        stability_worlds = pr.default_stability_worlds(grid)
+        specs = pr.stability_spec_variants(spec)
+        sheets = pr.score_sheets(methods, grid, spec, horizon)
+        assert len(sheets) == len(methods)
+        for m, sheet in zip(methods, sheets):
+            records = scalar_records(m, worlds, spec, horizon)
+            g2 = pr.DomainGrid(fine, np.array([pr.CODES[status] for status, _ in records]),
+                               np.array([-1 if t is None else t for _, t in records]))
+            g = g2.coarse()
+            assert sheet.method == m.label()
+            assert ref.cells(sheet.domain) == ref.cells(g)
+            assert sheet.ae == pr.ae_check(g2)
+            assert sheet.maximal == pr.maximality_check(g)
+            assert sheet.fractions == {"coarse": pr.ae_fractions(g), "refined": pr.ae_fractions(g2)}
+            assert sheet.stable == scalar_stability_scan(m, stability_worlds, specs, horizon)
+
+    def test_short_case_leaves_worlds_undetermined(self):
+        sheets = pr.score_sheets(*SHORT_CASE)
+        assert all((s.domain.codes == UND).any() for s in sheets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=shared_sweep_cases(), salt=st.none() | st.integers(0, 2**16),
+           fault=st.sampled_from([None, "domain", "stability"]))
+    def test_first_error_is_the_method_by_method_one(self, case, salt, fault):
+        methods, grid, spec, horizon = case
+        horizon += 1  # a subnormal stream degenerates by its stage 1
+        tiny = StreamSpec(5e-324, 0.5)
+        real_oracle, real_variants = pr.asymptotic_oracle, pr.stability_spec_variants
+        oracle, variants = real_oracle, real_variants
+        if salt is not None:
+            # claims the truth from stage 0 at a salted subset of (method, world) pairs,
+            # so that some methods, and not others, contradict their sweep
+            def oracle(m, a, b, strand, spec):
+                method = (tuple(pr._RULES).index(m.kind), m.p or 0.0, m.gate or 0.0)
+                keys = zip(a.tolist(), b.tolist(), strand.tolist())
+                claim = np.array([hash((*method, *key, salt)) % 7 == 0 for key in keys])
+                return np.where(claim, 0, real_oracle(m, a, b, strand, spec))
+        if fault == "domain":
+            spec = tiny
+        elif fault == "stability":
+            variants = lambda base: [*real_variants(base), tiny]
+        with mock.patch.multiple(pr, asymptotic_oracle=oracle, stability_spec_variants=variants):
+            def one_at_a_time():  # each method's domain sweep, then its stability scan
+                for m in methods:
+                    pr.domain_of_convergence(m, grid.halved(), spec, horizon)
+                    pr.stability_scan(m, pr.default_stability_worlds(grid),
+                                      pr.stability_spec_variants(spec), horizon)
+
+            expected = error_of(one_at_a_time)
+            shared = error_of(lambda: pr.score_sheets(methods, grid, spec, horizon))
+        assert shared == expected
+        if fault:
+            assert expected is not None
+
+    def test_default_run_sweeps_each_stream_once(self, tmp_path, monkeypatch):
+        sweeps, builds = [], []
+        sweep, build = pr._sweep, pr.default_stability_worlds
+        monkeypatch.setattr(pr, "_sweep", lambda methods, *args:
+                            sweeps.append(len(methods)) or sweep(methods, *args))
+        monkeypatch.setattr(pr, "default_stability_worlds",
+                            lambda grid: builds.append(grid) or build(grid))
+        cli.run(cli.validate_config('{"experiment": "perrin"}'), str(tmp_path))
+        # the refined grid, then the three stream variants, each swept once for all five methods
+        assert sweeps == [5, 5, 5, 5]
+        assert len(builds) == 1
 
 
 def reference_intervals(kind, na_true, const, size, rep_seeds, confidence, times):
