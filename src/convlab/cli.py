@@ -7,7 +7,7 @@ per-module derived substreams makes every emitted number a function of
 outputs byte for byte.
 
 Exit codes: 0 success, 1 acceptance-check failure (--check), 2
-configuration error.
+configuration error, 3 a run that stopped.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, checks
 from . import lineworld as lw
 from .framework import (CONFIDENCE, DIAG_TOL, PROBE_SIZES, EstimationError, FitError,
-                        OracleContradiction, Status, StreamError, poly_degree)
+                        OracleContradiction, Status, StreamError, WorkerError, poly_degree)
+from .jobs import run_jobs
 from .lineworld import GridSpec, StreamSpec
 
 
@@ -284,16 +286,13 @@ def check_consistency(config: dict) -> None:
             raise ConfigError(f"{suite}.ratio: {c['ratio']} makes the oracle step through about "
                               f"{stages:.3g} stages down to the gap {gap:.3g} (delta0={c['delta0']}), "
                               f"above the limit of {MAX_ORACLE_STAGES}")
-    gc = config["gaussian"]  # a fixed-z rule fails PROB_ONE only at theta 0 and alpha < 1 - cap
     if "gaussian" in config["experiment"]:
         from . import gaussian as g
-        cap = max(g.level_cap(g.aic_rule()), g.level_cap(g.confidence_rule_95()))
-        if 0.0 not in gc["theta_grid"]:
-            raise ConfigError(f"gaussian.theta_grid: {reprlib.repr(gc['theta_grid'])} has no 0, "
-                              f"where alone the fixed-z rules fail PROB_ONE")
-        if not any(cap < 1.0 - alpha for alpha in gc["alpha_grid"]):
-            raise ConfigError(f"gaussian.alpha_grid: {reprlib.repr(gc['alpha_grid'])} has no alpha "
-                              f"below 1 - {cap!r}, the highest fixed-z level cap")
+        gc = config["gaussian"]
+        try:
+            g.check_witness_grids(g.RULES, gc["theta_grid"], gc["alpha_grid"])
+        except ValueError as exc:
+            raise ConfigError(f"gaussian.{exc}")
     sc = config["predsel"]
     degree = poly_degree(sc["regime_a_coeffs"])
     if degree + 2 > PROBE_SIZES[0]:
@@ -392,13 +391,17 @@ def write_json(path: Path, obj) -> str:
 
 @dataclass
 class Outputs:
-    """A run's output directory and tabular format, and the sha256 of the
+    """A run's output directory and tabular format, the sha256 of the
     bytes of every file the run wrote there (as the writers return it),
-    keyed by the file's path under the directory."""
+    keyed by the file's path under the directory, and the log run_jobs
+    keeps: one {suite, job, worker, seconds} per job, and the most
+    workers a suite ran on."""
 
     root: Path
     fmt: str
     digests: dict = field(default_factory=dict)
+    jobs: list = field(default_factory=list)
+    workers: int = 1
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
@@ -427,27 +430,30 @@ def run_gaussian(cfg: dict, out: Outputs):
     from . import gaussian as g  # loaded by _experiment during set-up: a sys.modules lookup here
 
     gc = cfg["gaussian"]
-    rules = [g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]
-    rows, curves = [], {}
-    for rule in rules:
+
+    def rule_rows(rule):
+        """The rule's analytic curves and its analytic, then Monte Carlo, rows."""
         label = rule.label()
-        curves[label] = [(theta, g.curve_analytic(rule, theta, gc["n_grid"]))
-                         for theta in gc["theta_grid"]]
-        rows += [(label, theta, n, p, None) for theta, pairs in curves[label] for n, p in pairs]
+        curves = [(theta, g.curve_analytic(rule, theta, gc["n_grid"])) for theta in gc["theta_grid"]]
+        rows = [(label, theta, n, p, None) for theta, pairs in curves for n, p in pairs]
         rows += [(label, theta, n, *g.truth_prob_mc(rule, theta, n, gc["mc_trials"], cfg["seed"]))
                  for theta in gc["mc_theta_grid"] for n in gc["mc_n_grid"]]
+        return curves, rows
+
+    done = run_jobs(out, "gaussian", [(rule.label(), partial(rule_rows, rule)) for rule in g.RULES])
+    rows = [row for _, part in done for row in part]
     out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
     if cfg["plots"]:
         out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
                       [(label, theta, n, p) for label, theta, n, p, se in rows if se is None])
 
     modes = {}
-    for rule in rules:
-        reports = g.classify_mode(rule, curves[rule.label()], gc["alpha_grid"])
+    for rule, (curves, _) in zip(g.RULES, done):
+        reports = g.classify_mode(rule, curves, gc["alpha_grid"])
         modes[rule.label()] = {mode: _report_to_dict(r) for mode, r in reports.items()}
     summary = {
         "levels_at_theta0": {
-            rule.label(): g.truth_prob_analytic(rule, 0.0, 100) for rule in rules
+            rule.label(): g.truth_prob_analytic(rule, 0.0, 100) for rule in g.RULES
         },
         "modes": modes,
         "curve_rows": len(rows),
@@ -463,61 +469,71 @@ def run_lineworld(cfg: dict, out: Outputs):
         StreamSpec(lc["delta0"], lc["ratio"], offset=lam)
         for lam in lc["offsets"] if lam != 0.0
     ]
-    pointwise = {}
-    stable = True
-    for spec in specs:
+
+    def pointwise(spec):
         records = lw.check_pointwise(mstar, thetas, spec, lc["horizon"])
-        pointwise[spec.label()] = {
-            s.value: sum(r.status is s for r in records) for s in Status
-        }
-        stable = stable and all(r.stable for r in records)
+        counts = {s.value: sum(r.status is s for r in records) for s in Status}
+        return counts, all(r.stable for r in records)
 
-    uniform = []
-    for length in lc["uniform_lengths"]:
-        wit = lw.refute_uniform(mstar, length)
-        uniform.append({
-            "prescribed_length": length,
-            "witness_theta": wit.theta,
-            "verdict": wit.verdict.value,
-            "replay_valid": lw.witness_is_valid(mstar, wit, length),
-        })
+    def uniform():
+        refutations = []
+        for length in lc["uniform_lengths"]:
+            wit = lw.refute_uniform(mstar, length)
+            refutations.append({
+                "prescribed_length": length,
+                "witness_theta": wit.theta,
+                "verdict": wit.verdict.value,
+                "replay_valid": lw.witness_is_valid(mstar, wit, length),
+            })
+        return refutations
 
-    razor = {}
-    for method in [mstar, lw.always_suspend_method()] + lw.razor_violator_suite():
-        report = lw.razor_necessity_probe(method, lc["razor_budget"])
-        razor[method.name] = report.consequence
+    def razor():
+        return {method.name: lw.razor_necessity_probe(method, lc["razor_budget"]).consequence
+                for method in [mstar, lw.always_suspend_method()] + lw.razor_violator_suite()}
+
+    *streams, refutations, probes = run_jobs(
+        out, "lineworld", [(spec.label(), partial(pointwise, spec)) for spec in specs]
+        + [("uniform", uniform), ("razor", razor)])
     summary = {
         "worlds": len(thetas),
-        "pointwise_by_stream": pointwise,
-        "mstar_stable": stable,
-        "uniform_refutations": uniform,
-        "razor_probe": razor,
+        "pointwise_by_stream": {spec.label(): counts for spec, (counts, _) in zip(specs, streams)},
+        "mstar_stable": all(stable for _, stable in streams),
+        "uniform_refutations": refutations,
+        "razor_probe": probes,
     }
     return summary, checks.check_lineworld_suite(summary)
 
 
 def run_predsel(cfg: dict, out: Outputs):
     from . import predsel as ps
-
     pc, seed = cfg["predsel"], cfg["seed"]
     header = ("rep", "degree", "rss", "aic", "bic", "true_risk",
               "selected_aic", "selected_bic")
     truth_a = ps.poly_truth(pc["regime_a_coeffs"], pc["regime_a_sigma"])
-    a = ps.regime_experiment(truth_a, range(pc["regime_a_max_degree"] + 1),
-                             pc["regime_a_n"], pc["regime_a_reps"], seed)
-    out.emit_rows("selection", header, a.rows())
 
-    truth_b = ps.abs_truth(pc["regime_b_sigma"])
-    b = ps.regime_experiment(truth_b, range(pc["regime_b_max_degree"] + 1),
-                             pc["regime_b_n"], pc["regime_b_reps"], seed)
-    out.emit_rows("selection_misspecified", header, b.rows())
-    if cfg["plots"]:
-        out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"),
-                      ((rep, selector, risk) for rep, pair in enumerate(b.excess.T.tolist())
-                       for selector, risk in zip(("aic", "bic"), pair)))
+    def regime_a():
+        a = ps.regime_experiment(truth_a, range(pc["regime_a_max_degree"] + 1),
+                                 pc["regime_a_n"], pc["regime_a_reps"], seed)
+        out.emit_rows("selection", header, a.rows())
+        return a
 
-    probes = {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
-              for n in PROBE_SIZES}
+    def regime_b():
+        b = ps.regime_experiment(ps.abs_truth(pc["regime_b_sigma"]),
+                                 range(pc["regime_b_max_degree"] + 1),
+                                 pc["regime_b_n"], pc["regime_b_reps"], seed)
+        out.emit_rows("selection_misspecified", header, b.rows())
+        if cfg["plots"]:
+            out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"),
+                          ((rep, selector, risk) for rep, pair in enumerate(b.excess.T.tolist())
+                           for selector, risk in zip(("aic", "bic"), pair)))
+        return b
+
+    def probe_all():
+        return {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
+                for n in PROBE_SIZES}
+
+    a, b, probes = run_jobs(out, "predsel", [("regime_a", regime_a), ("regime_b", regime_b),
+                                             ("probes", probe_all)])
     results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
     summary = {
         "true_model_in_set": {
@@ -554,52 +570,57 @@ def perrin_methods(pc: dict) -> list:
 
 def run_perrin(cfg: dict, out: Outputs):
     from . import perrin as pr
-
     pc, seed = cfg["perrin"], cfg["seed"]
-    grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
-    spec = StreamSpec(pc["delta0"], pc["ratio"])
-    methods = perrin_methods(pc)
-    sheets = dict(zip((m.kind for m in methods), pr.score_sheets(methods, grid, spec, pc["horizon"])))
-    axis = [out.cell(x) for x in grid.axis()]  # each sheet's coarse domain axis
-    worlds = [("plane", a, b) for a in axis for b in axis] + [("strand", a, a) for a in axis]
-    labels = {code: status.value for code, status in pr.STATUSES.items()}
-    for kind, s in sheets.items():
-        codes, settle = s.domain.codes.tolist(), s.domain.settle.tolist()
-        out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
-                      ((*w, labels[c], t if t >= 0 else None)
-                       for w, c, t in zip(worlds, codes, settle)))
-        if cfg["plots"]:
-            out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
-                          ((*w, c) for w, c in zip(worlds, codes)))
 
-    scoresheet = {kind: {"ae": _report_to_dict(s.ae), "maximal": _report_to_dict(s.maximal),
-                         "stable": _report_to_dict(s.stable), "fractions": s.fractions}
-                  for kind, s in sheets.items()}
+    def score_sheets():
+        grid = GridSpec(pc["grid_lo"], pc["grid_hi"], pc["grid_step"])
+        methods = perrin_methods(pc)
+        sheets = dict(zip((m.kind for m in methods), pr.score_sheets(
+            methods, grid, StreamSpec(pc["delta0"], pc["ratio"]), pc["horizon"])))
+        axis = [out.cell(x) for x in grid.axis()]  # each sheet's coarse domain axis
+        worlds = [("plane", a, b) for a in axis for b in axis] + [("strand", a, a) for a in axis]
+        labels = {code: status.value for code, status in pr.STATUSES.items()}
+        for kind, s in sheets.items():
+            codes, settle = s.domain.codes.tolist(), s.domain.settle.tolist()
+            out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
+                          ((*w, labels[c], t if t >= 0 else None)
+                           for w, c, t in zip(worlds, codes, settle)))
+            if cfg["plots"]:
+                out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
+                              ((*w, c) for w, c in zip(worlds, codes)))
+        out.emit_json("scoresheet.json", {
+            kind: {"ae": _report_to_dict(s.ae), "maximal": _report_to_dict(s.maximal),
+                   "stable": _report_to_dict(s.stable), "fractions": s.fractions}
+            for kind, s in sheets.items()})
+        return sheets
+
+    def coverage(kind):
+        res = pr.coverage_study(kind, 1.0, 2.0, pc["coverage_size"], pc["coverage_reps"],
+                                CONFIDENCE, seed)
+        return {"coverage": res.coverage, "mean_width": res.mean_width, "reps": res.reps}
+
+    def sediment():
+        streams = {}
+        for label, (na, nb) in (("diagonal", (1.0, 1.0)), ("off_diagonal", (0.8, 1.2))):
+            sr = pr.experimental_stream(na, nb, pc["stream_schedule"], CONFIDENCE, seed)
+            verdicts = [v.value for v in pr.decide_prisms(pr.ockham_method(), sr.prisms)]
+            streams[label] = {"stages": len(sr.prisms), "flagged_stage": sr.flagged_stage,
+                              "ockham_verdicts": verdicts}
+        return coverage("sediment"), streams
+
+    sheets, brownian, (sediment, streams) = run_jobs(out, "perrin", [
+        ("score_sheets", score_sheets), ("brownian", partial(coverage, "brownian")),
+        ("sediment", sediment)])
+    covered = {"brownian": brownian, "sediment": sediment}
     underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
-    out.emit_json("scoresheet.json", scoresheet)
-
-    coverage = {}
-    for kind, const in (("brownian", 2.0), ("sediment", 2.0)):
-        res = pr.coverage_study(kind, 1.0, const, pc["coverage_size"],
-                                pc["coverage_reps"], CONFIDENCE, seed)
-        coverage[kind] = {"coverage": res.coverage, "mean_width": res.mean_width,
-                          "reps": res.reps}
-
-    streams = {}
-    for label, (na, nb) in (("diagonal", (1.0, 1.0)), ("off_diagonal", (0.8, 1.2))):
-        sr = pr.experimental_stream(na, nb, pc["stream_schedule"], CONFIDENCE, seed)
-        verdicts = [v.value for v in pr.decide_prisms(pr.ockham_method(), sr.prisms)]
-        streams[label] = {"stages": len(sr.prisms), "flagged_stage": sr.flagged_stage,
-                          "ockham_verdicts": verdicts}
-
     summary = {
         "pattern": {k: list(s.pattern()) for k, s in sheets.items()},
         "underdetermination_ok": underdet,
-        "coverage": coverage,
+        "coverage": covered,
         "experimental_streams": streams,
     }
     return summary, (checks.check_perrin_theorem(sheets, underdet)
-                     + checks.check_perrin_estimators(coverage, pc["coverage_size"]))
+                     + checks.check_perrin_estimators(covered, pc["coverage_size"]))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +628,7 @@ def run_perrin(cfg: dict, out: Outputs):
 
 # what a suite raises when its run cannot go on: exit 3, apart from a
 # failed --check (1) and a bad config (2)
-RUN_ERRORS = (OracleContradiction, StreamError, FitError, EstimationError)
+RUN_ERRORS = (OracleContradiction, StreamError, FitError, EstimationError, WorkerError)
 
 # experiment name -> runner; `all` runs them in this order
 SUITES = {"lineworld": run_lineworld, "gaussian": run_gaussian,
@@ -660,7 +681,15 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - start, 3),
         "outputs": out.digests,
+        "jobs": out.jobs,
+        "workers": out.workers,
+        "children_peak_rss_mib": None,
     }
+    if out.workers > 1:  # forked children: Linux, whose ru_maxrss is in KiB
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        manifest["children_peak_rss_mib"] = round(peak / 1024, 1)
     write_json(out.root / "manifest.json", manifest)
 
     for name, ok, detail in check_results:

@@ -70,6 +70,10 @@ class EstimationError(ValueError):
     """An interval estimator could not produce a positive interval (perrin)."""
 
 
+class WorkerError(RuntimeError):
+    """A worker process of jobs.run_jobs ended before it reported its jobs."""
+
+
 DIAG_TOL = 1e-12  # perrin: worlds this close to the diagonal count as on it
 PROBE_SIZES = (50, 100, 200, 400)  # predsel's unbiasedness-probe designs, smallest first
 DEFAULT_TIMES = tuple(float(t) for t in range(1, 9))  # perrin's displacement observation times

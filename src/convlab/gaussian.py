@@ -26,6 +26,7 @@ decision on one sample mean, are executable references in the tests
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,6 +86,9 @@ def confidence_rule_95() -> TestRule:
 
 def bic_rule() -> TestRule:
     return TestRule(kind="bic")
+
+
+RULES = (aic_rule(), confidence_rule_95(), bic_rule())  # a run's rules, in its row order
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +181,32 @@ def certified_settle_n(rule: TestRule, theta: float, alpha: float) -> Optional[i
     return n
 
 
+def check_witness_grids(rules: Sequence[TestRule], theta_grid, alpha_grid) -> None:
+    """Raise ValueError, naming the grid, unless the grids hold a pair at which
+    every capped rule of `rules` fails PROB_ONE.  A fixed-z rule, whose theta = 0
+    level caps at 2*Phi(z) - 1, fails it only at theta = 0 and an alpha below
+    1 - cap, so grids without such a pair could only pass it unjudged."""
+    caps = [cap for cap in map(level_cap, rules) if cap is not None]
+    if not caps:
+        return
+    if 0.0 not in theta_grid:
+        raise ValueError(f"theta_grid: {reprlib.repr(theta_grid)} has no 0, where alone "
+                         f"the fixed-z rules fail PROB_ONE")
+    if not any(max(caps) < 1.0 - alpha for alpha in alpha_grid):
+        raise ValueError(f"alpha_grid: {reprlib.repr(alpha_grid)} has no alpha below "
+                         f"1 - {max(caps)!r}, the highest fixed-z level cap")
+
+
 def classify_mode(rule: TestRule, curves, alpha_grid):
     """Check the two stochastic standards on the run's analytic curves.
 
     curves is [(theta, curve_analytic pairs), ...] in theta-grid order.
     HIGH_PROB is judged at the first alpha in alpha_grid (the operative
     level); PROB_ONE at every alpha in the grid.  Every witness is a
-    (theta, alpha) pair of the grids: a fixed-z rule, whose theta = 0
-    level caps at 2*Phi(z) - 1, fails PROB_ONE only where they hold theta
-    = 0 and an alpha below 1 - cap, which cli.check_consistency requires
-    of a run.  Returns a dict with the two ModeReports.  Each (theta,
-    alpha) certificate is computed once, and every curve is checked
-    against it.
+    (theta, alpha) pair of the grids; grids that cannot witness a capped
+    rule's failure raise ValueError (check_witness_grids).  Returns a dict
+    with the two ModeReports.  Each (theta, alpha) certificate is computed
+    once, and every curve is checked against it.
     """
     if not curves or not alpha_grid or not all(pairs for _, pairs in curves):
         raise ValueError("grids must be non-empty")
@@ -204,6 +222,7 @@ def classify_mode(rule: TestRule, curves, alpha_grid):
                         f"{rule.label()} at theta={theta}: curve dips below "
                         f"{1 - alpha} at n={n} despite certificate {n0}"
                     )
+    check_witness_grids([rule], [theta for theta, _ in curves], alpha_grid)
     cap = level_cap(rule)
 
     def failures(alpha):

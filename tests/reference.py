@@ -88,6 +88,7 @@ def classify_mode(rule: TestRule, theta_grid, n_grid, alpha_grid):
                     f"{rule.label()} at theta={theta}: curve dips below "
                     f"{1 - alpha} at n={n} despite certificate {n0}"
                 )
+    g.check_witness_grids([rule], theta_grid, alpha_grid)
     cap = g.level_cap(rule)
 
     def failures(alpha):

@@ -908,55 +908,66 @@ class TestChecksJudgeTheRun:
         assert results and all(check.startswith(name) for check, _, _ in results)
 
     def test_perrin_studies_coverage_once_per_kind(self, tmp_path, monkeypatch):
-        # --check judges the widths the run's own two studies computed
-        studied = []
-        original = pr.coverage_study
-
-        def counting_study(*args):
-            studied.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(pr, "coverage_study", counting_study)
-        code, out = run_cli(tmp_path, {"experiment": ["perrin"], "perrin": {
-            "grid_step": 0.25, "stream_schedule": [50, 100]}}, "--check")
-        assert code == 0
-        assert studied == ["brownian", "sediment"]
-        assert json.loads((out / "summary.json").read_text())["checks"]["perrin_estimators"]["pass"]
+        # --check judges the widths the run's own two studies computed, at one worker
+        # and at two, where the Brownian study runs in a forked child
+        for workers in (1, 2):
+            monkeypatch.setattr("convlab.jobs.usable_cpus", lambda: workers)
+            run_dir = tmp_path / str(workers)
+            run_dir.mkdir()
+            studied = count_calls(monkeypatch, run_dir, pr, "coverage_study", lambda args: args[0])
+            code, out = run_cli(run_dir, {"experiment": ["perrin"], "perrin": {
+                "grid_step": 0.25, "stream_schedule": [50, 100]}}, "--check")
+            assert code == 0
+            assert sorted(studied()) == ["brownian", "sediment"]
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["checks"]["perrin_estimators"]["pass"]
 
     def test_lineworld_traces_each_world_and_stream_once(self, tmp_path, monkeypatch):
-        traced = []
-        original = lw.trace
-
-        def counting_trace(*args, **kwargs):
-            traced.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lw, "trace", counting_trace)
-        code, out = run_cli(tmp_path, {"experiment": ["lineworld"],
-                                       "lineworld": {"theta_step": 0.1}}, "--check")
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())["lineworld"]
-        assert summary["worlds"] == 11
-        assert len(traced) == summary["worlds"] * len(summary["pointwise_by_stream"]) == 33
+        for workers in (1, 2):
+            monkeypatch.setattr("convlab.jobs.usable_cpus", lambda: workers)
+            run_dir = tmp_path / str(workers)
+            run_dir.mkdir()
+            traced = count_calls(monkeypatch, run_dir, lw, "trace", lambda args: args[1])
+            code, out = run_cli(run_dir, {"experiment": ["lineworld"],
+                                          "lineworld": {"theta_step": 0.1}}, "--check")
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())["lineworld"]
+            assert summary["worlds"] == 11
+            assert len(traced()) == summary["worlds"] * len(summary["pointwise_by_stream"]) == 33
 
     @pytest.mark.parametrize("check", [False, True])
     def test_predsel_probes_each_size_once(self, tmp_path, monkeypatch, check):
         # --check judges the run's own probes; it reruns none of them
-        probed = []
-        original = ps.unbiasedness_probe
+        for workers in (1, 2):
+            monkeypatch.setattr("convlab.jobs.usable_cpus", lambda: workers)
+            run_dir = tmp_path / str(workers)
+            run_dir.mkdir()
+            probed = count_calls(monkeypatch, run_dir, ps, "unbiasedness_probe",
+                                 lambda args: args[2])
+            config = {"experiment": ["predsel"], "check": check,
+                      "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 200}}
+            code, out = run_cli(run_dir, config)
+            assert code in (0, 1)
+            assert probed() == list(ps.PROBE_SIZES)
+            checks_run = json.loads((out / "summary.json").read_text()).get("checks", {})
+            assert ("predsel_unbiasedness" in checks_run) is check
 
-        def counting_probe(*args):
-            probed.append(args[2])
-            return original(*args)
 
-        monkeypatch.setattr(ps, "unbiasedness_probe", counting_probe)
-        config = {"experiment": ["predsel"], "check": check,
-                  "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 200}}
-        code, out = run_cli(tmp_path, config)
-        assert code in (0, 1)
-        assert probed == list(ps.PROBE_SIZES)
-        checks_run = json.loads((out / "summary.json").read_text()).get("checks", {})
-        assert ("predsel_unbiasedness" in checks_run) is check
+def count_calls(monkeypatch, tmp_path, module, name, key):
+    """Wrap module.name so that each call, in this process or a worker forked
+    from it, appends key(args) to a file; the returned function reads them back,
+    in the order the file received them."""
+    log = tmp_path / f"{name}.calls"
+    log.touch()
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps(key(args)) + "\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
 def _fmt(v) -> str:

@@ -175,11 +175,11 @@ class TestMonteCarlo:
 
 
 def outcome(classify, *args):
-    """The reports' repr, or the contradiction's message."""
+    """The reports' repr, or the contradiction's or the grid error's message."""
     try:
         return repr(classify(*args))
-    except OracleContradiction as exc:
-        return f"OracleContradiction: {exc}"
+    except (OracleContradiction, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def curves(rule, thetas, ns):
@@ -224,13 +224,23 @@ class TestModeClassification:
         with pytest.raises(ValueError):
             g.classify_mode(g.bic_rule(), curves(g.bic_rule(), self.THETAS, self.NS), [])
 
+    @pytest.mark.parametrize("thetas, alphas, grid", [
+        ([0.5], [0.05], "theta_grid"), ([0.0, 0.5], [0.16, 0.05], "alpha_grid")])
+    def test_grids_that_cannot_witness_a_capped_rule_are_refused(self, thetas, alphas, grid):
+        # fixed_z(1.96) caps at 0.9500042: it fails PROB_ONE only at theta 0 and alpha < 0.05
+        rule = g.confidence_rule_95()
+        with pytest.raises(ValueError, match=f"^{grid}: "):
+            g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
+        g.classify_mode(g.bic_rule(), curves(g.bic_rule(), thetas, self.NS), alphas)
+
     def test_curve_below_its_certificate_contradicts(self):
         # AIC at theta = 0.5 and alpha = 0.05 is certified from n0 = 38 on
         assert g.certified_settle_n(g.aic_rule(), 0.5, 0.05) == 38
         with pytest.raises(OracleContradiction, match="at n=100 despite certificate 38"):
             g.classify_mode(g.aic_rule(), [(0.5, ((100, 0.5),))], [0.05])
         # the same probability before the certified size contradicts nothing
-        g.classify_mode(g.aic_rule(), [(0.5, ((37, 0.5),))], [0.05])
+        g.classify_mode(g.aic_rule(), [(0.0, g.curve_analytic(g.aic_rule(), 0.0, [37])),
+                                       (0.5, ((37, 0.5),))], [0.05])
 
     @given(thetas=st.lists(st.sampled_from([0.0, 0.5, 1.0])
                            | st.floats(-3.0, 3.0).filter(lambda t: t == 0 or abs(t) >= 1e-150),
@@ -238,10 +248,21 @@ class TestModeClassification:
            alphas=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=4),
            rule=st.sampled_from([g.aic_rule(), g.confidence_rule_95(), g.bic_rule()]))
     def test_witnesses_are_pairs_of_the_grids(self, thetas, alphas, rule):
-        # with theta 0 off the grid a capped rule reports no PROB_ONE witness at all
-        reports = g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
-        for report in reports.values():
-            assert all(w["theta"] in thetas and w["alpha"] in alphas for w in report.witnesses)
+        # a capped rule fails PROB_ONE only at theta 0 and an alpha below 1 - cap: grids
+        # without such a pair are refused by name, not passed unjudged
+        cap = g.level_cap(rule)
+        if cap is not None and 0.0 not in thetas:
+            with pytest.raises(ValueError, match="^theta_grid: .* has no 0"):
+                g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
+        elif cap is not None and all(cap >= 1.0 - alpha for alpha in alphas):
+            with pytest.raises(ValueError, match="^alpha_grid: .* has no alpha below"):
+                g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
+        else:
+            reports = g.classify_mode(rule, curves(rule, thetas, self.NS), alphas)
+            assert not reports["PROB_ONE"].passed or cap is None
+            for report in reports.values():
+                assert all(w["theta"] in thetas and w["alpha"] in alphas
+                           for w in report.witnesses)
 
     @given(thetas=st.lists(st.sampled_from([0.0, -0.0, 1e-150, -1e-150, 0.5])
                            | st.floats(-3.0, 3.0).filter(lambda t: t == 0 or abs(t) >= 1e-150),
