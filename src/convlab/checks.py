@@ -143,7 +143,7 @@ def check_predsel_directions(a, b):
 
 def check_predsel_probe(probes: dict):
     """probes: probed sample size -> predsel.ProbeReport, one per size of
-    predsel.PROBE_SIZES.  The relative bias at n = 200 must be at most
+    PROBE_SIZES.  The relative bias at n = 200 must be at most
     0.02, and every size's z within the two-sided normal bound PROBE_Z."""
     at200 = probes[200].relative_bias if 200 in probes else math.inf
     ok = sorted(probes) == sorted(PROBE_SIZES) and at200 <= 0.02

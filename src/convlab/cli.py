@@ -394,14 +394,12 @@ class Outputs:
     """A run's output directory and tabular format, the sha256 of the
     bytes of every file the run wrote there (as the writers return it),
     keyed by the file's path under the directory, and the log run_jobs
-    keeps: one {suite, job, worker, seconds} per job, and the most
-    workers a suite ran on."""
+    keeps: one {suite, job, worker, seconds} per job."""
 
     root: Path
     fmt: str
     digests: dict = field(default_factory=dict)
     jobs: list = field(default_factory=list)
-    workers: int = 1
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
@@ -427,7 +425,7 @@ def _report_to_dict(report) -> dict:
 
 
 def run_gaussian(cfg: dict, out: Outputs):
-    from . import gaussian as g  # loaded by _experiment during set-up: a sys.modules lookup here
+    from . import gaussian as g  # loaded by validate_config during set-up: a sys.modules lookup here
 
     gc = cfg["gaussian"]
 
@@ -676,16 +674,17 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
                              for name, ok, detail in check_results}
     out.emit_json("summary.json", summary)
 
+    workers = 1 + max((job["worker"] for job in out.jobs), default=0)
     manifest = {
         "config": config,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - start, 3),
         "outputs": out.digests,
         "jobs": out.jobs,
-        "workers": out.workers,
+        "workers": workers,
         "children_peak_rss_mib": None,
     }
-    if out.workers > 1:  # forked children: Linux, whose ru_maxrss is in KiB
+    if workers > 1:  # forked children: Linux, whose ru_maxrss is in KiB
         import resource
 
         peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
@@ -721,6 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # one BLAS thread lets a numpy suite fork (jobs.usable_cpus)
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         raw_text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"

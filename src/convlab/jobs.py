@@ -53,7 +53,7 @@ def run_jobs(out, suite: str, jobs: list) -> list:
     """The results of `jobs`, (name, zero-argument callable) pairs in serial
     order, in that order.  A child writes its files through `out`, the run's
     cli.Outputs, and pickles its results and the new digests down a pipe; the
-    parent merges the digests and logs each job in out.jobs under `suite`.
+    parent merges the digests and logs each job, its worker and `suite` in out.jobs.
     The first job in serial order that raised, or whose worker died
     (WorkerError), raises its error.  Every child is reaped on every path."""
     workers = min(usable_cpus(), len(jobs))
@@ -106,7 +106,6 @@ def run_jobs(out, suite: str, jobs: list) -> list:
             raise lost[i % workers]
         if not outcome[2]:
             raise outcome[3]
-    out.workers = max(out.workers, workers)
     out.jobs += [{"suite": suite, "job": name, "worker": worker, "seconds": round(seconds, 6)}
                  for (name, _), (_, worker, _, _, seconds) in zip(jobs, outcomes)]
     return [outcome[3] for outcome in outcomes]

@@ -196,15 +196,15 @@ def _sweep(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, hori
     """`trace` for every method and world (na, na_prime, z == 1) at once: one
     array pass per stage builds and checks the prisms, with the endpoints
     interval_at adds (spec.bounds), so each is bit for bit the scalar one, and
-    every method reads them.  Only O(methods x worlds) state is kept.  Returns
-    per method (rows) and world the empirical settle stage (horizon when the
-    trace does not end on the truth) and the first stage j whose verdict
-    retracts a true answer given before it (horizon when none), which is
-    what classify_convergence and check_stability read off a trace."""
+    every method reads them.  Returns two (methods, worlds) arrays: the
+    empirical settle stage, the last wrong stage + 1 (horizon when the trace
+    does not end on the truth), which classify_convergence reads, and the
+    first stage whose verdict is the truth (horizon when none).  A trace
+    retracts a true answer, as check_stability reads it, exactly where
+    first_true + 1 < settle."""
     truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
     settle = np.zeros((len(methods), len(a)), dtype=np.int64)
-    retract = np.full(settle.shape, horizon, dtype=np.int64)
-    seen = np.zeros(settle.shape, dtype=bool)
+    first_true = np.full(settle.shape, horizon, dtype=np.int64)
     for t in range(horizon):
         below, above = spec.bounds(t)
         xlo, xhi, ylo, yhi = a + below, a + above, b + below, b + above
@@ -214,9 +214,8 @@ def _sweep(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, hori
         for i, m in enumerate(methods):
             miss = _verdicts(m, xlo, xhi, ylo, yhi) != truth
             settle[i][miss] = t + 1
-            retract[i][miss & seen[i] & (retract[i] == horizon)] = t
-            seen[i] |= ~miss
-    return settle, retract
+            first_true[i][~miss & (first_true[i] == horizon)] = t
+    return settle, first_true
 
 
 def _world_arrays(worlds: Sequence[PastaWorld]):
@@ -296,7 +295,7 @@ def _classify(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, h
     first such world, when that method's item is reached."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    settles, _ = _sweep(methods, a, b, strand, spec, horizon)
+    settles = _sweep(methods, a, b, strand, spec, horizon)[0]
     for m, settle in zip(methods, settles):
         by = asymptotic_oracle(m, a, b, strand, spec)
         known = (by >= 0) & (by < horizon)
@@ -492,7 +491,8 @@ def stability_scans(methods: Sequence[PerrinMethod], worlds: Sequence[PastaWorld
     columns = _world_arrays(worlds)
     retracted = np.zeros((len(methods), len(worlds), len(specs)), dtype=bool)
     for j, spec in enumerate(specs):
-        retracted[:, :, j] = _sweep(methods, *columns, spec, horizon)[1] < horizon
+        settle, first_true = _sweep(methods, *columns, spec, horizon)
+        retracted[:, :, j] = first_true + 1 < settle
     reports = []
     for m, failed in zip(methods, retracted):
         witnesses = []

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .framework import PROBE_SIZES, FitError, poly_degree  # PROBE_SIZES stays predsel.PROBE_SIZES
+from .framework import FitError, poly_degree
 from .rand import substream, substream_key, substreams
 
 

@@ -11,7 +11,7 @@ from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import Status
+from convlab.framework import PROBE_SIZES, Status
 
 import reference as ref
 
@@ -150,7 +150,7 @@ def test_criterion_7_regime_reversal_misspecified(predsel_results):
 
 def test_criterion_8_unbiasedness_probe():
     truth = ps.poly_truth((1.0, -2.0, 0.5), noise_sigma=1.0)
-    probes = {n: ps.unbiasedness_probe(truth, 2, n, 4000, MASTER_SEED) for n in ps.PROBE_SIZES}
+    probes = {n: ps.unbiasedness_probe(truth, 2, n, 4000, MASTER_SEED) for n in PROBE_SIZES}
     [(_, ok, detail)] = checks.check_predsel_probe(probes)
     report("08-unbiasedness-probe", ok, detail)
 

@@ -11,7 +11,7 @@ from convlab import checks
 from convlab import gaussian as g
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import ModeReport
+from convlab.framework import PROBE_SIZES, ModeReport
 from convlab.perrin import ScoreSheet
 
 AIC, M95, BIC = g.aic_rule().label(), g.confidence_rule_95().label(), g.bic_rule().label()
@@ -56,7 +56,7 @@ GAUSSIAN_DOCTORED = {
 
 def test_bounds_keep_the_values_computed_through_the_suites():
     # checks reads the normal quantile and the suites' constants without numpy
-    assert checks.PROBE_Z == g.normal_quantile(1.0 - checks.PROBE_ALPHA / (2 * len(ps.PROBE_SIZES)))
+    assert checks.PROBE_Z == g.normal_quantile(1.0 - checks.PROBE_ALPHA / (2 * len(PROBE_SIZES)))
     t, z = pr.DEFAULT_TIMES, g.normal_quantile(0.975)
     slope = math.sqrt(2.0 * sum(x**4 for x in t)) / sum(x * x for x in t)
     assert checks.ROOT_N_WIDTH == {"brownian": 2.0 * z * slope, "sediment": 2.0 * z * 1.0}
@@ -191,7 +191,7 @@ def test_predsel_directions():
     assert got == {"predsel_regime_true_model": True, "predsel_regime_misspecified": False}
 
 
-def probes(z=0.5, rel_bias=0.001, sizes=ps.PROBE_SIZES):
+def probes(z=0.5, rel_bias=0.001, sizes=PROBE_SIZES):
     """n -> ProbeReport with the given relative bias and z at each size."""
     return {n: ps.ProbeReport(1.0, 1.0, rel_bias, z) for n in sizes}
 

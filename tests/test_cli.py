@@ -22,7 +22,7 @@ from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import OracleContradiction, Status, StreamError
+from convlab.framework import PROBE_SIZES, OracleContradiction, Status, StreamError
 
 import reference as ref
 
@@ -948,7 +948,7 @@ class TestChecksJudgeTheRun:
                       "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 200}}
             code, out = run_cli(run_dir, config)
             assert code in (0, 1)
-            assert probed() == list(ps.PROBE_SIZES)
+            assert probed() == list(PROBE_SIZES)
             checks_run = json.loads((out / "summary.json").read_text()).get("checks", {})
             assert ("predsel_unbiasedness" in checks_run) is check
 

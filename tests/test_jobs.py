@@ -280,6 +280,39 @@ def test_only_forking_loads_pickle(tmp_path, workers):
     assert done.stdout.split() == ["0", str(workers > 1)]
 
 
+def fresh_run_workers(tmp_path, blas_threads):
+    """The manifest's workers of a predsel run of `python -m convlab.cli` in a fresh
+    process, with OPENBLAS_NUM_THREADS removed (None) or set to blas_threads."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiment": "predsel", "predsel": SMALL["predsel"]}))
+    subprocess.run([sys.executable, "-m", "convlab.cli", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")], env=env, check=True, timeout=60)
+    return json.loads((tmp_path / "out" / "manifest.json").read_text())["workers"]
+
+
+def test_cli_pins_one_blas_thread_so_a_numpy_suite_forks(tmp_path):
+    assert fresh_run_workers(tmp_path, None) == min(len(os.sched_getaffinity(0)), 3)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU runs one worker anyway")
+def test_a_blas_thread_count_the_user_sets_wins(tmp_path):
+    assert fresh_run_workers(tmp_path, "2") == 1
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(tmp_path, capsys, monkeypatch):
+    import numpy  # noqa: F401  (an in-process caller such as this test suite)
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    code, _, err = run_main(tmp_path, capsys, {**SMALL, "experiment": "lineworld"})
+    assert code == 0 and err == "" and dict(os.environ) == before
+
+
 def test_child_error_carries_the_child_traceback(tmp_path, monkeypatch):
     test_pid = os.getpid()
 

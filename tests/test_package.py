@@ -2,9 +2,14 @@
 class in src/convlab is referenced from src/ or bench/.  Code that only
 the tests call (scalar references, derivations) lives in
 tests/reference.py instead.  The modules a lineworld run loads import no
-numpy suite at module level."""
+numpy suite at module level, and a bare package import loads none of
+its modules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,3 +110,14 @@ def test_lineworld_path_imports_no_numpy_suite_at_module_level():
              for line, name in module_level_imports(path.read_text(encoding="utf-8"))
              if name in HEAVY]
     assert not found, f"the lineworld path would load numpy: {found}"
+
+
+def test_bare_package_import_loads_no_submodule():
+    # the package binds only __version__: importing it compiles and loads nothing else
+    script = ("import json, sys, convlab; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('convlab.'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert json.loads(done.stdout) == []

@@ -730,6 +730,25 @@ class TestSharedSweep:
             assert sheet.fractions == {"coarse": pr.ae_fractions(g), "refined": pr.ae_fractions(g2)}
             assert sheet.stable == scalar_stability_scan(m, stability_worlds, specs, horizon)
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=shared_sweep_cases())
+    @example(case=SHORT_CASE)
+    def test_sweep_keeps_the_settle_and_first_true_stages(self, case):
+        # per method and world: the last wrong stage + 1 and the first true stage (the
+        # horizon when none), and a retraction of the truth exactly where first_true + 1 < settle
+        methods, grid, spec, horizon = case
+        worlds = grid_worlds(grid.halved().axis())
+        settle, first_true = pr._sweep(methods, *pr._world_arrays(worlds), spec, horizon)
+        for i, m in enumerate(methods):
+            for j, w in enumerate(worlds):
+                tr = pr.trace(m, w, spec, horizon)
+                hits = [t for t, v in enumerate(tr.verdicts) if v is w.truth]
+                misses = [t for t, v in enumerate(tr.verdicts) if v is not w.truth]
+                assert settle[i, j] == max(misses, default=-1) + 1
+                assert first_true[i, j] == min(hits, default=horizon)
+                retracts = not check_stability(tr, w.truth)[0]
+                assert (first_true[i, j] + 1 < settle[i, j]) == retracts
+
     def test_short_case_leaves_worlds_undetermined(self):
         sheets = pr.score_sheets(*SHORT_CASE)
         assert all((s.domain.codes == UND).any() for s in sheets)
