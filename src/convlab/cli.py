@@ -115,8 +115,8 @@ _SAMPLE_SIZES = _numlist(_num(lo=2, hi=10**6, integer=True), increasing=True)
 _PREDSEL_REPS = _num(lo=100, hi=10**5, integer=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
-# a predsel regime factors a (64, max_degree + 2, n) float buffer, 64 x 65 x 10**4 floats
-# (333 MB) at the top
+# a predsel regime factors a (predsel.CHUNK, max_degree + 2, n) float buffer, 32 x 65 x
+# 10**4 floats (166 MB) at the top
 _REGIME_N = _num(lo=4, hi=10**4, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
 # 1 - alpha/2 stays below 1.0 (the float spacing there is ulp(1.0) / 2), so its normal quantile exists
@@ -393,13 +393,15 @@ def write_json(path: Path, obj) -> str:
 class Outputs:
     """A run's output directory and tabular format, the sha256 of the
     bytes of every file the run wrote there (as the writers return it),
-    keyed by the file's path under the directory, and the log run_jobs
-    keeps: one {suite, job, worker, seconds} per job."""
+    keyed by the file's path under the directory, and what run_jobs
+    keeps: one {suite, job, worker, seconds} per job, and its children's
+    largest peak resident set."""
 
     root: Path
     fmt: str
     digests: dict = field(default_factory=dict)
     jobs: list = field(default_factory=list)
+    children_peak_rss_mib: Optional[float] = None
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
@@ -421,7 +423,8 @@ def _report_to_dict(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-experiment runners
+# per-experiment runners: each returns its (name, callable) jobs, which may run in a
+# forked worker, and a finish step that builds (summary, checks) from their results
 
 
 def run_gaussian(cfg: dict, out: Outputs):
@@ -438,25 +441,27 @@ def run_gaussian(cfg: dict, out: Outputs):
                  for theta in gc["mc_theta_grid"] for n in gc["mc_n_grid"]]
         return curves, rows
 
-    done = run_jobs(out, "gaussian", [(rule.label(), partial(rule_rows, rule)) for rule in g.RULES])
-    rows = [row for _, part in done for row in part]
-    out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
-    if cfg["plots"]:
-        out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
-                      [(label, theta, n, p) for label, theta, n, p, se in rows if se is None])
+    def finish(*done):
+        rows = [row for _, part in done for row in part]
+        out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
+        if cfg["plots"]:
+            out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
+                          [(label, theta, n, p) for label, theta, n, p, se in rows if se is None])
 
-    modes = {}
-    for rule, (curves, _) in zip(g.RULES, done):
-        reports = g.classify_mode(rule, curves, gc["alpha_grid"])
-        modes[rule.label()] = {mode: _report_to_dict(r) for mode, r in reports.items()}
-    summary = {
-        "levels_at_theta0": {
-            rule.label(): g.truth_prob_analytic(rule, 0.0, 100) for rule in g.RULES
-        },
-        "modes": modes,
-        "curve_rows": len(rows),
-    }
-    return summary, checks.check_gaussian_levels(rows, gc["mc_trials"])
+        modes = {}
+        for rule, (curves, _) in zip(g.RULES, done):
+            reports = g.classify_mode(rule, curves, gc["alpha_grid"])
+            modes[rule.label()] = {mode: _report_to_dict(r) for mode, r in reports.items()}
+        summary = {
+            "levels_at_theta0": {
+                rule.label(): g.truth_prob_analytic(rule, 0.0, 100) for rule in g.RULES
+            },
+            "modes": modes,
+            "curve_rows": len(rows),
+        }
+        return summary, checks.check_gaussian_levels(rows, gc["mc_trials"])
+
+    return [(rule.label(), partial(rule_rows, rule)) for rule in g.RULES], finish
 
 
 def run_lineworld(cfg: dict, out: Outputs):
@@ -489,17 +494,19 @@ def run_lineworld(cfg: dict, out: Outputs):
         return {method.name: lw.razor_necessity_probe(method, lc["razor_budget"]).consequence
                 for method in [mstar, lw.always_suspend_method()] + lw.razor_violator_suite()}
 
-    *streams, refutations, probes = run_jobs(
-        out, "lineworld", [(spec.label(), partial(pointwise, spec)) for spec in specs]
-        + [("uniform", uniform), ("razor", razor)])
-    summary = {
-        "worlds": len(thetas),
-        "pointwise_by_stream": {spec.label(): counts for spec, (counts, _) in zip(specs, streams)},
-        "mstar_stable": all(stable for _, stable in streams),
-        "uniform_refutations": refutations,
-        "razor_probe": probes,
-    }
-    return summary, checks.check_lineworld_suite(summary)
+    def finish(*done):
+        *streams, refutations, probes = done
+        summary = {
+            "worlds": len(thetas),
+            "pointwise_by_stream": {spec.label(): counts for spec, (counts, _) in zip(specs, streams)},
+            "mstar_stable": all(stable for _, stable in streams),
+            "uniform_refutations": refutations,
+            "razor_probe": probes,
+        }
+        return summary, checks.check_lineworld_suite(summary)
+
+    return ([(spec.label(), partial(pointwise, spec)) for spec in specs]
+            + [("uniform", uniform), ("razor", razor)]), finish
 
 
 def run_predsel(cfg: dict, out: Outputs):
@@ -530,26 +537,26 @@ def run_predsel(cfg: dict, out: Outputs):
         return {n: ps.unbiasedness_probe(truth_a, truth_a.poly_degree, n, pc["probe_reps"], seed)
                 for n in PROBE_SIZES}
 
-    a, b, probes = run_jobs(out, "predsel", [("regime_a", regime_a), ("regime_b", regime_b),
-                                             ("probes", probe_all)])
-    results = checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
-    summary = {
-        "true_model_in_set": {
-            "correct_frequency_aic": a.correct_frequency_aic,
-            "correct_frequency_bic": a.correct_frequency_bic,
-            "mean_excess_risk_aic": a.mean_excess_risk_aic,
-            "mean_excess_risk_bic": a.mean_excess_risk_bic,
-            "true_degree": a.true_degree,
-            "reps": a.reps,
-        },
-        "misspecified": {
-            "mean_excess_risk_aic": b.mean_excess_risk_aic,
-            "mean_excess_risk_bic": b.mean_excess_risk_bic,
-            "reps": b.reps,
-        },
-        "unbiasedness_probe_relative_bias": {str(n): p.relative_bias for n, p in probes.items()},
-    }
-    return summary, results
+    def finish(a, b, probes):
+        summary = {
+            "true_model_in_set": {
+                "correct_frequency_aic": a.correct_frequency_aic,
+                "correct_frequency_bic": a.correct_frequency_bic,
+                "mean_excess_risk_aic": a.mean_excess_risk_aic,
+                "mean_excess_risk_bic": a.mean_excess_risk_bic,
+                "true_degree": a.true_degree,
+                "reps": a.reps,
+            },
+            "misspecified": {
+                "mean_excess_risk_aic": b.mean_excess_risk_aic,
+                "mean_excess_risk_bic": b.mean_excess_risk_bic,
+                "reps": b.reps,
+            },
+            "unbiasedness_probe_relative_bias": {str(n): p.relative_bias for n, p in probes.items()},
+        }
+        return summary, checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
+
+    return [("regime_a", regime_a), ("regime_b", regime_b), ("probes", probe_all)], finish
 
 
 def perrin_methods(pc: dict) -> list:
@@ -606,19 +613,21 @@ def run_perrin(cfg: dict, out: Outputs):
                               "ockham_verdicts": verdicts}
         return coverage("sediment"), streams
 
-    sheets, brownian, (sediment, streams) = run_jobs(out, "perrin", [
-        ("score_sheets", score_sheets), ("brownian", partial(coverage, "brownian")),
-        ("sediment", sediment)])
-    covered = {"brownian": brownian, "sediment": sediment}
-    underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
-    summary = {
-        "pattern": {k: list(s.pattern()) for k, s in sheets.items()},
-        "underdetermination_ok": underdet,
-        "coverage": covered,
-        "experimental_streams": streams,
-    }
-    return summary, (checks.check_perrin_theorem(sheets, underdet)
-                     + checks.check_perrin_estimators(covered, pc["coverage_size"]))
+    def finish(sheets, brownian, sediment_streams):
+        sediment, streams = sediment_streams
+        covered = {"brownian": brownian, "sediment": sediment}
+        underdet = {kind: pr.underdetermination_ok(s.domain) for kind, s in sheets.items()}
+        summary = {
+            "pattern": {k: list(s.pattern()) for k, s in sheets.items()},
+            "underdetermination_ok": underdet,
+            "coverage": covered,
+            "experimental_streams": streams,
+        }
+        return summary, (checks.check_perrin_theorem(sheets, underdet)
+                         + checks.check_perrin_estimators(covered, pc["coverage_size"]))
+
+    return [("score_sheets", score_sheets), ("brownian", partial(coverage, "brownian")),
+            ("sediment", sediment)], finish
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +673,10 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         except OSError as exc:
             raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
 
-    for name in config["experiment"]:
-        summary[name], results = SUITES[name](config, out)
+    plans = [(name, *SUITES[name](config, out)) for name in config["experiment"]]
+    done = iter(run_jobs(out, [(name, *job) for name, jobs, _ in plans for job in jobs]))
+    for name, jobs, finish in plans:  # in suite order, after every suite's jobs
+        summary[name], results = finish(*[next(done) for _ in jobs])
         if config["check"]:
             check_results += results
 
@@ -674,21 +685,15 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
                              for name, ok, detail in check_results}
     out.emit_json("summary.json", summary)
 
-    workers = 1 + max((job["worker"] for job in out.jobs), default=0)
     manifest = {
         "config": config,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - start, 3),
         "outputs": out.digests,
         "jobs": out.jobs,
-        "workers": workers,
-        "children_peak_rss_mib": None,
+        "workers": 1 + max((job["worker"] for job in out.jobs), default=0),
+        "children_peak_rss_mib": out.children_peak_rss_mib,
     }
-    if workers > 1:  # forked children: Linux, whose ru_maxrss is in KiB
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        manifest["children_peak_rss_mib"] = round(peak / 1024, 1)
     write_json(out.root / "manifest.json", manifest)
 
     for name, ok, detail in check_results:

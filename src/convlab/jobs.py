@@ -1,6 +1,6 @@
-"""A suite's independent jobs on every CPU the run may use.
+"""A run's independent jobs on every CPU the run may use.
 
-run_jobs takes (name, zero-argument callable) pairs in serial order and
+run_jobs takes (suite, name, zero-argument callable) jobs in serial order and
 runs them on W = min(usable_cpus(), len(jobs)) workers: worker k runs
 jobs[k::W], the calling process is worker 0, and each other worker is one
 os.fork() child.  Fork, not a process pool: it needs no multiprocessing
@@ -40,7 +40,7 @@ def _work(jobs: list, worker: int, workers: int) -> list:
     for i in range(worker, len(jobs), workers):
         start = time.perf_counter()
         try:
-            ok, value = True, jobs[i][1]()
+            ok, value = True, jobs[i][2]()
         except Exception as exc:
             ok, value = False, exc
         done.append((i, worker, ok, value, time.perf_counter() - start))
@@ -49,15 +49,17 @@ def _work(jobs: list, worker: int, workers: int) -> list:
     return done
 
 
-def run_jobs(out, suite: str, jobs: list) -> list:
-    """The results of `jobs`, (name, zero-argument callable) pairs in serial
-    order, in that order.  A child writes its files through `out`, the run's
-    cli.Outputs, and pickles its results and the new digests down a pipe; the
-    parent merges the digests and logs each job, its worker and `suite` in out.jobs.
-    The first job in serial order that raised, or whose worker died
-    (WorkerError), raises its error.  Every child is reaped on every path."""
+def run_jobs(out, jobs: list) -> list:
+    """The results of `jobs`, (suite, name, zero-argument callable) triples in
+    serial order, in that order.  A child writes its files through `out`, the
+    run's cli.Outputs, and pickles its results and the new digests down a pipe;
+    the parent merges the digests, logs each job and its worker in out.jobs, and
+    keeps the largest peak resident set of its reaped children in
+    out.children_peak_rss_mib.  The first job in serial order that raised, or
+    whose worker died (WorkerError), raises its error.  Every child is reaped on
+    every path."""
     workers = min(usable_cpus(), len(jobs))
-    local, children, lost, outcomes = [0], [], {}, [None] * len(jobs)
+    local, children, lost, outcomes, peak = [0], [], {}, [None] * len(jobs), 0
     if workers > 1:
         import pickle
     try:
@@ -80,9 +82,10 @@ def run_jobs(out, suite: str, jobs: list) -> list:
         while children:
             worker, pid, pipe = children[0]
             report = pipe.read()  # before the wait: a report can outgrow the pipe's buffer
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            _, status, usage = os.wait4(pid, 0)
             pipe.close()
             children.pop(0)
+            code, peak = os.waitstatus_to_exitcode(status), max(peak, usage.ru_maxrss)
             if code == 0:
                 done, digests = pickle.loads(report)
                 for outcome in done:
@@ -90,9 +93,8 @@ def run_jobs(out, suite: str, jobs: list) -> list:
                 out.digests.update(digests)
             else:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                names = ", ".join(name for name, _ in jobs[worker::workers])
-                lost[worker] = WorkerError(f"the {suite} worker {worker} ({names}) {how} "
-                                           f"before it reported")
+                names = ", ".join(f"{suite} {name}" for suite, name, _ in jobs[worker::workers])
+                lost[worker] = WorkerError(f"worker {worker} ({names}) {how} before it reported")
     finally:
         if children:  # cut short by an error or an interrupt
             import signal
@@ -101,13 +103,14 @@ def run_jobs(out, suite: str, jobs: list) -> list:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    out.children_peak_rss_mib = round(peak / 1024, 1) if peak else None  # Linux: KiB
     for i, outcome in enumerate(outcomes):
         if outcome is None:
             raise lost[i % workers]
         if not outcome[2]:
             raise outcome[3]
     out.jobs += [{"suite": suite, "job": name, "worker": worker, "seconds": round(seconds, 6)}
-                 for (name, _), (_, worker, _, _, seconds) in zip(jobs, outcomes)]
+                 for (suite, name, _), (_, worker, _, _, seconds) in zip(jobs, outcomes)]
     return [outcome[3] for outcome in outcomes]
 
 

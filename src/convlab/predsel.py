@@ -274,9 +274,10 @@ class RegimeSummary:
             yield from zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic)
 
 
-# Reps per stacked fit: the fastest size measured; stacking all 2,000 reps of
-# the default regime A added ~170 MiB to a run's peak memory.
-CHUNK = 64
+# Reps per stacked fit.  32 fits as fast as 64 (0.245 s for the default regime A
+# either way) and halves a regime's traced peak (regime B: 4.62 MiB against 8.78),
+# which sets a run's peak when the run's own process is the worker that fits it.
+CHUNK = 32
 # Floats per block of the probe's draws (3.2 MB), under numpy's 4 MiB hugepage
 # threshold at any reps: the default probes timed the same from 16,000 to 400,000,
 # and at degree 48 and 10**5 reps, where each block adds into a 39 MB sum, the

@@ -72,12 +72,14 @@ def test_workload_matches_its_reference(tmp_path, monkeypatch, workload):
 def test_traced_run_reaches_the_kernels(tmp_path):
     """A traced worker run times the oracle, the classification and the
     draws the run itself calls: bench/layers.py wraps them by these names.
-    Still 0 in such a run, left to the next change to the benchmark
-    (ROADMAP items 1b and 5: the benchmark reads the run's profile, and
-    the benchmark-only scalar path goes): perrin.stages beyond the witness
-    replays, since the sweep runs no scalar trace, and predsel.fit_s,
-    predsel.fits and predsel.risk_s, since the regimes fit and score in
-    one kernel that no span wraps."""
+    At W >= 2 workers the tracer sees only the jobs the traced process runs
+    itself, worker 0's share of the run's one pool; a forked worker's spans
+    are lost.  Still 0 in such a run, left to the next change to the
+    benchmark (ROADMAP items 1 and 2: the run reports its own profile, and
+    the benchmark reads it while the benchmark-only scalar path goes):
+    perrin.stages beyond the witness replays, since the sweep runs no
+    scalar trace, and predsel.fit_s, predsel.fits and predsel.risk_s, since
+    the regimes fit and score in one kernel that no span wraps."""
     job = {
         "config": {
             "experiment": ["perrin", "lineworld", "predsel"],

@@ -400,27 +400,28 @@ class TestRun:
             (out / "summary.json").read_bytes()).hexdigest()
 
     def test_run_that_stops_leaves_no_manifest(self, tmp_path, monkeypatch):
-        # a manifest attests to a finished run: one that stops after a suite wrote
-        # its files, at a write (exit 2) or in a later suite (exit 3), leaves none
+        # a manifest attests to a finished run: one that stops after a suite's jobs
+        # wrote their files, at a write (exit 2) or in a later suite's job (exit 3),
+        # leaves none
         out = tmp_path / "out"
-        finished = ["--experiment", "gaussian", "--seed", "1", "--trials", "1000",
-                    "--out", str(out)]
-        stopping = {"experiment": ["gaussian", "predsel"], "seed": 2,
-                    "gaussian": {"mc_trials": 1000},
-                    "predsel": {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100}}
-        (out / "selection.csv").mkdir(parents=True)  # predsel's first write fails: exit 2
+        reps = {"regime_a_reps": 100, "regime_b_reps": 100, "probe_reps": 100}
+        finished = {"experiment": "predsel", "seed": 1, "predsel": reps}
+        stopping = {"experiment": ["predsel", "perrin"], "seed": 2, "predsel": reps,
+                    "perrin": {"grid_step": 0.25, "stream_schedule": [50, 100]}}
+        (out / "scoresheet.json").mkdir(parents=True)  # perrin's last write fails: exit 2
 
-        def stopped(cfg, out):
+        def stopped():
             raise ps.FitError("the suite stopped")
 
         for code in (2, 3):
             if code == 3:
-                monkeypatch.setitem(cli.SUITES, "predsel", stopped)
-            assert cli.main(finished) == 0
+                monkeypatch.setitem(cli.SUITES, "perrin",
+                                    lambda cfg, out: ([("stopped", stopped)], None))
+            assert run_cli(tmp_path, finished)[0] == 0
             assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 1
-            before = (out / "curves.csv").read_bytes()
+            before = (out / "selection.csv").read_bytes()
             assert run_cli(tmp_path, stopping)[0] == code
-            assert (out / "curves.csv").read_bytes() != before  # the seed-2 suite wrote its files
+            assert (out / "selection.csv").read_bytes() != before  # the seed-2 jobs wrote it
             assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
 
     def test_json_format(self, tmp_path):
@@ -904,7 +905,8 @@ class TestChecksJudgeTheRun:
         config = cli.validate_config(json.dumps({**TestWritePath.CONFIG, "experiment": name}))
         del config["check"]
         (tmp_path / "plots").mkdir()
-        _, results = cli.SUITES[name](config, cli.Outputs(tmp_path, "csv"))
+        jobs, finish = cli.SUITES[name](config, cli.Outputs(tmp_path, "csv"))
+        _, results = finish(*[job() for _, job in jobs])
         assert results and all(check.startswith(name) for check, _, _ in results)
 
     def test_perrin_studies_coverage_once_per_kind(self, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""convlab.jobs.run_jobs: a suite's independent jobs on W workers, this process being
-worker 0 and each other worker a forked child.  The outputs, the printed
+"""convlab.jobs.run_jobs: a run's independent jobs, every suite's in one pool, on W
+workers, this process being worker 0 and each other worker a forked child.  The outputs, the printed
 lines, the exit code and the manifest's digests do not depend on W, and
 every path, failed ones included, leaves no child and no temporary file."""
 
@@ -10,7 +10,6 @@ import signal
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,18 +82,28 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
         manifest = json.loads((run_dir / "out" / "manifest.json").read_text())
         seen[workers] = (code, stdout, stderr, manifest["outputs"], files(run_dir / "out"))
         assert code in (0, 1) and stderr == ""
-        most_jobs = max(Counter(job["suite"] for job in manifest["jobs"]).values())
-        assert manifest["workers"] == min(workers, most_jobs)
+        assert manifest["workers"] == min(workers, len(manifest["jobs"]))
     assert seen[2] == seen[1] and seen[3] == seen[1] and seen[8] == seen[1]
 
 
 def test_manifest_logs_each_job_and_the_workers(tmp_path, capsys, monkeypatch):
-    runs = {}
+    # one run_jobs call per run: at two workers an `all` run forks one child, and a
+    # job's worker is its index in the run's serial job list mod W, across suites
+    fork, forks, runs = os.fork, [], {}
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
         (tmp_path / str(workers)).mkdir()
         run_main(tmp_path / str(workers), capsys, {**SMALL, "experiment": "all"})
         runs[workers] = json.loads((tmp_path / str(workers) / "out" / "manifest.json").read_text())
+        assert len(forks) == workers - 1
     jobs = {"lineworld": ["centered(d0=1.0,r=0.7)", "offcenter(d0=1.0,r=0.7,lam=-1.0)",
                           "offcenter(d0=1.0,r=0.7,lam=0.7)", "uniform", "razor"],
             "gaussian": ["fixed_z(1.4142135623730951)", "fixed_z(1.96)", "bic"],
@@ -103,13 +112,23 @@ def test_manifest_logs_each_job_and_the_workers(tmp_path, capsys, monkeypatch):
     for workers, manifest in runs.items():
         assert [(j["suite"], j["job"]) for j in manifest["jobs"]] == [
             (suite, job) for suite, names in jobs.items() for job in names]
-        for suite in jobs:
-            logged = [j["worker"] for j in manifest["jobs"] if j["suite"] == suite]
-            assert logged == [i % workers for i in range(len(logged))]
+        assert [j["worker"] for j in manifest["jobs"]] == [i % workers for i in range(14)]
         assert all(j["seconds"] >= 0 for j in manifest["jobs"])
         assert manifest["workers"] == workers
     assert runs[1]["children_peak_rss_mib"] is None
     assert runs[2]["children_peak_rss_mib"] > 0
+
+
+def test_children_peak_is_this_runs_workers(tmp_path):
+    # a process that ran a larger child before the run reports only the run's workers
+    src = str(Path(cli.__file__).parents[1])
+    script = ("import subprocess, sys; from convlab import cli, jobs; jobs.usable_cpus = lambda: 2; "
+              "subprocess.run([sys.executable, '-c', 'b\"x\" * (80 << 20)'], check=True); "
+              f"cli.main(['--experiment', 'lineworld', '--out', {str(tmp_path)!r}])")
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["workers"] == 2 and 0 < manifest["children_peak_rss_mib"] < 48
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +143,9 @@ def in_child(test_pid):
 
 
 def with_jobs(monkeypatch, jobs):
-    """Make the lineworld suite a run_jobs call on `jobs`."""
-    def runner(cfg, out):
-        return {"results": run_jobs(out, "lineworld", jobs)}, []
-    monkeypatch.setitem(cli.SUITES, "lineworld", runner)
+    """Make the lineworld suite's jobs `jobs`, and its summary their results."""
+    monkeypatch.setitem(cli.SUITES, "lineworld",
+                        lambda cfg, out: (jobs, lambda *results: ({"results": results}, [])))
 
 
 @pytest.mark.parametrize("error", cli.RUN_ERRORS, ids=lambda e: e.__name__)
@@ -186,7 +204,7 @@ def test_dead_child_is_a_one_line_run_error(tmp_path, capsys, monkeypatch, death
                             ("third", lambda: 3)])
     force_workers(monkeypatch, 2)
     assert run_main(tmp_path, capsys, {"experiment": "lineworld"}) == (
-        3, "", f"run error: the lineworld worker 1 (second) {how} before it reported\n")
+        3, "", f"run error: worker 1 (lineworld second) {how} before it reported\n")
 
 
 def test_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
@@ -199,7 +217,7 @@ def test_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
     jobs = [("first", interrupted), ("second", lambda: in_child(test_pid) and time.sleep(600))]
     force_workers(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
-        run_jobs(cli.Outputs(tmp_path, "csv"), "suite", jobs)
+        run_jobs(cli.Outputs(tmp_path, "csv"), [("suite", *job) for job in jobs])
 
 
 def test_large_child_results_arrive_whole(tmp_path, monkeypatch):
@@ -207,7 +225,7 @@ def test_large_child_results_arrive_whole(tmp_path, monkeypatch):
     force_workers(monkeypatch, 3)
     blob = os.urandom(1 << 21)
     out = cli.Outputs(tmp_path, "csv")
-    assert run_jobs(out, "suite", [(str(i), lambda i=i: (i, blob)) for i in range(5)]) == [
+    assert run_jobs(out, [("suite", str(i), lambda i=i: (i, blob)) for i in range(5)]) == [
         (i, blob) for i in range(5)]
     assert [j["worker"] for j in out.jobs] == [0, 1, 2, 0, 1]
 
@@ -215,8 +233,8 @@ def test_large_child_results_arrive_whole(tmp_path, monkeypatch):
 def test_child_digests_reach_the_parent(tmp_path, monkeypatch):
     force_workers(monkeypatch, 2)
     out = cli.Outputs(tmp_path, "csv")
-    run_jobs(out, "suite", [(name, lambda name=name: out.emit_json(name, [name]))
-                                for name in ("a.json", "b.json", "c.json")])
+    run_jobs(out, [("suite", name, lambda name=name: out.emit_json(name, [name]))
+                   for name in ("a.json", "b.json", "c.json")])
     assert out.digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                            for name in ("a.json", "b.json", "c.json")}
 
@@ -227,7 +245,7 @@ def test_unpicklable_child_result_is_a_run_error(tmp_path, capsys, monkeypatch):
     code, _, err = run_main(tmp_path, capsys, {"experiment": "lineworld"})
     assert code == 3
     assert err.splitlines()[-1] == (
-        "run error: the lineworld worker 1 (second) exited with status 1 before it reported")
+        "run error: worker 1 (lineworld second) exited with status 1 before it reported")
 
 
 def test_failed_fork_runs_the_jobs_here(tmp_path, monkeypatch):
@@ -237,7 +255,7 @@ def test_failed_fork_runs_the_jobs_here(tmp_path, monkeypatch):
     force_workers(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", no_fork)
     out = cli.Outputs(tmp_path, "csv")
-    assert run_jobs(out, "suite", [(str(i), lambda i=i: i) for i in range(4)]) == [0, 1, 2, 3]
+    assert run_jobs(out, [("suite", str(i), lambda i=i: i) for i in range(4)]) == [0, 1, 2, 3]
     assert [j["worker"] for j in out.jobs] == [0, 1, 2, 0]
 
 
@@ -322,6 +340,7 @@ def test_child_error_carries_the_child_traceback(tmp_path, monkeypatch):
 
     force_workers(monkeypatch, 2)
     with pytest.raises(KeyError) as caught:
-        run_jobs(cli.Outputs(tmp_path, "csv"), "suite", [("first", lambda: 1), ("second", broken)])
+        run_jobs(cli.Outputs(tmp_path, "csv"), [("suite", "first", lambda: 1),
+                                                ("suite", "second", broken)])
     (note,) = caught.value.__notes__
     assert note.startswith("Traceback") and 'return {}["missing"]' in note

@@ -353,6 +353,7 @@ class TestBatchedRegimes:
             return kernel(x, y, *args)
 
         monkeypatch.setattr(ps, "_nested_scores", spy)
+        monkeypatch.setattr(ps, "CHUNK", 50)  # two full chunks and a partial third clear 100 reps
         ps.regime_experiment(truth, [0, 2], n=30, reps=2 * ps.CHUNK + 1, seed=3)
         assert [(len(x), first) for x, _, first in stacks] == [
             (ps.CHUNK, 0), (ps.CHUNK, ps.CHUNK), (1, 2 * ps.CHUNK)]
