@@ -10,6 +10,7 @@ results to judge fails.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from . import lineworld as lw
 from .framework import CONFIDENCE, DEFAULT_TIMES, PROBE_SIZES, normal_quantile
@@ -28,17 +29,18 @@ ROOT_N_WIDTH = {kind: 2.0 * _Z * s for kind, s in (
     ("sediment", 1.0))}
 
 
-def _analytic(rows, rule: str, theta: float) -> dict:
-    return {n: p for r, t, n, p, se in rows if (r, t) == (rule, theta) and se is None}
-
-
-def _mc_agrees(rows, rule: str, floor: float, trials: int) -> bool:
-    """Every Monte Carlo row of the rule at theta = 0 lies within floor of
-    the analytic row at the same n (which must exist), or has it inside
-    the z = 4 Wilson score interval (Wilson 1927) of its estimate at the
-    run's trial count, which unlike a plug-in se stays open at 0 and 1."""
-    exact = _analytic(rows, rule, 0.0)
-    mc = [(n, p) for r, t, n, p, se in rows if (r, t) == (rule, 0.0) and se is not None]
+def _mc_agrees(exact: dict, mc: list, floor: float, trials: int) -> tuple:
+    """(verdict, detail suffix) of a rule's Monte Carlo (n, p) rows at theta = 0
+    against its analytic rows there, {n: p}.  Every Monte Carlo row must lie within
+    floor of the analytic row at the same n (which must exist), or have it inside
+    the z = 4 Wilson score interval (Wilson 1927) of its estimate at the run's trial
+    count, which unlike a plug-in se stays open at 0 and 1.  The suffix says why the
+    rule fails unjudged ("" when it is judged)."""
+    missing = ",".join(str(n) for n, _ in mc if n not in exact)
+    if not mc:
+        return False, "; no Monte Carlo rows at theta=0"
+    if missing:
+        return False, f"; no analytic row at Monte Carlo n={missing}"
     shrink = 1.0 + MC_Z**2 / trials
 
     def agrees(n, p):
@@ -46,26 +48,12 @@ def _mc_agrees(rows, rule: str, floor: float, trials: int) -> bool:
         half = MC_Z / shrink * math.sqrt(p * (1.0 - p) / trials + (MC_Z / (2.0 * trials))**2)
         return abs(p - exact[n]) <= floor or abs(exact[n] - center) <= half
 
-    return bool(mc) and all(n in exact and agrees(n, p) for n, p in mc)
-
-
-def _level_detail(levels) -> str:
-    return f"analytic={levels[0]:.6f}" if levels else "no analytic rows at theta=0"
-
-
-def _mc_gap(rows, rule: str) -> str:
-    """Why _mc_agrees fails the rule unjudged, as a detail suffix ("" if it does not)."""
-    exact = _analytic(rows, rule, 0.0)
-    mc = [n for r, t, n, p, se in rows if (r, t) == (rule, 0.0) and se is not None]
-    missing = ",".join(str(n) for n in mc if n not in exact)
-    if not mc:
-        return "; no Monte Carlo rows at theta=0"
-    return missing and f"; no analytic row at Monte Carlo n={missing}"
+    return all(agrees(n, p) for n, p in mc), ""
 
 
 def check_gaussian_levels(rows, trials: int):
-    """Constant level of the sqrt(2)-threshold rule, the 95% rule's
-    level, BIC's rising level, and power at theta = 0.5.
+    """The constant levels of the sqrt(2)-threshold rule and the 95% rule,
+    BIC's rising level, and power at theta = 0.5.
 
     rows: (rule label, theta, n, truth_prob, se) curve rows as written to
     curves.csv; analytic rows have se None, Monte Carlo rows carry it and
@@ -74,30 +62,35 @@ def check_gaussian_levels(rows, trials: int):
     from .gaussian import aic_rule, bic_rule, confidence_rule_95
 
     aic, m95, bic = aic_rule().label(), confidence_rule_95().label(), bic_rule().label()
+    exact, mc = defaultdict(dict), defaultdict(list)  # {(rule, theta): {n: p}}, {rule: [(n, p)]}
+    for rule, theta, n, p, se in rows:
+        if se is None:
+            exact[rule, theta][n] = p
+        elif theta == 0.0:
+            mc[rule].append((n, p))
     results = []
-    levels = list(_analytic(rows, aic, 0.0).values())
-    ok = bool(levels) and all(abs(p - 0.8427) <= 0.0005 for p in levels)
-    ok = ok and max(levels) - min(levels) <= 1e-12 and _mc_agrees(rows, aic, MC_FLOOR, trials)
-    results.append(("gaussian_aic_level", ok, _level_detail(levels) + _mc_gap(rows, aic)))
+    for check_id, rule, level in (("gaussian_aic_level", aic, 0.8427),  # fixed-z: flat in n
+                                  ("gaussian_m_dagger_level", m95, 0.9500)):
+        levels = list(exact[rule, 0.0].values())
+        agree, gap = _mc_agrees(exact[rule, 0.0], mc[rule], MC_FLOOR, trials)
+        ok = bool(levels) and all(abs(p - level) <= 0.0005 for p in levels)
+        ok = ok and max(levels) - min(levels) <= 1e-12 and agree
+        detail = f"analytic={levels[0]:.6f}" if levels else "no analytic rows at theta=0"
+        results.append((check_id, ok, detail + gap))
 
-    levels = list(_analytic(rows, m95, 0.0).values())
-    ok = bool(levels) and all(abs(p - 0.9500) <= 0.0005 for p in levels)
-    ok = ok and _mc_agrees(rows, m95, MC_FLOOR, trials)
-    results.append(("gaussian_m_dagger_level", ok, _level_detail(levels) + _mc_gap(rows, m95)))
-
-    vals = _analytic(rows, bic, 0.0)
+    vals = exact[bic, 0.0]
+    agree, gap = _mc_agrees(vals, mc[bic], 0.0, trials)
     hit = [n for n in BIC_TARGETS if n in vals]
     rising = [vals[n] for n in sorted(vals)]
     ok = bool(hit) and all(abs(vals[n] - BIC_TARGETS[n]) <= 0.001 for n in hit)
-    ok = ok and all(a < b for a, b in zip(rising, rising[1:]))
-    ok = ok and _mc_agrees(rows, bic, 0.0, trials)
+    ok = ok and all(a < b for a, b in zip(rising, rising[1:])) and agree
     targets = " ".join(f"n={n}:{vals[n]:.5f}" for n in hit)
     targets = targets or "no analytic row at n=" + ",".join(map(str, BIC_TARGETS))
-    results.append(("gaussian_bic_consistency", ok, targets + _mc_gap(rows, bic)))
+    results.append(("gaussian_bic_consistency", ok, targets + gap))
 
     gaps = []
     for label, n0 in ((aic, 100), (bic, 200)):  # sample sizes from which theta = 0.5 is found
-        probs = {n: p for n, p in _analytic(rows, label, 0.5).items() if n >= n0}
+        probs = {n: p for n, p in exact[label, 0.5].items() if n >= n0}
         low = " ".join(f"n={n}:{p:.5f}" for n, p in probs.items() if not p >= 0.999)
         if not probs:
             gaps.append(f"{label} has no analytic row at theta=0.5 and n>={n0}")

@@ -83,11 +83,11 @@ def _numlist(item_check, increasing=False):
 
 
 def _experiment(v, path):
-    names = list(EXPERIMENTS) if v == "all" else [v] if isinstance(v, str) else v
+    names = list(SUITES) if v == "all" else [v] if isinstance(v, str) else v
     if not isinstance(names, list):
         raise ConfigError(f"{path}: expected a name or list of names")
     for i, x in enumerate(names):
-        if x not in EXPERIMENTS:
+        if not isinstance(x, str) or x not in SUITES:
             raise ConfigError(f"{path}: unknown experiment {reprlib.repr(x)}")
         if x in names[:i]:
             raise ConfigError(f"{path}[{i}]: duplicate experiment {reprlib.repr(x)}")
@@ -262,6 +262,11 @@ def check_consistency(config: dict) -> None:
     """Reject values that are each in range but contradict one another."""
     if config["check"] and not config["experiment"]:
         raise ConfigError("experiment: an empty list leaves --check nothing to judge")
+    seen = set()  # by value, so 0.0 and -0.0 are one offset: a repeat would run its stream twice
+    for i, lam in enumerate(config["lineworld"]["offsets"]):
+        if lam in seen:
+            raise ConfigError(f"lineworld.offsets[{i}]: duplicate offset {reprlib.repr(lam)}")
+        seen.add(lam)
     for suite, (lo, hi, _) in GRID_FIELDS.items():
         axis = world_axis(config, suite)
         c = config[suite]
@@ -640,7 +645,6 @@ RUN_ERRORS = (OracleContradiction, StreamError, FitError, EstimationError, Worke
 # experiment name -> runner; `all` runs them in this order
 SUITES = {"lineworld": run_lineworld, "gaussian": run_gaussian,
           "predsel": run_predsel, "perrin": run_perrin}
-EXPERIMENTS = tuple(SUITES)
 
 
 @dataclass

@@ -277,38 +277,27 @@ def always_suspend_method() -> MethodSpec:
 
 # adversaries that violate the short-run razor in different ways
 
+def _razor_violator(name: str, fires) -> MethodSpec:
+    """The threshold rule plus a trigger: COMPLEX wherever fires(hist) holds,
+    even while the last interval still covers 0, else the threshold rule."""
+    return MethodSpec(name=name,
+                      decide=lambda hist: _COMPLEX if fires(hist) else _mstar_latest(hist))
+
+
 def width_trigger_violator(width0: float = 0.01) -> MethodSpec:
     """Outputs COMPLEX once the interval is narrower than width0 even
     when 0 is still inside; otherwise behaves like the threshold rule."""
-
-    def decide(hist):
-        if hist[-1].width < width0:
-            return Verdict.COMPLEX
-        return _mstar_latest(hist)
-
-    return MethodSpec(name=f"width_violator({width0})", decide=decide)
+    return _razor_violator(f"width_violator({width0})", lambda hist: hist[-1].width < width0)
 
 
 def stage_trigger_violator(stage: int = 3) -> MethodSpec:
     """Outputs COMPLEX unconditionally at one fixed stage."""
-
-    def decide(hist):
-        if len(hist) - 1 == stage:
-            return Verdict.COMPLEX
-        return _mstar_latest(hist)
-
-    return MethodSpec(name=f"stage_violator({stage})", decide=decide)
+    return _razor_violator(f"stage_violator({stage})", lambda hist: len(hist) - 1 == stage)
 
 
 def parity_violator() -> MethodSpec:
     """Outputs COMPLEX at every odd stage regardless of the evidence."""
-
-    def decide(hist):
-        if (len(hist) - 1) % 2 == 1:
-            return Verdict.COMPLEX
-        return _mstar_latest(hist)
-
-    return MethodSpec(name="parity_violator", decide=decide)
+    return _razor_violator("parity_violator", lambda hist: (len(hist) - 1) % 2 == 1)
 
 
 def razor_violator_suite() -> list:
@@ -444,8 +433,7 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport
     for hist in _candidate_histories(search_budget):
         if method.decide(hist) is not Verdict.COMPLEX:
             continue
-        base = len(hist) - 1
-        final = hist[base]
+        final = hist[-1]
         # continue toward theta = 0 with halving origin-centered intervals
         half = min(-final.lo, final.hi, final.width / 4.0)
         if half <= 0.0:  # 0 sits on the boundary; unusable for a continuation
@@ -453,23 +441,18 @@ def razor_necessity_probe(method: MethodSpec, search_budget: int) -> RazorReport
         extended = hist + [IntervalEvidence(-half / 2.0**k, half / 2.0**k)
                            for k in range(1, extension + 1)]
         verdicts = _decisions(method, extended)
-        if Verdict.SIMPLE not in verdicts[base + 1:]:
-            # never returned to SIMPLE: fails pointwise at theta = 0
-            return RazorReport(
-                razor_violation=tuple(hist),
-                consequence="POINTWISE_FAIL",
-                witness_theta=0.0,
-                witness_trace=StreamTrace(f"{FAMILY}:theta=0.0", tuple(extended), verdicts),
-            )
-        # retraction of a COMPLEX verdict that was true at a nonzero
-        # world inside the stage-j interval
-        j = verdicts.index(Verdict.SIMPLE, base + 1)
-        theta_w = extended[j].hi / 2.0
+        if Verdict.SIMPLE in verdicts[len(hist):]:
+            # retraction of a COMPLEX verdict that was true at a nonzero
+            # world inside the stage-j interval: the trace stops at stage j
+            j = verdicts.index(Verdict.SIMPLE, len(hist))
+            consequence, theta_w, cut = "STABILITY_FAIL", extended[j].hi / 2.0, j + 1
+        else:  # never returned to SIMPLE: fails pointwise at theta = 0
+            consequence, theta_w, cut = "POINTWISE_FAIL", 0.0, len(extended)
         return RazorReport(
             razor_violation=tuple(hist),
-            consequence="STABILITY_FAIL",
+            consequence=consequence,
             witness_theta=theta_w,
-            witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", tuple(extended[:j + 1]),
-                                      verdicts[:j + 1]),
+            witness_trace=StreamTrace(f"{FAMILY}:theta={theta_w!r}", tuple(extended[:cut]),
+                                      verdicts[:cut]),
         )
     return RazorReport(razor_violation=None, consequence="NONE_FOUND")

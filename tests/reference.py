@@ -161,8 +161,8 @@ def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpe
 
 
 # ---------------------------------------------------------------------------
-# lineworld: the threshold rule on one interval, and a method that is
-# right everywhere except at the origin
+# lineworld: the threshold rule on one interval, the razor adversaries'
+# triggers, and a method that is right everywhere except at the origin
 
 
 def mstar_decide(e) -> Verdict:
@@ -170,6 +170,28 @@ def mstar_decide(e) -> Verdict:
     as inclusion), COMPLEX otherwise; never SUSPEND (the one-interval form
     of the rule mstar reads off a history's last interval)."""
     return Verdict.SIMPLE if e.lo <= 0.0 <= e.hi else Verdict.COMPLEX
+
+
+def width_trigger(hist, width0: float) -> bool:
+    """The width violator's trigger: the last interval is narrower than width0."""
+    return hist[-1].hi - hist[-1].lo < width0
+
+
+def stage_trigger(hist, stage: int) -> bool:
+    """The stage violator's trigger: the history ends at the given stage (its first
+    interval is stage 0)."""
+    return len(hist) == stage + 1
+
+
+def parity_trigger(hist) -> bool:
+    """The parity violator's trigger: the history ends at an odd stage."""
+    return len(hist) % 2 == 0
+
+
+def razor_violator_decide(trigger, hist) -> Verdict:
+    """A razor adversary's verdict: COMPLEX where its trigger fires, else the
+    threshold rule on the last interval."""
+    return Verdict.COMPLEX if trigger(hist) else mstar_decide(hist[-1])
 
 
 def always_complex_method() -> MethodSpec:

@@ -75,6 +75,17 @@ def test_gaussian_check_fails_on_doctored_rows(check_id):
     assert [name for name, ok in got.items() if not ok] == [check_id]
 
 
+@pytest.mark.parametrize("rule, check_id", [(AIC, "gaussian_aic_level"),
+                                             (M95, "gaussian_m_dagger_level")])
+def test_fixed_z_level_must_be_flat_in_n(rule, check_id):
+    # still within 0.0005 of the level, but 1e-9 off at one n: a fixed-z rule's
+    # level at theta = 0 is the same at every n
+    rows = [(r, t, n, p + 1e-9 if (r, t, n, se) == (rule, 0.0, 1000, None) else p, se)
+            for r, t, n, p, se in gaussian_rows()]
+    got = verdicts(checks.check_gaussian_levels(rows, TRIALS))
+    assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
 def test_gaussian_details_name_the_rows_missing():
     details = {name: detail for name, _, detail in checks.check_gaussian_levels(
         gaussian_rows(), TRIALS)}
@@ -111,13 +122,11 @@ def test_gaussian_power_detail_names_rule_and_rows():
 def test_mc_agreement_at_probability_one():
     # an estimate of 1.0 has a plug-in se of 0, and BIC's floor is 0: at 1,000
     # trials the z = 4 Wilson interval of 1.0 reaches down to 0.984, past 0.9998
-    analytic = g.truth_prob_analytic(g.bic_rule(), 0.0, 10**6)
-    rows = [(BIC, 0.0, 10**6, analytic, None), (BIC, 0.0, 10**6, 1.0, 0.0)]
-    assert checks._mc_agrees(rows, BIC, 0.0, 1000)
+    exact, mc = {10**6: g.truth_prob_analytic(g.bic_rule(), 0.0, 10**6)}, [(10**6, 1.0)]
+    assert checks._mc_agrees(exact, mc, 0.0, 1000) == (True, "")
     # a million trials put 0.9998 outside it, and so does a doctored analytic row
-    assert not checks._mc_agrees(rows, BIC, 0.0, 10**6)
-    doctored = [(BIC, 0.0, 10**6, 0.98, None), rows[1]]
-    assert not checks._mc_agrees(doctored, BIC, 0.0, 1000)
+    assert checks._mc_agrees(exact, mc, 0.0, 10**6) == (False, "")
+    assert checks._mc_agrees({10**6: 0.98}, mc, 0.0, 1000) == (False, "")
 
 
 LINEWORLD = {

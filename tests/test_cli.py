@@ -54,7 +54,7 @@ class TestValidateConfig:
 
     def test_all_expands(self):
         config = cli.validate_config('{"experiment": "all"}')
-        assert config["experiment"] == list(cli.EXPERIMENTS)
+        assert config["experiment"] == list(cli.SUITES)
 
     def test_empty_experiment_list(self):
         assert cli.validate_config('{"experiment": []}')["experiment"] == []
@@ -160,7 +160,6 @@ class TestSuites:
     def test_table_schema_sections_and_help_agree(self):
         sections = [key for key, spec in cli.SCHEMA.items() if isinstance(spec, dict)]
         assert sorted(cli.SUITES) == sorted(sections)
-        assert cli.EXPERIMENTS == tuple(cli.SUITES)
         assert all(runner.__name__ == f"run_{name}" for name, runner in cli.SUITES.items())
         (action,) = [a for a in cli.build_parser()._actions if a.dest == "experiment"]
         assert action.help.split("|") == [*cli.SUITES, "all"]
@@ -172,8 +171,8 @@ class TestSuites:
         assert code in (0, 1)
         suites = [line.split()[1].split("_")[0]
                   for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
-        assert list(dict.fromkeys(suites)) == list(cli.EXPERIMENTS)
-        assert suites == sorted(suites, key=cli.EXPERIMENTS.index)
+        assert list(dict.fromkeys(suites)) == list(cli.SUITES)
+        assert suites == sorted(suites, key=list(cli.SUITES).index)
 
     @pytest.mark.parametrize("error", [OracleContradiction, StreamError, ps.FitError,
                                        pr.EstimationError], ids=lambda e: e.__name__)
@@ -587,6 +586,11 @@ class TestFlags:
         ({"experiment": "gaussian", "gaussian": {"n_grid": [10, 10**400]}}, "gaussian.n_grid[1]"),
         # the suite would run once but summary.json would list it twice
         ({"experiment": ["lineworld", "lineworld"]}, "experiment[1]"),
+        # the stream would run twice but summary.json would keep it once; 0.0 == -0.0
+        ({"experiment": "lineworld", "lineworld": {"offsets": [-1.0, -1.0, 0.7]}},
+         "lineworld.offsets[1]"),
+        ({"experiment": "lineworld", "lineworld": {"offsets": [0.0, 0.7, -0.0]}},
+         "lineworld.offsets[2]"),
         # ratio**(horizon - 1) cannot take a horizon beyond the float range
         ({"experiment": "perrin", "perrin": {"horizon": 10**3999}}, "perrin.horizon"),
         ({"experiment": "lineworld", "lineworld": {"horizon": 10**300}}, "lineworld.horizon"),
@@ -611,7 +615,8 @@ class TestFlags:
             "theta-1e-160", "theta-grid-without-0", "alpha-grid-above-slack",
             "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
-            "duplicate-experiment", "horizon-4000-digits", "horizon-1e300",
+            "duplicate-experiment", "duplicate-offset", "duplicate-offset-signed-zero",
+            "horizon-4000-digits", "horizon-1e300",
             "check-no-experiments", "lineworld-rounding-merges", "lineworld-rounding-onto-zero",
             "perrin-rounding-merges"])
     def test_contradiction_exit_two(self, tmp_path, capsys, config, field):
@@ -693,6 +698,8 @@ class TestFlags:
         ({"gaussian": {"mc_trials": 10**30}},
          "gaussian.mc_trials: 1000000000000000000000000000000 above the valid range"),
         ({"perrin": {"ratio": 1.5}}, "perrin.ratio: 1.5 above the valid range"),
+        ({"experiment": [["lineworld"]]}, "experiment: unknown experiment ['lineworld']"),
+        ({"lineworld": {"offsets": [-1.0, -1.0]}}, "lineworld.offsets[1]: duplicate offset -1.0"),
     ])
     def test_short_values_print_whole(self, tmp_path, capsys, config, message):
         assert run_cli(tmp_path, config)[0] == 2

@@ -69,7 +69,7 @@ def bounded(tmp_path):
 
 @pytest.mark.parametrize("plots", [True, False], ids=["plots", "no-plots"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("experiment", [*cli.EXPERIMENTS, "all"])
+@pytest.mark.parametrize("experiment", [*cli.SUITES, "all"])
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
                                                    experiment, fmt, plots):
     config = {**SMALL, "experiment": experiment, "format": fmt, "plots": plots}

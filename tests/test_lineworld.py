@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import example, given
@@ -505,3 +506,25 @@ class TestRazorProbe:
 
     def test_razor_obeying_constant_simple(self):
         assert lw.razor_necessity_probe(constant_method(S), BUDGET).consequence == "NONE_FOUND"
+
+
+class TestRazorAdversaries:
+    @given(params=drift_params(min_ratio=0.5), horizon=st.integers(1, 30),
+           theta=st.just(0.0) | st.floats(-0.05, 0.05) | st.floats(-2, 2),
+           width0=st.floats(1e-4, 4.0), stage=st.integers(0, 30))
+    def test_decision_is_the_threshold_rule_unless_the_trigger_fires(self, params, horizon,
+                                                                     theta, width0, stage):
+        delta0, ratio, offsets = params
+        spec = lw.StreamSpec(delta0, ratio, offset=offsets)
+        hist = [lw.interval_at(theta, spec, t) for t in range(horizon)]
+        width, at_stage, parity = lw.razor_violator_suite()  # at their defaults
+        assert (width.name, at_stage.name, parity.name) == (
+            "width_violator(0.01)", "stage_violator(3)", "parity_violator")
+        cases = [(width, partial(ref.width_trigger, width0=0.01)),
+                 (at_stage, partial(ref.stage_trigger, stage=3)),
+                 (parity, ref.parity_trigger),
+                 (lw.width_trigger_violator(width0), partial(ref.width_trigger, width0=width0)),
+                 (lw.stage_trigger_violator(stage), partial(ref.stage_trigger, stage=stage))]
+        for method, trigger in cases:
+            for t in range(1, horizon + 1):
+                assert method.decide(hist[:t]) is ref.razor_violator_decide(trigger, hist[:t])
