@@ -27,11 +27,10 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, checks
+from . import __version__, checks, jobs
 from . import lineworld as lw
 from .framework import (CONFIDENCE, DIAG_TOL, PROBE_SIZES, EstimationError, FitError,
                         OracleContradiction, Status, StreamError, WorkerError, poly_degree)
-from .jobs import run_jobs
 from .lineworld import GridSpec, StreamSpec
 
 
@@ -473,13 +472,16 @@ def run_lineworld(cfg: dict, out: Outputs):
     lc = cfg["lineworld"]
     thetas = world_axis(cfg, "lineworld")
     mstar = lw.mstar_method()
-    specs = [StreamSpec(lc["delta0"], lc["ratio"])] + [
-        StreamSpec(lc["delta0"], lc["ratio"], offset=lam)
-        for lam in lc["offsets"] if lam != 0.0
-    ]
+    # one stream per offset, in list order; 0.0 and -0.0 are the centered stream
+    specs = [StreamSpec(lc["delta0"], lc["ratio"], offset=lam or 0.0) for lam in lc["offsets"]]
+    # each stream's worlds in one contiguous slice per usable CPU, stream-major: worker j
+    # of run_jobs then runs slice j of every stream, and a serial run's first failing
+    # world is the first failing job's
+    n = min(jobs.usable_cpus(), len(thetas))
+    bounds = [(k * len(thetas) // n, (k + 1) * len(thetas) // n) for k in range(n)]
 
-    def pointwise(spec):
-        records = lw.check_pointwise(mstar, thetas, spec, lc["horizon"])
+    def pointwise(spec, lo, hi):
+        records = lw.check_pointwise(mstar, thetas[lo:hi], spec, lc["horizon"])
         counts = {s.value: sum(r.status is s for r in records) for s in Status}
         return counts, all(r.stable for r in records)
 
@@ -500,17 +502,21 @@ def run_lineworld(cfg: dict, out: Outputs):
                 for method in [mstar, lw.always_suspend_method()] + lw.razor_violator_suite()}
 
     def finish(*done):
-        *streams, refutations, probes = done
+        *slices, refutations, probes = done
+        streams = [slices[i:i + n] for i in range(0, len(slices), n)]
         summary = {
             "worlds": len(thetas),
-            "pointwise_by_stream": {spec.label(): counts for spec, (counts, _) in zip(specs, streams)},
-            "mstar_stable": all(stable for _, stable in streams),
+            "pointwise_by_stream": {
+                spec.label(): {s.value: sum(counts[s.value] for counts, _ in parts) for s in Status}
+                for spec, parts in zip(specs, streams)},
+            "mstar_stable": all(stable for _, stable in slices),
             "uniform_refutations": refutations,
             "razor_probe": probes,
         }
         return summary, checks.check_lineworld_suite(summary)
 
-    return ([(spec.label(), partial(pointwise, spec)) for spec in specs]
+    return ([(spec.label() + (f"[{lo}:{hi}]" if n > 1 else ""), partial(pointwise, spec, lo, hi))
+             for spec in specs for lo, hi in bounds]
             + [("uniform", uniform), ("razor", razor)]), finish
 
 
@@ -678,9 +684,9 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
             raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
 
     plans = [(name, *SUITES[name](config, out)) for name in config["experiment"]]
-    done = iter(run_jobs(out, [(name, *job) for name, jobs, _ in plans for job in jobs]))
-    for name, jobs, finish in plans:  # in suite order, after every suite's jobs
-        summary[name], results = finish(*[next(done) for _ in jobs])
+    done = iter(jobs.run_jobs(out, [(name, *job) for name, listed, _ in plans for job in listed]))
+    for name, listed, finish in plans:  # in suite order, after every suite's jobs
+        summary[name], results = finish(*[next(done) for _ in listed])
         if config["check"]:
             check_results += results
 

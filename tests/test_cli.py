@@ -353,13 +353,27 @@ class TestRun:
         assert not out.exists()
 
     def test_default_lineworld_labels(self, tmp_path):
-        # the centered stream and one per nonzero default offset, each as the spec that ran
+        # one stream per default offset, each as the spec that ran
         code, out = run_cli(tmp_path, {"experiment": "lineworld"})
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())["lineworld"]
         assert set(summary["pointwise_by_stream"]) == {
             "centered(d0=1.0,r=0.7)", "offcenter(d0=1.0,r=0.7,lam=-1.0)",
             "offcenter(d0=1.0,r=0.7,lam=0.7)"}
+
+    @pytest.mark.parametrize("offsets, labels", [
+        ([-1.0], {"offcenter(d0=1.0,r=0.7,lam=-1.0)"}),
+        ([0.7, -0.0], {"offcenter(d0=1.0,r=0.7,lam=0.7)", "centered(d0=1.0,r=0.7)"}),
+    ], ids=["no-centered", "negative-zero-centered"])
+    def test_offsets_list_the_streams(self, tmp_path, offsets, labels):
+        # a list without 0.0 runs no centered stream; -0.0 is the centered stream
+        code, out = run_cli(tmp_path, {"experiment": "lineworld", "lineworld": {
+            "theta_step": 0.1, "offsets": offsets}}, "--check")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["lineworld"]["pointwise_by_stream"]) == labels
+        assert summary["checks"]["lineworld_mstar_pointwise_stable"]["detail"] == (
+            f"11 worlds x {len(labels)} streams")
 
     def test_lf_line_endings(self, tmp_path):
         _, out = run_cli(tmp_path, SMALL_CONFIG)

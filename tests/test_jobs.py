@@ -3,6 +3,7 @@ workers, this process being worker 0 and each other worker a forked child.  The 
 lines, the exit code and the manifest's digests do not depend on W, and
 every path, failed ones included, leaves no child and no temporary file."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from convlab import cli
+from convlab import lineworld as lw
 from convlab.jobs import run_jobs
 from convlab.framework import OracleContradiction, StreamError
 
@@ -67,12 +69,30 @@ def bounded(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+CONFIGS = {**{name: {**SMALL, "experiment": name} for name in [*cli.SUITES, "all"]},
+           # one world, fewer than the workers: each stream stays one job
+           "lineworld-one-world": {"experiment": "lineworld", "lineworld": {
+               "theta_min": 0.25, "theta_max": 0.25, "horizon": 30}}}
+
+
+def stream_slices(manifest) -> dict:
+    """Each lineworld stream's pointwise jobs in job order: its (lo, hi) world
+    slice, or None for a job over all its worlds."""
+    slices = {}
+    for job in manifest["jobs"]:
+        if job["suite"] == "lineworld" and job["job"] not in ("uniform", "razor"):
+            label, _, part = job["job"].partition("[")
+            slices.setdefault(label, []).append(
+                tuple(map(int, part.rstrip("]").split(":"))) if part else None)
+    return slices
+
+
 @pytest.mark.parametrize("plots", [True, False], ids=["plots", "no-plots"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("experiment", [*cli.SUITES, "all"])
+@pytest.mark.parametrize("experiment", list(CONFIGS))
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
                                                    experiment, fmt, plots):
-    config = {**SMALL, "experiment": experiment, "format": fmt, "plots": plots}
+    config = {**CONFIGS[experiment], "format": fmt, "plots": plots}
     seen = {}
     for workers in (1, 2, 3, 8):
         force_workers(monkeypatch, workers)
@@ -83,6 +103,16 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
         seen[workers] = (code, stdout, stderr, manifest["outputs"], files(run_dir / "out"))
         assert code in (0, 1) and stderr == ""
         assert manifest["workers"] == min(workers, len(manifest["jobs"]))
+        # min(W, worlds) contiguous, non-empty slices per stream, in world order
+        worlds = json.loads((run_dir / "out" / "summary.json").read_text()).get(
+            "lineworld", {}).get("worlds")
+        for slices in stream_slices(manifest).values():
+            if min(workers, worlds) == 1:
+                assert slices == [None]
+            else:
+                assert len(slices) == min(workers, worlds)
+                assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+                assert slices[-1][1] == worlds and all(lo < hi for lo, hi in slices)
     assert seen[2] == seen[1] and seen[3] == seen[1] and seen[8] == seen[1]
 
 
@@ -104,19 +134,43 @@ def test_manifest_logs_each_job_and_the_workers(tmp_path, capsys, monkeypatch):
         run_main(tmp_path / str(workers), capsys, {**SMALL, "experiment": "all"})
         runs[workers] = json.loads((tmp_path / str(workers) / "out" / "manifest.json").read_text())
         assert len(forks) == workers - 1
-    jobs = {"lineworld": ["centered(d0=1.0,r=0.7)", "offcenter(d0=1.0,r=0.7,lam=-1.0)",
-                          "offcenter(d0=1.0,r=0.7,lam=0.7)", "uniform", "razor"],
-            "gaussian": ["fixed_z(1.4142135623730951)", "fixed_z(1.96)", "bic"],
+    # at W workers each lineworld stream is W contiguous slices of its 11 worlds
+    streams = ["centered(d0=1.0,r=0.7)", "offcenter(d0=1.0,r=0.7,lam=-1.0)",
+               "offcenter(d0=1.0,r=0.7,lam=0.7)"]
+    slices = {1: [""], 2: ["[0:5]", "[5:11]"]}
+    rest = {"gaussian": ["fixed_z(1.4142135623730951)", "fixed_z(1.96)", "bic"],
             "predsel": ["regime_a", "regime_b", "probes"],
             "perrin": ["score_sheets", "brownian", "sediment"]}
     for workers, manifest in runs.items():
-        assert [(j["suite"], j["job"]) for j in manifest["jobs"]] == [
-            (suite, job) for suite, names in jobs.items() for job in names]
-        assert [j["worker"] for j in manifest["jobs"]] == [i % workers for i in range(14)]
+        jobs = {"lineworld": [stream + part for stream in streams for part in slices[workers]]
+                + ["uniform", "razor"], **rest}
+        listed = [(suite, job) for suite, names in jobs.items() for job in names]
+        assert len(listed) == {1: 14, 2: 17}[workers]
+        assert [(j["suite"], j["job"]) for j in manifest["jobs"]] == listed
+        assert [j["worker"] for j in manifest["jobs"]] == [i % workers for i in range(len(listed))]
         assert all(j["seconds"] >= 0 for j in manifest["jobs"])
         assert manifest["workers"] == workers
     assert runs[1]["children_peak_rss_mib"] is None
     assert runs[2]["children_peak_rss_mib"] > 0
+
+
+def test_first_contradicting_world_is_reported_at_any_worker_count(tmp_path, capsys, monkeypatch):
+    # the lam=0.7 stream's oracle contradicts its trace at -0.1 and 0.1, one world in
+    # each of its two slices at W = 2 ([0:5] and [5:11] of 11 worlds); the run names
+    # -0.1, the first in serial order, whichever worker reached it
+    mstar = lw.mstar_method()
+
+    def oracle(theta, spec):
+        return 0 if spec.offset == 0.7 and theta in (-0.1, 0.1) else mstar.oracle(theta, spec)
+
+    monkeypatch.setattr(lw, "mstar_method", lambda: dataclasses.replace(mstar, oracle=oracle))
+    outcomes = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        outcomes.append(run_main(tmp_path, capsys, {**SMALL, "experiment": "lineworld"}))
+    assert outcomes[0] == outcomes[1] == (
+        3, "", "run error: world lineworld:theta=-0.1: oracle guarantees truth from stage 0 "
+        "but the trace shows otherwise\n")
 
 
 def test_children_peak_is_this_runs_workers(tmp_path):
