@@ -68,15 +68,21 @@ def _bool(v, path):
     return v
 
 
-def _numlist(item_check, increasing=False):
+def _numlist(item_check, increasing=False, repeats=False):
+    """A non-empty list of item_check values: strictly increasing if `increasing`, and with
+    no value twice unless `repeats` (by value, so 0.0 and -0.0 are one entry)."""
     def check(v, path):
         if not isinstance(v, list) or not v:
             raise ConfigError(f"{path}: expected a non-empty list")
         items = [item_check(x, f"{path}[{i}]") for i, x in enumerate(v)]
-        for i in range(1, len(items) if increasing else 0):
-            if items[i] <= items[i - 1]:
-                raise ConfigError(f"{path}[{i}]: {reprlib.repr(items[i])} must exceed "
+        first = {}  # each value's first index, one hash lookup per entry
+        for i, x in enumerate(items):
+            if increasing and i and x <= items[i - 1]:
+                raise ConfigError(f"{path}[{i}]: {reprlib.repr(x)} must exceed "
                                   f"{path}[{i - 1}] = {reprlib.repr(items[i - 1])}")
+            if not repeats and first.setdefault(x, i) < i:
+                raise ConfigError(f"{path}[{i}]: {reprlib.repr(x)} repeats "
+                                  f"{path}[{first[x]}] = {reprlib.repr(items[first[x]])}")
         return items
     return check
 
@@ -96,6 +102,8 @@ def _experiment(v, path):
 def _string(v, path):
     if not isinstance(v, str):
         raise ConfigError(f"{path}: expected a string, got {reprlib.repr(v)}")
+    if not v:  # as a path, "" is the current directory
+        raise ConfigError(f"{path}: expected a non-empty string, got ''")
     return v
 
 
@@ -161,7 +169,7 @@ SCHEMA = {
         "razor_budget": (4000, _num(lo=10, integer=True)),
     },
     "predsel": {
-        "regime_a_coeffs": ([1.0, -2.0, 0.5], _numlist(_num())),
+        "regime_a_coeffs": ([1.0, -2.0, 0.5], _numlist(_num(), repeats=True)),
         "regime_a_sigma": (1.0, _SIGMA),
         "regime_a_max_degree": (6, _MAX_DEGREE),
         "regime_a_n": (500, _REGIME_N),
@@ -193,27 +201,17 @@ SCHEMA = {
 
 
 def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
+    """raw's keys in its order, then the schema keys it lacks, each through its check."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
+        raise ConfigError(f"{path or 'config'}: expected an object, got {reprlib.repr(raw)}")
     out = {}
-    for key, value in raw.items():
-        dotted = f"{path}{key}"
+    for key in [*raw, *(key for key in schema if key not in raw)]:
+        dotted = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown key {reprlib.repr(dotted)}")
-        spec = schema[key]
-        if isinstance(spec, dict):
-            out[key] = _apply_schema(value, spec, f"{dotted}.")
-        else:
-            _, check = spec
-            out[key] = check(value, dotted)
-    for key, spec in schema.items():
-        if key in out:
-            continue
-        if isinstance(spec, dict):
-            out[key] = _apply_schema({}, spec, f"{path}{key}.")
-        else:
-            default, check = spec
-            out[key] = check(default, f"{path}{key}")
+        spec = schema[key]  # a section's schema, or a field's (default, checker)
+        out[key] = (_apply_schema(raw.get(key, {}), spec, dotted) if isinstance(spec, dict)
+                    else spec[1](raw.get(key, spec[0]), dotted))
     return out
 
 
@@ -261,11 +259,6 @@ def check_consistency(config: dict) -> None:
     """Reject values that are each in range but contradict one another."""
     if config["check"] and not config["experiment"]:
         raise ConfigError("experiment: an empty list leaves --check nothing to judge")
-    seen = set()  # by value, so 0.0 and -0.0 are one offset: a repeat would run its stream twice
-    for i, lam in enumerate(config["lineworld"]["offsets"]):
-        if lam in seen:
-            raise ConfigError(f"lineworld.offsets[{i}]: duplicate offset {reprlib.repr(lam)}")
-        seen.add(lam)
     for suite, (lo, hi, _) in GRID_FIELDS.items():
         axis = world_axis(config, suite)
         c = config[suite]
@@ -395,17 +388,13 @@ def write_json(path: Path, obj) -> str:
 
 @dataclass
 class Outputs:
-    """A run's output directory and tabular format, the sha256 of the
+    """A run's output directory and tabular format, and the sha256 of the
     bytes of every file the run wrote there (as the writers return it),
-    keyed by the file's path under the directory, and what run_jobs
-    keeps: one {suite, job, worker, seconds} per job, and its children's
-    largest peak resident set."""
+    keyed by the file's path under the directory."""
 
     root: Path
     fmt: str
     digests: dict = field(default_factory=dict)
-    jobs: list = field(default_factory=list)
-    children_peak_rss_mib: Optional[float] = None
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
@@ -663,7 +652,8 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     """Run a config validate_config settled; only under `check` do the runners' verdicts
     go to summary.json, print and set the exit code."""
     start = time.perf_counter()
-    out = Outputs(Path(out_dir or config["out_dir"]), config["format"])
+    out = Outputs(Path(config["out_dir"] if out_dir is None else _string(out_dir, "--out")),
+                  config["format"])
     summary = {"experiments": config["experiment"], "seed": config["seed"], "version": __version__}
     check_results = []
 
@@ -674,7 +664,7 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         if config["plots"]:
             (out.root / "plots").mkdir(exist_ok=True)
     except OSError as exc:  # a file where a directory must be, or no permission to make one
-        raise ConfigError(f"{'--out' if out_dir else 'out_dir'}: cannot make the "
+        raise ConfigError(f"{'out_dir' if out_dir is None else '--out'}: cannot make the "
                           f"directory {exc.filename}: {exc.strerror}")
     for path in (out.root / "summary.json", out.root / "manifest.json"):
         try:  # only a run that finishes leaves a manifest; a directory fails at its write
@@ -684,11 +674,12 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
             raise ConfigError(f"cannot write the file {path}: {exc.strerror}")
 
     plans = [(name, *SUITES[name](config, out)) for name in config["experiment"]]
-    done = iter(jobs.run_jobs(out, [(name, *job) for name, listed, _ in plans for job in listed]))
+    results, log, peak = jobs.run_jobs(out.digests, [(n, *j) for n, js, _ in plans for j in js])
+    done = iter(results)
     for name, listed, finish in plans:  # in suite order, after every suite's jobs
-        summary[name], results = finish(*[next(done) for _ in listed])
+        summary[name], verdicts = finish(*[next(done) for _ in listed])
         if config["check"]:
-            check_results += results
+            check_results += verdicts
 
     if check_results:
         summary["checks"] = {name: {"pass": ok, "detail": detail}
@@ -700,9 +691,9 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - start, 3),
         "outputs": out.digests,
-        "jobs": out.jobs,
-        "workers": 1 + max((job["worker"] for job in out.jobs), default=0),
-        "children_peak_rss_mib": out.children_peak_rss_mib,
+        "jobs": log,
+        "workers": 1 + max((job["worker"] for job in log), default=0),
+        "children_peak_rss_mib": peak,
     }
     write_json(out.root / "manifest.json", manifest)
 

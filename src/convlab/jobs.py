@@ -1,14 +1,14 @@
 """A run's independent jobs on every CPU the run may use.
 
-run_jobs takes (suite, name, zero-argument callable) jobs in serial order and
-runs them on W = min(usable_cpus(), len(jobs)) workers: worker k runs
+run_jobs takes (suite, name, zero-argument callable) jobs in serial order,
+runs them on W = min(usable_cpus(), len(jobs)) workers (worker k runs
 jobs[k::W], the calling process is worker 0, and each other worker is one
-os.fork() child.  Fork, not a process pool: it needs no multiprocessing
-import and no manager thread, the jobs' closures (and a test's
-monkeypatches) reach the children without pickling, and the parent keeps
-computing.  Each job draws from its own seed-keyed substreams (rand.py)
-and writes its own files, so the results, the files and their digests do
-not depend on W.
+os.fork() child), and returns their results with its log of the run.  Fork,
+not a process pool: it needs no multiprocessing import and no manager
+thread, the jobs' closures (and a test's monkeypatches) reach the children
+without pickling, and the parent keeps computing.  Each job draws from its
+own seed-keyed substreams (rand.py) and writes its own files, so the
+results, the files and their digests do not depend on W.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ def _work(jobs: list, worker: int, workers: int) -> list:
     return done
 
 
-def run_jobs(out, jobs: list) -> list:
-    """The results of `jobs`, (suite, name, zero-argument callable) triples in
-    serial order, in that order.  A child writes its files through `out`, the
-    run's cli.Outputs, and pickles its results and the new digests down a pipe;
-    the parent merges the digests, logs each job and its worker in out.jobs, and
-    keeps the largest peak resident set of its reaped children in
-    out.children_peak_rss_mib.  The first job in serial order that raised, or
-    whose worker died (WorkerError), raises its error.  Every child is reaped on
-    every path."""
+def run_jobs(digests: dict, jobs: list) -> tuple:
+    """(results, log, peak) of `jobs`, (suite, name, zero-argument callable) triples
+    in serial order: the results in that order; the log, one {suite, job, worker,
+    seconds} per job in that order; and the largest peak resident set of the
+    reaped children in MiB (ru_maxrss counts KiB on Linux), None if none was forked.  `digests` is the dict in
+    which the jobs' writers record each file's digest: a child pickles its
+    results and its new digests down a pipe, and the parent adds those digests
+    to it.  The first job in serial order that raised, or whose worker died
+    (WorkerError), raises its error.  Every child is reaped on every path."""
     workers = min(usable_cpus(), len(jobs))
     local, children, lost, outcomes, peak = [0], [], {}, [None] * len(jobs), 0
     if workers > 1:
@@ -73,7 +73,7 @@ def run_jobs(out, jobs: list) -> list:
                 local += range(worker, workers)
                 break
             if pid == 0:
-                _child(out, jobs, worker, workers, write)
+                _child(digests, jobs, worker, workers, write)
             os.close(write)
             children.append((worker, pid, open(read, "rb")))
         for worker in local:
@@ -87,10 +87,10 @@ def run_jobs(out, jobs: list) -> list:
             children.pop(0)
             code, peak = os.waitstatus_to_exitcode(status), max(peak, usage.ru_maxrss)
             if code == 0:
-                done, digests = pickle.loads(report)
+                done, written = pickle.loads(report)
                 for outcome in done:
                     outcomes[outcome[0]] = outcome
-                out.digests.update(digests)
+                digests.update(written)
             else:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 names = ", ".join(f"{suite} {name}" for suite, name, _ in jobs[worker::workers])
@@ -103,18 +103,17 @@ def run_jobs(out, jobs: list) -> list:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    out.children_peak_rss_mib = round(peak / 1024, 1) if peak else None  # Linux: KiB
     for i, outcome in enumerate(outcomes):
         if outcome is None:
             raise lost[i % workers]
         if not outcome[2]:
             raise outcome[3]
-    out.jobs += [{"suite": suite, "job": name, "worker": worker, "seconds": round(seconds, 6)}
-                 for (suite, name, _), (_, worker, _, _, seconds) in zip(jobs, outcomes)]
-    return [outcome[3] for outcome in outcomes]
+    log = [{"suite": suite, "job": name, "worker": worker, "seconds": round(seconds, 6)}
+           for (suite, name, _), (_, worker, _, _, seconds) in zip(jobs, outcomes)]
+    return [outcome[3] for outcome in outcomes], log, round(peak / 1024, 1) if peak else None
 
 
-def _child(out, jobs: list, worker: int, workers: int, write: int) -> None:
+def _child(digests: dict, jobs: list, worker: int, workers: int, write: int) -> None:
     """Worker `worker` of run_jobs in a forked child: run its jobs, send
     (outcomes, the digests of the files they wrote) down `write`, and end in
     os._exit, which runs none of the parent's cleanup and flushes none of its
@@ -123,7 +122,7 @@ def _child(out, jobs: list, worker: int, workers: int, write: int) -> None:
 
     code = 1
     try:
-        known = set(out.digests)
+        known = set(digests)
         done = _work(jobs, worker, workers)
         if not done[-1][2]:  # the child's frames, which the parent's traceback lacks
             import traceback
@@ -131,7 +130,7 @@ def _child(out, jobs: list, worker: int, workers: int, write: int) -> None:
             exc = done[-1][3]
             exc.__notes__ = [*getattr(exc, "__notes__", ()),
                              "".join(traceback.format_exception(exc)).rstrip()]
-        report = pickle.dumps((done, {k: v for k, v in out.digests.items() if k not in known}))
+        report = pickle.dumps((done, {k: v for k, v in digests.items() if k not in known}))
         with open(write, "wb") as pipe:
             pipe.write(report)
         code = 0

@@ -605,6 +605,16 @@ class TestFlags:
          "lineworld.offsets[1]"),
         ({"experiment": "lineworld", "lineworld": {"offsets": [0.0, 0.7, -0.0]}},
          "lineworld.offsets[2]"),
+        # a repeated world, level or length: its rows and witnesses would count twice, and
+        # theta 0.0 and -0.0 would draw from two Monte Carlo substreams for one world
+        ({"experiment": "gaussian", "gaussian": {"theta_grid": [0.0, 0.5, -0.0]}},
+         "gaussian.theta_grid[2]"),
+        ({"experiment": "gaussian", "gaussian": {"mc_theta_grid": [0.0, -0.0]}},
+         "gaussian.mc_theta_grid[1]"),
+        ({"experiment": "gaussian", "gaussian": {"alpha_grid": [0.16, 0.01, 0.01]}},
+         "gaussian.alpha_grid[2]"),
+        ({"experiment": "lineworld", "lineworld": {"uniform_lengths": [1.0, 0.1, 1.0]}},
+         "lineworld.uniform_lengths[2]"),
         # ratio**(horizon - 1) cannot take a horizon beyond the float range
         ({"experiment": "perrin", "perrin": {"horizon": 10**3999}}, "perrin.horizon"),
         ({"experiment": "lineworld", "lineworld": {"horizon": 10**300}}, "lineworld.horizon"),
@@ -630,6 +640,8 @@ class TestFlags:
             "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
             "duplicate-experiment", "duplicate-offset", "duplicate-offset-signed-zero",
+            "duplicate-theta-signed-zero", "duplicate-mc-theta-signed-zero", "duplicate-alpha",
+            "duplicate-uniform-length",
             "horizon-4000-digits", "horizon-1e300",
             "check-no-experiments", "lineworld-rounding-merges", "lineworld-rounding-onto-zero",
             "perrin-rounding-merges"])
@@ -667,6 +679,22 @@ class TestFlags:
         assert err.startswith(f"config error: {field}: cannot make the directory ")
         assert blocker.read_text() == "kept"
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("field", ["--out", "out_dir"])
+    def test_empty_output_path_exit_two(self, tmp_path, capsys, monkeypatch, field):
+        # "" would name the current directory and replace its summary.json
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "summary.json").write_text("kept")
+        config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
+        flags = ["--out", ""] if field == "--out" else []
+        if field == "out_dir":
+            config["out_dir"] = ""
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert cli.main(["--config", "c.json", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {field}: expected a non-empty string, got ''\n"
+        assert (tmp_path / "summary.json").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "summary.json"]
 
     WRITERS = {  # a file of each write path, and a small run that writes it
         "summary.json": {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}},
@@ -713,7 +741,10 @@ class TestFlags:
          "gaussian.mc_trials: 1000000000000000000000000000000 above the valid range"),
         ({"perrin": {"ratio": 1.5}}, "perrin.ratio: 1.5 above the valid range"),
         ({"experiment": [["lineworld"]]}, "experiment: unknown experiment ['lineworld']"),
-        ({"lineworld": {"offsets": [-1.0, -1.0]}}, "lineworld.offsets[1]: duplicate offset -1.0"),
+        ({"lineworld": {"offsets": [-1.0, -1.0]}},
+         "lineworld.offsets[1]: -1.0 repeats lineworld.offsets[0] = -1.0"),
+        ({"gaussian": 5}, "gaussian: expected an object, got 5"),
+        ([1], "config: expected an object, got [1]"),
     ])
     def test_short_values_print_whole(self, tmp_path, capsys, config, message):
         assert run_cli(tmp_path, config)[0] == 2

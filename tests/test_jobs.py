@@ -271,24 +271,23 @@ def test_interrupted_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
     jobs = [("first", interrupted), ("second", lambda: in_child(test_pid) and time.sleep(600))]
     force_workers(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
-        run_jobs(cli.Outputs(tmp_path, "csv"), [("suite", *job) for job in jobs])
+        run_jobs({}, [("suite", *job) for job in jobs])
 
 
 def test_large_child_results_arrive_whole(tmp_path, monkeypatch):
     # far beyond a pipe's 64 KiB buffer: the parent reads before it waits
     force_workers(monkeypatch, 3)
     blob = os.urandom(1 << 21)
-    out = cli.Outputs(tmp_path, "csv")
-    assert run_jobs(out, [("suite", str(i), lambda i=i: (i, blob)) for i in range(5)]) == [
-        (i, blob) for i in range(5)]
-    assert [j["worker"] for j in out.jobs] == [0, 1, 2, 0, 1]
+    results, log, peak = run_jobs({}, [("suite", str(i), lambda i=i: (i, blob)) for i in range(5)])
+    assert results == [(i, blob) for i in range(5)]
+    assert [j["worker"] for j in log] == [0, 1, 2, 0, 1] and peak > 0
 
 
 def test_child_digests_reach_the_parent(tmp_path, monkeypatch):
     force_workers(monkeypatch, 2)
     out = cli.Outputs(tmp_path, "csv")
-    run_jobs(out, [("suite", name, lambda name=name: out.emit_json(name, [name]))
-                   for name in ("a.json", "b.json", "c.json")])
+    run_jobs(out.digests, [("suite", name, lambda name=name: out.emit_json(name, [name]))
+                           for name in ("a.json", "b.json", "c.json")])
     assert out.digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                            for name in ("a.json", "b.json", "c.json")}
 
@@ -308,9 +307,9 @@ def test_failed_fork_runs_the_jobs_here(tmp_path, monkeypatch):
 
     force_workers(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", no_fork)
-    out = cli.Outputs(tmp_path, "csv")
-    assert run_jobs(out, [("suite", str(i), lambda i=i: i) for i in range(4)]) == [0, 1, 2, 3]
-    assert [j["worker"] for j in out.jobs] == [0, 1, 2, 0]
+    results, log, peak = run_jobs({}, [("suite", str(i), lambda i=i: i) for i in range(4)])
+    assert results == [0, 1, 2, 3] and peak is None
+    assert [j["worker"] for j in log] == [0, 1, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,6 @@ def test_child_error_carries_the_child_traceback(tmp_path, monkeypatch):
 
     force_workers(monkeypatch, 2)
     with pytest.raises(KeyError) as caught:
-        run_jobs(cli.Outputs(tmp_path, "csv"), [("suite", "first", lambda: 1),
-                                                ("suite", "second", broken)])
+        run_jobs({}, [("suite", "first", lambda: 1), ("suite", "second", broken)])
     (note,) = caught.value.__notes__
     assert note.startswith("Traceback") and 'return {}["missing"]' in note
