@@ -104,6 +104,8 @@ def _string(v, path):
         raise ConfigError(f"{path}: expected a string, got {reprlib.repr(v)}")
     if not v:  # as a path, "" is the current directory
         raise ConfigError(f"{path}: expected a non-empty string, got ''")
+    if "\0" in v:  # no file system path can hold one
+        raise ConfigError(f"{path}: a path cannot hold a NUL character, got {reprlib.repr(v)}")
     return v
 
 
@@ -346,7 +348,13 @@ def validate_config(raw_text: str, flags: Optional[dict] = None) -> dict:
             section[key] = schema[key][1](value, "--" + flag.replace("_", "-"))
     check_consistency(config)
     for name in config["experiment"]:
-        importlib.import_module(f".{name}", __package__)
+        try:
+            importlib.import_module(f".{name}", __package__)
+        except ImportError as exc:  # a module missing inside the package is a bug: it raises
+            if not exc.name or exc.name.partition(".")[0] == __package__:
+                raise
+            raise ConfigError(f"experiment: the {name} suite needs the module {exc.name!r}, "
+                              "which this interpreter cannot import") from None
     return config
 
 

@@ -9,7 +9,8 @@ and its center sits at theta + lam_t * d_t with |lam_t| <= 1.  lam_t == 0
 is the centered textbook stream; constant nonzero lam is nested by
 construction.  Offsets are validated once, when the StreamSpec is built
 (a per-stage sequence that would break nesting is rejected there), so
-every stage is built once, without re-checking the stage before it.
+every stage is built once, from one prefix of the spec's stage table
+(StreamSpec.stages), without re-checking the stage before it.
 
 The amount of evidence carried by an interval is the inverse of its
 length.  The module houses the razor-following threshold rule (answer
@@ -90,11 +91,12 @@ class StreamSpec:
     lam_{t-1} + 1.  A sequence breaking this by more than 1e-12 raises
     StreamError; constant offsets always nest.
 
-    bounds, stages, half_widths and first_stage are the stage arithmetic
-    of both interval suites.  They read one table per spec, which holds
-    each stage's half-width and endpoint pair and depends on no world.
-    It is filled on first use, once per stage, up to the last stage asked
-    for: a trace's horizon, or the stage first_stage returns.
+    stages, half_widths and first_stage are the stage arithmetic of both
+    interval suites.  They read one table per spec, which holds each
+    stage's half-width and endpoint pair and depends on no world; every
+    stage the suites build is a prefix of it.  One method, _grow, fills
+    it on first use, once per stage, up to the last stage asked for: a
+    trace's horizon, or the stage first_stage returns.
     """
 
     delta0: float
@@ -119,53 +121,42 @@ class StreamSpec:
         # so equality, hash, repr and label() see `offset` only
         object.__setattr__(self, "_lams", offs)
         object.__setattr__(self, "_halves", [])  # half_width(t), stage by stage
-        object.__setattr__(self, "_ends", [])  # bounds(t), never longer than _halves
+        object.__setattr__(self, "_ends", [])  # stage t's endpoint pair, as long as _halves
 
     def half_width(self, t: int) -> float:
         return self.delta0 * self.ratio**t
 
-    def offset_at(self, t: int) -> float:
-        return self._lams[min(t, len(self._lams) - 1)]
-
-    def _grow_halves(self, n: int) -> list:
-        """The table's half-widths, grown in place to at least n stages."""
-        halves = self._halves
-        halves.extend(map(self.half_width, range(len(halves), n)))
-        return halves
-
-    def _grow_ends(self, n: int) -> list:
-        """The table's endpoint pairs, grown in place to at least n stages."""
-        ends, halves = self._ends, self._grow_halves(n)
-        for t in range(len(ends), n):
-            d, lam = halves[t], self.offset_at(t)
+    def _grow(self, n: int) -> None:
+        """Fill the table in place through stage n - 1: stage t's half-width
+        d and endpoints less the world's value, (lam -+ 1) * d, whose fixed
+        signs, shrinking with d, keep containment and nesting exact."""
+        halves, ends, lams = self._halves, self._ends, self._lams
+        for t in range(len(halves), n):
+            d, lam = self.half_width(t), lams[min(t, len(lams) - 1)]
+            halves.append(d)
             ends.append(((lam - 1.0) * d, (lam + 1.0) * d))
-        return ends
 
     def half_widths(self, n: int) -> list:
         """half_width(t) for t < n, from the table."""
-        return self._grow_halves(n)[:max(n, 0)]
+        self._grow(n)
+        return self._halves[:max(n, 0)]
 
     def stages(self, n: int) -> list:
-        """bounds(t) for t < n, from the table."""
-        return self._grow_ends(n)[:max(n, 0)]
-
-    def bounds(self, t: int) -> tuple:
-        """Stage-t endpoints less the world's value, (lam -+ 1) * d: fixed
-        signs and shrinking with d keep containment and nesting exact."""
-        if t < 0:
-            raise ValueError("stage must be >= 0")
-        return self._grow_ends(t + 1)[t]
+        """The endpoint pairs of stages t < n, from the table."""
+        self._grow(n)
+        return self._ends[:max(n, 0)]
 
     def first_stage(self, gap: float, k: float) -> int:
         """First stage t with k * half_width(t) < gap: with k = 2 the
         interval's width is below gap, with k = 4 twice its width is."""
         if not gap > 0.0:
             raise ValueError("gap must be positive")
-        halves, t = self._grow_halves(1), 0
+        self._grow(1)
+        halves, t = self._halves, 0
         while k * halves[t] >= gap:
             t += 1
             if t == len(halves):
-                self._grow_halves(t + 1)
+                self._grow(t + 1)
         return t
 
     def label(self) -> str:
@@ -205,13 +196,6 @@ class GridSpec:
         return GridSpec(self.lo, self.hi, self.step / 2.0)
 
 
-def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
-    """Stage-t interval: it holds theta and nests under stage t-1 because
-    the spec's offsets were validated once, when it was built."""
-    below, above = spec.bounds(t)
-    return IntervalEvidence(theta + below, theta + above)
-
-
 def _decisions(method: MethodSpec, evidence) -> tuple:
     """The verdict per stage, each decided once, on one growing history
     list that holds the stages up to and including it."""
@@ -224,7 +208,7 @@ def _decisions(method: MethodSpec, evidence) -> tuple:
 
 def trace(method: MethodSpec, theta: float, spec: StreamSpec, horizon: int) -> StreamTrace:
     """Run a method along the canonical stream for `horizon` stages: the
-    intervals interval_at builds, from the spec's table.  Their endpoint
+    world's value plus each endpoint pair of spec.stages(horizon).  The
     pairs are checked in one pass, on the constructor's condition, and
     made into intervals without a Python frame each."""
     ends = [(theta + below, theta + above) for below, above in spec.stages(horizon)]
@@ -391,23 +375,27 @@ class RazorReport:
     witness_trace: Optional[StreamTrace] = None
 
 
-def _candidate_histories(budget: int):
+# the razor probe's design: its worlds, and the streams drawn about each
+RAZOR_THETAS = (0.0, 0.004, -0.004, 0.03, -0.03, 0.2)
+RAZOR_SPECS = (
+    StreamSpec(delta0=1.0, ratio=0.5),
+    StreamSpec(delta0=1.0, ratio=0.7),
+    StreamSpec(delta0=0.3, ratio=0.6),
+    StreamSpec(delta0=1.0, ratio=0.5, offset=-0.8),
+    StreamSpec(delta0=1.0, ratio=0.5, offset=0.8),
+)
+
+
+def _candidate_histories(budget: int, thetas=RAZOR_THETAS, specs=RAZOR_SPECS):
     """Bounded enumeration of admissible histories whose final interval
-    contains 0, drawn from canonical streams over a small design."""
-    thetas = (0.0, 0.004, -0.004, 0.03, -0.03, 0.2)
-    specs = (
-        StreamSpec(delta0=1.0, ratio=0.5),
-        StreamSpec(delta0=1.0, ratio=0.7),
-        StreamSpec(delta0=0.3, ratio=0.6),
-        StreamSpec(delta0=1.0, ratio=0.5, offset=-0.8),
-        StreamSpec(delta0=1.0, ratio=0.5, offset=0.8),
-    )
+    contains 0, drawn from canonical streams over a small design: each
+    history is a prefix of one stream, cut once 0 leaves its interval."""
     count = 0
     for theta in thetas:
         for spec in specs:
             evid = []
-            for t in range(40):
-                e = interval_at(theta, spec, t)
+            for below, above in spec.stages(40):
+                e = IntervalEvidence(theta + below, theta + above)
                 evid.append(e)
                 if not e.contains(0.0):
                     break

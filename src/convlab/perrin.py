@@ -14,7 +14,8 @@ per component (denseness, and a lower-dimensional exception set).
 Evidence is a nested rectangular prism: the product of one interval per
 axis, always containing the world's parameter pair.  Both intervals come
 from one StreamSpec, whose offsets were validated once when it was
-built, so each stage's prism is built once and never re-checked.  A
+built, so each stage's prism is built once and never re-checked; trace
+and the array sweep read the stages as one prefix of the spec's table.  A
 prism "meets the diagonal" when its two intervals overlap, in which case
 both hypotheses remain live.  Five built-in methods are evaluated: the
 realist razor (SIMPLE while the prism meets the diagonal, COMPLEX once
@@ -62,7 +63,7 @@ from .framework import (
     classify_convergence,
     normal_quantile,
 )
-from .lineworld import GridSpec, StreamSpec, interval_at
+from .lineworld import GridSpec, IntervalEvidence, StreamSpec
 from .rand import substream, substream_key, substreams
 
 # a world's status as a code: the domain map's plot codes
@@ -178,24 +179,20 @@ def decide_prisms(m: PerrinMethod, prisms: Sequence[PrismEvidence]) -> tuple:
 # canonical prism streams
 
 
-def canonical_prism_stream(w: PastaWorld, spec: StreamSpec, t: int) -> PrismEvidence:
-    """Product of two stage-t intervals (one per axis, same offsets).  It
-    contains (na, na_prime) and nests under stage t-1 because the spec's
-    offsets were validated when it was built."""
-    x = interval_at(w.na, spec, t)
-    y = interval_at(w.na_prime, spec, t)
-    return PrismEvidence(x.lo, x.hi, y.lo, y.hi)
-
-
 def trace(m: PerrinMethod, w: PastaWorld, spec: StreamSpec, horizon: int) -> StreamTrace:
-    prisms = tuple(canonical_prism_stream(w, spec, t) for t in range(horizon))
+    """m along the canonical prism stream about w: each stage's prism is the
+    product of its x and y intervals, both axes adding that stage's endpoint
+    pair of spec.stages(horizon) to the world's value."""
+    prisms = tuple(PrismEvidence(*IntervalEvidence(w.na + below, w.na + above),
+                                 *IntervalEvidence(w.na_prime + below, w.na_prime + above))
+                   for below, above in spec.stages(horizon))
     return StreamTrace(w.world_id, prisms, decide_prisms(m, prisms))
 
 
 def _sweep(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, horizon: int):
     """`trace` for every method and world (na, na_prime, z == 1) at once: one
-    array pass per stage builds and checks the prisms, with the endpoints
-    interval_at adds (spec.bounds), so each is bit for bit the scalar one, and
+    array pass per stage of spec.stages(horizon) builds and checks the prisms,
+    with the endpoints `trace` adds, so each is bit for bit the scalar one, and
     every method reads them.  Returns two (methods, worlds) arrays: the
     empirical settle stage, the last wrong stage + 1 (horizon when the trace
     does not end on the truth), which classify_convergence reads, and the
@@ -205,8 +202,7 @@ def _sweep(methods: Sequence[PerrinMethod], a, b, strand, spec: StreamSpec, hori
     truth = np.where(strand, _CODE[Verdict.SIMPLE], _CODE[Verdict.COMPLEX])
     settle = np.zeros((len(methods), len(a)), dtype=np.int64)
     first_true = np.full(settle.shape, horizon, dtype=np.int64)
-    for t in range(horizon):
-        below, above = spec.bounds(t)
+    for t, (below, above) in enumerate(spec.stages(horizon)):
         xlo, xhi, ylo, yhi = a + below, a + above, b + below, b + above
         if not (all(np.isfinite(e).all() for e in (xlo, xhi, ylo, yhi))
                 and (xlo < xhi).all() and (ylo < yhi).all()):

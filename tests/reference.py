@@ -21,9 +21,9 @@ import numpy as np
 from convlab import gaussian as g
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import MethodSpec, ModeReport, OracleContradiction, Verdict
+from convlab.framework import MethodSpec, ModeReport, OracleContradiction, StreamError, Verdict
 from convlab.gaussian import TestRule, normal_quantile
-from convlab.lineworld import StreamSpec
+from convlab.lineworld import IntervalEvidence, StreamSpec
 from convlab.predsel import FitResult, TruthSpec
 from convlab.rand import substream, substream_key
 
@@ -158,6 +158,50 @@ def underdetermination_ok(m: pr.PerrinMethod, grid: pr.GridSpec, spec: StreamSpe
     pairs = np.concatenate([values, values])
     settle_by = pr.asymptotic_oracle(m, pairs, pairs, np.arange(2 * n) >= n, spec)
     return not ((settle_by[:n] >= 0) & (settle_by[n:] >= 0)).any()
+
+
+# ---------------------------------------------------------------------------
+# streams one stage at a time: the closed form that StreamSpec's stage table
+# (stages, half_widths) holds, computed afresh per stage without reading it
+
+
+def offset_at(spec: StreamSpec, t: int) -> float:
+    """The stage-t offset the spec's own `offset` names: a scalar at every
+    stage, a sequence's last entry past its end."""
+    offs = (spec.offset,) if isinstance(spec.offset, (int, float)) else tuple(spec.offset)
+    return float(offs[min(t, len(offs) - 1)])
+
+
+def bounds(spec: StreamSpec, t: int) -> tuple:
+    """Stage t's endpoints less the world's value, (lam -+ 1) * d."""
+    lam, d = offset_at(spec, t), spec.half_width(t)
+    return (lam - 1.0) * d, (lam + 1.0) * d
+
+
+def interval_at(theta: float, spec: StreamSpec, t: int) -> IntervalEvidence:
+    """Stage t's interval about theta, built (and checked) by its constructor."""
+    below, above = bounds(spec, t)
+    return IntervalEvidence(theta + below, theta + above)
+
+
+def canonical_prism_stream(w: pr.PastaWorld, spec: StreamSpec, t: int) -> pr.PrismEvidence:
+    """Stage t's prism about w: the product of its x and y intervals, one
+    spec for both axes."""
+    x = interval_at(w.na, spec, t)
+    y = interval_at(w.na_prime, spec, t)
+    return pr.PrismEvidence(x.lo, x.hi, y.lo, y.hi)
+
+
+def stage_by_stage(build, horizon: int):
+    """[build(t) for t < horizon], or the message of the StreamError build
+    raises at the first stage it refuses."""
+    evidence = []
+    for t in range(horizon):
+        try:
+            evidence.append(build(t))
+        except StreamError as exc:
+            return str(exc)
+    return evidence
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,17 @@ class TestImportFootprint:
             def seen():
                 return sorted(m for m in {self.HEAVY!r} if m in sys.modules)
             """) + textwrap.dedent(body)
+        done = self.python(script)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @staticmethod
+    def python(script: str) -> subprocess.CompletedProcess:
+        """script run by a fresh interpreter that imports this package's source."""
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, check=True)
-        return json.loads(done.stdout.splitlines()[-1])
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
 
     def write_config(self, tmp_path) -> str:
         cfg = tmp_path / "config.json"
@@ -247,6 +253,35 @@ class TestImportFootprint:
             code = cli.main(["--config", {self.write_config(tmp_path)!r}, "--experiment", "perrin"])
             print(json.dumps([code, at_run]))
             """) == [0, [["convlab.perrin", "convlab.rand", "numpy"]]]
+
+    def test_numpy_suite_without_numpy_exit_two(self, tmp_path):
+        # an interpreter that cannot import numpy: one config error line naming the
+        # suite and the module, no traceback, nothing written
+        done = self.python(textwrap.dedent(f"""\
+            import sys
+            sys.modules["numpy"] = None  # every import of numpy now fails
+            from convlab import cli
+            sys.exit(cli.main(["--experiment", "perrin", "--out", {str(tmp_path / "out")!r}]))
+            """))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("config error: experiment: the perrin suite needs the module "
+                               "'numpy', which this interpreter cannot import\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_only_a_missing_outside_module_is_a_config_error(self, monkeypatch):
+        # an import failing inside the package is a packaging bug, and raises as it is
+        for name, config_error in [("numpy", True), ("numpy.linalg", True),
+                                   ("convlab.framework", False), (None, False)]:
+            def fail(*args):
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+            monkeypatch.setattr(cli.importlib, "import_module", fail)
+            with pytest.raises(ImportError if not config_error else cli.ConfigError) as raised:
+                cli.validate_config('{"experiment": "perrin"}')
+            assert (type(raised.value) is cli.ConfigError) == config_error
+            if config_error:
+                assert str(raised.value) == (f"experiment: the perrin suite needs the module "
+                                             f"{name!r}, which this interpreter cannot import")
 
     @pytest.mark.parametrize("config", [None, {"experiment": "all"}], ids=["no-config", "all"])
     def test_lineworld_override_loads_no_other_suite(self, tmp_path, config):
@@ -695,6 +730,26 @@ class TestFlags:
         assert err == f"config error: {field}: expected a non-empty string, got ''\n"
         assert (tmp_path / "summary.json").read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "summary.json"]
+
+    @pytest.mark.parametrize("field", ["--out", "out_dir"])
+    def test_nul_in_output_path_exit_two(self, tmp_path, capsys, monkeypatch, field):
+        # no directory can be made at such a path: a field-level error, not a traceback
+        monkeypatch.chdir(tmp_path)
+        config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
+        flags = ["--out", "a\0b"] if field == "--out" else []
+        if field == "out_dir":
+            config["out_dir"] = "a\0b"
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert cli.main(["--config", "c.json", *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {field}: a path cannot hold a NUL character, got 'a\\x00b'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_run_checks_the_output_path_it_is_given(self, tmp_path):
+        config = cli.validate_config('{"experiment": "lineworld"}')
+        with pytest.raises(cli.ConfigError, match="^--out: a path cannot hold a NUL character"):
+            cli.run(config, out_dir=str(tmp_path / "a\0b"))
+        assert list(tmp_path.iterdir()) == []
 
     WRITERS = {  # a file of each write path, and a small run that writes it
         "summary.json": {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}},

@@ -38,11 +38,11 @@ def per_stage_contract(theta, spec, t):
     """The check the stream made at every stage before offsets were
     validated with the spec: stage t holds theta and nests in stage t - 1,
     both within 1e-12 * max(1, |theta|, delta0)."""
-    e = lw.interval_at(theta, spec, t)
+    e = ref.interval_at(theta, spec, t)
     slack = 1e-12 * max(1.0, abs(theta), spec.delta0)
     if not e.lo - slack <= theta <= e.hi + slack:
         return False
-    prev = lw.interval_at(theta, spec, t - 1) if t > 0 else e
+    prev = ref.interval_at(theta, spec, t - 1) if t > 0 else e
     return e.lo >= prev.lo - slack and e.hi <= prev.hi + slack
 
 
@@ -74,18 +74,6 @@ def endpoint_bits(method, theta, spec, horizon):
     except StreamError:
         return "StreamError"
     return [(e.lo.hex(), e.hi.hex()) for e in tr.evidence]
-
-
-def interval_by_interval(theta, spec, horizon):
-    """The stream as interval_at builds it stage by stage, or the message
-    of the StreamError it raises at the first stage it refuses."""
-    evidence = []
-    for t in range(horizon):
-        try:
-            evidence.append(lw.interval_at(theta, spec, t))
-        except StreamError as exc:
-            return str(exc)
-    return evidence
 
 
 @st.composite
@@ -124,18 +112,19 @@ class TestDecisionRule:
 
 class TestStreams:
     def test_centered_stage_two(self):
-        e = lw.interval_at(0.0, lw.StreamSpec(1.0, 0.5), 2)
+        e = lw.trace(constant_method(S), 0.0, lw.StreamSpec(1.0, 0.5), 3).evidence[2]
         assert (e.lo, e.hi) == (-0.25, 0.25)
 
     def test_centered_stage_zero_offset_world(self):
-        e = lw.interval_at(0.3, lw.StreamSpec(1.0, 0.5), 0)
+        [e] = lw.trace(constant_method(S), 0.3, lw.StreamSpec(1.0, 0.5), 1).evidence
         assert (e.lo, e.hi) == pytest.approx((-0.7, 1.3))
 
     def test_eventually_excludes_origin(self):
         # first stage whose interval drops the origin, found by replay
         spec = lw.StreamSpec(1.0, 0.5)
-        first = next(t for t in range(60) if not lw.interval_at(0.01, spec, t).contains(0.0))
-        assert lw.interval_at(0.01, spec, first - 1).contains(0.0)
+        evidence = lw.trace(constant_method(S), 0.01, spec, 60).evidence
+        first = next(t for t, e in enumerate(evidence) if not e.contains(0.0))
+        assert evidence[first - 1].contains(0.0)
         assert 2.0 * spec.half_width(first) < 0.02 <= 2.0 * spec.half_width(first - 2)
 
     def test_invalid_spec_rejected(self):
@@ -156,7 +145,7 @@ class TestStreams:
         assert lw.StreamSpec(1.0, 0.7, offset=-1.0).label() == "offcenter(d0=1.0,r=0.7,lam=-1.0)"
         assert lw.StreamSpec(0.3, 0.6, offset=(0.0, -0.5)).label() == (
             "offcenter(d0=0.3,r=0.6,lam=(0.0, -0.5))")
-        assert lw.StreamSpec(1.0, 0.5, offset=0.7).bounds(0) == (0.7 - 1.0, 0.7 + 1.0)
+        assert lw.StreamSpec(1.0, 0.5, offset=0.7).stages(1) == [(0.7 - 1.0, 0.7 + 1.0)]
 
     def test_nesting_violation_is_stream_error(self):
         # jumping from the far right edge to the far left edge breaks
@@ -184,14 +173,11 @@ class TestStreams:
         assert [n for n, _ in seen] == list(range(1, 26))
         assert len(tr) == 25 and all(last is e for (_, last), e in zip(seen, tr.evidence))
 
-    def test_negative_stage_rejected(self):
-        with pytest.raises(ValueError):
-            lw.interval_at(0.0, lw.StreamSpec(1.0, 0.5), -1)
-
     @given(params=drift_params(), shape=st.sampled_from(["default", "scalar", "sequence"]),
            t=st.integers(0, 40))
     def test_bounds_equal_the_closed_form(self, params, shape, t):
-        # the stage's offset comes from the offset alone: none given is 0
+        # the stage's offset comes from the offset alone: none given is 0; the
+        # table's stage t is the closed form the reference computes afresh
         delta0, ratio, offsets = params
         if shape == "default":
             spec, lams = lw.StreamSpec(delta0, ratio), (0.0,)
@@ -199,9 +185,11 @@ class TestStreams:
             spec, lams = lw.StreamSpec(delta0, ratio, offset=offsets[0]), offsets[:1]
         else:
             spec, lams = lw.StreamSpec(delta0, ratio, offset=offsets), offsets
-        lam, d = spec.offset_at(t), spec.half_width(t)
+        lam, d = ref.offset_at(spec, t), spec.half_width(t)
         assert lam == lams[min(t, len(lams) - 1)]
-        assert spec.bounds(t) == ((lam - 1.0) * d, (lam + 1.0) * d)
+        assert ref.bounds(spec, t) == ((lam - 1.0) * d, (lam + 1.0) * d)
+        assert spec.stages(t + 1)[t] == ref.bounds(spec, t)
+        assert spec.half_widths(t + 1)[t] == d
 
     @given(params=drift_params(min_ratio=1e-6), k=st.sampled_from([2, 4]),
            gap=st.floats(1e-300, 10.0))
@@ -225,11 +213,12 @@ class TestStreams:
     )
     def test_stream_contract(self, theta, delta0, ratio, lam, t):
         spec = lw.StreamSpec(delta0, ratio, offset=lam)
-        e = lw.interval_at(theta, spec, t)
+        evidence = lw.trace(constant_method(S), theta, spec, t + 1).evidence
+        e = evidence[t]
         assert e.contains(theta)
         assert e.width == pytest.approx(2.0 * delta0 * ratio**t, rel=1e-9)
         if t > 0:
-            assert e.is_subset_of(lw.interval_at(theta, spec, t - 1))
+            assert e.is_subset_of(evidence[t - 1])
 
 
 class TestIntervalEvidence:
@@ -284,7 +273,7 @@ class TestStageTable:
     def test_trace_equals_interval_at_stage_by_stage(self, case):
         # the one-pass check and the frameless intervals against the constructor
         theta, spec, horizon = case
-        expected = interval_by_interval(theta, spec, horizon)
+        expected = ref.stage_by_stage(partial(ref.interval_at, theta, spec), horizon)
         if isinstance(expected, str):  # refused at a stage: trace refuses it with the same error
             with pytest.raises(StreamError) as refused:
                 lw.trace(lw.mstar_method(), theta, spec, horizon)
@@ -296,23 +285,32 @@ class TestStageTable:
         assert tr.verdicts == tuple(ref.mstar_decide(e) for e in tr.evidence)
 
     @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
-           horizon=st.integers(1, 120), past=st.integers(1, 300))
-    def test_table_does_not_depend_on_fill_order(self, case, theta, horizon, past):
+           horizon=st.integers(1, 120), past=st.integers(1, 300),
+           order=st.permutations(["trace", "stages", "half_widths", "first_stage"]))
+    def test_table_does_not_depend_on_fill_order(self, case, theta, horizon, past, order):
+        # the readers in any order, each twice, on one spec: a trace's stages, the
+        # stages far past the oracle's deepest stage, the half-widths down to that
+        # stage and that stage itself, each filling the table to its own depth
         spec, lam = case
         m = constant_method(S)
-        fresh = lw.StreamSpec(spec.delta0, spec.ratio, spec.offset)
-        first = endpoint_bits(m, theta, fresh, horizon)
-        # the other order: far ahead first, then past that, then the trace twice
-        tiny = spec.first_stage(1e-300, 4.0)
+        tiny = next(t for t in range(10**5) if 4.0 * (spec.delta0 * spec.ratio**t) < 1e-300)
         far = tiny + past
-        bits = [b.hex() for b in spec.bounds(far)]
-        assert bits == [b.hex() for b in closed_form(spec, lam, far)]
-        assert endpoint_bits(m, theta, spec, horizon) == first
-        assert endpoint_bits(m, theta, spec, horizon) == first
-        assert fresh.first_stage(1e-300, 4.0) == tiny
-        assert [b.hex() for b in fresh.bounds(far)] == bits
-        assert fresh.half_widths(far + 1) == spec.half_widths(far + 1) == [
-            spec.delta0 * spec.ratio**t for t in range(far + 1)]
+        expected = {
+            "trace": endpoint_bits(m, theta, lw.StreamSpec(spec.delta0, spec.ratio, spec.offset),
+                                   horizon),
+            "stages": [(lo.hex(), hi.hex())
+                       for lo, hi in (closed_form(spec, lam, t) for t in range(far + 1))],
+            "half_widths": [spec.delta0 * spec.ratio**t for t in range(tiny + 1)],
+            "first_stage": tiny,
+        }
+        read = {
+            "trace": lambda: endpoint_bits(m, theta, spec, horizon),
+            "stages": lambda: [(lo.hex(), hi.hex()) for lo, hi in spec.stages(far + 1)],
+            "half_widths": lambda: spec.half_widths(tiny + 1),
+            "first_stage": lambda: spec.first_stage(1e-300, 4.0),
+        }
+        for name in order:
+            assert read[name]() == read[name]() == expected[name]
 
     @pytest.mark.parametrize("args", [(1.0, 0.5), (0.3, 0.6, 0.8), (1.0, 0.5, (0.0, -0.5, -1.0))])
     def test_filled_spec_is_a_plain_value(self, args):
@@ -508,6 +506,58 @@ class TestRazorProbe:
         assert lw.razor_necessity_probe(constant_method(S), BUDGET).consequence == "NONE_FOUND"
 
 
+def reference_candidates(budget, thetas, specs):
+    """lw._candidate_histories with each interval built by the per-stage
+    reference: a stream's histories are its prefixes up to the first
+    interval without 0, budget histories in all."""
+    count = 0
+    for theta in thetas:
+        for spec in specs:
+            evid = []
+            for t in range(40):
+                evid.append(ref.interval_at(theta, spec, t))
+                if not evid[-1].contains(0.0):
+                    break
+                count += 1
+                yield list(evid)
+                if count >= budget:
+                    return
+
+
+def drained(histories):
+    """The endpoints of each history an enumeration yields, as hex strings,
+    and the message of the StreamError that stopped it, or None."""
+    seen = []
+    try:
+        for hist in histories:
+            seen.append([(e.lo.hex(), e.hi.hex()) for e in hist])
+    except StreamError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+class TestCandidateHistories:
+    @pytest.mark.parametrize("budget", [1, 100, 368, 10**9])
+    def test_design_equals_the_stage_by_stage_reference(self, budget):
+        design = (lw.RAZOR_THETAS, lw.RAZOR_SPECS)
+        histories, error = drained(lw._candidate_histories(budget, *design))
+        assert (histories, error) == drained(reference_candidates(budget, *design))
+        assert len(histories) == min(budget, 369) and error is None
+
+    @pytest.mark.parametrize("thetas, specs, count, message", [
+        # 40 stages about 0, then a world whose stage-0 upper end overflows
+        ((0.0, 1e308), (lw.StreamSpec(1e308, 0.5),), 40, "interval endpoints must be finite"),
+        # 40 stages of an ordinary stream, then 11 of a subnormal one, whose stage-11
+        # half-width 2**-1075 rounds to 0
+        ((0.0,), (lw.StreamSpec(1.0, 0.5), lw.StreamSpec(2.0**-1064, 0.5)), 51,
+         "degenerate interval [0.0, 0.0]"),
+    ])
+    def test_refused_stream_stops_at_the_reference_stage(self, thetas, specs, count, message):
+        histories, error = drained(lw._candidate_histories(10**9, thetas, specs))
+        assert (len(histories), error) == (count, message)
+        assert (histories, error) == drained(reference_candidates(10**9, thetas, specs))
+
+
 class TestRazorAdversaries:
     @given(params=drift_params(min_ratio=0.5), horizon=st.integers(1, 30),
            theta=st.just(0.0) | st.floats(-0.05, 0.05) | st.floats(-2, 2),
@@ -516,7 +566,7 @@ class TestRazorAdversaries:
                                                                      theta, width0, stage):
         delta0, ratio, offsets = params
         spec = lw.StreamSpec(delta0, ratio, offset=offsets)
-        hist = [lw.interval_at(theta, spec, t) for t in range(horizon)]
+        hist = [ref.interval_at(theta, spec, t) for t in range(horizon)]
         width, at_stage, parity = lw.razor_violator_suite()  # at their defaults
         assert (width.name, at_stage.name, parity.name) == (
             "width_violator(0.01)", "stage_violator(3)", "parity_violator")

@@ -23,7 +23,7 @@ from convlab.lineworld import StreamSpec
 from convlab.rand import substream
 
 import reference as ref
-from test_lineworld import drift_params
+from test_lineworld import drift_params, trace_cases
 
 S, C, Q = Verdict.SIMPLE, Verdict.COMPLEX, Verdict.SUSPEND
 
@@ -245,15 +245,15 @@ class TestVerdictKernel:
 class TestPrismStreams:
     def test_centered_stage_one(self):
         w = pr.strand_world(1.0)
-        e = pr.canonical_prism_stream(w, StreamSpec(1.0, 0.5), 1)
+        e = pr.trace(pr.ockham_method(), w, StreamSpec(1.0, 0.5), 2).evidence[1]
         assert (e.xlo, e.xhi, e.ylo, e.yhi) == (0.5, 1.5, 0.5, 1.5)
 
     def test_overlap_eventually_fails_off_diagonal(self):
         w = pr.plane_world(0.8, 1.2)
         spec = StreamSpec(1.0, 0.5)
-        first = next(t for t in range(40)
-                     if not ref.overlap(pr.canonical_prism_stream(w, spec, t)))
-        assert ref.overlap(pr.canonical_prism_stream(w, spec, first - 1))
+        evidence = pr.trace(pr.ockham_method(), w, spec, 40).evidence
+        first = next(t for t, e in enumerate(evidence) if not ref.overlap(e))
+        assert ref.overlap(evidence[first - 1])
         # centered streams separate once the width drops below the gap
         assert 2.0 * spec.half_width(first) < 0.4 <= 2.0 * spec.half_width(first - 1)
 
@@ -262,18 +262,61 @@ class TestPrismStreams:
     def test_nested_and_containing(self, a, b, lam, t):
         w = pr.plane_world(a, b)
         spec = StreamSpec(1.0, 0.6, offset=lam)
-        e = pr.canonical_prism_stream(w, spec, t)
-        prev = pr.canonical_prism_stream(w, spec, t - 1)
+        *_, prev, e = pr.trace(pr.ockham_method(), w, spec, t + 1).evidence
         assert ref.contains_point(e, a, b)
         assert prev.xlo <= e.xlo and e.xhi <= prev.xhi
         assert prev.ylo <= e.ylo and e.yhi <= prev.yhi
 
     def test_trace_builds_each_stage_once(self, monkeypatch):
-        calls = []
-        original = pr.interval_at
-        monkeypatch.setattr(pr, "interval_at", lambda *a: calls.append(a) or original(*a))
-        pr.trace(pr.ockham_method(), pr.plane_world(0.8, 1.2), SPEC, 25)
-        assert len(calls) == 2 * 25
+        # one read of the stage table, then per stage one interval per axis and one prism
+        built = []
+        for name in ("IntervalEvidence", "PrismEvidence"):
+            original = getattr(pr, name)
+            monkeypatch.setattr(pr, name, lambda *a, name=name, original=original:
+                                built.append(name) or original(*a))
+        stages = StreamSpec.stages
+        monkeypatch.setattr(StreamSpec, "stages", lambda spec, n: built.append(n) or stages(spec, n))
+        tr = pr.trace(pr.ockham_method(), pr.plane_world(0.8, 1.2), SPEC, 25)
+        assert built == [25] + ["IntervalEvidence", "IntervalEvidence", "PrismEvidence"] * 25
+        assert len(tr) == 25
+
+    @given(case=trace_cases(), other=st.just(0.0) | st.floats(-5, 5), swap=st.booleans())
+    @example(case=(1e15, StreamSpec(1.0, 0.5), 40), other=0.5, swap=False)
+    @example(case=(1e15, StreamSpec(1.0, 0.5), 40), other=0.5, swap=True)
+    @example(case=(0.0, StreamSpec(1.7e308, 0.5, offset=0.5), 5), other=0.5, swap=True)
+    @example(case=(0.3, StreamSpec(1.0, 0.5, offset=(0.0, -0.5, -1.0)), 12), other=0.4,
+             swap=False)
+    def test_trace_equals_the_stage_by_stage_prisms(self, case, other, swap):
+        # the x and y intervals of each stage from the table against the per-stage
+        # reference, bit for bit, or the same error at the same stage
+        theta, spec, horizon = case
+        a, b = (other, theta) if swap else (theta, other)
+        w, m = pr.PastaWorld(a, b, 0), pr.ockham_method()
+        expected = ref.stage_by_stage(lambda t: ref.canonical_prism_stream(w, spec, t), horizon)
+        if isinstance(expected, str):
+            with pytest.raises(StreamError) as refused:
+                pr.trace(m, w, spec, horizon)
+            assert str(refused.value) == expected
+            return
+        bits = lambda e: (type(e), e.xlo.hex(), e.xhi.hex(), e.ylo.hex(), e.yhi.hex())
+        tr = pr.trace(m, w, spec, horizon)
+        assert list(map(bits, tr.evidence)) == list(map(bits, expected))
+        assert tr.verdicts == tuple(ref.decide_latest(m, e) for e in expected)
+
+    @pytest.mark.parametrize("a, b, spec, stage, message", [
+        # the x axis's stage-0 upper end overflows
+        (1e308, 1.0, StreamSpec(1e308, 0.5), 0, "interval endpoints must be finite"),
+        # the y axis's stage-4 interval rounds onto its world 1e15 (half-width 1/16)
+        (0.5, 1e15, StreamSpec(1.0, 0.5), 4, "degenerate interval [1000000000000000.0, "
+                                             "1000000000000000.0]"),
+    ])
+    def test_refused_stream_stops_at_the_reference_stage(self, a, b, spec, stage, message):
+        w = pr.plane_world(a, b)
+        assert ref.stage_by_stage(lambda t: ref.canonical_prism_stream(w, spec, t), 40) == message
+        assert len(pr.trace(pr.ockham_method(), w, spec, stage)) == stage
+        with pytest.raises(StreamError) as refused:
+            pr.trace(pr.ockham_method(), w, spec, stage + 1)
+        assert str(refused.value) == message
 
     def test_degenerate_prism_rejected(self):
         with pytest.raises(StreamError):
@@ -314,7 +357,7 @@ class TestDomains:
         # settle stage equals the first stage whose prism leaves the diagonal
         w = pr.plane_world(g.axis[0], g.axis[-1])
         brute = next(t for t in range(40)
-                     if not ref.overlap(pr.canonical_prism_stream(w, SPEC, t)))
+                     if not ref.overlap(ref.canonical_prism_stream(w, SPEC, t)))
         assert cells[n - 1] == ("plane", g.axis[0], g.axis[-1], Status.CONVERGES, brute)
         assert brute == 2
 
