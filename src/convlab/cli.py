@@ -124,8 +124,8 @@ _SAMPLE_SIZES = _numlist(_num(lo=2, hi=10**6, integer=True), increasing=True)
 _PREDSEL_REPS = _num(lo=100, hi=10**5, integer=True)
 # predsel risks use a 64-node Gauss-Legendre rule, exact for (f* - fhat)^2 up to degree 127
 _MAX_DEGREE = _num(lo=0, hi=63, integer=True)
-# a predsel regime factors a (predsel.CHUNK, max_degree + 2, n) float buffer, 32 x 65 x
-# 10**4 floats (166 MB) at the top
+# a predsel regime factors a (max_degree + 2, predsel.CHUNK, n) float buffer, 65 x 16 x
+# 10**4 floats (83 MB) at the top
 _REGIME_N = _num(lo=4, hi=10**4, integer=True)
 _SIGMA = _num(lo=1e-150, hi=1e150)  # sigma**2 stays a positive finite float
 # 1 - alpha/2 stays below 1.0 (the float spacing there is ulp(1.0) / 2), so its normal quantile exists
@@ -155,7 +155,8 @@ SCHEMA = {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
         "alpha_grid": ([0.16, 0.05, 0.01, 0.001], _numlist(_ALPHA)),
-        "mc_trials": (200000, _num(lo=1000, hi=10**7, integer=True)),  # 80 MB of draws at the top
+        # gaussian.truth_prob_mc draws gaussian.MC_BLOCK normals at a time at any count
+        "mc_trials": (200000, _num(lo=1000, hi=10**7, integer=True)),
         "mc_theta_grid": ([0.0, 0.5], _numlist(_num())),
         "mc_n_grid": ([10, 100, 1000], _SIZES),
     },
@@ -318,6 +319,19 @@ def check_consistency(config: dict) -> None:
                               f"= {per_point:.3g} * {reprlib.repr(n)} (max|f*| <= "
                               f"{bounds[regime]:.6g}), where the fits' rss is float rounding, "
                               f"not noise")
+        # the rank check admits a design whose R diagonal spans 1 / (n eps), and a fit on
+        # one carried max|y| <= max|f*| + 8 sigma up by 2**17 / (n eps) at the risk nodes
+        # (the worst of 96,000 random near-interpolating designs); a margin of 2**23 on
+        # that gain keeps the squared errors, summed over 10**5 reps, finite
+        scale = bounds[regime] + 8.0 * sigma
+        top = n * math.ulp(1.0) * math.sqrt(sys.float_info.max / 2**17) / 2**40
+        if scale > top:
+            name = "sigma" if 8.0 * sigma >= bounds[regime] else "coeffs"
+            raise ConfigError(f"predsel.regime_{regime}_{name}: max|f*| + 8 sigma = {scale:.3g} "
+                              f"(max|f*| <= {bounds[regime]:.6g}, sigma = {sigma}) is above n eps "
+                              f"sqrt(max float / 2**17) / 2**40 = {top:.3g} (n = "
+                              f"{reprlib.repr(n)}), where a near-interpolating fit's squared "
+                              f"error at the risk nodes can overflow")
 
 
 # command-line flag -> the config field it overrides, applied in this order
@@ -738,8 +752,9 @@ def main(argv=None) -> int:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        raw_text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
-    except OSError as exc:
+        config_path = args.config and Path(_string(args.config, "--config"))
+        raw_text = config_path.read_text(encoding="utf-8") if config_path else "{}"
+    except (OSError, ConfigError) as exc:  # ConfigError: a path holding a NUL
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -100,17 +100,24 @@ class FitResult:
     n: int
 
 
-def generate(truth: TruthSpec, n: int, seeds) -> tuple:
+def generate(truth: TruthSpec, n: int, seeds, out=None) -> tuple:
     """Synthetic data, stacked (len(seeds), n) xs and ys, one dataset per
     seed and deterministic given it: each seed's substream draws the xs
-    uniform on [-1, 1], then the noise, and ys = f*(xs) + sigma * noise."""
+    uniform on [-1, 1] (2u - 1, as uniform(-1, 1) computes them), then the
+    noise, and ys = f*(xs) + sigma * noise.  The two are views of out, a
+    (2, len(seeds) or more, n) array filled in place, when one is given:
+    one out passed for every chunk is memory reused."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    x, noise = np.empty((2, len(seeds), n))
+    x, y = np.empty((2, len(seeds), n)) if out is None else out[:, :len(seeds)]
     for i, rng in enumerate(substreams(substream_key(seed, "predsel-data") for seed in seeds)):
-        x[i] = rng.uniform(-1.0, 1.0, size=n)
-        noise[i] = rng.standard_normal(n)
-    return x, truth.eval(x) + truth.noise_sigma * noise
+        rng.random(out=x[i])
+        rng.standard_normal(out=y[i])
+    x *= 2.0
+    x -= 1.0
+    y *= truth.noise_sigma
+    y += truth.eval(x)
+    return x, y
 
 
 def _dataset(xs, ys) -> tuple:
@@ -160,15 +167,27 @@ def _legendre_qr(x: np.ndarray, degree: int):
 def _augmented_r(x: np.ndarray, y: np.ndarray, degree: int, buf=None, first: int = 0):
     """R alone of the QR of each [legvander(x, degree) | y] in the (c, n) stacks
     x, y (reps first, first + 1, ...), each a column-major view of buf, a
-    (c or more, degree + 2, n) array filled in place: one buf passed for every
-    chunk is memory reused.  Checks as _legendre_qr, on R's leading block."""
+    (degree + 2, c or more, n) array filled in place: one buf passed for every
+    chunk is memory reused.  The Legendre columns follow legvander's own
+    recurrence, v_i = (v_{i-1} x (2i - 1) - v_{i-2} (i - 1)) / i, in its
+    operation order, so they are its bits; each column is a block of its own,
+    so numpy copies no operand, and y's block is scratch until y goes in.
+    Checks as _legendre_qr, on R's leading block."""
     c, n = x.shape
     if degree + 2 > n:
         raise ValueError(f"degree {degree} needs at least {degree + 2} points, got {n}")
-    cols = np.empty((c, degree + 2, n)) if buf is None else buf[:c]
-    cols[:, :-1] = np.moveaxis(np.polynomial.legendre.legvander(x, degree), -1, 1)
-    cols[:, -1] = y
-    R = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+    v = np.empty((degree + 2, c, n)) if buf is None else buf[:, :c]
+    np.multiply(x, 0, out=v[0])  # x * 0 + 1
+    v[0] += 1
+    if degree:
+        np.add(x, 0.0, out=v[1])  # legvander's x + 0.0, which makes -0.0 +0.0
+    for i in range(2, degree + 1):
+        np.multiply(v[i - 1], v[1], out=v[i])
+        v[i] *= 2 * i - 1
+        v[i] -= np.multiply(v[i - 2], i - 1, out=v[-1])
+        v[i] /= i
+    v[-1] = y
+    R = np.linalg.qr(v.transpose(1, 2, 0), mode="r")
     _check_rank(R[:, :-1, :-1], n, first)
     return R
 
@@ -274,10 +293,11 @@ class RegimeSummary:
             yield from zip(rep, np.tile(k, len(chunk)).tolist(), *scores, sel_aic, sel_bic)
 
 
-# Reps per stacked fit.  32 fits as fast as 64 (0.245 s for the default regime A
-# either way) and halves a regime's traced peak (regime B: 4.62 MiB against 8.78),
-# which sets a run's peak when the run's own process is the worker that fits it.
-CHUNK = 32
+# Reps per stacked fit.  With the designs built in place and the draws in reused
+# buffers, 16 fits the default regimes in less time than 32 did before (README), and
+# it halves a regime's traced peak (regime B: 2.35 MiB against 4.63), which sets a
+# run's peak when the run's own process is the worker that fits it.
+CHUNK = 16
 # Floats per block of the probe's draws (3.2 MB), under numpy's 4 MiB hugepage
 # threshold at any reps: the default probes timed the same from 16,000 to 400,000,
 # and at degree 48 and 10**5 reps, where each block adds into a 39 MB sum, the
@@ -302,10 +322,11 @@ def regime_experiment(truth: TruthSpec, candidates: Sequence[int], n: int,
     picks = np.empty((2, reps), dtype=int)  # AIC and BIC degree per rep
     excess = np.empty((2, reps))  # their risk over the rep's best candidate
     scores = np.empty((4, reps, len(k)))
-    buf = np.empty((min(CHUNK, reps), k.max() + 2, n))  # every chunk's designs, reused
+    draws = np.empty((2, min(CHUNK, reps), n))  # every chunk's xs and ys, reused
+    buf = np.empty((k.max() + 2, min(CHUNK, reps), n))  # every chunk's designs, reused
     for start in range(0, reps, CHUNK):
         chunk = range(start, min(start + CHUNK, reps))
-        x, y = generate(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])
+        x, y = generate(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk], draws)
         rss, aic, bic, risk, sel = _nested_scores(x, y, k, truth.noise_sigma**2, at_nodes, buf, start)
         picks[:, start:chunk.stop] = k[sel]
         excess[:, start:chunk.stop] = risk[range(len(chunk)), sel] - risk.min(axis=1)

@@ -64,8 +64,8 @@ def bic_prefers_complex(xs: Sequence[float]) -> bool:
 
 
 def truth_prob_mc(rule: TestRule, theta: float, n: int, trials: int, seed: int):
-    """gaussian.truth_prob_mc out of place: the same substream's draws,
-    scaled, shifted and folded into new arrays."""
+    """gaussian.truth_prob_mc as one whole draw, out of place: the same
+    substream's draws, scaled, shifted and folded into new arrays."""
     z = substream(seed, "gaussian-mc", rule.label(), theta, n).standard_normal(trials)
     outside = np.count_nonzero(np.abs(z / math.sqrt(n) + theta) > rule.critical_value(n))
     p = (outside if theta != 0.0 else trials - outside) / trials
@@ -268,6 +268,18 @@ def true_risk_mc(fit: FitResult, truth: TruthSpec, n_points: int = 10**6, seed: 
     return truth.noise_sigma**2 + est, se
 
 
+def generate(truth: TruthSpec, n: int, seeds) -> tuple:
+    """predsel.generate a seed at a time, its earlier form: a fresh substream
+    per seed draws uniform(-1, 1) xs, then the noise, each as a new array."""
+    xs, ys = [], []
+    for seed in seeds:
+        rng = substream(seed, "predsel-data")
+        x = rng.uniform(-1.0, 1.0, size=n)
+        xs.append(x)
+        ys.append(truth.eval(x) + truth.noise_sigma * rng.standard_normal(n))
+    return np.array(xs), np.array(ys)
+
+
 def nested_scores_explicit_q(x, y, k, sigma2, at_nodes=None) -> tuple:
     """predsel._nested_scores through the explicit Q of a reduced QR of
     legvander(x, max k), the kernel's earlier form: with b = Q^T y, degree k
@@ -294,7 +306,7 @@ def regime_rows(truth: TruthSpec, candidates: Sequence[int], n: int, reps: int,
     chunk by chunk into one list."""
     k, at_nodes = ps._prepare(candidates, truth)
     rows = []
-    buf = np.empty((min(ps.CHUNK, reps), k.max() + 2, n))
+    buf = np.empty((k.max() + 2, min(ps.CHUNK, reps), n))
     for start in range(0, reps, ps.CHUNK):
         chunk = range(start, min(start + ps.CHUNK, reps))
         x, y = ps.generate(truth, n, [substream_key(seed, "regime-rep", rep) for rep in chunk])

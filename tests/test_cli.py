@@ -13,8 +13,9 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab import cli
@@ -612,6 +613,17 @@ class TestFlags:
         ({"experiment": "predsel", "check": True, "predsel": {"regime_a_sigma": 1e-13}},
          "predsel.regime_a_sigma"),
         ({"experiment": "predsel", "predsel": {"regime_b_sigma": 7e-12}}, "predsel.regime_b_sigma"),
+        # above max|f*| + 8 sigma = n eps sqrt(max float / 2**17) / 2**40 (1.1e125 at n = 15,
+        # 3.7e126 at n = 500) a near-interpolating fit's squared error at the risk nodes can
+        # overflow: at the default seed sigma 1.28e143 put an inf risk in selection.csv, with
+        # an overflow warning that CI's strict step raises
+        ({"experiment": "predsel", "predsel": {"regime_a_coeffs": [0.0], "regime_a_sigma": 1.2755e143,
+                                               "regime_a_max_degree": 13, "regime_a_n": 15}},
+         "predsel.regime_a_sigma"),
+        ({"experiment": "predsel", "predsel": {"regime_b_sigma": 5e125}}, "predsel.regime_b_sigma"),
+        ({"experiment": "predsel", "predsel": {"regime_a_coeffs": [0.0, 1e140],
+                                               "regime_a_sigma": 1e130}},
+         "predsel.regime_a_coeffs"),
         # 1 - alpha/2 rounds to 1.0, which has no normal quantile
         ({"experiment": "gaussian", "gaussian": {"alpha_grid": [1e-16]}}, "gaussian.alpha_grid[0]"),
         # ((z - q) / |theta|)**2 overflows in the certified settle size
@@ -670,7 +682,8 @@ class TestFlags:
             "regime_a_max_degree", "theta_step", "max_degree-64", "truth-degree-49",
             "truth-degree-49-trailing-zeros",
             "sigma-squared-underflow", "sigma-squared-overflow", "sigma-a-rounding",
-            "sigma-b-rounding", "alpha-1e-16",
+            "sigma-b-rounding", "sigma-a-fit-overflow", "sigma-b-fit-overflow",
+            "coeffs-a-fit-overflow", "alpha-1e-16",
             "theta-1e-160", "theta-grid-without-0", "alpha-grid-above-slack",
             "lineworld-delta0-1e308", "perrin-delta0-1e308",
             "uniform_length-1e308", "uniform_length-5e-324", "n_grid-1e400",
@@ -744,6 +757,12 @@ class TestFlags:
         assert capsys.readouterr().err == (
             f"config error: {field}: a path cannot hold a NUL character, got 'a\\x00b'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_nul_in_config_path_exit_two(self, capsys):
+        # reading such a path raises ValueError, not OSError: a field-level error all the same
+        assert cli.main(["--config", "a\0b"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --config: a path cannot hold a NUL character, got 'a\\x00b'\n")
 
     def test_run_checks_the_output_path_it_is_given(self, tmp_path):
         config = cli.validate_config('{"experiment": "lineworld"}')
@@ -891,6 +910,16 @@ class TestFlags:
         cli.check_consistency(cli.validate_config(json.dumps({"predsel": {
             "regime_b_sigma": 7.2e-12, "regime_a_coeffs": [0.0], "regime_a_sigma": 1e-150}})))
 
+    def test_sigma_ceiling_admits_what_it_should(self):
+        # just under the ceiling at the falsifying design size every score stays finite
+        sc = {"regime_a_coeffs": [0.0], "regime_a_sigma": 1.3e124, "regime_a_max_degree": 13,
+              "regime_a_n": 15, "regime_b_sigma": 4.6e125}
+        cli.check_consistency(cli.validate_config(json.dumps({"predsel": sc})))
+        for seed in range(4):
+            summary = ps.regime_experiment(ps.poly_truth([0.0], sc["regime_a_sigma"]), range(14),
+                                           15, 1000, seed)
+            assert np.isfinite(summary.scores).all()
+
     def test_zero_polynomial_truth_runs(self, tmp_path):
         # the probe degree of the zero polynomial is 0
         code, out = run_cli(tmp_path, {"experiment": "predsel", "predsel": {
@@ -911,6 +940,7 @@ class TestFlags:
         assert summary["true_model_in_set"]["true_degree"] == 48
 
     @settings(max_examples=100)  # random predsel sections run end to end: exit 0, 1 or 2
+    @example(coeffs=[0.0], sigma=1.2755e143, max_a=13, max_b=12, n_a=15, n_b=120, check=False)
     @given(coeffs=st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 1e-3]), min_size=1, max_size=70),
            sigma=st.one_of(st.floats(0.01, 10.0), st.floats(1e-300, 1e300)),
            max_a=st.integers(0, 70), max_b=st.integers(0, 70),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ class TestMonteCarlo:
     def test_trial_floor(self):
         with pytest.raises(ValueError):
             g.truth_prob_mc(g.aic_rule(), 0.0, 10, 999, seed=1)
+
+    @pytest.mark.parametrize("trials", [g.MC_BLOCK - 1, g.MC_BLOCK, g.MC_BLOCK + 1, 200_000])
+    @pytest.mark.parametrize("rule, theta, n", [(g.aic_rule(), 0.0, 10), (g.bic_rule(), 0.1, 100),
+                                                (g.confidence_rule_95(), -0.25, 1000)])
+    def test_blocks_count_what_the_whole_draw_counts(self, rule, theta, n, trials):
+        # the generator fills in C order, so the blocks draw exactly the whole draw's numbers
+        assert g.truth_prob_mc(rule, theta, n, trials, 7) == ref.truth_prob_mc(
+            rule, theta, n, trials, 7)
+
+    def test_peak_memory_is_one_block(self):
+        # numpy reports its buffers to tracemalloc: 10**6 trials hold one block of
+        # MC_BLOCK floats (0.28 MiB peak), not the whole draw (8.59 MiB)
+        tracemalloc.start()
+        try:
+            g.truth_prob_mc(g.bic_rule(), 0.5, 100, 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
 
 
 def outcome(classify, *args):

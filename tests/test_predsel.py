@@ -214,6 +214,22 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ps.generate(ps.abs_truth(1.0), 1, [0])
 
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(1, 40), spare=st.integers(0, 3), n=st.integers(2, 60), kink=st.booleans(),
+           coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           sigma=st.floats(1e-3, 1e3), seed=st.integers(0, 2**63 - 1), reuse=st.booleans())
+    def test_matches_seed_at_a_time_reference(self, c, spare, n, kink, coeffs, sigma, seed, reuse):
+        # 2u - 1 into reused buffers draws uniform(-1, 1)'s bits, as a fresh substream per
+        # seed does, whether the stack fills a larger buffer of stale data or one of its own
+        truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
+        seeds = [substream_key(seed, "rep", i) for i in range(c)]
+        out = np.full((2, c + spare, n), np.nan) if reuse else None
+        x, y = ps.generate(truth, n, seeds, out)
+        ref_x, ref_y = ref.generate(truth, n, seeds)
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+        if reuse:
+            assert np.shares_memory(x, out) and np.shares_memory(y, out)
+
 
 class TestTruthSpec:
     def test_validation(self):
@@ -365,8 +381,8 @@ class TestBatchedRegimes:
     def test_fit_error_names_its_rep(self, monkeypatch):
         draw, bad_rep = ps.generate, ps.CHUNK + 6
 
-        def one_degenerate_design(truth, n, seeds):
-            x, y = draw(truth, n, seeds)
+        def one_degenerate_design(truth, n, seeds, out=None):
+            x, y = draw(truth, n, seeds, out)
             if seeds[0] == substream_key(1, "regime-rep", ps.CHUNK):
                 x[bad_rep - ps.CHUNK] = 0.5
             return x, y
@@ -389,7 +405,7 @@ class TestBatchedRegimes:
         truth = ps.abs_truth(sigma) if kink else ps.poly_truth(coeffs, sigma)
         k, at_nodes = ps._prepare([d for d in degrees if d + 2 <= n] or [0], truth)
         x, y = ps.generate(truth, n, range(seed, seed + c))
-        buf = np.full((ps.CHUNK, k.max() + 2, n), np.nan) if reuse else None
+        buf = np.full((k.max() + 2, ps.CHUNK, n), np.nan) if reuse else None
         rss, _, _, risk, sel = ps._nested_scores(x, y, k, sigma**2, at_nodes, buf)
         ref_rss, _, _, ref_risk, ref_sel = ref.nested_scores_explicit_q(x, y, k, sigma**2, at_nodes)
         assert (sel == ref_sel).all()
@@ -397,6 +413,43 @@ class TestBatchedRegimes:
         y2 = np.sum(y * y, axis=1)
         assert (abs(rss - ref_rss) <= 1e-12 * ref_rss + 8.0 * (slack * y2)[:, None]).all()
         assert (abs(risk - ref_risk) <= np.maximum(1e-12, 32.0 * slack)[:, None] * ref_risk).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, ps.CHUNK), degree=st.sampled_from([0, 1, 63]) | st.integers(0, 63),
+           extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(
+               [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])), max_size=8))
+    def test_in_place_design_is_legvander_bit_for_bit(self, c, degree, extra, seed, specials):
+        # the Legendre columns _augmented_r builds in its buffer, over stale data, are
+        # legvander's bits, signed zeros and subnormals included, and the last column is y
+        n = degree + 2 + extra
+        x, y = substream(seed, "design").uniform(-1.0, 1.0, (2, c, n))
+        for at, value in specials:
+            x.flat[at % x.size] = value
+        buf = np.full((degree + 2, ps.CHUNK, n), np.nan)
+        try:
+            ps._augmented_r(x, y, degree, buf)
+        except ps.FitError:  # raised after the design is built: a repeated x, say
+            pass
+        design = np.moveaxis(np.polynomial.legendre.legvander(x, degree), -1, 0)
+        assert buf[:-1, :c].tobytes() == design.tobytes()
+        assert buf[-1, :c].tobytes() == y.tobytes()
+
+    def test_default_regime_b_peak_memory(self):
+        # regime B at its defaults sets a run's peak when the run's own process fits it.
+        # Under tracemalloc it peaks at 2.35 MiB: the (CHUNK, 14, 500) designs built in
+        # place and the reused draws, beside its scores.  A legvander temporary and fresh
+        # draws per chunk of 32 reps peaked at 4.63 MiB.
+        sc = cli.validate_config("{}")["predsel"]
+        truth = ps.abs_truth(sc["regime_b_sigma"])
+        tracemalloc.start()
+        try:
+            ps.regime_experiment(truth, range(sc["regime_b_max_degree"] + 1), sc["regime_b_n"],
+                                 sc["regime_b_reps"], seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
     def test_regimes_form_no_q(self, monkeypatch):
         qr, modes = np.linalg.qr, []
