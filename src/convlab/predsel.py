@@ -171,7 +171,7 @@ def _augmented_r(x: np.ndarray, y: np.ndarray, degree: int, buf=None, first: int
     chunk is memory reused.  The Legendre columns follow legvander's own
     recurrence, v_i = (v_{i-1} x (2i - 1) - v_{i-2} (i - 1)) / i, in its
     operation order, so they are its bits; each column is a block of its own,
-    so numpy copies no operand, and y's block is scratch until y goes in.
+    so numpy copies no operand, and y's block is a spare until y goes in.
     Checks as _legendre_qr, on R's leading block."""
     c, n = x.shape
     if degree + 2 > n:

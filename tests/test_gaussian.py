@@ -184,7 +184,7 @@ class TestMonteCarlo:
 
     def test_peak_memory_is_one_block(self):
         # numpy reports its buffers to tracemalloc: 10**6 trials hold one block of
-        # MC_BLOCK floats (0.28 MiB peak), not the whole draw (8.59 MiB)
+        # MC_BLOCK floats (0.28 MiB peak), not the whole draw (8.58 MiB)
         tracemalloc.start()
         try:
             g.truth_prob_mc(g.bic_rule(), 0.5, 100, 10**6, seed=1)

@@ -437,9 +437,9 @@ class TestBatchedRegimes:
 
     def test_default_regime_b_peak_memory(self):
         # regime B at its defaults sets a run's peak when the run's own process fits it.
-        # Under tracemalloc it peaks at 2.35 MiB: the (CHUNK, 14, 500) designs built in
+        # Under tracemalloc it peaks at 2.34 MiB: the (14, CHUNK, 500) designs built in
         # place and the reused draws, beside its scores.  A legvander temporary and fresh
-        # draws per chunk of 32 reps peaked at 4.63 MiB.
+        # draws per chunk peaked at 4.62 MiB with chunks of 32 and 2.54 MiB with 16.
         sc = cli.validate_config("{}")["predsel"]
         truth = ps.abs_truth(sc["regime_b_sigma"])
         tracemalloc.start()
