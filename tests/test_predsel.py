@@ -442,6 +442,7 @@ class TestBatchedRegimes:
         # draws per chunk peaked at 4.62 MiB with chunks of 32 and 2.54 MiB with 16.
         sc = cli.validate_config("{}")["predsel"]
         truth = ps.abs_truth(sc["regime_b_sigma"])
+        ps.regime_experiment(truth, range(3), 20, 100, seed=2)  # one-time allocations first
         tracemalloc.start()
         try:
             ps.regime_experiment(truth, range(sc["regime_b_max_degree"] + 1), sc["regime_b_n"],
