@@ -129,7 +129,7 @@ def check_predsel_directions(a, b):
     results.append(("predsel_regime_true_model", diff >= 0.05,
                     f"bic={a.correct_frequency_bic:.4f} aic={a.correct_frequency_aic:.4f}"))
     results.append(("predsel_regime_misspecified",
-                    b.mean_excess_risk_aic <= b.mean_excess_risk_bic,
+                    b.mean_excess_risk_aic < b.mean_excess_risk_bic,
                     f"aic={b.mean_excess_risk_aic:.6f} bic={b.mean_excess_risk_bic:.6f}"))
     return results
 

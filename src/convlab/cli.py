@@ -1,7 +1,7 @@
 """Configuration-driven experiment runner.
 
 Reads a strict JSON config, runs the selected experiment suites, and
-writes CSV/JSON artifacts plus plot-ready series.  A master seed with
+writes CSV/JSON artifacts.  A master seed with
 per-module derived substreams makes every emitted number a function of
 (config, seed); rerunning the same config reproduces the numeric
 outputs byte for byte.
@@ -149,7 +149,6 @@ SCHEMA = {
     "seed": (20250801, _num(integer=True)),
     "out_dir": ("out", _string),
     "check": (False, _bool),
-    "plots": (True, _bool),
     "format": ("csv", _format),
     "gaussian": {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
@@ -459,9 +458,6 @@ def run_gaussian(cfg: dict, out: Outputs):
     def finish(*done):
         rows = [row for _, part in done for row in part]
         out.emit_rows("curves", ("rule", "theta", "n", "truth_prob", "se"), rows)
-        if cfg["plots"]:
-            out.emit_rows("plots/truth_prob_series", ("rule", "theta", "n", "truth_prob"),
-                          [(label, theta, n, p) for label, theta, n, p, se in rows if se is None])
 
         modes = {}
         for rule, (curves, _) in zip(g.RULES, done):
@@ -549,10 +545,6 @@ def run_predsel(cfg: dict, out: Outputs):
                                  range(pc["regime_b_max_degree"] + 1),
                                  pc["regime_b_n"], pc["regime_b_reps"], seed)
         out.emit_rows("selection_misspecified", header, b.rows())
-        if cfg["plots"]:
-            out.emit_rows("plots/regret_distribution", ("rep", "selector", "excess_risk"),
-                          ((rep, selector, risk) for rep, pair in enumerate(b.excess.T.tolist())
-                           for selector, risk in zip(("aic", "bic"), pair)))
         return b
 
     def probe_all():
@@ -612,9 +604,6 @@ def run_perrin(cfg: dict, out: Outputs):
             out.emit_rows(f"domain_{kind.lower()}", ("component", "a", "b", "status", "settle_stage"),
                           ((*w, labels[c], t if t >= 0 else None)
                            for w, c, t in zip(worlds, codes, settle)))
-            if cfg["plots"]:
-                out.emit_rows(f"plots/domain_map_{kind.lower()}", ("component", "a", "b", "code"),
-                              ((*w, c) for w, c in zip(worlds, codes)))
         out.emit_json("scoresheet.json", {
             kind: {"ae": _report_to_dict(s.ae), "maximal": _report_to_dict(s.maximal),
                    "stable": _report_to_dict(s.stable), "fractions": s.fractions}
@@ -683,8 +672,6 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
         return RunOutcome(0, summary)
     try:
         out.root.mkdir(parents=True, exist_ok=True)
-        if config["plots"]:
-            (out.root / "plots").mkdir(exist_ok=True)
     except OSError as exc:  # a file where a directory must be, or no permission to make one
         raise ConfigError(f"{'out_dir' if out_dir is None else '--out'}: cannot make the "
                           f"directory {exc.filename}: {exc.strerror}")

@@ -66,7 +66,7 @@ from .framework import (
 from .lineworld import GridSpec, IntervalEvidence, StreamSpec
 from .rand import substream, substream_key, substreams
 
-# a world's status as a code: the domain map's plot codes
+# a world's status as a code, as DomainGrid stores it
 CODES = {Status.CONVERGES: 1, Status.DIVERGES: 0, Status.UNDETERMINED: -1}
 STATUSES = {code: status for status, code in CODES.items()}
 

@@ -198,6 +198,11 @@ def test_predsel_directions():
     assert got == {"predsel_regime_true_model": False, "predsel_regime_misspecified": True}
     got = verdicts(checks.check_predsel_directions(*regimes(risk_aic=0.003)))
     assert got == {"predsel_regime_true_model": True, "predsel_regime_misspecified": False}
+    # equal means fail: a run reporting BIC's mean excess risk as AIC's prints a tie
+    got = verdicts(checks.check_predsel_directions(*regimes(risk_aic=0.0025)))
+    assert got["predsel_regime_misspecified"] is False
+    got = verdicts(checks.check_predsel_directions(*regimes(risk_aic=math.nextafter(0.0025, 0))))
+    assert got["predsel_regime_misspecified"] is True
 
 
 def probes(z=0.5, rel_bias=0.001, sizes=PROBE_SIZES):

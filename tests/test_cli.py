@@ -23,7 +23,7 @@ from convlab import gaussian as g
 from convlab import lineworld as lw
 from convlab import perrin as pr
 from convlab import predsel as ps
-from convlab.framework import PROBE_SIZES, OracleContradiction, Status, StreamError
+from convlab.framework import PROBE_SIZES, OracleContradiction, StreamError
 
 import reference as ref
 
@@ -440,7 +440,7 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["--experiment", "gaussian", "--trials", "2000", "--out", str(out)]) == 0
         first = json.loads((out / "manifest.json").read_text())["outputs"]
-        assert {"curves.csv", "plots/truth_prob_series.csv", "summary.json"} <= set(first)
+        assert set(first) == {"curves.csv", "summary.json"}
         assert cli.main(["--experiment", "lineworld", "--out", str(out)]) == 0
         second = json.loads((out / "manifest.json").read_text())["outputs"]
         assert (out / "curves.csv").exists()
@@ -708,14 +708,12 @@ class TestFlags:
             "config error: predsel.regime_a_coeffs: the true model's degree 49 is above 48, the "
             "most the unbiasedness probe fits on its smallest design, n = 50\n")
 
-    @pytest.mark.parametrize("where", ["a-file", "under-a-file", "plots-a-file"])
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
     @pytest.mark.parametrize("field", ["--out", "out_dir"])
     def test_unusable_output_directory_exit_two(self, tmp_path, capsys, where, field):
         blocker = tmp_path / "blocker"
         blocker.write_text("kept")
-        out = {"a-file": blocker, "under-a-file": blocker / "out", "plots-a-file": tmp_path}[where]
-        if where == "plots-a-file":
-            (tmp_path / "plots").write_text("kept")
+        out = {"a-file": blocker, "under-a-file": blocker / "out"}[where]
         config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
         flags = ["--out", str(out)] if field == "--out" else []
         if field == "out_dir":
@@ -819,6 +817,8 @@ class TestFlags:
          "lineworld.offsets[1]: -1.0 repeats lineworld.offsets[0] = -1.0"),
         ({"gaussian": 5}, "gaussian: expected an object, got 5"),
         ([1], "config: expected an object, got [1]"),
+        ({"plots": False}, "unknown key 'plots'"),
+        ({"plots": True}, "unknown key 'plots'"),
     ])
     def test_short_values_print_whole(self, tmp_path, capsys, config, message):
         assert run_cli(tmp_path, config)[0] == 2
@@ -1041,7 +1041,6 @@ class TestChecksJudgeTheRun:
         # only run reads `check`: a runner judges its results whatever it says
         config = cli.validate_config(json.dumps({**TestWritePath.CONFIG, "experiment": name}))
         del config["check"]
-        (tmp_path / "plots").mkdir()
         jobs, finish = cli.SUITES[name](config, cli.Outputs(tmp_path, "csv"))
         _, results = finish(*[job() for _, job in jobs])
         assert results and all(check.startswith(name) for check, _, _ in results)
@@ -1135,41 +1134,38 @@ class TestWritePath:
                    "stream_schedule": [50, 100]},
     }
 
-    def test_csv_json_and_plot_series_agree(self, tmp_path):
+    # the tables and JSON files of an `all` run, as its manifest lists them
+    OUTPUTS = ["curves", *(f"domain_{kind}" for kind in
+                           ("anti_realist", "ockham_realist", "way1", "way2", "way3")),
+               "selection", "selection_misspecified"]
+
+    @pytest.fixture(scope="class")
+    def outs(self, tmp_path_factory):
+        """The run's output directory in each format."""
         outs = {}
         for fmt in ("csv", "json"):
-            (tmp_path / fmt).mkdir()
-            code, outs[fmt] = run_cli(tmp_path / fmt, dict(self.CONFIG, format=fmt))
+            code, outs[fmt] = run_cli(tmp_path_factory.mktemp(fmt), dict(self.CONFIG, format=fmt))
             assert code == 0
+        return outs
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_manifest_lists_the_primary_outputs_only(self, outs, fmt):
+        listed = json.loads((outs[fmt] / "manifest.json").read_text())["outputs"]
+        expected = sorted([f"{base}.{fmt}" for base in self.OUTPUTS]
+                          + ["scoresheet.json", "summary.json"])
+        assert sorted(listed) == expected
+        assert sorted(p.name for p in outs[fmt].iterdir()) == sorted(expected + ["manifest.json"])
+
+    def test_csv_and_json_tables_agree(self, outs):
         out = outs["csv"]
         tables = sorted(p.relative_to(out) for p in out.rglob("*.csv"))
-        assert len(tables) == 15
+        assert tables == sorted(Path(f"{base}.csv") for base in self.OUTPUTS)
         for rel in tables:
             rows = read_rows(out / rel)
             records = json.loads((outs["json"] / rel.with_suffix(".json")).read_text())
             assert rows and len(rows) == len(records), rel
             for row, record in zip(rows, records):
                 assert row == {k: _fmt(v) for k, v in record.items()}, rel
-
-        # the excess risk of each selector's pick over the rep's best candidate
-        risks, picks = {}, {}
-        for r in read_rows(out / "selection_misspecified.csv"):
-            risks.setdefault(r["rep"], {})[r["degree"]] = float(r["true_risk"])
-            picks[r["rep"]] = {"aic": r["selected_aic"], "bic": r["selected_bic"]}
-        expected = [(rep, sel, _fmt(risks[rep][picks[rep][sel]] - min(risks[rep].values())))
-                    for rep in sorted(risks, key=int) for sel in ("aic", "bic")]
-        regret = read_rows(out / "plots" / "regret_distribution.csv")
-        assert [(r["rep"], r["selector"], r["excess_risk"]) for r in regret] == expected
-
-        for kind in ("ockham_realist", "anti_realist", "way1", "way2", "way3"):
-            domain = read_rows(out / f"domain_{kind}.csv")
-            codes = read_rows(out / "plots" / f"domain_map_{kind}.csv")
-            assert [(r["component"], r["a"], r["b"], str(pr.CODES[Status(r["status"])]))
-                    for r in domain] == [(r["component"], r["a"], r["b"], r["code"]) for r in codes]
-
-        analytic = [{k: r[k] for k in ("rule", "theta", "n", "truth_prob")}
-                    for r in read_rows(out / "curves.csv") if r["se"] == ""]
-        assert analytic and read_rows(out / "plots" / "truth_prob_series.csv") == analytic
 
 
 class TestStreamedWriter:
@@ -1197,38 +1193,24 @@ class TestStreamedWriter:
 
 
 class TestPlots:
+    """The series a plot reads, derived from the primary files (README, Outputs)."""
+
     def test_constant_level_series_present(self, tmp_path):
         config = {"experiment": ["gaussian"],
                   "gaussian": {"mc_trials": 2000, "mc_n_grid": [10],
                                "n_grid": [10, 100, 1000]}}
         _, out = run_cli(tmp_path, config)
-        with open(out / "plots" / "truth_prob_series.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
         aic_label = "fixed_z(1.4142135623730951)"
-        vals = [float(r["truth_prob"]) for r in rows
-                if r["rule"] == aic_label and float(r["theta"]) == 0.0]
+        vals = [float(r["truth_prob"]) for r in read_rows(out / "curves.csv")
+                if r["rule"] == aic_label and float(r["theta"]) == 0.0 and r["se"] == ""]
         assert len(vals) == 3
         assert all(abs(v - 0.8427007929497149) < 1e-12 for v in vals)
 
     def test_domain_map_codes(self, tmp_path):
         _, out = run_cli(tmp_path, SMALL_CONFIG)
-        with open(out / "plots" / "domain_map_anti_realist.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
-        codes = {int(r["code"]) for r in rows}
-        assert codes <= {1, 0, -1}
-        strand_codes = {int(r["code"]) for r in rows if r["component"] == "strand"}
-        assert strand_codes == {0}
-
-    def test_regret_distribution_emitted(self, tmp_path):
-        config = {"experiment": ["predsel"],
-                  "predsel": {"regime_a_reps": 100, "regime_b_reps": 100,
-                              "regime_a_n": 120, "regime_b_n": 120,
-                              "regime_b_max_degree": 5, "probe_reps": 200}}
-        _, out = run_cli(tmp_path, config)
-        with open(out / "plots" / "regret_distribution.csv", newline="") as f:
-            rows = list(csv.DictReader(f))
-        assert {r["selector"] for r in rows} == {"aic", "bic"}
-        assert all(float(r["excess_risk"]) >= 0.0 for r in rows)
+        rows = read_rows(out / "domain_anti_realist.csv")
+        assert {r["status"] for r in rows} <= {s.value for s in pr.CODES}
+        assert {r["status"] for r in rows if r["component"] == "strand"} == {"DIVERGES"}
 
 
 class TestDomainRows:
@@ -1251,25 +1233,19 @@ class TestDomainRows:
         methods = cli.perrin_methods(pc)
         sheets = pr.score_sheets(methods, lw.GridSpec(lo, hi, step),
                                  lw.StreamSpec(pc["delta0"], pc["ratio"]), pc["horizon"])
+        header = ("component", "a", "b", "status", "settle_stage")
         for m, sheet in zip(methods, sheets):
             cells = ref.cells(sheet.domain)
-            files = {
-                f"domain_{m.kind.lower()}": (("component", "a", "b", "status", "settle_stage"),
-                                             [(*w, status.value, t) for *w, status, t in cells]),
-                f"plots/domain_map_{m.kind.lower()}": (("component", "a", "b", "code"),
-                                                       [(*w, pr.CODES[status])
-                                                        for *w, status, _ in cells]),
-            }
-            for base, (header, rows) in files.items():
-                data = (tmp_path / f"{base}.{fmt}").read_bytes()
-                if fmt == "csv":
-                    text = io.StringIO(newline="")
-                    writer = csv.writer(text, lineterminator="\n")
-                    writer.writerow(header)
-                    writer.writerows(rows)
-                    assert data == text.getvalue().encode("utf-8")
-                else:  # the coordinates are JSON numbers, as the float rows dump them
-                    objects = [dict(zip(header, row)) for row in rows]
-                    assert data == (json.dumps(objects, indent=2, sort_keys=True) + "\n").encode()
-                    assert all(type(o["a"]) is float and type(o["b"]) is float
-                               for o in json.loads(data))
+            rows = [(*w, status.value, t) for *w, status, t in cells]
+            data = (tmp_path / f"domain_{m.kind.lower()}.{fmt}").read_bytes()
+            if fmt == "csv":
+                text = io.StringIO(newline="")
+                writer = csv.writer(text, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+                assert data == text.getvalue().encode("utf-8")
+            else:  # the coordinates are JSON numbers, as the float rows dump them
+                objects = [dict(zip(header, row)) for row in rows]
+                assert data == (json.dumps(objects, indent=2, sort_keys=True) + "\n").encode()
+                assert all(type(o["a"]) is float and type(o["b"]) is float
+                           for o in json.loads(data))

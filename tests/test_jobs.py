@@ -87,12 +87,10 @@ def stream_slices(manifest) -> dict:
     return slices
 
 
-@pytest.mark.parametrize("plots", [True, False], ids=["plots", "no-plots"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("experiment", list(CONFIGS))
-def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
-                                                   experiment, fmt, plots):
-    config = {**CONFIGS[experiment], "format": fmt, "plots": plots}
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, experiment, fmt):
+    config = {**CONFIGS[experiment], "format": fmt}
     seen = {}
     for workers in (1, 2, 3, 8):
         force_workers(monkeypatch, workers)

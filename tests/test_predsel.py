@@ -288,6 +288,13 @@ class TestRegimes:
         assert summary.mean_excess_risk_aic >= 0.0
         assert summary.mean_excess_risk_bic >= 0.0
         assert len(list(summary.rows())) == 100 * 4
+        # each selector's per-rep excess: its pick's true risk over the rep's best
+        risk = summary.scores[3]
+        best = risk.min(axis=1)
+        for picks, excess in zip(summary.picks, summary.excess):
+            cols = np.searchsorted(summary.degrees, picks)
+            assert (excess >= 0.0).all()
+            assert excess.tolist() == (risk[np.arange(100), cols] - best).tolist()
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
