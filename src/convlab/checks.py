@@ -100,15 +100,19 @@ def check_gaussian_levels(rows, trials: int):
     return results
 
 
-def check_lineworld_suite(summary: dict):
+def check_lineworld_suite(summary: dict, lc: dict):
     """summary: a lineworld run summary (worlds, pointwise_by_stream,
-    mstar_stable, uniform_refutations, razor_probe)."""
+    mstar_stable, uniform_refutations, razor_probe); lc: the config's lineworld
+    section, whose grid and offsets give the worlds and streams the run owes."""
     worlds = summary["worlds"]
     counts = list(summary["pointwise_by_stream"].values())
-    ok = worlds > 0 and bool(counts) and summary["mstar_stable"]
-    ok = ok and all(c["CONVERGES"] == worlds for c in counts)
-    results = [("lineworld_mstar_pointwise_stable", ok,
-                f"{worlds} worlds x {len(counts)} streams")]
+    got = (worlds, len(counts))
+    owed = (round((lc["theta_max"] - lc["theta_min"]) / lc["theta_step"]) + 1, len(lc["offsets"]))
+    detail = f"{worlds} worlds x {len(counts)} streams"
+    if got != owed:
+        detail += f", config gives {owed[0]} x {owed[1]}"
+    ok = got == owed and summary["mstar_stable"] and all(c["CONVERGES"] == worlds for c in counts)
+    results = [("lineworld_mstar_pointwise_stable", ok, detail)]
 
     uniform = summary["uniform_refutations"]
     ok = bool(uniform) and all(u["replay_valid"] for u in uniform)

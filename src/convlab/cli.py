@@ -1,7 +1,7 @@
 """Configuration-driven experiment runner.
 
 Reads a strict JSON config, runs the selected experiment suites, and
-writes CSV/JSON artifacts.  A master seed with
+writes CSV tables and JSON summaries.  A master seed with
 per-module derived substreams makes every emitted number a function of
 (config, seed); rerunning the same config reproduces the numeric
 outputs byte for byte.
@@ -109,12 +109,6 @@ def _string(v, path):
     return v
 
 
-def _format(v, path):
-    if v not in ("csv", "json"):
-        raise ConfigError(f"{path}: expected 'csv' or 'json', got {reprlib.repr(v)}")
-    return v
-
-
 # strictly increasing sample sizes, each a finite float for sqrt(n) and ln(n)
 _SIZES = _numlist(_num(lo=2, hi=10**300, integer=True), increasing=True)
 # simulated sample sizes: a perrin sample of size m is an (8, m) float array, 64 MB at 10**6
@@ -149,7 +143,6 @@ SCHEMA = {
     "seed": (20250801, _num(integer=True)),
     "out_dir": ("out", _string),
     "check": (False, _bool),
-    "format": ("csv", _format),
     "gaussian": {
         "theta_grid": ([0.0, 0.1, 0.25, 0.5, 1.0], _numlist(_theta)),
         "n_grid": ([10, 20, 50, 100, 200, 500, 1000, 10000], _SIZES),
@@ -336,7 +329,7 @@ def check_consistency(config: dict) -> None:
 # command-line flag -> the config field it overrides, applied in this order
 FLAGS = {"seed": ("seed",), "experiment": ("experiment",), "check": ("check",),
          "grid_step": ("perrin", "grid_step"), "horizon": ("perrin", "horizon"),
-         "trials": ("gaussian", "mc_trials"), "format": ("format",)}
+         "trials": ("gaussian", "mc_trials")}
 
 
 def validate_config(raw_text: str, flags: Optional[dict] = None) -> dict:
@@ -409,26 +402,18 @@ def write_json(path: Path, obj) -> str:
 
 @dataclass
 class Outputs:
-    """A run's output directory and tabular format, and the sha256 of the
-    bytes of every file the run wrote there (as the writers return it),
-    keyed by the file's path under the directory."""
+    """A run's output directory, and the sha256 of the bytes of every file
+    the run wrote there (as the writers return it), keyed by the file's path
+    under the directory.  Tables are CSV, summaries JSON."""
 
     root: Path
-    fmt: str
     digests: dict = field(default_factory=dict)
 
     def emit_json(self, name: str, obj) -> None:
         self.digests[name] = write_json(self.root / name, obj)
 
-    def cell(self, x: float):
-        """A float as the tabular files write it: csv.writer's repr, or the float in JSON."""
-        return x if self.fmt == "json" else repr(x)
-
     def emit_rows(self, base: str, header, rows) -> None:
-        if self.fmt == "json":
-            self.emit_json(f"{base}.json", [dict(zip(header, row)) for row in rows])
-        else:
-            self.digests[f"{base}.csv"] = write_csv(self.root / f"{base}.csv", header, rows)
+        self.digests[f"{base}.csv"] = write_csv(self.root / f"{base}.csv", header, rows)
 
 
 def _report_to_dict(report) -> dict:
@@ -520,7 +505,7 @@ def run_lineworld(cfg: dict, out: Outputs):
             "uniform_refutations": refutations,
             "razor_probe": probes,
         }
-        return summary, checks.check_lineworld_suite(summary)
+        return summary, checks.check_lineworld_suite(summary, lc)
 
     return ([(spec.label() + (f"[{lo}:{hi}]" if n > 1 else ""), partial(pointwise, spec, lo, hi))
              for spec in specs for lo, hi in bounds]
@@ -596,7 +581,7 @@ def run_perrin(cfg: dict, out: Outputs):
         methods = perrin_methods(pc)
         sheets = dict(zip((m.kind for m in methods), pr.score_sheets(
             methods, grid, StreamSpec(pc["delta0"], pc["ratio"]), pc["horizon"])))
-        axis = [out.cell(x) for x in grid.axis()]  # each sheet's coarse domain axis
+        axis = [repr(x) for x in grid.axis()]  # the coarse axis, as csv.writer writes it
         worlds = [("plane", a, b) for a in axis for b in axis] + [("strand", a, a) for a in axis]
         labels = {code: status.value for code, status in pr.STATUSES.items()}
         for kind, s in sheets.items():
@@ -663,8 +648,7 @@ def run(config: dict, out_dir: Optional[str] = None) -> RunOutcome:
     """Run a config validate_config settled; only under `check` do the runners' verdicts
     go to summary.json, print and set the exit code."""
     start = time.perf_counter()
-    out = Outputs(Path(config["out_dir"] if out_dir is None else _string(out_dir, "--out")),
-                  config["format"])
+    out = Outputs(Path(config["out_dir"] if out_dir is None else _string(out_dir, "--out")))
     summary = {"experiments": config["experiment"], "seed": config["seed"], "version": __version__}
     check_results = []
 
@@ -729,8 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the perrin horizon")
     parser.add_argument("--trials", type=int, default=None,
                         help="override the gaussian Monte Carlo trial count")
-    parser.add_argument("--format", type=str, default=None, choices=("csv", "json"),
-                        help="tabular output format")
     return parser
 
 

@@ -32,7 +32,7 @@ asymptotic_oracle, reads the same table: it takes the columns of any
 number of worlds and returns each world's certified stage, -1 where the
 method never settles on the truth.  The methods share the worlds and
 streams, so one sweep per stream serves them all (score_sheets), and
-the run renders the domain coordinates once per output format.
+the run renders the domain coordinates once, as CSV cells.
 
 The same module houses the synthetic displacement/sedimentation
 experiments and the one interval kernel that coverage studies and the

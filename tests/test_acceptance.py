@@ -122,12 +122,12 @@ def test_criterion_5_lineworld_suite():
     ]
     adversaries = lw.razor_violator_suite()
     assert len(adversaries) >= 3
-    budget = cli.validate_config("{}")["lineworld"]["razor_budget"]
-    razor = {m.name: lw.razor_necessity_probe(m, budget).consequence
+    lc = cli.validate_config("{}")["lineworld"]
+    razor = {m.name: lw.razor_necessity_probe(m, lc["razor_budget"]).consequence
              for m in [mstar] + adversaries}
     summary = {"worlds": len(thetas), "pointwise_by_stream": pointwise, "mstar_stable": stable,
                "uniform_refutations": uniform, "razor_probe": razor}
-    results = checks.check_lineworld_suite(summary)
+    results = checks.check_lineworld_suite(summary, lc)
     elapsed = time.time() - start
     ok = all(passed for _, passed, _ in results) and elapsed < 10.0
     report("05-lineworld-suite", ok,

@@ -142,6 +142,8 @@ LINEWORLD = {
                     "stage_violator(3)": "STABILITY_FAIL",
                     "parity_violator": "STABILITY_FAIL"},
 }
+# the config section that owes LINEWORLD's 11 worlds x 2 streams
+LINEWORLD_SECTION = {"theta_min": -0.5, "theta_max": 0.5, "theta_step": 0.1, "offsets": [0.0, -1.0]}
 
 
 def one_diverges(s):
@@ -152,6 +154,16 @@ def zero_worlds(s):
     s["worlds"] = 0
     for counts in s["pointwise_by_stream"].values():
         counts["CONVERGES"] = 0
+
+
+def one_world_short(s):
+    s["worlds"] = 10
+    for counts in s["pointwise_by_stream"].values():
+        counts["CONVERGES"] = 10
+
+
+def one_stream_short(s):
+    del s["pointwise_by_stream"]["offcenter"]
 
 
 def unstable(s):
@@ -173,17 +185,28 @@ def violator_unflagged(s):
 @pytest.mark.parametrize("check_id, doctor", [
     ("lineworld_mstar_pointwise_stable", one_diverges),
     ("lineworld_mstar_pointwise_stable", zero_worlds),
+    ("lineworld_mstar_pointwise_stable", one_world_short),
+    ("lineworld_mstar_pointwise_stable", one_stream_short),
     ("lineworld_mstar_pointwise_stable", unstable),
     ("lineworld_uniform_refuted", replay_invalid),
     ("lineworld_uniform_refuted", no_witnesses),
     ("lineworld_razor_probe", violator_unflagged),
 ])
 def test_lineworld_check_fails_on_doctored_summary(check_id, doctor):
-    assert all(verdicts(checks.check_lineworld_suite(LINEWORLD)).values())
+    assert all(verdicts(checks.check_lineworld_suite(LINEWORLD, LINEWORLD_SECTION)).values())
     summary = copy.deepcopy(LINEWORLD)
     doctor(summary)
-    got = verdicts(checks.check_lineworld_suite(summary))
+    got = verdicts(checks.check_lineworld_suite(summary, LINEWORLD_SECTION))
     assert [name for name, ok in got.items() if not ok] == [check_id]
+
+
+def test_lineworld_counts_detail():
+    # the detail names the config's counts only when the run's differ from them
+    assert checks.check_lineworld_suite(LINEWORLD, LINEWORLD_SECTION)[0] == (
+        "lineworld_mstar_pointwise_stable", True, "11 worlds x 2 streams")
+    one = dict(LINEWORLD_SECTION, theta_min=0.25, theta_max=0.25)  # owes one world
+    assert checks.check_lineworld_suite(LINEWORLD, one)[0] == (
+        "lineworld_mstar_pointwise_stable", False, "11 worlds x 2 streams, config gives 1 x 2")
 
 
 def regimes(freq_aic=0.70, freq_bic=0.80, risk_aic=0.0018, risk_bic=0.0025):

@@ -308,8 +308,7 @@ class TestFlagTable:
     BAD = {"seed": 0.5, "experiment": "x", "grid_step": 0.0, "horizon": 0, "trials": 10}
     # a valid argv value, and the value the manifest echoes for it
     GOOD = {"seed": ("3", 3), "experiment": ("gaussian", ["gaussian"]), "check": (None, True),
-            "grid_step": ("0.25", 0.25), "horizon": ("20", 20), "trials": ("2000", 2000),
-            "format": ("json", "json")}
+            "grid_step": ("0.25", 0.25), "horizon": ("20", 20), "trials": ("2000", 2000)}
 
     @staticmethod
     def option(flag):
@@ -320,9 +319,9 @@ class TestFlagTable:
         assert cli.FLAGS[flag] in set(schema_leaves(cli.SCHEMA))
         assert flag in {a.dest for a in cli.build_parser()._actions}
 
-    @pytest.mark.parametrize("flag", sorted(set(cli.FLAGS) - {"format", "check"}))
+    @pytest.mark.parametrize("flag", sorted(set(cli.FLAGS) - {"check"}))
     def test_out_of_range_flag_exit_two(self, tmp_path, capsys, flag):
-        # --format is refused by argparse's choices first, and --check takes no value
+        # --check takes no value
         with pytest.raises(cli.ConfigError, match=f"^{self.option(flag)}: "):
             cli.validate_config("{}", {flag: self.BAD[flag]})
         if flag == "seed":  # argparse hands the checker an int, which every seed is
@@ -473,13 +472,6 @@ class TestRun:
             assert (out / "selection.csv").read_bytes() != before  # the seed-2 jobs wrote it
             assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
 
-    def test_json_format(self, tmp_path):
-        config = dict(SMALL_CONFIG, experiment=["gaussian"], format="json")
-        _, out = run_cli(tmp_path, config)
-        rows = json.loads((out / "curves.json").read_text())
-        assert rows and set(rows[0]) == {"rule", "theta", "n", "truth_prob", "se"}
-        assert not (out / "curves.csv").exists()
-
 
 class TestFlags:
     def test_seed_override(self, tmp_path):
@@ -518,6 +510,15 @@ class TestFlags:
     def test_bad_flag_value_exit_two(self, tmp_path):
         assert cli.main(["--experiment", "gaussian", "--trials", "10",
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_format_flag_exit_two(self, tmp_path, capsys):
+        # every table is CSV: argparse refuses the flag before any config is read
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["--experiment", "lineworld", "--format", "json",
+                      "--out", str(tmp_path / "x")])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_lineworld_theta_range_reversed_exit_two(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, {"experiment": ["lineworld"],
@@ -806,7 +807,7 @@ class TestFlags:
         ({"seed": [1, 2]}, "seed: expected an integer, got [1, 2]"),
         ({"check": "yes"}, "check: expected true/false, got 'yes'"),
         ({"out_dir": 5}, "out_dir: expected a string, got 5"),
-        ({"format": "xml"}, "format: expected 'csv' or 'json', got 'xml'"),
+        ({"format": "csv"}, "unknown key 'format'"),
         ({"experiment": ["perrin", "x"]}, "experiment: unknown experiment 'x'"),
         ({"perrin": {"way9": 1}}, "unknown key 'perrin.way9'"),
         ({"gaussian": {"mc_trials": 10**30}},
@@ -819,6 +820,7 @@ class TestFlags:
         ([1], "config: expected an object, got [1]"),
         ({"plots": False}, "unknown key 'plots'"),
         ({"plots": True}, "unknown key 'plots'"),
+        ({"format": "json"}, "unknown key 'format'"),
     ])
     def test_short_values_print_whole(self, tmp_path, capsys, config, message):
         assert run_cli(tmp_path, config)[0] == 2
@@ -1041,7 +1043,7 @@ class TestChecksJudgeTheRun:
         # only run reads `check`: a runner judges its results whatever it says
         config = cli.validate_config(json.dumps({**TestWritePath.CONFIG, "experiment": name}))
         del config["check"]
-        jobs, finish = cli.SUITES[name](config, cli.Outputs(tmp_path, "csv"))
+        jobs, finish = cli.SUITES[name](config, cli.Outputs(tmp_path))
         _, results = finish(*[job() for _, job in jobs])
         assert results and all(check.startswith(name) for check, _, _ in results)
 
@@ -1108,13 +1110,12 @@ def count_calls(monkeypatch, tmp_path, module, name, key):
     return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
-def _fmt(v) -> str:
-    """A cell as the CSV files write it: the formatter the writer once had."""
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def read_rows(path):
@@ -1140,32 +1141,29 @@ class TestWritePath:
                "selection", "selection_misspecified"]
 
     @pytest.fixture(scope="class")
-    def outs(self, tmp_path_factory):
-        """The run's output directory in each format."""
-        outs = {}
-        for fmt in ("csv", "json"):
-            code, outs[fmt] = run_cli(tmp_path_factory.mktemp(fmt), dict(self.CONFIG, format=fmt))
-            assert code == 0
-        return outs
+    def out(self, tmp_path_factory):
+        """The run's output directory."""
+        code, out = run_cli(tmp_path_factory.mktemp("all"), self.CONFIG)
+        assert code == 0
+        return out
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_manifest_lists_the_primary_outputs_only(self, outs, fmt):
-        listed = json.loads((outs[fmt] / "manifest.json").read_text())["outputs"]
-        expected = sorted([f"{base}.{fmt}" for base in self.OUTPUTS]
+    def test_manifest_lists_the_primary_outputs_only(self, out):
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        expected = sorted([f"{base}.csv" for base in self.OUTPUTS]
                           + ["scoresheet.json", "summary.json"])
         assert sorted(listed) == expected
-        assert sorted(p.name for p in outs[fmt].iterdir()) == sorted(expected + ["manifest.json"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["manifest.json"])
 
-    def test_csv_and_json_tables_agree(self, outs):
-        out = outs["csv"]
+    def test_float_cells_read_back_exactly(self, out):
+        # a float cell is its repr, so float(cell) is the value the run held
         tables = sorted(p.relative_to(out) for p in out.rglob("*.csv"))
         assert tables == sorted(Path(f"{base}.csv") for base in self.OUTPUTS)
         for rel in tables:
             rows = read_rows(out / rel)
-            records = json.loads((outs["json"] / rel.with_suffix(".json")).read_text())
-            assert rows and len(rows) == len(records), rel
-            for row, record in zip(rows, records):
-                assert row == {k: _fmt(v) for k, v in record.items()}, rel
+            floats = [cell for row in rows for cell in row.values()
+                      if not cell.lstrip("-").isdigit() and parses_as_float(cell)]
+            assert rows and len(floats) >= len(rows), rel  # every table has a float column
+            assert all(repr(float(cell)) == cell for cell in floats), rel
 
 
 class TestStreamedWriter:
@@ -1214,18 +1212,17 @@ class TestPlots:
 
 
 class TestDomainRows:
-    """run_perrin renders the grid's coordinates once per run, as the output
-    format writes them; the domain files hold what the writers make of the
-    float rows of each sheet's coarse domain."""
+    """run_perrin renders the grid's coordinates once per run, as csv.writer
+    writes a float; the domain files hold what csv.writer makes of the float
+    rows of each sheet's coarse domain."""
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("lo, hi, step", [
         (0.1, 1.0, 0.3), (0.0, 1.0, 1 / 3), (-0.7, 0.2, 0.3), (1e-5, 5e-5, 1e-5),
         (1e6, 2e6, 2.5e5),
     ], ids=["lo-0.1-step-0.3", "step-one-third", "negative-lo", "scale-1e-5", "scale-1e6"])
-    def test_files_hold_the_float_rows(self, tmp_path, lo, hi, step, fmt):
+    def test_files_hold_the_float_rows(self, tmp_path, lo, hi, step):
         config = cli.validate_config(json.dumps({
-            "experiment": "perrin", "format": fmt,
+            "experiment": "perrin",
             "perrin": {"grid_lo": lo, "grid_hi": hi, "grid_step": step, "coverage_reps": 10,
                        "coverage_size": 100, "stream_schedule": [50, 100]}}))
         cli.run(config, str(tmp_path))
@@ -1237,15 +1234,9 @@ class TestDomainRows:
         for m, sheet in zip(methods, sheets):
             cells = ref.cells(sheet.domain)
             rows = [(*w, status.value, t) for *w, status, t in cells]
-            data = (tmp_path / f"domain_{m.kind.lower()}.{fmt}").read_bytes()
-            if fmt == "csv":
-                text = io.StringIO(newline="")
-                writer = csv.writer(text, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-                assert data == text.getvalue().encode("utf-8")
-            else:  # the coordinates are JSON numbers, as the float rows dump them
-                objects = [dict(zip(header, row)) for row in rows]
-                assert data == (json.dumps(objects, indent=2, sort_keys=True) + "\n").encode()
-                assert all(type(o["a"]) is float and type(o["b"]) is float
-                           for o in json.loads(data))
+            text = io.StringIO(newline="")
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / f"domain_{m.kind.lower()}.csv").read_bytes() == (
+                text.getvalue().encode("utf-8"))

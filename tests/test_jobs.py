@@ -87,10 +87,9 @@ def stream_slices(manifest) -> dict:
     return slices
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("experiment", list(CONFIGS))
-def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, experiment, fmt):
-    config = {**CONFIGS[experiment], "format": fmt}
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, experiment):
+    config = CONFIGS[experiment]
     seen = {}
     for workers in (1, 2, 3, 8):
         force_workers(monkeypatch, workers)
@@ -283,7 +282,7 @@ def test_large_child_results_arrive_whole(tmp_path, monkeypatch):
 
 def test_child_digests_reach_the_parent(tmp_path, monkeypatch):
     force_workers(monkeypatch, 2)
-    out = cli.Outputs(tmp_path, "csv")
+    out = cli.Outputs(tmp_path)
     run_jobs(out.digests, [("suite", name, lambda name=name: out.emit_json(name, [name]))
                            for name in ("a.json", "b.json", "c.json")])
     assert out.digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
