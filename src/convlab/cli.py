@@ -326,10 +326,9 @@ def check_consistency(config: dict) -> None:
                               f"error at the risk nodes can overflow")
 
 
-# command-line flag -> the config field it overrides, applied in this order
-FLAGS = {"seed": ("seed",), "experiment": ("experiment",), "check": ("check",),
-         "grid_step": ("perrin", "grid_step"), "horizon": ("perrin", "horizon"),
-         "trials": ("gaussian", "mc_trials")}
+# the command-line flags, each overriding the top-level field of its name, in this order;
+# every suite field is set by the config file alone
+FLAGS = ("seed", "experiment", "check")
 
 
 def validate_config(raw_text: str, flags: Optional[dict] = None) -> dict:
@@ -345,13 +344,9 @@ def validate_config(raw_text: str, flags: Optional[dict] = None) -> dict:
     except RecursionError:
         raise ConfigError("config parse error: arrays or objects nested too deeply")
     config, flags = _apply_schema(raw, SCHEMA), flags or {}
-    for flag, (*sections, key) in FLAGS.items():
-        value = flags.get(flag)
-        if value is not None:
-            section, schema = config, SCHEMA
-            for name in sections:
-                section, schema = section[name], schema[name]
-            section[key] = schema[key][1](value, "--" + flag.replace("_", "-"))
+    for key in FLAGS:
+        if flags.get(key) is not None:
+            config[key] = SCHEMA[key][1](flags[key], "--" + key)
     check_consistency(config)
     for name in config["experiment"]:
         try:
@@ -707,12 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="|".join((*SUITES, "all")))
     parser.add_argument("--check", action="store_const", const=True, default=None,
                         help="enforce acceptance checks via exit code")
-    parser.add_argument("--grid-step", type=float, default=None,
-                        help="override the perrin grid step")
-    parser.add_argument("--horizon", type=int, default=None,
-                        help="override the perrin horizon")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the gaussian Monte Carlo trial count")
     return parser
 
 
@@ -721,9 +710,9 @@ def main(argv=None) -> int:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        config_path = args.config and Path(_string(args.config, "--config"))
-        raw_text = config_path.read_text(encoding="utf-8") if config_path else "{}"
-    except (OSError, ConfigError) as exc:  # ConfigError: a path holding a NUL
+        raw_text = ("{}" if args.config is None
+                    else Path(_string(args.config, "--config")).read_text(encoding="utf-8"))
+    except (OSError, ConfigError) as exc:  # ConfigError: an empty path, or one holding a NUL
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

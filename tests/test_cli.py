@@ -299,46 +299,56 @@ class TestImportFootprint:
 
 
 class TestFlagTable:
-    """cli.FLAGS drives every flag: each sets one SCHEMA field, checked by that field's
-    own checker under the flag's name, before the contradictions and the imports."""
+    """cli.FLAGS drives every flag: each sets the top-level SCHEMA field of its name,
+    checked by that field's own checker under the flag's name, before the contradictions
+    and the imports.  The fields of the dropped --grid-step, --horizon and --trials
+    (perrin.grid_step, perrin.horizon, gaussian.mc_trials) take and refuse the same values
+    through the config file alone; their cases keep the dropped flag's name."""
 
     BASE = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1, "horizon": 30},
             "gaussian": {"mc_trials": 1000, "mc_n_grid": [10]}}
-    # a value the field's checker rejects (argparse's own type and choices aside)
-    BAD = {"seed": 0.5, "experiment": "x", "grid_step": 0.0, "horizon": 0, "trials": 10}
-    # a valid argv value, and the value the manifest echoes for it
-    GOOD = {"seed": ("3", 3), "experiment": ("gaussian", ["gaussian"]), "check": (None, True),
-            "grid_step": ("0.25", 0.25), "horizon": ("20", 20), "trials": ("2000", 2000)}
+    # config sections and flags that set one field to a value its checker rejects
+    # (argparse's own type and choices aside), and the name the error gives
+    BAD = {"seed": ({}, {"seed": 0.5}, "--seed"),
+           "experiment": ({}, {"experiment": "x"}, "--experiment"),
+           "grid_step": ({"perrin": {"grid_step": 0.0}}, {}, "perrin.grid_step"),
+           "horizon": ({"perrin": {"horizon": 0}}, {}, "perrin.horizon"),
+           "trials": ({"gaussian": {"mc_trials": 10}}, {}, "gaussian.mc_trials")}
+    # config sections and argv that set one field to a valid value, the field's path, and
+    # the value the manifest echoes for it
+    GOOD = {"seed": ({}, ["--seed", "3"], ("seed",), 3),
+            "experiment": ({}, ["--experiment", "gaussian"], ("experiment",), ["gaussian"]),
+            "check": ({}, ["--check"], ("check",), True),
+            "grid_step": ({"perrin": {"grid_step": 0.25}}, [], ("perrin", "grid_step"), 0.25),
+            "horizon": ({"perrin": {"horizon": 20}}, [], ("perrin", "horizon"), 20),
+            "trials": ({"gaussian": {"mc_trials": 2000}}, [], ("gaussian", "mc_trials"), 2000)}
 
-    @staticmethod
-    def option(flag):
-        return "--" + flag.replace("_", "-")
-
-    @pytest.mark.parametrize("flag", list(cli.FLAGS))
+    @pytest.mark.parametrize("flag", cli.FLAGS)
     def test_flag_sets_a_schema_leaf(self, flag):
-        assert cli.FLAGS[flag] in set(schema_leaves(cli.SCHEMA))
+        assert (flag,) in set(schema_leaves(cli.SCHEMA))
         assert flag in {a.dest for a in cli.build_parser()._actions}
 
-    @pytest.mark.parametrize("flag", sorted(set(cli.FLAGS) - {"check"}))
+    @pytest.mark.parametrize("flag", sorted(BAD))
     def test_out_of_range_flag_exit_two(self, tmp_path, capsys, flag):
         # --check takes no value
-        with pytest.raises(cli.ConfigError, match=f"^{self.option(flag)}: "):
-            cli.validate_config("{}", {flag: self.BAD[flag]})
+        sections, flags, name = self.BAD[flag]
+        with pytest.raises(cli.ConfigError, match=f"^{name}: "):
+            cli.validate_config(json.dumps(sections), flags)
         if flag == "seed":  # argparse hands the checker an int, which every seed is
             return
-        code, out = run_cli(tmp_path, self.BASE, self.option(flag), str(self.BAD[flag]))
+        argv = [arg for key, value in flags.items() for arg in ("--" + key, str(value))]
+        code, out = run_cli(tmp_path, {**self.BASE, **sections}, *argv)
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"config error: {self.option(flag)}: ")
+        assert capsys.readouterr().err.startswith(f"config error: {name}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", list(cli.FLAGS))
+    @pytest.mark.parametrize("flag", list(GOOD))
     def test_flag_value_reaches_the_manifest(self, tmp_path, flag):
-        value, echoed = self.GOOD[flag]
-        code, out = run_cli(tmp_path, self.BASE, self.option(flag),
-                            *([] if value is None else [value]))
+        sections, argv, path, echoed = self.GOOD[flag]
+        code, out = run_cli(tmp_path, {**self.BASE, **sections}, *argv)
         assert code == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        for key in cli.FLAGS[flag]:
+        for key in path:
             config = config[key]
         assert config == echoed
 
@@ -436,8 +446,8 @@ class TestRun:
         assert "1000000,1.0," in (out / "curves.csv").read_text()
 
     def test_manifest_lists_only_this_runs_files(self, tmp_path):
-        out = tmp_path / "out"
-        assert cli.main(["--experiment", "gaussian", "--trials", "2000", "--out", str(out)]) == 0
+        code, out = run_cli(tmp_path, {"experiment": "gaussian", "gaussian": {"mc_trials": 2000}})
+        assert code == 0
         first = json.loads((out / "manifest.json").read_text())["outputs"]
         assert set(first) == {"curves.csv", "summary.json"}
         assert cli.main(["--experiment", "lineworld", "--out", str(out)]) == 0
@@ -486,9 +496,10 @@ class TestFlags:
         assert c1 != c2
 
     def test_experiment_and_trials_flags(self, tmp_path):
-        out = tmp_path / "o"
-        assert cli.main(["--experiment", "gaussian", "--trials", "2000",
-                         "--out", str(out)]) == 0
+        # the trial count from the config file, the experiment from its flag
+        code, out = run_cli(tmp_path, {"gaussian": {"mc_trials": 2000}},
+                            "--experiment", "gaussian")
+        assert code == 0
         assert (out / "curves.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -508,16 +519,20 @@ class TestFlags:
         assert cli.main(["--config", str(cfg)]) == 2
 
     def test_bad_flag_value_exit_two(self, tmp_path):
-        assert cli.main(["--experiment", "gaussian", "--trials", "10",
-                         "--out", str(tmp_path / "x")]) == 2
+        # --experiment runs the suite whose config field is out of range
+        code, _ = run_cli(tmp_path, {"gaussian": {"mc_trials": 10}}, "--experiment", "gaussian")
+        assert code == 2
 
-    def test_format_flag_exit_two(self, tmp_path, capsys):
-        # every table is CSV: argparse refuses the flag before any config is read
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--grid-step", "0.1"],
+                                      ["--horizon", "5"], ["--trials", "2000"]],
+                             ids=["format", "grid-step", "horizon", "trials"])
+    def test_removed_flag_exit_two(self, tmp_path, capsys, flag):
+        # every table is CSV, and every suite field has one way in, the config file:
+        # argparse refuses these flags before any config is read
         with pytest.raises(SystemExit) as raised:
-            cli.main(["--experiment", "lineworld", "--format", "json",
-                      "--out", str(tmp_path / "x")])
+            cli.main(["--experiment", "lineworld", *flag, "--out", str(tmp_path / "x")])
         assert raised.value.code == 2
-        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_lineworld_theta_range_reversed_exit_two(self, tmp_path, capsys):
@@ -533,11 +548,10 @@ class TestFlags:
         assert "perrin.grid_lo" in capsys.readouterr().err
 
     def test_grid_step_not_dividing_span_exit_two(self, tmp_path, capsys):
-        code = cli.main(["--experiment", "perrin", "--grid-step", "0.03",
-                         "--out", str(tmp_path / "x")])
+        code, out = run_cli(tmp_path, {"experiment": "perrin", "perrin": {"grid_step": 0.03}})
         assert code == 2
         assert "perrin.grid_step" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("suite, ratio", [("perrin", 0.375), ("lineworld", 0.3)])
@@ -565,22 +579,16 @@ class TestFlags:
         ('{"experiment": "perrin", "perrin": {"grid_hi": 1%s}}' % ("0" * 400), "perrin.grid_hi"),
         # finite, but (grid_hi - grid_lo) / grid_step is not
         ('{"experiment": "perrin", "perrin": {"grid_hi": 1e308}}', "perrin.grid_step"),
+        ('{"experiment": "perrin", "perrin": {"grid_step": NaN}}', "perrin.grid_step"),
     ], ids=["grid_hi-1e400", "theta_grid-1e400", "theta_grid-NaN", "mc_theta_grid-1e400",
             "mc_theta_grid-NaN", "theta_max-1e400", "theta_min-NaN",
-            "grid_hi-1e400-integer", "grid_span-overflow"])
+            "grid_hi-1e400-integer", "grid_span-overflow", "grid_step-NaN"])
     def test_non_finite_number_exit_two(self, tmp_path, capsys, text, field):
         cfg, out = tmp_path / "c.json", tmp_path / "out"
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not out.exists()
-
-    def test_nan_grid_step_flag_exit_two(self, tmp_path, capsys):
-        code = cli.main(["--experiment", "perrin", "--grid-step", "nan",
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "--grid-step: expected a finite number" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("config, field", [
         ({"experiment": "gaussian", "gaussian": {"n_grid": [100, 10]}}, "gaussian.n_grid[1]"),
@@ -590,7 +598,8 @@ class TestFlags:
          "perrin.stream_schedule[1]"),
         ({"experiment": "predsel", "predsel": {"regime_a_n": 5}}, "predsel.regime_a_n"),
         ({"experiment": "predsel", "predsel": {"regime_b_n": 13}}, "predsel.regime_b_n"),
-        # a regime's (64, max_degree + 2, n) float buffer would take 4 PB (A) or 7 PB (B)
+        # a regime's (max_degree + 2, predsel.CHUNK, n) float buffer would take about 1.0 PB
+        # (A) or 1.8 PB (B)
         ({"experiment": "predsel", "predsel": {"regime_a_n": 10**12}}, "predsel.regime_a_n"),
         ({"experiment": "predsel", "predsel": {"regime_b_n": 10**12}}, "predsel.regime_b_n"),
         ({"experiment": "predsel", "check": True, "predsel": {"regime_a_max_degree": 1}},
@@ -727,17 +736,19 @@ class TestFlags:
         assert blocker.read_text() == "kept"
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize("field", ["--out", "out_dir"])
+    @pytest.mark.parametrize("field", ["--out", "out_dir", "--config"])
     def test_empty_output_path_exit_two(self, tmp_path, capsys, monkeypatch, field):
-        # "" would name the current directory and replace its summary.json
+        # "" would name the current directory and replace its summary.json; as --config,
+        # the run would read no file and run the defaults
         monkeypatch.chdir(tmp_path)
         (tmp_path / "summary.json").write_text("kept")
         config = {"experiment": "lineworld", "lineworld": {"theta_step": 0.1}}
-        flags = ["--out", ""] if field == "--out" else []
+        argv = {"--out": ["--config", "c.json", "--out", ""], "out_dir": ["--config", "c.json"],
+                "--config": ["--config", "", "--experiment", "lineworld"]}[field]
         if field == "out_dir":
             config["out_dir"] = ""
         (tmp_path / "c.json").write_text(json.dumps(config))
-        assert cli.main(["--config", "c.json", *flags]) == 2
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {field}: expected a non-empty string, got ''\n"
         assert (tmp_path / "summary.json").read_text() == "kept"
@@ -1029,12 +1040,13 @@ class TestFlags:
         assert json.loads((out / "summary.json").read_text())["lineworld"]["worlds"] == 1
 
     def test_short_horizon_fails_maximality_without_traceback(self, tmp_path):
-        args = ["--experiment", "perrin", "--grid-step", "0.1", "--horizon", "3"]
-        assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
-        scoresheet = json.loads((tmp_path / "a" / "scoresheet.json").read_text())
+        config = {"experiment": "perrin", "perrin": {"grid_step": 0.1, "horizon": 3}}
+        code, out = run_cli(tmp_path, config)
+        assert code == 0
+        scoresheet = json.loads((out / "scoresheet.json").read_text())
         witnesses = scoresheet["OCKHAM_REALIST"]["maximal"]["witnesses"]
         assert witnesses and all(w["check"] == "undetermined" for w in witnesses)
-        assert cli.main([*args, "--check", "--out", str(tmp_path / "b")]) == 1
+        assert run_cli(tmp_path, config, "--check")[0] == 1
 
 
 class TestChecksJudgeTheRun:
