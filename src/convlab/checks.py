@@ -126,15 +126,19 @@ def check_lineworld_suite(summary: dict, lc: dict):
     return results
 
 
-def check_predsel_directions(a, b):
-    """a, b: the predsel.RegimeSummary of regime A (true model) and B (misspecified)."""
-    results = []
+def check_predsel_directions(a, b, pc: dict):
+    """a, b: the predsel.RegimeSummary of regime A (true model) and B (misspecified);
+    pc: the config's predsel section, which gives each regime's reps x candidates."""
     diff = a.correct_frequency_bic - a.correct_frequency_aic
-    results.append(("predsel_regime_true_model", diff >= 0.05,
-                    f"bic={a.correct_frequency_bic:.4f} aic={a.correct_frequency_aic:.4f}"))
-    results.append(("predsel_regime_misspecified",
-                    b.mean_excess_risk_aic < b.mean_excess_risk_bic,
-                    f"aic={b.mean_excess_risk_aic:.6f} bic={b.mean_excess_risk_bic:.6f}"))
+    results = [("predsel_regime_true_model", diff >= 0.05,
+                f"bic={a.correct_frequency_bic:.4f} aic={a.correct_frequency_aic:.4f}"),
+               ("predsel_regime_misspecified", b.mean_excess_risk_aic < b.mean_excess_risk_bic,
+                f"aic={b.mean_excess_risk_aic:.6f} bic={b.mean_excess_risk_bic:.6f}")]
+    for i, (name, regime) in enumerate((("a", a), ("b", b))):
+        owed = (pc[f"regime_{name}_reps"], pc[f"regime_{name}_max_degree"] + 1)
+        if (regime.reps, len(regime.degrees)) != owed:
+            check_id, _, detail = results[i]
+            results[i] = (check_id, False, f"{detail}, config gives {owed[0]} x {owed[1]}")
     return results
 
 

@@ -548,7 +548,7 @@ def run_predsel(cfg: dict, out: Outputs):
             },
             "unbiasedness_probe_relative_bias": {str(n): p.relative_bias for n, p in probes.items()},
         }
-        return summary, checks.check_predsel_directions(a, b) + checks.check_predsel_probe(probes)
+        return summary, checks.check_predsel_directions(a, b, pc) + checks.check_predsel_probe(probes)
 
     return [("regime_a", regime_a), ("regime_b", regime_b), ("probes", probe_all)], finish
 

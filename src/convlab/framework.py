@@ -196,7 +196,8 @@ def classify_convergence(
         return ConvergenceRecord(trace.world_id, Status.UNDETERMINED, None, stable)
     if settle_by < 0:
         return ConvergenceRecord(trace.world_id, Status.DIVERGES, None, stable)
-    settle = empirical_settle_stage(trace.verdicts, truth)
+    v = trace.verdicts  # stable and ending on the truth: the suffix starts at the first truth
+    settle = v.index(truth) if stable and v[-1] is truth else empirical_settle_stage(v, truth)
     if settle is None or settle > settle_by:
         raise OracleContradiction(
             f"world {trace.world_id}: oracle guarantees truth from stage "
@@ -211,12 +212,11 @@ def check_stability(trace: StreamTrace, truth: Verdict):
     Returns (passed, witness).  witness is the first offending stage
     pair (i, j): stage i output the truth and stage j = i + 1 output
     something else.  Vacuously passes when the truth is never output.
+    The scans are tuple's, in C: an Enum member equals only itself.
     """
-    first_truth = None
-    for i, v in enumerate(trace.verdicts):
-        if first_truth is None:
-            if v is truth:
-                first_truth = i
-        elif v is not truth:
-            return False, (i - 1, i)
-    return True, None
+    v = trace.verdicts
+    first = v.index(truth) if truth in v else len(v)
+    if v.count(truth) == len(v) - first:
+        return True, None
+    j = next(j for j in range(first + 1, len(v)) if v[j] is not truth)
+    return False, (j - 1, j)

@@ -122,6 +122,7 @@ class StreamSpec:
         object.__setattr__(self, "_lams", offs)
         object.__setattr__(self, "_halves", [])  # half_width(t), stage by stage
         object.__setattr__(self, "_ends", [])  # stage t's endpoint pair, as long as _halves
+        object.__setattr__(self, "_loose", [])  # the stages t whose pair is not inside t - 1's
 
     def half_width(self, t: int) -> float:
         return self.delta0 * self.ratio**t
@@ -129,12 +130,15 @@ class StreamSpec:
     def _grow(self, n: int) -> None:
         """Fill the table in place through stage n - 1: stage t's half-width
         d and endpoints less the world's value, (lam -+ 1) * d, whose fixed
-        signs, shrinking with d, keep containment and nesting exact."""
+        signs, shrinking with d, keep containment and nesting exact (bar an
+        offset sequence inside the 1e-12 tolerance, or ratio**t out of order)."""
         halves, ends, lams = self._halves, self._ends, self._lams
         for t in range(len(halves), n):
             d, lam = self.half_width(t), lams[min(t, len(lams) - 1)]
             halves.append(d)
             ends.append(((lam - 1.0) * d, (lam + 1.0) * d))
+            if t and not (ends[-2][0] <= ends[-1][0] and ends[-1][1] <= ends[-2][1]):
+                self._loose.append(t)
 
     def half_widths(self, n: int) -> list:
         """half_width(t) for t < n, from the table."""
@@ -145,6 +149,11 @@ class StreamSpec:
         """The endpoint pairs of stages t < n, from the table."""
         self._grow(n)
         return self._ends[:max(n, 0)]
+
+    def nested(self, n: int) -> bool:
+        """Whether each pair of stages t < n lies inside the one before, from the table."""
+        self._grow(n)
+        return not self._loose or self._loose[0] >= n
 
     def first_stage(self, gap: float, k: float) -> int:
         """First stage t with k * half_width(t) < gap: with k = 2 the
@@ -208,13 +217,15 @@ def _decisions(method: MethodSpec, evidence) -> tuple:
 
 def trace(method: MethodSpec, theta: float, spec: StreamSpec, horizon: int) -> StreamTrace:
     """Run a method along the canonical stream for `horizon` stages: the
-    world's value plus each endpoint pair of spec.stages(horizon).  The
-    pairs are checked in one pass, on the constructor's condition, and
-    made into intervals without a Python frame each."""
+    world's value plus each endpoint pair of spec.stages(horizon), made
+    into intervals without a Python frame each.  Rounding theta + x is
+    monotone in x, so nested pairs are checked at their first and last stage."""
     ends = [(theta + below, theta + above) for below, above in spec.stages(horizon)]
-    if not all([-math.inf < lo < hi < math.inf for lo, hi in ends]):
-        for lo, hi in ends:
-            IntervalEvidence(lo, hi)  # raises the constructor's error at the first bad stage
+    if ends and not (spec.nested(horizon) and -math.inf < ends[0][0] <= ends[-1][0]
+                     < ends[-1][1] <= ends[0][1] < math.inf):
+        if not all([-math.inf < lo < hi < math.inf for lo, hi in ends]):
+            for lo, hi in ends:
+                IntervalEvidence(lo, hi)  # raises the constructor's error at the first bad stage
     evidence = tuple(map(_checked_interval, ends))
     return StreamTrace(f"{FAMILY}:theta={theta!r}", evidence, _decisions(method, evidence))
 

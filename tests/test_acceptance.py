@@ -71,7 +71,8 @@ def predsel_results():
     elapsed_a = time.time() - start
     b = ps.regime_experiment(ps.abs_truth(noise_sigma=0.5), range(0, 13),
                              n=500, reps=1000, seed=MASTER_SEED)
-    return verdicts(checks.check_predsel_directions(a, b)), a, elapsed_a
+    pc = cli.validate_config("{}")["predsel"]  # owes these regimes' reps x candidates
+    return verdicts(checks.check_predsel_directions(a, b, pc)), a, elapsed_a
 
 
 def test_criterion_1_aic_level(gaussian_verdicts):

@@ -209,10 +209,18 @@ def test_lineworld_counts_detail():
         "lineworld_mstar_pointwise_stable", False, "11 worlds x 2 streams, config gives 1 x 2")
 
 
-def regimes(freq_aic=0.70, freq_bic=0.80, risk_aic=0.0018, risk_bic=0.0025):
-    a = SimpleNamespace(correct_frequency_aic=freq_aic, correct_frequency_bic=freq_bic)
-    b = SimpleNamespace(mean_excess_risk_aic=risk_aic, mean_excess_risk_bic=risk_bic)
-    return a, b
+# the config section that owes regime A 2,000 reps x 7 candidates and regime B 1,000 x 13
+PREDSEL_SECTION = {"regime_a_reps": 2000, "regime_a_max_degree": 6,
+                   "regime_b_reps": 1000, "regime_b_max_degree": 12}
+
+
+def regimes(freq_aic=0.70, freq_bic=0.80, risk_aic=0.0018, risk_bic=0.0025,
+            a_counts=(2000, 7), b_counts=(1000, 13)):
+    a = SimpleNamespace(correct_frequency_aic=freq_aic, correct_frequency_bic=freq_bic,
+                        reps=a_counts[0], degrees=range(a_counts[1]))
+    b = SimpleNamespace(mean_excess_risk_aic=risk_aic, mean_excess_risk_bic=risk_bic,
+                        reps=b_counts[0], degrees=range(b_counts[1]))
+    return a, b, PREDSEL_SECTION
 
 
 def test_predsel_directions():
@@ -226,6 +234,25 @@ def test_predsel_directions():
     assert got["predsel_regime_misspecified"] is False
     got = verdicts(checks.check_predsel_directions(*regimes(risk_aic=math.nextafter(0.0025, 0))))
     assert got["predsel_regime_misspecified"] is True
+
+
+@pytest.mark.parametrize("counts, failing", [
+    ({"b_counts": (1000, 12)}, "predsel_regime_misspecified"),  # regime B one degree short
+    ({"b_counts": (999, 13)}, "predsel_regime_misspecified"),
+    ({"a_counts": (2000, 8)}, "predsel_regime_true_model"),
+    ({"a_counts": (1000, 7)}, "predsel_regime_true_model"),
+])
+def test_predsel_regime_counts_against_the_config(counts, failing):
+    # a regime whose reps x candidates differ from the config's fails however its selectors
+    # compare, and its detail names the config's counts; a matching regime's detail is unchanged
+    got = checks.check_predsel_directions(*regimes(**counts))
+    sound = checks.check_predsel_directions(*regimes())
+    owed = {"predsel_regime_true_model": "2000 x 7", "predsel_regime_misspecified": "1000 x 13"}
+    for (check_id, ok, detail), (_, _, plain) in zip(got, sound):
+        if check_id == failing:
+            assert not ok and detail == f"{plain}, config gives {owed[check_id]}"
+        else:
+            assert ok and detail == plain
 
 
 def probes(z=0.5, rel_bias=0.001, sizes=PROBE_SIZES):

@@ -1,7 +1,7 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from convlab.framework import (
@@ -116,6 +116,22 @@ class TestStability:
     def test_suspension_after_truth_counts_as_retraction(self):
         passed, witness = check_stability(make_trace([S, Q]), S)
         assert not passed and witness == (0, 1)
+
+    @given(st.lists(st.sampled_from([S, C, Q]), max_size=12), st.sampled_from([S, C]))
+    @example([C, Q, C, Q], S)  # the truth never output
+    @example([C, Q, C, S], S)  # the truth first output at the last stage
+    @example([C, S, S, Q, S], S)  # a SUSPEND after the truth
+    @example([Q, C, C, C, S], C)  # a retraction at the last stage
+    @example([], S)
+    def test_scans_match_reference(self, verdicts, truth):
+        # (passed, witness) of the tuple scans against the stage-by-stage walk
+        expected, seen = (True, None), False
+        for i, v in enumerate(verdicts):
+            if seen and v is not truth:
+                expected = (False, (i - 1, i))
+                break
+            seen = seen or v is truth
+        assert check_stability(make_trace(verdicts), truth) == expected
 
     @given(st.lists(st.sampled_from([S, C, Q]), min_size=1, max_size=12),
            st.lists(st.sampled_from([S, C, Q]), min_size=0, max_size=6),

@@ -267,11 +267,25 @@ class TestStageTable:
     @given(case=trace_cases())
     @example(case=(1e15, lw.StreamSpec(1.0, 0.5), 40))  # rounds onto a point at stage 4
     @example(case=(0.0, lw.StreamSpec(sys.float_info.max, 0.5, offset=0.5), 5))
+    @example(case=(0.0, lw.StreamSpec(sys.float_info.max, 0.5, offset=-0.5), 5))
     @example(case=(-3e17, lw.StreamSpec(1e3, 0.9, offset=(-0.5, -0.6, -0.7)), 80))
     @example(case=(0.0, lw.StreamSpec(1.0, 0.5, offset=1.0), 10))  # 0 on the lower end
     @example(case=(0.0, lw.StreamSpec(1.0, 0.5, offset=-1.0), 10))  # 0 on the upper end
+    @example(case=(0.3, lw.StreamSpec(1.0, 1 - 2**-52), 120))  # stages an ulp apart
+    # offsets that break nesting by less than the 1e-12 tolerance: stage 1 sticks out of
+    # stage 0, so every stage is checked, and at 1e15 stage 5 rounds onto the world
+    @example(case=(0.3, lw.StreamSpec(1.0, 0.5, offset=(-0.5, 1e-13)), 40))
+    @example(case=(1e15, lw.StreamSpec(1.0, 0.5, offset=(-0.5, 1e-13)), 40))
+    @example(case=(-1e17, lw.StreamSpec(100.0, 0.9, offset=0.7), 60))  # rounds onto the world
+    @example(case=(3e16, lw.StreamSpec(4.0, 0.5, offset=(0.0, 0.5)), 40))
+    @example(case=(math.nan, lw.StreamSpec(1.0, 0.5), 10))
+    @example(case=(math.inf, lw.StreamSpec(1.0, 0.5), 10))
+    @example(case=(-math.inf, lw.StreamSpec(1.0, 0.5, offset=0.5), 10))
+    @example(case=(0.3, lw.StreamSpec(1.0, 0.5), 0))  # horizon 0: an empty trace
+    @example(case=(math.nan, lw.StreamSpec(1.0, 0.5), 0))
     def test_trace_equals_interval_at_stage_by_stage(self, case):
-        # the one-pass check and the frameless intervals against the constructor
+        # the first-and-last-stage check of a nested stream, the every-stage check of
+        # another, and the frameless intervals against the constructor stage by stage
         theta, spec, horizon = case
         expected = ref.stage_by_stage(partial(ref.interval_at, theta, spec), horizon)
         if isinstance(expected, str):  # refused at a stage: trace refuses it with the same error
@@ -286,16 +300,19 @@ class TestStageTable:
 
     @given(case=table_specs(), theta=st.just(0.0) | st.floats(-5, 5),
            horizon=st.integers(1, 120), past=st.integers(1, 300),
-           order=st.permutations(["trace", "stages", "half_widths", "first_stage"]))
+           order=st.permutations(["trace", "stages", "half_widths", "first_stage", "nested"]))
     def test_table_does_not_depend_on_fill_order(self, case, theta, horizon, past, order):
         # the readers in any order, each twice, on one spec: a trace's stages, the
         # stages far past the oracle's deepest stage, the half-widths down to that
-        # stage and that stage itself, each filling the table to its own depth
+        # stage and that stage itself, and whether the trace's pairs nest, each
+        # filling the table to its own depth
         spec, lam = case
         m = constant_method(S)
         tiny = next(t for t in range(10**5) if 4.0 * (spec.delta0 * spec.ratio**t) < 1e-300)
         far = tiny + past
+        pairs = [closed_form(spec, lam, t) for t in range(horizon)]
         expected = {
+            "nested": all(a <= c and d <= b for (a, b), (c, d) in zip(pairs, pairs[1:])),
             "trace": endpoint_bits(m, theta, lw.StreamSpec(spec.delta0, spec.ratio, spec.offset),
                                    horizon),
             "stages": [(lo.hex(), hi.hex())
@@ -308,6 +325,7 @@ class TestStageTable:
             "stages": lambda: [(lo.hex(), hi.hex()) for lo, hi in spec.stages(far + 1)],
             "half_widths": lambda: spec.half_widths(tiny + 1),
             "first_stage": lambda: spec.first_stage(1e-300, 4.0),
+            "nested": lambda: spec.nested(horizon),
         }
         for name in order:
             assert read[name]() == read[name]() == expected[name]
